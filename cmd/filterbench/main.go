@@ -28,9 +28,8 @@ func main() {
 	parallel := flag.Bool("parallel", false, "run the intra-query parallelism sweep (E16) only")
 	chaos := flag.Bool("chaos", false, "run the fault-injection robustness experiment (E17) only")
 	batch := flag.Int("batch", 0, "executor batch size for facade-driven experiments (0 = process default, 1 = row engine)")
-	kernels := flag.String("kernels", "", "expression-kernel setting for facade-driven experiments: on, off, or empty for the process default")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: filterbench [-list] [-json] [-parallel] [-chaos] [-batch N] [-kernels on|off] [experiment ids...]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: filterbench [-list] [-json] [-parallel] [-chaos] [-batch N] [experiment ids...]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -38,11 +37,6 @@ func main() {
 		// The knob reaches every experiment through the process default
 		// (read once, lazily, by exec.EnvBatchSize).
 		os.Setenv("FILTERJOIN_BATCH", strconv.Itoa(*batch))
-	}
-	if *kernels != "" {
-		// Same mechanism as -batch: the process default is read once,
-		// lazily, by exec.EnvKernels. E19 overrides per cell regardless.
-		os.Setenv("FILTERJOIN_KERNELS", *kernels)
 	}
 
 	if *list {

@@ -59,12 +59,6 @@ type Engine struct {
 	cache    *plancache.Cache
 	cacheOff bool
 
-	// kernels selects the compiled-kernel execution paths (DESIGN.md
-	// §14). It is resolved once at construction from Config.Kernels and
-	// FILTERJOIN_KERNELS; row results and cost counters are identical
-	// either way.
-	kernels bool
-
 	// Adaptive re-optimization knobs (DESIGN.md §15), resolved once at
 	// construction. Both default off, in which case guards stay disarmed
 	// and no feedback path runs: behavior, counters, and goldens are
@@ -119,7 +113,6 @@ func newEngine(cfg Config) *Engine {
 		batch:         batch,
 		cache:         plancache.New(cfg.PlanCacheSize),
 		cacheOff:      cfg.DisablePlanCache,
-		kernels:       resolveKernels(cfg.Kernels),
 		adaptFeedback: cfg.AdaptiveFeedback,
 		adaptReplan:   cfg.AdaptiveReplan,
 		fbRatio:       fbRatio,
@@ -605,7 +598,6 @@ func (e *Engine) explainSelectShared(stdctx context.Context, sel *sql.SelectStmt
 		out += replanLine(res)
 		out += fmt.Sprintf("rows: %d\n", len(res.Rows))
 		out += fmt.Sprintf("cache=%s\n", state)
-		out += fmt.Sprintf("kernels=%s\n", e.kernelsBanner())
 		return out, p, res, nil
 	}
 	out := plan.Format(p, e.model)
@@ -613,29 +605,7 @@ func (e *Engine) explainSelectShared(stdctx context.Context, sel *sql.SelectStmt
 		out += fmt.Sprintf("estimated cost: %.2f  (%s)\n", p.Total(e.model), p.Est.String())
 	}
 	out += fmt.Sprintf("cache=%s\n", state)
-	out += fmt.Sprintf("kernels=%s\n", e.kernelsBanner())
 	return out, p, nil, nil
-}
-
-// resolveKernels maps Config.Kernels onto the engine setting: "off"
-// (or "0"/"false") forces the interpreted paths, "" defers to the
-// process default (FILTERJOIN_KERNELS, else on), anything else is on.
-func resolveKernels(s string) bool {
-	switch s {
-	case "":
-		return exec.EnvKernels()
-	case "off", "0", "false":
-		return false
-	}
-	return true
-}
-
-// kernelsBanner renders the engine's kernel setting for EXPLAIN output.
-func (e *Engine) kernelsBanner() string {
-	if e.kernels {
-		return "on"
-	}
-	return "off"
 }
 
 // serveExplainStmt handles the SQL-level EXPLAIN statement, wrapping the
@@ -699,7 +669,6 @@ func (e *Engine) newExecContext(stdctx context.Context, args []value.Value) *exe
 	ctx := exec.NewContext()
 	ctx.Caller = stdctx
 	ctx.BatchSize = e.batch
-	ctx.Kernels = e.kernels
 	ctx.Params = args
 	if e.chaos != nil {
 		ctx.Net = dist.NewChaosTransport(*e.chaos, e.retry)

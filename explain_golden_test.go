@@ -44,12 +44,11 @@ func checkGolden(t *testing.T, name, got string) {
 
 // quickstartDB loads the quickstart example's deterministic schema and
 // data (6000 employees over 150 departments, formula-generated). The
-// batch size and kernel engine are pinned so the goldens don't depend
-// on FILTERJOIN_BATCH or FILTERJOIN_KERNELS (CI runs the suite under
-// several combinations).
+// batch size is pinned so the goldens don't depend on FILTERJOIN_BATCH
+// (CI runs the suite under both settings).
 func quickstartDB(t *testing.T) *filterjoin.DB {
 	t.Helper()
-	db := filterjoin.Open(filterjoin.Config{BatchSize: 1024, Kernels: "on"})
+	db := filterjoin.Open(filterjoin.Config{BatchSize: 1024})
 	if err := db.ExecScript(`
 		CREATE TABLE Emp (eid int, did int, sal float, age int);
 		CREATE TABLE Dept (did int, budget int);
@@ -184,7 +183,6 @@ func TestExplainAnalyzeGoldenBatchParallelDegraded(t *testing.T) {
 	db := degradeDBWith(t, func(cfg *filterjoin.Config) {
 		cfg.BatchSize = 1024
 		cfg.DegreeOfParallelism = 4
-		cfg.Kernels = "on"
 	})
 	got, err := db.ExplainAnalyze(distJoinQuery)
 	if err != nil {

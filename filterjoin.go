@@ -89,13 +89,6 @@ type Config struct {
 	// that many rows. Results, row order, and measured cost counters are
 	// identical at every setting (DESIGN.md §11).
 	BatchSize int
-	// Kernels selects the compiled expression kernels and allocation-free
-	// hash paths (DESIGN.md §14): "on" forces them, "off" forces the
-	// interpreted expression evaluator and map-backed hash tables, and ""
-	// takes the process default (FILTERJOIN_KERNELS, else on). Results,
-	// row order, and measured cost counters are identical either way;
-	// EXPLAIN reports the setting as kernels=on|off.
-	Kernels string
 	// DisablePlanCache turns the serving layer's normalized-query plan
 	// cache off: every SELECT re-optimizes from scratch and EXPLAIN
 	// reports cache=bypass.

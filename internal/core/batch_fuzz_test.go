@@ -11,41 +11,24 @@ import (
 	"filterjoin/internal/opt"
 )
 
-// The batch sizes below cross 1024 (the production default) with 7 and
-// 3 — adversarial odd sizes that force partial batches, mid-batch group
+// engineConfigs are the executor batch sizes every differential below
+// runs: the first, batch=1, is the row-at-a-time reference the others are
+// compared against. 1024 is the production default; 7 and 3 are
+// adversarial odd sizes that force partial batches, mid-batch group
 // boundaries, and refill paths a large power of two never exercises.
-
-// engineConfigs is the kernels axis crossed with the batch axis: every
-// differential below compares each (batch, kernels) combination against
-// the interpreted row engine (batch=1, kernels off), so the compiled
-// expression kernels and RowTable hash paths must reproduce the
-// interpreter's rows, order, and counters bit for bit.
-var engineConfigs = []struct {
-	name    string
-	batch   int
-	kernels bool
-}{
-	{"batch=1/kernels", 1, true},
-	{"batch=1024/interp", exec.DefaultBatchSize, false},
-	{"batch=1024/kernels", exec.DefaultBatchSize, true},
-	{"batch=7/interp", 7, false},
-	{"batch=7/kernels", 7, true},
-	{"batch=3/interp", 3, false},
-	{"batch=3/kernels", 3, true},
-}
+var engineConfigs = []int{1, exec.DefaultBatchSize, 7, 3}
 
 // runPlanBatch executes the plan under the given executor batch size and
-// kernel setting and returns the rows in emission order — unlike runPlan
-// it does NOT sort, because the batch engine must preserve the row
-// engine's exact output sequence, not just its multiset.
-func runPlanBatch(t testing.TB, p interface{ Make() exec.Operator }, batch int, kernels bool) ([]string, cost.Counter) {
+// returns the rows in emission order — unlike runPlan it does NOT sort,
+// because the batch engine must preserve the row engine's exact output
+// sequence, not just its multiset.
+func runPlanBatch(t testing.TB, p interface{ Make() exec.Operator }, batch int) ([]string, cost.Counter) {
 	t.Helper()
 	ctx := exec.NewContext()
 	ctx.BatchSize = batch
-	ctx.Kernels = kernels
 	rows, err := exec.Drain(ctx, p.Make())
 	if err != nil {
-		t.Fatalf("run (batch=%d kernels=%t): %v", batch, kernels, err)
+		t.Fatalf("run (batch=%d): %v", batch, err)
 	}
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -102,16 +85,16 @@ func TestBatchRowDifferentialFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d (%s): optimize: %v\nquery: %s", trial, cfg.name, err, q)
 			}
-			wantRows, wantCost := runPlanBatch(t, planRunner{p.Make}, 1, false)
-			for _, ec := range engineConfigs {
-				gotRows, gotCost := runPlanBatch(t, planRunner{p.Make}, ec.batch, ec.kernels)
+			wantRows, wantCost := runPlanBatch(t, planRunner{p.Make}, engineConfigs[0])
+			for _, batch := range engineConfigs[1:] {
+				gotRows, gotCost := runPlanBatch(t, planRunner{p.Make}, batch)
 				if !equalStrings(gotRows, wantRows) {
-					t.Fatalf("trial %d (%s) %s: rows/order differ from interpreted row engine (%d vs %d rows)\nquery: %s\ngot:  %v\nwant: %v",
-						trial, cfg.name, ec.name, len(gotRows), len(wantRows), q, head(gotRows), head(wantRows))
+					t.Fatalf("trial %d (%s) batch=%d: rows/order differ from row engine (%d vs %d rows)\nquery: %s\ngot:  %v\nwant: %v",
+						trial, cfg.name, batch, len(gotRows), len(wantRows), q, head(gotRows), head(wantRows))
 				}
 				if gotCost != wantCost {
-					t.Fatalf("trial %d (%s) %s: counter totals differ from interpreted row engine:\ngot:  %s\nwant: %s\nquery: %s",
-						trial, cfg.name, ec.name, gotCost.String(), wantCost.String(), q)
+					t.Fatalf("trial %d (%s) batch=%d: counter totals differ from row engine:\ngot:  %s\nwant: %s\nquery: %s",
+						trial, cfg.name, batch, gotCost.String(), wantCost.String(), q)
 				}
 			}
 		}
@@ -121,11 +104,10 @@ func TestBatchRowDifferentialFuzz(t *testing.T) {
 // runPlanChaosBatch is runPlanChaos under a chosen executor batch size,
 // unsorted for the ordering assertion. Each run builds a fresh seeded
 // transport, so identical send sequences see identical fault schedules.
-func runPlanChaosBatch(t *testing.T, p interface{ Make() exec.Operator }, seed int64, batch int, kernels bool) ([]string, cost.Counter) {
+func runPlanChaosBatch(t *testing.T, p interface{ Make() exec.Operator }, seed int64, batch int) ([]string, cost.Counter) {
 	t.Helper()
 	ctx := exec.NewContext()
 	ctx.BatchSize = batch
-	ctx.Kernels = kernels
 	ctx.Net = dist.NewChaosTransport(
 		dist.ChaosConfig{Seed: seed, DropRate: 0.6, MaxLatencyMs: 40, OutageEvery: 5, OutageLen: 2},
 		dist.RetryPolicy{MaxAttempts: 5, TimeoutMs: 25, BackoffMs: 2},
@@ -194,27 +176,18 @@ func TestBatchChaosDifferentialFuzz(t *testing.T) {
 				t.Fatalf("trial %d (%s): optimize: %v\nquery: %s", trial, cfg.name, err, q)
 			}
 			for _, seed := range chaosFuzzSeeds {
-				wantRows, wantCost := runPlanChaosBatch(t, planRunner{p.Make}, seed, 1, false)
-				for _, ec := range []struct {
-					name    string
-					batch   int
-					kernels bool
-				}{
-					{"batch=1/kernels", 1, true},
-					{"batch=1024/interp", exec.DefaultBatchSize, false},
-					{"batch=1024/kernels", exec.DefaultBatchSize, true},
-				} {
-					gotRows, gotCost := runPlanChaosBatch(t, planRunner{p.Make}, seed, ec.batch, ec.kernels)
-					if !equalStrings(gotRows, wantRows) {
-						t.Fatalf("trial %d (%s) seed %d %s: rows/order differ under chaos (%d vs %d rows)\nquery: %s",
-							trial, cfg.name, seed, ec.name, len(gotRows), len(wantRows), q)
-					}
-					if gotCost != wantCost {
-						t.Fatalf("trial %d (%s) seed %d %s: different fault bill:\ngot:  %s\nwant: %s",
-							trial, cfg.name, seed, ec.name, gotCost.String(), wantCost.String())
-					}
-					totalRetries += gotCost.Retries
+				// The chaos table is the row reference against the production batch size.
+				wantRows, wantCost := runPlanChaosBatch(t, planRunner{p.Make}, seed, 1)
+				gotRows, gotCost := runPlanChaosBatch(t, planRunner{p.Make}, seed, exec.DefaultBatchSize)
+				if !equalStrings(gotRows, wantRows) {
+					t.Fatalf("trial %d (%s) seed %d: rows/order differ under chaos (%d vs %d rows)\nquery: %s",
+						trial, cfg.name, seed, len(gotRows), len(wantRows), q)
 				}
+				if gotCost != wantCost {
+					t.Fatalf("trial %d (%s) seed %d: different fault bill:\ngot:  %s\nwant: %s",
+						trial, cfg.name, seed, gotCost.String(), wantCost.String())
+				}
+				totalRetries += gotCost.Retries
 			}
 		}
 	}

@@ -26,11 +26,9 @@ type GroupBy struct {
 	results  []value.Row
 	pos      int
 
-	// Kernel-path state (ctx.Kernels): groups live in a RowTable over
-	// byte-encoded keys with dense ids indexing the state slice; one
-	// scratch buffer serves every key encoding. Output order — sorted by
-	// canonical key — is reproduced exactly, since byte comparison of
-	// the encodings equals Go string comparison of the map keys.
+	// Groups live in a RowTable over byte-encoded keys with dense ids
+	// indexing the state slice; one scratch buffer serves every key
+	// encoding. Output order is ascending byte order of the encodings.
 	ht     RowTable
 	keyBuf []byte
 }
@@ -85,44 +83,19 @@ func (g *GroupBy) newGroupState(r value.Row) *groupState {
 // Open implements Operator.
 func (g *GroupBy) Open(ctx *Context) error {
 	g.Aggs = expr.BindAggs(g.Aggs, ctx.Params)
-	useTable := ctx.Kernels
-	var (
-		groups map[string]*groupState
-		order  []string
-		dense  []*groupState
-	)
-	var lookup func(r value.Row) *groupState
-	if useTable {
-		g.ht.Init(g.SizeHint)
-		dense = make([]*groupState, 0, g.SizeHint)
-		lookup = func(r value.Row) *groupState {
-			g.keyBuf = r.AppendKey(g.keyBuf[:0], g.GroupIdx)
-			id, added := g.ht.Insert(g.keyBuf)
-			if added {
-				dense = append(dense, g.newGroupState(r))
-			}
-			return dense[id]
-		}
-	} else {
-		groups = make(map[string]*groupState, g.SizeHint)
-		order = make([]string, 0, g.SizeHint)
-		lookup = func(r value.Row) *groupState {
-			k := r.Key(g.GroupIdx)
-			gs := groups[k]
-			if gs == nil {
-				gs = g.newGroupState(r)
-				groups[k] = gs
-				order = append(order, k)
-			}
-			return gs
-		}
-	}
+	g.ht.Init(g.SizeHint)
+	dense := make([]*groupState, 0, g.SizeHint)
 	if err := g.Child.Open(ctx); err != nil {
 		return err
 	}
 	err := forEachInput(ctx, g.Child, func(r value.Row) error {
 		ctx.Counter.CPUTuples++
-		gs := lookup(r)
+		g.keyBuf = r.AppendKey(g.keyBuf[:0], g.GroupIdx)
+		id, added := g.ht.Insert(g.keyBuf)
+		if added {
+			dense = append(dense, g.newGroupState(r))
+		}
+		gs := dense[id]
 		for i, a := range g.Aggs {
 			var v value.Value
 			if a.Arg == nil {
@@ -147,43 +120,26 @@ func (g *GroupBy) Open(ctx *Context) error {
 		return err
 	}
 	// Scalar aggregation over an empty input still yields one row.
-	scalarEmpty := len(g.GroupIdx) == 0 &&
-		((useTable && g.ht.Len() == 0) || (!useTable && len(order) == 0))
-	if scalarEmpty {
-		gs := g.newGroupState(value.Row{})
-		if useTable {
-			g.ht.Insert(nil)
-			dense = append(dense, gs)
-		} else {
-			groups[""] = gs
-			order = append(order, "")
-		}
+	if len(g.GroupIdx) == 0 && g.ht.Len() == 0 {
+		g.ht.Insert(nil)
+		dense = append(dense, g.newGroupState(value.Row{}))
 	}
+	ids := make([]int32, g.ht.Len())
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		return bytes.Compare(g.ht.Key(ids[a]), g.ht.Key(ids[b])) < 0
+	})
 	g.results = g.results[:0]
-	emit := func(gs *groupState) {
+	for _, id := range ids {
+		gs := dense[id]
 		out := make(value.Row, 0, len(g.GroupIdx)+len(g.Aggs))
 		out = append(out, gs.key...)
 		for _, st := range gs.states {
 			out = append(out, st.Result())
 		}
 		g.results = append(g.results, out)
-	}
-	if useTable {
-		ids := make([]int32, g.ht.Len())
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		sort.Slice(ids, func(a, b int) bool {
-			return bytes.Compare(g.ht.Key(ids[a]), g.ht.Key(ids[b])) < 0
-		})
-		for _, id := range ids {
-			emit(dense[id])
-		}
-	} else {
-		sort.Strings(order)
-		for _, k := range order {
-			emit(groups[k])
-		}
 	}
 	g.pos = 0
 	return nil

@@ -9,8 +9,8 @@ import (
 )
 
 // allocBudget is the checked-in allocation budget for steady-state
-// NextBatch calls on the kernel paths (testdata/alloc_budget.json). The
-// budgets carry roughly 2x headroom over the measured figures so the
+// NextBatch calls (testdata/alloc_budget.json). The budgets carry
+// roughly 2x headroom over the measured figures so the
 // gate catches regressions — a per-row allocation shows up as ~1024
 // allocs per batch — without flaking on incidental runtime variation.
 type allocBudget map[string]float64
@@ -78,7 +78,6 @@ func TestAllocBudget(t *testing.T) {
 			}
 			op := tc.mk(t)
 			ctx := NewContext()
-			ctx.Kernels = true
 			ctx.BatchSize = DefaultBatchSize
 			if err := op.Open(ctx); err != nil {
 				t.Fatal(err)

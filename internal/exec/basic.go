@@ -15,8 +15,7 @@ type Select struct {
 	Child Operator
 	Pred  expr.Expr
 	in    Batch      // batch-mode scratch for child pulls
-	kern  *expr.Pred // compiled predicate (ctx.Kernels batch path)
-	useK  bool
+	kern  *expr.Pred // Pred compiled at first Open
 }
 
 // NewSelect builds a selection.
@@ -29,15 +28,12 @@ func (s *Select) Schema() *schema.Schema { return s.Child.Schema() }
 
 // Open implements Operator.
 func (s *Select) Open(ctx *Context) error {
-	s.useK = ctx.Kernels && s.Pred != nil
-	if s.useK && s.kern == nil {
+	if s.kern == nil {
 		// Compile once, before BindParams rewrites Param slots to
 		// literals; Bind refreshes the bindings on every re-Open.
 		s.kern = expr.CompilePred(s.Pred)
 	}
-	if s.kern != nil {
-		s.kern.Bind(ctx.Params)
-	}
+	s.kern.Bind(ctx.Params)
 	s.Pred = expr.BindParams(s.Pred, ctx.Params)
 	s.in.Reset()
 	return s.Child.Open(ctx)
@@ -54,12 +50,7 @@ func (s *Select) Next(ctx *Context) (value.Row, bool, error) {
 			return nil, false, err
 		}
 		ctx.Counter.CPUTuples++
-		var keep bool
-		if s.useK {
-			keep, err = s.kern.EvalRow(r)
-		} else {
-			keep, err = expr.EvalBool(s.Pred, r)
-		}
+		keep, err := s.kern.EvalRow(r)
 		if err != nil {
 			return nil, false, err
 		}
@@ -70,13 +61,11 @@ func (s *Select) Next(ctx *Context) (value.Row, bool, error) {
 }
 
 // NextBatch implements BatchOperator: pull child batches no larger than
-// the output budget and keep the qualifying rows, charging one CPU
-// operation per evaluated row, accumulated locally and flushed once per
-// batch (and before an evaluation error propagates, mirroring the row
-// form's charge-then-evaluate order). With kernels enabled the whole
-// batch goes through the compiled predicate's selection vector; the
-// kernel reports how many rows the row loop would have evaluated, so
-// the charge — including a failing row's — is identical.
+// the output budget and run each through the compiled predicate's
+// selection vector. The kernel reports how many rows the row loop would
+// have evaluated, so the charge — one CPU operation per evaluated row,
+// including a failing row's — is identical to Next's, accumulated
+// locally and flushed once (also before an evaluation error propagates).
 func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 	var cpu int64
 	defer func() { ctx.Counter.CPUTuples += cpu }()
@@ -88,26 +77,13 @@ func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 		if s.in.Len() == 0 {
 			return nil
 		}
-		if s.useK {
-			sel, evaluated, err := s.kern.SelectBatch(s.in.Rows)
-			cpu += int64(evaluated)
-			if err != nil {
-				return err
-			}
-			for _, ri := range sel {
-				dst.Rows = append(dst.Rows, s.in.Rows[ri])
-			}
-			continue
+		sel, evaluated, err := s.kern.SelectBatch(s.in.Rows)
+		cpu += int64(evaluated)
+		if err != nil {
+			return err
 		}
-		for _, r := range s.in.Rows {
-			cpu++
-			keep, err := expr.EvalBool(s.Pred, r)
-			if err != nil {
-				return err
-			}
-			if keep {
-				dst.Rows = append(dst.Rows, r)
-			}
+		for _, ri := range sel {
+			dst.Rows = append(dst.Rows, s.in.Rows[ri])
 		}
 	}
 	return nil
@@ -116,24 +92,23 @@ func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 // Close implements Operator.
 func (s *Select) Close(ctx *Context) error { return s.Child.Close(ctx) }
 
-// Project computes output expressions over each child row.
+// Project computes output expressions over each child row. Output rows
+// are carved from an arena instead of allocated per row.
 type Project struct {
 	Child Operator
 	Exprs []expr.Expr
 	Out   *schema.Schema
 	in    Batch // batch-mode scratch for child pulls
-
-	// Kernel-path state (ctx.Kernels): output rows are carved from an
-	// arena instead of allocated per row, and an all-column projection
-	// precomputes its index list so evaluation is a pair of copies.
-	useK   bool
+	// colIdx is the column index list of an all-column projection, whose
+	// evaluation is a pair of copies; nil when any expression is not a
+	// plain column. Computed once by the constructors.
 	colIdx []int
 	arena  value.RowArena
 }
 
 // NewProject builds a projection with an explicit output schema.
 func NewProject(child Operator, exprs []expr.Expr, out *schema.Schema) *Project {
-	return &Project{Child: child, Exprs: exprs, Out: out}
+	return &Project{Child: child, Exprs: exprs, Out: out, colIdx: columnIndexes(exprs)}
 }
 
 // NewColumnProject projects the child onto the given column indexes.
@@ -143,7 +118,21 @@ func NewColumnProject(child Operator, idx []int) *Project {
 	for i, j := range idx {
 		exprs[i] = expr.NewCol(j, in.Col(j).QualifiedName())
 	}
-	return &Project{Child: child, Exprs: exprs, Out: in.Project(idx)}
+	return NewProject(child, exprs, in.Project(idx))
+}
+
+// columnIndexes returns the column indexes exprs reference when every
+// expression is a plain column, else nil.
+func columnIndexes(exprs []expr.Expr) []int {
+	idx := make([]int, len(exprs))
+	for i, e := range exprs {
+		c, ok := e.(expr.Col)
+		if !ok {
+			return nil
+		}
+		idx[i] = c.Idx
+	}
+	return idx
 }
 
 // Schema implements Operator.
@@ -152,28 +141,14 @@ func (p *Project) Schema() *schema.Schema { return p.Out }
 // Open implements Operator.
 func (p *Project) Open(ctx *Context) error {
 	p.Exprs = expr.BindParamsList(p.Exprs, ctx.Params)
-	p.useK = ctx.Kernels
-	if p.useK && p.colIdx == nil {
-		idx := make([]int, len(p.Exprs))
-		for i, e := range p.Exprs {
-			c, ok := e.(expr.Col)
-			if !ok {
-				idx = nil
-				break
-			}
-			idx[i] = c.Idx
-		}
-		p.colIdx = idx
-	}
 	p.in.Reset()
 	return p.Child.Open(ctx)
 }
 
-// evalRow computes one output row, arena-backed on the kernel path. The
-// all-column shape copies values directly; Col.Eval's range check is
-// preserved verbatim.
+// evalRow computes one arena-backed output row. The all-column shape
+// copies values directly; Col.Eval's range check is preserved verbatim.
 func (p *Project) evalRow(r value.Row) (value.Row, error) {
-	if p.useK && p.colIdx != nil {
+	if p.colIdx != nil {
 		inRange := true
 		for _, j := range p.colIdx {
 			if j < 0 || j >= len(r) {
@@ -185,12 +160,7 @@ func (p *Project) evalRow(r value.Row) (value.Row, error) {
 			return p.arena.Project(r, p.colIdx), nil
 		}
 	}
-	var out value.Row
-	if p.useK {
-		out = p.arena.Make(len(p.Exprs))
-	} else {
-		out = make(value.Row, len(p.Exprs))
-	}
+	out := p.arena.Make(len(p.Exprs))
 	for i, e := range p.Exprs {
 		v, err := e.Eval(r)
 		if err != nil {
@@ -243,15 +213,13 @@ func (p *Project) Close(ctx *Context) error { return p.Child.Close(ctx) }
 // distinct projection that produces the filter set.
 type Distinct struct {
 	Child Operator
-	seen  map[string]bool
 	in    Batch // batch-mode scratch for child pulls
 
-	// Kernel-path state (ctx.Kernels): the seen-set is a RowTable over
-	// byte-encoded full keys with one reused scratch buffer, so the
-	// steady state allocates only when a new distinct key is retained.
-	useTable bool
-	ht       RowTable
-	keyBuf   []byte
+	// The seen-set is a RowTable over byte-encoded full keys with one
+	// reused scratch buffer, so the steady state allocates only when a
+	// new distinct key is retained.
+	ht     RowTable
+	keyBuf []byte
 }
 
 // NewDistinct builds a hash-based duplicate eliminator.
@@ -262,13 +230,7 @@ func (d *Distinct) Schema() *schema.Schema { return d.Child.Schema() }
 
 // Open implements Operator.
 func (d *Distinct) Open(ctx *Context) error {
-	d.useTable = ctx.Kernels
-	if d.useTable {
-		d.seen = nil
-		d.ht.Init(0)
-	} else {
-		d.seen = map[string]bool{}
-	}
+	d.ht.Init(0)
 	d.keyBuf = d.keyBuf[:0]
 	d.in.Reset()
 	return d.Child.Open(ctx)
@@ -276,17 +238,9 @@ func (d *Distinct) Open(ctx *Context) error {
 
 // firstSeen reports whether r's full key is new, recording it.
 func (d *Distinct) firstSeen(r value.Row) bool {
-	if d.useTable {
-		d.keyBuf = r.AppendFullKey(d.keyBuf[:0])
-		_, added := d.ht.Insert(d.keyBuf)
-		return added
-	}
-	k := r.FullKey()
-	if d.seen[k] {
-		return false
-	}
-	d.seen[k] = true
-	return true
+	d.keyBuf = r.AppendFullKey(d.keyBuf[:0])
+	_, added := d.ht.Insert(d.keyBuf)
+	return added
 }
 
 // Next implements Operator.

@@ -61,20 +61,8 @@ var envBatchSize = sync.OnceValue(func() int {
 // at both 1 and 1024 to keep the engines interchangeable.
 func EnvBatchSize() int { return envBatchSize() }
 
-// envKernels parses the FILTERJOIN_KERNELS environment variable once.
-var envKernels = sync.OnceValue(func() bool {
-	switch os.Getenv("FILTERJOIN_KERNELS") {
-	case "0", "off", "false":
-		return false
-	}
-	return true
-})
-
-// EnvKernels returns the process-wide default for the vectorized
-// evaluation layer: on unless FILTERJOIN_KERNELS is set to 0/off/false.
-// Both settings produce bit-identical rows and counters; the knob exists
-// for ablation and differential testing.
-func EnvKernels() bool { return envKernels() }
+// EnvKernels is always true; bench/layers.go, its last user, prints it in the fingerprint.
+func EnvKernels() bool { return true }
 
 // Batch is the unit of exchange between batch-aware operators: a
 // reusable carrier of up to one morsel of rows. The protocol:

@@ -36,7 +36,6 @@ func NewWorkerContext(parent *Context) *Context {
 	w := NewContext()
 	if parent != nil {
 		w.Caller = parent.Caller
-		w.Kernels = parent.Kernels
 	}
 	return w
 }

@@ -74,12 +74,7 @@ type Context struct {
 	// to pre-adaptive behavior.
 	ReplanRatio float64
 
-	// Kernels enables the vectorized evaluation layer (DESIGN.md §14):
-	// predicates compiled to batch kernels with selection vectors, and
-	// open-addressing hash tables over byte-encoded keys in place of
-	// string-keyed maps. Rows, order and Counter totals are bit-identical
-	// either way; off exists for ablation (EXPLAIN kernels=off) and as
-	// the reference the differential fuzz compares against.
+	// Kernels is read by nothing; bench/layers.go, its last user, still assigns it.
 	Kernels bool
 
 	// ops collects the stats block of every Instrumented shim that ran
@@ -90,10 +85,9 @@ type Context struct {
 	stack []*Instrumented
 }
 
-// NewContext returns a context with a fresh counter. Kernels default to
-// the process-wide setting (on unless FILTERJOIN_KERNELS disables them).
+// NewContext returns a context with a fresh counter.
 func NewContext() *Context {
-	return &Context{Counter: &cost.Counter{}, Kernels: EnvKernels()}
+	return &Context{Counter: &cost.Counter{}, Kernels: true}
 }
 
 // Err reports why execution should stop: the caller context's

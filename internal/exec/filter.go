@@ -11,18 +11,14 @@ import (
 // production set onto the join attributes (the paper's "filter set F",
 // classically the "magic set").
 type KeySet struct {
-	keys  map[string]bool
 	rows  []value.Row
 	width int
 
-	// Kernel-path backend (DESIGN.md §14): an open-addressing RowTable
-	// over canonical byte keys replaces the string map, with keyBuf as
-	// the build-time encoding scratch. Membership semantics are
-	// identical; only the representation changes. Probes must supply
-	// their own scratch (ContainsBuf) when the set is shared.
-	useTable bool
-	ht       RowTable
-	keyBuf   []byte
+	// Membership is a RowTable over canonical byte keys, with keyBuf as
+	// the build-time encoding scratch. Probes supply their own scratch
+	// (ContainsBuf) because a set may be shared across goroutines.
+	ht     RowTable
+	keyBuf []byte
 }
 
 // NewKeySet creates an empty key set for keys of the given width.
@@ -33,21 +29,7 @@ func NewKeySet(width int) *KeySet {
 // NewKeySetSized creates an empty key set pre-sized for about hint
 // distinct keys (0 = unknown).
 func NewKeySetSized(width, hint int) *KeySet {
-	return &KeySet{
-		keys:  make(map[string]bool, hint),
-		rows:  make([]value.Row, 0, hint),
-		width: width,
-	}
-}
-
-// NewKeySetTableSized is NewKeySetSized on the allocation-free RowTable
-// backend (the ctx.Kernels path).
-func NewKeySetTableSized(width, hint int) *KeySet {
-	ks := &KeySet{
-		rows:     make([]value.Row, 0, hint),
-		width:    width,
-		useTable: true,
-	}
+	ks := &KeySet{rows: make([]value.Row, 0, hint), width: width}
 	ks.ht.Init(hint)
 	return ks
 }
@@ -62,12 +44,7 @@ func BuildKeySet(ctx *Context, op Operator, keyIdx []int) (*KeySet, error) {
 // optimizer's cardinality estimate (0 = unknown); the hint pre-sizes the
 // set's hash table and row buffer and has no effect on the result.
 func BuildKeySetSized(ctx *Context, op Operator, keyIdx []int, hint int) (*KeySet, error) {
-	var ks *KeySet
-	if ctx.Kernels {
-		ks = NewKeySetTableSized(len(keyIdx), hint)
-	} else {
-		ks = NewKeySetSized(len(keyIdx), hint)
-	}
+	ks := NewKeySetSized(len(keyIdx), hint)
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
@@ -84,40 +61,20 @@ func BuildKeySetSized(ctx *Context, op Operator, keyIdx []int, hint int) (*KeySe
 
 // Add inserts a key row.
 func (s *KeySet) Add(key value.Row) {
-	if s.useTable {
-		s.keyBuf = key.AppendFullKey(s.keyBuf[:0])
-		if _, added := s.ht.Insert(s.keyBuf); added {
-			s.rows = append(s.rows, key)
-		}
-		return
+	s.keyBuf = key.AppendFullKey(s.keyBuf[:0])
+	if _, added := s.ht.Insert(s.keyBuf); added {
+		s.rows = append(s.rows, key)
 	}
-	k := key.FullKey()
-	if s.keys[k] {
-		return
-	}
-	s.keys[k] = true
-	s.rows = append(s.rows, key)
 }
 
-// Contains tests membership of the projection of r onto keyIdx. It is
-// safe for concurrent probes (it never touches the set's scratch); hot
-// callers holding their own scratch buffer should use ContainsBuf.
-func (s *KeySet) Contains(r value.Row, keyIdx []int) bool {
-	if s.useTable {
-		return s.ht.Lookup(r.AppendKey(nil, keyIdx)) >= 0
-	}
-	return s.keys[r.Key(keyIdx)]
-}
-
-// ContainsBuf is Contains with a caller-supplied encoding scratch so
-// per-probe allocation is zero; it returns the (possibly grown) buffer
-// for reuse. Each concurrent prober must own its buffer.
+// ContainsBuf tests membership of the projection of r onto keyIdx,
+// encoding the probe key into the caller's scratch so per-probe
+// allocation is zero; it returns the (possibly grown) buffer for reuse.
+// It never touches the set's own scratch, so concurrent probes are safe
+// as long as each prober owns its buffer.
 func (s *KeySet) ContainsBuf(r value.Row, keyIdx []int, buf []byte) ([]byte, bool) {
-	if s.useTable {
-		buf = r.AppendKey(buf[:0], keyIdx)
-		return buf, s.ht.Lookup(buf) >= 0
-	}
-	return buf, s.keys[r.Key(keyIdx)]
+	buf = r.AppendKey(buf[:0], keyIdx)
+	return buf, s.ht.Lookup(buf) >= 0
 }
 
 // Len returns the number of distinct keys.

@@ -124,29 +124,13 @@ type HashJoin struct {
 	// cardinality estimate (0 = unknown).
 	BuildSizeHint int
 	out           *schema.Schema
-	table         map[string][]value.Row
+	tab           joinTable
 	probe         value.Row
-	bucket        []value.Row
-	bpos          int
+	chain         int32 // cursor into the current probe row's bucket chain (-1 = exhausted)
 	pbuf          Batch // batch-mode scratch for probe-side pulls
 	ppos          int
-
-	// Kernel-path state (ctx.Kernels): the string-keyed table is replaced
-	// by a RowTable over byte-encoded keys, with per-key bucket chains
-	// threaded through the drained build rows (heads/tails/nextRow index
-	// into buildRows), one reused key scratch buffer, and an arena for
-	// joined output rows. chain is the probe cursor into the current
-	// bucket chain (-1 = exhausted).
-	useTable  bool
-	ht        RowTable
-	buildRows []value.Row
-	heads     []int32
-	tails     []int32
-	nextRow   []int32
-	keyBuf    []byte
-	chain     int32
-	rkern     *expr.Pred
-	arena     value.RowArena
+	rkern         *expr.Pred     // compiled residual
+	arena         value.RowArena // joined output rows
 }
 
 // NewHashJoin builds a hash equi-join; left is the build side and the
@@ -181,8 +165,7 @@ func (j *HashJoin) Schema() *schema.Schema { return j.out }
 
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Context) error {
-	j.useTable = ctx.Kernels
-	if j.useTable && j.rkern == nil && j.Residual != nil {
+	if j.rkern == nil {
 		// Compile once, before BindParams rewrites Param slots to
 		// literals; Bind refreshes the bindings on every re-Open.
 		j.rkern = expr.CompilePred(j.Residual)
@@ -191,116 +174,44 @@ func (j *HashJoin) Open(ctx *Context) error {
 		j.rkern.Bind(ctx.Params)
 	}
 	j.Residual = expr.BindParams(j.Residual, ctx.Params)
-	j.table = nil
 	j.probe = nil
-	j.bucket = nil
-	j.bpos = 0
 	j.chain = -1
-	j.buildRows = nil
 	j.pbuf.Reset()
 	j.ppos = 0
 	rows, err := Drain(ctx, j.Left)
 	if err != nil {
 		return err
 	}
-	if j.useTable {
-		j.buildRows = rows
-		j.ht.Init(j.BuildSizeHint)
-		j.heads = j.heads[:0]
-		j.tails = j.tails[:0]
-		if cap(j.nextRow) < len(rows) {
-			j.nextRow = make([]int32, 0, len(rows))
-		}
-		j.nextRow = j.nextRow[:0]
-		for i, r := range rows {
-			j.keyBuf = r.AppendKey(j.keyBuf[:0], j.LeftKeys)
-			id, added := j.ht.Insert(j.keyBuf)
-			j.nextRow = append(j.nextRow, -1)
-			if added {
-				j.heads = append(j.heads, int32(i))
-				j.tails = append(j.tails, int32(i))
-			} else {
-				j.nextRow[j.tails[id]] = int32(i)
-				j.tails[id] = int32(i)
-			}
-		}
-	} else {
-		j.table = make(map[string][]value.Row, j.BuildSizeHint)
-		for _, r := range rows {
-			k := r.Key(j.LeftKeys)
-			j.table[k] = append(j.table[k], r)
-		}
-	}
+	j.tab.build(rows, j.LeftKeys, j.BuildSizeHint)
 	ctx.Counter.CPUTuples += int64(len(rows))
 	return j.Right.Open(ctx)
-}
-
-// residualKeep evaluates the residual over a joined row, through the
-// compiled kernel when the kernel path is active so both engines run the
-// same code. Callers guard on j.Residual != nil.
-func (j *HashJoin) residualKeep(joined value.Row) (bool, error) {
-	if j.useTable && j.rkern != nil {
-		return j.rkern.EvalRow(joined)
-	}
-	return expr.EvalBool(j.Residual, joined)
 }
 
 // probeKey positions the bucket cursor for probe row r.
 func (j *HashJoin) probeKey(r value.Row) {
 	j.probe = r
-	if j.useTable {
-		j.keyBuf = r.AppendKey(j.keyBuf[:0], j.RightKeys)
-		if id := j.ht.Lookup(j.keyBuf); id >= 0 {
-			j.chain = j.heads[id]
-		} else {
-			j.chain = -1
-		}
-		return
-	}
-	j.bucket = j.table[r.Key(j.RightKeys)]
-	j.bpos = 0
-}
-
-// hasCandidate reports whether the current bucket has unconsumed build
-// rows.
-func (j *HashJoin) hasCandidate() bool {
-	if j.useTable {
-		return j.chain >= 0
-	}
-	return j.bpos < len(j.bucket)
+	j.chain = j.tab.probe(r, j.RightKeys)
 }
 
 // nextCandidate pops the next build row of the current bucket, false
 // when the bucket is exhausted.
 func (j *HashJoin) nextCandidate() (value.Row, bool) {
-	if j.useTable {
-		if j.chain < 0 {
-			return nil, false
-		}
-		l := j.buildRows[j.chain]
-		j.chain = j.nextRow[j.chain]
-		return l, true
-	}
-	if j.bpos >= len(j.bucket) {
+	if j.chain < 0 {
 		return nil, false
 	}
-	l := j.bucket[j.bpos]
-	j.bpos++
+	var l value.Row
+	l, j.chain = j.tab.pop(j.chain)
 	return l, true
 }
 
 // concat joins a build candidate with the current probe row in the
-// configured layout, arena-backed on the kernel path so a steady-state
-// batch pays one slab allocation per few thousand values.
+// configured layout, arena-backed so a steady-state batch pays one slab
+// allocation per few thousand values.
 func (j *HashJoin) concat(l value.Row) value.Row {
-	b, p := l, j.probe
 	if j.EmitProbeFirst {
-		b, p = j.probe, l
+		return j.arena.Concat(j.probe, l)
 	}
-	if j.useTable {
-		return j.arena.Concat(b, p)
-	}
-	return b.Concat(p)
+	return j.arena.Concat(l, j.probe)
 }
 
 // Next implements Operator.
@@ -314,7 +225,7 @@ func (j *HashJoin) Next(ctx *Context) (value.Row, bool, error) {
 			ctx.Counter.CPUTuples++
 			joined := j.concat(l)
 			if j.Residual != nil {
-				keep, err := j.residualKeep(joined)
+				keep, err := j.rkern.EvalRow(joined)
 				if err != nil {
 					return nil, false, err
 				}
@@ -345,7 +256,7 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 	var cpu int64
 	defer func() { ctx.Counter.CPUTuples += cpu }()
 	for {
-		for j.hasCandidate() {
+		for j.chain >= 0 {
 			if len(dst.Rows) >= max {
 				return nil
 			}
@@ -353,7 +264,7 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 			cpu++
 			joined := j.concat(l)
 			if j.Residual != nil {
-				keep, err := j.residualKeep(joined)
+				keep, err := j.rkern.EvalRow(joined)
 				if err != nil {
 					return err
 				}
@@ -388,8 +299,7 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 
 // Close implements Operator.
 func (j *HashJoin) Close(ctx *Context) error {
-	j.table = nil
-	j.buildRows = nil
+	j.tab.rows = nil
 	return j.Right.Close(ctx)
 }
 
@@ -694,103 +604,34 @@ func NewParallelHashJoinProbeFirst(left, right Operator, leftKeys, rightKeys []i
 // Schema implements Operator.
 func (j *ParallelHashJoin) Schema() *schema.Schema { return j.out }
 
-// joinWorker builds this worker's hash table and probes it, charging the
-// worker context the serial HashJoin's per-row units (accumulated
-// locally and flushed once per worker — exact, since the components are
-// int64). Output rows are tagged with their probe ordinal so the merge
-// can restore probe order; each ordinal belongs to exactly one worker.
+// joinWorker builds this worker's private joinTable over its build
+// partition and probes it, charging the worker context the serial
+// HashJoin's per-row units — one CPU operation per build row, per probe
+// row, per bucket candidate (accumulated locally and flushed once per
+// worker — exact, since the components are int64). Output rows are
+// tagged with their probe ordinal so the merge can restore probe order;
+// each ordinal belongs to exactly one worker. The shared compiled
+// residual is only read (EvalRow holds no scratch), so workers may
+// evaluate it concurrently.
 func (j *ParallelHashJoin) joinWorker(wctx *Context, build []value.Row, probe []value.Row, probeOrds []int) ([]taggedRow, error) {
-	if wctx.Kernels {
-		return j.joinWorkerTable(wctx, build, probe, probeOrds)
-	}
-	var cpu int64
+	cpu := int64(len(build))
 	defer func() { wctx.Counter.CPUTuples += cpu }()
 	hint := 0
 	if j.BuildSizeHint > 0 {
 		hint = j.BuildSizeHint/clampDOP(j.DOP) + 1
 	}
-	table := make(map[string][]value.Row, hint)
-	for _, r := range build {
-		cpu++
-		k := r.Key(j.LeftKeys)
-		table[k] = append(table[k], r)
-	}
-	var out []taggedRow
-	for i, r := range probe {
-		if err := wctx.Err(); err != nil {
-			return out, err
-		}
-		cpu++
-		bucket := table[r.Key(j.RightKeys)]
-		for _, l := range bucket {
-			cpu++
-			var joined value.Row
-			if j.EmitProbeFirst {
-				joined = r.Concat(l)
-			} else {
-				joined = l.Concat(r)
-			}
-			if j.Residual != nil {
-				keep, err := expr.EvalBool(j.Residual, joined)
-				if err != nil {
-					return out, err
-				}
-				if !keep {
-					continue
-				}
-			}
-			out = append(out, taggedRow{ord: probeOrds[i], row: joined})
-		}
-	}
-	return out, nil
-}
-
-// joinWorkerTable is the kernel-path worker: a worker-private RowTable
-// with bucket chains over the build partition, one key scratch buffer,
-// and an arena for joined rows. Charges are identical to the map path —
-// one CPU operation per build row, per probe row, per bucket candidate.
-// The shared compiled residual is only read (EvalRow holds no scratch),
-// so workers may evaluate it concurrently.
-func (j *ParallelHashJoin) joinWorkerTable(wctx *Context, build []value.Row, probe []value.Row, probeOrds []int) ([]taggedRow, error) {
-	var cpu int64
-	defer func() { wctx.Counter.CPUTuples += cpu }()
-	hint := 0
-	if j.BuildSizeHint > 0 {
-		hint = j.BuildSizeHint/clampDOP(j.DOP) + 1
-	}
-	var ht RowTable
-	ht.Init(hint)
-	var heads, tails []int32
-	nextRow := make([]int32, 0, len(build))
-	var keyBuf []byte
+	var tab joinTable
+	tab.build(build, j.LeftKeys, hint)
 	var arena value.RowArena
-	for i, r := range build {
-		cpu++
-		keyBuf = r.AppendKey(keyBuf[:0], j.LeftKeys)
-		id, added := ht.Insert(keyBuf)
-		nextRow = append(nextRow, -1)
-		if added {
-			heads = append(heads, int32(i))
-			tails = append(tails, int32(i))
-		} else {
-			nextRow[tails[id]] = int32(i)
-			tails[id] = int32(i)
-		}
-	}
 	var out []taggedRow
 	for i, r := range probe {
 		if err := wctx.Err(); err != nil {
 			return out, err
 		}
 		cpu++
-		keyBuf = r.AppendKey(keyBuf[:0], j.RightKeys)
-		chain := int32(-1)
-		if id := ht.Lookup(keyBuf); id >= 0 {
-			chain = heads[id]
-		}
-		for chain >= 0 {
-			l := build[chain]
-			chain = nextRow[chain]
+		for chain := tab.probe(r, j.RightKeys); chain >= 0; {
+			var l value.Row
+			l, chain = tab.pop(chain)
 			cpu++
 			var joined value.Row
 			if j.EmitProbeFirst {
@@ -817,7 +658,7 @@ func (j *ParallelHashJoin) joinWorkerTable(wctx *Context, build []value.Row, pro
 // co-partition on the join keys, fan out, absorb worker counters, and
 // assemble the output in probe order.
 func (j *ParallelHashJoin) Open(ctx *Context) error {
-	if ctx.Kernels && j.rkern == nil && j.Residual != nil {
+	if j.rkern == nil {
 		j.rkern = expr.CompilePred(j.Residual)
 	}
 	if j.rkern != nil {

@@ -6,18 +6,11 @@ import (
 	"filterjoin/internal/expr"
 )
 
-// benchEngines is the interpreted-vs-compiled axis every kernel
-// benchmark sweeps; allocs/op under -benchmem is the number the CI
-// bench smoke watches alongside the TestAllocBudget gate.
-var benchEngines = []struct {
-	name    string
-	kernels bool
-}{{"interp", false}, {"kernels", true}}
-
-func benchDrain(b *testing.B, mk func(b *testing.B) Operator, kernels bool) {
-	op := mk(b)
+// benchDrain counts op's rows b.N times at the production batch size;
+// allocs/op under -benchmem is the number the CI bench smoke watches
+// alongside the TestAllocBudget gate.
+func benchDrain(b *testing.B, op Operator) {
 	ctx := NewContext()
-	ctx.Kernels = kernels
 	ctx.BatchSize = DefaultBatchSize
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -29,37 +22,19 @@ func benchDrain(b *testing.B, mk func(b *testing.B) Operator, kernels bool) {
 }
 
 func BenchmarkSelectBatch(b *testing.B) {
-	for _, eng := range benchEngines {
-		b.Run(eng.name, func(b *testing.B) {
-			benchDrain(b, func(b *testing.B) Operator {
-				pred := expr.NewAnd(
-					expr.NewCmp(expr.LT, expr.NewCol(1, "v"), expr.Int(25)),
-					expr.NewCmp(expr.GE, expr.NewCol(0, "k"), expr.Int(3)),
-				)
-				return NewSelect(allocTable(b, "t", 50_000), pred)
-			}, eng.kernels)
-		})
-	}
+	pred := expr.NewAnd(
+		expr.NewCmp(expr.LT, expr.NewCol(1, "v"), expr.Int(25)),
+		expr.NewCmp(expr.GE, expr.NewCol(0, "k"), expr.Int(3)),
+	)
+	benchDrain(b, NewSelect(allocTable(b, "t", 50_000), pred))
 }
 
 func BenchmarkHashJoinBatch(b *testing.B) {
-	for _, eng := range benchEngines {
-		b.Run(eng.name, func(b *testing.B) {
-			benchDrain(b, func(b *testing.B) Operator {
-				return NewHashJoin(allocTable(b, "b", 4096), allocTable(b, "p", 50_000),
-					[]int{0}, []int{0}, nil)
-			}, eng.kernels)
-		})
-	}
+	benchDrain(b, NewHashJoin(allocTable(b, "b", 4096), allocTable(b, "p", 50_000),
+		[]int{0}, []int{0}, nil))
 }
 
 func BenchmarkGroupByBatch(b *testing.B) {
-	for _, eng := range benchEngines {
-		b.Run(eng.name, func(b *testing.B) {
-			benchDrain(b, func(b *testing.B) Operator {
-				return NewGroupBy(allocTable(b, "g", 50_000), []int{0},
-					[]expr.AggSpec{{Kind: expr.AggCount, Name: "c"}})
-			}, eng.kernels)
-		})
-	}
+	benchDrain(b, NewGroupBy(allocTable(b, "g", 50_000), []int{0},
+		[]expr.AggSpec{{Kind: expr.AggCount, Name: "c"}}))
 }

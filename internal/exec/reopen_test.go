@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"filterjoin/internal/expr"
+	"filterjoin/internal/schema"
 	"filterjoin/internal/value"
 )
 
@@ -49,6 +50,14 @@ func reopenCases(t *testing.T) map[string]func() Operator {
 		},
 		"Distinct": func() Operator { return NewDistinct(NewColumnProject(NewTableScan(lt, ""), []int{0})) },
 		"Limit":    func() Operator { return NewLimit(NewTableScan(lt, ""), 3) },
+		// A projection that is not all columns, re-Opened once per outer
+		// row as a nested-loops inner.
+		"ProjectMixedNLInner": func() Operator {
+			inner := NewProject(NewTableScan(lt, ""),
+				[]expr.Expr{expr.NewCol(0, "k"), expr.Arith{Op: expr.Add, L: expr.NewCol(1, "v"), R: expr.Int(1)}},
+				schema.New(schema.Column{Name: "k", Type: value.KindInt}, schema.Column{Name: "v1", Type: value.KindInt}))
+			return NewNestedLoopJoin(NewTableScan(rt, ""), inner, nil)
+		},
 	}
 }
 

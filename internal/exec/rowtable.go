@@ -2,11 +2,11 @@ package exec
 
 import "filterjoin/internal/value"
 
-// RowTable is the allocation-free replacement for the map[string]-keyed
-// hash paths (DESIGN.md §14): an open-addressing table over 64-bit FNV
-// hashes of canonical key encodings (value.Row.AppendKey), with the key
-// bytes themselves packed into one arena and verified in full on every
-// hash hit — so its equality relation is exactly the string map's.
+// RowTable is the key table of every hash operator (DESIGN.md §14): an
+// open-addressing table over 64-bit FNV hashes of canonical key
+// encodings (value.Row.AppendKey), with the key bytes themselves packed
+// into one arena and verified in full on every hash hit — so its
+// equality relation is exactly that of a map keyed on value.Row.Key.
 // Values never live in the table: it assigns each distinct key a dense
 // id (0, 1, 2, …) in first-insertion order, and operators index their
 // own payload slices (bucket chains, group states) by that id.
@@ -150,3 +150,54 @@ func (t *RowTable) grow() {
 		t.slots[i] = s
 	}
 }
+
+// joinTable is a hash join's build side, and the one place its format is
+// decided: a RowTable over the build rows' key encodings plus one chain
+// per distinct key threaded through the rows in build order (heads and
+// tails index by key id, next by row position), so a probe walks a key's
+// build rows in insertion order. HashJoin and each ParallelHashJoin
+// worker own one; storage is kept across builds for re-Opened joins.
+type joinTable struct {
+	ht                RowTable
+	rows              []value.Row
+	heads, tails, nxt []int32
+	keyBuf            []byte
+}
+
+// build indexes rows on the keys columns, pre-sized for hint distinct keys.
+func (t *joinTable) build(rows []value.Row, keys []int, hint int) {
+	t.rows = rows
+	t.ht.Init(hint)
+	t.heads = t.heads[:0]
+	t.tails = t.tails[:0]
+	if cap(t.nxt) < len(rows) {
+		t.nxt = make([]int32, 0, len(rows))
+	}
+	t.nxt = t.nxt[:0]
+	for i, r := range rows {
+		t.keyBuf = r.AppendKey(t.keyBuf[:0], keys)
+		id, added := t.ht.Insert(t.keyBuf)
+		t.nxt = append(t.nxt, -1)
+		if added {
+			t.heads = append(t.heads, int32(i))
+			t.tails = append(t.tails, int32(i))
+		} else {
+			t.nxt[t.tails[id]] = int32(i)
+			t.tails[id] = int32(i)
+		}
+	}
+}
+
+// probe returns the chain cursor of the first build row whose key equals
+// r's keys columns, or -1 when there is none.
+func (t *joinTable) probe(r value.Row, keys []int) int32 {
+	t.keyBuf = r.AppendKey(t.keyBuf[:0], keys)
+	if id := t.ht.Lookup(t.keyBuf); id >= 0 {
+		return t.heads[id]
+	}
+	return -1
+}
+
+// pop returns the build row at cursor c and the cursor of the next row
+// in its chain (-1 at the end).
+func (t *joinTable) pop(c int32) (value.Row, int32) { return t.rows[c], t.nxt[c] }

@@ -20,11 +20,6 @@ func TestAllExperimentsRun(t *testing.T) {
 	// so shorten the stream (notably under -race, which multiplies the
 	// cost of the concurrent sessions).
 	t.Setenv("FILTERJOIN_E18_QUERIES", "240")
-	// Likewise the kernel experiment: full-size tables give stable
-	// speedups, but the integration test only needs the parity
-	// enforcement to run across every (batch, kernels) cell.
-	t.Setenv("FILTERJOIN_E19_ROWS", "6000")
-	t.Setenv("FILTERJOIN_E19_REPS", "1")
 	for _, e := range experiments.Registry {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {

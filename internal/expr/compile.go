@@ -17,7 +17,7 @@ import (
 //     (for CPU-tuple charging parity) is that row's position + 1;
 //   - Param slots rebind per execution via Bind without recompiling.
 //
-// Kernels evaluate kid-major (one kid over the whole selection, then the
+// The kernels evaluate kid-major (one kid over the whole selection, then the
 // next), which is what makes them fast — but the interpreter is
 // row-major, and errors are position-sensitive. The cascade rule
 // reconciles the two: when a kid errors at row e, the rows before e got

@@ -15,7 +15,7 @@ import (
 // with the serving-layer defaults, optionally with the plan cache off.
 func servingDB(t *testing.T, cacheOff bool) *filterjoin.DB {
 	t.Helper()
-	db := filterjoin.Open(filterjoin.Config{BatchSize: 1024, Kernels: "on", DisablePlanCache: cacheOff})
+	db := filterjoin.Open(filterjoin.Config{BatchSize: 1024, DisablePlanCache: cacheOff})
 	if err := db.ExecScript(`
 		CREATE TABLE Emp (eid int, did int, sal float, age int);
 		CREATE TABLE Dept (did int, budget int);
