@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"filterjoin/internal/experiments"
 )
@@ -27,17 +26,11 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit reports as a JSON array instead of text tables")
 	parallel := flag.Bool("parallel", false, "run the intra-query parallelism sweep (E16) only")
 	chaos := flag.Bool("chaos", false, "run the fault-injection robustness experiment (E17) only")
-	batch := flag.Int("batch", 0, "executor batch size for facade-driven experiments (0 = process default, 1 = row engine)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: filterbench [-list] [-json] [-parallel] [-chaos] [-batch N] [experiment ids...]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: filterbench [-list] [-json] [-parallel] [-chaos] [experiment ids...]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *batch > 0 {
-		// The knob reaches every experiment through the process default
-		// (read once, lazily, by exec.EnvBatchSize).
-		os.Setenv("FILTERJOIN_BATCH", strconv.Itoa(*batch))
-	}
 
 	if *list {
 		for _, e := range experiments.Registry {

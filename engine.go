@@ -90,7 +90,7 @@ func newEngine(cfg Config) *Engine {
 	}
 	batch := cfg.BatchSize
 	if batch == 0 {
-		batch = exec.EnvBatchSize()
+		batch = exec.DefaultBatchSize
 	}
 	if batch < 1 {
 		batch = 1

@@ -44,8 +44,7 @@ func checkGolden(t *testing.T, name, got string) {
 
 // quickstartDB loads the quickstart example's deterministic schema and
 // data (6000 employees over 150 departments, formula-generated). The
-// batch size is pinned so the goldens don't depend on FILTERJOIN_BATCH
-// (CI runs the suite under both settings).
+// batch size is pinned because EXPLAIN prints it (batch=N).
 func quickstartDB(t *testing.T) *filterjoin.DB {
 	t.Helper()
 	db := filterjoin.Open(filterjoin.Config{BatchSize: 1024})

@@ -83,11 +83,11 @@ type Config struct {
 	// (4 attempts, 400ms per-attempt timeout, 10ms initial backoff,
 	// doubling per retry).
 	Retry dist.RetryPolicy
-	// BatchSize sets the executor morsel size. 0 takes the process
-	// default (FILTERJOIN_BATCH, else 1024); 1 selects the classic
-	// row-at-a-time engine; above 1 operators exchange batches of up to
-	// that many rows. Results, row order, and measured cost counters are
-	// identical at every setting (DESIGN.md §11).
+	// BatchSize sets the executor morsel size: operators exchange
+	// batches of up to that many rows. 0 takes the default (1024); 1
+	// degenerates every pull to a single row. It tunes dispatch overhead
+	// only: results, row order, and measured cost counters are identical
+	// at every setting (DESIGN.md §11).
 	BatchSize int
 	// DisablePlanCache turns the serving layer's normalized-query plan
 	// cache off: every SELECT re-optimizes from scratch and EXPLAIN
@@ -210,7 +210,7 @@ type Result struct {
 }
 
 // Stats returns the per-operator runtime statistics recorded while the
-// result was produced (Open/Next/Close counts, rows, wall time, and the
+// result was produced (Open/NextBatch/Close counts, rows, wall time, and the
 // per-operator cost.Counter delta), in first-Open order. Each entry's
 // Tag is the *plan.Node it executed, which may belong to a sub-plan the
 // Filter Join planned at run time rather than to Result.Plan.

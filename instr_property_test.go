@@ -168,10 +168,10 @@ func TestCostAttributionConservation(t *testing.T) {
 			// dop=0 is the serial path; dop=4 routes scans and hash joins
 			// through the exchange operators, whose worker counters must be
 			// absorbed back for conservation to keep holding exactly. Each
-			// cell then runs under both engines: the batch pipeline must
-			// conserve attribution exactly like the row pipeline AND land
-			// on the same root totals — re-opened inners, shipped streams,
-			// and fetch-matches probes included, faulty transport and all.
+			// cell then runs at morsel sizes 1 and 1024: attribution must be
+			// conserved at both AND land on the same root totals —
+			// re-opened inners, shipped streams, and fetch-matches probes
+			// included, faulty transport and all.
 			for _, dop := range []int{0, 4} {
 				name := w.name + "/" + cfgName
 				if dop > 1 {
@@ -179,11 +179,11 @@ func TestCostAttributionConservation(t *testing.T) {
 				}
 				fjOpts, w := fjOpts, w
 				t.Run(name, func(t *testing.T) {
-					rowTotal := checkConservation(t, name, w.cat, w.block(), w.model, fjOpts, dop, 1, w.co)
+					oneTotal := checkConservation(t, name, w.cat, w.block(), w.model, fjOpts, dop, 1, w.co)
 					batchTotal := checkConservation(t, name+"/batch", w.cat, w.block(), w.model, fjOpts, dop, exec.DefaultBatchSize, w.co)
-					if batchTotal != rowTotal {
-						t.Errorf("%s: batch engine total %s differs from row engine %s",
-							name, batchTotal.String(), rowTotal.String())
+					if batchTotal != oneTotal {
+						t.Errorf("%s: total at morsel size 1024 %s differs from morsel size 1 %s",
+							name, batchTotal.String(), oneTotal.String())
 					}
 				})
 			}

@@ -1,7 +1,14 @@
 package core_test
 
 import (
+	"bufio"
+	"flag"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 
 	"filterjoin/internal/core"
@@ -11,47 +18,132 @@ import (
 	"filterjoin/internal/opt"
 )
 
-// engineConfigs are the executor batch sizes every differential below
-// runs: the first, batch=1, is the row-at-a-time reference the others are
-// compared against. 1024 is the production default; 7 and 3 are
-// adversarial odd sizes that force partial batches, mid-batch group
-// boundaries, and refill paths a large power of two never exercises.
-var engineConfigs = []int{1, exec.DefaultBatchSize, 7, 3}
+var update = flag.Bool("update", false, "rewrite testdata/fuzz_counters.golden from the morsel-size-1 run")
 
-// runPlanBatch executes the plan under the given executor batch size and
-// returns the rows in emission order — unlike runPlan it does NOT sort,
-// because the batch engine must preserve the row engine's exact output
-// sequence, not just its multiset.
-func runPlanBatch(t testing.TB, p interface{ Make() exec.Operator }, batch int) ([]string, cost.Counter) {
+// fuzzGoldenPath pins, for every plan of the two corpora below, the row
+// sequence (as a hash) and every cost.Counter field. It was recorded at
+// commit 0b085c9 by the row-at-a-time engine (row Next methods,
+// BatchSize 1) that has since been deleted, so passing it means the one
+// NextBatch path still bills what that implementation billed — not
+// merely that it agrees with itself at another morsel size.
+const fuzzGoldenPath = "testdata/fuzz_counters.golden"
+
+// morselSizes are the executor morsel sizes every plan is run at. 1024
+// is the production default; 1 degenerates every pull to a single row;
+// 7 and 3 are adversarial odd sizes that force partial batches,
+// mid-batch group boundaries, and refill paths a large power of two
+// never exercises.
+var morselSizes = []int{1, 3, 7, exec.DefaultBatchSize}
+
+// loadFuzzGolden reads the "key<TAB>fingerprint" lines of the golden.
+func loadFuzzGolden(t *testing.T) map[string]string {
 	t.Helper()
-	ctx := exec.NewContext()
-	ctx.BatchSize = batch
-	rows, err := exec.Drain(ctx, p.Make())
+	golden := map[string]string{}
+	f, err := os.Open(fuzzGoldenPath)
 	if err != nil {
-		t.Fatalf("run (batch=%d): %v", batch, err)
-	}
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		s := ""
-		for j, v := range r {
-			if j > 0 {
-				s += "|"
-			}
-			s += v.String()
+		if *update {
+			return golden
 		}
-		out[i] = s
+		t.Fatalf("%v (record it with -update)", err)
 	}
-	return out, *ctx.Counter
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if key, fp, ok := strings.Cut(sc.Text(), "\t"); ok {
+			golden[key] = fp
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return golden
 }
 
-// TestBatchRowDifferentialFuzz is the acceptance criterion for the batch
-// engine: for random queries under every optimizer configuration the row
-// fuzz already covers, each batch size must reproduce the row engine's
-// output row for row IN ORDER, with bit-identical counter totals. Any
-// double-charge, dropped charge, overpull past a Limit, or reordering
-// inside a batched operator shows up here as a diff against batch=1.
+// saveFuzzGolden writes the golden back, sorted by key.
+func saveFuzzGolden(t *testing.T, golden map[string]string) {
+	t.Helper()
+	keys := make([]string, 0, len(golden))
+	for k := range golden {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s\t%s\n", k, golden[k])
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(fuzzGoldenPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runFingerprint executes the plan at the given morsel size over the
+// given transport (nil = the free network) and condenses the outcome to
+// one line: row count, a hash of the rows IN EMISSION ORDER — the
+// executor must preserve the exact output sequence, not just the
+// multiset — and every counter field.
+func runFingerprint(t *testing.T, p *planRunner, morsel int, net exec.Transport) (string, cost.Counter) {
+	t.Helper()
+	ctx := exec.NewContext()
+	ctx.BatchSize = morsel
+	ctx.Net = net
+	rows, err := exec.Drain(ctx, p.Make())
+	if err != nil {
+		t.Fatalf("run (morsel=%d): %v", morsel, err)
+	}
+	h := fnv.New64a()
+	for _, r := range rows {
+		for _, v := range r {
+			h.Write([]byte(v.String()))
+			h.Write([]byte{'|'})
+		}
+		h.Write([]byte{'\n'})
+	}
+	type allFields cost.Counter // no String method: %+v prints every field, zero or not
+	return fmt.Sprintf("rows=%d hash=%016x counter=%+v", len(rows), h.Sum64(), allFields(*ctx.Counter)), *ctx.Counter
+}
+
+// checkMorselInvariance runs the plan at every morsel size and requires
+// each run's fingerprint to equal the golden entry for key; under
+// -update it records the morsel-size-1 run instead. It returns the
+// counter of the last run.
+func checkMorselInvariance(t *testing.T, golden map[string]string, key, query string, p *planRunner, net func() exec.Transport) cost.Counter {
+	t.Helper()
+	if *update {
+		fp, c := runFingerprint(t, p, 1, net())
+		golden[key] = fp
+		return c
+	}
+	want, ok := golden[key]
+	if !ok {
+		t.Fatalf("%s: no entry in %s (record it with -update)", key, fuzzGoldenPath)
+	}
+	var last cost.Counter
+	for _, morsel := range morselSizes {
+		got, c := runFingerprint(t, p, morsel, net())
+		if got != want {
+			t.Fatalf("%s morsel=%d: rows, order or counter totals differ from the recorded row engine:\ngot:  %s\nwant: %s\nquery: %s",
+				key, morsel, got, want, query)
+		}
+		last = c
+	}
+	return last
+}
+
+func freeNet() exec.Transport { return nil }
+
+// TestBatchRowDifferentialFuzz is the acceptance criterion for the
+// executor's morsel-size invariance: for random queries under every
+// optimizer configuration the row fuzz already covers, each morsel size
+// must reproduce the recorded row engine's output row for row IN ORDER,
+// with bit-identical counter totals. Any double-charge, dropped charge,
+// overpull past a Limit, or reordering inside a batched operator shows
+// up here as a diff against the golden.
 func TestBatchRowDifferentialFuzz(t *testing.T) {
 	model := cost.DefaultModel()
+	golden := loadFuzzGolden(t)
 	trials := 25
 	if testing.Short() {
 		trials = 6
@@ -85,62 +177,30 @@ func TestBatchRowDifferentialFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d (%s): optimize: %v\nquery: %s", trial, cfg.name, err, q)
 			}
-			wantRows, wantCost := runPlanBatch(t, planRunner{p.Make}, engineConfigs[0])
-			for _, batch := range engineConfigs[1:] {
-				gotRows, gotCost := runPlanBatch(t, planRunner{p.Make}, batch)
-				if !equalStrings(gotRows, wantRows) {
-					t.Fatalf("trial %d (%s) batch=%d: rows/order differ from row engine (%d vs %d rows)\nquery: %s\ngot:  %v\nwant: %v",
-						trial, cfg.name, batch, len(gotRows), len(wantRows), q, head(gotRows), head(wantRows))
-				}
-				if gotCost != wantCost {
-					t.Fatalf("trial %d (%s) batch=%d: counter totals differ from row engine:\ngot:  %s\nwant: %s\nquery: %s",
-						trial, cfg.name, batch, gotCost.String(), wantCost.String(), q)
-				}
-			}
+			key := fmt.Sprintf("row/trial=%02d/%s", trial, cfg.name)
+			checkMorselInvariance(t, golden, key, q.String(), &planRunner{p.Make}, freeNet)
 		}
 	}
-}
-
-// runPlanChaosBatch is runPlanChaos under a chosen executor batch size,
-// unsorted for the ordering assertion. Each run builds a fresh seeded
-// transport, so identical send sequences see identical fault schedules.
-func runPlanChaosBatch(t *testing.T, p interface{ Make() exec.Operator }, seed int64, batch int) ([]string, cost.Counter) {
-	t.Helper()
-	ctx := exec.NewContext()
-	ctx.BatchSize = batch
-	ctx.Net = dist.NewChaosTransport(
-		dist.ChaosConfig{Seed: seed, DropRate: 0.6, MaxLatencyMs: 40, OutageEvery: 5, OutageLen: 2},
-		dist.RetryPolicy{MaxAttempts: 5, TimeoutMs: 25, BackoffMs: 2},
-	)
-	rows, err := exec.Drain(ctx, p.Make())
-	if err != nil {
-		t.Fatalf("chaos run (seed %d, batch=%d) must recover every fault: %v", seed, batch, err)
+	if *update {
+		saveFuzzGolden(t, golden)
 	}
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		s := ""
-		for j, v := range r {
-			if j > 0 {
-				s += "|"
-			}
-			s += v.String()
-		}
-		out[i] = s
-	}
-	return out, *ctx.Counter
 }
 
 // TestBatchChaosDifferentialFuzz replays the frozen chaos schedules
-// (seeds 5, 17, 23) against random distributed queries under both
-// engines. Every transport Send is issued by a row-only operator that
-// pulls its subtree via Next under either engine (see dist package doc),
-// so the global send sequence — and with it the injected drops, waits,
-// and outages — must land identically: same rows, same order, and
-// counter totals equal bit for bit including Retries and WaitMs.
+// (seeds 5, 17, 23) against random distributed queries at every morsel
+// size. Every transport Send is issued from a row step whose operator
+// reads its subtree one row at a time whatever the morsel size (see the
+// dist package doc), so the global send sequence — and with it the
+// injected drops, waits, and outages — must land identically: same
+// rows, same order, and counter totals equal to the recorded row
+// engine's bit for bit, including Retries and WaitMs. Each run builds a
+// fresh seeded transport, so identical send sequences see identical
+// fault schedules.
 func TestBatchChaosDifferentialFuzz(t *testing.T) {
 	base := cost.DefaultModel()
 	netHeavy := base
 	netHeavy.NetByte *= 5000
+	golden := loadFuzzGolden(t)
 
 	trials := 8
 	if testing.Short() {
@@ -176,22 +236,22 @@ func TestBatchChaosDifferentialFuzz(t *testing.T) {
 				t.Fatalf("trial %d (%s): optimize: %v\nquery: %s", trial, cfg.name, err, q)
 			}
 			for _, seed := range chaosFuzzSeeds {
-				// The chaos table is the row reference against the production batch size.
-				wantRows, wantCost := runPlanChaosBatch(t, planRunner{p.Make}, seed, 1)
-				gotRows, gotCost := runPlanChaosBatch(t, planRunner{p.Make}, seed, exec.DefaultBatchSize)
-				if !equalStrings(gotRows, wantRows) {
-					t.Fatalf("trial %d (%s) seed %d: rows/order differ under chaos (%d vs %d rows)\nquery: %s",
-						trial, cfg.name, seed, len(gotRows), len(wantRows), q)
+				chaosNet := func() exec.Transport {
+					return dist.NewChaosTransport(
+						dist.ChaosConfig{Seed: seed, DropRate: 0.6, MaxLatencyMs: 40, OutageEvery: 5, OutageLen: 2},
+						dist.RetryPolicy{MaxAttempts: 5, TimeoutMs: 25, BackoffMs: 2},
+					)
 				}
-				if gotCost != wantCost {
-					t.Fatalf("trial %d (%s) seed %d: different fault bill:\ngot:  %s\nwant: %s",
-						trial, cfg.name, seed, gotCost.String(), wantCost.String())
-				}
-				totalRetries += gotCost.Retries
+				key := fmt.Sprintf("chaos/trial=%02d/%s/seed=%02d", trial, cfg.name, seed)
+				c := checkMorselInvariance(t, golden, key, q.String(), &planRunner{p.Make}, chaosNet)
+				totalRetries += c.Retries
 			}
 		}
 	}
 	if totalRetries == 0 {
 		t.Fatalf("chaos schedules injected no faults; the differential proves nothing")
+	}
+	if *update {
+		saveFuzzGolden(t, golden)
 	}
 }

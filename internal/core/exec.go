@@ -66,7 +66,7 @@ func (s *fjExecSpec) make() exec.Operator {
 // restricted inner R_k' is composed — for views this performs the magic
 // rewriting and plans the restricted view with the *actual* filter
 // cardinality, the deferred planning §4.2 describes — and the final hash
-// join of P with R_k' is opened. Next/Close delegate to the final join.
+// join of P with R_k' is opened. NextBatch/Close delegate to the final join.
 type filterJoinOp struct {
 	spec  *fjExecSpec
 	final exec.Operator
@@ -303,22 +303,14 @@ func (f *filterJoinOp) restrictView(ctx *exec.Context, keys *exec.KeySet) (exec.
 	return op, nil
 }
 
-// Next implements exec.Operator.
-func (f *filterJoinOp) Next(ctx *exec.Context) (value.Row, bool, error) {
-	if f.final == nil {
-		return nil, false, fmt.Errorf("core: filter join not opened")
-	}
-	return f.final.Next(ctx)
-}
-
-// NextBatch implements exec.BatchOperator by delegating to the final
-// join assembled in Open. The filter set's own network sends happen at
-// Open time, so batched emission cannot reorder them.
+// NextBatch implements exec.Operator by delegating to the final join
+// assembled in Open. The filter set's own network sends happen at Open
+// time, so batched emission cannot reorder them.
 func (f *filterJoinOp) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
 	if f.final == nil {
 		return fmt.Errorf("core: filter join not opened")
 	}
-	return exec.FillBatch(ctx, f.final, dst, max)
+	return f.final.NextBatch(ctx, dst, max)
 }
 
 // Close implements exec.Operator.

@@ -5,13 +5,14 @@
 // semi-join vs fetch-matches vs ship-whole tradeoff (paper §5.1, SDD-1
 // vs System R*) depends on.
 //
-// The operators here stay deliberately row-at-a-time (no NextBatch):
-// FetchMatchesJoin issues one transport Send per outer row from inside
-// Next, so its per-row granularity IS the fault schedule a chaos
-// transport walks. Because these row-only operators pull their subtrees
-// via Next under both engines, the global send sequence — and with it
-// the injected drops, latencies, and outages — replays identically
-// whether the surrounding plan runs batched or not (exec/batch.go).
+// The operators here are deliberately row-at-a-time: each is one row
+// step lifted by exec.FillRows. FetchMatchesJoin issues one transport
+// Send per outer row from inside its step, so its per-row granularity
+// IS the fault schedule a chaos transport walks. Because these
+// operators read their subtrees through an exec.RowReader (budget 1)
+// whatever the morsel size, the global send sequence — and with it the
+// injected drops, latencies, and outages — replays identically at every
+// morsel size (exec/batch.go).
 package dist
 
 import (
@@ -30,7 +31,8 @@ import (
 type Ship struct {
 	Child    Operator
 	RowBytes int
-	Site     int // the remote site the stream crosses from
+	Site     int            // the remote site the stream crosses from
+	in       exec.RowReader // the child is read one row at a time
 }
 
 // Operator aliases exec.Operator for readability within this package.
@@ -63,9 +65,14 @@ func (s *Ship) Open(ctx *exec.Context) error {
 	return nil
 }
 
-// Next implements exec.Operator.
-func (s *Ship) Next(ctx *exec.Context) (value.Row, bool, error) {
-	r, ok, err := s.Child.Next(ctx)
+// NextBatch implements exec.Operator by lifting the row step.
+func (s *Ship) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return exec.FillRows(ctx, dst, max, s.next)
+}
+
+// next ships one child row.
+func (s *Ship) next(ctx *exec.Context) (value.Row, bool, error) {
+	r, ok, err := s.in.Read(ctx, s.Child)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -95,6 +102,7 @@ type FetchMatchesJoin struct {
 	out      *schema.Schema
 	keyBytes int
 	rowBytes int
+	in       exec.RowReader // the outer is read one row at a time
 	cur      value.Row
 	ids      []int
 	pos      int
@@ -140,14 +148,20 @@ func (j *FetchMatchesJoin) Open(ctx *exec.Context) error {
 	return j.Outer.Open(ctx)
 }
 
-// Next implements exec.Operator.
-func (j *FetchMatchesJoin) Next(ctx *exec.Context) (value.Row, bool, error) {
+// NextBatch implements exec.Operator by lifting the row step.
+func (j *FetchMatchesJoin) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return exec.FillRows(ctx, dst, max, j.next)
+}
+
+// next produces one joined row, making the round trip for the next
+// outer row when the current one's matches run out.
+func (j *FetchMatchesJoin) next(ctx *exec.Context) (value.Row, bool, error) {
 	if j.done {
 		return nil, false, nil
 	}
 	for {
 		if j.cur == nil {
-			r, ok, err := j.Outer.Next(ctx)
+			r, ok, err := j.in.Read(ctx, j.Outer)
 			if err != nil {
 				return nil, false, err
 			}

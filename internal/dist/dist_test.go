@@ -210,10 +210,11 @@ func TestFetchMatchesReopenAfterResidualError(t *testing.T) {
 	if err := j.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := j.Next(ctx); err != nil || !ok {
+	var rd exec.RowReader
+	if _, ok, err := rd.Read(ctx, j); err != nil || !ok {
 		t.Fatalf("first match should emit: ok=%v err=%v", ok, err)
 	}
-	if _, _, err := j.Next(ctx); err == nil {
+	if _, _, err := rd.Read(ctx, j); err == nil {
 		t.Fatal("second match should fail residual eval")
 	}
 	if err := j.Close(ctx); err != nil {

@@ -145,19 +145,8 @@ func (g *GroupBy) Open(ctx *Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (g *GroupBy) Next(ctx *Context) (value.Row, bool, error) {
-	if g.pos >= len(g.results) {
-		return nil, false, nil
-	}
-	r := g.results[g.pos]
-	g.pos++
-	ctx.Counter.CPUTuples++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: emit the computed groups a morsel
-// at a time, charging one CPU operation per emitted row as Next does.
+// NextBatch implements Operator: emit the computed groups a morsel at a
+// time, charging one CPU operation per emitted row.
 func (g *GroupBy) NextBatch(ctx *Context, dst *Batch, max int) error {
 	n := min(max, len(g.results)-g.pos)
 	if n <= 0 {
@@ -196,7 +185,7 @@ type StreamGroupBy struct {
 	states  []*expr.AggState
 	started bool
 	done    bool
-	in      Batch // batch-mode scratch for child pulls
+	in      Batch // scratch for child pulls
 	ipos    int
 }
 
@@ -267,66 +256,23 @@ func (g *StreamGroupBy) emit(ctx *Context) value.Row {
 	return out
 }
 
-// Next implements Operator.
-func (g *StreamGroupBy) Next(ctx *Context) (value.Row, bool, error) {
-	if g.done {
-		return nil, false, nil
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		r, ok, err := g.Child.Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			g.done = true
-			if g.started {
-				return g.emit(ctx), true, nil
-			}
-			// Scalar aggregation over an empty input still yields one row.
-			if len(g.GroupIdx) == 0 {
-				g.begin(value.Row{}, nil)
-				return g.emit(ctx), true, nil
-			}
-			return nil, false, nil
-		}
-		ctx.Counter.CPUTuples++
-		g.rowKey = r.AppendKey(g.rowKey[:0], g.GroupIdx)
-		k := g.rowKey
-		if g.started && !bytes.Equal(k, g.curKey) {
-			out := g.emit(ctx)
-			g.begin(r, k)
-			if err := g.accumulate(r); err != nil {
-				return nil, false, err
-			}
-			return out, true, nil
-		}
-		if !g.started {
-			g.begin(r, k)
-		}
-		if err := g.accumulate(r); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: run the same one-group state
-// machine over buffered child batches. Child batches are bounded by the
-// output budget, and the loop returns as soon as the budget is met, so
-// consumption matches the row engine's demand pattern exactly — in
-// particular, the boundary row that closes the last emitted group has
-// already been consumed and charged, just as in Next.
+// NextBatch implements Operator: run the one-group state machine over
+// buffered child batches. Child batches are bounded by the output
+// budget, and the loop returns as soon as the budget is met, so
+// consumption is demand-bounded — the only row consumed beyond the last
+// emitted group is the boundary row that closed it.
 func (g *StreamGroupBy) NextBatch(ctx *Context, dst *Batch, max int) error {
 	if g.done {
 		return nil
 	}
 	for len(dst.Rows) < max {
 		if g.ipos >= len(g.in.Rows) {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			g.in.Reset()
 			g.ipos = 0
-			if err := FillBatch(ctx, g.Child, &g.in, max); err != nil {
+			if err := g.Child.NextBatch(ctx, &g.in, max); err != nil {
 				return err
 			}
 			if g.in.Len() == 0 {

@@ -82,13 +82,12 @@ func TestAllocBudget(t *testing.T) {
 			if err := op.Open(ctx); err != nil {
 				t.Fatal(err)
 			}
-			bop := op.(BatchOperator)
 			var dst Batch
 			// Warm up: pull a few batches so scratch buffers, selection
 			// vectors, and pooled row storage reach steady-state size.
 			for i := 0; i < 8; i++ {
 				dst.Reset()
-				if err := bop.NextBatch(ctx, &dst, DefaultBatchSize); err != nil {
+				if err := op.NextBatch(ctx, &dst, DefaultBatchSize); err != nil {
 					t.Fatal(err)
 				}
 				if dst.Len() == 0 {
@@ -97,7 +96,7 @@ func TestAllocBudget(t *testing.T) {
 			}
 			got := testing.AllocsPerRun(40, func() {
 				dst.Reset()
-				if err := bop.NextBatch(ctx, &dst, DefaultBatchSize); err != nil {
+				if err := op.NextBatch(ctx, &dst, DefaultBatchSize); err != nil {
 					t.Fatal(err)
 				}
 				if dst.Len() == 0 {
@@ -112,5 +111,40 @@ func TestAllocBudget(t *testing.T) {
 					tc.name, got, want)
 			}
 		})
+	}
+}
+
+// TestAllocBudgetNLJReopen gates the row adapter: a nested-loops join
+// reads both children through its RowReader and re-Opens the inner once
+// per outer row. With an inner that yields nothing (so no joined row is
+// ever built), a whole pass over the outer must not allocate — the
+// adapter's one-row scratch is an embedded field that survives re-Opens.
+func TestAllocBudgetNLJReopen(t *testing.T) {
+	want, ok := loadAllocBudget(t)["NestedLoopJoinReopen"]
+	if !ok {
+		t.Fatal("no budget entry for NestedLoopJoinReopen")
+	}
+	op := NewNestedLoopJoin(allocTable(t, "o", 512), NewLimit(allocTable(t, "i", 8), 0), nil)
+	ctx := NewContext()
+	ctx.BatchSize = DefaultBatchSize
+	var dst Batch
+	pass := func() {
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		dst.Reset()
+		if err := op.NextBatch(ctx, &dst, DefaultBatchSize); err != nil {
+			t.Fatal(err)
+		}
+		if dst.Len() != 0 {
+			t.Fatalf("empty inner joined %d rows", dst.Len())
+		}
+		if err := op.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass() // warm up: the adapter's scratch reaches its one-row capacity
+	if got := testing.AllocsPerRun(20, pass); got > want {
+		t.Errorf("512 inner re-opens through the row adapter allocate %.1f/op, budget %.1f (testdata/alloc_budget.json)", got, want)
 	}
 }

@@ -14,7 +14,7 @@ import (
 type Select struct {
 	Child Operator
 	Pred  expr.Expr
-	in    Batch      // batch-mode scratch for child pulls
+	in    Batch      // scratch for child pulls
 	kern  *expr.Pred // Pred compiled at first Open
 }
 
@@ -39,39 +39,21 @@ func (s *Select) Open(ctx *Context) error {
 	return s.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (s *Select) Next(ctx *Context) (value.Row, bool, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		r, ok, err := s.Child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		ctx.Counter.CPUTuples++
-		keep, err := s.kern.EvalRow(r)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return r, true, nil
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: pull child batches no larger than
-// the output budget and run each through the compiled predicate's
-// selection vector. The kernel reports how many rows the row loop would
-// have evaluated, so the charge — one CPU operation per evaluated row,
-// including a failing row's — is identical to Next's, accumulated
-// locally and flushed once (also before an evaluation error propagates).
+// NextBatch implements Operator: pull child batches no larger than the
+// output budget and run each through the compiled predicate's selection
+// vector. The kernel reports how many rows it evaluated before any
+// error, so the charge — one CPU operation per evaluated row, including
+// a failing row's — is accumulated locally and flushed once (also
+// before an evaluation error propagates).
 func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 	var cpu int64
 	defer func() { ctx.Counter.CPUTuples += cpu }()
 	for len(dst.Rows) == 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		s.in.Reset()
-		if err := FillBatch(ctx, s.Child, &s.in, max); err != nil {
+		if err := s.Child.NextBatch(ctx, &s.in, max); err != nil {
 			return err
 		}
 		if s.in.Len() == 0 {
@@ -98,7 +80,7 @@ type Project struct {
 	Child Operator
 	Exprs []expr.Expr
 	Out   *schema.Schema
-	in    Batch // batch-mode scratch for child pulls
+	in    Batch // scratch for child pulls
 	// colIdx is the column index list of an all-column projection, whose
 	// evaluation is a pair of copies; nil when any expression is not a
 	// plain column. Computed once by the constructors.
@@ -171,25 +153,11 @@ func (p *Project) evalRow(r value.Row) (value.Row, error) {
 	return out, nil
 }
 
-// Next implements Operator.
-func (p *Project) Next(ctx *Context) (value.Row, bool, error) {
-	r, ok, err := p.Child.Next(ctx)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	ctx.Counter.CPUTuples++
-	out, err := p.evalRow(r)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, true, nil
-}
-
-// NextBatch implements BatchOperator: one output row per input row, so
-// one child pull fills the whole output batch.
+// NextBatch implements Operator: one output row per input row, so one
+// child pull fills the whole output batch.
 func (p *Project) NextBatch(ctx *Context, dst *Batch, max int) error {
 	p.in.Reset()
-	if err := FillBatch(ctx, p.Child, &p.in, max); err != nil {
+	if err := p.Child.NextBatch(ctx, &p.in, max); err != nil {
 		return err
 	}
 	var cpu int64
@@ -213,7 +181,7 @@ func (p *Project) Close(ctx *Context) error { return p.Child.Close(ctx) }
 // distinct projection that produces the filter set.
 type Distinct struct {
 	Child Operator
-	in    Batch // batch-mode scratch for child pulls
+	in    Batch // scratch for child pulls
 
 	// The seen-set is a RowTable over byte-encoded full keys with one
 	// reused scratch buffer, so the steady state allocates only when a
@@ -243,29 +211,15 @@ func (d *Distinct) firstSeen(r value.Row) bool {
 	return added
 }
 
-// Next implements Operator.
-func (d *Distinct) Next(ctx *Context) (value.Row, bool, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		r, ok, err := d.Child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		ctx.Counter.CPUTuples++
-		if d.firstSeen(r) {
-			return r, true, nil
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: keep the first occurrence of each
+// NextBatch implements Operator: keep the first occurrence of each
 // full-row key, charging one CPU operation per input row.
 func (d *Distinct) NextBatch(ctx *Context, dst *Batch, max int) error {
 	for len(dst.Rows) == 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		d.in.Reset()
-		if err := FillBatch(ctx, d.Child, &d.in, max); err != nil {
+		if err := d.Child.NextBatch(ctx, &d.in, max); err != nil {
 			return err
 		}
 		if d.in.Len() == 0 {
@@ -327,21 +281,9 @@ func (s *Sort) Open(ctx *Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (s *Sort) Next(ctx *Context) (value.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	ctx.Counter.CPUTuples++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: emit the sorted rows a morsel at a
-// time, charging one CPU operation per emitted row as Next does. (The
-// n·log n sort charge happened in Open, which drains the child batch-wise
-// when the context batches.)
+// NextBatch implements Operator: emit the sorted rows a morsel at a
+// time, charging one CPU operation per emitted row. (The n·log n sort
+// charge happened in Open.)
 func (s *Sort) NextBatch(ctx *Context, dst *Batch, max int) error {
 	n := min(max, len(s.rows)-s.pos)
 	if n <= 0 {
@@ -361,7 +303,7 @@ type Limit struct {
 	Child Operator
 	N     int
 	seen  int
-	one   Batch // batch-mode scratch: Limit demands rows singly
+	in    RowReader // Limit demands rows singly
 }
 
 // NewLimit builds a limit.
@@ -373,42 +315,27 @@ func (l *Limit) Schema() *schema.Schema { return l.Child.Schema() }
 // Open implements Operator.
 func (l *Limit) Open(ctx *Context) error {
 	l.seen = 0
-	l.one.Reset()
 	return l.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (l *Limit) Next(ctx *Context) (value.Row, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	r, ok, err := l.Child.Next(ctx)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator. Limit is the one operator that
-// demands rows singly (child budget 1): it is the only place a batch
-// pipeline stops mid-stream, and any lookahead would charge the subtree
-// for rows the row engine never pulls. The cascade of budget-1 pulls
-// degenerates the subtree to row-at-a-time exactly where the row engine
-// would run it — which is also the right performance call, since every
-// extra row produced below a saturated Limit is wasted work.
+// NextBatch implements Operator. Limit demands rows singly (child
+// budget 1): it is the only place a pipeline stops mid-stream, and any
+// lookahead would charge the subtree for rows nobody consumes. The
+// cascade of budget-1 pulls degenerates the subtree to row-at-a-time —
+// which is also the right performance call, since every extra row
+// produced below a saturated Limit is wasted work.
 //
-//lint:ignore costcharge Limit charges nothing by convention in both engines; the loop only forwards rows the child already charged
+//lint:ignore costcharge Limit charges nothing by convention; the loop only forwards rows the child already charged
 func (l *Limit) NextBatch(ctx *Context, dst *Batch, max int) error {
 	for l.seen < l.N && len(dst.Rows) < max {
-		l.one.Reset()
-		if err := FillBatch(ctx, l.Child, &l.one, 1); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if l.one.Len() == 0 {
-			break
+		r, ok, err := l.in.Read(ctx, l.Child)
+		if err != nil || !ok {
+			return err
 		}
-		dst.Rows = append(dst.Rows, l.one.Rows[0])
+		dst.Rows = append(dst.Rows, r)
 		l.seen++
 	}
 	return nil
@@ -450,13 +377,8 @@ func (m *Materialize) Open(ctx *Context) error {
 	return m.scan.Open(ctx)
 }
 
-// Next implements Operator.
-func (m *Materialize) Next(ctx *Context) (value.Row, bool, error) {
-	return m.scan.Next(ctx)
-}
-
-// NextBatch implements BatchOperator by delegating to the embedded scan
-// of the built temporary.
+// NextBatch implements Operator by delegating to the embedded scan of
+// the built temporary.
 func (m *Materialize) NextBatch(ctx *Context, dst *Batch, max int) error {
 	return m.scan.NextBatch(ctx, dst, max)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"filterjoin/internal/expr"
-	"filterjoin/internal/schema"
 	"filterjoin/internal/value"
 )
 
@@ -20,34 +19,17 @@ func cancelledCtx() *Context {
 	return ctx
 }
 
-// rowOnly is a deliberately batch-less operator so tests exercise
-// FillBatch's row shim rather than a native NextBatch.
-type rowOnly struct {
-	rows []value.Row
-	pos  int
-}
-
-func (r *rowOnly) Schema() *schema.Schema { return nil }
-func (r *rowOnly) Open(*Context) error    { r.pos = 0; return nil }
-func (r *rowOnly) Next(*Context) (value.Row, bool, error) {
-	if r.pos >= len(r.rows) {
-		return nil, false, nil
-	}
-	row := r.rows[r.pos]
-	r.pos++
-	return row, true, nil
-}
-func (r *rowOnly) Close(*Context) error { return nil }
-
-// TestNextObservesCancellation holds every row-pulling loop to the
+// TestNextBatchObservesCancellation holds every row-pulling loop to the
 // ctxcancel contract: once the caller context is cancelled, the next
-// Next call surfaces context.Canceled instead of continuing to pull.
-func TestNextObservesCancellation(t *testing.T) {
+// pull surfaces context.Canceled instead of continuing to pull.
+func TestNextBatchObservesCancellation(t *testing.T) {
 	rows := [][]int64{{1, 10}, {2, 20}, {3, 30}, {4, 40}}
 	tb := intTable(t, "t", []string{"a", "b"}, rows)
 	scan := func() Operator { return NewTableScan(tb, "") }
 	cases := map[string]func() Operator{
-		"Select":   func() Operator { return NewSelect(scan(), expr.NewCmp(expr.LT, expr.NewCol(0, "a"), expr.NewLit(value.NewInt(0)))) },
+		"Select": func() Operator {
+			return NewSelect(scan(), expr.NewCmp(expr.LT, expr.NewCol(0, "a"), expr.NewLit(value.NewInt(0))))
+		},
 		"Distinct": func() Operator { return NewDistinct(scan()) },
 		"StreamGroupBy": func() Operator {
 			return NewStreamGroupBy(scan(), []int{0}, []expr.AggSpec{{Kind: expr.AggCount, Name: "c"}})
@@ -71,9 +53,9 @@ func TestNextObservesCancellation(t *testing.T) {
 				t.Fatalf("open: %v", err)
 			}
 			cancel()
-			_, _, err := op.Next(ctx)
+			_, _, err := pullRow(ctx, op)
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("Next after cancel: err = %v, want context.Canceled", err)
+				t.Fatalf("pull after cancel: err = %v, want context.Canceled", err)
 			}
 			if err := op.Close(ctx); err != nil {
 				t.Fatalf("close: %v", err)
@@ -82,17 +64,16 @@ func TestNextObservesCancellation(t *testing.T) {
 	}
 }
 
-// TestFillBatchShimObservesCancellation covers the row shim that adapts
-// batch-less operators into a batch pipeline.
-func TestFillBatchShimObservesCancellation(t *testing.T) {
-	op := &rowOnly{rows: []value.Row{{value.NewInt(1)}, {value.NewInt(2)}}}
-	ctx := cancelledCtx()
-	if err := op.Open(ctx); err != nil {
-		t.Fatal(err)
+// TestFillRowsObservesCancellation covers the helper that lifts a row
+// step into NextBatch: it must not call the step once cancelled.
+func TestFillRowsObservesCancellation(t *testing.T) {
+	step := func(*Context) (value.Row, bool, error) {
+		t.Error("row step called after cancellation")
+		return nil, false, nil
 	}
 	b := NewBatch(8)
-	if err := FillBatch(ctx, op, &b, 8); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FillBatch after cancel: err = %v, want context.Canceled", err)
+	if err := FillRows(cancelledCtx(), &b, 8, step); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FillRows after cancel: err = %v, want context.Canceled", err)
 	}
 }
 

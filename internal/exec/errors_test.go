@@ -25,7 +25,7 @@ func TestSelectErrorPropagates(t *testing.T) {
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := op.Next(ctx); err == nil {
+	if _, _, err := pullRow(ctx, op); err == nil {
 		t.Error("evaluation error must propagate through Select")
 	}
 }
@@ -38,7 +38,7 @@ func TestProjectErrorPropagates(t *testing.T) {
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := op.Next(ctx); err == nil {
+	if _, _, err := pullRow(ctx, op); err == nil {
 		t.Error("division by zero must propagate through Project")
 	}
 }
@@ -53,7 +53,7 @@ func TestJoinResidualErrorPropagates(t *testing.T) {
 	if err := hj.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := hj.Next(ctx); err == nil {
+	if _, _, err := pullRow(ctx, hj); err == nil {
 		t.Error("residual error must propagate through HashJoin")
 	}
 
@@ -61,7 +61,7 @@ func TestJoinResidualErrorPropagates(t *testing.T) {
 	if err := nl.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := nl.Next(ctx); err == nil {
+	if _, _, err := pullRow(ctx, nl); err == nil {
 		t.Error("predicate error must propagate through NestedLoopJoin")
 	}
 }
@@ -119,12 +119,14 @@ func (f *failingOp) Open(ctx *Context) error {
 	return nil
 }
 
-func (f *failingOp) Next(ctx *Context) (value.Row, bool, error) {
-	if f.pos < len(f.rows) {
-		f.pos++
-		return f.rows[f.pos-1], true, nil
-	}
-	return nil, false, f.nextErr
+func (f *failingOp) NextBatch(ctx *Context, dst *Batch, max int) error {
+	return FillRows(ctx, dst, max, func(*Context) (value.Row, bool, error) {
+		if f.pos < len(f.rows) {
+			f.pos++
+			return f.rows[f.pos-1], true, nil
+		}
+		return nil, false, f.nextErr
+	})
 }
 
 func (f *failingOp) Close(ctx *Context) error {

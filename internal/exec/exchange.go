@@ -207,19 +207,9 @@ func (s *ParallelScan) Open(ctx *Context) error {
 	return nil
 }
 
-// Next implements Operator. All charging happened in Open's parallel
-// phase; emitting the buffered rows is coordination and charges nothing.
-func (s *ParallelScan) Next(*Context) (value.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: emit the buffered rows a morsel at
-// a time. Like Next, emission is coordination and charges nothing.
+// NextBatch implements Operator: emit the buffered rows a morsel at a
+// time. All charging happened in Open's parallel phase; emission is
+// coordination and charges nothing.
 func (s *ParallelScan) NextBatch(_ *Context, dst *Batch, max int) error {
 	n := min(max, len(s.rows)-s.pos)
 	if n <= 0 {
@@ -280,14 +270,15 @@ func (p *partIn) Open(*Context) error {
 	p.cur = -1
 	return nil
 }
-func (p *partIn) Next(*Context) (value.Row, bool, error) {
-	if p.pos >= len(p.rows) {
-		return nil, false, nil
+func (p *partIn) NextBatch(_ *Context, dst *Batch, max int) error {
+	n := min(max, len(p.rows)-p.pos)
+	if n <= 0 {
+		return nil
 	}
-	r := p.rows[p.pos]
-	p.cur = p.ords[p.pos]
-	p.pos++
-	return r, true, nil
+	dst.Rows = append(dst.Rows, p.rows[p.pos:p.pos+n]...)
+	p.pos += n
+	p.cur = p.ords[p.pos-1]
+	return nil
 }
 func (p *partIn) Close(*Context) error { return nil }
 
@@ -348,9 +339,10 @@ func (g *Gather) run(ctx *Context) ([][]taggedRow, error) {
 }
 
 // runWorkerPipeline executes one worker's pipeline over its partition
-// input, tagging each output row with the ordinal of the most recently
-// consumed input row (exact for streaming row-wise pipelines, which is
-// what the order-preserving merge requires).
+// input, reading it one row at a time so each output row can be tagged
+// with the ordinal of the most recently consumed input row (exact for
+// streaming pipelines, which is what the order-preserving merge
+// requires).
 func runWorkerPipeline(wctx *Context, part int, in *partIn, build WorkerBuild) ([]taggedRow, error) {
 	var op Operator = in
 	if build != nil {
@@ -360,11 +352,12 @@ func runWorkerPipeline(wctx *Context, part int, in *partIn, build WorkerBuild) (
 		return nil, err
 	}
 	var out []taggedRow
+	var rd RowReader
 	for {
 		if err := wctx.Err(); err != nil {
 			return out, errors.Join(err, op.Close(wctx))
 		}
-		r, ok, err := op.Next(wctx)
+		r, ok, err := rd.Read(wctx, op)
 		if err != nil {
 			return out, errors.Join(err, op.Close(wctx))
 		}
@@ -464,20 +457,9 @@ func mergeByOrdinal(outs [][]taggedRow) []value.Row {
 	return merged
 }
 
-// Next implements Operator. The merged rows were produced and charged by
-// the worker pipelines; emitting them is coordination and charges
-// nothing.
-func (g *Gather) Next(*Context) (value.Row, bool, error) {
-	if g.pos >= len(g.results) {
-		return nil, false, nil
-	}
-	r := g.results[g.pos]
-	g.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: emit the merged rows a morsel at a
-// time. Like Next, emission is coordination and charges nothing.
+// NextBatch implements Operator: emit the merged rows a morsel at a
+// time. They were produced and charged by the worker pipelines; emission
+// is coordination and charges nothing.
 func (g *Gather) NextBatch(_ *Context, dst *Batch, max int) error {
 	n := min(max, len(g.results)-g.pos)
 	if n <= 0 {

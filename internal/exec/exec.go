@@ -1,4 +1,4 @@
-// Package exec implements the Volcano-style (Open/Next/Close) iterator
+// Package exec implements the Volcano-style (Open/NextBatch/Close) iterator
 // executor. Every operator charges its resource consumption — page reads
 // and writes, per-tuple CPU work, network traffic, function invocations —
 // against the cost.Counter in the execution Context, so any plan's true
@@ -47,16 +47,14 @@ type Context struct {
 	Net Transport
 
 	// Caller is the caller's cancellation context, if any. Operators and
-	// drain loops poll Err to abandon work after cancellation or deadline.
-	// The batch engine polls between batches rather than between rows, so
-	// cancellation granularity is one morsel.
+	// drain loops poll Err between morsels to abandon work after
+	// cancellation or deadline, so cancellation granularity is one morsel.
 	Caller context.Context
 
-	// BatchSize selects the engine: above 1, drain loops and pipeline
-	// breakers pull morsels of up to this many rows through NextBatch
-	// (falling back to the row shim for operators without a batch path);
-	// 0 or 1 is the classic row-at-a-time engine. Counter totals are
-	// bit-identical at every setting (see batch.go).
+	// BatchSize is the morsel size: drain loops and pipeline breakers
+	// pull up to this many rows per NextBatch call (0 counts as 1). It
+	// tunes dispatch overhead only — rows, order and counter totals are
+	// identical at every setting (see batch.go).
 	BatchSize int
 
 	// Params are the bind-parameter values for this execution. Operators
@@ -105,56 +103,27 @@ func (ctx *Context) Err() error {
 // accumulating if execution continues.
 func (ctx *Context) OperatorStats() []*OpStats { return ctx.ops }
 
-// Operator is a restartable row iterator.
+// Operator is a restartable iterator over morsels of rows.
 type Operator interface {
 	// Schema describes the rows the operator produces.
 	Schema() *schema.Schema
 	// Open (re)initializes the operator. It must be callable repeatedly.
 	Open(ctx *Context) error
-	// Next returns the next row. ok is false at end of stream.
-	Next(ctx *Context) (row value.Row, ok bool, err error)
+	// NextBatch appends up to max rows to dst, which the caller has
+	// Reset. dst left empty signals end of stream (see Batch).
+	NextBatch(ctx *Context, dst *Batch, max int) error
 	// Close releases resources. Close after Close is a no-op.
 	Close(ctx *Context) error
 }
 
-// Drain opens op, pulls every row (batch-wise when the context batches),
-// closes it, and returns the rows.
+// Drain opens op, pulls every row, closes it, and returns the rows.
 func Drain(ctx *Context, op Operator) ([]value.Row, error) {
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
 	var rows []value.Row
-	if ctx.BatchSize > 1 {
-		b := NewBatch(ctx.BatchSize)
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, errors.Join(err, op.Close(ctx))
-			}
-			b.Reset()
-			if err := FillBatch(ctx, op, &b, ctx.BatchSize); err != nil {
-				return nil, errors.Join(err, op.Close(ctx))
-			}
-			if b.Len() == 0 {
-				break
-			}
-			rows = append(rows, b.Rows...)
-		}
-	} else {
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, errors.Join(err, op.Close(ctx))
-			}
-			r, ok, err := op.Next(ctx)
-			if err != nil {
-				return nil, errors.Join(err, op.Close(ctx))
-			}
-			if !ok {
-				break
-			}
-			rows = append(rows, r)
-		}
-	}
-	if err := op.Close(ctx); err != nil {
+	err := drainInto(ctx, op, func(b []value.Row) error {
+		rows = append(rows, b...)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -162,41 +131,27 @@ func Drain(ctx *Context, op Operator) ([]value.Row, error) {
 
 // Count drains op and returns only the row count.
 func Count(ctx *Context, op Operator) (int, error) {
-	if err := op.Open(ctx); err != nil {
+	n := 0
+	err := drainInto(ctx, op, func(b []value.Row) error {
+		n += len(b)
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	n := 0
-	if ctx.BatchSize > 1 {
-		b := NewBatch(ctx.BatchSize)
-		for {
-			if err := ctx.Err(); err != nil {
-				return 0, errors.Join(err, op.Close(ctx))
-			}
-			b.Reset()
-			if err := FillBatch(ctx, op, &b, ctx.BatchSize); err != nil {
-				return 0, errors.Join(err, op.Close(ctx))
-			}
-			if b.Len() == 0 {
-				break
-			}
-			n += b.Len()
-		}
-		return n, op.Close(ctx)
+	return n, nil
+}
+
+// drainInto opens op, hands every morsel to sink, and closes op; a pull
+// error is joined with the Close error.
+func drainInto(ctx *Context, op Operator, sink func([]value.Row) error) error {
+	if err := op.Open(ctx); err != nil {
+		return err
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return 0, errors.Join(err, op.Close(ctx))
-		}
-		_, ok, err := op.Next(ctx)
-		if err != nil {
-			return 0, errors.Join(err, op.Close(ctx))
-		}
-		if !ok {
-			break
-		}
-		n++
+	if err := forEachBatch(ctx, op, sink); err != nil {
+		return errors.Join(err, op.Close(ctx))
 	}
-	return n, op.Close(ctx)
+	return op.Close(ctx)
 }
 
 // MaterializeToTable drains op into a fresh storage table named name,
@@ -223,8 +178,8 @@ func Error(s *schema.Schema, err error) Operator { return &errOp{s: s, err: err}
 
 func (e *errOp) Schema() *schema.Schema { return e.s }
 func (e *errOp) Open(*Context) error    { return e.err }
-func (e *errOp) Next(*Context) (value.Row, bool, error) {
-	return nil, false, fmt.Errorf("exec: Next on failed operator: %w", e.err)
+func (e *errOp) NextBatch(*Context, *Batch, int) error {
+	return fmt.Errorf("exec: NextBatch on failed operator: %w", e.err)
 }
 func (e *errOp) Close(*Context) error { return nil }
 
@@ -250,19 +205,8 @@ func (v *Values) Open(*Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (v *Values) Next(ctx *Context) (value.Row, bool, error) {
-	if v.pos >= len(v.Rows) {
-		return nil, false, nil
-	}
-	r := v.Rows[v.pos]
-	v.pos++
-	ctx.Counter.CPUTuples++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: emit the buffered rows a morsel at
-// a time, charging the same one CPU operation per row as Next.
+// NextBatch implements Operator: emit the buffered rows a morsel at a
+// time, charging one CPU operation per row.
 func (v *Values) NextBatch(ctx *Context, dst *Batch, max int) error {
 	n := min(max, len(v.Rows)-v.pos)
 	if n <= 0 {

@@ -40,6 +40,13 @@ func drain(t testing.TB, op Operator) ([]value.Row, cost.Counter) {
 	return rows, *ctx.Counter
 }
 
+// pullRow pulls one row from an open operator with budget 1, the way a
+// row-at-a-time consumer does.
+func pullRow(ctx *Context, op Operator) (value.Row, bool, error) {
+	var rd RowReader
+	return rd.Read(ctx, op)
+}
+
 func canon(rows []value.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {

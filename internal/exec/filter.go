@@ -106,7 +106,7 @@ type KeySetFilter struct {
 	Child  Operator
 	Set    *KeySet
 	KeyIdx []int
-	in     Batch  // batch-mode scratch for child pulls
+	in     Batch  // scratch for child pulls
 	buf    []byte // private probe-key scratch (sets may be shared)
 }
 
@@ -125,32 +125,16 @@ func (f *KeySetFilter) Open(ctx *Context) error {
 	return f.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (f *KeySetFilter) Next(ctx *Context) (value.Row, bool, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		r, ok, err := f.Child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		ctx.Counter.CPUTuples++
-		var hit bool
-		f.buf, hit = f.Set.ContainsBuf(r, f.KeyIdx, f.buf)
-		if hit {
-			return r, true, nil
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: test each row of a child batch no
+// NextBatch implements Operator: test each row of a child batch no
 // larger than the output budget, charging one CPU operation per tested
 // row, accumulated locally and flushed once per batch.
 func (f *KeySetFilter) NextBatch(ctx *Context, dst *Batch, max int) error {
 	for len(dst.Rows) == 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		f.in.Reset()
-		if err := FillBatch(ctx, f.Child, &f.in, max); err != nil {
+		if err := f.Child.NextBatch(ctx, &f.in, max); err != nil {
 			return err
 		}
 		if f.in.Len() == 0 {
@@ -181,7 +165,7 @@ type BloomFilterScan struct {
 	Child  Operator
 	Filter *bloom.Filter
 	KeyIdx []int
-	in     Batch // batch-mode scratch for child pulls
+	in     Batch // scratch for child pulls
 }
 
 // NewBloomFilterScan builds a lossy filter-set restriction.
@@ -198,30 +182,16 @@ func (b *BloomFilterScan) Open(ctx *Context) error {
 	return b.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (b *BloomFilterScan) Next(ctx *Context) (value.Row, bool, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		r, ok, err := b.Child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		ctx.Counter.CPUTuples++
-		if b.Filter.MayContain(r, b.KeyIdx) {
-			return r, true, nil
-		}
-	}
-}
-
-// NextBatch implements BatchOperator: probe the filter for each row of a
+// NextBatch implements Operator: probe the filter for each row of a
 // child batch no larger than the output budget, charging one CPU
 // operation per probed row, accumulated locally and flushed once.
 func (b *BloomFilterScan) NextBatch(ctx *Context, dst *Batch, max int) error {
 	for len(dst.Rows) == 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		b.in.Reset()
-		if err := FillBatch(ctx, b.Child, &b.in, max); err != nil {
+		if err := b.Child.NextBatch(ctx, &b.in, max); err != nil {
 			return err
 		}
 		if b.in.Len() == 0 {
@@ -265,20 +235,8 @@ func (k *KeySetScan) Open(*Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (k *KeySetScan) Next(ctx *Context) (value.Row, bool, error) {
-	rows := k.Set.Rows()
-	if k.pos >= len(rows) {
-		return nil, false, nil
-	}
-	r := rows[k.pos]
-	k.pos++
-	ctx.Counter.CPUTuples++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: emit the distinct keys a morsel at
-// a time, charging one CPU operation per emitted row as Next does.
+// NextBatch implements Operator: emit the distinct keys a morsel at a
+// time, charging one CPU operation per emitted row.
 func (k *KeySetScan) NextBatch(ctx *Context, dst *Batch, max int) error {
 	rows := k.Set.Rows()
 	n := min(max, len(rows)-k.pos)

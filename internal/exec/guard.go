@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"filterjoin/internal/schema"
-	"filterjoin/internal/value"
 )
 
 // ReplanError aborts an execution whose cardinality estimates turned out
@@ -34,7 +33,7 @@ func (e *ReplanError) Error() string {
 // materialization absorb an input the optimizer never costed. The guard
 // itself does no row work and charges nothing: with replanning disarmed
 // it is an invisible pass-through, so rows, order, and counter totals
-// are bit-identical to an unguarded plan on both engines.
+// are bit-identical to an unguarded plan.
 type CardGuard struct {
 	Child Operator
 	Est   float64 // planned input cardinality (clamped to >= 1 when checking)
@@ -58,24 +57,15 @@ func (g *CardGuard) Open(ctx *Context) error {
 	return g.Child.Open(ctx)
 }
 
-// Next implements Operator.
-func (g *CardGuard) Next(ctx *Context) (row value.Row, ok bool, err error) {
-	row, ok, err = g.Child.Next(ctx)
-	if err != nil || !ok {
-		return row, ok, err
-	}
-	g.n++
-	if err := g.check(ctx); err != nil {
-		return nil, false, err
-	}
-	return row, true, nil
-}
-
-// NextBatch implements BatchOperator: the guard checks once per morsel,
-// so the batch engine pays one comparison per batch rather than per row.
+// NextBatch implements Operator: the guard counts the morsel and checks
+// once per call, so it pays one comparison per morsel rather than per
+// row. The trip point is therefore a function of the morsel size: the
+// guard fires at the end of the first pull that carries the count to the
+// threshold, so ReplanError.Rows is exactly the threshold at morsel size
+// 1 and up to one morsel past it otherwise (guard_test.go pins both).
 func (g *CardGuard) NextBatch(ctx *Context, b *Batch, max int) error {
 	before := b.Len()
-	if err := FillBatch(ctx, g.Child, b, max); err != nil {
+	if err := g.Child.NextBatch(ctx, b, max); err != nil {
 		return err
 	}
 	g.n += int64(b.Len() - before)

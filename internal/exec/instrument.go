@@ -6,7 +6,6 @@ import (
 
 	"filterjoin/internal/cost"
 	"filterjoin/internal/schema"
-	"filterjoin/internal/value"
 )
 
 // OpStats is the runtime profile of one instrumented operator instance:
@@ -130,27 +129,13 @@ func (in *Instrumented) Open(ctx *Context) error {
 	return err
 }
 
-// Next implements Operator.
-func (in *Instrumented) Next(ctx *Context) (value.Row, bool, error) {
-	before, start := in.enter(ctx)
-	r, ok, err := in.Op.Next(ctx)
-	in.stats.Nexts++
-	if ok {
-		in.stats.Rows++
-	}
-	in.exit(ctx, before, start)
-	return r, ok, err
-}
-
-// NextBatch implements BatchOperator: one instrumentation bracket per
-// batch instead of per row — the dominant saving batch execution buys.
-// Nexts counts batch pulls; Rows still counts rows, so per-operator row
-// totals match the row engine. The wrapped operator runs natively when
-// it has a batch path and through the row shim otherwise, so deltas
-// accumulate exactly once per call regardless of mode or re-opens.
+// NextBatch implements Operator: one instrumentation bracket per batch
+// instead of per row — the dominant saving batch execution buys. Nexts
+// counts batch pulls, Rows counts rows, and deltas accumulate exactly
+// once per call regardless of morsel size or re-opens.
 func (in *Instrumented) NextBatch(ctx *Context, dst *Batch, max int) error {
 	before, start := in.enter(ctx)
-	err := FillBatch(ctx, in.Op, dst, max)
+	err := in.Op.NextBatch(ctx, dst, max)
 	in.stats.Nexts++
 	in.stats.Rows += int64(len(dst.Rows))
 	in.exit(ctx, before, start)

@@ -19,6 +19,7 @@ type NestedLoopJoin struct {
 	Outer, Inner Operator
 	Pred         expr.Expr // bound against Outer.Schema().Concat(Inner.Schema()); may be nil
 	out          *schema.Schema
+	in           RowReader // both children are read one row at a time
 	cur          value.Row
 	innerOpen    bool
 	done         bool
@@ -46,8 +47,14 @@ func (j *NestedLoopJoin) Open(ctx *Context) error {
 	return j.Outer.Open(ctx)
 }
 
-// Next implements Operator.
-func (j *NestedLoopJoin) Next(ctx *Context) (value.Row, bool, error) {
+// NextBatch implements Operator by lifting the row step.
+func (j *NestedLoopJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
+	return FillRows(ctx, dst, max, j.next)
+}
+
+// next produces one joined row: advance the inner, re-opening it for the
+// next outer row whenever it runs dry.
+func (j *NestedLoopJoin) next(ctx *Context) (value.Row, bool, error) {
 	if j.done {
 		return nil, false, nil
 	}
@@ -56,7 +63,7 @@ func (j *NestedLoopJoin) Next(ctx *Context) (value.Row, bool, error) {
 			return nil, false, err
 		}
 		if j.cur == nil {
-			r, ok, err := j.Outer.Next(ctx)
+			r, ok, err := j.in.Read(ctx, j.Outer)
 			if err != nil {
 				return nil, false, err
 			}
@@ -70,7 +77,7 @@ func (j *NestedLoopJoin) Next(ctx *Context) (value.Row, bool, error) {
 			}
 			j.innerOpen = true
 		}
-		ir, ok, err := j.Inner.Next(ctx)
+		ir, ok, err := j.in.Read(ctx, j.Inner)
 		if err != nil {
 			return nil, false, err
 		}
@@ -127,7 +134,7 @@ type HashJoin struct {
 	tab           joinTable
 	probe         value.Row
 	chain         int32 // cursor into the current probe row's bucket chain (-1 = exhausted)
-	pbuf          Batch // batch-mode scratch for probe-side pulls
+	pbuf          Batch // scratch for probe-side pulls
 	ppos          int
 	rkern         *expr.Pred     // compiled residual
 	arena         value.RowArena // joined output rows
@@ -214,44 +221,14 @@ func (j *HashJoin) concat(l value.Row) value.Row {
 	return j.arena.Concat(l, j.probe)
 }
 
-// Next implements Operator.
-func (j *HashJoin) Next(ctx *Context) (value.Row, bool, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		l, ok := j.nextCandidate()
-		if ok {
-			ctx.Counter.CPUTuples++
-			joined := j.concat(l)
-			if j.Residual != nil {
-				keep, err := j.rkern.EvalRow(joined)
-				if err != nil {
-					return nil, false, err
-				}
-				if !keep {
-					continue
-				}
-			}
-			return joined, true, nil
-		}
-		r, ok, err := j.Right.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		ctx.Counter.CPUTuples++
-		j.probeKey(r)
-	}
-}
-
-// NextBatch implements BatchOperator: drain the pending bucket, then
-// consume probe rows from a buffered child batch. The probe buffer is
-// refilled only while dst is still empty — once the batch holds output,
-// a dry buffer returns it instead of pulling more probe rows, so the
-// child is never charged for rows a truncating consumer (Limit) would
-// not have demanded in the row engine. Charges match Next exactly: one
-// CPU operation per probe row and per bucket candidate, accumulated
-// locally and flushed once per call (including before residual errors).
+// NextBatch implements Operator: drain the pending bucket, then consume
+// probe rows from a buffered child batch. The probe buffer is refilled
+// only while dst is still empty — once the batch holds output, a dry
+// buffer returns it instead of pulling more probe rows, so the child is
+// never charged for rows a truncating consumer (Limit) did not demand.
+// Charges are one CPU operation per probe row and per bucket candidate,
+// accumulated locally and flushed once per call (including before
+// residual errors).
 func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 	var cpu int64
 	defer func() { ctx.Counter.CPUTuples += cpu }()
@@ -281,9 +258,12 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 			if len(dst.Rows) > 0 {
 				return nil
 			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			j.pbuf.Reset()
 			j.ppos = 0
-			if err := FillBatch(ctx, j.Right, &j.pbuf, max); err != nil {
+			if err := j.Right.NextBatch(ctx, &j.pbuf, max); err != nil {
 				return err
 			}
 			if j.pbuf.Len() == 0 {
@@ -384,8 +364,13 @@ func keyCompare(a, b value.Row, ak, bk []int) int {
 	return 0
 }
 
-// Next implements Operator.
-func (j *MergeJoin) Next(ctx *Context) (value.Row, bool, error) {
+// NextBatch implements Operator by lifting the row step.
+func (j *MergeJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
+	return FillRows(ctx, dst, max, j.next)
+}
+
+// next produces one joined row of the merge.
+func (j *MergeJoin) next(ctx *Context) (value.Row, bool, error) {
 	for {
 		if j.inGroup {
 			if j.gi < len(j.groupL) {
@@ -463,6 +448,7 @@ type IndexNLJoin struct {
 	InnerAlias  string
 	out         *schema.Schema
 	innerSch    *schema.Schema
+	in          RowReader // the outer is read one row at a time
 	cur         value.Row
 	ids         []int
 	pos         int
@@ -500,8 +486,14 @@ func (j *IndexNLJoin) Open(ctx *Context) error {
 	return j.Outer.Open(ctx)
 }
 
-// Next implements Operator.
-func (j *IndexNLJoin) Next(ctx *Context) (value.Row, bool, error) {
+// NextBatch implements Operator by lifting the row step.
+func (j *IndexNLJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
+	return FillRows(ctx, dst, max, j.next)
+}
+
+// next produces one joined row: the next match of the current outer
+// row, probing the index for the next outer row when matches run out.
+func (j *IndexNLJoin) next(ctx *Context) (value.Row, bool, error) {
 	if j.done {
 		return nil, false, nil
 	}
@@ -510,7 +502,7 @@ func (j *IndexNLJoin) Next(ctx *Context) (value.Row, bool, error) {
 			return nil, false, err
 		}
 		if j.cur == nil {
-			r, ok, err := j.Outer.Next(ctx)
+			r, ok, err := j.in.Read(ctx, j.Outer)
 			if err != nil {
 				return nil, false, err
 			}
@@ -713,19 +705,9 @@ func (j *ParallelHashJoin) Open(ctx *Context) error {
 	return nil
 }
 
-// Next implements Operator. All join work was charged by the workers in
-// Open; emitting the assembled rows is coordination and charges nothing.
-func (j *ParallelHashJoin) Next(*Context) (value.Row, bool, error) {
-	if j.pos >= len(j.results) {
-		return nil, false, nil
-	}
-	r := j.results[j.pos]
-	j.pos++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: emit the assembled rows a morsel
-// at a time. Like Next, emission is coordination and charges nothing.
+// NextBatch implements Operator: emit the assembled rows a morsel at a
+// time. All join work was charged by the workers in Open; emission is
+// coordination and charges nothing.
 func (j *ParallelHashJoin) NextBatch(_ *Context, dst *Batch, max int) error {
 	n := min(max, len(j.results)-j.pos)
 	if n <= 0 {

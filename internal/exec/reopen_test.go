@@ -17,15 +17,15 @@ func pullN(t *testing.T, op Operator, n int) {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < n; i++ {
-		if _, ok, err := op.Next(ctx); err != nil {
-			t.Fatalf("next: %v", err)
+		if _, ok, err := pullRow(ctx, op); err != nil {
+			t.Fatalf("pull: %v", err)
 		} else if !ok {
 			break
 		}
 	}
 }
 
-// reopenCases are operators whose Next/NextBatch mutate cursor state
+// reopenCases are operators whose NextBatch mutates cursor state
 // that Open must reset (the sharesafe reset-at-Open contract): a cached
 // or re-opened plan must replay from the start, not from wherever the
 // previous execution stopped.
@@ -58,12 +58,19 @@ func reopenCases(t *testing.T) map[string]func() Operator {
 				schema.New(schema.Column{Name: "k", Type: value.KindInt}, schema.Column{Name: "v1", Type: value.KindInt}))
 			return NewNestedLoopJoin(NewTableScan(rt, ""), inner, nil)
 		},
+		// Both sides of the join are read through its RowReader and the
+		// inner is a Limit (a RowReader of its own) re-Opened once per
+		// outer row: neither adapter may carry a row or a count from one
+		// inner pass — or from the abandoned run — into the next.
+		"NestedLoopJoinLimitInner": func() Operator {
+			return NewNestedLoopJoin(NewTableScan(rt, ""), NewLimit(NewTableScan(lt, ""), 3), nil)
+		},
 	}
 }
 
 // TestReopenAfterPartialConsumption re-opens each operator after an
 // abandoned partial run and checks the replay matches a fresh
-// execution, rows and counter charges alike, in both engines.
+// execution, rows and counter charges alike, at morsel sizes 1 and 4.
 func TestReopenAfterPartialConsumption(t *testing.T) {
 	for name, mk := range reopenCases(t) {
 		t.Run(name, func(t *testing.T) {

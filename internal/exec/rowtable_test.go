@@ -239,8 +239,8 @@ func refGroupCount(rows []value.Row, idx []int) []value.Row {
 }
 
 // TestHashOperatorsVsMapReference runs each hash operator over inputs
-// with duplicate keys, int/float-equal keys, NULLs and strings, at the
-// row engine and two batch sizes, and requires the reference's rows in
+// with duplicate keys, int/float-equal keys, NULLs and strings, at
+// three morsel sizes, and requires the reference's rows in
 // the reference's order.
 func TestHashOperatorsVsMapReference(t *testing.T) {
 	I, F, S := value.NewInt, value.NewFloat, value.NewString

@@ -35,23 +35,9 @@ func (s *TableScan) Open(*Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (s *TableScan) Next(ctx *Context) (value.Row, bool, error) {
-	if s.pos >= s.Table.NumRows() {
-		return nil, false, nil
-	}
-	if s.pos%s.Table.RowsPerPage() == 0 {
-		ctx.Counter.PageReads++
-	}
-	r := s.Table.Row(s.pos)
-	s.pos++
-	ctx.Counter.CPUTuples++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: one tight loop over the morsel,
-// with the page-read and per-row CPU charges accumulated locally and
-// flushed once — the same units Next charges row by row.
+// NextBatch implements Operator: one tight loop over the morsel, with
+// the page-read and per-row CPU charges accumulated locally and flushed
+// once.
 func (s *TableScan) NextBatch(ctx *Context, dst *Batch, max int) error {
 	n := s.Table.NumRows()
 	if s.pos >= n || max <= 0 {
@@ -136,19 +122,8 @@ func (l *IndexLookup) Open(ctx *Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (l *IndexLookup) Next(ctx *Context) (value.Row, bool, error) {
-	if l.pos >= len(l.ids) {
-		return nil, false, nil
-	}
-	r := l.Table.Row(l.ids[l.pos])
-	l.pos++
-	ctx.Counter.CPUTuples++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator. The page reads were charged by the
-// probe in Open; emission charges one CPU operation per row, as Next does.
+// NextBatch implements Operator. The page reads were charged by the
+// probe in Open; emission charges one CPU operation per row.
 func (l *IndexLookup) NextBatch(ctx *Context, dst *Batch, max int) error {
 	n := min(max, len(l.ids)-l.pos)
 	if n <= 0 {

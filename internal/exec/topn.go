@@ -95,19 +95,8 @@ func (t *TopN) Open(ctx *Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (t *TopN) Next(ctx *Context) (value.Row, bool, error) {
-	if t.pos >= len(t.rows) {
-		return nil, false, nil
-	}
-	r := t.rows[t.pos]
-	t.pos++
-	ctx.Counter.CPUTuples++
-	return r, true, nil
-}
-
-// NextBatch implements BatchOperator: emit the surviving rows a morsel
-// at a time, charging one CPU operation per emitted row as Next does.
+// NextBatch implements Operator: emit the surviving rows a morsel at a
+// time, charging one CPU operation per emitted row.
 func (t *TopN) NextBatch(ctx *Context, dst *Batch, max int) error {
 	n := min(max, len(t.rows)-t.pos)
 	if n <= 0 {

@@ -66,13 +66,11 @@ func bestOf(n int, f func() (int, cost.Counter, error)) (float64, int, cost.Coun
 }
 
 // E16ParallelExecution measures intra-query parallelism: each workload
-// runs at every degree of parallelism in E16DOPs under both executor
-// engines (row-at-a-time and batch), and the report shows wall-clock,
-// speedup over the DOP-1 row engine, and the measured cost counter
-// total — which must be bit-identical across every DOP × engine cell,
-// because workers charge exactly the serial per-row and per-page units,
-// exchange coordination is cost-free by convention (DESIGN.md §9), and
-// the batch engine amortizes charges without changing them (§11).
+// runs at every degree of parallelism in E16DOPs, and the report shows
+// wall-clock, speedup over DOP 1, and the measured cost counter total —
+// which must be bit-identical at every DOP, because workers charge
+// exactly the serial per-row and per-page units and exchange
+// coordination is cost-free by convention (DESIGN.md §9).
 func E16ParallelExecution() (*Report, error) {
 	model := cost.DefaultModel()
 	cat := parallelCatalog()
@@ -96,8 +94,8 @@ func E16ParallelExecution() (*Report, error) {
 
 	r := &Report{
 		ID:    "E16",
-		Title: "Intra-query parallelism: wall-clock vs cost parity across DOP and engine",
-		Header: []string{"workload", "engine", "dop", "wall ms", "speedup",
+		Title: "Intra-query parallelism: wall-clock vs cost parity across DOP",
+		Header: []string{"workload", "dop", "wall ms", "speedup",
 			"meas total", "rows", "parity"},
 	}
 
@@ -112,45 +110,39 @@ func E16ParallelExecution() (*Report, error) {
 		{"scan-heavy", scanHeavy, nil},
 		{"join-heavy", joinHeavy, []string{"merge", "nlj", "indexnl"}},
 	}
-	engines := []struct {
-		name  string
-		batch int
-	}{{"row", 1}, {"batch", exec.DefaultBatchSize}}
 	for _, w := range workloads {
 		var baseWall float64
 		var baseCost cost.Counter
 		var baseRows int
-		for _, eng := range engines {
-			for _, dop := range E16DOPs {
-				o := optimizer(cat, model, nil, w.disabled...)
-				o.DegreeOfParallelism = dop
-				o.BatchSize = eng.batch
-				p, err := o.OptimizeBlock(w.block())
-				if err != nil {
-					return nil, fmt.Errorf("E16 %s %s dop=%d: %w", w.name, eng.name, dop, err)
-				}
-				wall, rows, c, err := bestOf(3, func() (int, cost.Counter, error) {
-					ctx := exec.NewContext()
-					ctx.BatchSize = eng.batch
-					n, err := exec.Count(ctx, p.Make())
-					return n, *ctx.Counter, err
-				})
-				if err != nil {
-					return nil, fmt.Errorf("E16 %s %s dop=%d: %w", w.name, eng.name, dop, err)
-				}
-				parity := true
-				if eng.name == "row" && dop == 1 {
-					baseWall, baseCost, baseRows = wall, c, rows
-				} else {
-					parity = c == baseCost && rows == baseRows
-					if !parity {
-						return nil, fmt.Errorf("E16 %s %s dop=%d: cost/row parity broken: %s / %d rows vs serial %s / %d",
-							w.name, eng.name, dop, c.String(), rows, baseCost.String(), baseRows)
-					}
-				}
-				r.AddRow(w.name, eng.name, d(int64(dop)), f2(wall*1000), f2(baseWall/wall),
-					f1(model.Total(c)), d(int64(rows)), yesNo(parity))
+		for _, dop := range E16DOPs {
+			o := optimizer(cat, model, nil, w.disabled...)
+			o.DegreeOfParallelism = dop
+			o.BatchSize = exec.DefaultBatchSize
+			p, err := o.OptimizeBlock(w.block())
+			if err != nil {
+				return nil, fmt.Errorf("E16 %s dop=%d: %w", w.name, dop, err)
 			}
+			wall, rows, c, err := bestOf(3, func() (int, cost.Counter, error) {
+				ctx := exec.NewContext()
+				ctx.BatchSize = exec.DefaultBatchSize
+				n, err := exec.Count(ctx, p.Make())
+				return n, *ctx.Counter, err
+			})
+			if err != nil {
+				return nil, fmt.Errorf("E16 %s dop=%d: %w", w.name, dop, err)
+			}
+			parity := true
+			if dop == 1 {
+				baseWall, baseCost, baseRows = wall, c, rows
+			} else {
+				parity = c == baseCost && rows == baseRows
+				if !parity {
+					return nil, fmt.Errorf("E16 %s dop=%d: cost/row parity broken: %s / %d rows vs serial %s / %d",
+						w.name, dop, c.String(), rows, baseCost.String(), baseRows)
+				}
+			}
+			r.AddRow(w.name, d(int64(dop)), f2(wall*1000), f2(baseWall/wall),
+				f1(model.Total(c)), d(int64(rows)), yesNo(parity))
 		}
 	}
 
@@ -189,11 +181,11 @@ func E16ParallelExecution() (*Report, error) {
 					dop, est, baseEst)
 			}
 		}
-		r.AddRow("coster-heavy", "-", d(int64(dop)), f2(wall*1000), f2(baseWall/wall),
+		r.AddRow("coster-heavy", d(int64(dop)), f2(wall*1000), f2(baseWall/wall),
 			f1(est), "-", yesNo(parity))
 	}
 
-	r.AddNote("measured on GOMAXPROCS=%d / %d CPU(s); speedup is wall-clock vs the DOP-1 row engine, best of 3 — parallel speedup needs free cores to materialize, batch-engine speedup does not, and cost parity holds on any machine", runtime.GOMAXPROCS(0), runtime.NumCPU())
-	r.AddNote("'meas total' is the model total of the executed cost counter; identical across DOP and engine because workers charge the serial units, partition/merge coordination is free by convention, and batch charging amortizes the identical per-row units (DESIGN.md §11)")
+	r.AddNote("measured on GOMAXPROCS=%d / %d CPU(s); speedup is wall-clock vs DOP 1, best of 3 — parallel speedup needs free cores to materialize, and cost parity holds on any machine", runtime.GOMAXPROCS(0), runtime.NumCPU())
+	r.AddNote("'meas total' is the model total of the executed cost counter; identical across DOP because workers charge the serial units and partition/merge coordination is free by convention (DESIGN.md §9)")
 	return r, nil
 }

@@ -90,8 +90,8 @@ func (p *Pred) SelectBatch(rows []value.Row) (sel []int32, evaluated int, err er
 }
 
 // EvalRow evaluates the compiled predicate over a single row with
-// EvalBool semantics. Operators use it for residual predicates on the
-// row path so both engines run the same code.
+// EvalBool semantics. Join operators use it for residual predicates,
+// which they test one joined row at a time.
 func (p *Pred) EvalRow(row value.Row) (bool, error) { return p.root.evalRow(row) }
 
 func compileKernel(e Expr) predKernel {

@@ -8,7 +8,7 @@ import (
 )
 
 // Costcharge statically extends the runtime cost-conservation property
-// test: every exec.Operator implementation whose Open/Next does row
+// test: every exec.Operator implementation whose Open/NextBatch does row
 // work — loops over child rows, hashes, sorts, probes — must charge
 // that work to ctx.Counter, the shared cost ledger the paper's Table 1
 // components are measured against. An operator that works for free
@@ -16,28 +16,26 @@ import (
 // EXPLAIN ANALYZE misestimate flags silently wrong for the plans that
 // contain it.
 //
-// Detection is per type: the bodies of Open, Next, and NextBatch, plus
-// any methods of the same type they (transitively) call, are scanned.
-// "Row work" is a for/range loop or a call into sort/heap; "charging"
-// is any reference to the Counter field of exec.Context, or a call to
+// Detection is per type: the bodies of Open and NextBatch, plus any
+// methods of the same type they (transitively) call or pass as method
+// values (the row step handed to exec.FillRows), are scanned. "Row
+// work" is a for/range loop or a call into sort/heap; "charging" is any
+// reference to the Counter field of exec.Context, or a call to
 // Context.Absorb — the exchange operators' way of folding a worker
 // goroutine's private counter into the parent ledger. Pure pass-through
-// operators (no loops) are exempt. NextBatch is seeded alongside Next
-// because a batch-native operator legitimately concentrates both its
-// row work and its (amortized) charging there: the batch idiom —
-// accumulate units in a local, flush to ctx.Counter once per batch —
-// satisfies the invariant, and an operator whose only loops live in
-// NextBatch must not escape the scan.
+// operators (no loops) are exempt. The batch idiom — accumulate units
+// in a local, flush to ctx.Counter once per batch — satisfies the
+// invariant.
 //
 // Goroutine-spawning operators get one extra obligation: a type whose
-// reachable Open/Next methods contain a `go` statement must also reach
+// reachable Open/NextBatch methods contain a `go` statement must also reach
 // a Context.Absorb call, so the workers' counters are merged into the
 // parent before the operator returns — otherwise the cost their private
 // counters accumulated evaporates with the goroutines and conservation
 // breaks silently.
 var Costcharge = &analysis.Analyzer{
 	Name: "costcharge",
-	Doc:  "require Operator Open/Next methods that do row work to charge ctx.Counter",
+	Doc:  "require Operator Open/NextBatch methods that do row work to charge ctx.Counter",
 	Run:  runCostcharge,
 }
 
@@ -72,38 +70,10 @@ func runCostcharge(pass *analysis.Pass) error {
 		if !analysis.Implements(tn.Type(), iface) {
 			continue
 		}
-		// Reachable set: Open, Next, and same-type methods they call.
-		var work []*ast.FuncDecl
-		seen := map[string]bool{}
-		var add func(name string)
-		add = func(name string) {
-			fd, ok := methods[name]
-			if !ok || seen[name] {
-				return
-			}
-			seen[name] = true
-			work = append(work, fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-					if callee := calleeOn(pass, sel, tn); callee != "" {
-						add(callee)
-					}
-				}
-				return true
-			})
-		}
-		add("Open")
-		add("Next")
-		add("NextBatch")
-
 		var workPos, goPos *ast.FuncDecl
 		charges := false
 		absorbs := false
-		for _, fd := range work {
+		for _, fd := range reachableMethods(pass, tn, methods, "Open", "NextBatch") {
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.ForStmt, *ast.RangeStmt:
@@ -133,15 +103,44 @@ func runCostcharge(pass *analysis.Pass) error {
 			})
 		}
 		if workPos != nil && !charges {
-			pass.Reportf(workPos.Name.Pos(), "%s.%s does row work but no method of %s reachable from Open/Next/NextBatch charges ctx.Counter; Table 1 cost conservation breaks for plans containing it",
+			pass.Reportf(workPos.Name.Pos(), "%s.%s does row work but no method of %s reachable from Open/NextBatch charges ctx.Counter; Table 1 cost conservation breaks for plans containing it",
 				tn.Name(), workPos.Name.Name, tn.Name())
 		}
 		if goPos != nil && !absorbs {
-			pass.Reportf(goPos.Name.Pos(), "%s.%s spawns goroutines but no method of %s reachable from Open/Next/NextBatch merges worker counters via ctx.Absorb; cost charged on worker contexts is lost",
+			pass.Reportf(goPos.Name.Pos(), "%s.%s spawns goroutines but no method of %s reachable from Open/NextBatch merges worker counters via ctx.Absorb; cost charged on worker contexts is lost",
 				tn.Name(), goPos.Name.Name, tn.Name())
 		}
 	}
 	return nil
+}
+
+// reachableMethods returns the seed methods of tn that exist plus every
+// same-type method they reach — called, or taken as a method value (the
+// row step handed to exec.FillRows) — in first-visit order.
+func reachableMethods(pass *analysis.Pass, tn *types.TypeName, methods map[string]*ast.FuncDecl, seeds ...string) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	seen := map[string]bool{}
+	var add func(name string)
+	add = func(name string) {
+		fd, ok := methods[name]
+		if !ok || seen[name] {
+			return
+		}
+		seen[name] = true
+		out = append(out, fd)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if callee := calleeOn(pass, sel, tn); callee != "" {
+					add(callee)
+				}
+			}
+			return true
+		})
+	}
+	for _, s := range seeds {
+		add(s)
+	}
+	return out
 }
 
 // receiverTypeName resolves a method's receiver to its named type.
@@ -168,8 +167,9 @@ func receiverTypeName(pass *analysis.Pass, fd *ast.FuncDecl) *types.TypeName {
 	return tn
 }
 
-// calleeOn returns the method name when sel is a call to a method of
-// the named type tn (through any receiver expression), else "".
+// calleeOn returns the method name when sel selects a method of the
+// named type tn (through any receiver expression) — a call or a method
+// value — else "".
 func calleeOn(pass *analysis.Pass, sel *ast.SelectorExpr, tn *types.TypeName) string {
 	s, ok := pass.TypesInfo.Selections[sel]
 	if !ok || s.Kind() != types.MethodVal {

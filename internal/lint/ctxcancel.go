@@ -13,21 +13,22 @@ import (
 // every exchange-operator worker goroutine has to observe
 // exec.Context.Caller. Two rules:
 //
-//  1. Pull loops: inside Next/NextBatch (and their same-type helpers,
+//  1. Pull loops: inside NextBatch (and its same-type helpers,
+//     including a row step handed to exec.FillRows as a method value,
 //     and package-level functions that drive an Operator parameter —
-//     the FillBatch/forEachInput shims), a for/range loop that pulls
-//     rows (calls an Operator's Next/NextBatch, or one of the exec
-//     drain shims) must contain a cancellation check: ctx.Err(), a
-//     Caller/Done access, or a call into a helper that performs one.
-//     Without it, a hash join probing a large build side spins
-//     arbitrarily long after the caller hung up.
+//     the forEachBatch/Drain shims), a for/range loop that pulls rows
+//     (calls an Operator's NextBatch or exec.RowReader.Read, or one of
+//     the exec drain shims) must contain a cancellation check:
+//     ctx.Err(), a Caller/Done access, or a call into a helper that
+//     performs one. Without it, a hash join probing a large build side
+//     spins arbitrarily long after the caller hung up.
 //  2. Worker goroutines: a goroutine spawned from a method reachable
-//     from Open/Next/NextBatch (the ParallelScan/Gather/
+//     from Open/NextBatch (the ParallelScan/Gather/
 //     ParallelHashJoin workers) must reach a cancellation check through
 //     the functions it calls; an uncancellable worker leaks for the
 //     lifetime of its input.
 //
-// Calls to exec's own drain shims (Drain, Count, FillBatch,
+// Calls to exec's own drain shims (Drain, Count, forEachBatch,
 // forEachInput, BuildKeySet, BuildKeySetSized) count as checked pulls:
 // rule 1 applied to the exec package itself enforces that those shims
 // check on every iteration, so crediting their callers is sound.
@@ -43,7 +44,7 @@ var Ctxcancel = &analysis.Analyzer{
 var ccCheckedShims = map[string]bool{
 	"Drain":            true,
 	"Count":            true,
-	"FillBatch":        true,
+	"forEachBatch":     true,
 	"forEachInput":     true,
 	"BuildKeySet":      true,
 	"BuildKeySetSized": true,
@@ -58,7 +59,7 @@ func runCtxcancel(pass *analysis.Pass) error {
 	cc.buildIndex()
 	cc.propagateChecks()
 
-	// Rule 1 on operator methods reachable from Next/NextBatch.
+	// Rule 1 on operator methods reachable from NextBatch.
 	methodsOf := map[*types.TypeName]map[string]*ast.FuncDecl{}
 	for _, fd := range cc.decls {
 		if fd.Recv == nil {
@@ -77,34 +78,12 @@ func runCtxcancel(pass *analysis.Pass) error {
 		if !analysis.Implements(tn.Type(), iface) {
 			continue
 		}
-		reach := map[string]*ast.FuncDecl{}
-		var add func(seed string)
-		add = func(name string) {
-			fd, ok := methods[name]
-			if !ok || reach[name] != nil {
-				return
-			}
-			reach[name] = fd
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-						if callee := calleeOn(pass, sel, tn); callee != "" {
-							add(callee)
-						}
-					}
-				}
-				return true
-			})
-		}
-		add("Next")
-		add("NextBatch")
-		for _, fd := range reach {
+		for _, fd := range reachableMethods(pass, tn, methods, "NextBatch") {
 			cc.checkLoops(fd.Body)
 		}
 
 		// Rule 2: goroutines reachable from the executable surface.
-		add("Open")
-		for _, fd := range reach {
+		for _, fd := range reachableMethods(pass, tn, methods, "NextBatch", "Open") {
 			cc.checkGoroutines(fd, tn.Name())
 		}
 	}
@@ -308,7 +287,7 @@ func (cc *ccAnalysis) checkLoops(body *ast.BlockStmt) {
 }
 
 // containsPull reports whether the loop body pulls rows: an operator
-// Next/NextBatch call or a drain-shim call.
+// NextBatch call, an exec.RowReader.Read call, or a drain-shim call.
 func (cc *ccAnalysis) containsPull(n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(c ast.Node) bool {
@@ -327,13 +306,16 @@ func (cc *ccAnalysis) containsPull(n ast.Node) bool {
 		if !ok {
 			return true
 		}
-		if sel.Sel.Name != "Next" && sel.Sel.Name != "NextBatch" {
+		s, ok := cc.pass.TypesInfo.Selections[sel]
+		if !ok || s.Kind() != types.MethodVal {
 			return true
 		}
-		if s, ok := cc.pass.TypesInfo.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			if analysis.Implements(s.Recv(), cc.iface) {
-				found = true
-			}
+		switch sel.Sel.Name {
+		case "NextBatch":
+			found = analysis.Implements(s.Recv(), cc.iface)
+		case "Read":
+			named := ccNamedOf(s.Recv())
+			found = named != nil && named.Obj().Name() == "RowReader" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == execPkgPath
 		}
 		return true
 	})
@@ -341,7 +323,7 @@ func (cc *ccAnalysis) containsPull(n ast.Node) bool {
 }
 
 // isShimCall matches calls to exec's checked drain shims, qualified
-// (exec.FillBatch) or package-local (forEachInput).
+// (exec.Drain) or package-local (forEachInput).
 func (cc *ccAnalysis) isShimCall(call *ast.CallExpr) bool {
 	var obj types.Object
 	switch fun := call.Fun.(type) {

@@ -1,12 +1,12 @@
-// Package lint hosts optlint, the repo's static-analysis suite. Eleven
+// Package lint hosts optlint, the repo's static-analysis suite. Ten
 // analyzers encode contracts the paper's cost-based argument depends
 // on; each maps to a runtime invariant that was previously enforced
 // only by property tests (see DESIGN.md "Static analysis"):
 //
 //   - opclose:    every Operator Open is balanced by Close on all
 //     paths, and Close errors are never silently dropped.
-//   - costcharge: an Operator whose Open/Next does per-row work must
-//     charge ctx.Counter (Table 1 cost conservation).
+//   - costcharge: an Operator whose Open/NextBatch does per-row work
+//     must charge ctx.Counter (Table 1 cost conservation).
 //   - orderprop:  every plan.Node construction declares its output
 //     Ordering, or explicitly marks itself unordered (interesting-
 //     order memo honesty).
@@ -30,9 +30,6 @@
 //     (bind completeness).
 //   - ctxcancel:  row-pulling loops and exchange worker goroutines
 //     observe exec.Context cancellation (cancellation liveness).
-//   - batchparity: NextBatch implementations keep a Next fallback and
-//     charge the same Counter fields on both paths (batch/row cost
-//     parity).
 //
 // A finding is suppressed by a "//lint:ignore <analyzer> <reason>"
 // comment on the flagged line or the line directly above it.
@@ -62,7 +59,6 @@ func All() []*analysis.Analyzer {
 		Sharesafe,
 		Parambind,
 		Ctxcancel,
-		Batchparity,
 	}
 }
 

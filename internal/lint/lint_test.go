@@ -15,17 +15,16 @@ import (
 // carry `// want` comments, clean idioms and //lint:ignore suppression
 // carry none.
 
-func TestOpclose(t *testing.T)     { analysistest.Run(t, lint.Opclose, "opclose") }
-func TestCostcharge(t *testing.T)  { analysistest.Run(t, lint.Costcharge, "costcharge") }
-func TestOrderprop(t *testing.T)   { analysistest.Run(t, lint.Orderprop, "orderprop") }
-func TestExhaustive(t *testing.T)  { analysistest.Run(t, lint.Exhaustive, "exhaustive") }
-func TestFloatcmp(t *testing.T)    { analysistest.Run(t, lint.Floatcmp, "floatcmp") }
-func TestSitefault(t *testing.T)   { analysistest.Run(t, lint.Sitefault, "sitefault") }
-func TestLockepoch(t *testing.T)   { analysistest.Run(t, lint.Lockepoch, "lockepoch") }
-func TestSharesafe(t *testing.T)   { analysistest.Run(t, lint.Sharesafe, "sharesafe") }
-func TestParambind(t *testing.T)   { analysistest.Run(t, lint.Parambind, "parambind") }
-func TestCtxcancel(t *testing.T)   { analysistest.Run(t, lint.Ctxcancel, "ctxcancel") }
-func TestBatchparity(t *testing.T) { analysistest.Run(t, lint.Batchparity, "batchparity") }
+func TestOpclose(t *testing.T)    { analysistest.Run(t, lint.Opclose, "opclose") }
+func TestCostcharge(t *testing.T) { analysistest.Run(t, lint.Costcharge, "costcharge") }
+func TestOrderprop(t *testing.T)  { analysistest.Run(t, lint.Orderprop, "orderprop") }
+func TestExhaustive(t *testing.T) { analysistest.Run(t, lint.Exhaustive, "exhaustive") }
+func TestFloatcmp(t *testing.T)   { analysistest.Run(t, lint.Floatcmp, "floatcmp") }
+func TestSitefault(t *testing.T)  { analysistest.Run(t, lint.Sitefault, "sitefault") }
+func TestLockepoch(t *testing.T)  { analysistest.Run(t, lint.Lockepoch, "lockepoch") }
+func TestSharesafe(t *testing.T)  { analysistest.Run(t, lint.Sharesafe, "sharesafe") }
+func TestParambind(t *testing.T)  { analysistest.Run(t, lint.Parambind, "parambind") }
+func TestCtxcancel(t *testing.T)  { analysistest.Run(t, lint.Ctxcancel, "ctxcancel") }
 
 // TestRealTreeClean is the suite's anchor: the shipped tree must be
 // violation-free, so any regression an analyzer can see fails `go test`

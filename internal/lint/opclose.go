@@ -23,7 +23,7 @@ import (
 //     tails. Variables that escape (passed on, returned, stored,
 //     captured) are not tracked.
 //  3. A field the operator type Opens in any of its methods
-//     (j.Inner.Open in Next, say) must be Closed by some method of the
+//     (j.Inner.Open in a row step, say) must be Closed by some method of the
 //     same type, because the child's lifecycle spans the parent's.
 var Opclose = &analysis.Analyzer{
 	Name: "opclose",

@@ -15,14 +15,15 @@ import (
 // rules make the filterJoinOp fork-at-Open convention a checked
 // contract:
 //
-//  1. Fork before write: inside Open/Next/NextBatch/Close (and the
-//     same-type helpers they reach), a write through a pointer- or
+//  1. Fork before write: inside Open/NextBatch/Close (and the
+//     same-type helpers they reach, by call or as a method value such
+//     as the row step handed to exec.FillRows), a write through a pointer- or
 //     interface-typed receiver field (x.P.f = v) is flagged unless the
 //     field itself was reassigned earlier in the same method (x.P =
 //     x.spec.P.Fork() and the like) — otherwise concurrent executions
 //     of one cached plan race on a single shared object.
 //  2. Reset at Open: every receiver field an operator writes on the
-//     Next/NextBatch side must be written (or reset via a method call /
+//     NextBatch side must be written (or reset via a method call /
 //     address-taken fill) on the Open side, so a reopened or re-served
 //     operator never replays state from a previous execution.
 //  3. Fresh Make: a func literal assigned to a Make field must return a
@@ -67,53 +68,24 @@ func runSharesafeOperators(pass *analysis.Pass, iface *types.Interface) {
 		if !analysis.Implements(tn.Type(), iface) {
 			continue
 		}
-		reach := func(seeds ...string) map[string]*ast.FuncDecl {
-			out := map[string]*ast.FuncDecl{}
-			var add func(name string)
-			add = func(name string) {
-				fd, ok := methods[name]
-				if !ok || out[name] != nil {
-					return
-				}
-				out[name] = fd
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok {
-						if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-							if callee := calleeOn(pass, sel, tn); callee != "" {
-								add(callee)
-							}
-						}
-					}
-					return true
-				})
-			}
-			for _, s := range seeds {
-				add(s)
-			}
-			return out
-		}
-
-		execReach := reach("Open", "Next", "NextBatch", "Close")
-		for _, fd := range execReach {
+		for _, fd := range reachableMethods(pass, tn, methods, "Open", "NextBatch", "Close") {
 			checkForkBeforeWrite(pass, tn, fd)
 		}
 
 		if _, hasOpen := methods["Open"]; !hasOpen {
 			continue
 		}
-		openReach := reach("Open")
-		nextReach := reach("Next", "NextBatch")
-
+		openReach := map[*ast.FuncDecl]bool{}
 		openResets := map[string]bool{}
-		for _, fd := range openReach {
+		for _, fd := range reachableMethods(pass, tn, methods, "Open") {
+			openReach[fd] = true
 			collectFieldTouches(pass, fd, func(field string, _ token.Pos, _ bool) {
 				openResets[field] = true
 			})
 		}
 		reported := map[string]bool{}
-		for _, name := range sortedMethodNames(nextReach) {
-			fd := nextReach[name]
-			if openReach[name] != nil {
+		for _, fd := range reachableMethods(pass, tn, methods, "NextBatch") {
+			if openReach[fd] {
 				continue // shared helper: its writes count as Open-side resets
 			}
 			collectFieldTouches(pass, fd, func(field string, pos token.Pos, isWrite bool) {
@@ -126,20 +98,6 @@ func runSharesafeOperators(pass *analysis.Pass, iface *types.Interface) {
 			})
 		}
 	}
-}
-
-func sortedMethodNames(m map[string]*ast.FuncDecl) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	// insertion sort: tiny sets, keeps diagnostics deterministic
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
 }
 
 // receiverVarOf resolves the method's receiver variable.
@@ -195,8 +153,8 @@ func collectFieldTouches(pass *analysis.Pass, fd *ast.FuncDecl, f func(field str
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
 				if field := firstFieldOf(pass, recv, x.X); field != "" {
-					// &x.F handed out for filling: a write on the Next
-					// side, an acceptable reset on the Open side.
+					// &x.F handed out for filling: a write on the
+					// NextBatch side, an acceptable reset on the Open side.
 					f(field, x.X.Pos(), true)
 				}
 			}

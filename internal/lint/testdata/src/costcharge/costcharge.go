@@ -1,6 +1,6 @@
 // Package costcharge exercises the costcharge analyzer: operators
-// whose Open/Next do row work must charge ctx.Counter, directly or via
-// a helper method reachable from Open/Next.
+// whose Open/NextBatch do row work must charge ctx.Counter, directly or
+// via a helper method reachable from Open/NextBatch.
 package costcharge
 
 import (
@@ -13,26 +13,27 @@ import (
 	"filterjoin/internal/value"
 )
 
-// freeLoop loops over child rows in Next without charging anything.
+// freeLoop loops over child rows in NextBatch without charging anything.
 type freeLoop struct {
 	child exec.Operator
-	rows  []value.Row
+	in    exec.Batch
 }
 
 func (f *freeLoop) Schema() *schema.Schema { return nil }
 
 func (f *freeLoop) Open(ctx *exec.Context) error { return f.child.Open(ctx) }
 
-func (f *freeLoop) Next(ctx *exec.Context) (value.Row, bool, error) { // want "freeLoop.Next does row work but no method of freeLoop reachable from Open/Next/NextBatch charges ctx.Counter"
-	for {
-		r, ok, err := f.child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
+func (f *freeLoop) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error { // want "freeLoop.NextBatch does row work but no method of freeLoop reachable from Open/NextBatch charges ctx.Counter"
+	f.in.Reset()
+	if err := f.child.NextBatch(ctx, &f.in, max); err != nil {
+		return err
+	}
+	for _, r := range f.in.Rows {
 		if len(r) > 0 {
-			return r, true, nil
+			dst.Rows = append(dst.Rows, r)
 		}
 	}
+	return nil
 }
 
 func (f *freeLoop) Close(ctx *exec.Context) error { return f.child.Close(ctx) }
@@ -44,55 +45,62 @@ type freeSort struct {
 
 func (f *freeSort) Schema() *schema.Schema { return nil }
 
-func (f *freeSort) Open(ctx *exec.Context) error { // want "freeSort.Open does row work but no method of freeSort reachable from Open/Next/NextBatch charges ctx.Counter"
+func (f *freeSort) Open(ctx *exec.Context) error { // want "freeSort.Open does row work but no method of freeSort reachable from Open/NextBatch charges ctx.Counter"
 	sort.Slice(f.rows, func(i, j int) bool { return len(f.rows[i]) < len(f.rows[j]) })
 	return nil
 }
 
-func (f *freeSort) Next(ctx *exec.Context) (value.Row, bool, error) { return nil, false, nil }
+func (f *freeSort) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error { return nil }
 
 func (f *freeSort) Close(ctx *exec.Context) error { return nil }
 
-// charging loops but charges the counter directly.
+// charging is the batch idiom: units accumulate in a local and flush to
+// ctx.Counter once per batch.
 type charging struct {
 	child exec.Operator
+	in    exec.Batch
 }
 
 func (c *charging) Schema() *schema.Schema { return nil }
 
 func (c *charging) Open(ctx *exec.Context) error { return c.child.Open(ctx) }
 
-func (c *charging) Next(ctx *exec.Context) (value.Row, bool, error) {
-	for {
-		r, ok, err := c.child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		ctx.Counter.CPUTuples++
-		return r, true, nil
+func (c *charging) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	c.in.Reset()
+	if err := c.child.NextBatch(ctx, &c.in, max); err != nil {
+		return err
 	}
+	var cpu int64
+	defer func() { ctx.Counter.CPUTuples += cpu }()
+	for _, r := range c.in.Rows {
+		cpu++
+		dst.Rows = append(dst.Rows, r)
+	}
+	return nil
 }
 
 func (c *charging) Close(ctx *exec.Context) error { return c.child.Close(ctx) }
 
-// viaHelper loops in Next and charges inside a helper Next calls.
+// viaHelper loops in NextBatch and charges inside a helper it calls.
 type viaHelper struct {
 	child exec.Operator
+	in    exec.Batch
 }
 
 func (v *viaHelper) Schema() *schema.Schema { return nil }
 
 func (v *viaHelper) Open(ctx *exec.Context) error { return v.child.Open(ctx) }
 
-func (v *viaHelper) Next(ctx *exec.Context) (value.Row, bool, error) {
-	for {
-		r, ok, err := v.child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		v.charge(ctx)
-		return r, true, nil
+func (v *viaHelper) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	v.in.Reset()
+	if err := v.child.NextBatch(ctx, &v.in, max); err != nil {
+		return err
 	}
+	for _, r := range v.in.Rows {
+		v.charge(ctx)
+		dst.Rows = append(dst.Rows, r)
+	}
+	return nil
 }
 
 func (v *viaHelper) charge(ctx *exec.Context) { ctx.Counter.CPUTuples++ }
@@ -108,8 +116,8 @@ func (p *passThrough) Schema() *schema.Schema { return nil }
 
 func (p *passThrough) Open(ctx *exec.Context) error { return p.child.Open(ctx) }
 
-func (p *passThrough) Next(ctx *exec.Context) (value.Row, bool, error) {
-	return p.child.Next(ctx)
+func (p *passThrough) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return p.child.NextBatch(ctx, dst, max)
 }
 
 func (p *passThrough) Close(ctx *exec.Context) error { return p.child.Close(ctx) }
@@ -117,6 +125,7 @@ func (p *passThrough) Close(ctx *exec.Context) error { return p.child.Close(ctx)
 // suppressedOp loops for free, but its shim nature is documented.
 type suppressedOp struct {
 	child exec.Operator
+	in    exec.RowReader
 }
 
 func (s *suppressedOp) Schema() *schema.Schema { return nil }
@@ -124,14 +133,15 @@ func (s *suppressedOp) Schema() *schema.Schema { return nil }
 func (s *suppressedOp) Open(ctx *exec.Context) error { return s.child.Open(ctx) }
 
 //lint:ignore costcharge fixture: measurement shim, charged by the harness
-func (s *suppressedOp) Next(ctx *exec.Context) (value.Row, bool, error) {
-	for {
-		r, ok, err := s.child.Next(ctx)
+func (s *suppressedOp) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	for len(dst.Rows) < max {
+		r, ok, err := s.in.Read(ctx, s.child)
 		if err != nil || !ok {
-			return nil, false, err
+			return err
 		}
-		return r, true, nil
+		dst.Rows = append(dst.Rows, r)
 	}
+	return nil
 }
 
 func (s *suppressedOp) Close(ctx *exec.Context) error { return s.child.Close(ctx) }
@@ -180,13 +190,13 @@ func (a *absorbOnly) Open(ctx *exec.Context) error {
 	return nil
 }
 
-func (a *absorbOnly) Next(ctx *exec.Context) (value.Row, bool, error) {
-	if a.pos >= len(a.rows) {
-		return nil, false, nil
+func (a *absorbOnly) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	n := min(max, len(a.rows)-a.pos)
+	if n > 0 {
+		dst.Rows = append(dst.Rows, a.rows[a.pos:a.pos+n]...)
+		a.pos += n
 	}
-	r := a.rows[a.pos]
-	a.pos++
-	return r, true, nil
+	return nil
 }
 
 func (a *absorbOnly) Close(ctx *exec.Context) error { return nil }
@@ -199,7 +209,7 @@ type goLeak struct {
 
 func (g *goLeak) Schema() *schema.Schema { return nil }
 
-func (g *goLeak) Open(ctx *exec.Context) error { // want "goLeak.Open spawns goroutines but no method of goLeak reachable from Open/Next/NextBatch merges worker counters via ctx.Absorb"
+func (g *goLeak) Open(ctx *exec.Context) error { // want "goLeak.Open spawns goroutines but no method of goLeak reachable from Open/NextBatch merges worker counters via ctx.Absorb"
 	w := exec.NewWorkerContext(ctx)
 	done := make(chan struct{})
 	go func() {
@@ -210,70 +220,71 @@ func (g *goLeak) Open(ctx *exec.Context) error { // want "goLeak.Open spawns gor
 	return g.child.Open(ctx)
 }
 
-func (g *goLeak) Next(ctx *exec.Context) (value.Row, bool, error) {
-	return g.child.Next(ctx)
+func (g *goLeak) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return g.child.NextBatch(ctx, dst, max)
 }
 
 func (g *goLeak) Close(ctx *exec.Context) error { return g.child.Close(ctx) }
 
-// batchAmortized is the batch idiom: row work lives only in NextBatch,
-// units accumulate in a local and flush to ctx.Counter once per batch.
-// Next is a pure pass-through, so without NextBatch in the reachable
-// set the type would look like an uncharged free-looper.
-type batchAmortized struct {
+// stepCharging is the row-at-a-time idiom: NextBatch has no loop of its
+// own and hands a row step to exec.FillRows as a method value. The
+// step's loop and its charge must both be found through that value.
+type stepCharging struct {
 	child exec.Operator
+	in    exec.RowReader
 }
 
-func (b *batchAmortized) Schema() *schema.Schema { return nil }
+func (s *stepCharging) Schema() *schema.Schema { return nil }
 
-func (b *batchAmortized) Open(ctx *exec.Context) error { return b.child.Open(ctx) }
+func (s *stepCharging) Open(ctx *exec.Context) error { return s.child.Open(ctx) }
 
-func (b *batchAmortized) Next(ctx *exec.Context) (value.Row, bool, error) {
-	return b.child.Next(ctx)
+func (s *stepCharging) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return exec.FillRows(ctx, dst, max, s.next)
 }
 
-func (b *batchAmortized) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
-	var cpu int64
-	defer func() { ctx.Counter.CPUTuples += cpu }()
-	for len(dst.Rows) < max {
-		r, ok, err := b.child.Next(ctx)
+func (s *stepCharging) next(ctx *exec.Context) (value.Row, bool, error) {
+	for {
+		r, ok, err := s.in.Read(ctx, s.child)
 		if err != nil || !ok {
-			return err
+			return nil, false, err
 		}
-		cpu++
-		dst.Rows = append(dst.Rows, r)
+		ctx.Counter.CPUTuples++
+		if len(r) > 0 {
+			return r, true, nil
+		}
 	}
-	return nil
 }
 
-func (b *batchAmortized) Close(ctx *exec.Context) error { return b.child.Close(ctx) }
+func (s *stepCharging) Close(ctx *exec.Context) error { return s.child.Close(ctx) }
 
-// batchFree loops over rows only inside NextBatch and never charges:
-// the batch path must not be a blind spot for the analyzer.
-type batchFree struct {
+// stepFree loops inside its row step and never charges: a step passed
+// as a method value must not be a blind spot for the analyzer.
+type stepFree struct {
 	child exec.Operator
+	in    exec.RowReader
 }
 
-func (b *batchFree) Schema() *schema.Schema { return nil }
+func (s *stepFree) Schema() *schema.Schema { return nil }
 
-func (b *batchFree) Open(ctx *exec.Context) error { return b.child.Open(ctx) }
+func (s *stepFree) Open(ctx *exec.Context) error { return s.child.Open(ctx) }
 
-func (b *batchFree) Next(ctx *exec.Context) (value.Row, bool, error) {
-	return b.child.Next(ctx)
+func (s *stepFree) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return exec.FillRows(ctx, dst, max, s.next)
 }
 
-func (b *batchFree) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error { // want "batchFree.NextBatch does row work but no method of batchFree reachable from Open/Next/NextBatch charges ctx.Counter"
-	for len(dst.Rows) < max {
-		r, ok, err := b.child.Next(ctx)
+func (s *stepFree) next(ctx *exec.Context) (value.Row, bool, error) { // want "stepFree.next does row work but no method of stepFree reachable from Open/NextBatch charges ctx.Counter"
+	for {
+		r, ok, err := s.in.Read(ctx, s.child)
 		if err != nil || !ok {
-			return err
+			return nil, false, err
 		}
-		dst.Rows = append(dst.Rows, r)
+		if len(r) > 0 {
+			return r, true, nil
+		}
 	}
-	return nil
 }
 
-func (b *batchFree) Close(ctx *exec.Context) error { return b.child.Close(ctx) }
+func (s *stepFree) Close(ctx *exec.Context) error { return s.child.Close(ctx) }
 
 // kernelFree delegates its per-row loop to a compiled expression kernel
 // (expr.Pred.SelectBatch): the loop lives inside the kernel, not the
@@ -289,13 +300,9 @@ func (k *kernelFree) Schema() *schema.Schema { return nil }
 
 func (k *kernelFree) Open(ctx *exec.Context) error { return k.child.Open(ctx) }
 
-func (k *kernelFree) Next(ctx *exec.Context) (value.Row, bool, error) {
-	return k.child.Next(ctx)
-}
-
-func (k *kernelFree) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error { // want "kernelFree.NextBatch does row work but no method of kernelFree reachable from Open/Next/NextBatch charges ctx.Counter"
+func (k *kernelFree) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error { // want "kernelFree.NextBatch does row work but no method of kernelFree reachable from Open/NextBatch charges ctx.Counter"
 	k.in.Reset()
-	if err := exec.FillBatch(ctx, k.child, &k.in, max); err != nil {
+	if err := k.child.NextBatch(ctx, &k.in, max); err != nil {
 		return err
 	}
 	sel, _, err := k.kern.SelectBatch(k.in.Rows)
@@ -322,13 +329,9 @@ func (k *kernelCharging) Schema() *schema.Schema { return nil }
 
 func (k *kernelCharging) Open(ctx *exec.Context) error { return k.child.Open(ctx) }
 
-func (k *kernelCharging) Next(ctx *exec.Context) (value.Row, bool, error) {
-	return k.child.Next(ctx)
-}
-
 func (k *kernelCharging) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
 	k.in.Reset()
-	if err := exec.FillBatch(ctx, k.child, &k.in, max); err != nil {
+	if err := k.child.NextBatch(ctx, &k.in, max); err != nil {
 		return err
 	}
 	sel, evaluated, err := k.kern.SelectBatch(k.in.Rows)
@@ -362,15 +365,15 @@ func (g *guardPass) Open(ctx *exec.Context) error {
 	return g.child.Open(ctx)
 }
 
-func (g *guardPass) Next(ctx *exec.Context) (value.Row, bool, error) {
-	r, ok, err := g.child.Next(ctx)
-	if ok {
-		g.n++
-		if float64(g.n) >= g.est*10 {
-			return nil, false, errReplan
-		}
+func (g *guardPass) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	if err := g.child.NextBatch(ctx, dst, max); err != nil {
+		return err
 	}
-	return r, ok, err
+	g.n += int64(len(dst.Rows))
+	if float64(g.n) >= g.est*10 {
+		return errReplan
+	}
+	return nil
 }
 
 func (g *guardPass) Close(ctx *exec.Context) error { return g.child.Close(ctx) }
@@ -391,21 +394,21 @@ func (g *guardFilter) Schema() *schema.Schema { return g.child.Schema() }
 
 func (g *guardFilter) Open(ctx *exec.Context) error { return g.child.Open(ctx) }
 
-func (g *guardFilter) Next(ctx *exec.Context) (value.Row, bool, error) { // want "guardFilter.Next does row work but no method of guardFilter reachable from Open/Next/NextBatch charges ctx.Counter"
-	r, ok, err := g.child.Next(ctx)
-	if ok {
-		g.n++
-		if float64(g.n) >= g.est*10 {
-			for {
-				_, more, derr := g.child.Next(ctx)
-				if derr != nil || !more {
-					break
-				}
-			}
-			return nil, false, errReplan
-		}
+func (g *guardFilter) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error { // want "guardFilter.NextBatch does row work but no method of guardFilter reachable from Open/NextBatch charges ctx.Counter"
+	if err := g.child.NextBatch(ctx, dst, max); err != nil {
+		return err
 	}
-	return r, ok, err
+	g.n += int64(len(dst.Rows))
+	if float64(g.n) >= g.est*10 {
+		for len(dst.Rows) > 0 {
+			dst.Reset()
+			if err := g.child.NextBatch(ctx, dst, max); err != nil {
+				break
+			}
+		}
+		return errReplan
+	}
+	return nil
 }
 
 func (g *guardFilter) Close(ctx *exec.Context) error { return g.child.Close(ctx) }

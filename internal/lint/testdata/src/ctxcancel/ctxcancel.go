@@ -15,23 +15,27 @@ import (
 // hung up.
 type spinFilter struct {
 	child exec.Operator
+	in    exec.Batch
 }
 
 func (s *spinFilter) Schema() *schema.Schema { return s.child.Schema() }
 
 func (s *spinFilter) Open(ctx *exec.Context) error { return s.child.Open(ctx) }
 
-func (s *spinFilter) Next(ctx *exec.Context) (value.Row, bool, error) {
-	for { // want "loop pulls rows but never observes cancellation"
-		r, ok, err := s.child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
+func (s *spinFilter) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	for len(dst.Rows) == 0 { // want "loop pulls rows but never observes cancellation"
+		s.in.Reset()
+		if err := s.child.NextBatch(ctx, &s.in, max); err != nil || s.in.Len() == 0 {
+			return err
 		}
-		if len(r) > 0 {
+		for _, r := range s.in.Rows {
 			ctx.Counter.CPUTuples++
-			return r, true, nil
+			if len(r) > 0 {
+				dst.Rows = append(dst.Rows, r)
+			}
 		}
 	}
+	return nil
 }
 
 func (s *spinFilter) Close(ctx *exec.Context) error { return s.child.Close(ctx) }
@@ -39,34 +43,41 @@ func (s *spinFilter) Close(ctx *exec.Context) error { return s.child.Close(ctx) 
 // checkedFilter polls ctx.Err each iteration: compliant.
 type checkedFilter struct {
 	child exec.Operator
+	in    exec.Batch
 }
 
 func (c *checkedFilter) Schema() *schema.Schema { return c.child.Schema() }
 
 func (c *checkedFilter) Open(ctx *exec.Context) error { return c.child.Open(ctx) }
 
-func (c *checkedFilter) Next(ctx *exec.Context) (value.Row, bool, error) {
-	for {
+func (c *checkedFilter) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	for len(dst.Rows) == 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, false, err
+			return err
 		}
-		r, ok, err := c.child.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
+		c.in.Reset()
+		if err := c.child.NextBatch(ctx, &c.in, max); err != nil || c.in.Len() == 0 {
+			return err
 		}
-		if len(r) > 0 {
+		for _, r := range c.in.Rows {
 			ctx.Counter.CPUTuples++
-			return r, true, nil
+			if len(r) > 0 {
+				dst.Rows = append(dst.Rows, r)
+			}
 		}
 	}
+	return nil
 }
 
 func (c *checkedFilter) Close(ctx *exec.Context) error { return c.child.Close(ctx) }
 
-// helperChecked observes cancellation through a helper method: the
-// check propagates through same-package calls.
+// helperChecked is the row-at-a-time idiom: its loop lives in a row
+// step handed to exec.FillRows as a method value, and observes
+// cancellation through a helper method — the check propagates through
+// same-package calls.
 type helperChecked struct {
 	child exec.Operator
+	in    exec.RowReader
 }
 
 func (h *helperChecked) Schema() *schema.Schema { return h.child.Schema() }
@@ -75,12 +86,16 @@ func (h *helperChecked) Open(ctx *exec.Context) error { return h.child.Open(ctx)
 
 func (h *helperChecked) guard(ctx *exec.Context) error { return ctx.Err() }
 
-func (h *helperChecked) Next(ctx *exec.Context) (value.Row, bool, error) {
+func (h *helperChecked) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return exec.FillRows(ctx, dst, max, h.next)
+}
+
+func (h *helperChecked) next(ctx *exec.Context) (value.Row, bool, error) {
 	for {
 		if err := h.guard(ctx); err != nil {
 			return nil, false, err
 		}
-		r, ok, err := h.child.Next(ctx)
+		r, ok, err := h.in.Read(ctx, h.child)
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -92,46 +107,83 @@ func (h *helperChecked) Next(ctx *exec.Context) (value.Row, bool, error) {
 
 func (h *helperChecked) Close(ctx *exec.Context) error { return h.child.Close(ctx) }
 
-// pager refills through exec.FillBatch, which is itself obligated (by
-// this analyzer running over the exec package) to observe cancellation:
-// the call is both the pull and the check.
-type pager struct {
+// spinStep is helperChecked without the guard: a row step reached only
+// as a method value must not be a blind spot.
+type spinStep struct {
 	child exec.Operator
-	buf   exec.Batch
-	pos   int
+	in    exec.RowReader
 }
 
-func (p *pager) Schema() *schema.Schema { return p.child.Schema() }
+func (s *spinStep) Schema() *schema.Schema { return s.child.Schema() }
 
-func (p *pager) Open(ctx *exec.Context) error {
-	p.buf.Reset()
-	p.pos = 0
-	return p.child.Open(ctx)
+func (s *spinStep) Open(ctx *exec.Context) error { return s.child.Open(ctx) }
+
+func (s *spinStep) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return exec.FillRows(ctx, dst, max, s.next)
 }
 
-func (p *pager) Next(ctx *exec.Context) (value.Row, bool, error) {
-	for p.pos >= p.buf.Len() {
-		p.buf.Reset()
-		p.pos = 0
-		if err := exec.FillBatch(ctx, p.child, &p.buf, 64); err != nil {
+func (s *spinStep) next(ctx *exec.Context) (value.Row, bool, error) {
+	for { // want "loop pulls rows but never observes cancellation"
+		r, ok, err := s.in.Read(ctx, s.child)
+		if err != nil || !ok {
 			return nil, false, err
 		}
-		if p.buf.Len() == 0 {
-			return nil, false, nil
+		if len(r) > 0 {
+			return r, true, nil
 		}
 	}
-	r := p.buf.Rows[p.pos]
-	p.pos++
-	return r, true, nil
 }
 
-func (p *pager) Close(ctx *exec.Context) error { return p.child.Close(ctx) }
+func (s *spinStep) Close(ctx *exec.Context) error { return s.child.Close(ctx) }
+
+// recounter re-counts its inner through exec.Count for every outer
+// batch. Count is itself obligated (by this analyzer running over the
+// exec package) to observe cancellation: the call is both the pull and
+// the check.
+type recounter struct {
+	outer, inner exec.Operator
+	in           exec.Batch
+}
+
+func (p *recounter) Schema() *schema.Schema { return p.outer.Schema() }
+
+func (p *recounter) Open(ctx *exec.Context) error { return p.outer.Open(ctx) }
+
+func (p *recounter) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	for len(dst.Rows) == 0 {
+		n, err := exec.Count(ctx, p.inner)
+		if err != nil {
+			return err
+		}
+		p.in.Reset()
+		if err := p.outer.NextBatch(ctx, &p.in, max); err != nil || p.in.Len() == 0 {
+			return err
+		}
+		if n > 0 {
+			dst.Rows = append(dst.Rows, p.in.Rows...)
+		}
+	}
+	return nil
+}
+
+func (p *recounter) Close(ctx *exec.Context) error { return p.outer.Close(ctx) }
 
 // leakyGather spawns a producer goroutine that never checks
 // cancellation: the worker outlives the query.
 type leakyGather struct {
 	child exec.Operator
 	out   chan value.Row
+}
+
+// emit forwards the rows a producer goroutine queued.
+func emit(out chan value.Row, dst *exec.Batch, max int) {
+	for len(dst.Rows) < max {
+		r, ok := <-out
+		if !ok {
+			return
+		}
+		dst.Rows = append(dst.Rows, r)
+	}
 }
 
 func (g *leakyGather) Schema() *schema.Schema { return g.child.Schema() }
@@ -142,8 +194,9 @@ func (g *leakyGather) Open(ctx *exec.Context) error {
 	}
 	g.out = make(chan value.Row, 4)
 	go func() { // want "goroutine spawned by leakyGather never observes exec.Context cancellation"
+		var rd exec.RowReader
 		for {
-			r, ok, err := g.child.Next(ctx)
+			r, ok, err := rd.Read(ctx, g.child)
 			if err != nil || !ok {
 				close(g.out)
 				return
@@ -154,12 +207,9 @@ func (g *leakyGather) Open(ctx *exec.Context) error {
 	return nil
 }
 
-func (g *leakyGather) Next(ctx *exec.Context) (value.Row, bool, error) {
-	r, ok := <-g.out
-	if !ok {
-		return nil, false, nil
-	}
-	return r, true, nil
+func (g *leakyGather) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	emit(g.out, dst, max)
+	return nil
 }
 
 func (g *leakyGather) Close(ctx *exec.Context) error { return g.child.Close(ctx) }
@@ -183,12 +233,13 @@ func (g *politeGather) Open(ctx *exec.Context) error {
 }
 
 func (g *politeGather) pump(ctx *exec.Context) {
+	var rd exec.RowReader
 	for {
 		if ctx.Err() != nil {
 			close(g.out)
 			return
 		}
-		r, ok, err := g.child.Next(ctx)
+		r, ok, err := rd.Read(ctx, g.child)
 		if err != nil || !ok {
 			close(g.out)
 			return
@@ -197,12 +248,9 @@ func (g *politeGather) pump(ctx *exec.Context) {
 	}
 }
 
-func (g *politeGather) Next(ctx *exec.Context) (value.Row, bool, error) {
-	r, ok := <-g.out
-	if !ok {
-		return nil, false, nil
-	}
-	return r, true, nil
+func (g *politeGather) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	emit(g.out, dst, max)
+	return nil
 }
 
 func (g *politeGather) Close(ctx *exec.Context) error { return g.child.Close(ctx) }
@@ -211,15 +259,16 @@ func (g *politeGather) Close(ctx *exec.Context) error { return g.child.Close(ctx
 // free functions driving an Operator parameter are in scope too.
 func drainAll(ctx *exec.Context, op exec.Operator) ([]value.Row, error) {
 	var out []value.Row
+	b := exec.NewBatch(64)
 	for { // want "loop pulls rows but never observes cancellation"
-		r, ok, err := op.Next(ctx)
-		if err != nil {
+		b.Reset()
+		if err := op.NextBatch(ctx, &b, 64); err != nil {
 			return nil, err
 		}
-		if !ok {
+		if b.Len() == 0 {
 			return out, nil
 		}
-		out = append(out, r)
+		out = append(out, b.Rows...)
 	}
 }
 
@@ -227,15 +276,16 @@ func drainAll(ctx *exec.Context, op exec.Operator) ([]value.Row, error) {
 // suppression records why the liveness rule is waived.
 func spinCount(ctx *exec.Context, op exec.Operator) (int, error) {
 	n := 0
+	b := exec.NewBatch(64)
 	//lint:ignore ctxcancel fixture: bench harness, input is bounded and local
 	for {
-		_, ok, err := op.Next(ctx)
-		if err != nil {
+		b.Reset()
+		if err := op.NextBatch(ctx, &b, 64); err != nil {
 			return n, err
 		}
-		if !ok {
+		if b.Len() == 0 {
 			return n, nil
 		}
-		n++
+		n += b.Len()
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"filterjoin/internal/exec"
 	"filterjoin/internal/schema"
-	"filterjoin/internal/value"
 )
 
 // fakeOp implements exec.Operator and closes the child it opens.
@@ -22,8 +21,8 @@ func (f *fakeOp) Open(ctx *exec.Context) error {
 	return f.child.Open(ctx)
 }
 
-func (f *fakeOp) Next(ctx *exec.Context) (value.Row, bool, error) {
-	return f.child.Next(ctx)
+func (f *fakeOp) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return f.child.NextBatch(ctx, dst, max)
 }
 
 func (f *fakeOp) Close(ctx *exec.Context) error {
@@ -41,8 +40,8 @@ func (l *leakyOp) Open(ctx *exec.Context) error {
 	return l.child.Open(ctx) // want "leakyOp.Open opens field child but no method of leakyOp closes it"
 }
 
-func (l *leakyOp) Next(ctx *exec.Context) (value.Row, bool, error) {
-	return l.child.Next(ctx)
+func (l *leakyOp) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return l.child.NextBatch(ctx, dst, max)
 }
 
 func (l *leakyOp) Close(ctx *exec.Context) error { return nil }
@@ -60,8 +59,8 @@ func dropDefer(ctx *exec.Context, op exec.Operator) error {
 		return err
 	}
 	defer op.Close(ctx) // want "deferred Close discards its error"
-	_, _, err := op.Next(ctx)
-	return err
+	var b exec.Batch
+	return op.NextBatch(ctx, &b, 1)
 }
 
 func dropBlank(ctx *exec.Context, op exec.Operator) error {
@@ -76,8 +75,8 @@ func leakOnError(ctx *exec.Context, op exec.Operator) error {
 	if err := op.Open(ctx); err != nil { // want "op.Open is not balanced by a Close on every path"
 		return err
 	}
-	_, _, err := op.Next(ctx)
-	if err != nil {
+	var b exec.Batch
+	if err := op.NextBatch(ctx, &b, 1); err != nil {
 		return err // op is still open here
 	}
 	return op.Close(ctx)
@@ -87,12 +86,13 @@ func balanced(ctx *exec.Context, op exec.Operator) error {
 	if err := op.Open(ctx); err != nil {
 		return err
 	}
+	var b exec.Batch
 	for {
-		_, ok, err := op.Next(ctx)
-		if err != nil {
+		b.Reset()
+		if err := op.NextBatch(ctx, &b, 64); err != nil {
 			return errors.Join(err, op.Close(ctx))
 		}
-		if !ok {
+		if b.Len() == 0 {
 			break
 		}
 	}
@@ -130,6 +130,7 @@ func goWorkerLeak(mk func() exec.Operator) {
 		if err := op.Open(w); err != nil { // want "op.Open is not balanced by a Close on every path"
 			return
 		}
-		_, _, _ = op.Next(w)
+		var b exec.Batch
+		_ = op.NextBatch(w, &b, 1)
 	}()
 }

@@ -8,7 +8,6 @@ import (
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/schema"
-	"filterjoin/internal/value"
 )
 
 // staleFilter captures a predicate at plan time and never rebinds it:
@@ -22,7 +21,9 @@ func (s *staleFilter) Schema() *schema.Schema { return s.child.Schema() }
 
 func (s *staleFilter) Open(ctx *exec.Context) error { return s.child.Open(ctx) }
 
-func (s *staleFilter) Next(ctx *exec.Context) (value.Row, bool, error) { return s.child.Next(ctx) }
+func (s *staleFilter) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return s.child.NextBatch(ctx, dst, max)
+}
 
 func (s *staleFilter) Close(ctx *exec.Context) error { return s.child.Close(ctx) }
 
@@ -39,7 +40,9 @@ func (b *boundFilter) Open(ctx *exec.Context) error {
 	return b.child.Open(ctx)
 }
 
-func (b *boundFilter) Next(ctx *exec.Context) (value.Row, bool, error) { return b.child.Next(ctx) }
+func (b *boundFilter) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return b.child.NextBatch(ctx, dst, max)
+}
 
 func (b *boundFilter) Close(ctx *exec.Context) error { return b.child.Close(ctx) }
 
@@ -54,7 +57,9 @@ func (s *staleKeys) Schema() *schema.Schema { return s.child.Schema() }
 
 func (s *staleKeys) Open(ctx *exec.Context) error { return s.child.Open(ctx) }
 
-func (s *staleKeys) Next(ctx *exec.Context) (value.Row, bool, error) { return s.child.Next(ctx) }
+func (s *staleKeys) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return s.child.NextBatch(ctx, dst, max)
+}
 
 func (s *staleKeys) Close(ctx *exec.Context) error { return s.child.Close(ctx) }
 
@@ -78,7 +83,9 @@ func (h *helperBound) rebind(ctx *exec.Context) {
 	h.aggs = expr.BindAggs(h.aggs, ctx.Params)
 }
 
-func (h *helperBound) Next(ctx *exec.Context) (value.Row, bool, error) { return h.child.Next(ctx) }
+func (h *helperBound) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return h.child.NextBatch(ctx, dst, max)
+}
 
 func (h *helperBound) Close(ctx *exec.Context) error { return h.child.Close(ctx) }
 

@@ -26,7 +26,9 @@ func (s *sharedWriter) Open(ctx *exec.Context) error {
 	return s.child.Open(ctx)
 }
 
-func (s *sharedWriter) Next(ctx *exec.Context) (value.Row, bool, error) { return s.child.Next(ctx) }
+func (s *sharedWriter) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return s.child.NextBatch(ctx, dst, max)
+}
 
 func (s *sharedWriter) Close(ctx *exec.Context) error { return s.child.Close(ctx) }
 
@@ -45,14 +47,18 @@ func (f *forkWriter) Open(ctx *exec.Context) error {
 	return f.child.Open(ctx)
 }
 
-func (f *forkWriter) Next(ctx *exec.Context) (value.Row, bool, error) { return f.child.Next(ctx) }
+func (f *forkWriter) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return f.child.NextBatch(ctx, dst, max)
+}
 
 func (f *forkWriter) Close(ctx *exec.Context) error { return f.child.Close(ctx) }
 
-// staleAgg accumulates across Next but Open never resets, so a reopened
-// or cache-served instance replays the previous execution's totals.
+// staleAgg accumulates across its row step (reached from NextBatch only
+// as a method value) but Open never resets, so a reopened or
+// cache-served instance replays the previous execution's totals.
 type staleAgg struct {
 	child exec.Operator
+	in    exec.RowReader
 	done  bool
 	count int64
 }
@@ -61,30 +67,37 @@ func (a *staleAgg) Schema() *schema.Schema { return nil }
 
 func (a *staleAgg) Open(ctx *exec.Context) error { return a.child.Open(ctx) }
 
-func (a *staleAgg) Next(ctx *exec.Context) (value.Row, bool, error) {
+func (a *staleAgg) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return exec.FillRows(ctx, dst, max, a.next)
+}
+
+func (a *staleAgg) next(ctx *exec.Context) (value.Row, bool, error) {
 	if a.done {
 		return nil, false, nil
 	}
 	for {
-		_, ok, err := a.child.Next(ctx)
+		_, ok, err := a.in.Read(ctx, a.child)
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
 			break
 		}
-		a.count++ // want "staleAgg.Next writes field count but Open never resets it"
+		a.count++ // want "staleAgg.next writes field count but Open never resets it"
 		ctx.Counter.CPUTuples++
 	}
-	a.done = true // want "staleAgg.Next writes field done but Open never resets it"
+	a.done = true // want "staleAgg.next writes field done but Open never resets it"
 	return value.Row{value.NewInt(a.count)}, true, nil
 }
 
 func (a *staleAgg) Close(ctx *exec.Context) error { return a.child.Close(ctx) }
 
-// resetAgg is the compliant version: Open zeroes everything Next writes.
+// resetAgg is the compliant version: Open zeroes everything the row
+// step writes. The RowReader needs no reset: reading through it is a
+// method call on the field, and it keeps no stream state.
 type resetAgg struct {
 	child exec.Operator
+	in    exec.RowReader
 	done  bool
 	count int64
 }
@@ -97,12 +110,16 @@ func (a *resetAgg) Open(ctx *exec.Context) error {
 	return a.child.Open(ctx)
 }
 
-func (a *resetAgg) Next(ctx *exec.Context) (value.Row, bool, error) {
+func (a *resetAgg) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return exec.FillRows(ctx, dst, max, a.next)
+}
+
+func (a *resetAgg) next(ctx *exec.Context) (value.Row, bool, error) {
 	if a.done {
 		return nil, false, nil
 	}
 	for {
-		_, ok, err := a.child.Next(ctx)
+		_, ok, err := a.in.Read(ctx, a.child)
 		if err != nil {
 			return nil, false, err
 		}
@@ -134,20 +151,17 @@ func (b *batchKeeper) Open(ctx *exec.Context) error {
 	return b.child.Open(ctx)
 }
 
-func (b *batchKeeper) Next(ctx *exec.Context) (value.Row, bool, error) {
+func (b *batchKeeper) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
 	if b.pos >= b.buf.Len() {
 		b.buf.Reset()
 		b.pos = 0
-		if err := exec.FillBatch(ctx, b.child, &b.buf, 64); err != nil {
-			return nil, false, err
-		}
-		if b.buf.Len() == 0 {
-			return nil, false, nil
+		if err := b.child.NextBatch(ctx, &b.buf, 64); err != nil || b.buf.Len() == 0 {
+			return err
 		}
 	}
-	r := b.buf.Rows[b.pos]
+	dst.Rows = append(dst.Rows, b.buf.Rows[b.pos])
 	b.pos++
-	return r, true, nil
+	return nil
 }
 
 func (b *batchKeeper) Close(ctx *exec.Context) error { return b.child.Close(ctx) }

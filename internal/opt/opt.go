@@ -80,9 +80,9 @@ type Optimizer struct {
 	DegreeOfParallelism int
 
 	// BatchSize is the executor morsel size recorded on emitted plan
-	// roots (and shown by EXPLAIN as batch=N). 0 or 1 means the
-	// row-at-a-time engine. It does not influence plan choice: both
-	// engines charge identical counter totals by construction.
+	// roots (and shown by EXPLAIN as batch=N when above 1). It does not
+	// influence plan choice: counter totals are identical at every
+	// morsel size by construction.
 	BatchSize int
 
 	Metrics Metrics

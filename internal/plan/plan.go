@@ -43,8 +43,8 @@ type Node struct {
 	// (ParallelScan, partitioned hash join); 0 or 1 means serial.
 	Parallel int
 
-	// BatchSize, set on a root node, is the morsel size the batch engine
-	// pulls through the plan; 0 or 1 means the row-at-a-time engine.
+	// BatchSize, set on a root node, is the morsel size the executor
+	// pulls through the plan (0 counts as 1).
 	BatchSize int
 
 	Make func() exec.Operator

@@ -32,6 +32,7 @@ type ProbeJoin struct {
 	innerSch *schema.Schema
 	out      *schema.Schema
 	cache    map[string][]value.Row
+	in       exec.RowReader // the outer is read one row at a time
 	cur      value.Row
 	batch    []value.Row
 	pos      int
@@ -104,8 +105,14 @@ func (j *ProbeJoin) call(ctx *exec.Context, args value.Row) ([]value.Row, error)
 	return rows, nil
 }
 
-// Next implements exec.Operator.
-func (j *ProbeJoin) Next(ctx *exec.Context) (value.Row, bool, error) {
+// NextBatch implements exec.Operator by lifting the row step.
+func (j *ProbeJoin) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return exec.FillRows(ctx, dst, max, j.next)
+}
+
+// next produces one joined row, invoking the function for the next
+// outer row when the current invocation's rows run out.
+func (j *ProbeJoin) next(ctx *exec.Context) (value.Row, bool, error) {
 	if j.done {
 		return nil, false, nil
 	}
@@ -114,7 +121,7 @@ func (j *ProbeJoin) Next(ctx *exec.Context) (value.Row, bool, error) {
 			return nil, false, err
 		}
 		if j.cur == nil {
-			r, ok, err := j.Outer.Next(ctx)
+			r, ok, err := j.in.Read(ctx, j.Outer)
 			if err != nil {
 				return nil, false, err
 			}
@@ -196,8 +203,14 @@ func (s *ConsecutiveScan) Open(*exec.Context) error {
 // Calls reports how many invocations the last execution made.
 func (s *ConsecutiveScan) Calls() int64 { return s.calls }
 
-// Next implements exec.Operator.
-func (s *ConsecutiveScan) Next(ctx *exec.Context) (value.Row, bool, error) {
+// NextBatch implements exec.Operator by lifting the row step.
+func (s *ConsecutiveScan) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return exec.FillRows(ctx, dst, max, s.next)
+}
+
+// next produces one function result row, invoking the function for the
+// next distinct binding when the current invocation's rows run out.
+func (s *ConsecutiveScan) next(ctx *exec.Context) (value.Row, bool, error) {
 	for {
 		if s.pos < len(s.batch) {
 			r := s.batch[s.pos]

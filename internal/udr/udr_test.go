@@ -117,7 +117,8 @@ func TestProbeJoinErrorPropagates(t *testing.T) {
 	if err := j.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := j.Next(ctx); err == nil {
+	var rd exec.RowReader
+	if _, _, err := rd.Read(ctx, j); err == nil {
 		t.Error("function errors must propagate")
 	}
 }
