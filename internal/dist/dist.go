@@ -94,7 +94,7 @@ type FetchMatchesJoin struct {
 	Table       *storage.Table
 	Index       *storage.HashIndex
 	OuterKeyIdx []int
-	Residual    expr.Expr // bound against Outer.Schema()‖inner schema
+	Residual    *expr.Pred // over Outer.Schema()‖inner schema; may be nil
 	InnerAlias  string
 	Site        int // the remote site holding Table
 
@@ -102,11 +102,9 @@ type FetchMatchesJoin struct {
 	out      *schema.Schema
 	keyBytes int
 	rowBytes int
-	in       exec.RowReader // the outer is read one row at a time
-	cur      value.Row
+	loop     exec.LoopJoin
 	ids      []int
 	pos      int
-	done     bool
 }
 
 // NewFetchMatchesJoin builds the remote repeated-probe join against the
@@ -125,7 +123,7 @@ func NewFetchMatchesJoin(outer Operator, t *storage.Table, ix *storage.HashIndex
 		Table:       t,
 		Index:       ix,
 		OuterKeyIdx: outerKeyIdx,
-		Residual:    residual,
+		Residual:    expr.CompilePred(residual),
 		InnerAlias:  innerAlias,
 		Site:        site,
 		innerSch:    is,
@@ -140,67 +138,40 @@ func (j *FetchMatchesJoin) Schema() *schema.Schema { return j.out }
 
 // Open implements exec.Operator.
 func (j *FetchMatchesJoin) Open(ctx *exec.Context) error {
-	j.Residual = expr.BindParams(j.Residual, ctx.Params)
-	j.cur = nil
+	j.Residual.Bind(ctx.Params)
+	j.loop.Reset()
 	j.ids = nil
 	j.pos = 0
-	j.done = false
 	return j.Outer.Open(ctx)
 }
 
-// NextBatch implements exec.Operator by lifting the row step.
+// NextBatch implements exec.Operator.
 func (j *FetchMatchesJoin) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
-	return exec.FillRows(ctx, dst, max, j.next)
+	return j.loop.Fill(ctx, dst, max, j.Outer, j.Residual, j.fetch, j.match)
 }
 
-// next produces one joined row, making the round trip for the next
-// outer row when the current one's matches run out.
-func (j *FetchMatchesJoin) next(ctx *exec.Context) (value.Row, bool, error) {
-	if j.done {
+// fetch makes the round trip for outer row r: key goes out, matches come
+// back. The key message is the fallible crossing; the response charges
+// once the probe resolves.
+func (j *FetchMatchesJoin) fetch(ctx *exec.Context, r value.Row) error {
+	if err := Send(ctx, j.Site, int64(j.keyBytes)); err != nil {
+		return err
+	}
+	ctx.Counter.PageReads++ // remote index probe
+	j.ids = j.Index.LookupRow(r, j.OuterKeyIdx)
+	ctx.Counter.PageReads += int64(storage.ProbePages(j.ids, j.Table.RowsPerPage()))
+	ctx.Counter.NetBytes += int64(len(j.ids) * j.rowBytes)
+	j.pos = 0
+	return nil
+}
+
+// match returns the current outer row's next fetched match.
+func (j *FetchMatchesJoin) match(*exec.Context) (value.Row, bool, error) {
+	if j.pos >= len(j.ids) {
 		return nil, false, nil
 	}
-	for {
-		if j.cur == nil {
-			r, ok, err := j.in.Read(ctx, j.Outer)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.done = true
-				return nil, false, nil
-			}
-			j.cur = r
-			// One round trip: key goes out, matches come back. The key
-			// message is the fallible crossing; the response charges
-			// below once the probe resolves.
-			if err := Send(ctx, j.Site, int64(j.keyBytes)); err != nil {
-				return nil, false, err
-			}
-			ctx.Counter.PageReads++ // remote index probe
-			j.ids = j.Index.LookupRow(r, j.OuterKeyIdx)
-			ctx.Counter.PageReads += int64(storage.ProbePages(j.ids, j.Table.RowsPerPage()))
-			ctx.Counter.NetBytes += int64(len(j.ids) * j.rowBytes)
-			j.pos = 0
-		}
-		if j.pos >= len(j.ids) {
-			j.cur = nil
-			continue
-		}
-		inner := j.Table.Row(j.ids[j.pos])
-		j.pos++
-		ctx.Counter.CPUTuples++
-		joined := j.cur.Concat(inner)
-		if j.Residual != nil {
-			keep, err := expr.EvalBool(j.Residual, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		return joined, true, nil
-	}
+	j.pos++
+	return j.Table.Row(j.ids[j.pos-1]), true, nil
 }
 
 // Close implements exec.Operator. It clears the match cursor so a
@@ -209,9 +180,8 @@ func (j *FetchMatchesJoin) next(ctx *exec.Context) (value.Row, bool, error) {
 // the same reset, but an operator must also be safe to inspect or
 // re-wrap between Close and the next Open.
 func (j *FetchMatchesJoin) Close(ctx *exec.Context) error {
-	j.cur = nil
+	j.loop.Reset()
 	j.ids = nil
 	j.pos = 0
-	j.done = false
 	return j.Outer.Close(ctx)
 }

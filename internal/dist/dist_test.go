@@ -220,6 +220,9 @@ func TestFetchMatchesReopenAfterResidualError(t *testing.T) {
 	if err := j.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if !j.loop.Rewound() || j.ids != nil {
+		t.Fatal("Close after a mid-stream error must drop the held outer row and its matches")
+	}
 
 	// Rerun without the poisoned residual on the same operator value:
 	// stale cur/ids/done must not leak into the new run.
@@ -252,8 +255,11 @@ func TestFetchMatchesCloseResetsDone(t *testing.T) {
 	if _, err := exec.Drain(ctx, j); err != nil {
 		t.Fatal(err)
 	}
-	if j.done || j.cur != nil || j.ids != nil {
+	if !j.loop.Rewound() || j.ids != nil || j.pos != 0 {
 		t.Fatal("Close must clear cur/ids/done")
+	}
+	if rows, err := exec.Drain(ctx, j); err != nil || len(rows) != 1 {
+		t.Fatalf("reopened run: %d rows, err %v; want 1 row (end-of-stream latch not reset?)", len(rows), err)
 	}
 }
 

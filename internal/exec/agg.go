@@ -20,11 +20,12 @@ type GroupBy struct {
 	GroupIdx []int
 	Aggs     []expr.AggSpec
 	// SizeHint pre-sizes the group hash table from the optimizer's output
-	// cardinality estimate (0 = unknown).
-	SizeHint int
-	out      *schema.Schema
-	results  []value.Row
-	pos      int
+	// cardinality estimate, InputHint the buffer the child is drained
+	// through from its input estimate (0 = unknown).
+	SizeHint, InputHint int
+	out                 *schema.Schema
+	results             []value.Row
+	pos                 int
 
 	// Groups live in a RowTable over byte-encoded keys with dense ids
 	// indexing the state slice; one scratch buffer serves every key
@@ -88,7 +89,7 @@ func (g *GroupBy) Open(ctx *Context) error {
 	if err := g.Child.Open(ctx); err != nil {
 		return err
 	}
-	err := forEachInput(ctx, g.Child, func(r value.Row) error {
+	err := forEachInput(ctx, g.Child, g.InputHint, func(r value.Row) error {
 		ctx.Counter.CPUTuples++
 		g.keyBuf = r.AppendKey(g.keyBuf[:0], g.GroupIdx)
 		id, added := g.ht.Insert(g.keyBuf)
@@ -148,13 +149,7 @@ func (g *GroupBy) Open(ctx *Context) error {
 // NextBatch implements Operator: emit the computed groups a morsel at a
 // time, charging one CPU operation per emitted row.
 func (g *GroupBy) NextBatch(ctx *Context, dst *Batch, max int) error {
-	n := min(max, len(g.results)-g.pos)
-	if n <= 0 {
-		return nil
-	}
-	dst.Rows = append(dst.Rows, g.results[g.pos:g.pos+n]...)
-	g.pos += n
-	ctx.Counter.CPUTuples += int64(n)
+	ctx.Counter.CPUTuples += int64(dst.AppendFrom(g.results, &g.pos, max))
 	return nil
 }
 

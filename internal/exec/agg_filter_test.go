@@ -119,7 +119,7 @@ func TestKeySetBuildAndFilter(t *testing.T) {
 
 func TestKeySetContainsCrossWidthProbe(t *testing.T) {
 	ks := NewKeySet(1)
-	ks.Add(value.Row{value.NewInt(7)})
+	ks.Add(value.Row{value.NewInt(7)}, []int{0})
 	probe := value.Row{value.NewInt(0), value.NewInt(7)}
 	buf, hit := ks.ContainsBuf(probe, []int{1}, nil)
 	if !hit {
@@ -133,7 +133,7 @@ func TestKeySetContainsCrossWidthProbe(t *testing.T) {
 func TestBloomFilterScanSuperset(t *testing.T) {
 	ks := NewKeySet(1)
 	for i := 0; i < 50; i++ {
-		ks.Add(value.Row{value.NewInt(int64(i * 2))}) // even keys
+		ks.Add(value.Row{value.NewInt(int64(i * 2))}, []int{0}) // even keys
 	}
 	bf := ks.ToBloom(10, []int{0})
 	rows := make([][]int64, 400)
@@ -156,8 +156,8 @@ func TestBloomFilterScanSuperset(t *testing.T) {
 
 func TestKeySetScan(t *testing.T) {
 	ks := NewKeySet(1)
-	ks.Add(value.Row{value.NewInt(3)})
-	ks.Add(value.Row{value.NewInt(9)})
+	ks.Add(value.Row{value.NewInt(3)}, []int{0})
+	ks.Add(value.Row{value.NewInt(9)}, []int{0})
 	sch := schema.New(schema.Column{Name: "k0", Type: value.KindInt})
 	s := NewKeySetScan(ks, sch)
 	rows, c := drain(t, s)

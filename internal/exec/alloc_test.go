@@ -38,28 +38,40 @@ func allocTable(t testing.TB, name string, n int) Operator {
 	return NewTableScan(intTable(t, name, []string{"k", "v"}, rows), "")
 }
 
+// rareResidual is a residual over a join of two allocTables (layout
+// k, v, k, v) that keeps about one candidate pair in a thousand.
+var rareResidual = expr.NewAnd(
+	expr.NewCmp(expr.EQ, expr.NewCol(1, "l.v"), expr.Int(3)),
+	expr.NewCmp(expr.EQ, expr.NewCol(3, "r.v"), expr.Int(8)),
+)
+
 // TestAllocBudget is the allocation regression gate for the kernel
 // paths: a warmed Filter, HashJoin, and GroupBy batch pipeline must not
 // allocate more per steady-state NextBatch than the checked-in budget.
+// The ResidualReject cases pull one survivor per call, so each call
+// walks about a thousand candidates the residual rejects: a rejected
+// candidate must cost no allocation, and the survivors' slabs amortize
+// to less than one per call.
 func TestAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	const tableRows = 200_000
 	cases := []struct {
 		name string
+		max  int // NextBatch budget; 0 = DefaultBatchSize
 		mk   func(t *testing.T) Operator
 	}{
-		{"Select", func(t *testing.T) Operator {
+		{"Select", 0, func(t *testing.T) Operator {
 			pred := expr.NewAnd(
 				expr.NewCmp(expr.LT, expr.NewCol(1, "v"), expr.Int(25)),
 				expr.NewCmp(expr.GE, expr.NewCol(0, "k"), expr.Int(3)),
 			)
 			return NewSelect(allocTable(t, "t", tableRows), pred)
 		}},
-		{"HashJoin", func(t *testing.T) Operator {
+		{"HashJoin", 0, func(t *testing.T) Operator {
 			return NewHashJoin(allocTable(t, "b", 4096), allocTable(t, "p", tableRows),
 				[]int{0}, []int{0}, nil)
 		}},
-		{"GroupBy", func(t *testing.T) Operator {
+		{"GroupBy", 0, func(t *testing.T) Operator {
 			// Distinct keys so the emit phase spans many output batches.
 			rows := make([][]int64, tableRows)
 			for i := range rows {
@@ -69,6 +81,25 @@ func TestAllocBudget(t *testing.T) {
 			return NewGroupBy(scan, []int{0},
 				[]expr.AggSpec{{Kind: expr.AggCount, Name: "c"}})
 		}},
+		{"IndexNLJoinResidualReject", 1, func(t *testing.T) Operator {
+			rows := make([][]int64, 20_000)
+			for i := range rows {
+				rows[i] = []int64{int64(i % 997), int64(i % 31)}
+			}
+			inner := intTable(t, "i", []string{"k", "v"}, rows)
+			ix, err := inner.CreateIndex("ik", []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewIndexNLJoin(allocTable(t, "o", 4096), inner, ix, []int{0}, rareResidual, "")
+		}},
+		{"NestedLoopJoinResidualReject", 1, func(t *testing.T) Operator {
+			return NewNestedLoopJoin(allocTable(t, "o", 1024), allocTable(t, "i", 128), rareResidual)
+		}},
+		{"MergeJoinResidualReject", 1, func(t *testing.T) Operator {
+			return NewMergeJoin(allocTable(t, "l", 4096), allocTable(t, "r", 20_000),
+				[]int{0}, []int{0}, rareResidual)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,6 +108,10 @@ func TestAllocBudget(t *testing.T) {
 				t.Fatalf("no budget entry for %s", tc.name)
 			}
 			op := tc.mk(t)
+			max := tc.max
+			if max == 0 {
+				max = DefaultBatchSize
+			}
 			ctx := NewContext()
 			ctx.BatchSize = DefaultBatchSize
 			if err := op.Open(ctx); err != nil {
@@ -87,7 +122,7 @@ func TestAllocBudget(t *testing.T) {
 			// vectors, and pooled row storage reach steady-state size.
 			for i := 0; i < 8; i++ {
 				dst.Reset()
-				if err := op.NextBatch(ctx, &dst, DefaultBatchSize); err != nil {
+				if err := op.NextBatch(ctx, &dst, max); err != nil {
 					t.Fatal(err)
 				}
 				if dst.Len() == 0 {
@@ -96,7 +131,7 @@ func TestAllocBudget(t *testing.T) {
 			}
 			got := testing.AllocsPerRun(40, func() {
 				dst.Reset()
-				if err := op.NextBatch(ctx, &dst, DefaultBatchSize); err != nil {
+				if err := op.NextBatch(ctx, &dst, max); err != nil {
 					t.Fatal(err)
 				}
 				if dst.Len() == 0 {

@@ -246,8 +246,11 @@ type Sort struct {
 	Child Operator
 	Keys  []int
 	Desc  []bool
-	rows  []value.Row
-	pos   int
+	// InputHint is the optimizer's input cardinality estimate (0 =
+	// unknown); it sizes the buffer the child is drained through.
+	InputHint int
+	rows      []value.Row
+	pos       int
 }
 
 // NewSort builds an in-memory sort on the given key columns.
@@ -260,7 +263,7 @@ func (s *Sort) Schema() *schema.Schema { return s.Child.Schema() }
 
 // Open implements Operator.
 func (s *Sort) Open(ctx *Context) error {
-	rows, err := Drain(ctx, s.Child)
+	rows, err := drainSized(ctx, s.Child, s.InputHint)
 	if err != nil {
 		return err
 	}
@@ -285,13 +288,7 @@ func (s *Sort) Open(ctx *Context) error {
 // time, charging one CPU operation per emitted row. (The n·log n sort
 // charge happened in Open.)
 func (s *Sort) NextBatch(ctx *Context, dst *Batch, max int) error {
-	n := min(max, len(s.rows)-s.pos)
-	if n <= 0 {
-		return nil
-	}
-	dst.Rows = append(dst.Rows, s.rows[s.pos:s.pos+n]...)
-	s.pos += n
-	ctx.Counter.CPUTuples += int64(n)
+	ctx.Counter.CPUTuples += int64(dst.AppendFrom(s.rows, &s.pos, max))
 	return nil
 }
 

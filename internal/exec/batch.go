@@ -23,11 +23,16 @@
 //
 // Operators whose work is inherently per row (nested-loops and merge
 // joins, the remote operators in dist, the probe operators in udr) are
-// written as one unexported row step lifted by FillRows, and read their
-// children one row at a time through a RowReader. Every pull below them
-// therefore has budget 1 whatever the morsel size, which keeps the
-// network sends they issue in one global order — and that is what makes
-// chaos fault schedules replay identically at every morsel size.
+// written as one row step lifted by FillRows — the nested-loops family
+// shares LoopJoin's — and read their children one row at a time through
+// a RowReader. Every pull below them therefore has budget 1 whatever
+// the morsel size, which keeps the network sends they issue in one
+// global order — and that is what makes chaos fault schedules replay
+// identically at every morsel size.
+//
+// The morsel size is a budget, never an allocation: the buffers morsels
+// are pulled into are demand-sized (forEachBatch), so what a query
+// allocates follows the rows it moves, not BatchSize.
 package exec
 
 import "filterjoin/internal/value"
@@ -69,6 +74,20 @@ func (b *Batch) Reset() { b.Rows = b.Rows[:0] }
 // Append adds one row.
 func (b *Batch) Append(r value.Row) { b.Rows = append(b.Rows, r) }
 
+// AppendFrom appends the next at most max rows of a buffered result,
+// rows[*pos:], advances *pos past them and returns how many there were.
+// It is the NextBatch of every operator that computed its output in
+// Open.
+func (b *Batch) AppendFrom(rows []value.Row, pos *int, max int) int {
+	n := min(max, len(rows)-*pos)
+	if n <= 0 {
+		return 0
+	}
+	b.Rows = append(b.Rows, rows[*pos:*pos+n]...)
+	*pos += n
+	return n
+}
+
 // FillRows lifts a row step — a function returning the operator's next
 // row, ok=false at end of stream — into the NextBatch protocol: it
 // appends rows to dst until the budget is met or the stream ends. It is
@@ -109,12 +128,21 @@ func (rr *RowReader) Read(ctx *Context, child Operator) (value.Row, bool, error)
 	return rr.one.Rows[0], true, nil
 }
 
+// firstMorselRows is the capacity a drain loop's morsel buffer starts
+// with when the plan says nothing about its source.
+const firstMorselRows = 64
+
 // forEachBatch streams every morsel of an already-open operator into
 // fn, polling for cancellation between morsels. The first error stops
-// the stream.
-func forEachBatch(ctx *Context, op Operator, fn func([]value.Row) error) error {
+// the stream. expect is the cardinality the caller's plan carries for op
+// (0 = unknown) and sizes nothing but the buffer morsels are pulled
+// into: it starts there, or small when the plan says nothing, and append
+// grows it to the largest morsel op actually delivers — so a 30-row
+// answer never pays for a morsel of row headers, and a large scan pays
+// for them once.
+func forEachBatch(ctx *Context, op Operator, expect int, fn func([]value.Row) error) error {
 	n := max(ctx.BatchSize, 1)
-	b := NewBatch(n)
+	b := NewBatch(min(max(expect, firstMorselRows), n))
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -134,9 +162,10 @@ func forEachBatch(ctx *Context, op Operator, fn func([]value.Row) error) error {
 
 // forEachInput streams every row of an already-open child into fn; it
 // is how pipeline breakers consume their build inputs. Charging stays
-// with the caller's fn. The first fn error stops the stream.
-func forEachInput(ctx *Context, child Operator, fn func(value.Row) error) error {
-	return forEachBatch(ctx, child, func(rows []value.Row) error {
+// with the caller's fn. The first fn error stops the stream. expect is
+// forEachBatch's.
+func forEachInput(ctx *Context, child Operator, expect int, fn func(value.Row) error) error {
+	return forEachBatch(ctx, child, expect, func(rows []value.Row) error {
 		for _, r := range rows {
 			if err := fn(r); err != nil {
 				return err

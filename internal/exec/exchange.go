@@ -211,12 +211,7 @@ func (s *ParallelScan) Open(ctx *Context) error {
 // time. All charging happened in Open's parallel phase; emission is
 // coordination and charges nothing.
 func (s *ParallelScan) NextBatch(_ *Context, dst *Batch, max int) error {
-	n := min(max, len(s.rows)-s.pos)
-	if n <= 0 {
-		return nil
-	}
-	dst.Rows = append(dst.Rows, s.rows[s.pos:s.pos+n]...)
-	s.pos += n
+	dst.AppendFrom(s.rows, &s.pos, max)
 	return nil
 }
 
@@ -271,13 +266,9 @@ func (p *partIn) Open(*Context) error {
 	return nil
 }
 func (p *partIn) NextBatch(_ *Context, dst *Batch, max int) error {
-	n := min(max, len(p.rows)-p.pos)
-	if n <= 0 {
-		return nil
+	if dst.AppendFrom(p.rows, &p.pos, max) > 0 {
+		p.cur = p.ords[p.pos-1]
 	}
-	dst.Rows = append(dst.Rows, p.rows[p.pos:p.pos+n]...)
-	p.pos += n
-	p.cur = p.ords[p.pos-1]
 	return nil
 }
 func (p *partIn) Close(*Context) error { return nil }
@@ -461,12 +452,7 @@ func mergeByOrdinal(outs [][]taggedRow) []value.Row {
 // time. They were produced and charged by the worker pipelines; emission
 // is coordination and charges nothing.
 func (g *Gather) NextBatch(_ *Context, dst *Batch, max int) error {
-	n := min(max, len(g.results)-g.pos)
-	if n <= 0 {
-		return nil
-	}
-	dst.Rows = append(dst.Rows, g.results[g.pos:g.pos+n]...)
-	g.pos += n
+	dst.AppendFrom(g.results, &g.pos, max)
 	return nil
 }
 

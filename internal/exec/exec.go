@@ -118,8 +118,14 @@ type Operator interface {
 
 // Drain opens op, pulls every row, closes it, and returns the rows.
 func Drain(ctx *Context, op Operator) ([]value.Row, error) {
+	return drainSized(ctx, op, 0)
+}
+
+// drainSized is Drain for a materialization point whose plan carries
+// op's cardinality (forEachBatch's expect).
+func drainSized(ctx *Context, op Operator, expect int) ([]value.Row, error) {
 	var rows []value.Row
-	err := drainInto(ctx, op, func(b []value.Row) error {
+	err := drainInto(ctx, op, expect, func(b []value.Row) error {
 		rows = append(rows, b...)
 		return nil
 	})
@@ -132,7 +138,7 @@ func Drain(ctx *Context, op Operator) ([]value.Row, error) {
 // Count drains op and returns only the row count.
 func Count(ctx *Context, op Operator) (int, error) {
 	n := 0
-	err := drainInto(ctx, op, func(b []value.Row) error {
+	err := drainInto(ctx, op, 0, func(b []value.Row) error {
 		n += len(b)
 		return nil
 	})
@@ -144,11 +150,11 @@ func Count(ctx *Context, op Operator) (int, error) {
 
 // drainInto opens op, hands every morsel to sink, and closes op; a pull
 // error is joined with the Close error.
-func drainInto(ctx *Context, op Operator, sink func([]value.Row) error) error {
+func drainInto(ctx *Context, op Operator, expect int, sink func([]value.Row) error) error {
 	if err := op.Open(ctx); err != nil {
 		return err
 	}
-	if err := forEachBatch(ctx, op, sink); err != nil {
+	if err := forEachBatch(ctx, op, expect, sink); err != nil {
 		return errors.Join(err, op.Close(ctx))
 	}
 	return op.Close(ctx)
@@ -208,13 +214,7 @@ func (v *Values) Open(*Context) error {
 // NextBatch implements Operator: emit the buffered rows a morsel at a
 // time, charging one CPU operation per row.
 func (v *Values) NextBatch(ctx *Context, dst *Batch, max int) error {
-	n := min(max, len(v.Rows)-v.pos)
-	if n <= 0 {
-		return nil
-	}
-	dst.Rows = append(dst.Rows, v.Rows[v.pos:v.pos+n]...)
-	v.pos += n
-	ctx.Counter.CPUTuples += int64(n)
+	ctx.Counter.CPUTuples += int64(dst.AppendFrom(v.Rows, &v.pos, max))
 	return nil
 }
 

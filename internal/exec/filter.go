@@ -19,6 +19,7 @@ type KeySet struct {
 	// (ContainsBuf) because a set may be shared across goroutines.
 	ht     RowTable
 	keyBuf []byte
+	arena  value.RowArena // the key rows Add projects
 }
 
 // NewKeySet creates an empty key set for keys of the given width.
@@ -31,6 +32,7 @@ func NewKeySet(width int) *KeySet {
 func NewKeySetSized(width, hint int) *KeySet {
 	ks := &KeySet{rows: make([]value.Row, 0, hint), width: width}
 	ks.ht.Init(hint)
+	ks.arena.Reserve(hint * width)
 	return ks
 }
 
@@ -42,15 +44,17 @@ func BuildKeySet(ctx *Context, op Operator, keyIdx []int) (*KeySet, error) {
 
 // BuildKeySetSized is BuildKeySet with a distinct-key-count hint from the
 // optimizer's cardinality estimate (0 = unknown); the hint pre-sizes the
-// set's hash table and row buffer and has no effect on the result.
+// set's hash table, row buffer and arena and the buffer op is drained
+// through (op delivers at least that many rows), and has no effect on
+// the result.
 func BuildKeySetSized(ctx *Context, op Operator, keyIdx []int, hint int) (*KeySet, error) {
 	ks := NewKeySetSized(len(keyIdx), hint)
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
-	err := forEachInput(ctx, op, func(r value.Row) error {
+	err := forEachInput(ctx, op, hint, func(r value.Row) error {
 		ctx.Counter.CPUTuples++
-		ks.Add(r.Project(keyIdx))
+		ks.Add(r, keyIdx)
 		return nil
 	})
 	if err != nil {
@@ -59,11 +63,13 @@ func BuildKeySetSized(ctx *Context, op Operator, keyIdx []int, hint int) (*KeySe
 	return ks, op.Close(ctx)
 }
 
-// Add inserts a key row.
-func (s *KeySet) Add(key value.Row) {
-	s.keyBuf = key.AppendFullKey(s.keyBuf[:0])
+// Add inserts r's projection onto keyIdx. The key is encoded straight
+// from r and only a new key is projected, into the set's arena — a
+// duplicate costs no allocation and r is never retained.
+func (s *KeySet) Add(r value.Row, keyIdx []int) {
+	s.keyBuf = r.AppendKey(s.keyBuf[:0], keyIdx)
 	if _, added := s.ht.Insert(s.keyBuf); added {
-		s.rows = append(s.rows, key)
+		s.rows = append(s.rows, s.arena.Project(r, keyIdx))
 	}
 }
 
@@ -238,14 +244,7 @@ func (k *KeySetScan) Open(*Context) error {
 // NextBatch implements Operator: emit the distinct keys a morsel at a
 // time, charging one CPU operation per emitted row.
 func (k *KeySetScan) NextBatch(ctx *Context, dst *Batch, max int) error {
-	rows := k.Set.Rows()
-	n := min(max, len(rows)-k.pos)
-	if n <= 0 {
-		return nil
-	}
-	dst.Rows = append(dst.Rows, rows[k.pos:k.pos+n]...)
-	k.pos += n
-	ctx.Counter.CPUTuples += int64(n)
+	ctx.Counter.CPUTuples += int64(dst.AppendFrom(k.Set.Rows(), &k.pos, max))
 	return nil
 }
 

@@ -10,19 +10,110 @@ import (
 	"filterjoin/internal/value"
 )
 
+// JoinEmitter is the one place a join turns a candidate pair into an
+// output row. The pair is laid out in a reusable scratch row, the
+// residual is evaluated there through the compiled predicate, and only a
+// survivor is materialized, arena-backed — a rejected candidate costs
+// two copies and no allocation. The emitter charges nothing: operators
+// bill each candidate before offering it. One emitter serves one
+// goroutine; the residual's EvalRow holds no scratch and may be shared.
+// The zero value is ready, and nothing carries over between executions:
+// scratch is rewritten before every read.
+type JoinEmitter struct {
+	scratch value.Row
+	arena   value.RowArena
+}
+
+// Emit returns l‖r if it passes residual (nil passes everything), with
+// expr.EvalBool's verdicts and errors.
+func (e *JoinEmitter) Emit(residual *expr.Pred, l, r value.Row) (value.Row, bool, error) {
+	if residual == nil {
+		return e.arena.Concat(l, r), true, nil
+	}
+	e.scratch = append(append(e.scratch[:0], l...), r...)
+	keep, err := residual.EvalRow(e.scratch)
+	if err != nil || !keep {
+		return nil, false, err
+	}
+	out := e.arena.Make(len(e.scratch))
+	copy(out, e.scratch)
+	return out, true, nil
+}
+
+// LoopJoin is the row step every nested-loops join shares — the general
+// theta join here, the index probe join below, the remote and function
+// probe joins in dist and udr: read an outer row, start its inner, offer
+// every inner row to the emitter as a candidate (one CPU operation
+// each), move to the next outer row when the inner runs dry.
+type LoopJoin struct {
+	JoinEmitter
+	in   RowReader // the outer is read one row at a time
+	cur  value.Row
+	done bool
+}
+
+// Reset rewinds the loop; operators call it at Open.
+func (l *LoopJoin) Reset() {
+	l.cur = nil
+	l.done = false
+}
+
+// Rewound reports whether the loop is where Reset leaves it: no outer
+// row held and the end-of-stream latch clear.
+func (l *LoopJoin) Rewound() bool { return l.cur == nil && !l.done }
+
+// Fill implements NextBatch for the owning operator. start positions
+// the inner for an outer row; inner returns the inner's next row,
+// ok=false once it is exhausted.
+func (l *LoopJoin) Fill(ctx *Context, dst *Batch, max int, outer Operator, residual *expr.Pred,
+	start func(*Context, value.Row) error, inner func(*Context) (value.Row, bool, error)) error {
+	return FillRows(ctx, dst, max, func(ctx *Context) (value.Row, bool, error) {
+		for !l.done {
+			if err := ctx.Err(); err != nil {
+				return nil, false, err
+			}
+			if l.cur == nil {
+				r, ok, err := l.in.Read(ctx, outer)
+				if err != nil {
+					return nil, false, err
+				}
+				if !ok {
+					l.done = true
+					break
+				}
+				if err := start(ctx, r); err != nil {
+					return nil, false, err
+				}
+				l.cur = r
+			}
+			ir, ok, err := inner(ctx)
+			if err != nil {
+				return nil, false, err
+			}
+			if !ok {
+				l.cur = nil
+				continue
+			}
+			ctx.Counter.CPUTuples++
+			if row, keep, err := l.Emit(residual, l.cur, ir); err != nil || keep {
+				return row, keep, err
+			}
+		}
+		return nil, false, nil
+	})
+}
+
 // NestedLoopJoin is the general theta join: for every outer row the inner
 // is re-opened and fully consumed, with the (optional) predicate evaluated
-// against the concatenated row. Because the inner's own operators re-charge
+// against each candidate pair. Because the inner's own operators re-charge
 // their costs on every re-open, this operator naturally exhibits the
 // quadratic I/O behaviour the optimizer's NL cost formula describes.
 type NestedLoopJoin struct {
 	Outer, Inner Operator
-	Pred         expr.Expr // bound against Outer.Schema().Concat(Inner.Schema()); may be nil
+	Pred         *expr.Pred // over Outer.Schema().Concat(Inner.Schema()); may be nil
 	out          *schema.Schema
-	in           RowReader // both children are read one row at a time
-	cur          value.Row
+	loop         LoopJoin
 	innerOpen    bool
-	done         bool
 }
 
 // NewNestedLoopJoin builds a nested-loops join.
@@ -30,7 +121,7 @@ func NewNestedLoopJoin(outer, inner Operator, pred expr.Expr) *NestedLoopJoin {
 	return &NestedLoopJoin{
 		Outer: outer,
 		Inner: inner,
-		Pred:  pred,
+		Pred:  expr.CompilePred(pred),
 		out:   outer.Schema().Concat(inner.Schema()),
 	}
 }
@@ -40,68 +131,34 @@ func (j *NestedLoopJoin) Schema() *schema.Schema { return j.out }
 
 // Open implements Operator.
 func (j *NestedLoopJoin) Open(ctx *Context) error {
-	j.Pred = expr.BindParams(j.Pred, ctx.Params)
-	j.cur = nil
+	j.Pred.Bind(ctx.Params)
+	j.loop.Reset()
 	j.innerOpen = false
-	j.done = false
 	return j.Outer.Open(ctx)
 }
 
-// NextBatch implements Operator by lifting the row step.
+// NextBatch implements Operator.
 func (j *NestedLoopJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
-	return FillRows(ctx, dst, max, j.next)
+	return j.loop.Fill(ctx, dst, max, j.Outer, j.Pred, j.openInner, j.nextInner)
 }
 
-// next produces one joined row: advance the inner, re-opening it for the
-// next outer row whenever it runs dry.
-func (j *NestedLoopJoin) next(ctx *Context) (value.Row, bool, error) {
-	if j.done {
-		return nil, false, nil
+// openInner re-opens the inner for the next outer row.
+func (j *NestedLoopJoin) openInner(ctx *Context, _ value.Row) error {
+	if err := j.Inner.Open(ctx); err != nil {
+		return err
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		if j.cur == nil {
-			r, ok, err := j.in.Read(ctx, j.Outer)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.done = true
-				return nil, false, nil
-			}
-			j.cur = r
-			if err := j.Inner.Open(ctx); err != nil {
-				return nil, false, err
-			}
-			j.innerOpen = true
-		}
-		ir, ok, err := j.in.Read(ctx, j.Inner)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			if err := j.Inner.Close(ctx); err != nil {
-				return nil, false, err
-			}
-			j.innerOpen = false
-			j.cur = nil
-			continue
-		}
-		ctx.Counter.CPUTuples++
-		joined := j.cur.Concat(ir)
-		if j.Pred != nil {
-			keep, err := expr.EvalBool(j.Pred, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		return joined, true, nil
+	j.innerOpen = true
+	return nil
+}
+
+// nextInner reads the inner's next row, closing it when it runs dry.
+func (j *NestedLoopJoin) nextInner(ctx *Context) (value.Row, bool, error) {
+	ir, ok, err := j.loop.in.Read(ctx, j.Inner)
+	if err != nil || ok {
+		return ir, ok, err
 	}
+	j.innerOpen = false
+	return nil, false, j.Inner.Close(ctx)
 }
 
 // Close implements Operator.
@@ -122,7 +179,7 @@ func (j *NestedLoopJoin) Close(ctx *Context) error {
 type HashJoin struct {
 	Left, Right         Operator // Left is the build side
 	LeftKeys, RightKeys []int
-	Residual            expr.Expr // bound against the emitted layout
+	Residual            *expr.Pred // over the emitted layout; may be nil
 	// EmitProbeFirst emits probe‖build (right‖left) instead of the default
 	// build‖probe layout; the optimizer uses it to keep the "outer columns
 	// first" convention while building on the inner.
@@ -136,8 +193,7 @@ type HashJoin struct {
 	chain         int32 // cursor into the current probe row's bucket chain (-1 = exhausted)
 	pbuf          Batch // scratch for probe-side pulls
 	ppos          int
-	rkern         *expr.Pred     // compiled residual
-	arena         value.RowArena // joined output rows
+	em            JoinEmitter
 }
 
 // NewHashJoin builds a hash equi-join; left is the build side and the
@@ -148,7 +204,7 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []int, residual expr.
 		Right:     right,
 		LeftKeys:  leftKeys,
 		RightKeys: rightKeys,
-		Residual:  residual,
+		Residual:  expr.CompilePred(residual),
 		out:       left.Schema().Concat(right.Schema()),
 	}
 }
@@ -161,7 +217,7 @@ func NewHashJoinProbeFirst(left, right Operator, leftKeys, rightKeys []int, resi
 		Right:          right,
 		LeftKeys:       leftKeys,
 		RightKeys:      rightKeys,
-		Residual:       residual,
+		Residual:       expr.CompilePred(residual),
 		EmitProbeFirst: true,
 		out:            right.Schema().Concat(left.Schema()),
 	}
@@ -172,20 +228,12 @@ func (j *HashJoin) Schema() *schema.Schema { return j.out }
 
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Context) error {
-	if j.rkern == nil {
-		// Compile once, before BindParams rewrites Param slots to
-		// literals; Bind refreshes the bindings on every re-Open.
-		j.rkern = expr.CompilePred(j.Residual)
-	}
-	if j.rkern != nil {
-		j.rkern.Bind(ctx.Params)
-	}
-	j.Residual = expr.BindParams(j.Residual, ctx.Params)
+	j.Residual.Bind(ctx.Params)
 	j.probe = nil
 	j.chain = -1
 	j.pbuf.Reset()
 	j.ppos = 0
-	rows, err := Drain(ctx, j.Left)
+	rows, err := drainSized(ctx, j.Left, j.BuildSizeHint)
 	if err != nil {
 		return err
 	}
@@ -194,31 +242,13 @@ func (j *HashJoin) Open(ctx *Context) error {
 	return j.Right.Open(ctx)
 }
 
-// probeKey positions the bucket cursor for probe row r.
-func (j *HashJoin) probeKey(r value.Row) {
-	j.probe = r
-	j.chain = j.tab.probe(r, j.RightKeys)
-}
-
-// nextCandidate pops the next build row of the current bucket, false
-// when the bucket is exhausted.
-func (j *HashJoin) nextCandidate() (value.Row, bool) {
-	if j.chain < 0 {
-		return nil, false
+// emitHashed offers a hash join's build row l and probe row r in the
+// configured layout.
+func (e *JoinEmitter) emitHashed(residual *expr.Pred, probeFirst bool, l, r value.Row) (value.Row, bool, error) {
+	if probeFirst {
+		l, r = r, l
 	}
-	var l value.Row
-	l, j.chain = j.tab.pop(j.chain)
-	return l, true
-}
-
-// concat joins a build candidate with the current probe row in the
-// configured layout, arena-backed so a steady-state batch pays one slab
-// allocation per few thousand values.
-func (j *HashJoin) concat(l value.Row) value.Row {
-	if j.EmitProbeFirst {
-		return j.arena.Concat(j.probe, l)
-	}
-	return j.arena.Concat(l, j.probe)
+	return e.Emit(residual, l, r)
 }
 
 // NextBatch implements Operator: drain the pending bucket, then consume
@@ -237,19 +267,16 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 			if len(dst.Rows) >= max {
 				return nil
 			}
-			l, _ := j.nextCandidate()
+			var l value.Row
+			l, j.chain = j.tab.pop(j.chain)
 			cpu++
-			joined := j.concat(l)
-			if j.Residual != nil {
-				keep, err := j.rkern.EvalRow(joined)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					continue
-				}
+			joined, keep, err := j.em.emitHashed(j.Residual, j.EmitProbeFirst, l, j.probe)
+			if err != nil {
+				return err
 			}
-			dst.Rows = append(dst.Rows, joined)
+			if keep {
+				dst.Rows = append(dst.Rows, joined)
+			}
 		}
 		if len(dst.Rows) >= max {
 			return nil
@@ -270,10 +297,10 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 				return nil
 			}
 		}
-		r := j.pbuf.Rows[j.ppos]
+		j.probe = j.pbuf.Rows[j.ppos]
 		j.ppos++
 		cpu++
-		j.probeKey(r)
+		j.chain = j.tab.probe(j.probe, j.RightKeys)
 	}
 }
 
@@ -291,9 +318,10 @@ func (j *HashJoin) Close(ctx *Context) error {
 type MergeJoin struct {
 	Left, Right                   Operator
 	LeftKeys, RightKeys           []int
-	Residual                      expr.Expr
+	Residual                      *expr.Pred // over left‖right; may be nil
 	LeftPresorted, RightPresorted bool
 	out                           *schema.Schema
+	em                            JoinEmitter
 
 	lrows, rrows []value.Row
 	li, ri       int
@@ -310,7 +338,7 @@ func NewMergeJoin(left, right Operator, leftKeys, rightKeys []int, residual expr
 		Right:     right,
 		LeftKeys:  leftKeys,
 		RightKeys: rightKeys,
-		Residual:  residual,
+		Residual:  expr.CompilePred(residual),
 		out:       left.Schema().Concat(right.Schema()),
 	}
 }
@@ -336,7 +364,7 @@ func mergeInput(ctx *Context, child Operator, keys []int, presorted bool) ([]val
 
 // Open implements Operator.
 func (j *MergeJoin) Open(ctx *Context) error {
-	j.Residual = expr.BindParams(j.Residual, ctx.Params)
+	j.Residual.Bind(ctx.Params)
 	var err error
 	j.lrows, err = mergeInput(ctx, j.Left, j.LeftKeys, j.LeftPresorted)
 	if err != nil {
@@ -377,18 +405,12 @@ func (j *MergeJoin) next(ctx *Context) (value.Row, bool, error) {
 				rIdx := j.groupRStart + j.gj
 				if rIdx < len(j.rrows) && keyCompare(j.groupL[0], j.rrows[rIdx], j.LeftKeys, j.RightKeys) == 0 {
 					ctx.Counter.CPUTuples++
-					joined := j.groupL[j.gi].Concat(j.rrows[rIdx])
 					j.gj++
-					if j.Residual != nil {
-						keep, err := expr.EvalBool(j.Residual, joined)
-						if err != nil {
-							return nil, false, err
-						}
-						if !keep {
-							continue
-						}
+					joined, keep, err := j.em.Emit(j.Residual, j.groupL[j.gi], j.rrows[rIdx])
+					if err != nil || keep {
+						return joined, keep, err
 					}
-					return joined, true, nil
+					continue
 				}
 				// Exhausted right group for this left row; advance left row.
 				j.gi++
@@ -443,16 +465,14 @@ type IndexNLJoin struct {
 	Outer       Operator
 	Table       *storage.Table
 	Index       *storage.HashIndex
-	OuterKeyIdx []int     // key columns within the outer row, aligned with Index.Cols()
-	Residual    expr.Expr // bound against Outer.Schema().Concat(inner schema)
+	OuterKeyIdx []int      // key columns within the outer row, aligned with Index.Cols()
+	Residual    *expr.Pred // over Outer.Schema().Concat(inner schema); may be nil
 	InnerAlias  string
 	out         *schema.Schema
 	innerSch    *schema.Schema
-	in          RowReader // the outer is read one row at a time
-	cur         value.Row
+	loop        LoopJoin
 	ids         []int
 	pos         int
-	done        bool
 }
 
 // NewIndexNLJoin builds an index nested-loops join.
@@ -466,7 +486,7 @@ func NewIndexNLJoin(outer Operator, t *storage.Table, ix *storage.HashIndex, out
 		Table:       t,
 		Index:       ix,
 		OuterKeyIdx: outerKeyIdx,
-		Residual:    residual,
+		Residual:    expr.CompilePred(residual),
 		InnerAlias:  innerAlias,
 		innerSch:    is,
 		out:         outer.Schema().Concat(is),
@@ -478,63 +498,34 @@ func (j *IndexNLJoin) Schema() *schema.Schema { return j.out }
 
 // Open implements Operator.
 func (j *IndexNLJoin) Open(ctx *Context) error {
-	j.Residual = expr.BindParams(j.Residual, ctx.Params)
-	j.cur = nil
+	j.Residual.Bind(ctx.Params)
+	j.loop.Reset()
 	j.ids = nil
 	j.pos = 0
-	j.done = false
 	return j.Outer.Open(ctx)
 }
 
-// NextBatch implements Operator by lifting the row step.
+// NextBatch implements Operator.
 func (j *IndexNLJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
-	return FillRows(ctx, dst, max, j.next)
+	return j.loop.Fill(ctx, dst, max, j.Outer, j.Residual, j.probe, j.match)
 }
 
-// next produces one joined row: the next match of the current outer
-// row, probing the index for the next outer row when matches run out.
-func (j *IndexNLJoin) next(ctx *Context) (value.Row, bool, error) {
-	if j.done {
+// probe looks outer row r up in the index.
+func (j *IndexNLJoin) probe(ctx *Context, r value.Row) error {
+	ctx.Counter.PageReads++ // index probe
+	j.ids = j.Index.LookupRow(r, j.OuterKeyIdx)
+	ctx.Counter.PageReads += int64(storage.ProbePages(j.ids, j.Table.RowsPerPage()))
+	j.pos = 0
+	return nil
+}
+
+// match returns the current outer row's next index match.
+func (j *IndexNLJoin) match(*Context) (value.Row, bool, error) {
+	if j.pos >= len(j.ids) {
 		return nil, false, nil
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		if j.cur == nil {
-			r, ok, err := j.in.Read(ctx, j.Outer)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.done = true
-				return nil, false, nil
-			}
-			j.cur = r
-			ctx.Counter.PageReads++ // index probe
-			j.ids = j.Index.LookupRow(r, j.OuterKeyIdx)
-			ctx.Counter.PageReads += int64(storage.ProbePages(j.ids, j.Table.RowsPerPage()))
-			j.pos = 0
-		}
-		if j.pos >= len(j.ids) {
-			j.cur = nil
-			continue
-		}
-		inner := j.Table.Row(j.ids[j.pos])
-		j.pos++
-		ctx.Counter.CPUTuples++
-		joined := j.cur.Concat(inner)
-		if j.Residual != nil {
-			keep, err := expr.EvalBool(j.Residual, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		return joined, true, nil
-	}
+	j.pos++
+	return j.Table.Row(j.ids[j.pos-1]), true, nil
 }
 
 // Close implements Operator.
@@ -560,14 +551,13 @@ func (j *IndexNLJoin) Close(ctx *Context) error { return j.Outer.Close(ctx) }
 type ParallelHashJoin struct {
 	Left, Right         Operator // Left is the build side, Right the probe side
 	LeftKeys, RightKeys []int
-	Residual            expr.Expr
+	Residual            *expr.Pred // may be nil; EvalRow is read-only and worker-safe
 	EmitProbeFirst      bool
 	BuildSizeHint       int
 	DOP                 int
 	out                 *schema.Schema
 	results             []value.Row
 	pos                 int
-	rkern               *expr.Pred // compiled residual; EvalRow is read-only and worker-safe
 }
 
 // NewParallelHashJoin builds a partitioned hash equi-join with dop
@@ -578,7 +568,7 @@ func NewParallelHashJoin(left, right Operator, leftKeys, rightKeys []int, residu
 		Right:     right,
 		LeftKeys:  leftKeys,
 		RightKeys: rightKeys,
-		Residual:  residual,
+		Residual:  expr.CompilePred(residual),
 		DOP:       clampDOP(dop),
 		out:       left.Schema().Concat(right.Schema()),
 	}
@@ -614,7 +604,7 @@ func (j *ParallelHashJoin) joinWorker(wctx *Context, build []value.Row, probe []
 	}
 	var tab joinTable
 	tab.build(build, j.LeftKeys, hint)
-	var arena value.RowArena
+	var em JoinEmitter
 	var out []taggedRow
 	for i, r := range probe {
 		if err := wctx.Err(); err != nil {
@@ -625,22 +615,13 @@ func (j *ParallelHashJoin) joinWorker(wctx *Context, build []value.Row, probe []
 			var l value.Row
 			l, chain = tab.pop(chain)
 			cpu++
-			var joined value.Row
-			if j.EmitProbeFirst {
-				joined = arena.Concat(r, l)
-			} else {
-				joined = arena.Concat(l, r)
+			joined, keep, err := em.emitHashed(j.Residual, j.EmitProbeFirst, l, r)
+			if err != nil {
+				return out, err
 			}
-			if j.Residual != nil {
-				keep, err := j.rkern.EvalRow(joined)
-				if err != nil {
-					return out, err
-				}
-				if !keep {
-					continue
-				}
+			if keep {
+				out = append(out, taggedRow{ord: probeOrds[i], row: joined})
 			}
-			out = append(out, taggedRow{ord: probeOrds[i], row: joined})
 		}
 	}
 	return out, nil
@@ -650,16 +631,10 @@ func (j *ParallelHashJoin) joinWorker(wctx *Context, build []value.Row, probe []
 // co-partition on the join keys, fan out, absorb worker counters, and
 // assemble the output in probe order.
 func (j *ParallelHashJoin) Open(ctx *Context) error {
-	if j.rkern == nil {
-		j.rkern = expr.CompilePred(j.Residual)
-	}
-	if j.rkern != nil {
-		j.rkern.Bind(ctx.Params) // before worker fan-out
-	}
-	j.Residual = expr.BindParams(j.Residual, ctx.Params) // before worker fan-out
+	j.Residual.Bind(ctx.Params) // before worker fan-out
 	j.results = nil
 	j.pos = 0
-	buildRows, err := Drain(ctx, j.Left)
+	buildRows, err := drainSized(ctx, j.Left, j.BuildSizeHint)
 	if err != nil {
 		return err
 	}
@@ -709,12 +684,7 @@ func (j *ParallelHashJoin) Open(ctx *Context) error {
 // time. All join work was charged by the workers in Open; emission is
 // coordination and charges nothing.
 func (j *ParallelHashJoin) NextBatch(_ *Context, dst *Batch, max int) error {
-	n := min(max, len(j.results)-j.pos)
-	if n <= 0 {
-		return nil
-	}
-	dst.Rows = append(dst.Rows, j.results[j.pos:j.pos+n]...)
-	j.pos += n
+	dst.AppendFrom(j.results, &j.pos, max)
 	return nil
 }
 

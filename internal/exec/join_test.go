@@ -169,6 +169,46 @@ func TestNestedLoopJoinCrossProduct(t *testing.T) {
 	}
 }
 
+// Reset must drop both pieces of loop state: the held outer row of a run
+// stopped mid-inner, and the end-of-stream latch of a run that finished.
+func TestLoopJoinResetRewinds(t *testing.T) {
+	lt := intTable(t, "l", []string{"a"}, [][]int64{{1}, {2}})
+	rt := intTable(t, "r", []string{"b"}, [][]int64{{10}, {20}, {30}})
+	nl := NewNestedLoopJoin(NewTableScan(lt, "l"), NewMaterialize(NewTableScan(rt, "r"), "m"), nil)
+	ctx := NewContext()
+	if err := nl.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !nl.loop.Rewound() {
+		t.Fatal("a freshly opened loop must be rewound")
+	}
+	b := NewBatch(8)
+	if err := nl.NextBatch(ctx, &b, 1); err != nil || b.Len() != 1 {
+		t.Fatalf("first pull: %d rows, err %v", b.Len(), err)
+	}
+	if nl.loop.cur == nil || nl.loop.Rewound() {
+		t.Fatal("mid-inner the loop holds its outer row")
+	}
+	nl.loop.Reset()
+	if nl.loop.cur != nil || nl.loop.done || !nl.loop.Rewound() {
+		t.Fatal("Reset must drop the held outer row")
+	}
+	if err := nl.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	if rows, _ := drain(t, nl); len(rows) != 6 {
+		t.Fatalf("full run = %d rows, want 6", len(rows))
+	}
+	if !nl.loop.done || nl.loop.Rewound() {
+		t.Fatal("a drained loop latches end of stream")
+	}
+	nl.loop.Reset()
+	if nl.loop.cur != nil || nl.loop.done || !nl.loop.Rewound() {
+		t.Fatal("Reset must clear the end-of-stream latch")
+	}
+}
+
 func TestIndexNLJoinChargesProbes(t *testing.T) {
 	lrows := [][]int64{{1, 0}, {2, 0}, {3, 0}}
 	lt := intTable(t, "l", []string{"k", "v"}, lrows)

@@ -35,26 +35,13 @@ func (s *TableScan) Open(*Context) error {
 	return nil
 }
 
-// NextBatch implements Operator: one tight loop over the morsel, with
-// the page-read and per-row CPU charges accumulated locally and flushed
-// once.
+// NextBatch implements Operator: the morsel is one slice append, and the
+// pages it starts — the multiples of rows-per-page among the positions
+// it covers — are counted arithmetically.
 func (s *TableScan) NextBatch(ctx *Context, dst *Batch, max int) error {
-	n := s.Table.NumRows()
-	if s.pos >= n || max <= 0 {
-		return nil
-	}
-	rpp := s.Table.RowsPerPage()
-	var pages, cpu int64
-	for len(dst.Rows) < max && s.pos < n {
-		if s.pos%rpp == 0 {
-			pages++
-		}
-		dst.Rows = append(dst.Rows, s.Table.Row(s.pos))
-		s.pos++
-		cpu++
-	}
-	ctx.Counter.PageReads += pages
-	ctx.Counter.CPUTuples += cpu
+	start, rpp := s.pos, s.Table.RowsPerPage()
+	ctx.Counter.CPUTuples += int64(dst.AppendFrom(s.Table.Rows(), &s.pos, max-len(dst.Rows)))
+	ctx.Counter.PageReads += int64(storage.PagesFor(s.pos, rpp) - storage.PagesFor(start, rpp))
 	return nil
 }
 

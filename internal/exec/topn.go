@@ -64,7 +64,7 @@ func (t *TopN) Open(ctx *Context) error {
 	for v := t.N; v > 1; v >>= 1 {
 		lgN++
 	}
-	err := forEachInput(ctx, t.Child, func(r value.Row) error {
+	err := forEachInput(ctx, t.Child, 0, func(r value.Row) error {
 		ctx.Counter.CPUTuples++
 		if h.Len() < t.N {
 			heap.Push(h, r)
@@ -98,13 +98,7 @@ func (t *TopN) Open(ctx *Context) error {
 // NextBatch implements Operator: emit the surviving rows a morsel at a
 // time, charging one CPU operation per emitted row.
 func (t *TopN) NextBatch(ctx *Context, dst *Batch, max int) error {
-	n := min(max, len(t.rows)-t.pos)
-	if n <= 0 {
-		return nil
-	}
-	dst.Rows = append(dst.Rows, t.rows[t.pos:t.pos+n]...)
-	t.pos += n
-	ctx.Counter.CPUTuples += int64(n)
+	ctx.Counter.CPUTuples += int64(dst.AppendFrom(t.rows, &t.pos, max))
 	return nil
 }
 

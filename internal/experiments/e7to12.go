@@ -231,7 +231,7 @@ func E9Bloom() (*Report, error) {
 	keys := exec.NewKeySet(1)
 	for _, row := range custEntry.Table.Rows() {
 		if row[1].Int() == 1 {
-			keys.Add(value.Row{row[0]})
+			keys.Add(row, []int{0})
 		}
 	}
 	trueMember := map[int64]bool{}

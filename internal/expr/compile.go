@@ -60,8 +60,12 @@ func CompilePred(e Expr) *Pred {
 // Bind installs the current parameter bindings, the kernel counterpart
 // of BindParams: in-range slots take the binding, out-of-range slots
 // keep their planning-time value, unbound prepare-only slots error at
-// evaluation time.
-func (p *Pred) Bind(params []value.Value) { p.root.bind(params) }
+// evaluation time. Binding a nil Pred (no predicate) is a no-op.
+func (p *Pred) Bind(params []value.Value) {
+	if p != nil {
+		p.root.bind(params)
+	}
+}
 
 // SelectBatch evaluates the predicate over all rows and returns the
 // ascending indexes of qualifying rows. The selection is valid until the

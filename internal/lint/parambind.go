@@ -18,7 +18,9 @@ import (
 //  1. Operator capture: an exec.Operator implementation with a field of
 //     type expr.Expr, []expr.Expr, or []expr.AggSpec must, in a method
 //     reachable from Open, assign that field from one of the Bind*
-//     helpers. The field declaration is flagged otherwise.
+//     helpers; a field holding a compiled predicate (*expr.Pred) must
+//     have its Bind method called there. The field declaration is
+//     flagged otherwise.
 //  2. Evaluator coverage: a type switch over expr.Expr that special-
 //     cases expr.Lit (constant folding, selectivity classification,
 //     normalization) must also case expr.Param — a bound parameter is
@@ -48,12 +50,19 @@ func isExprNamed(t types.Type, path, name string) bool {
 	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == path
 }
 
+// predBind is the rebinding a *expr.Pred field needs: its own method,
+// not a helper the field is assigned from.
+const predBind = "Pred.Bind"
+
 // bindableFieldKind classifies an operator field that captures
 // expressions, returning the Bind helper expected to rebind it ("" when
 // the field is not expression-typed).
 func bindableFieldKind(t types.Type) string {
 	if isExprNamed(t, exprPkgPath, "Expr") {
 		return "BindParams"
+	}
+	if p, ok := t.(*types.Pointer); ok && isExprNamed(p.Elem(), exprPkgPath, "Pred") {
+		return predBind
 	}
 	if sl, ok := t.Underlying().(*types.Slice); ok {
 		if isExprNamed(sl.Elem(), exprPkgPath, "Expr") {
@@ -146,6 +155,15 @@ func runParambindFields(pass *analysis.Pass) {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					// x.pred.Bind(...): the compiled-predicate rebinding.
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Bind" {
+						if field := firstFieldOf(pass, recv, sel.X); field != "" {
+							bound[field] = true
+						}
+					}
+					return true
+				}
 				as, ok := n.(*ast.AssignStmt)
 				if !ok {
 					return true
@@ -174,6 +192,11 @@ func runParambindFields(pass *analysis.Pass) {
 			}
 			for _, name := range fl.Names {
 				if bound[name.Name] {
+					continue
+				}
+				if helper == predBind {
+					pass.Reportf(name.Pos(), "operator %s holds compiled predicate %s but no Open-reachable method calls its Bind; a cached plan executes with stale bind-parameter values",
+						tn.Name(), name.Name)
 					continue
 				}
 				pass.Reportf(name.Pos(), "operator %s captures expression field %s but no Open-reachable method rebinds it via expr.%s; a cached plan executes with stale bind-parameter values",

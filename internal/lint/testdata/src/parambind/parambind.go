@@ -89,6 +89,42 @@ func (h *helperBound) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) err
 
 func (h *helperBound) Close(ctx *exec.Context) error { return h.child.Close(ctx) }
 
+// staleKernel compiles its residual once and never rebinds it: every
+// execution of a cached plan would test the planning-time parameters.
+type staleKernel struct {
+	child    exec.Operator
+	residual *expr.Pred // want "operator staleKernel holds compiled predicate residual but no Open-reachable method calls its Bind"
+}
+
+func (s *staleKernel) Schema() *schema.Schema { return s.child.Schema() }
+
+func (s *staleKernel) Open(ctx *exec.Context) error { return s.child.Open(ctx) }
+
+func (s *staleKernel) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return s.child.NextBatch(ctx, dst, max)
+}
+
+func (s *staleKernel) Close(ctx *exec.Context) error { return s.child.Close(ctx) }
+
+// boundKernel binds the compiled residual at Open: compliant.
+type boundKernel struct {
+	child    exec.Operator
+	residual *expr.Pred
+}
+
+func (b *boundKernel) Schema() *schema.Schema { return b.child.Schema() }
+
+func (b *boundKernel) Open(ctx *exec.Context) error {
+	b.residual.Bind(ctx.Params)
+	return b.child.Open(ctx)
+}
+
+func (b *boundKernel) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
+	return b.child.NextBatch(ctx, dst, max)
+}
+
+func (b *boundKernel) Close(ctx *exec.Context) error { return b.child.Close(ctx) }
+
 // classify forgets that a bound Param is a constant: flagged.
 func classify(e expr.Expr) string {
 	switch e.(type) { // want "type switch over expr.Expr handles expr.Lit but not expr.Param"

@@ -159,7 +159,9 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 				// A full sort materializes its input: guard it for
 				// mid-run replanning (DESIGN.md §15).
 				Make: func() exec.Operator {
-					return exec.NewSort(exec.NewCardGuard(mk(), prev.Rows, "Sort", prev), keys, desc)
+					s := exec.NewSort(exec.NewCardGuard(mk(), prev.Rows, "Sort", prev), keys, desc)
+					s.InputHint = int(prev.Rows + 0.5)
+					return s
 				},
 			})
 		}
@@ -310,7 +312,7 @@ func (o *Optimizer) finishGroupBy(ctx *Ctx, prev *plan.Node) (*plan.Node, error)
 		// variant below stays unguarded — it is a pipeline, not a
 		// materialization point.
 		g := exec.NewGroupBy(exec.NewCardGuard(mk(), prev.Rows, "GroupBy build", prev), groupPos, aggs)
-		g.SizeHint = hint
+		g.SizeHint, g.InputHint = hint, int(prev.Rows+0.5)
 		return g
 	}
 	if o.orderAware() && len(groupPos) > 0 && prev.Ordering.PrefixCovers(b.GroupBy) {

@@ -46,7 +46,8 @@ func (ix *HashIndex) Lookup(key value.Row) []int {
 // LookupRow probes with the key extracted from a full-width row of the
 // indexed table's schema (or any row where keyIdx locates the key values).
 func (ix *HashIndex) LookupRow(r value.Row, keyIdx []int) []int {
-	return ix.buckets[r.Key(keyIdx)]
+	var buf [64]byte // keys of a few numeric columns encode on the stack
+	return ix.buckets[string(r.AppendKey(buf[:0], keyIdx))]
 }
 
 // DistinctKeys returns the number of distinct keys in the index.
@@ -62,9 +63,22 @@ func ProbePages(rowIDs []int, rowsPerPage int) int {
 	if rowsPerPage < 1 {
 		rowsPerPage = 1
 	}
-	seen := map[int]bool{}
+	// An index bucket lists row ids in insertion order, so its pages
+	// ascend and distinct pages are page changes; anything else is
+	// counted through a set.
+	pages, last := 0, -1
 	for _, id := range rowIDs {
-		seen[id/rowsPerPage] = true
+		switch pg := id / rowsPerPage; {
+		case pg > last:
+			pages++
+			last = pg
+		case pg < last:
+			seen := map[int]bool{}
+			for _, id := range rowIDs {
+				seen[id/rowsPerPage] = true
+			}
+			return len(seen)
+		}
 	}
-	return len(seen)
+	return pages
 }

@@ -162,6 +162,13 @@ func TestProbePages(t *testing.T) {
 	if ProbePages([]int{5}, 0) != 1 {
 		t.Error("degenerate rowsPerPage")
 	}
+	if ProbePages([]int{25, 3, 27, 11, 4}, 10) != 3 {
+		t.Error("unsorted ids revisiting pages: 3 distinct pages")
+	}
+	ids := []int{1, 2, 15, 31, 32}
+	if n := testing.AllocsPerRun(100, func() { ProbePages(ids, 10) }); n != 0 {
+		t.Errorf("ascending ids (an index bucket) allocate %.0f/op, want 0", n)
+	}
 }
 
 func TestFromRows(t *testing.T) {

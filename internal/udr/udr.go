@@ -24,19 +24,17 @@ import (
 type ProbeJoin struct {
 	Outer       exec.Operator
 	Entry       *catalog.Entry
-	OuterArgIdx []int // positions in the outer row supplying the arguments
-	Residual    expr.Expr
+	OuterArgIdx []int      // positions in the outer row supplying the arguments
+	Residual    *expr.Pred // over Outer.Schema()‖function schema; may be nil
 	Memo        bool
 	InnerAlias  string
 
 	innerSch *schema.Schema
 	out      *schema.Schema
 	cache    map[string][]value.Row
-	in       exec.RowReader // the outer is read one row at a time
-	cur      value.Row
+	loop     exec.LoopJoin
 	batch    []value.Row
 	pos      int
-	done     bool
 	calls    int64
 }
 
@@ -51,7 +49,7 @@ func NewProbeJoin(outer exec.Operator, e *catalog.Entry, outerArgIdx []int, resi
 		Outer:       outer,
 		Entry:       e,
 		OuterArgIdx: outerArgIdx,
-		Residual:    residual,
+		Residual:    expr.CompilePred(residual),
 		Memo:        memo,
 		InnerAlias:  innerAlias,
 		innerSch:    is,
@@ -64,12 +62,11 @@ func (j *ProbeJoin) Schema() *schema.Schema { return j.out }
 
 // Open implements exec.Operator.
 func (j *ProbeJoin) Open(ctx *exec.Context) error {
-	j.Residual = expr.BindParams(j.Residual, ctx.Params)
+	j.Residual.Bind(ctx.Params)
 	j.cache = map[string][]value.Row{}
-	j.cur = nil
+	j.loop.Reset()
 	j.batch = nil
 	j.pos = 0
-	j.done = false
 	j.calls = 0
 	return j.Outer.Open(ctx)
 }
@@ -105,58 +102,26 @@ func (j *ProbeJoin) call(ctx *exec.Context, args value.Row) ([]value.Row, error)
 	return rows, nil
 }
 
-// NextBatch implements exec.Operator by lifting the row step.
+// NextBatch implements exec.Operator.
 func (j *ProbeJoin) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
-	return exec.FillRows(ctx, dst, max, j.next)
+	return j.loop.Fill(ctx, dst, max, j.Outer, j.Residual, j.apply, j.result)
 }
 
-// next produces one joined row, invoking the function for the next
-// outer row when the current invocation's rows run out.
-func (j *ProbeJoin) next(ctx *exec.Context) (value.Row, bool, error) {
-	if j.done {
+// apply invokes the function on outer row r's binding columns.
+func (j *ProbeJoin) apply(ctx *exec.Context, r value.Row) error {
+	batch, err := j.invoke(ctx, r.Project(j.OuterArgIdx))
+	j.batch = batch
+	j.pos = 0
+	return err
+}
+
+// result returns the current invocation's next row.
+func (j *ProbeJoin) result(*exec.Context) (value.Row, bool, error) {
+	if j.pos >= len(j.batch) {
 		return nil, false, nil
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		if j.cur == nil {
-			r, ok, err := j.in.Read(ctx, j.Outer)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.done = true
-				return nil, false, nil
-			}
-			j.cur = r
-			args := r.Project(j.OuterArgIdx)
-			batch, err := j.invoke(ctx, args)
-			if err != nil {
-				return nil, false, err
-			}
-			j.batch = batch
-			j.pos = 0
-		}
-		if j.pos >= len(j.batch) {
-			j.cur = nil
-			continue
-		}
-		inner := j.batch[j.pos]
-		j.pos++
-		ctx.Counter.CPUTuples++
-		joined := j.cur.Concat(inner)
-		if j.Residual != nil {
-			keep, err := expr.EvalBool(j.Residual, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if !keep {
-				continue
-			}
-		}
-		return joined, true, nil
-	}
+	j.pos++
+	return j.batch[j.pos-1], true, nil
 }
 
 // Close implements exec.Operator.

@@ -126,9 +126,9 @@ func TestProbeJoinErrorPropagates(t *testing.T) {
 func TestConsecutiveScan(t *testing.T) {
 	e, calls := newFuncEntry(2)
 	keys := exec.NewKeySet(1)
-	keys.Add(value.Row{value.NewInt(5)})
-	keys.Add(value.Row{value.NewInt(7)})
-	keys.Add(value.Row{value.NewInt(5)}) // duplicate ignored
+	keys.Add(value.Row{value.NewInt(5)}, []int{0})
+	keys.Add(value.Row{value.NewInt(7)}, []int{0})
+	keys.Add(value.Row{value.NewInt(5)}, []int{0}) // duplicate ignored
 	s := NewConsecutiveScan(e, keys, "F")
 	ctx := exec.NewContext()
 	rows, err := exec.Drain(ctx, s)

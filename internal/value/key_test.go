@@ -173,3 +173,26 @@ func TestRowArena(t *testing.T) {
 		t.Errorf("arena Concat x100 allocates %.1f, want amortized <= 3", n)
 	}
 }
+
+// TestRowArenaWideRowsKeepSlab: rows wider than any slab get their own
+// allocation and leave the live slab to the narrow rows around them, so
+// an interleaved stream allocates one block per wide row plus only the
+// slabs its narrow values fill — not a fresh slab after every wide row.
+func TestRowArenaWideRowsKeepSlab(t *testing.T) {
+	const pairs, wide, narrow = 100, arenaMaxSlab + 1, 4
+	slabs := 0 // the doubling schedule over the narrow values alone
+	for held, size := 0, arenaFirstSlab; held < pairs*narrow; size = min(2*size, arenaMaxSlab) {
+		held += size
+		slabs++
+	}
+	got := testing.AllocsPerRun(10, func() {
+		var a RowArena
+		for i := 0; i < pairs; i++ {
+			a.Make(wide)
+			a.Make(narrow)
+		}
+	})
+	if int(got) > pairs+slabs {
+		t.Fatalf("%d wide/narrow pairs made %.0f allocations, want <= %d wide rows + %d slabs", pairs, got, pairs, slabs)
+	}
+}

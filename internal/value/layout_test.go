@@ -1,0 +1,265 @@
+package value
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"strconv"
+	"testing"
+	"unsafe"
+)
+
+// TestValueSize pins the row cost: every stored, joined and projected
+// column is one Value.
+func TestValueSize(t *testing.T) {
+	if s := unsafe.Sizeof(Value{}); s > 32 {
+		t.Fatalf("Value is %d bytes, want <= 32", s)
+	}
+}
+
+// oldValue is the five-field layout Value had before the payload fields
+// were folded into one word, with the bodies of its accessors, Compare,
+// Hash and key encoding kept as the oracle: keys, hashes and orderings
+// feed goldens and cost counters, so the new layout must reproduce them
+// bit for bit.
+type oldValue struct {
+	kind Kind
+	i    int64
+	f    float64
+	s    string
+	b    bool
+}
+
+func (v oldValue) asFloat() (float64, bool) {
+	switch v.kind {
+	case KindInt:
+		return float64(v.i), true
+	case KindFloat:
+		return v.f, true
+	}
+	return 0, false
+}
+
+func (v oldValue) String() string {
+	switch v.kind {
+	case KindNull:
+		return "NULL"
+	case KindInt:
+		return strconv.FormatInt(v.i, 10)
+	case KindFloat:
+		return strconv.FormatFloat(v.f, 'g', -1, 64)
+	case KindString:
+		return v.s
+	case KindBool:
+		return strconv.FormatBool(v.b)
+	}
+	return "?"
+}
+
+func oldCompare(a, b oldValue) int {
+	if a.kind == KindNull || b.kind == KindNull {
+		switch {
+		case a.kind == KindNull && b.kind == KindNull:
+			return 0
+		case a.kind == KindNull:
+			return -1
+		default:
+			return 1
+		}
+	}
+	af, aNum := a.asFloat()
+	bf, bNum := b.asFloat()
+	if aNum && bNum {
+		switch {
+		case af < bf:
+			return -1
+		case af > bf:
+			return 1
+		default:
+			return 0
+		}
+	}
+	if a.kind != b.kind {
+		if a.kind < b.kind {
+			return -1
+		}
+		return 1
+	}
+	switch a.kind {
+	case KindString:
+		switch {
+		case a.s < b.s:
+			return -1
+		case a.s > b.s:
+			return 1
+		default:
+			return 0
+		}
+	case KindBool:
+		switch {
+		case a.b == b.b:
+			return 0
+		case !a.b:
+			return -1
+		default:
+			return 1
+		}
+	default:
+		return 0
+	}
+}
+
+func (v oldValue) hash() uint64 {
+	h := fnvOffset64
+	switch v.kind {
+	case KindNull:
+		h = fnvByte(h, 0)
+	case KindInt:
+		h = fnvUint64(fnvByte(h, 1), uint64(v.i))
+	case KindFloat:
+		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
+			h = fnvUint64(fnvByte(h, 1), uint64(int64(v.f)))
+		} else {
+			h = fnvUint64(fnvByte(h, 2), math.Float64bits(v.f))
+		}
+	case KindString:
+		h = fnvByte(h, 3)
+		for i := 0; i < len(v.s); i++ {
+			h = fnvByte(h, v.s[i])
+		}
+	case KindBool:
+		h = fnvByte(h, 4)
+		if v.b {
+			h = fnvByte(h, 1)
+		} else {
+			h = fnvByte(h, 0)
+		}
+	}
+	return h
+}
+
+func (v oldValue) appendKey(dst []byte) []byte {
+	switch v.kind {
+	case KindNull:
+		dst = append(dst, 'n')
+	case KindInt:
+		dst = strconv.AppendInt(append(dst, 'i'), v.i, 10)
+	case KindFloat:
+		if v.f == float64(int64(v.f)) {
+			dst = strconv.AppendInt(append(dst, 'i'), int64(v.f), 10)
+		} else {
+			dst = strconv.AppendFloat(append(dst, 'f'), v.f, 'g', -1, 64)
+		}
+	case KindString:
+		dst = strconv.AppendInt(append(dst, 's'), int64(len(v.s)), 10)
+		dst = append(append(dst, ':'), v.s...)
+	case KindBool:
+		if v.b {
+			dst = append(dst, 'b', 't')
+		} else {
+			dst = append(dst, 'b', 'f')
+		}
+	}
+	return append(dst, '|')
+}
+
+// layoutPair is one value built through both layouts.
+type layoutPair struct {
+	got Value
+	old oldValue
+}
+
+func pairInt(i int64) layoutPair { return layoutPair{NewInt(i), oldValue{kind: KindInt, i: i}} }
+func pairFloat(f float64) layoutPair {
+	return layoutPair{NewFloat(f), oldValue{kind: KindFloat, f: f}}
+}
+func pairString(s string) layoutPair {
+	return layoutPair{NewString(s), oldValue{kind: KindString, s: s}}
+}
+func pairBool(b bool) layoutPair { return layoutPair{NewBool(b), oldValue{kind: KindBool, b: b}} }
+
+func layoutPairs(rng *rand.Rand) []layoutPair {
+	ps := []layoutPair{
+		{Null, oldValue{}},
+		pairBool(true), pairBool(false),
+		pairString(""), pairString("i42|"), pairString("héllo"),
+		pairInt(0), pairInt(-1), pairInt(math.MinInt64), pairInt(math.MaxInt64), pairInt(1<<53 + 1),
+		pairFloat(math.NaN()), pairFloat(0), pairFloat(math.Copysign(0, -1)),
+		pairFloat(math.Inf(1)), pairFloat(math.Inf(-1)),
+		pairFloat(1 << 53), pairFloat(1<<53 + 2), pairFloat(-(1 << 63)), pairFloat(1 << 63),
+		pairFloat(1e300), pairFloat(-1e300), pairFloat(math.SmallestNonzeroFloat64), pairFloat(2.5),
+	}
+	for i := 0; i < 400; i++ {
+		switch rng.Intn(5) {
+		case 0:
+			ps = append(ps, pairInt(rng.Int63()-rng.Int63()))
+		case 1:
+			ps = append(ps, pairInt(int64(rng.Intn(21)-10)))
+		case 2:
+			ps = append(ps, pairFloat(math.Float64frombits(rng.Uint64())))
+		case 3:
+			ps = append(ps, pairFloat(float64(rng.Intn(21)-10)/2))
+		case 4:
+			ps = append(ps, pairString(strconv.Itoa(rng.Intn(30))))
+		}
+	}
+	return ps
+}
+
+// sameFloat treats any NaN as equal to any NaN and tells -0 from +0.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+func TestLayoutMatchesOldStruct(t *testing.T) {
+	ps := layoutPairs(rand.New(rand.NewSource(14)))
+	for _, p := range ps {
+		v, o := p.got, p.old
+		if v.Kind() != o.kind {
+			t.Fatalf("%v: Kind %v, old %v", o, v.Kind(), o.kind)
+		}
+		switch o.kind {
+		case KindInt:
+			if v.Int() != o.i {
+				t.Errorf("Int %d, old %d", v.Int(), o.i)
+			}
+		case KindFloat:
+			if !sameFloat(v.Float(), o.f) {
+				t.Errorf("Float %v, old %v", v.Float(), o.f)
+			}
+		case KindString:
+			if v.Str() != o.s {
+				t.Errorf("Str %q, old %q", v.Str(), o.s)
+			}
+		case KindBool:
+			if v.Bool() != o.b {
+				t.Errorf("Bool %v, old %v", v.Bool(), o.b)
+			}
+		}
+		gf, gok := v.AsFloat()
+		of, ook := o.asFloat()
+		if gok != ook || !sameFloat(gf, of) {
+			t.Errorf("%v: AsFloat (%v,%v), old (%v,%v)", o, gf, gok, of, ook)
+		}
+		if v.String() != o.String() {
+			t.Errorf("String %q, old %q", v.String(), o.String())
+		}
+		if v.Hash() != o.hash() {
+			t.Errorf("%v: Hash %#x, old %#x", o, v.Hash(), o.hash())
+		}
+		want := o.appendKey(nil)
+		if got := (Row{v}).AppendKey(nil, []int{0}); !bytes.Equal(got, want) {
+			t.Errorf("%v: AppendKey %q, old %q", o, got, want)
+		}
+		if got := (Row{v}).AppendFullKey(nil); !bytes.Equal(got, want) {
+			t.Errorf("%v: AppendFullKey %q, old %q", o, got, want)
+		}
+	}
+	for _, a := range ps {
+		for _, b := range ps {
+			if got, want := Compare(a.got, b.got), oldCompare(a.old, b.old); got != want {
+				t.Fatalf("Compare(%v, %v) = %d, old %d", a.old, b.old, got, want)
+			}
+		}
+	}
+}

@@ -69,14 +69,14 @@ func appendKeyValue(dst []byte, v Value) []byte {
 		dst = append(dst, 'n')
 	case KindInt:
 		dst = append(dst, 'i')
-		dst = strconv.AppendInt(dst, v.i, 10)
+		dst = strconv.AppendInt(dst, v.int(), 10)
 	case KindFloat:
-		if v.f == float64(int64(v.f)) {
+		if f := v.float(); f == float64(int64(f)) {
 			dst = append(dst, 'i')
-			dst = strconv.AppendInt(dst, int64(v.f), 10)
+			dst = strconv.AppendInt(dst, int64(f), 10)
 		} else {
 			dst = append(dst, 'f')
-			dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
 		}
 	case KindString:
 		dst = append(dst, 's')
@@ -84,7 +84,7 @@ func appendKeyValue(dst []byte, v Value) []byte {
 		dst = append(dst, ':')
 		dst = append(dst, v.s...)
 	case KindBool:
-		if v.b {
+		if v.bool() {
 			dst = append(dst, 'b', 't')
 		} else {
 			dst = append(dst, 'b', 'f')

@@ -59,29 +59,42 @@ func (k Kind) Width() int {
 	}
 }
 
-// Value is a typed scalar. The zero Value is NULL.
+// Value is a typed scalar. The zero Value is NULL. It is 32 bytes: the
+// string header, one payload word shared by the fixed-width kinds (an
+// int64, a float64's IEEE bits, or a bool as 0/1) and the kind tag —
+// rows are flat []Value, so every stored, joined and projected row pays
+// this size per column.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
-	b    bool
+	n    uint64
+	kind Kind
 }
 
 // Null is the NULL value.
 var Null = Value{}
 
 // NewInt returns an integer value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // NewFloat returns a floating-point value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
 
 // NewBool returns a boolean value.
-func NewBool(v bool) Value { return Value{kind: KindBool, b: v} }
+func NewBool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
+
+// The payload word read back as each fixed-width kind; callers have
+// checked v.kind.
+func (v Value) int() int64     { return int64(v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
+func (v Value) bool() bool     { return v.n != 0 }
 
 // Kind reports the dynamic type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -94,7 +107,7 @@ func (v Value) Int() int64 {
 	if v.kind != KindInt {
 		panic("value: Int() on " + v.kind.String())
 	}
-	return v.i
+	return v.int()
 }
 
 // Float returns the float payload. It panics if v is not a float.
@@ -102,7 +115,7 @@ func (v Value) Float() float64 {
 	if v.kind != KindFloat {
 		panic("value: Float() on " + v.kind.String())
 	}
-	return v.f
+	return v.float()
 }
 
 // Str returns the string payload. It panics if v is not a string.
@@ -118,7 +131,7 @@ func (v Value) Bool() bool {
 	if v.kind != KindBool {
 		panic("value: Bool() on " + v.kind.String())
 	}
-	return v.b
+	return v.bool()
 }
 
 // AsFloat converts numeric values to float64 for arithmetic and aggregation.
@@ -126,9 +139,9 @@ func (v Value) Bool() bool {
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.int()), true
 	case KindFloat:
-		return v.f, true
+		return v.float(), true
 	default:
 		return 0, false
 	}
@@ -143,13 +156,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
-		if v.b {
+		if v.bool() {
 			return "true"
 		}
 		return "false"
@@ -204,9 +217,9 @@ func Compare(a, b Value) int {
 		}
 	case KindBool:
 		switch {
-		case a.b == b.b:
+		case a.bool() == b.bool():
 			return 0
-		case !a.b:
+		case !a.bool():
 			return -1
 		default:
 			return 1
@@ -243,15 +256,15 @@ func (v Value) Hash() uint64 {
 		h = fnvByte(h, 0)
 	case KindInt:
 		h = fnvByte(h, 1)
-		h = fnvUint64(h, uint64(v.i))
+		h = fnvUint64(h, v.n)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
+		if f := v.float(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
 			// Hash integral floats as ints for cross-kind equality.
 			h = fnvByte(h, 1)
-			h = fnvUint64(h, uint64(int64(v.f)))
+			h = fnvUint64(h, uint64(int64(f)))
 		} else {
 			h = fnvByte(h, 2)
-			h = fnvUint64(h, math.Float64bits(v.f))
+			h = fnvUint64(h, v.n)
 		}
 	case KindString:
 		h = fnvByte(h, 3)
@@ -260,7 +273,7 @@ func (v Value) Hash() uint64 {
 		}
 	case KindBool:
 		h = fnvByte(h, 4)
-		if v.b {
+		if v.bool() {
 			h = fnvByte(h, 1)
 		} else {
 			h = fnvByte(h, 0)

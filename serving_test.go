@@ -2,6 +2,7 @@ package filterjoin_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -527,3 +528,36 @@ func TestPreparedExplainGolden(t *testing.T) {
 }
 
 var _ = cost.Counter{} // keep the import for the differential assertions
+
+// TestServeHitBytesBudget pins what one cached execution of the serving
+// mix's 4-relation magic-view point query allocates: rows, slabs and
+// morsel buffers sized to the ~10-row answer, not to the morsel size.
+// It was 830 KiB when every arena-owning operator zeroed a 4096-value
+// slab and every drain loop allocated 1024 row headers.
+func TestServeHitBytesBudget(t *testing.T) {
+	db := servingDB(t, false)
+	query := func(i int) string {
+		return fmt.Sprintf(`SELECT E.did, E.sal, V.avgsal FROM Emp E, Dept D, Dept D2, DepAvgSal V `+
+			`WHERE E.did = D.did AND E.did = D2.did AND E.did = V.did AND E.sal > V.avgsal `+
+			`AND E.did = %d AND E.age < %d AND D.budget > 10000 AND D2.budget > 0`, i%100, 22+i%8)
+	}
+	for i := 0; i < 20; i++ { // fill the plan cache
+		if _, err := db.Query(query(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs, budgetKiB = 200, 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := db.Query(query(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024; perRun > budgetKiB {
+		t.Fatalf("cached point query allocates %.0f KiB per execution, budget %d KiB", perRun, budgetKiB)
+	} else {
+		t.Logf("%.0f KiB per execution", perRun)
+	}
+}
