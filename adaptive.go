@@ -1,27 +1,18 @@
-// Adaptive re-optimization (DESIGN.md §15): the serving layer's two
-// feedback loops over measured cardinalities.
+// Adaptive re-optimization (DESIGN.md §15): the serving layer's
+// statistics-feedback loop over measured cardinalities.
 //
-// The slow loop (Config.AdaptiveFeedback) runs after every served SELECT
-// and EXPLAIN ANALYZE: leaf-scan actuals that miss the planner's
-// estimate by the feedback ratio are folded back into the scanned
-// relation's statistics — an observed selectivity for the exact
-// predicate, plus a histogram refinement when the predicate is a single
-// column-vs-constant comparison — and the catalog epoch is bumped so
-// every cached plan built from the stale statistics re-optimizes.
-//
-// The fast loop (Config.AdaptiveReplan) runs inside one execution:
-// guards at materialization points abandon the running plan when the
-// observed input exceeds its estimate by the replan ratio, and runPlan
-// re-optimizes the block with the observed cardinality planted as a
-// transient stats override on a fork — the catalog itself only learns
-// through the slow loop.
+// With Config.AdaptiveFeedback on, after every served SELECT and EXPLAIN
+// ANALYZE, leaf-scan actuals that miss the planner's estimate by the
+// feedback ratio are folded back into the scanned relation's statistics
+// — an observed selectivity for the exact predicate, plus a histogram
+// refinement when the predicate is a single column-vs-constant
+// comparison — and the catalog epoch is bumped so every cached plan
+// built from the stale statistics re-optimizes.
 package filterjoin
 
 import (
-	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/plan"
-	"filterjoin/internal/query"
 	"filterjoin/internal/stats"
 )
 
@@ -39,10 +30,10 @@ type feedbackObs struct {
 // lock held: candidates are extracted lock-free from the finished
 // result, and only if any exist does it take the write lock, verify each
 // against the catalog's current estimate, record the misestimated ones,
-// and bump the epoch. Verification under the lock matters after a
-// mid-run replan: the executed plan's estimates came from the transient
-// override (so they match the actuals), while the catalog may still be
-// wrong — comparing against ent.Stats() catches exactly that.
+// and bump the epoch. Verification under the lock matters because the
+// executed plan's estimates may predate a correction another session
+// has already applied: comparing against ent.Stats() keeps one
+// misestimate from being observed twice.
 func (e *Engine) absorbFeedback(res *Result) {
 	if !e.adaptFeedback || res == nil || res.Plan == nil {
 		return
@@ -52,10 +43,8 @@ func (e *Engine) absorbFeedback(res *Result) {
 		return
 	}
 	// Cheap pre-gate: take the write lock only when some candidate
-	// misestimates against the executed plan's own numbers, or the run
-	// replanned (estimates then reflect the transient correction, not
-	// the catalog, so the plan-relative check proves nothing).
-	need := res.ReplannedFrom != nil
+	// misestimates against the executed plan's own numbers.
+	need := false
 	for _, c := range cands {
 		if _, off := plan.Misestimate(c.est, c.act, e.fbRatio); off {
 			need = true
@@ -185,121 +174,4 @@ func flipCmpOp(op expr.CmpOp) expr.CmpOp {
 		return expr.LE
 	}
 	return op
-}
-
-// replanRemainder is the fast loop's re-optimization step: build
-// per-relation corrected statistics from everything measured so far in
-// this execution, plant them as transient overrides on a fork of the
-// prototype optimizer, and re-optimize the block. Returns false when no
-// correction is available (the caller then finishes on the current plan
-// with guards disarmed, so replanning always terminates). Callers hold
-// at least the read lock; the catalog is only read, never written — the
-// persistent correction is absorbFeedback's job.
-func (e *Engine) replanRemainder(b *query.Block, ctx *exec.Context, re *exec.ReplanError) (*plan.Node, bool) {
-	if b == nil {
-		return nil, false
-	}
-	over := e.replanOverrides(ctx, re)
-	if len(over) == 0 {
-		return nil, false
-	}
-	f := e.proto.Fork()
-	f.DegreeOfParallelism = e.proto.DegreeOfParallelism
-	f.BatchSize = e.proto.BatchSize
-	f.Tracer = e.proto.Tracer
-	for name, st := range over {
-		f.StatsOverride[name] = st
-	}
-	p, err := f.OptimizeBlock(b)
-	e.proto.MergeMetrics(f.Metrics)
-	if err != nil {
-		return nil, false
-	}
-	return p, true
-}
-
-// replanOverrides turns the execution's operator profile into corrected
-// per-relation statistics. Every instrumented leaf with feedback
-// provenance contributes its rows-so-far as a lower bound on the true
-// cardinality (the plan was abandoned mid-drain, so counts are partial);
-// the guard that fired contributes its own count for the node it was
-// protecting. A lower bound alone still underestimates, so when the leaf
-// predicate is a conjunction whose independence assumption just failed,
-// the correction jumps to the correlation-collapse bound: the rows the
-// weakest single conjunct would pass alone, as if the other conjuncts
-// were implied by it — the worst correlated case.
-func (e *Engine) replanOverrides(ctx *exec.Context, re *exec.ReplanError) map[string]*stats.RelStats {
-	type floor struct {
-		node *plan.Node
-		rows float64
-	}
-	best := map[string]floor{}
-	note := func(n *plan.Node, rows float64) {
-		if n == nil || n.Source == "" || n.SourcePred == nil || n.SourceRows < 1 {
-			return
-		}
-		if cur, ok := best[n.Source]; !ok || rows > cur.rows {
-			best[n.Source] = floor{node: n, rows: rows}
-		}
-	}
-	for _, st := range ctx.OperatorStats() {
-		n, ok := st.Tag.(*plan.Node)
-		if !ok || st.Opens == 0 {
-			continue
-		}
-		note(n, float64(st.Rows)/float64(st.Opens))
-	}
-	if n, ok := re.Tag.(*plan.Node); ok {
-		note(n, float64(re.Rows))
-	}
-	over := map[string]*stats.RelStats{}
-	for name, fl := range best {
-		if _, off := plan.Misestimate(fl.node.Rows, fl.rows, e.fbRatio); !off || fl.rows <= fl.node.Rows {
-			continue
-		}
-		ent, err := e.cat.Get(name)
-		if err != nil {
-			continue
-		}
-		base := ent.Stats()
-		if base == nil {
-			continue
-		}
-		corrected := fl.rows
-		if c, ok := collapseRows(fl.node.SourcePred, fl.node.SourceRows, base); ok && c > corrected {
-			corrected = c
-		}
-		fb := stats.NewFeedback()
-		o := stats.PredObservation{
-			Key: stats.PredKey(fl.node.SourcePred),
-			Sel: corrected / fl.node.SourceRows,
-			Col: -1,
-		}
-		if col, op, x, ok := refinableCmp(fl.node.SourcePred); ok {
-			o.Col, o.Op, o.X = col, op, x
-		}
-		fb.Observe(o)
-		over[name] = fb.Apply(base)
-	}
-	return over
-}
-
-// collapseRows is the correlation-collapse projection: for a
-// conjunction, the output cardinality if the weakest single conjunct
-// implied all the others (fully correlated predicates). Used only after
-// a guard has already proven the independence estimate wrong, so jumping
-// to the no-independence extreme beats creeping up on the truth one
-// replan at a time.
-func collapseRows(pred expr.Expr, raw float64, base *stats.RelStats) (float64, bool) {
-	and, ok := pred.(expr.And)
-	if !ok || len(and.Kids) < 2 {
-		return 0, false
-	}
-	minSel := 1.0
-	for _, k := range and.Kids {
-		if s := stats.Selectivity(k, base); s < minSel {
-			minSel = s
-		}
-	}
-	return raw * minSel, true
 }

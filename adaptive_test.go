@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	filterjoin "filterjoin"
-	"filterjoin/internal/cost"
 	"filterjoin/internal/plan"
 )
 
@@ -46,57 +45,10 @@ func adaptiveDB(t *testing.T, cfg filterjoin.Config) *filterjoin.DB {
 	return db
 }
 
-// The ORDER BY matters for the replan tests: the Sort above the join is
-// a guarded materialization point fed by the misestimated stream (the
-// correlated filter's output), while the hash join's build side (Small)
-// is estimated accurately and never trips its own guard.
 const correlatedQuery = `
 	SELECT B.id, S.v FROM Big B, Small S
 	WHERE B.g = S.g AND B.a = 5 AND B.b = 5
 	ORDER BY B.id`
-
-// Mid-run replanning: the materialization guard must abandon the
-// misestimated plan, the rerun must produce exactly the static engine's
-// rows, and the replan must be charged on the measured counter.
-func TestAdaptiveReplanMidRun(t *testing.T) {
-	static := adaptiveDB(t, filterjoin.Config{})
-	want, err := static.Query(correlatedQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Cost.Replans != 0 {
-		t.Fatalf("static engine charged Replans = %d, want 0", want.Cost.Replans)
-	}
-
-	db := adaptiveDB(t, filterjoin.Config{AdaptiveReplan: true, ReplanRatio: 5})
-	res, err := db.Query(correlatedQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost.Replans == 0 {
-		t.Fatalf("10x-misestimated build did not trigger a replan (cost %s)", res.Cost.String())
-	}
-	if res.ReplannedFrom == nil || res.ReplanInfo == nil {
-		t.Fatal("result does not report the replan")
-	}
-	if res.ReplanInfo.Rows <= 0 || res.ReplanInfo.Est <= 0 {
-		t.Fatalf("ReplanInfo not populated: %+v", res.ReplanInfo)
-	}
-	if got, wantRows := fmt.Sprint(sortedRows(res.Rows)), fmt.Sprint(sortedRows(want.Rows)); got != wantRows {
-		t.Fatalf("replanned rows differ from static rows:\n%v\n%v", got, wantRows)
-	}
-
-	out, err := db.ExplainAnalyze(correlatedQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "replan=") {
-		t.Fatalf("EXPLAIN ANALYZE misses the replan banner:\n%s", out)
-	}
-	if !strings.Contains(out, "replan=") || !strings.Contains(res.Cost.String(), "replan=") {
-		t.Fatalf("measured counter should show the replan surcharge: %s", res.Cost.String())
-	}
-}
 
 // Statistics feedback and the plan cache (satellite: refined stats must
 // not leak through the cache): the first run misestimates and is fed
@@ -204,41 +156,8 @@ func TestAdaptiveFeedbackConverges(t *testing.T) {
 	}
 }
 
-// Cost attribution across a replanned run (satellite: no double-counted
-// instrumentation across re-opens): the abandoned plan's operators land
-// in the deferred bucket, the executed plan's operators in the tree, and
-// the two together account for every charged unit except the replan
-// surcharge itself, which — like Fallbacks — is charged at the root, not
-// inside any operator.
-func TestReplanCostConservation(t *testing.T) {
-	db := adaptiveDB(t, filterjoin.Config{AdaptiveReplan: true, ReplanRatio: 5})
-	res, err := db.Query(correlatedQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost.Replans == 0 {
-		t.Fatal("workload did not replan; conservation premise broken")
-	}
-	byNode, deferred, nDeferred := plan.StatsByNode(res.Plan, res.Stats())
-	if nDeferred == 0 {
-		t.Fatal("abandoned plan's instrumentation is missing from the profile")
-	}
-	var sum cost.Counter
-	for _, s := range byNode {
-		sum.Add(s.Self())
-	}
-	sum.Add(deferred)
-	want := res.Cost
-	want.Replans = 0
-	if sum != want {
-		t.Errorf("sum of Self + deferred = %s, want %s (measured %s)",
-			sum.String(), want.String(), res.Cost.String())
-	}
-}
-
-// With both adaptive features off (the default), the engine must be
-// bit-identical to the static engine in rows and counters, across the
-// row and batch execution paths — including the new Replans field.
+// With feedback off (the default), the engine must be bit-identical in
+// rows and counters at morsel sizes 1 and 1024.
 func TestAdaptiveDisabledBitIdentical(t *testing.T) {
 	row := adaptiveDB(t, filterjoin.Config{BatchSize: 1})
 	batch := adaptiveDB(t, filterjoin.Config{BatchSize: 1024})
@@ -258,10 +177,6 @@ func TestAdaptiveDisabledBitIdentical(t *testing.T) {
 		}
 		if r1.Cost != r2.Cost {
 			t.Errorf("query %q: row counter %s != batch counter %s", q, r1.Cost.String(), r2.Cost.String())
-		}
-		if r1.Cost.Replans != 0 || r2.Cost.Replans != 0 {
-			t.Errorf("query %q: disarmed engines charged replans (%d, %d)",
-				q, r1.Cost.Replans, r2.Cost.Replans)
 		}
 		if got, want := fmt.Sprint(sortedRows(r1.Rows)), fmt.Sprint(sortedRows(r2.Rows)); got != want {
 			t.Errorf("query %q: row/batch results differ", q)

@@ -12,6 +12,7 @@ import (
 	"filterjoin"
 	"filterjoin/internal/cost"
 	"filterjoin/internal/dist"
+	"filterjoin/internal/plan"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/storage"
 	"filterjoin/internal/value"
@@ -196,6 +197,36 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	}
 	if res.Cost.Retries == 0 {
 		t.Fatal("the aborted primary's retries must stay on the bill")
+	}
+}
+
+// Cost attribution across a degraded run: the abandoned primary's
+// operators land in StatsByNode's deferred bucket, the fallback's in the
+// tree, and the two together account for every charged unit except the
+// Fallbacks surcharge, which is charged at the root, not inside any
+// operator.
+func TestDegradedCostConservation(t *testing.T) {
+	res, err := degradeDB(t).Query(distJoinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DegradedFrom == nil {
+		t.Fatal("workload did not degrade; conservation premise broken")
+	}
+	byNode, deferred, nDeferred := plan.StatsByNode(res.Plan, res.Stats())
+	if nDeferred == 0 {
+		t.Fatal("abandoned primary's instrumentation is missing from the profile")
+	}
+	var sum cost.Counter
+	for _, s := range byNode {
+		sum.Add(s.Self())
+	}
+	sum.Add(deferred)
+	want := res.Cost
+	want.Fallbacks = 0
+	if sum != want {
+		t.Errorf("sum of Self + deferred = %s, want %s (measured %s)",
+			sum.String(), want.String(), res.Cost.String())
 	}
 }
 

@@ -59,21 +59,13 @@ type Engine struct {
 	cache    *plancache.Cache
 	cacheOff bool
 
-	// Adaptive re-optimization knobs (DESIGN.md §15), resolved once at
-	// construction. Both default off, in which case guards stay disarmed
-	// and no feedback path runs: behavior, counters, and goldens are
-	// bit-identical to the static engine.
+	// Statistics-feedback knobs (DESIGN.md §15), resolved once at
+	// construction. Off by default, in which case no feedback path runs:
+	// behavior, counters, and goldens are bit-identical to the static
+	// engine.
 	adaptFeedback bool
-	adaptReplan   bool
 	fbRatio       float64
-	replanRatio   float64
 }
-
-// maxReplans bounds mid-run re-optimizations per execution: after the
-// budget is spent the current plan runs to completion with guards
-// disarmed, so a pathologically oscillating coster cannot livelock a
-// query.
-const maxReplans = 2
 
 func newEngine(cfg Config) *Engine {
 	model := cost.DefaultModel()
@@ -100,10 +92,6 @@ func newEngine(cfg Config) *Engine {
 	if fbRatio <= 1 {
 		fbRatio = 2
 	}
-	replanRatio := cfg.ReplanRatio
-	if replanRatio <= 1 {
-		replanRatio = 10
-	}
 	e := &Engine{
 		cat:           cat,
 		proto:         o,
@@ -114,9 +102,7 @@ func newEngine(cfg Config) *Engine {
 		cache:         plancache.New(cfg.PlanCacheSize),
 		cacheOff:      cfg.DisablePlanCache,
 		adaptFeedback: cfg.AdaptiveFeedback,
-		adaptReplan:   cfg.AdaptiveReplan,
 		fbRatio:       fbRatio,
-		replanRatio:   replanRatio,
 	}
 	if !cfg.DisableFilterJoin {
 		e.fj = core.NewMethod(cfg.FilterJoin)
@@ -350,7 +336,7 @@ func (e *Engine) serveSelectShared(stdctx context.Context, sel *sql.SelectStmt, 
 			return nil, err
 		}
 	}
-	res, err := e.runPlan(stdctx, p, allArgs, b)
+	res, err := e.runPlan(stdctx, p, allArgs)
 	if err != nil {
 		return nil, err
 	}
@@ -589,13 +575,12 @@ func (e *Engine) explainSelectShared(stdctx context.Context, sel *sql.SelectStmt
 	}
 
 	if analyze {
-		res, err := e.runPlan(stdctx, p, allArgs, b)
+		res, err := e.runPlan(stdctx, p, allArgs)
 		if err != nil {
 			return "", nil, nil, err
 		}
 		out := plan.FormatAnalyze(res.Plan, e.model, res.ops, res.Cost, opts)
 		out += degradedLine(res)
-		out += replanLine(res)
 		out += fmt.Sprintf("rows: %d\n", len(res.Rows))
 		out += fmt.Sprintf("cache=%s\n", state)
 		return out, p, res, nil
@@ -635,7 +620,7 @@ func (e *Engine) queryBlock(stdctx context.Context, b *query.Block) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.runPlan(stdctx, p, nil, nil)
+	res, err := e.runPlan(stdctx, p, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -657,7 +642,7 @@ func (e *Engine) planBlock(b *query.Block) (*plan.Node, error) {
 func (e *Engine) runPlanShared(stdctx context.Context, p *plan.Node) (*Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.runPlan(stdctx, p, nil, nil)
+	return e.runPlan(stdctx, p, nil)
 }
 
 // newExecContext builds the per-execution context: a fresh counter, the
@@ -678,62 +663,26 @@ func (e *Engine) newExecContext(stdctx context.Context, args []value.Value) *exe
 
 // runPlan executes a plan, collecting rows and measured counters, with
 // graceful degradation to the retained fault-free fallback on a
-// mid-query site error and — when the block is available and adaptive
-// replanning is on — mid-run re-optimization at materialization points
-// (DESIGN.md §15). Callers hold at least the read lock. Passing a nil
-// block keeps the guards disarmed: the run is then bit-identical to the
-// static engine.
-func (e *Engine) runPlan(stdctx context.Context, p *plan.Node, args []value.Value, b *query.Block) (*Result, error) {
+// mid-query site error. Callers hold at least the read lock.
+func (e *Engine) runPlan(stdctx context.Context, p *plan.Node, args []value.Value) (*Result, error) {
 	ctx := e.newExecContext(stdctx, args)
-	if e.adaptReplan && b != nil {
-		ctx.ReplanRatio = e.replanRatio
-	}
 	executed := p
 	var (
-		degradedFrom  *plan.Node
-		siteErr       *dist.SiteError
-		replannedFrom *plan.Node
-		replanInfo    *exec.ReplanError
+		degradedFrom *plan.Node
+		siteErr      *dist.SiteError
 	)
 	rows, err := exec.Drain(ctx, executed.Make())
-	for err != nil {
-		var re *exec.ReplanError
-		if errors.As(err, &re) {
-			// Mid-run re-optimization: a materialization point observed
-			// its input blow through the estimate by the replan ratio.
-			// Charge the replan, re-optimize the block with the observed
-			// cardinalities, and rerun in the SAME execution context so
-			// the abandoned plan's work stays on the bill (cost
-			// conservation holds across the switch).
-			ctx.Counter.Replans++
-			if replannedFrom == nil {
-				replannedFrom, replanInfo = executed, re
-			}
-			alt, ok := e.replanRemainder(b, ctx, re)
-			if !ok || ctx.Counter.Replans >= maxReplans {
-				// No better information, or the replan budget is spent:
-				// finish on the best plan we have with guards disarmed,
-				// so the loop always terminates.
-				ctx.ReplanRatio = 0
-			}
-			if ok {
-				executed = alt
-			}
-			rows, err = exec.Drain(ctx, executed.Make())
-			continue
-		}
-		var se *dist.SiteError
-		if errors.As(err, &se) && executed.Fallback != nil && degradedFrom == nil {
-			// Graceful degradation: a remote strategy exhausted its retry
-			// budget mid-query. Restart on the retained fault-free
-			// fallback in the SAME execution context, so the aborted
-			// primary's work stays on the bill and the observability
-			// layer shows the full price of the fault.
-			ctx.Counter.Fallbacks++
-			degradedFrom, siteErr, executed = executed, se, executed.Fallback
-			rows, err = exec.Drain(ctx, executed.Make())
-			continue
-		}
+	if errors.As(err, &siteErr) && p.Fallback != nil {
+		// Graceful degradation: a remote strategy exhausted its retry
+		// budget mid-query. Restart on the retained fault-free
+		// fallback in the SAME execution context, so the aborted
+		// primary's work stays on the bill and the observability
+		// layer shows the full price of the fault.
+		ctx.Counter.Fallbacks++
+		degradedFrom, executed = p, p.Fallback
+		rows, err = exec.Drain(ctx, executed.Make())
+	}
+	if err != nil {
 		return nil, err
 	}
 	cols := make([]string, executed.OutSchema.Len())
@@ -741,8 +690,7 @@ func (e *Engine) runPlan(stdctx context.Context, p *plan.Node, args []value.Valu
 		cols[i] = executed.OutSchema.Col(i).QualifiedName()
 	}
 	return &Result{Columns: cols, Rows: rows, Cost: *ctx.Counter, Plan: executed,
-		DegradedFrom: degradedFrom, SiteErr: siteErr,
-		ReplannedFrom: replannedFrom, ReplanInfo: replanInfo, ops: ctx.OperatorStats()}, nil
+		DegradedFrom: degradedFrom, SiteErr: siteErr, ops: ctx.OperatorStats()}, nil
 }
 
 // degradedLine renders the degradation banner appended to EXPLAIN
@@ -752,16 +700,6 @@ func degradedLine(res *Result) string {
 		return ""
 	}
 	return fmt.Sprintf("degraded=plan: primary aborted (%v); rows produced by fault-free fallback above\n", res.SiteErr)
-}
-
-// replanLine renders the adaptive-replan banner appended to EXPLAIN
-// ANALYZE output; empty on a run that finished on its first plan.
-func replanLine(res *Result) string {
-	if res.ReplannedFrom == nil || res.ReplanInfo == nil {
-		return ""
-	}
-	return fmt.Sprintf("replan=%d: %s saw %d rows against estimate %.0f; remainder re-optimized with observed cardinality above\n",
-		res.Cost.Replans, res.ReplanInfo.Where, res.ReplanInfo.Rows, res.ReplanInfo.Est)
 }
 
 // toValues converts user-facing bind arguments to engine values.

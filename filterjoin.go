@@ -105,22 +105,10 @@ type Config struct {
 	// statistics re-optimize. Off by default: the engine then behaves
 	// exactly as a static System R optimizer.
 	AdaptiveFeedback bool
-	// AdaptiveReplan enables mid-run replanning (DESIGN.md §15): guards
-	// at materialization points (hash-join builds, hash aggregation,
-	// sorts, the Filter Join's key-set build) abandon the running plan
-	// when the observed input exceeds its estimate by ReplanRatio, and
-	// the remainder re-optimizes with the observed cardinality in the
-	// same execution context (the abandoned work stays on the bill,
-	// charged as Counter.Replans). Off by default.
-	AdaptiveReplan bool
 	// FeedbackRatio is the est-vs-actual factor beyond which a measured
 	// cardinality is fed back into statistics; values <= 1 take the
 	// default 2.
 	FeedbackRatio float64
-	// ReplanRatio is the est-vs-actual factor beyond which a
-	// materialization point abandons the running plan; values <= 1 take
-	// the default 10 (the EXPLAIN ANALYZE misestimate-flag default).
-	ReplanRatio float64
 }
 
 // DB is an in-memory database instance: an Engine (catalog, optimizer,
@@ -193,18 +181,6 @@ type Result struct {
 	// (nil on a normal run). The measured Cost includes the aborted
 	// primary's work plus one Fallbacks unit.
 	SiteErr *dist.SiteError
-
-	// ReplannedFrom reports mid-run adaptive re-optimization (DESIGN.md
-	// §15): when a materialization point observed its input exceed the
-	// estimate by the replan ratio, the running plan was abandoned and
-	// the remainder re-optimized with the observed cardinality. Plan
-	// then points at the plan that produced the rows and ReplannedFrom
-	// at the first abandoned plan; nil on a non-replanned run. The
-	// measured Cost includes the abandoned work plus Cost.Replans units.
-	ReplannedFrom *plan.Node
-	// ReplanInfo is the guard trip that triggered the first replan (nil
-	// on a non-replanned run).
-	ReplanInfo *exec.ReplanError
 
 	ops []*exec.OpStats // per-operator runtime profile, first-Open order
 }

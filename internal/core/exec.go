@@ -8,7 +8,6 @@ import (
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/opt"
-	"filterjoin/internal/plan"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/storage"
 	"filterjoin/internal/udr"
@@ -29,14 +28,6 @@ type fjExecSpec struct {
 	// feeds the final join.
 	filterMake func() exec.Operator
 	alias      string
-
-	// outerRows/filterRows are the planned cardinalities of the outer
-	// production set and (when prefix production is used) the prefix
-	// subplan; outerNode is the outer's plan node. They feed the key-set
-	// build's replan guard (DESIGN.md §15).
-	outerRows  float64
-	filterRows float64
-	outerNode  *plan.Node
 
 	outerFilterPos []int // filter attr positions in the outer's output
 	outerAllPos    []int // all equi attr positions in the outer's output
@@ -137,16 +128,8 @@ func (f *filterJoinOp) Open(ctx *exec.Context) error {
 	}
 
 	// Step 2: the distinct filter set F, pre-sized from the optimizer's
-	// estimated |F|. The build is a materialization point: a production
-	// set exceeding its estimate by the replan ratio is the paper's
-	// filter-join "bad case", so the guard aborts it into mid-run
-	// re-optimization when the serving layer armed replanning.
-	pEst := s.outerRows
-	if s.filterMake != nil {
-		pEst = s.filterRows
-	}
-	keys, err := exec.BuildKeySetSized(ctx, exec.NewCardGuard(pFilter, pEst, "KeySet build", s.outerNode),
-		s.outerFilterPos, int(ch.FilterCard+0.5))
+	// estimated |F|.
+	keys, err := exec.BuildKeySetSized(ctx, pFilter, s.outerFilterPos, int(ch.FilterCard+0.5))
 	if err != nil {
 		return err
 	}

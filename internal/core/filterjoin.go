@@ -543,8 +543,6 @@ func (m *Method) buildCandidate(
 		entry:          e,
 		choice:         ch,
 		outerMake:      outer.Make,
-		outerRows:      outer.Rows,
-		outerNode:      outer,
 		alias:          ri.Ref.Binding(),
 		outerFilterPos: outerFilterPos,
 		outerAllPos:    outerAllPos,
@@ -560,7 +558,6 @@ func (m *Method) buildCandidate(
 	}
 	if prefix {
 		op.filterMake = prod.Make
-		op.filterRows = prod.Rows
 	}
 	if e.Kind == catalog.KindView {
 		fs, err := filterSchema(c.O.Cat, e, innerLocal)

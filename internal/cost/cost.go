@@ -29,15 +29,6 @@ type Counter struct {
 	Retries   int64 // remote send attempts beyond the first (per message)
 	WaitMs    int64 // simulated milliseconds spent on latency, timeouts, and backoff
 	Fallbacks int64 // queries degraded to the fault-free fallback plan
-
-	// Replans counts mid-run adaptive re-optimizations (DESIGN.md §15):
-	// a materialization point observed its input exceed the estimate by
-	// the replan ratio, the running plan was abandoned, and the remainder
-	// was re-optimized with the observed cardinality. Like the fault
-	// counters above it is unweighted observability: the paper's cost
-	// formulas assume estimates are honest, and replan-free executions
-	// leave it zero so estimate-vs-actual comparisons are unchanged.
-	Replans int64 // mid-run adaptive re-optimizations
 }
 
 // Add accumulates o into c.
@@ -51,7 +42,6 @@ func (c *Counter) Add(o Counter) {
 	c.Retries += o.Retries
 	c.WaitMs += o.WaitMs
 	c.Fallbacks += o.Fallbacks
-	c.Replans += o.Replans
 }
 
 // Diff returns c - o, the consumption that happened after snapshot o.
@@ -66,7 +56,6 @@ func (c Counter) Diff(o Counter) Counter {
 		Retries:    c.Retries - o.Retries,
 		WaitMs:     c.WaitMs - o.WaitMs,
 		Fallbacks:  c.Fallbacks - o.Fallbacks,
-		Replans:    c.Replans - o.Replans,
 	}
 }
 
@@ -90,7 +79,6 @@ func (c Counter) String() string {
 	add("retry", c.Retries)
 	add("wait", c.WaitMs)
 	add("fb", c.Fallbacks)
-	add("replan", c.Replans)
 	if len(parts) == 0 {
 		return "{}"
 	}

@@ -63,15 +63,6 @@ type Context struct {
 	// selectivity class. Empty for non-parameterized plans.
 	Params []value.Value
 
-	// ReplanRatio arms the mid-run replan guards (DESIGN.md §15): when a
-	// CardGuard at a materialization point observes its input exceed the
-	// planned estimate by this factor, it aborts the pull with a
-	// *ReplanError so the serving layer can re-optimize the remainder
-	// with the observed cardinality. 0 (the default) disarms every guard
-	// — executions outside the adaptive serving path are bit-identical
-	// to pre-adaptive behavior.
-	ReplanRatio float64
-
 	// Kernels is read by nothing; bench/layers.go, its last user, still assigns it.
 	Kernels bool
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	filterjoin "filterjoin"
 )
@@ -16,25 +15,24 @@ import (
 // probe side at a handful of rows — picks index nested loops into
 // Dept's did index; the true 100x row count makes that plan pay a page
 // fetch per probe and lose to the hash join it rejected. The experiment
-// drives the same query through three engines:
+// drives the same query through two engines:
 //
-//   static    — adaptive features off: the misestimated plan, every run.
-//   replan    — AdaptiveReplan: the Sort guard aborts the run mid-way
-//               and the remainder re-optimizes with observed counts.
+//   static    — AdaptiveFeedback off: the misestimated plan, every run.
 //   feedback  — AdaptiveFeedback: run 1 feeds actuals back into the
 //               catalog stats (epoch bump), run 2 plans from truth.
 //
-// Hard invariants: all modes produce identical rows; the feedback
-// engine's second run beats the static plan's measured cost; and the
-// replan run charges Replans >= 1.
-//
-// Knobs (for CI smoke runs): FILTERJOIN_E20_ROWS sets the Emp row count
-// (default 40000), FILTERJOIN_E20_DEPTS the Dept row count (default
-// 100000); shrink both together to keep the plan-flip geometry.
+// Hard invariants: both modes produce identical rows, and the feedback
+// engine's second run beats the static plan's measured cost. Every cell
+// is a count or a cost in Table 1 units, so the report is byte-stable.
 
-// e20DB builds the correlated workload: Emp (nRows, a=b always, did in
-// [0,200)), Dept (nDepts rows, unique did, indexed on did).
-func e20DB(cfg filterjoin.Config, nRows, nDepts int) (*filterjoin.DB, error) {
+const (
+	e20Rows  = 40000  // Emp rows
+	e20Depts = 100000 // Dept rows
+)
+
+// e20DB builds the correlated workload: Emp (e20Rows, a=b always, did in
+// [0,200)), Dept (e20Depts rows, unique did, indexed on did).
+func e20DB(cfg filterjoin.Config) (*filterjoin.DB, error) {
 	db := filterjoin.Open(cfg)
 	if err := db.ExecScript(`
 		CREATE TABLE Emp (eid int, did int, a int, b int);
@@ -45,14 +43,14 @@ func e20DB(cfg filterjoin.Config, nRows, nDepts int) (*filterjoin.DB, error) {
 	}
 	var b strings.Builder
 	b.WriteString("INSERT INTO Emp VALUES ")
-	for i := 0; i < nRows; i++ {
+	for i := 0; i < e20Rows; i++ {
 		if i > 0 {
 			b.WriteString(",")
 		}
 		fmt.Fprintf(&b, "(%d,%d,%d,%d)", i, i%200, i%100, i%100)
 	}
 	b.WriteString("; INSERT INTO Dept VALUES ")
-	for i := 0; i < nDepts; i++ {
+	for i := 0; i < e20Depts; i++ {
 		if i > 0 {
 			b.WriteString(",")
 		}
@@ -70,93 +68,65 @@ const e20Query = `
 	WHERE E.did = D.did AND E.a = 7 AND E.b = 7
 	ORDER BY E.eid`
 
-// e20Run executes the query once and reports rows, measured counters,
-// total cost, and wall time.
-func e20Run(db *filterjoin.DB) (*filterjoin.Result, float64, time.Duration, error) {
-	start := time.Now()
+// e20Run executes the query once and reports the result and its total
+// measured cost.
+func e20Run(db *filterjoin.DB) (*filterjoin.Result, float64, error) {
 	res, err := db.Query(e20Query)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	return res, db.TotalCost(res), time.Since(start), nil
+	return res, db.TotalCost(res), nil
 }
 
-// E20Adaptive runs the three modes and checks the adaptive contracts.
+// E20Adaptive runs both modes and checks the feedback contracts.
 func E20Adaptive() (*Report, error) {
-	nRows := e18Env("FILTERJOIN_E20_ROWS", 40000)
-	nDepts := e18Env("FILTERJOIN_E20_DEPTS", 100000)
-
 	r := &Report{
-		ID:    "E20",
-		Title: "Adaptive re-optimization: feedback and mid-run replanning on correlated data",
-		Header: []string{"mode", "run", "rows", "cost", "cpu", "pageR",
-			"replans", "cache", "ms"},
+		ID:     "E20",
+		Title:  "Adaptive re-optimization: statistics feedback on correlated data",
+		Header: []string{"mode", "run", "rows", "cost", "cpu", "pageR", "cache"},
 	}
-	addRow := func(mode, run string, res *filterjoin.Result, total float64, wall time.Duration) {
+	addRow := func(mode, run string, res *filterjoin.Result, total float64) {
 		r.AddRow(mode, run, d(int64(len(res.Rows))), f2(total),
-			d(res.Cost.CPUTuples), d(res.Cost.PageReads),
-			d(res.Cost.Replans), res.CacheState,
-			fmt.Sprintf("%.1f", float64(wall.Microseconds())/1000))
+			d(res.Cost.CPUTuples), d(res.Cost.PageReads), res.CacheState)
 	}
 
 	// Static baseline: the misestimated plan, twice (second run is the
 	// cached steady state every later run would pay).
-	static, err := e20DB(filterjoin.Config{BatchSize: 1024}, nRows, nDepts)
+	static, err := e20DB(filterjoin.Config{BatchSize: 1024})
 	if err != nil {
 		return nil, fmt.Errorf("E20 static: %w", err)
 	}
-	s1, sCost1, sWall1, err := e20Run(static)
+	s1, sCost1, err := e20Run(static)
 	if err != nil {
 		return nil, fmt.Errorf("E20 static run 1: %w", err)
 	}
-	s2, sCost, sWall, err := e20Run(static)
+	s2, sCost, err := e20Run(static)
 	if err != nil {
 		return nil, fmt.Errorf("E20 static run 2: %w", err)
 	}
-	addRow("static", "1", s1, sCost1, sWall1)
-	addRow("static", "2", s2, sCost, sWall)
-	if s1.Cost.Replans != 0 || s2.Cost.Replans != 0 {
-		return nil, fmt.Errorf("E20: static engine charged replans")
-	}
-
-	// Mid-run replanning: the first run must abandon the misestimated
-	// plan at a materialization guard and still produce the exact rows.
-	replan, err := e20DB(filterjoin.Config{BatchSize: 1024, AdaptiveReplan: true}, nRows, nDepts)
-	if err != nil {
-		return nil, fmt.Errorf("E20 replan: %w", err)
-	}
-	p1, pCost, pWall, err := e20Run(replan)
-	if err != nil {
-		return nil, fmt.Errorf("E20 replan run: %w", err)
-	}
-	addRow("replan", "1", p1, pCost, pWall)
-	if p1.Cost.Replans == 0 {
-		return nil, fmt.Errorf("E20: 100x misestimate did not trigger a mid-run replan")
-	}
-	if p1.ReplannedFrom == nil || p1.ReplanInfo == nil {
-		return nil, fmt.Errorf("E20: replan run does not report ReplannedFrom/ReplanInfo")
-	}
+	addRow("static", "1", s1, sCost1)
+	addRow("static", "2", s2, sCost)
 
 	// Statistics feedback: run 1 absorbs the actuals (epoch bump), run 2
 	// plans from corrected statistics and must beat the static plan.
-	feedback, err := e20DB(filterjoin.Config{BatchSize: 1024, AdaptiveFeedback: true}, nRows, nDepts)
+	feedback, err := e20DB(filterjoin.Config{BatchSize: 1024, AdaptiveFeedback: true})
 	if err != nil {
 		return nil, fmt.Errorf("E20 feedback: %w", err)
 	}
 	epoch0 := feedback.Engine().Epoch()
-	f1, fCost1, fWall1, err := e20Run(feedback)
+	f1, fCost1, err := e20Run(feedback)
 	if err != nil {
 		return nil, fmt.Errorf("E20 feedback run 1: %w", err)
 	}
 	if feedback.Engine().Epoch() == epoch0 {
 		return nil, fmt.Errorf("E20: feedback run did not bump the catalog epoch")
 	}
-	f2nd, fCost, fWall, err := e20Run(feedback)
+	f2nd, fCost, err := e20Run(feedback)
 	if err != nil {
 		return nil, fmt.Errorf("E20 feedback run 2: %w", err)
 	}
-	addRow("feedback", "1", f1, fCost1, fWall1)
-	addRow("feedback", "2", f2nd, fCost, fWall)
+	addRow("feedback", "1", f1, fCost1)
+	addRow("feedback", "2", f2nd, fCost)
 	if f2nd.CacheState != "miss" {
 		return nil, fmt.Errorf("E20: run after feedback served a stale cached plan (cache=%s)", f2nd.CacheState)
 	}
@@ -164,7 +134,7 @@ func E20Adaptive() (*Report, error) {
 	// Row identity across every mode and run.
 	want := rowSetKey(s1)
 	for name, res := range map[string]*filterjoin.Result{
-		"static run 2": s2, "replan": p1, "feedback run 1": f1, "feedback run 2": f2nd,
+		"static run 2": s2, "feedback run 1": f1, "feedback run 2": f2nd,
 	} {
 		if rowSetKey(res) != want {
 			return nil, fmt.Errorf("E20: %s rows differ from static baseline", name)
@@ -175,16 +145,7 @@ func E20Adaptive() (*Report, error) {
 	if fCost >= sCost {
 		return nil, fmt.Errorf("E20: feedback-informed plan (cost %.2f) does not beat the static plan (%.2f)", fCost, sCost)
 	}
-	r.AddNote("feedback run 2 cost %.2f vs static %.2f (%.1fx cheaper); replan run cost %.2f",
-		fCost, sCost, sCost/fCost, pCost)
-	if fWall >= sWall1 {
-		r.AddNote("WARNING: feedback run 2 wall %.1fms did not beat static run 1 wall %.1fms (both optimize; warn-only, wall is noisy)",
-			float64(fWall.Microseconds())/1000, float64(sWall1.Microseconds())/1000)
-	}
-	if pCost >= sCost1 {
-		r.AddNote("WARNING: replan run cost %.2f did not beat the static first run %.2f (abandoned work included)",
-			pCost, sCost1)
-	}
+	r.AddNote("feedback run 2 cost %.2f vs static %.2f (%.1fx cheaper)", fCost, sCost, sCost/fCost)
 
 	return r, nil
 }

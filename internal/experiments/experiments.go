@@ -112,7 +112,7 @@ var Registry = []Entry{
 	{"E16", "Intra-query parallelism: wall-clock vs cost parity across DOP", E16ParallelExecution},
 	{"E17", "Fault-injected transport: retry recovery and graceful degradation", E17Robustness},
 	{"E18", "Serving throughput: plan cache hit rate and QPS, cached vs uncached", E18ServingThroughput},
-	{"E20", "Adaptive re-optimization: feedback and mid-run replanning on correlated data", E20Adaptive},
+	{"E20", "Adaptive re-optimization: statistics feedback on correlated data", E20Adaptive},
 }
 
 // ByID finds an experiment by its id (case-insensitive).

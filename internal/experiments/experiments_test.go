@@ -109,6 +109,33 @@ func TestHeadlineInvariants(t *testing.T) {
 			}
 		}
 	})
+
+	// E20Adaptive itself fails on a row mismatch between modes, a
+	// missing epoch bump or a cached plan on feedback run 2, so a nil
+	// error covers those; the cells pin the plan flip's price.
+	t.Run("E20_feedback_flip", func(t *testing.T) {
+		r, err := experiments.E20Adaptive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Columns: mode, run, rows, cost, cpu, pageR, cache.
+		want := [][]string{
+			{"static", "1", "400", "1197.80", "miss"},
+			{"static", "2", "400", "1197.80", "hit"},
+			{"feedback", "1", "400", "1197.80", "miss"},
+			{"feedback", "2", "400", "989.20", "miss"},
+		}
+		if len(r.Rows) != len(want) {
+			t.Fatalf("E20 has %d rows, want %d", len(r.Rows), len(want))
+		}
+		for i, w := range want {
+			row := r.Rows[i]
+			got := []string{row[0], row[1], row[2], row[3], row[6]}
+			if fmt.Sprint(got) != fmt.Sprint(w) {
+				t.Errorf("E20 row %d (mode, run, rows, cost, cache) = %v, want %v", i, got, w)
+			}
+		}
+	})
 }
 
 // TestE18HitRate pins the deterministic half of the serving experiment:

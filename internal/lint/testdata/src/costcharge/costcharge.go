@@ -347,11 +347,10 @@ func (k *kernelCharging) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) 
 
 func (k *kernelCharging) Close(ctx *exec.Context) error { return k.child.Close(ctx) }
 
-// guardPass mirrors the executor's cardinality guard (exec.CardGuard):
-// a pure pass-through that only counts rows and compares against a
-// threshold. No loop, no row work — counting is free, so the analyzer
-// must not demand a charge (the child it wraps charges for producing
-// the rows).
+// guardPass is a cardinality guard: a pure pass-through that only
+// counts rows and compares against a threshold. No loop, no row work —
+// counting is free, so the analyzer must not demand a charge (the child
+// it wraps charges for producing the rows).
 type guardPass struct {
 	child exec.Operator
 	est   float64
@@ -371,19 +370,18 @@ func (g *guardPass) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error
 	}
 	g.n += int64(len(dst.Rows))
 	if float64(g.n) >= g.est*10 {
-		return errReplan
+		return errTripped
 	}
 	return nil
 }
 
 func (g *guardPass) Close(ctx *exec.Context) error { return g.child.Close(ctx) }
 
-var errReplan = errors.New("replan")
+var errTripped = errors.New("guard tripped")
 
-// guardFilter is the broken variant of a replan guard: it does real row
+// guardFilter is the broken variant of the guard: it does real row
 // work — draining and discarding the remainder of its child in a loop —
-// without charging the discarded rows to the ledger. A replan path built
-// on it would drop the abandoned plan's counter deltas.
+// without charging the discarded rows to the ledger.
 type guardFilter struct {
 	child exec.Operator
 	est   float64
@@ -406,7 +404,7 @@ func (g *guardFilter) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) err
 				break
 			}
 		}
-		return errReplan
+		return errTripped
 	}
 	return nil
 }

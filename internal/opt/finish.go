@@ -156,10 +156,8 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 				ColMap:    prev.ColMap,
 				Rels:      prev.Rels,
 				Ordering:  want,
-				// A full sort materializes its input: guard it for
-				// mid-run replanning (DESIGN.md §15).
 				Make: func() exec.Operator {
-					s := exec.NewSort(exec.NewCardGuard(mk(), prev.Rows, "Sort", prev), keys, desc)
+					s := exec.NewSort(mk(), keys, desc)
 					s.InputHint = int(prev.Rows + 0.5)
 					return s
 				},
@@ -307,11 +305,7 @@ func (o *Optimizer) finishGroupBy(ctx *Ctx, prev *plan.Node) (*plan.Node, error)
 	var outOrd plan.Ordering
 	hint := int(rows + 0.5) // pre-size the group table from the estimate
 	mkOp := func() exec.Operator {
-		// Hash aggregation materializes its input into the group table:
-		// guard it for mid-run replanning (DESIGN.md §15). The streaming
-		// variant below stays unguarded — it is a pipeline, not a
-		// materialization point.
-		g := exec.NewGroupBy(exec.NewCardGuard(mk(), prev.Rows, "GroupBy build", prev), groupPos, aggs)
+		g := exec.NewGroupBy(mk(), groupPos, aggs)
 		g.SizeHint, g.InputHint = hint, int(prev.Rows+0.5)
 		return g
 	}

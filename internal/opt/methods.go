@@ -141,20 +141,15 @@ func (c *Ctx) hashJoinCand(outer *plan.Node, ri *RelInfo, outerCols, innerCols [
 		Ordering:  ord,
 		Parallel:  parallel,
 		Make: func() exec.Operator {
-			// The build side is a materialization point: guard it so an
-			// input exceeding the estimate by the replan ratio aborts
-			// into mid-run re-optimization instead of building a table
-			// the optimizer never costed. Disarmed guards are invisible.
-			build := exec.NewCardGuard(innerMk(), a.Rows, "HashJoin build", a)
 			// The partitioned parallel path charges the same units as the
 			// serial one and preserves probe order, so the estimate and
 			// ordering above hold for both.
 			if dop > 1 {
-				j := exec.NewParallelHashJoinProbeFirst(build, outerMk(), innerPos, outerPos, res, dop)
+				j := exec.NewParallelHashJoinProbeFirst(innerMk(), outerMk(), innerPos, outerPos, res, dop)
 				j.BuildSizeHint = hint
 				return j
 			}
-			j := exec.NewHashJoinProbeFirst(build, outerMk(), innerPos, outerPos, res)
+			j := exec.NewHashJoinProbeFirst(innerMk(), outerMk(), innerPos, outerPos, res)
 			j.BuildSizeHint = hint
 			return j
 		},

@@ -139,9 +139,8 @@ func formatAnalyze(b *strings.Builder, n *Node, m cost.Model, byNode map[*Node]*
 // threshold. Both sides are clamped to >= 1 before dividing: a zero or
 // fractional estimate against a nonzero actual must neither blow the
 // ratio up to Inf/NaN nor mute the flag — "estimated nothing, got n" is
-// exactly an n-fold miss. The same rule is the executor's replan trigger
-// (exec.CardGuard), so the flag and the trigger agree on what a
-// misestimate is.
+// exactly an n-fold miss. The same rule gates the engine's statistics
+// feedback, so the flag and the feedback agree on what a misestimate is.
 func misestimate(est, act, ratio float64) (float64, bool) {
 	return Misestimate(est, act, ratio)
 }
@@ -149,7 +148,7 @@ func misestimate(est, act, ratio float64) (float64, bool) {
 // Misestimate is the shared misestimate rule: the est/act cardinality
 // ratio, and whether it meets the threshold. Exported for the engine's
 // adaptive feedback pass, which must agree with the EXPLAIN ANALYZE flag
-// and the executor's replan trigger on what counts as a miss.
+// on what counts as a miss.
 func Misestimate(est, act, ratio float64) (float64, bool) {
 	if est < 1 {
 		est = 1

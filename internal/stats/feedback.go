@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"sort"
 	"sync"
 
 	"filterjoin/internal/expr"
@@ -28,11 +29,6 @@ type PredObservation struct {
 	// Sel is the observed selectivity: actual output rows of the filtered
 	// access divided by the relation's raw cardinality.
 	Sel float64
-	// LowerBound marks an observation from a partially drained scan (a
-	// plan with LIMIT above, or an execution abandoned mid-run): the true
-	// selectivity is at least Sel, so it may only raise an estimate,
-	// never lower one.
-	LowerBound bool
 	// Col/Op/X describe a histogram-refinable observation: when the
 	// predicate is a single column-vs-literal comparison, Col is the
 	// column position, Op the comparison, and X the literal, so Apply can
@@ -62,8 +58,7 @@ func NewFeedback() *Feedback { return &Feedback{} }
 // store changed (a changed store means plans built from the old
 // statistics are stale). Re-observing an unchanged selectivity (within
 // 10% relative) is not a change, so a converged query stream stops
-// invalidating plans. A LowerBound observation only ever raises a
-// recorded selectivity.
+// invalidating plans.
 func (f *Feedback) Observe(o PredObservation) bool {
 	if o.Key == "" {
 		return false
@@ -71,14 +66,8 @@ func (f *Feedback) Observe(o PredObservation) bool {
 	o.Sel = clamp01(o.Sel)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cur, ok := f.preds[o.Key]
-	if ok {
-		if o.LowerBound && o.Sel <= cur.Sel {
-			return false
-		}
-		if relDiff(o.Sel, cur.Sel) < 0.1 {
-			return false
-		}
+	if cur, ok := f.preds[o.Key]; ok && relDiff(o.Sel, cur.Sel) < 0.1 {
+		return false
 	}
 	if f.preds == nil {
 		f.preds = map[string]PredObservation{}
@@ -145,11 +134,18 @@ func (f *Feedback) Apply(base *RelStats) *RelStats {
 	for k, v := range base.SelFix {
 		fix[k] = v
 	}
+	keys := make([]string, 0, len(f.preds))
 	for k, o := range f.preds {
 		fix[k] = o.Sel
+		keys = append(keys, k)
 	}
 	out.SelFix = fix
-	for _, o := range f.preds {
+	// Histogram refinements on one column do not commute, so they are
+	// applied in key order: the result is a function of the store's
+	// contents, not of map iteration order.
+	sort.Strings(keys)
+	for _, k := range keys {
+		o := f.preds[k]
 		if o.Col < 0 || o.Col >= len(out.Cols) {
 			continue
 		}

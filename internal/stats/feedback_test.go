@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -141,9 +142,8 @@ func TestFeedbackApplyCopyOnWrite(t *testing.T) {
 	}
 }
 
-// Observe's gating: tiny corrections are dropped, lower-bound
-// observations only ever raise, and the version moves exactly when the
-// store changes.
+// Observe's gating: tiny corrections are dropped, and the version moves
+// exactly when the store changes.
 func TestFeedbackObserveGating(t *testing.T) {
 	fb := NewFeedback()
 	v0 := fb.Version()
@@ -157,14 +157,11 @@ func TestFeedbackObserveGating(t *testing.T) {
 	if fb.Observe(PredObservation{Key: "p", Sel: 0.52, Col: -1}) {
 		t.Error("a <10% correction must be dropped")
 	}
-	if fb.Observe(PredObservation{Key: "p", Sel: 0.2, LowerBound: true, Col: -1}) {
-		t.Error("a lower-bound observation below the stored value must be dropped")
-	}
 	if fb.Version() != v1 {
 		t.Error("dropped observations must not move the version")
 	}
-	if !fb.Observe(PredObservation{Key: "p", Sel: 0.9, LowerBound: true, Col: -1}) {
-		t.Error("a lower-bound observation above the stored value must store")
+	if !fb.Observe(PredObservation{Key: "p", Sel: 0.9, Col: -1}) {
+		t.Error("a >=10% correction must store")
 	}
 	fb.Reset()
 	if !fb.Empty() {
@@ -172,5 +169,38 @@ func TestFeedbackObserveGating(t *testing.T) {
 	}
 	if fb.Version() == v1 {
 		t.Error("Reset must move the version so cached applications drop")
+	}
+}
+
+// Apply must be a function of the store's contents: histogram
+// refinements on one column do not commute, so applying them in map
+// iteration order gave several outcomes for one set of observations.
+func TestFeedbackApplyDeterministic(t *testing.T) {
+	vs := make([]float64, 500)
+	for i := range vs {
+		vs[i] = float64(i % 50)
+	}
+	base := &RelStats{
+		Rows: 500,
+		Cols: []ColStats{{
+			Distinct: 50, HasRange: true, Min: 0, Max: 49,
+			Hist: BuildHistogram(vs, 8),
+		}},
+	}
+	obs := []PredObservation{
+		{Key: "a < 10", Sel: 0.6, Col: 0, Op: expr.LT, X: 10},
+		{Key: "a < 30", Sel: 0.7, Col: 0, Op: expr.LT, X: 30},
+		{Key: "a > 20", Sel: 0.1, Col: 0, Op: expr.GT, X: 20},
+	}
+	seen := map[string]bool{}
+	for i := 0; i < 200; i++ {
+		fb := NewFeedback()
+		for _, o := range obs {
+			fb.Observe(o)
+		}
+		seen[fmt.Sprintf("%+v", *fb.Apply(base).Cols[0].Hist)] = true
+	}
+	if len(seen) != 1 {
+		t.Fatalf("200 applications of the same three observations produced %d distinct histograms, want 1", len(seen))
 	}
 }
