@@ -87,9 +87,6 @@ func BenchmarkE14MultiView(b *testing.B) { benchExperiment(b, "E14") }
 // BenchmarkE15SortElision regenerates the interesting-orders table.
 func BenchmarkE15SortElision(b *testing.B) { benchExperiment(b, "E15") }
 
-// BenchmarkE16Parallel regenerates the intra-query parallelism sweep.
-func BenchmarkE16Parallel(b *testing.B) { benchExperiment(b, "E16") }
-
 // ---------------------------------------------------------------------
 // Engine micro-benchmarks
 // ---------------------------------------------------------------------
@@ -235,34 +232,6 @@ func benchBuildKeySet(b *testing.B, hint int) {
 
 func BenchmarkBuildKeySetUnhinted(b *testing.B) { benchBuildKeySet(b, 0) }
 func BenchmarkBuildKeySetHinted(b *testing.B)   { benchBuildKeySet(b, 20000) }
-
-// BenchmarkExecuteFilterJoinPlanParallel is BenchmarkExecuteFilterJoinPlan
-// with DegreeOfParallelism 4: scans and hash joins run through the
-// exchange operators. Wall-clock gain depends on available cores; the
-// charged cost is identical to the serial run by construction.
-func BenchmarkExecuteFilterJoinPlanParallel(b *testing.B) {
-	p := datagen.DefaultFig1()
-	p.BigFrac = 0.05
-	cat, err := datagen.Fig1Catalog(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	o := opt.New(cat, cost.DefaultModel())
-	o.DegreeOfParallelism = 4
-	o.Register(core.NewMethod(core.Options{}))
-	pl, err := o.OptimizeBlock(datagen.Fig1Query())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx := exec.NewContext()
-		if _, err := exec.Count(ctx, pl.Make()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkExecuteFullComputationPlan is the baseline executor run: the
 // same query with the Filter Join disabled.

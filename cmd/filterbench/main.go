@@ -8,7 +8,6 @@
 //	filterbench E6 E8       # run selected experiments
 //	filterbench -list       # list experiment ids and titles
 //	filterbench -json E15   # machine-readable reports (perf trajectory)
-//	filterbench -json -parallel   # the parallel-execution sweep (E16) only
 //	filterbench -json -chaos      # the fault-injection robustness run (E17) only
 package main
 
@@ -24,10 +23,9 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	asJSON := flag.Bool("json", false, "emit reports as a JSON array instead of text tables")
-	parallel := flag.Bool("parallel", false, "run the intra-query parallelism sweep (E16) only")
 	chaos := flag.Bool("chaos", false, "run the fault-injection robustness experiment (E17) only")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: filterbench [-list] [-json] [-parallel] [-chaos] [experiment ids...]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: filterbench [-list] [-json] [-chaos] [experiment ids...]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -40,10 +38,6 @@ func main() {
 	}
 
 	var toRun []experiments.Entry
-	if *parallel {
-		e, _ := experiments.ByID("E16")
-		toRun = append(toRun, e)
-	}
 	if *chaos {
 		e, _ := experiments.ByID("E17")
 		toRun = append(toRun, e)
@@ -57,7 +51,7 @@ func main() {
 			}
 			toRun = append(toRun, e)
 		}
-	} else if !*parallel && !*chaos {
+	} else if !*chaos {
 		toRun = experiments.Registry
 	}
 

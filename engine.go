@@ -77,9 +77,6 @@ func newEngine(cfg Config) *Engine {
 	if cfg.MaxRelations > 0 {
 		o.MaxRelations = cfg.MaxRelations
 	}
-	if cfg.DegreeOfParallelism > 1 {
-		o.DegreeOfParallelism = cfg.DegreeOfParallelism
-	}
 	batch := cfg.BatchSize
 	if batch == 0 {
 		batch = exec.DefaultBatchSize
@@ -351,7 +348,6 @@ func (e *Engine) serveSelectShared(stdctx context.Context, sel *sql.SelectStmt, 
 // still shows up in Optimizer().Metrics.
 func (e *Engine) optimizeOnFork(b *query.Block) (*plan.Node, error) {
 	f := e.proto.Fork()
-	f.DegreeOfParallelism = e.proto.DegreeOfParallelism
 	f.BatchSize = e.proto.BatchSize
 	f.Tracer = e.proto.Tracer
 	p, err := f.OptimizeBlock(b)
@@ -452,9 +448,9 @@ func (e *Engine) configFingerprint() string {
 		ov = append(ov, k)
 	}
 	sort.Strings(ov)
-	return fmt.Sprintf("off=%s ov=%s noorder=%t dop=%d batch=%d max=%d fj=%t",
+	return fmt.Sprintf("off=%s ov=%s noorder=%t batch=%d max=%d fj=%t",
 		strings.Join(off, ","), strings.Join(ov, ","),
-		o.DisableOrderProps, o.DOP(), o.Batch(), o.MaxRelations, e.fj != nil)
+		o.DisableOrderProps, o.Batch(), o.MaxRelations, e.fj != nil)
 }
 
 // serveUnion runs each UNION arm through the cached SELECT path (each

@@ -47,7 +47,12 @@ func checkGolden(t *testing.T, name, got string) {
 // batch size is pinned because EXPLAIN prints it (batch=N).
 func quickstartDB(t *testing.T) *filterjoin.DB {
 	t.Helper()
-	db := filterjoin.Open(filterjoin.Config{BatchSize: 1024})
+	return quickstartDBWith(t, filterjoin.Config{BatchSize: 1024})
+}
+
+func quickstartDBWith(t *testing.T, cfg filterjoin.Config) *filterjoin.DB {
+	t.Helper()
+	db := filterjoin.Open(cfg)
 	if err := db.ExecScript(`
 		CREATE TABLE Emp (eid int, did int, sal float, age int);
 		CREATE TABLE Dept (did int, budget int);
@@ -170,29 +175,27 @@ func TestExplainAnalyzeGoldenOrderByElision(t *testing.T) {
 	checkGolden(t, "orderby_elision_explain_analyze", got)
 }
 
-// The full observability stack composed: a batched, parallel plan whose
-// primary strategy dies mid-query and degrades to the retained
-// fault-free fallback. The golden pins the EXPLAIN ANALYZE rendering:
-// batch=1024 on the executed root, parallel=4 on the exchange
-// operators, the degradation banner naming the site error, and the
-// fault surcharge (retries, fallback) in the measured counters — all
+// The full observability stack composed: a batched plan whose primary
+// strategy dies mid-query and degrades to the retained fault-free
+// fallback. The golden pins the EXPLAIN ANALYZE rendering: batch=1024 on
+// the executed root, the degradation banner naming the site error, and
+// the fault surcharge (retries, fallback) in the measured counters — all
 // deterministic because the chaos schedule depends only on the seed and
-// the send sequence, which batching and exchange parallelism preserve.
-func TestExplainAnalyzeGoldenBatchParallelDegraded(t *testing.T) {
+// the send sequence, which batching preserves.
+func TestExplainAnalyzeGoldenBatchDegraded(t *testing.T) {
 	db := degradeDBWith(t, func(cfg *filterjoin.Config) {
 		cfg.BatchSize = 1024
-		cfg.DegreeOfParallelism = 4
 	})
 	got, err := db.ExplainAnalyze(distJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"batch=1024", "parallel=4", "degraded=plan"} {
+	for _, want := range []string{"batch=1024", "degraded=plan"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("EXPLAIN ANALYZE misses %q:\n%s", want, got)
 		}
 	}
-	checkGolden(t, "batch_parallel_degraded_explain_analyze", got)
+	checkGolden(t, "batch_degraded_explain_analyze", got)
 }
 
 // The distributed example's remote-view query (datagen seed 7), under a

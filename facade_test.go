@@ -386,3 +386,42 @@ func TestInsertInvalidatesCaches(t *testing.T) {
 		t.Fatalf("stale view result after insert: %d rows", len(r2.Rows))
 	}
 }
+
+// Config.DegreeOfParallelism survives only as a compile-only shim for
+// the frozen bench/ sources: setting it must change nothing — not the
+// plan, not the measured cost, not the plan-cache key.
+func TestDegreeOfParallelismIsInert(t *testing.T) {
+	serial := quickstartDBWith(t, filterjoin.Config{})
+	shim := quickstartDBWith(t, filterjoin.Config{DegreeOfParallelism: 4})
+
+	if a, b := serial.Engine().ConfigFingerprint(), shim.Engine().ConfigFingerprint(); a != b {
+		t.Errorf("config fingerprint %q, want %q", b, a)
+	}
+	for name, explain := range map[string]func(*filterjoin.DB) (string, error){
+		"Explain":        func(db *filterjoin.DB) (string, error) { return db.Explain(quickstartQuery) },
+		"ExplainAnalyze": func(db *filterjoin.DB) (string, error) { return db.ExplainAnalyze(quickstartQuery) },
+	} {
+		want, err := explain(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := explain(shim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s differs under DegreeOfParallelism 4\n--- got ---\n%s--- want ---\n%s", name, got, want)
+		}
+	}
+	want, err := serial.Query(quickstartQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := shim.Query(quickstartQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cost != want.Cost {
+		t.Errorf("Result.Cost %s, want %s", got.Cost.String(), want.Cost.String())
+	}
+}

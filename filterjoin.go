@@ -63,11 +63,8 @@ type Config struct {
 	FilterJoin core.Options
 	// MaxRelations caps the DP size (default 14).
 	MaxRelations int
-	// DegreeOfParallelism sets the intra-query worker count. 0 or 1 is
-	// the classic serial engine; above 1 the optimizer emits exchange
-	// operators (parallel scans, partitioned hash joins) and fans the
-	// parametric coster's sample points out across optimizer forks.
-	// Results and merged cost counters are identical at every setting.
+	// Deprecated: no effect. Every query runs on one thread; the field
+	// remains only because the frozen bench/ sources set it.
 	DegreeOfParallelism int
 	// Chaos, when non-nil, replaces the free instant network with the
 	// seeded fault-injecting transport: remote crossings suffer message

@@ -30,10 +30,9 @@ type conservationOpts struct {
 	require  string // plan node kind that must be present, "" for any
 }
 
-func checkConservation(t *testing.T, name string, cat *catalog.Catalog, b *query.Block, model cost.Model, fjOpts *core.Options, dop, batch int, co conservationOpts) cost.Counter {
+func checkConservation(t *testing.T, name string, cat *catalog.Catalog, b *query.Block, model cost.Model, fjOpts *core.Options, batch int, co conservationOpts) cost.Counter {
 	t.Helper()
 	o := opt.New(cat, model)
-	o.DegreeOfParallelism = dop
 	o.BatchSize = batch
 	for _, m := range co.disabled {
 		o.Disabled[m] = true
@@ -165,28 +164,20 @@ func TestCostAttributionConservation(t *testing.T) {
 	}
 	for _, w := range workloads {
 		for cfgName, fjOpts := range fjConfigs {
-			// dop=0 is the serial path; dop=4 routes scans and hash joins
-			// through the exchange operators, whose worker counters must be
-			// absorbed back for conservation to keep holding exactly. Each
-			// cell then runs at morsel sizes 1 and 1024: attribution must be
+			// Each cell runs at morsel sizes 1 and 1024: attribution must be
 			// conserved at both AND land on the same root totals —
 			// re-opened inners, shipped streams, and fetch-matches probes
 			// included, faulty transport and all.
-			for _, dop := range []int{0, 4} {
-				name := w.name + "/" + cfgName
-				if dop > 1 {
-					name += "/parallel"
+			name := w.name + "/" + cfgName
+			fjOpts, w := fjOpts, w
+			t.Run(name, func(t *testing.T) {
+				oneTotal := checkConservation(t, name, w.cat, w.block(), w.model, fjOpts, 1, w.co)
+				batchTotal := checkConservation(t, name+"/batch", w.cat, w.block(), w.model, fjOpts, exec.DefaultBatchSize, w.co)
+				if batchTotal != oneTotal {
+					t.Errorf("%s: total at morsel size 1024 %s differs from morsel size 1 %s",
+						name, batchTotal.String(), oneTotal.String())
 				}
-				fjOpts, w := fjOpts, w
-				t.Run(name, func(t *testing.T) {
-					oneTotal := checkConservation(t, name, w.cat, w.block(), w.model, fjOpts, dop, 1, w.co)
-					batchTotal := checkConservation(t, name+"/batch", w.cat, w.block(), w.model, fjOpts, dop, exec.DefaultBatchSize, w.co)
-					if batchTotal != oneTotal {
-						t.Errorf("%s: total at morsel size 1024 %s differs from morsel size 1 %s",
-							name, batchTotal.String(), oneTotal.String())
-					}
-				})
-			}
+			})
 		}
 	}
 }

@@ -71,8 +71,9 @@ type Entry struct {
 
 	// mu guards the lazily computed caches below. Entries are shared
 	// between an optimizer and its forks (Catalog.Clone copies the map,
-	// not the entries), so concurrent parametric costing may race to fill
-	// them; both computations are deterministic, so first-write-wins.
+	// not the entries), so concurrent sessions planning on forks may race
+	// to fill them; both computations are deterministic, so
+	// first-write-wins.
 	mu         sync.Mutex
 	tableStats *stats.RelStats
 	viewSchema *schema.Schema

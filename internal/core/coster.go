@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"filterjoin/internal/catalog"
 	"filterjoin/internal/cost"
@@ -92,20 +91,12 @@ func (m *Method) buildViewCoster(c *opt.Ctx, ri *opt.RelInfo, innerLocal, bodyCo
 	if len(sels) == 0 {
 		sels = DefaultSamplePoints
 	}
-	if dop := o.DOP(); dop > 1 && len(sels) > 1 {
-		pts, err := sampleConcurrently(o, e, fSchema, bodyCols, domain, sels, dop)
+	for _, sel := range sels {
+		p, err := sampleOne(o, e, fSchema, bodyCols, sel, domain)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: sampling restricted view %s at sel=%.3f: %w", e.Name, sel, err)
 		}
-		vc.Points = pts
-	} else {
-		for _, sel := range sels {
-			p, err := sampleOne(o, e, fSchema, bodyCols, sel, domain)
-			if err != nil {
-				return nil, fmt.Errorf("core: sampling restricted view %s at sel=%.3f: %w", e.Name, sel, err)
-			}
-			vc.Points = append(vc.Points, p)
-		}
+		vc.Points = append(vc.Points, p)
 	}
 	sort.Slice(vc.Points, func(i, j int) bool { return vc.Points[i].Sel < vc.Points[j].Sel })
 	vc.fitCardinalityLine()
@@ -115,7 +106,6 @@ func (m *Method) buildViewCoster(c *opt.Ctx, ri *opt.RelInfo, innerLocal, bodyCo
 // sampleOne costs one equivalence class: it stages a transient, empty
 // filter table with overridden statistics on o's catalog, optimizes the
 // magic-rewritten block, and returns (cost, rows) at that selectivity.
-// o may be the shared optimizer (serial sampling) or a private fork.
 func sampleOne(o *opt.Optimizer, e *catalog.Entry, fSchema *schema.Schema, bodyCols []int, sel, domain float64) (SamplePoint, error) {
 	fCard := sel * domain
 	if fCard < 1 {
@@ -142,38 +132,6 @@ func sampleOne(o *opt.Optimizer, e *catalog.Entry, fSchema *schema.Schema, bodyC
 		return SamplePoint{}, err
 	}
 	return SamplePoint{Sel: sel, Est: n.Est, Rows: n.Rows}, nil
-}
-
-// sampleConcurrently fans the sample selectivities out across dop
-// goroutines, each nested optimization running on its own optimizer fork
-// (cloned catalog, private override/temp state) so the shared optimizer
-// is never mutated. Results land in a position-indexed slice and fork
-// metrics are merged back in sample order, so the outcome is
-// deterministic and identical to serial sampling.
-func sampleConcurrently(o *opt.Optimizer, e *catalog.Entry, fSchema *schema.Schema, bodyCols []int, domain float64, sels []float64, dop int) ([]SamplePoint, error) {
-	pts := make([]SamplePoint, len(sels))
-	errs := make([]error, len(sels))
-	forks := make([]*opt.Optimizer, len(sels))
-	sem := make(chan struct{}, dop)
-	var wg sync.WaitGroup
-	for i, sel := range sels {
-		forks[i] = o.Fork()
-		wg.Add(1)
-		go func(i int, sel float64, f *opt.Optimizer) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pts[i], errs[i] = sampleOne(f, e, fSchema, bodyCols, sel, domain)
-		}(i, sel, forks[i])
-	}
-	wg.Wait()
-	for i := range sels {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("core: sampling restricted view %s at sel=%.3f: %w", e.Name, sels[i], errs[i])
-		}
-		o.Metrics.Merge(forks[i].Metrics)
-	}
-	return pts, nil
 }
 
 // fitCardinalityLine least-squares-fits rows = a + b·sel over the sample

@@ -108,7 +108,6 @@ func (f *filterJoinOp) Open(ctx *exec.Context) error {
 	// search counters are folded back into the shared optimizer when Open
 	// returns.
 	f.o = s.o.Fork()
-	f.o.DegreeOfParallelism = s.o.DegreeOfParallelism
 	f.o.BatchSize = s.o.BatchSize
 	f.o.Tracer = s.o.Tracer
 	defer func() { s.o.MergeMetrics(f.o.Metrics) }()

@@ -73,9 +73,8 @@ type Method struct {
 	Trace   func(ch *Choice, total float64)
 	costers map[costerKey]*ViewCoster
 	// mu guards costers, Metrics, and Trace invocations: one Method is
-	// shared by an optimizer and all its forks, so concurrent parametric
-	// costing (DegreeOfParallelism > 1) reaches them from several
-	// goroutines. Serial optimization never contends.
+	// shared by an optimizer and all its forks, so concurrent sessions
+	// planning on per-query forks reach them from several goroutines.
 	mu sync.Mutex
 }
 

@@ -105,10 +105,9 @@ type ChaosConfig struct {
 }
 
 // ChaosLink injects faults from the seeded schedule. Safe for concurrent
-// use; in practice all transport traffic happens on the query's main
-// goroutine (exchange operators drain children in the calling context),
-// so the per-site ordinals — and therefore the schedule — are
-// deterministic even at DegreeOfParallelism > 1.
+// use; a query's transport traffic all happens on its one goroutine, so
+// the per-site ordinals — and therefore the schedule — are
+// deterministic.
 type ChaosLink struct {
 	cfg ChaosConfig
 	mu  sync.Mutex

@@ -13,14 +13,13 @@ import (
 // per evaluated row.
 type Select struct {
 	Child Operator
-	Pred  expr.Expr
-	in    Batch      // scratch for child pulls
-	kern  *expr.Pred // Pred compiled at first Open
+	Pred  *expr.Pred
+	in    Batch // scratch for child pulls
 }
 
 // NewSelect builds a selection.
 func NewSelect(child Operator, pred expr.Expr) *Select {
-	return &Select{Child: child, Pred: pred}
+	return &Select{Child: child, Pred: expr.CompilePred(pred)}
 }
 
 // Schema implements Operator.
@@ -28,13 +27,7 @@ func (s *Select) Schema() *schema.Schema { return s.Child.Schema() }
 
 // Open implements Operator.
 func (s *Select) Open(ctx *Context) error {
-	if s.kern == nil {
-		// Compile once, before BindParams rewrites Param slots to
-		// literals; Bind refreshes the bindings on every re-Open.
-		s.kern = expr.CompilePred(s.Pred)
-	}
-	s.kern.Bind(ctx.Params)
-	s.Pred = expr.BindParams(s.Pred, ctx.Params)
+	s.Pred.Bind(ctx.Params)
 	s.in.Reset()
 	return s.Child.Open(ctx)
 }
@@ -59,7 +52,7 @@ func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 		if s.in.Len() == 0 {
 			return nil
 		}
-		sel, evaluated, err := s.kern.SelectBatch(s.in.Rows)
+		sel, evaluated, err := s.Pred.SelectBatch(s.in.Rows)
 		cpu += int64(evaluated)
 		if err != nil {
 			return err

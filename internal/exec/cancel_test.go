@@ -76,57 +76,3 @@ func TestFillRowsObservesCancellation(t *testing.T) {
 		t.Fatalf("FillRows after cancel: err = %v, want context.Canceled", err)
 	}
 }
-
-// TestWorkerContextInheritsCaller pins the exchange contract: worker
-// contexts share the parent's cancellation context (and nothing else),
-// so cancelling the query reaches every worker goroutine.
-func TestWorkerContextInheritsCaller(t *testing.T) {
-	parent := NewContext()
-	cctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	parent.Caller = cctx
-	w := NewWorkerContext(parent)
-	if w.Caller != cctx {
-		t.Error("worker context did not inherit the parent's caller context")
-	}
-	if w.Counter == parent.Counter {
-		t.Error("worker context must charge a private counter")
-	}
-	if orphan := NewWorkerContext(nil); orphan == nil || orphan.Caller != nil {
-		t.Error("nil parent must yield a fresh standalone context")
-	}
-}
-
-// TestParallelOperatorsStopOnCancel drives the three exchange operators
-// with an already-cancelled caller: their workers observe it and Open
-// surfaces the cancellation instead of draining the full input.
-func TestParallelOperatorsStopOnCancel(t *testing.T) {
-	rows := make([][]int64, 2000)
-	for i := range rows {
-		rows[i] = []int64{int64(i), int64(i % 7)}
-	}
-	tb := intTable(t, "t", []string{"a", "b"}, rows)
-
-	t.Run("ParallelScan", func(t *testing.T) {
-		op := NewParallelScan(tb, "", 4, nil)
-		err := op.Open(cancelledCtx())
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Open = %v, want context.Canceled", err)
-		}
-	})
-	t.Run("Gather", func(t *testing.T) {
-		part := NewPartition(NewTableScan(tb, ""), []int{1}, 4)
-		op := NewGather(part, nil)
-		err := op.Open(cancelledCtx())
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Open = %v, want context.Canceled", err)
-		}
-	})
-	t.Run("ParallelHashJoin", func(t *testing.T) {
-		op := NewParallelHashJoin(NewTableScan(tb, ""), NewTableScan(tb, ""), []int{0}, []int{0}, nil, 4)
-		err := op.Open(cancelledCtx())
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Open = %v, want context.Canceled", err)
-		}
-	})
-}

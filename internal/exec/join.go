@@ -1,9 +1,6 @@
 package exec
 
 import (
-	"errors"
-	"sync"
-
 	"filterjoin/internal/expr"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/storage"
@@ -15,10 +12,9 @@ import (
 // residual is evaluated there through the compiled predicate, and only a
 // survivor is materialized, arena-backed — a rejected candidate costs
 // two copies and no allocation. The emitter charges nothing: operators
-// bill each candidate before offering it. One emitter serves one
-// goroutine; the residual's EvalRow holds no scratch and may be shared.
-// The zero value is ready, and nothing carries over between executions:
-// scratch is rewritten before every read.
+// bill each candidate before offering it. The zero value is ready, and
+// nothing carries over between executions: scratch is rewritten before
+// every read.
 type JoinEmitter struct {
 	scratch value.Row
 	arena   value.RowArena
@@ -530,166 +526,3 @@ func (j *IndexNLJoin) match(*Context) (value.Row, bool, error) {
 
 // Close implements Operator.
 func (j *IndexNLJoin) Close(ctx *Context) error { return j.Outer.Close(ctx) }
-
-// ParallelHashJoin is the partitioned parallel build+probe path of
-// HashJoin: both inputs are drained in the calling context (so their own
-// operators charge normally), then hash-partitioned on the co-partition
-// keys across DOP workers. Each worker builds a private hash table over
-// its build partition and probes it with its probe partition, charging a
-// private worker counter exactly the units the serial HashJoin charges —
-// one CPU operation per build row inserted, per probe row consumed, and
-// per bucket candidate inspected. Partitioning, worker spawn, and the
-// merge charge nothing (coordination is cost-free by convention), so the
-// merged totals equal a serial HashJoin run over the same inputs.
-//
-// Output order is identical to the serial HashJoin's: a probe row's key
-// partition contains every build row of that key in build order, workers
-// tag each match with its probe row's ordinal, and the ordinal merge
-// (ordinals ascend within a partition and are disjoint across
-// partitions) restores probe order exactly. The join therefore preserves
-// the probe side's physical ordering exactly like its serial form.
-type ParallelHashJoin struct {
-	Left, Right         Operator // Left is the build side, Right the probe side
-	LeftKeys, RightKeys []int
-	Residual            *expr.Pred // may be nil; EvalRow is read-only and worker-safe
-	EmitProbeFirst      bool
-	BuildSizeHint       int
-	DOP                 int
-	out                 *schema.Schema
-	results             []value.Row
-	pos                 int
-}
-
-// NewParallelHashJoin builds a partitioned hash equi-join with dop
-// workers; left is the build side and the output layout is left‖right.
-func NewParallelHashJoin(left, right Operator, leftKeys, rightKeys []int, residual expr.Expr, dop int) *ParallelHashJoin {
-	return &ParallelHashJoin{
-		Left:      left,
-		Right:     right,
-		LeftKeys:  leftKeys,
-		RightKeys: rightKeys,
-		Residual:  expr.CompilePred(residual),
-		DOP:       clampDOP(dop),
-		out:       left.Schema().Concat(right.Schema()),
-	}
-}
-
-// NewParallelHashJoinProbeFirst is the partitioned parallel counterpart
-// of NewHashJoinProbeFirst: builds on left, emits right‖left.
-func NewParallelHashJoinProbeFirst(left, right Operator, leftKeys, rightKeys []int, residual expr.Expr, dop int) *ParallelHashJoin {
-	j := NewParallelHashJoin(left, right, leftKeys, rightKeys, residual, dop)
-	j.EmitProbeFirst = true
-	j.out = right.Schema().Concat(left.Schema())
-	return j
-}
-
-// Schema implements Operator.
-func (j *ParallelHashJoin) Schema() *schema.Schema { return j.out }
-
-// joinWorker builds this worker's private joinTable over its build
-// partition and probes it, charging the worker context the serial
-// HashJoin's per-row units — one CPU operation per build row, per probe
-// row, per bucket candidate (accumulated locally and flushed once per
-// worker — exact, since the components are int64). Output rows are
-// tagged with their probe ordinal so the merge can restore probe order;
-// each ordinal belongs to exactly one worker. The shared compiled
-// residual is only read (EvalRow holds no scratch), so workers may
-// evaluate it concurrently.
-func (j *ParallelHashJoin) joinWorker(wctx *Context, build []value.Row, probe []value.Row, probeOrds []int) ([]taggedRow, error) {
-	cpu := int64(len(build))
-	defer func() { wctx.Counter.CPUTuples += cpu }()
-	hint := 0
-	if j.BuildSizeHint > 0 {
-		hint = j.BuildSizeHint/clampDOP(j.DOP) + 1
-	}
-	var tab joinTable
-	tab.build(build, j.LeftKeys, hint)
-	var em JoinEmitter
-	var out []taggedRow
-	for i, r := range probe {
-		if err := wctx.Err(); err != nil {
-			return out, err
-		}
-		cpu++
-		for chain := tab.probe(r, j.RightKeys); chain >= 0; {
-			var l value.Row
-			l, chain = tab.pop(chain)
-			cpu++
-			joined, keep, err := em.emitHashed(j.Residual, j.EmitProbeFirst, l, r)
-			if err != nil {
-				return out, err
-			}
-			if keep {
-				out = append(out, taggedRow{ord: probeOrds[i], row: joined})
-			}
-		}
-	}
-	return out, nil
-}
-
-// Open implements Operator: drain both children in the calling context,
-// co-partition on the join keys, fan out, absorb worker counters, and
-// assemble the output in probe order.
-func (j *ParallelHashJoin) Open(ctx *Context) error {
-	j.Residual.Bind(ctx.Params) // before worker fan-out
-	j.results = nil
-	j.pos = 0
-	buildRows, err := drainSized(ctx, j.Left, j.BuildSizeHint)
-	if err != nil {
-		return err
-	}
-	probeRows, err := Drain(ctx, j.Right)
-	if err != nil {
-		return err
-	}
-	dop := clampDOP(j.DOP)
-	buildParts := partitionRows(buildRows, j.LeftKeys, dop)
-	probeParts := make([][]value.Row, dop)
-	probeOrds := make([][]int, dop)
-	for ord, r := range probeRows {
-		w := partitionOf(r, j.RightKeys, dop)
-		probeParts[w] = append(probeParts[w], r)
-		probeOrds[w] = append(probeOrds[w], ord)
-	}
-	outs := make([][]taggedRow, dop)
-	wctxs := make([]*Context, dop)
-	errs := make([]error, dop)
-	var wg sync.WaitGroup
-	for w := 0; w < dop; w++ {
-		if len(probeParts[w]) == 0 && len(buildParts[w]) == 0 {
-			continue
-		}
-		wctxs[w] = NewWorkerContext(ctx)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			outs[w], errs[w] = j.joinWorker(wctxs[w], buildParts[w], probeParts[w], probeOrds[w])
-		}(w)
-	}
-	wg.Wait()
-	for w := 0; w < dop; w++ {
-		if wctxs[w] != nil {
-			ctx.Absorb(wctxs[w])
-		}
-		err = errors.Join(err, errs[w])
-	}
-	if err != nil {
-		return err
-	}
-	j.results = mergeByOrdinal(outs)
-	return nil
-}
-
-// NextBatch implements Operator: emit the assembled rows a morsel at a
-// time. All join work was charged by the workers in Open; emission is
-// coordination and charges nothing.
-func (j *ParallelHashJoin) NextBatch(_ *Context, dst *Batch, max int) error {
-	dst.AppendFrom(j.results, &j.pos, max)
-	return nil
-}
-
-// Close implements Operator.
-func (j *ParallelHashJoin) Close(*Context) error {
-	j.results = nil
-	return nil
-}

@@ -243,3 +243,45 @@ func TestEmptyInputsJoins(t *testing.T) {
 		t.Error("join with empty right side must be empty")
 	}
 }
+
+// seqEqual compares two row sequences positionally.
+func seqEqual(t *testing.T, got, want []value.Row, what string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].String() != want[i].String() {
+			t.Fatalf("%s: row %d = %s, want %s", what, i, got[i], want[i])
+		}
+	}
+}
+
+func join2Tables(t *testing.T) (build, probe func() Operator) {
+	t.Helper()
+	lrows := make([][]int64, 200)
+	for i := range lrows {
+		lrows[i] = []int64{int64(i % 17), int64(i)}
+	}
+	rrows := make([][]int64, 300)
+	for i := range rrows {
+		rrows[i] = []int64{int64(i % 23), int64(-i)}
+	}
+	lt := intTable(t, "l", []string{"k", "lv"}, lrows)
+	rt := intTable(t, "r", []string{"k", "rv"}, rrows)
+	return func() Operator { return NewTableScan(lt, "") },
+		func() Operator { return NewTableScan(rt, "") }
+}
+
+// The size hint must never change results — only pre-size allocations.
+func TestBuildSizeHintNeutral(t *testing.T) {
+	mkBuild, mkProbe := join2Tables(t)
+	want, wantCost := drain(t, NewHashJoinProbeFirst(mkBuild(), mkProbe(), []int{0}, []int{0}, nil))
+	hinted := NewHashJoinProbeFirst(mkBuild(), mkProbe(), []int{0}, []int{0}, nil)
+	hinted.BuildSizeHint = 10_000
+	got, gotCost := drain(t, hinted)
+	seqEqual(t, got, want, "hinted hash join")
+	if gotCost != wantCost {
+		t.Errorf("hinted cost %s, want %s", gotCost.String(), wantCost.String())
+	}
+}

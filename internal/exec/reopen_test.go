@@ -105,6 +105,29 @@ func TestReopenAfterPartialConsumption(t *testing.T) {
 	}
 }
 
+// TestSelectRebindsParamsOnReopen re-Opens one Select under two
+// different ctx.Params: the compiled predicate is bound at Open, so each
+// execution answers for its own arguments, not the previous run's.
+func TestSelectRebindsParamsOnReopen(t *testing.T) {
+	tb := intTable(t, "l", []string{"k", "v"}, [][]int64{{1, 10}, {1, 11}, {2, 20}, {2, 21}, {3, 30}})
+	op := NewSelect(NewTableScan(tb, ""),
+		expr.NewCmp(expr.GT, expr.NewCol(1, "v"), expr.Param{Idx: 0, V: value.NewInt(0), Has: true}))
+	for _, tc := range []struct {
+		bound int64
+		want  int
+	}{{10, 4}, {20, 2}, {10, 4}} {
+		ctx := NewContext()
+		ctx.Params = []value.Value{value.NewInt(tc.bound)}
+		rows, err := Drain(ctx, op)
+		if err != nil {
+			t.Fatalf("v > %d: %v", tc.bound, err)
+		}
+		if len(rows) != tc.want {
+			t.Errorf("v > %d: %d rows, want %d: %v", tc.bound, len(rows), tc.want, rows)
+		}
+	}
+}
+
 func rowsKey(rows []value.Row) string {
 	var s string
 	for _, r := range rows {

@@ -155,8 +155,8 @@ func (t *RowTable) grow() {
 // decided: a RowTable over the build rows' key encodings plus one chain
 // per distinct key threaded through the rows in build order (heads and
 // tails index by key id, next by row position), so a probe walks a key's
-// build rows in insertion order. HashJoin and each ParallelHashJoin
-// worker own one; storage is kept across builds for re-Opened joins.
+// build rows in insertion order. Each HashJoin owns one; storage is
+// kept across builds for re-Opened joins.
 type joinTable struct {
 	ht                RowTable
 	rows              []value.Row

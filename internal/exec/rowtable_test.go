@@ -262,9 +262,6 @@ func TestHashOperatorsVsMapReference(t *testing.T) {
 			refJoin(build, probe, []int{0}, []int{0}, nil)},
 		{"HashJoin/residual", func() Operator { return NewHashJoin(vals(build), vals(probe), []int{0}, []int{0}, residual) },
 			refJoin(build, probe, []int{0}, []int{0}, keepLT)},
-		{"ParallelHashJoin/residual", func() Operator {
-			return NewParallelHashJoin(vals(build), vals(probe), []int{0}, []int{0}, residual, 3)
-		}, refJoin(build, probe, []int{0}, []int{0}, keepLT)},
 		{"GroupBy", func() Operator { return NewGroupBy(vals(build), []int{0}, count) }, refGroupCount(build, []int{0})},
 		{"GroupBy/two-keys", func() Operator { return NewGroupBy(vals(build), all, count) }, refGroupCount(build, all)},
 		{"GroupBy/scalar", func() Operator { return NewGroupBy(vals(build), nil, count) }, refGroupCount(build, nil)},

@@ -109,7 +109,6 @@ var Registry = []Entry{
 	{"E13", "Ablation: Limitation 2 vs prefix production sets", E13PrefixProduction},
 	{"E14", "Multiple views in one query (§2.1 interaction)", E14MultiView},
 	{"E15", "Interesting orders: property memo and sort elision", E15SortElision},
-	{"E16", "Intra-query parallelism: wall-clock vs cost parity across DOP", E16ParallelExecution},
 	{"E17", "Fault-injected transport: retry recovery and graceful degradation", E17Robustness},
 	{"E18", "Serving throughput: plan cache hit rate and QPS, cached vs uncached", E18ServingThroughput},
 	{"E20", "Adaptive re-optimization: statistics feedback on correlated data", E20Adaptive},

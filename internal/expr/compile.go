@@ -48,8 +48,8 @@ type Pred struct {
 	out   []int32
 }
 
-// CompilePred lowers e into batch kernels. Compile once (first Open),
-// then Bind per execution. A nil e yields a nil Pred.
+// CompilePred lowers e into batch kernels. Compile once (when the
+// operator is built), then Bind per execution. A nil e yields a nil Pred.
 func CompilePred(e Expr) *Pred {
 	if e == nil {
 		return nil

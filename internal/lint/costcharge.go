@@ -20,19 +20,10 @@ import (
 // methods of the same type they (transitively) call or pass as method
 // values (the row step handed to exec.FillRows), are scanned. "Row
 // work" is a for/range loop or a call into sort/heap; "charging" is any
-// reference to the Counter field of exec.Context, or a call to
-// Context.Absorb — the exchange operators' way of folding a worker
-// goroutine's private counter into the parent ledger. Pure pass-through
+// reference to the Counter field of exec.Context. Pure pass-through
 // operators (no loops) are exempt. The batch idiom — accumulate units
 // in a local, flush to ctx.Counter once per batch — satisfies the
 // invariant.
-//
-// Goroutine-spawning operators get one extra obligation: a type whose
-// reachable Open/NextBatch methods contain a `go` statement must also reach
-// a Context.Absorb call, so the workers' counters are merged into the
-// parent before the operator returns — otherwise the cost their private
-// counters accumulated evaporates with the goroutines and conservation
-// breaks silently.
 var Costcharge = &analysis.Analyzer{
 	Name: "costcharge",
 	Doc:  "require Operator Open/NextBatch methods that do row work to charge ctx.Counter",
@@ -70,9 +61,8 @@ func runCostcharge(pass *analysis.Pass) error {
 		if !analysis.Implements(tn.Type(), iface) {
 			continue
 		}
-		var workPos, goPos *ast.FuncDecl
+		var workPos *ast.FuncDecl
 		charges := false
-		absorbs := false
 		for _, fd := range reachableMethods(pass, tn, methods, "Open", "NextBatch") {
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch x := n.(type) {
@@ -80,19 +70,11 @@ func runCostcharge(pass *analysis.Pass) error {
 					if workPos == nil {
 						workPos = fd
 					}
-				case *ast.GoStmt:
-					if goPos == nil {
-						goPos = fd
-					}
 				case *ast.CallExpr:
 					if isPkgCall(pass, x, "sort") || isPkgCall(pass, x, "heap") || isKernelCall(pass, x) {
 						if workPos == nil {
 							workPos = fd
 						}
-					}
-					if isAbsorbCall(pass, x) {
-						charges = true
-						absorbs = true
 					}
 				case *ast.SelectorExpr:
 					if isCounterField(pass, x) {
@@ -105,10 +87,6 @@ func runCostcharge(pass *analysis.Pass) error {
 		if workPos != nil && !charges {
 			pass.Reportf(workPos.Name.Pos(), "%s.%s does row work but no method of %s reachable from Open/NextBatch charges ctx.Counter; Table 1 cost conservation breaks for plans containing it",
 				tn.Name(), workPos.Name.Name, tn.Name())
-		}
-		if goPos != nil && !absorbs {
-			pass.Reportf(goPos.Name.Pos(), "%s.%s spawns goroutines but no method of %s reachable from Open/NextBatch merges worker counters via ctx.Absorb; cost charged on worker contexts is lost",
-				tn.Name(), goPos.Name.Name, tn.Name())
 		}
 	}
 	return nil
@@ -220,25 +198,6 @@ func isKernelCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	}
 	named, ok := recv.(*types.Named)
 	return ok && named.Obj().Name() == "Pred" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "filterjoin/internal/expr"
-}
-
-// isAbsorbCall reports whether call invokes exec.Context.Absorb, the
-// merge of a worker goroutine's private counter into the parent ledger.
-func isAbsorbCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Absorb" {
-		return false
-	}
-	s, ok := pass.TypesInfo.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return false
-	}
-	recv := s.Recv()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	return ok && named.Obj().Name() == "Context" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == execPkgPath
 }
 
 // isCounterField reports whether sel selects the Counter field of

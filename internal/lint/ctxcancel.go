@@ -9,38 +9,30 @@ import (
 
 // Ctxcancel enforces cancellation liveness (DESIGN.md §13): a serving
 // engine must be able to abandon a query when the caller's
-// context.Context is cancelled, which means every row-pumping loop and
-// every exchange-operator worker goroutine has to observe
-// exec.Context.Caller. Two rules:
-//
-//  1. Pull loops: inside NextBatch (and its same-type helpers,
-//     including a row step handed to exec.FillRows as a method value,
-//     and package-level functions that drive an Operator parameter —
-//     the forEachBatch/Drain shims), a for/range loop that pulls rows
-//     (calls an Operator's NextBatch or exec.RowReader.Read, or one of
-//     the exec drain shims) must contain a cancellation check:
-//     ctx.Err(), a Caller/Done access, or a call into a helper that
-//     performs one. Without it, a hash join probing a large build side
-//     spins arbitrarily long after the caller hung up.
-//  2. Worker goroutines: a goroutine spawned from a method reachable
-//     from Open/NextBatch (the ParallelScan/Gather/
-//     ParallelHashJoin workers) must reach a cancellation check through
-//     the functions it calls; an uncancellable worker leaks for the
-//     lifetime of its input.
+// context.Context is cancelled, which means every row-pumping loop has
+// to observe exec.Context.Caller. Inside NextBatch (and its same-type
+// helpers, including a row step handed to exec.FillRows as a method
+// value, and package-level functions that drive an Operator parameter —
+// the forEachBatch/Drain shims), a for/range loop that pulls rows (calls
+// an Operator's NextBatch or exec.RowReader.Read, or one of the exec
+// drain shims) must contain a cancellation check: ctx.Err(), a
+// Caller/Done access, or a call into a helper that performs one.
+// Without it, a hash join probing a large build side spins arbitrarily
+// long after the caller hung up.
 //
 // Calls to exec's own drain shims (Drain, Count, forEachBatch,
 // forEachInput, BuildKeySet, BuildKeySetSized) count as checked pulls:
-// rule 1 applied to the exec package itself enforces that those shims
+// the rule applied to the exec package itself enforces that those shims
 // check on every iteration, so crediting their callers is sound.
 var Ctxcancel = &analysis.Analyzer{
 	Name: "ctxcancel",
-	Doc:  "row-pulling loops and exchange worker goroutines observe exec.Context cancellation",
+	Doc:  "row-pulling loops observe exec.Context cancellation",
 	Run:  runCtxcancel,
 }
 
 // ccCheckedShims are exec package functions that both pull from an
-// operator and observe cancellation internally (enforced by rule 1 when
-// this analyzer runs over the exec package).
+// operator and observe cancellation internally (enforced when this
+// analyzer runs over the exec package).
 var ccCheckedShims = map[string]bool{
 	"Drain":            true,
 	"Count":            true,
@@ -59,7 +51,7 @@ func runCtxcancel(pass *analysis.Pass) error {
 	cc.buildIndex()
 	cc.propagateChecks()
 
-	// Rule 1 on operator methods reachable from NextBatch.
+	// Operator methods reachable from NextBatch.
 	methodsOf := map[*types.TypeName]map[string]*ast.FuncDecl{}
 	for _, fd := range cc.decls {
 		if fd.Recv == nil {
@@ -81,21 +73,15 @@ func runCtxcancel(pass *analysis.Pass) error {
 		for _, fd := range reachableMethods(pass, tn, methods, "NextBatch") {
 			cc.checkLoops(fd.Body)
 		}
-
-		// Rule 2: goroutines reachable from the executable surface.
-		for _, fd := range reachableMethods(pass, tn, methods, "NextBatch", "Open") {
-			cc.checkGoroutines(fd, tn.Name())
-		}
 	}
 
-	// Rule 1 on package-level functions that drive an Operator parameter
+	// Package-level functions that drive an Operator parameter
 	// (the drain shims themselves, when analyzing the exec package).
 	for _, fd := range cc.decls {
 		if fd.Recv != nil || !cc.hasOperatorParam(fd) {
 			continue
 		}
 		cc.checkLoops(fd.Body)
-		cc.checkGoroutines(fd, fd.Name.Name)
 	}
 	return nil
 }
@@ -270,8 +256,6 @@ func (cc *ccAnalysis) checkLoops(body *ast.BlockStmt) {
 				loopBody = l.Body
 			case *ast.RangeStmt:
 				loopBody = l.Body
-			case *ast.FuncLit:
-				return false // goroutine/closure bodies handled by rule 2
 			default:
 				return true
 			}
@@ -365,29 +349,4 @@ func (cc *ccAnalysis) containsCheckCredit(n ast.Node) bool {
 		return true
 	})
 	return found
-}
-
-// checkGoroutines flags goroutines whose body never reaches a
-// cancellation check.
-func (cc *ccAnalysis) checkGoroutines(fd *ast.FuncDecl, owner string) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		live := false
-		if fl, ok := g.Call.Fun.(*ast.FuncLit); ok {
-			live = cc.containsCheckCredit(fl.Body)
-		} else if callee := cc.calleeObj(g.Call); callee != nil {
-			live = cc.checks[callee]
-		} else {
-			// Target outside the package (channel helper, stdlib):
-			// assume the spawner knows what it is doing.
-			live = true
-		}
-		if !live {
-			cc.pass.Reportf(g.Pos(), "goroutine spawned by %s never observes exec.Context cancellation; a cancelled query leaks this worker", owner)
-		}
-		return true
-	})
 }

@@ -28,8 +28,8 @@
 //   - parambind:  operator-captured expressions are rebound via
 //     expr.Bind* at Open, and Lit-classifying switches handle Param
 //     (bind completeness).
-//   - ctxcancel:  row-pulling loops and exchange worker goroutines
-//     observe exec.Context cancellation (cancellation liveness).
+//   - ctxcancel:  row-pulling loops observe exec.Context cancellation
+//     (cancellation liveness).
 //
 // A finding is suppressed by a "//lint:ignore <analyzer> <reason>"
 // comment on the flagged line or the line directly above it.

@@ -115,11 +115,10 @@ func (oc *opcloseCheck) localPairing() {
 					oc.checkFunc(fn.Body)
 				}
 			case *ast.FuncLit:
-				// Closure bodies — goroutine-spawning operators run worker
-				// pipelines inside `go func() { ... }()` — are functions in
-				// their own right: an Open inside one must be balanced by a
-				// Close inside the same closure, because nothing outside it
-				// can see the worker's operator once the goroutine exits.
+				// Closure bodies are functions in their own right: an Open
+				// inside one must be balanced by a Close inside the same
+				// closure, because nothing outside it can see the operator
+				// once the closure returns.
 				oc.checkFunc(fn.Body)
 			}
 			return true

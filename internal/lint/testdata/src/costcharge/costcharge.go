@@ -146,86 +146,6 @@ func (s *suppressedOp) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) er
 
 func (s *suppressedOp) Close(ctx *exec.Context) error { return s.child.Close(ctx) }
 
-// chargeRowsFree is a plain function: its charge to the worker counter
-// is NOT visible to the same-type reachability scan, so absorbOnly
-// below is clean purely because Absorb counts as charging.
-func chargeRowsFree(w *exec.Context, rows []value.Row) {
-	for range rows {
-		w.Counter.CPUTuples++
-	}
-}
-
-// absorbOnly fans work out to a goroutine and merges the worker counter
-// back with ctx.Absorb — the exchange-operator pattern. Its own loops
-// charge nothing locally; Absorb is the charge.
-type absorbOnly struct {
-	child exec.Operator
-	rows  []value.Row
-	pos   int
-}
-
-func (a *absorbOnly) Schema() *schema.Schema { return nil }
-
-func (a *absorbOnly) Open(ctx *exec.Context) error {
-	rows, err := exec.Drain(ctx, a.child)
-	if err != nil {
-		return err
-	}
-	var parts [][]value.Row
-	for i, r := range rows {
-		if i%2 == 0 {
-			parts = append(parts, nil)
-		}
-		parts[len(parts)-1] = append(parts[len(parts)-1], r)
-	}
-	w := exec.NewWorkerContext(ctx)
-	done := make(chan struct{})
-	go func() {
-		chargeRowsFree(w, rows)
-		close(done)
-	}()
-	<-done
-	ctx.Absorb(w)
-	a.rows = rows
-	return nil
-}
-
-func (a *absorbOnly) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
-	n := min(max, len(a.rows)-a.pos)
-	if n > 0 {
-		dst.Rows = append(dst.Rows, a.rows[a.pos:a.pos+n]...)
-		a.pos += n
-	}
-	return nil
-}
-
-func (a *absorbOnly) Close(ctx *exec.Context) error { return nil }
-
-// goLeak spawns a worker whose private counter is never merged back:
-// the cost it charged evaporates with the goroutine.
-type goLeak struct {
-	child exec.Operator
-}
-
-func (g *goLeak) Schema() *schema.Schema { return nil }
-
-func (g *goLeak) Open(ctx *exec.Context) error { // want "goLeak.Open spawns goroutines but no method of goLeak reachable from Open/NextBatch merges worker counters via ctx.Absorb"
-	w := exec.NewWorkerContext(ctx)
-	done := make(chan struct{})
-	go func() {
-		w.Counter.CPUTuples++
-		close(done)
-	}()
-	<-done
-	return g.child.Open(ctx)
-}
-
-func (g *goLeak) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
-	return g.child.NextBatch(ctx, dst, max)
-}
-
-func (g *goLeak) Close(ctx *exec.Context) error { return g.child.Close(ctx) }
-
 // stepCharging is the row-at-a-time idiom: NextBatch has no loop of its
 // own and hands a row step to exec.FillRows as a method value. The
 // step's loop and its charge must both be found through that value.

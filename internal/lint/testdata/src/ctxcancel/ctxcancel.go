@@ -1,7 +1,6 @@
 // Package ctxcancel exercises the ctxcancel analyzer: row-pulling
-// loops must observe exec.Context cancellation each iteration, and
-// exchange-style worker goroutines must reach a cancellation check —
-// otherwise a cancelled query spins or leaks workers.
+// loops must observe exec.Context cancellation each iteration —
+// otherwise a cancelled query spins.
 package ctxcancel
 
 import (
@@ -167,93 +166,6 @@ func (p *recounter) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error
 }
 
 func (p *recounter) Close(ctx *exec.Context) error { return p.outer.Close(ctx) }
-
-// leakyGather spawns a producer goroutine that never checks
-// cancellation: the worker outlives the query.
-type leakyGather struct {
-	child exec.Operator
-	out   chan value.Row
-}
-
-// emit forwards the rows a producer goroutine queued.
-func emit(out chan value.Row, dst *exec.Batch, max int) {
-	for len(dst.Rows) < max {
-		r, ok := <-out
-		if !ok {
-			return
-		}
-		dst.Rows = append(dst.Rows, r)
-	}
-}
-
-func (g *leakyGather) Schema() *schema.Schema { return g.child.Schema() }
-
-func (g *leakyGather) Open(ctx *exec.Context) error {
-	if err := g.child.Open(ctx); err != nil {
-		return err
-	}
-	g.out = make(chan value.Row, 4)
-	go func() { // want "goroutine spawned by leakyGather never observes exec.Context cancellation"
-		var rd exec.RowReader
-		for {
-			r, ok, err := rd.Read(ctx, g.child)
-			if err != nil || !ok {
-				close(g.out)
-				return
-			}
-			g.out <- r
-		}
-	}()
-	return nil
-}
-
-func (g *leakyGather) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
-	emit(g.out, dst, max)
-	return nil
-}
-
-func (g *leakyGather) Close(ctx *exec.Context) error { return g.child.Close(ctx) }
-
-// politeGather pumps through a method whose loop polls ctx.Err:
-// compliant on both the loop rule and the goroutine rule.
-type politeGather struct {
-	child exec.Operator
-	out   chan value.Row
-}
-
-func (g *politeGather) Schema() *schema.Schema { return g.child.Schema() }
-
-func (g *politeGather) Open(ctx *exec.Context) error {
-	if err := g.child.Open(ctx); err != nil {
-		return err
-	}
-	g.out = make(chan value.Row, 4)
-	go g.pump(ctx)
-	return nil
-}
-
-func (g *politeGather) pump(ctx *exec.Context) {
-	var rd exec.RowReader
-	for {
-		if ctx.Err() != nil {
-			close(g.out)
-			return
-		}
-		r, ok, err := rd.Read(ctx, g.child)
-		if err != nil || !ok {
-			close(g.out)
-			return
-		}
-		g.out <- r
-	}
-}
-
-func (g *politeGather) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
-	emit(g.out, dst, max)
-	return nil
-}
-
-func (g *politeGather) Close(ctx *exec.Context) error { return g.child.Close(ctx) }
 
 // drainAll is a drain shim without the obligation the real ones carry:
 // free functions driving an Operator parameter are in scope too.

@@ -111,7 +111,7 @@ func goWorkerClean(mk func() exec.Operator) error {
 	done := make(chan error, 1)
 	go func() {
 		op := mk()
-		w := exec.NewWorkerContext(nil)
+		w := exec.NewContext()
 		if err := op.Open(w); err != nil {
 			done <- err
 			return
@@ -126,7 +126,7 @@ func goWorkerClean(mk func() exec.Operator) error {
 func goWorkerLeak(mk func() exec.Operator) {
 	go func() {
 		op := mk()
-		w := exec.NewWorkerContext(nil)
+		w := exec.NewContext()
 		if err := op.Open(w); err != nil { // want "op.Open is not balanced by a Close on every path"
 			return
 		}

@@ -255,16 +255,6 @@ func (o *Optimizer) buildStoredLeaf(ctx *Ctx, ri *RelInfo) {
 			}
 		}
 	}
-	// Exchange parallelism: a plain heap scan of a local base table splits
-	// into page-range morsels across DOP workers. The estimate is the
-	// serial one — workers charge exactly the serial per-page/per-row
-	// units and coordination is cost-free by convention.
-	parallel := 0
-	if dop := o.DOP(); dop > 1 && kind == "TableScan" && ri.Entry.Kind == catalog.KindBase {
-		parallel = dop
-		kind = "ParallelScan"
-		mk = func() exec.Operator { return exec.NewParallelScan(t, alias, dop, localLocal) }
-	}
 	if ri.Entry.Kind == catalog.KindRemote {
 		kind = "ShipScan"
 		rowBytes := ri.Schema.RowWidth()
@@ -289,7 +279,6 @@ func (o *Optimizer) buildStoredLeaf(ctx *Ctx, ri *RelInfo) {
 		ColMap:    ri.ColMap,
 		Rels:      query.NewRelSet(ri.Index),
 		Ordering:  nil, // heap scans, index lookups, and Ship promise no order
-		Parallel:  parallel,
 		Make:      mk,
 		// Feedback provenance: the adaptive layer maps this node's
 		// measured output rows back to (relation, predicate) to correct

@@ -123,11 +123,6 @@ func (c *Ctx) hashJoinCand(outer *plan.Node, ri *RelInfo, outerCols, innerCols [
 	res := ResidualExpr(residual, combined)
 	outerMk, innerMk := outer.Make, a.Make
 	hint := int(a.Rows + 0.5) // pre-size the build table from the estimate
-	dop := c.O.DOP()
-	parallel := 0
-	if dop > 1 {
-		parallel = dop
-	}
 	return plan.NewNode(&plan.Node{
 		Kind:      "HashJoin",
 		Detail:    keyDetail(c, outerCols, innerCols),
@@ -139,16 +134,7 @@ func (c *Ctx) hashJoinCand(outer *plan.Node, ri *RelInfo, outerCols, innerCols [
 		ColMap:    combined,
 		Rels:      rels,
 		Ordering:  ord,
-		Parallel:  parallel,
 		Make: func() exec.Operator {
-			// The partitioned parallel path charges the same units as the
-			// serial one and preserves probe order, so the estimate and
-			// ordering above hold for both.
-			if dop > 1 {
-				j := exec.NewParallelHashJoinProbeFirst(innerMk(), outerMk(), innerPos, outerPos, res, dop)
-				j.BuildSizeHint = hint
-				return j
-			}
 			j := exec.NewHashJoinProbeFirst(innerMk(), outerMk(), innerPos, outerPos, res)
 			j.BuildSizeHint = hint
 			return j

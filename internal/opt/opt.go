@@ -72,11 +72,8 @@ type Optimizer struct {
 	// ablation and differential testing.
 	DisableOrderProps bool
 
-	// DegreeOfParallelism is the intra-query parallelism knob. 1 (or 0)
-	// keeps every code path serial and byte-identical to the classic
-	// engine. Above 1, the optimizer emits exchange-based operators
-	// (ParallelScan, partitioned hash joins) with that worker count and
-	// fans the parametric coster's sample points out across forks.
+	// Deprecated: no effect. Every query runs on one thread; the field
+	// remains only because the frozen bench/ sources assign it.
 	DegreeOfParallelism int
 
 	// BatchSize is the executor morsel size recorded on emitted plan
@@ -134,14 +131,6 @@ func (o *Optimizer) TempName(prefix string) string {
 	return fmt.Sprintf("__%s_%d", prefix, o.tempSeq)
 }
 
-// DOP returns the effective degree of parallelism (at least 1).
-func (o *Optimizer) DOP() int {
-	if o.DegreeOfParallelism < 1 {
-		return 1
-	}
-	return o.DegreeOfParallelism
-}
-
 // Batch returns the effective executor batch size (at least 1).
 func (o *Optimizer) Batch() int {
 	if o.BatchSize < 1 {
@@ -150,15 +139,14 @@ func (o *Optimizer) Batch() int {
 	return o.BatchSize
 }
 
-// Fork returns an isolated optimizer for a concurrent nested
-// optimization (one parametric-coster sample point). The fork sees a
-// cloned catalog — transient relations it registers never touch the
-// parent's — plus private Disabled/StatsOverride/metrics/temp-name
+// Fork returns an isolated optimizer for one query of a concurrent
+// session (or one Filter Join execution's runtime planning). The fork
+// sees a cloned catalog — transient relations it registers never touch
+// the parent's — plus private Disabled/StatsOverride/metrics/temp-name
 // state seeded from the parent, so forks never contend and their
-// results are identical to a serial nested run. The fork runs serially
-// itself (DegreeOfParallelism 1) and drops the tracer: trace ordering
-// under fan-out would be nondeterministic. Callers merge the fork's
-// Metrics back in a deterministic order after the fan-in.
+// results are identical to planning on the parent alone. BatchSize and
+// Tracer are not carried over; callers set them, and fold the fork's
+// Metrics back with MergeMetrics.
 func (o *Optimizer) Fork() *Optimizer {
 	f := &Optimizer{
 		Cat:               o.Cat.Clone(),

@@ -102,9 +102,6 @@ func formatAnalyze(b *strings.Builder, n *Node, m cost.Model, byNode map[*Node]*
 	if s := DescribeOrdering(n.Ordering, n); s != "" {
 		ord = fmt.Sprintf(", order=[%s]", s)
 	}
-	if n.Parallel > 1 {
-		ord += fmt.Sprintf(", parallel=%d", n.Parallel)
-	}
 	if n.BatchSize > 1 {
 		ord += fmt.Sprintf(", batch=%d", n.BatchSize)
 	}

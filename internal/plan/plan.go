@@ -39,10 +39,6 @@ type Node struct {
 	// destroys it. The optimizer's property-aware memo keys plans by it.
 	Ordering Ordering
 
-	// Parallel is the worker count of an exchange-parallel operator
-	// (ParallelScan, partitioned hash join); 0 or 1 means serial.
-	Parallel int
-
 	// BatchSize, set on a root node, is the morsel size the executor
 	// pulls through the plan (0 counts as 1).
 	BatchSize int
@@ -93,9 +89,6 @@ func format(b *strings.Builder, n *Node, m cost.Model, depth int) {
 	fmt.Fprintf(b, "  (rows=%.0f cost=%.2f", n.Rows, n.Total(m))
 	if s := DescribeOrdering(n.Ordering, n); s != "" {
 		fmt.Fprintf(b, " order=[%s]", s)
-	}
-	if n.Parallel > 1 {
-		fmt.Fprintf(b, " parallel=%d", n.Parallel)
 	}
 	if n.BatchSize > 1 {
 		fmt.Fprintf(b, " batch=%d", n.BatchSize)

@@ -38,7 +38,7 @@ type Key struct {
 	// cannot affect plan shape.
 	Classes string
 	// Config fingerprints the optimizer knobs that change plan choice
-	// (disabled methods, order properties, parallelism, batch size).
+	// (disabled methods, order properties, batch size).
 	Config string
 }
 
