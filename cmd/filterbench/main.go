@@ -9,6 +9,7 @@
 //	filterbench -list       # list experiment ids and titles
 //	filterbench -json E15   # machine-readable reports (perf trajectory)
 //	filterbench -json -chaos      # the fault-injection robustness run (E17) only
+//	filterbench -e18-queries 200 E18   # the serving experiment on a shorter stream
 package main
 
 import (
@@ -24,8 +25,10 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	asJSON := flag.Bool("json", false, "emit reports as a JSON array instead of text tables")
 	chaos := flag.Bool("chaos", false, "run the fault-injection robustness experiment (E17) only")
+	e18Queries := flag.Int("e18-queries", experiments.E18Queries, "total statements in E18's stream")
+	e18Sessions := flag.Int("e18-sessions", experiments.E18Sessions, "concurrent sessions sharing E18's stream")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: filterbench [-list] [-json] [-chaos] [experiment ids...]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: filterbench [-list] [-json] [-chaos] [-e18-queries n] [-e18-sessions n] [experiment ids...]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -58,6 +61,9 @@ func main() {
 	failed := 0
 	var reports []*experiments.Report
 	for _, e := range toRun {
+		if e.ID == "E18" {
+			e.Run = func() (*experiments.Report, error) { return experiments.E18Serving(*e18Sessions, *e18Queries) }
+		}
 		r, err := e.Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "filterbench: %s failed: %v\n", e.ID, err)

@@ -424,8 +424,8 @@ func (e *Engine) classifyPred(p expr.Expr, b *query.Block, layout *query.Layout,
 // classGrid returns the selectivity grid shared with the parametric view
 // coster: the configured sample points, defaulting to the paper's.
 func (e *Engine) classGrid() []float64 {
-	if e.fj != nil && len(e.fj.Opts.SamplePoints) > 0 {
-		return e.fj.Opts.SamplePoints
+	if e.fj != nil {
+		return e.fj.Opts.Grid()
 	}
 	return core.DefaultSamplePoints
 }

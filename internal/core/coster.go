@@ -87,11 +87,7 @@ func (m *Method) buildViewCoster(c *opt.Ctx, ri *opt.RelInfo, innerLocal, bodyCo
 		Domain:   domain,
 		BaseRows: ri.RawStats.Rows,
 	}
-	sels := m.Opts.SamplePoints
-	if len(sels) == 0 {
-		sels = DefaultSamplePoints
-	}
-	for _, sel := range sels {
+	for _, sel := range m.Opts.Grid() {
 		p, err := sampleOne(o, e, fSchema, bodyCols, sel, domain)
 		if err != nil {
 			return nil, fmt.Errorf("core: sampling restricted view %s at sel=%.3f: %w", e.Name, sel, err)

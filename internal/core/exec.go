@@ -2,26 +2,31 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"filterjoin/internal/catalog"
 	"filterjoin/internal/dist"
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/opt"
+	"filterjoin/internal/plan"
+	"filterjoin/internal/plancache"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/storage"
 	"filterjoin/internal/udr"
-	"filterjoin/internal/value"
 )
 
 // fjExecSpec carries everything the runtime Filter Join operator needs,
-// captured at plan time.
+// captured at plan time. It is shared by every execution of the plan
+// node; all of it is read-only after planning except restrict, which
+// locks itself.
 type fjExecSpec struct {
 	method *Method
 	o      *opt.Optimizer
 	entry  *catalog.Entry
 	choice *Choice
 
+	outSchema *schema.Schema // the plan node's OutSchema: outer‖inner
 	outerMake func() exec.Operator
 	// filterMake, when non-nil, produces the prefix production set the
 	// filter is built from (Limitation 2 relaxed); the full outer still
@@ -42,9 +47,57 @@ type fjExecSpec struct {
 
 	bodyCols []int          // view body columns receiving bindings
 	fSchema  *schema.Schema // filter relation schema (views)
+	// innerDomain is the number of distinct bindings of the filter
+	// attributes in the inner; |F| / innerDomain is the filter
+	// selectivity the Fig-5 grid classes.
+	innerDomain float64
+	restrict    restrictCache
 
-	keyBytes    int
-	filterBytes float64
+	keyBytes int
+}
+
+// restrictPlan is a magic-rewritten view planned for one execution's
+// filter set and runnable against any other's: f is the table the plan's
+// F leaf was planned over, emptied once planning is done, and each
+// execution binds its own F to it (exec.Context.Bind).
+type restrictPlan struct {
+	node *plan.Node
+	f    *storage.Table
+}
+
+// restrictCache holds a Filter Join node's restricted sub-plans, one per
+// Fig-5 class of the actual filter selectivity — Assumption 1 applied at
+// run time: within a class the restricted view has one plan, so only the
+// first Open in a class optimizes. It lives and dies with the plan node
+// (and so with the plan-cache entry holding it), which is the only
+// invalidation it needs, and it never holds more than len(grid) plans.
+type restrictCache struct {
+	mu    sync.Mutex
+	plans []*restrictPlan // indexed by class
+}
+
+func (c *restrictCache) get(class int) *restrictPlan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if class < len(c.plans) {
+		return c.plans[class]
+	}
+	return nil
+}
+
+// put stores p for class unless an execution that missed at the same
+// time got there first, and returns the plan to run (viewCosterFor's
+// rule: both planned deterministically, the loser's work is redundant).
+func (c *restrictCache) put(class int, p *restrictPlan) *restrictPlan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.plans) <= class {
+		c.plans = append(c.plans, nil)
+	}
+	if c.plans[class] == nil {
+		c.plans[class] = p
+	}
+	return c.plans[class]
 }
 
 func (s *fjExecSpec) make() exec.Operator {
@@ -55,62 +108,22 @@ func (s *fjExecSpec) make() exec.Operator {
 // all happen in Open: the production set P is computed (materialized or
 // set up for recomputation), the distinct filter set F is built, the
 // restricted inner R_k' is composed — for views this performs the magic
-// rewriting and plans the restricted view with the *actual* filter
-// cardinality, the deferred planning §4.2 describes — and the final hash
-// join of P with R_k' is opened. NextBatch/Close delegate to the final join.
+// rewriting and, on the first Open in a Fig-5 class of the *actual*
+// filter cardinality, plans the restricted view: the deferred planning
+// §4.2 describes — and the final hash join of P with R_k' is opened.
+// NextBatch/Close delegate to the final join.
 type filterJoinOp struct {
 	spec  *fjExecSpec
 	final exec.Operator
-	// o is the per-execution optimizer fork. The spec's optimizer may be
-	// shared by concurrent executions of one cached plan, and deferred
-	// planning mutates optimizer state (temp names, transient catalog
-	// entries, metrics), so Open forks it and merges the counters back.
-	o *opt.Optimizer
-	// Observability for experiments.
-	FilterSize   int
-	RestrictSeen int
 }
 
 // Schema implements exec.Operator.
-func (f *filterJoinOp) Schema() *schema.Schema {
-	s := f.spec
-	var innerSch *schema.Schema
-	switch s.entry.Kind {
-	case catalog.KindFunc:
-		innerSch = s.entry.FnSchema
-	case catalog.KindView:
-		vs, err := s.entry.Schema(s.o.Cat)
-		if err != nil {
-			innerSch = schema.New()
-		} else {
-			innerSch = vs
-		}
-	case catalog.KindBase, catalog.KindRemote:
-		innerSch = s.entry.Table.Schema()
-	}
-	if s.alias != "" {
-		innerSch = innerSch.Rename(s.alias)
-	}
-	// Outer schema is only known via the outer operator; build one
-	// transiently. Make() is cheap (no execution happens).
-	return s.outerMake().Schema().Concat(innerSch)
-}
+func (f *filterJoinOp) Schema() *schema.Schema { return f.spec.outSchema }
 
 // Open implements exec.Operator.
 func (f *filterJoinOp) Open(ctx *exec.Context) error {
 	s := f.spec
 	ch := s.choice
-
-	// All planning-time mutation below runs on a private fork of the
-	// captured optimizer: transient filter tables go into the fork's
-	// cloned catalog and temp names draw from the fork's sequence, so N
-	// sessions can execute one cached plan concurrently. The fork's
-	// search counters are folded back into the shared optimizer when Open
-	// returns.
-	f.o = s.o.Fork()
-	f.o.BatchSize = s.o.BatchSize
-	f.o.Tracer = s.o.Tracer
-	defer func() { s.o.MergeMetrics(f.o.Metrics) }()
 
 	// Step 1: production set P.
 	var pFilter, pJoin exec.Operator
@@ -120,7 +133,7 @@ func (f *filterJoinOp) Open(ctx *exec.Context) error {
 		// the full outer streams once into the final join.
 		pFilter, pJoin = s.filterMake(), s.outerMake()
 	case ch.Materialize:
-		mat := exec.NewMaterialize(s.outerMake(), f.o.TempName("P"))
+		mat := exec.NewMaterialize(s.outerMake(), "__P")
 		pFilter, pJoin = mat, mat
 	default:
 		pFilter, pJoin = s.outerMake(), s.outerMake()
@@ -132,7 +145,6 @@ func (f *filterJoinOp) Open(ctx *exec.Context) error {
 	if err != nil {
 		return err
 	}
-	f.FilterSize = keys.Len()
 
 	// Step 3: the restricted inner R_k'.
 	restricted, err := f.buildRestricted(ctx, keys)
@@ -244,36 +256,35 @@ func keySchema(s *fjExecSpec, t *storage.Table) *schema.Schema {
 }
 
 // restrictView performs the magic rewriting at execution time with the
-// actual filter set: F is written into a transient table, the rewritten
-// block (view body ⋈ F) is optimized with F's true cardinality, and the
-// resulting plan is instantiated. This is the paper's §4.2 deferred
-// planning: cost estimation during join enumeration used the parametric
-// coster; the concrete sub-plan is generated only once, here.
+// actual filter set. This is the paper's §4.2 deferred planning: cost
+// estimation during join enumeration used the parametric coster; the
+// concrete sub-plan is generated here, once per Fig-5 class of |F| —
+// every later Open in the class, by any execution of the plan node,
+// instantiates that plan over its own F and does no planning work.
 func (f *filterJoinOp) restrictView(ctx *exec.Context, keys *exec.KeySet) (exec.Operator, error) {
 	s := f.spec
-	o := f.o
-	fName := o.TempName("magic")
-	rows := make([]value.Row, len(keys.Rows()))
-	copy(rows, keys.Rows())
-	ft := storage.FromRows(fName, s.fSchema, rows)
+	ft := storage.FromRows("__F", s.fSchema, keys.Rows())
 	ctx.Counter.PageWrites += int64(ft.NumPages()) // AvailCost_F: materializing F
-	o.Cat.AddTable(ft)
-	defer o.Cat.Drop(fName)
 
-	rb, err := restrictedBlock(o.Cat, s.entry, s.bodyCols, fName)
-	if err != nil {
-		return nil, err
+	class := plancache.Classify(float64(keys.Len())/s.innerDomain, s.method.Opts.Grid())
+	rp := s.restrict.get(class)
+	hit := rp != nil
+	if !hit {
+		planned, err := s.planRestricted(keys)
+		if err != nil {
+			return nil, err
+		}
+		rp = s.restrict.put(class, planned)
 	}
-	node, err := o.OptimizeBlock(rb)
-	if err != nil {
-		return nil, fmt.Errorf("core: planning restricted view %s: %w", s.entry.Name, err)
-	}
-	var op exec.Operator = node.Make()
+	s.method.countRestrict(hit)
+	ctx.Bind(rp.f, ft)
+
+	var op exec.Operator = rp.node.Make()
 	if s.entry.Site > 0 {
 		if err := dist.Send(ctx, s.entry.Site, int64(s.choice.filterShipBytes(keys, s))); err != nil {
 			return nil, err
 		}
-		vs, err := s.entry.Schema(o.Cat)
+		vs, err := s.entry.Schema(s.o.Cat)
 		if err != nil {
 			return nil, err
 		}
@@ -283,6 +294,35 @@ func (f *filterJoinOp) restrictView(ctx *exec.Context, keys *exec.KeySet) (exec.
 		op = exec.NewSelect(op, s.localPred)
 	}
 	return op, nil
+}
+
+// planRestricted optimizes the rewritten block (view body ⋈ F) against
+// keys' true cardinality and statistics. The spec's optimizer is shared
+// by concurrent executions of one cached plan and planning mutates
+// optimizer state (temp names, transient catalog entries, metrics), so
+// it runs on a private fork whose search counters are folded back. The
+// returned plan keeps F's table without its rows, and the fork is
+// quiescent by then: a view over a view captured it as its own spec's
+// optimizer.
+func (s *fjExecSpec) planRestricted(keys *exec.KeySet) (*restrictPlan, error) {
+	o := s.o.Fork()
+	o.BatchSize = s.o.BatchSize
+	o.Tracer = s.o.Tracer
+	defer func() { s.o.MergeMetrics(o.Metrics) }()
+
+	f := storage.FromRows(o.TempName("magic"), s.fSchema, keys.Rows())
+	o.Cat.AddTable(f)
+	defer o.Cat.Drop(f.Name())
+	rb, err := restrictedBlock(o.Cat, s.entry, s.bodyCols, f.Name())
+	if err != nil {
+		return nil, err
+	}
+	node, err := o.OptimizeBlock(rb)
+	if err != nil {
+		return nil, fmt.Errorf("core: planning restricted view %s: %w", s.entry.Name, err)
+	}
+	f.Truncate()
+	return &restrictPlan{node: node, f: f}, nil
 }
 
 // NextBatch implements exec.Operator by delegating to the final join

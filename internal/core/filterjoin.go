@@ -56,11 +56,24 @@ type Options struct {
 	PrefixProductionSets bool
 }
 
+// Grid returns the Fig-5 selectivity grid: SamplePoints, defaulting to
+// the paper's. The view coster samples at these points, the plan cache
+// classes bind parameters by them, and the runtime Filter Join classes
+// the actual |F| by them.
+func (o Options) Grid() []float64 {
+	if len(o.SamplePoints) > 0 {
+		return o.SamplePoints
+	}
+	return DefaultSamplePoints
+}
+
 // Metrics instruments the method.
 type Metrics struct {
 	CandidatesBuilt int64
 	CosterBuilds    int64 // parametric costers constructed (each costs a few nested optimizations)
 	CosterHits      int64 // costing queries answered from cache in O(1)
+	RestrictPlans   int64 // restricted views planned at run time (first Open in a Fig-5 class of a plan node)
+	RestrictHits    int64 // Opens that reused a plan node's restricted sub-plan
 }
 
 // Method is the Filter Join join-method; register it on an optimizer via
@@ -131,6 +144,18 @@ func (m *Method) viewCosterFor(c *opt.Ctx, ri *opt.RelInfo, innerLocal, bodyCols
 	}
 	m.mu.Unlock()
 	return vc, false, nil
+}
+
+// countRestrict records one runtime Open of a magic-view Filter Join:
+// served from the node's restricted sub-plan cache, or planned.
+func (m *Method) countRestrict(hit bool) {
+	m.mu.Lock()
+	if hit {
+		m.Metrics.RestrictHits++
+	} else {
+		m.Metrics.RestrictPlans++
+	}
+	m.mu.Unlock()
 }
 
 func pagesOf(rows float64, rowBytes int) float64 {
@@ -536,11 +561,13 @@ func (m *Method) buildCandidate(
 		ch.ProductionRels = prod.Rels.Members()
 	}
 
+	outSchema := outer.OutSchema.Concat(ri.Schema)
 	op := &fjExecSpec{
 		method:         m,
 		o:              c.O,
 		entry:          e,
 		choice:         ch,
+		outSchema:      outSchema,
 		outerMake:      outer.Make,
 		alias:          ri.Ref.Binding(),
 		outerFilterPos: outerFilterPos,
@@ -552,8 +579,8 @@ func (m *Method) buildCandidate(
 		index:          chosenIx,
 		ixPerm:         ixOuterPerm,
 		bodyCols:       bodyCols,
+		innerDomain:    innerDomain,
 		keyBytes:       keyBytes,
-		filterBytes:    filterBytes,
 	}
 	if prefix {
 		op.filterMake = prod.Make
@@ -585,7 +612,7 @@ func (m *Method) buildCandidate(
 		Est:       comp.Total(),
 		Rows:      rows,
 		Stats:     outStats,
-		OutSchema: outer.OutSchema.Concat(ri.Schema),
+		OutSchema: outSchema,
 		ColMap:    combined,
 		Rels:      outer.Rels.With(inner),
 		// The final join-back probes a hash of the restricted inner with

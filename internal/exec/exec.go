@@ -66,6 +66,10 @@ type Context struct {
 	// Kernels is read by nothing; bench/layers.go, its last user, still assigns it.
 	Kernels bool
 
+	// bound maps a planned table to the table this execution scans in
+	// its place (see Bind). nil until the first Bind.
+	bound map[*storage.Table]*storage.Table
+
 	// ops collects the stats block of every Instrumented shim that ran
 	// under this context, in first-Open order.
 	ops []*OpStats
@@ -77,6 +81,27 @@ type Context struct {
 // NewContext returns a context with a fresh counter.
 func NewContext() *Context {
 	return &Context{Counter: &cost.Counter{}, Kernels: true}
+}
+
+// Bind makes every TableScan planned over placeholder scan t instead,
+// from its next Open on. It is how a cached sub-plan reads per-execution
+// data: the Filter Join plans its restricted view once over a row-less
+// filter-set table and binds each execution's actual F to it, the way
+// IndexLookup.KeyExprs follow Params. Binding the same placeholder again
+// replaces the previous table.
+func (ctx *Context) Bind(placeholder, t *storage.Table) {
+	if ctx.bound == nil {
+		ctx.bound = map[*storage.Table]*storage.Table{}
+	}
+	ctx.bound[placeholder] = t
+}
+
+// resolve returns the table bound to t, or t itself when none is.
+func (ctx *Context) resolve(t *storage.Table) *storage.Table {
+	if b, ok := ctx.bound[t]; ok {
+		return b
+	}
+	return t
 }
 
 // Err reports why execution should stop: the caller context's

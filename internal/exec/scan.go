@@ -13,6 +13,7 @@ import (
 type TableScan struct {
 	Table *storage.Table
 	alias *schema.Schema // schema possibly re-qualified with an alias
+	src   *storage.Table // Table, or what ctx.Bind put in its place; set at Open
 	pos   int
 }
 
@@ -30,7 +31,8 @@ func NewTableScan(t *storage.Table, alias string) *TableScan {
 func (s *TableScan) Schema() *schema.Schema { return s.alias }
 
 // Open implements Operator.
-func (s *TableScan) Open(*Context) error {
+func (s *TableScan) Open(ctx *Context) error {
+	s.src = ctx.resolve(s.Table)
 	s.pos = 0
 	return nil
 }
@@ -39,8 +41,8 @@ func (s *TableScan) Open(*Context) error {
 // pages it starts — the multiples of rows-per-page among the positions
 // it covers — are counted arithmetically.
 func (s *TableScan) NextBatch(ctx *Context, dst *Batch, max int) error {
-	start, rpp := s.pos, s.Table.RowsPerPage()
-	ctx.Counter.CPUTuples += int64(dst.AppendFrom(s.Table.Rows(), &s.pos, max-len(dst.Rows)))
+	start, rpp := s.pos, s.src.RowsPerPage()
+	ctx.Counter.CPUTuples += int64(dst.AppendFrom(s.src.Rows(), &s.pos, max-len(dst.Rows)))
 	ctx.Counter.PageReads += int64(storage.PagesFor(s.pos, rpp) - storage.PagesFor(start, rpp))
 	return nil
 }

@@ -110,7 +110,8 @@ var Registry = []Entry{
 	{"E14", "Multiple views in one query (§2.1 interaction)", E14MultiView},
 	{"E15", "Interesting orders: property memo and sort elision", E15SortElision},
 	{"E17", "Fault-injected transport: retry recovery and graceful degradation", E17Robustness},
-	{"E18", "Serving throughput: plan cache hit rate and QPS, cached vs uncached", E18ServingThroughput},
+	{"E18", "Serving layer: plan cache hit rate and run-time view planning, cached vs uncached",
+		func() (*Report, error) { return E18Serving(E18Sessions, E18Queries) }},
 	{"E20", "Adaptive re-optimization: statistics feedback on correlated data", E20Adaptive},
 }
 

@@ -12,8 +12,7 @@ import (
 // §12/§13): a plan-cache entry is shared by every session that hits it,
 // and its Make closures may be invoked concurrently, so the executable
 // state an operator mutates must be private to one execution. Three
-// rules make the filterJoinOp fork-at-Open convention a checked
-// contract:
+// rules make the fork-at-Open convention a checked contract:
 //
 //  1. Fork before write: inside Open/NextBatch/Close (and the
 //     same-type helpers they reach, by call or as a method value such

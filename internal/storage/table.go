@@ -123,9 +123,10 @@ func (t *Table) Rows() []value.Row { return t.rows }
 // PageOfRow returns the page number that holds row i.
 func (t *Table) PageOfRow(i int) int { return i / t.rowsPerPage }
 
-// Truncate removes all rows (indexes are cleared too).
+// Truncate removes all rows (indexes are cleared too) and lets go of
+// their backing array, so an emptied table pins none of what it held.
 func (t *Table) Truncate() {
-	t.rows = t.rows[:0]
+	t.rows = nil
 	for _, ix := range t.indexes {
 		ix.clear()
 	}

@@ -16,7 +16,12 @@ import (
 // with the serving-layer defaults, optionally with the plan cache off.
 func servingDB(t *testing.T, cacheOff bool) *filterjoin.DB {
 	t.Helper()
-	db := filterjoin.Open(filterjoin.Config{BatchSize: 1024, DisablePlanCache: cacheOff})
+	return servingDBWith(t, filterjoin.Config{BatchSize: 1024, DisablePlanCache: cacheOff})
+}
+
+func servingDBWith(t *testing.T, cfg filterjoin.Config) *filterjoin.DB {
+	t.Helper()
+	db := filterjoin.Open(cfg)
 	if err := db.ExecScript(`
 		CREATE TABLE Emp (eid int, did int, sal float, age int);
 		CREATE TABLE Dept (did int, budget int);
