@@ -26,23 +26,23 @@ type feedbackObs struct {
 	raw  float64   // unfiltered relation cardinality the plan was built from
 }
 
-// absorbFeedback is the slow feedback loop. It must be called with NO
-// lock held: candidates are extracted lock-free from the finished
-// result, and only if any exist does it take the write lock, verify each
-// against the catalog's current estimate, record the misestimated ones,
-// and bump the epoch. Verification under the lock matters because the
-// executed plan's estimates may predate a correction another session
-// has already applied: comparing against ent.Stats() keeps one
-// misestimate from being observed twice.
+// absorbFeedback is the slow feedback loop. It must be called outside
+// any span: candidates are extracted lock-free from the finished result,
+// and only if any exist does it enter a write span, verify each against
+// the catalog's current estimate, and record the misestimated ones.
+// Verification inside the span matters because the executed plan's
+// estimates may predate a correction another session has already
+// applied: comparing against ent.Stats() keeps one misestimate from
+// being observed twice. The span's epoch bump is unconditional: plans
+// cached under it were planned from statistics just shown to
+// misestimate, and a rare spurious bump (every per-relation check
+// failing inside the span) only costs one re-optimization.
 func (e *Engine) absorbFeedback(res *Result) {
 	if !e.adaptFeedback || res == nil || res.Plan == nil {
 		return
 	}
 	cands := collectObservations(res)
-	if len(cands) == 0 {
-		return
-	}
-	// Cheap pre-gate: take the write lock only when some candidate
+	// Cheap pre-gate: enter the write span only when some candidate
 	// misestimates against the executed plan's own numbers.
 	need := false
 	for _, c := range cands {
@@ -54,36 +54,31 @@ func (e *Engine) absorbFeedback(res *Result) {
 	if !need {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, c := range cands {
-		ent, err := e.cat.Get(c.rel)
-		if err != nil {
-			continue
+	e.span.Write(func() {
+		for _, c := range cands {
+			ent, err := e.cat.Get(c.rel)
+			if err != nil {
+				continue
+			}
+			st := ent.Stats()
+			if st == nil {
+				continue
+			}
+			planned := stats.Selectivity(c.pred, st) * c.raw
+			if _, off := plan.Misestimate(planned, c.act, e.fbRatio); !off {
+				continue
+			}
+			o := stats.PredObservation{
+				Key: stats.PredKey(c.pred),
+				Sel: c.act / c.raw,
+				Col: -1,
+			}
+			if col, op, x, ok := refinableCmp(c.pred); ok {
+				o.Col, o.Op, o.X = col, op, x
+			}
+			ent.ObserveFeedback(o)
 		}
-		st := ent.Stats()
-		if st == nil {
-			continue
-		}
-		planned := stats.Selectivity(c.pred, st) * c.raw
-		if _, off := plan.Misestimate(planned, c.act, e.fbRatio); !off {
-			continue
-		}
-		o := stats.PredObservation{
-			Key: stats.PredKey(c.pred),
-			Sel: c.act / c.raw,
-			Col: -1,
-		}
-		if col, op, x, ok := refinableCmp(c.pred); ok {
-			o.Col, o.Op, o.X = col, op, x
-		}
-		ent.ObserveFeedback(o)
-	}
-	// The epoch bump is unconditional once the write lock is taken:
-	// plans cached under it were planned from statistics just shown to
-	// misestimate, and a rare spurious bump (every per-relation check
-	// failing under the lock) only costs one re-optimization.
-	e.invalidateLocked()
+	})
 }
 
 // collectObservations extracts complete leaf-scan measurements from a

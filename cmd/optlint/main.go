@@ -1,14 +1,7 @@
 // Command optlint runs the repo's static-analysis suite (internal/lint)
 // over packages of this module.
 //
-// Standalone:
-//
 //	go run ./cmd/optlint ./...
-//
-// As a vet tool (best-effort: diagnostics only, no cross-package facts):
-//
-//	go build -o optlint ./cmd/optlint
-//	go vet -vettool=$(pwd)/optlint ./...
 //
 // Exit status is 0 when no analyzer finds a violation, 1 otherwise, and
 // 2 on usage or load errors. Findings are suppressed per line with
@@ -16,7 +9,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -35,29 +27,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// go vet probes the tool's identity with -V=full and its flag set
-	// with -flags before use. The version line must end in a buildID
-	// field the go command can use as a cache key; hash the executable.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		id := "unknown"
-		if exe, err := os.Executable(); err == nil {
-			if data, err := os.ReadFile(exe); err == nil {
-				sum := sha256.Sum256(data)
-				id = fmt.Sprintf("%x", sum[:16])
-			}
-		}
-		fmt.Printf("optlint version devel buildID=%s\n", id)
-		return 0
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return 0
-	}
-	// go vet invokes the tool once per package with a single .cfg file.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVetUnit(args[0])
-	}
-
 	fs := flag.NewFlagSet("optlint", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
@@ -199,65 +168,4 @@ func selectAnalyzers(only string) []*analysis.Analyzer {
 		out = append(out, a)
 	}
 	return out
-}
-
-// vetConfig is the subset of the cmd/vet unitchecker config optlint
-// reads. The full protocol ships export data and fact files; optlint's
-// analyzers need neither (they re-load from source), so this mode is
-// diagnostics-only.
-type vetConfig struct {
-	ImportPath string
-	GoFiles    []string
-	Output     string
-}
-
-func runVetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "optlint: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "optlint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// Vet expects the output (facts) file to exist afterwards; optlint
-	// produces no facts, so write an empty one.
-	if cfg.Output != "" {
-		if err := os.WriteFile(cfg.Output, nil, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "optlint: %v\n", err)
-			return 2
-		}
-	}
-	if len(cfg.GoFiles) == 0 {
-		return 0
-	}
-	dir := filepath.Dir(cfg.GoFiles[0])
-	l, err := loader.New(dir)
-	if err != nil {
-		// Outside this module (stdlib units, etc.): nothing to check.
-		return 0
-	}
-	if cfg.ImportPath != l.ModulePath && !strings.HasPrefix(cfg.ImportPath, l.ModulePath+"/") {
-		return 0
-	}
-	pkg, err := l.LoadDir(dir, cfg.ImportPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "optlint: %v\n", err)
-		return 2
-	}
-	diags, err := lint.Run(l.Fset, []*loader.Package{pkg}, lint.All())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "optlint: %v\n", err)
-		return 2
-	}
-	for _, d := range diags {
-		pos := l.Fset.Position(d.Pos)
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", pos.Filename, pos.Line, pos.Column, d.Message, d.Analyzer)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
 }

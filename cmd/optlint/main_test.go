@@ -10,8 +10,8 @@ import (
 )
 
 // seedModule writes a throwaway module containing one lockepoch
-// violation (an engine-shaped struct whose field is written without the
-// write lock) and chdirs into it for the duration of the test.
+// violation (a span-shaped struct whose mutex is taken outside its Read
+// and Write methods) and chdirs into it for the duration of the test.
 func seedModule(t *testing.T) {
 	t.Helper()
 	dir := t.TempDir()
@@ -22,14 +22,14 @@ func seedModule(t *testing.T) {
 
 import "sync"
 
-type engine struct {
+type guard struct {
 	mu    sync.RWMutex
 	epoch uint64
-	stats int
 }
 
-func (e *engine) setStats(v int) {
-	e.stats = v
+func (g *guard) peek() uint64 {
+	g.mu.RLock()
+	return g.epoch
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "eng.go"), []byte(src), 0o666); err != nil {

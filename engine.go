@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"filterjoin/internal/catalog"
 	"filterjoin/internal/core"
 	"filterjoin/internal/cost"
 	"filterjoin/internal/dist"
+	"filterjoin/internal/epoch"
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/opt"
@@ -27,23 +27,27 @@ import (
 
 // Engine is the serving layer's shared core: the catalog, the cost model,
 // the prototype optimizer, the Filter Join method, and the normalized-
-// query plan cache. An Engine is immutable between catalog epochs —
-// every DDL statement, insert, or bulk load takes the write lock, bumps
-// the epoch, and drops every derived artifact (cached plans, memoized
-// view leaves, parametric costers) — while any number of Sessions run
-// SELECTs concurrently under the read lock.
+// query plan cache. An Engine is immutable between catalog epochs and
+// has exactly two ways in (DESIGN.md §12): every query — served SQL,
+// EXPLAIN, the programmatic plan/block entry points — is one read span
+// (serve), any number of which run concurrently; every mutation — DDL,
+// INSERT, bulk load, registration, statistics feedback — is a write
+// span, which on every exit bumps the epoch and drops every derived
+// artifact (invalidate).
 //
-// Reads never optimize on the prototype optimizer directly: every cache
-// miss plans on a private fork (OptimizeBlock mutates search state), and
-// the fork's counters are folded back into the prototype, so
-// Optimizer().Metrics still accounts all planning work. Execution-time
-// deferred planning (the Filter Join's restricted-view optimization)
-// accounts to the plan's captured optimizer instead: a cache hit
-// provably does not move the prototype's PlansConsidered, which is how
-// tests distinguish a hit from a silent re-optimization.
+// Nothing here optimizes on the prototype optimizer: planFor plans on a
+// private fork (OptimizeBlock mutates search state) and folds the
+// fork's counters back, so Optimizer().Metrics still accounts all
+// planning work. Execution-time deferred planning (the Filter Join's
+// restricted-view optimization) accounts to the plan's captured
+// optimizer instead: a cache hit provably does not move the prototype's
+// PlansConsidered, which is how tests distinguish a hit from a silent
+// re-optimization.
 type Engine struct {
-	// mu is the epoch lock: DDL = Lock, SELECT = RLock.
-	mu    sync.RWMutex
+	// span guards every field below. Its epoch counts catalog mutations
+	// and is a component of every plan cache key, so entries from before
+	// a mutation can never be served after it.
+	span  *epoch.Lock
 	cat   *catalog.Catalog
 	proto *opt.Optimizer
 	fj    *core.Method
@@ -52,10 +56,6 @@ type Engine struct {
 	retry dist.RetryPolicy
 	batch int
 
-	// epoch counts catalog mutations; it is a component of every plan
-	// cache key, so entries from before a DDL statement can never be
-	// served after it.
-	epoch    uint64
 	cache    *plancache.Cache
 	cacheOff bool
 
@@ -101,6 +101,7 @@ func newEngine(cfg Config) *Engine {
 		adaptFeedback: cfg.AdaptiveFeedback,
 		fbRatio:       fbRatio,
 	}
+	e.span = epoch.New(e.invalidate)
 	if !cfg.DisableFilterJoin {
 		e.fj = core.NewMethod(cfg.FilterJoin)
 		o.Register(e.fj)
@@ -117,20 +118,16 @@ func (e *Engine) NewSession() *Session { return &Session{eng: e} }
 // counters.
 func (e *Engine) CacheStats() plancache.Stats { return e.cache.Stats() }
 
-// Epoch returns the current catalog epoch (bumped by every catalog
-// mutation).
-func (e *Engine) Epoch() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.epoch
+// Epoch returns the current catalog epoch (bumped by every write span).
+func (e *Engine) Epoch() (cur uint64) {
+	e.span.Read(func(epoch uint64) { cur = epoch })
+	return cur
 }
 
-// invalidateLocked drops every artifact derived from catalog contents:
-// cached plans (via the epoch and an explicit clear), memoized view
-// leaves, and the Filter Join's parametric costers. Callers hold the
-// write lock.
-func (e *Engine) invalidateLocked() {
-	e.epoch++
+// invalidate drops every artifact derived from catalog contents: cached
+// plans, memoized view leaves, and the Filter Join's parametric costers.
+// It is the write span's exit hook and runs nowhere else.
+func (e *Engine) invalidate() {
 	e.cache.Clear()
 	e.proto.InvalidateCaches()
 	if e.fj != nil {
@@ -140,15 +137,10 @@ func (e *Engine) invalidateLocked() {
 
 // InvalidateCaches drops cached plans and costers; call after bulk
 // loading through the storage API directly.
-func (e *Engine) InvalidateCaches() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.invalidateLocked()
-}
+func (e *Engine) InvalidateCaches() { e.span.Write(func() {}) }
 
-// execStmt dispatches one parsed statement. SELECT-family statements run
-// under the read lock (concurrently); everything else mutates the
-// catalog under the write lock.
+// execStmt dispatches one parsed statement: SELECT-family statements
+// are read spans, everything else is one write span.
 func (e *Engine) execStmt(stdctx context.Context, st sql.Statement, args []value.Value) (*Result, error) {
 	switch s := st.(type) {
 	case *sql.SelectStmt:
@@ -164,14 +156,17 @@ func (e *Engine) execStmt(stdctx context.Context, st sql.Statement, args []value
 		if len(args) > 0 {
 			return nil, fmt.Errorf("filterjoin: bind arguments are only valid for SELECT statements")
 		}
-		return e.execDDL(st)
+		var err error
+		e.span.Write(func() { err = e.applyDDL(st) })
+		return nil, err
 	}
 }
 
-// execDDL runs a catalog-mutating statement under the write lock.
-func (e *Engine) execDDL(st sql.Statement) (*Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// applyDDL mutates the catalog for one DDL or INSERT statement. It runs
+// only inside execStmt's write span, so a statement rejected here still
+// costs an epoch bump and a cache clear — harmless, and the price of
+// never having to decide whether a failed statement mutated anything.
+func (e *Engine) applyDDL(st sql.Statement) error {
 	switch s := st.(type) {
 	case *sql.CreateTable:
 		cols := make([]schema.Column, len(s.Cols))
@@ -179,72 +174,60 @@ func (e *Engine) execDDL(st sql.Statement) (*Result, error) {
 			cols[i] = schema.Column{Table: s.Name, Name: c.Name, Type: c.Type}
 		}
 		if e.cat.Has(s.Name) {
-			return nil, fmt.Errorf("filterjoin: relation %q already exists", s.Name)
+			return fmt.Errorf("filterjoin: relation %q already exists", s.Name)
 		}
 		e.cat.AddTable(storage.NewTable(s.Name, schema.New(cols...)))
-		e.invalidateLocked()
-		return nil, nil
+		return nil
 
 	case *sql.CreateIndex:
 		ent, err := e.cat.Get(s.Table)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ent.Table == nil {
-			return nil, fmt.Errorf("filterjoin: cannot index non-stored relation %q", s.Table)
+			return fmt.Errorf("filterjoin: cannot index non-stored relation %q", s.Table)
 		}
 		idx := make([]int, len(s.Cols))
 		for i, cn := range s.Cols {
 			j, err := ent.Table.Schema().IndexOf("", cn)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			idx[i] = j
 		}
-		// Invalidate before inspecting the error: a failed build may
-		// still have touched table metadata, and a spurious epoch bump
-		// on a rejected DDL is harmless.
-		_, idxErr := ent.Table.CreateIndex(s.Name, idx)
-		e.invalidateLocked()
-		if idxErr != nil {
-			return nil, idxErr
-		}
-		return nil, nil
+		_, err = ent.Table.CreateIndex(s.Name, idx)
+		return err
 
 	case *sql.CreateView:
 		if e.cat.Has(s.Name) {
-			return nil, fmt.Errorf("filterjoin: relation %q already exists", s.Name)
+			return fmt.Errorf("filterjoin: relation %q already exists", s.Name)
 		}
 		b, err := sql.BindSelect(e.cat, s.Select)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.cat.AddView(s.Name, b)
-		e.invalidateLocked()
-		return nil, nil
+		return nil
 
 	case *sql.Insert:
 		ent, err := e.cat.Get(s.Table)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ent.Table == nil {
-			return nil, fmt.Errorf("filterjoin: cannot insert into non-stored relation %q", s.Table)
+			return fmt.Errorf("filterjoin: cannot insert into non-stored relation %q", s.Table)
 		}
+		// Rows inserted before a failure stay visible, so the statistics
+		// are stale on the error path too.
+		defer ent.InvalidateStats()
 		for _, r := range s.Rows {
 			if err := ent.Table.Insert(value.Row(r)); err != nil {
-				// Rows inserted before the failure are visible; stale
-				// stats and cached plans must not survive them.
-				ent.InvalidateStats()
-				e.invalidateLocked()
-				return nil, err
+				return err
 			}
 		}
-		ent.InvalidateStats()
-		e.invalidateLocked()
-		return nil, nil
+		return nil
 	}
-	return nil, fmt.Errorf("filterjoin: unsupported statement %T", st)
+	return fmt.Errorf("filterjoin: unsupported statement %T", st)
 }
 
 // prepareArgs resolves a SELECT's bind mode. With explicit placeholders
@@ -270,89 +253,95 @@ func prepareArgs(sel *sql.SelectStmt, userArgs []value.Value) (norm *sql.SelectS
 	return norm, allArgs, nil
 }
 
-// serveSelect is the cached SELECT path: the shared-lock span (lookup
-// through execution), then — with no lock held — the statistics feedback
-// pass over the measured cardinalities. Feedback must run after the read
-// lock is released because absorbing it takes the write lock (an
-// in-place upgrade would deadlock against concurrent readers).
+// request is one trip through the read span. Exactly one of sel, block
+// and plan says where it starts: a statement still to bind, a block
+// still to plan, or a finished plan to run.
+type request struct {
+	sel   *sql.SelectStmt
+	block *query.Block
+	plan  *plan.Node
+	text  string        // sel's plan-cache text; "" = not cacheable
+	args  []value.Value // bind arguments of sel
+	run   bool          // execute the plan, not just return it
+}
+
+// serve is the read span, and the only one that queries take: bind
+// against the catalog, get the plan from planFor, execute. The whole
+// trip runs under the shared lock so no mutation interleaves with a
+// scan. state is the plan's cache state ("" for a caller-supplied plan);
+// res is nil unless r.run.
+func (e *Engine) serve(stdctx context.Context, r request) (p *plan.Node, state string, res *Result, err error) {
+	e.span.Read(func(epoch uint64) {
+		if p = r.plan; p == nil {
+			b := r.block
+			if r.sel != nil {
+				if b, err = sql.BindSelectArgs(e.cat, r.sel, r.args); err != nil {
+					return
+				}
+			}
+			if p, state, err = e.planFor(epoch, b, r.text, len(r.args)); err != nil {
+				return
+			}
+		}
+		if r.run {
+			if res, err = e.runPlan(stdctx, p, r.args); err == nil {
+				res.CacheState = state
+			}
+		}
+	})
+	return p, state, res, err
+}
+
+// planFor is the one place a plan comes from. A statement with cache
+// text is keyed by (text, epoch, its arguments' selectivity classes,
+// optimizer config): a hit returns the cached plan, a miss optimizes and
+// caches. Without text — a programmatic block, unbound parameters (no
+// selectivity class to key on), or the cache turned off — it counts a
+// bypass and optimizes. Optimization runs on a private fork of the
+// prototype whose search counters are folded back, so concurrent
+// sessions never contend on optimizer state.
+func (e *Engine) planFor(epoch uint64, b *query.Block, text string, nArgs int) (*plan.Node, string, error) {
+	state := "bypass"
+	var key plancache.Key
+	if text != "" && !e.cacheOff {
+		key = plancache.Key{
+			Text:    text,
+			Epoch:   epoch,
+			Classes: e.classVector(b, nArgs),
+			Config:  e.configFingerprint(),
+		}
+		if ent, ok := e.cache.Get(key); ok {
+			return ent.Plan, "hit", nil
+		}
+		state = "miss"
+	} else {
+		e.cache.Bypass()
+	}
+	f := e.proto.Fork()
+	p, err := f.OptimizeBlock(b)
+	e.proto.MergeMetrics(f.Metrics)
+	if err != nil {
+		return nil, "", err
+	}
+	if state == "miss" {
+		e.cache.Put(key, &plancache.Entry{Plan: p, Cost: p.Total(e.model)})
+	}
+	return p, state, nil
+}
+
+// serveSelect is the cached SELECT path: normalize, one read span, then
+// — with no lock held, because absorbing takes the write span — the
+// statistics feedback pass over the measured cardinalities.
 func (e *Engine) serveSelect(stdctx context.Context, sel *sql.SelectStmt, userArgs []value.Value) (*Result, error) {
-	res, err := e.serveSelectShared(stdctx, sel, userArgs)
+	norm, args, err := prepareArgs(sel, userArgs)
+	if err != nil {
+		return nil, err
+	}
+	_, _, res, err := e.serve(stdctx, request{sel: norm, text: sql.FormatSelect(norm), args: args, run: true})
 	if err == nil {
 		e.absorbFeedback(res)
 	}
 	return res, err
-}
-
-// serveSelectShared is serveSelect's read-locked span: normalize, build
-// the selectivity-classed cache key, and either serve the cached plan or
-// optimize on a private fork and cache the result. The whole span —
-// lookup through execution — runs under the read lock (which it acquires
-// itself) so catalog mutations cannot interleave with a scan.
-func (e *Engine) serveSelectShared(stdctx context.Context, sel *sql.SelectStmt, userArgs []value.Value) (*Result, error) {
-	norm, allArgs, err := prepareArgs(sel, userArgs)
-	if err != nil {
-		return nil, err
-	}
-	text := sql.FormatSelect(norm)
-
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	b, err := sql.BindSelectArgs(e.cat, norm, allArgs)
-	if err != nil {
-		return nil, err
-	}
-
-	var (
-		p     *plan.Node
-		state string
-	)
-	if e.cacheOff {
-		e.cache.Bypass()
-		state = "bypass"
-	} else {
-		key := plancache.Key{
-			Text:    text,
-			Epoch:   e.epoch,
-			Classes: e.classVector(b, len(allArgs)),
-			Config:  e.configFingerprint(),
-		}
-		if ent, ok := e.cache.Get(key); ok {
-			p, state = ent.Plan, "hit"
-		} else {
-			state = "miss"
-			defer func() {
-				if p != nil {
-					e.cache.Put(key, &plancache.Entry{Plan: p, Cost: p.Total(e.model)})
-				}
-			}()
-		}
-	}
-	if p == nil {
-		p, err = e.optimizeOnFork(b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, err := e.runPlan(stdctx, p, allArgs)
-	if err != nil {
-		return nil, err
-	}
-	res.CacheState = state
-	return res, nil
-}
-
-// optimizeOnFork plans a block on a private fork of the prototype
-// optimizer (carrying over the execution knobs Fork deliberately drops)
-// and folds the fork's search counters back into the prototype, so
-// concurrent sessions never contend on optimizer state but planning work
-// still shows up in Optimizer().Metrics.
-func (e *Engine) optimizeOnFork(b *query.Block) (*plan.Node, error) {
-	f := e.proto.Fork()
-	f.BatchSize = e.proto.BatchSize
-	f.Tracer = e.proto.Tracer
-	p, err := f.OptimizeBlock(b)
-	e.proto.MergeMetrics(f.Metrics)
-	return p, err
 }
 
 // classVector computes the selectivity class of each bind parameter: the
@@ -488,105 +477,48 @@ func (e *Engine) serveUnion(stdctx context.Context, u *sql.UnionStmt) (*Result, 
 }
 
 // explainSelect renders EXPLAIN (and EXPLAIN ANALYZE) output for a
-// SELECT through the same cache machinery as execution; ANALYZE runs
-// feed the statistics feedback pass exactly like served SELECTs, after
-// the read-locked span releases.
+// SELECT through the same read span as execution: the lookup both
+// consults and populates the cache, the output ends with a
+// `cache=hit|miss|bypass` banner, and ANALYZE runs feed the statistics
+// feedback pass exactly like served SELECTs. A statement with unbound
+// parameters (prepare-time EXPLAIN with no arguments) gets a generic
+// plan and bypasses the cache.
 func (e *Engine) explainSelect(stdctx context.Context, sel *sql.SelectStmt, userArgs []value.Value, analyze bool, opts plan.AnalyzeOptions, stmtCost bool) (string, *plan.Node, error) {
-	out, p, res, err := e.explainSelectShared(stdctx, sel, userArgs, analyze, opts, stmtCost)
-	if err == nil && res != nil {
-		e.absorbFeedback(res)
-	}
-	return out, p, err
-}
-
-// explainSelectShared is explainSelect's read-locked span: the lookup
-// both consults and populates the cache, and the output ends with a
-// `cache=hit|miss|bypass` banner. A statement with unbound parameters
-// (prepare-time EXPLAIN with no arguments) plans a generic plan and
-// bypasses the cache: without values there is no selectivity class to
-// key on. The returned Result is non-nil only for ANALYZE runs.
-func (e *Engine) explainSelectShared(stdctx context.Context, sel *sql.SelectStmt, userArgs []value.Value, analyze bool, opts plan.AnalyzeOptions, stmtCost bool) (string, *plan.Node, *Result, error) {
-	var (
-		norm    *sql.SelectStmt
-		allArgs []value.Value
-		unbound bool
-	)
+	r := request{sel: sel, run: analyze}
+	unbound := false
 	if sql.HasParams(sel) && len(userArgs) == 0 {
-		if n, err := sql.NumParams(sel); err != nil {
-			return "", nil, nil, err
-		} else if n > 0 {
-			if analyze {
-				return "", nil, nil, fmt.Errorf("filterjoin: EXPLAIN ANALYZE requires all %d bind arguments", n)
-			}
-			unbound = true
-			norm = sel
+		n, err := sql.NumParams(sel)
+		if err != nil {
+			return "", nil, err
+		}
+		if unbound = n > 0; unbound && analyze {
+			return "", nil, fmt.Errorf("filterjoin: EXPLAIN ANALYZE requires all %d bind arguments", n)
 		}
 	}
 	if !unbound {
 		var err error
-		norm, allArgs, err = prepareArgs(sel, userArgs)
-		if err != nil {
-			return "", nil, nil, err
+		if r.sel, r.args, err = prepareArgs(sel, userArgs); err != nil {
+			return "", nil, err
 		}
+		r.text = sql.FormatSelect(r.sel)
 	}
-	text := sql.FormatSelect(norm)
-
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	b, err := sql.BindSelectArgs(e.cat, norm, allArgs)
+	p, state, res, err := e.serve(stdctx, r)
 	if err != nil {
-		return "", nil, nil, err
+		return "", nil, err
 	}
-
-	var (
-		p     *plan.Node
-		state string
-	)
-	if unbound || e.cacheOff {
-		e.cache.Bypass()
-		state = "bypass"
-	} else {
-		key := plancache.Key{
-			Text:    text,
-			Epoch:   e.epoch,
-			Classes: e.classVector(b, len(allArgs)),
-			Config:  e.configFingerprint(),
-		}
-		if ent, ok := e.cache.Get(key); ok {
-			p, state = ent.Plan, "hit"
-		} else {
-			state = "miss"
-			defer func() {
-				if p != nil {
-					e.cache.Put(key, &plancache.Entry{Plan: p, Cost: p.Total(e.model)})
-				}
-			}()
-		}
-	}
-	if p == nil {
-		p, err = e.optimizeOnFork(b)
-		if err != nil {
-			return "", nil, nil, err
-		}
-	}
-
+	var out string
 	if analyze {
-		res, err := e.runPlan(stdctx, p, allArgs)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		out := plan.FormatAnalyze(res.Plan, e.model, res.ops, res.Cost, opts)
+		out = plan.FormatAnalyze(res.Plan, e.model, res.ops, res.Cost, opts)
 		out += degradedLine(res)
 		out += fmt.Sprintf("rows: %d\n", len(res.Rows))
-		out += fmt.Sprintf("cache=%s\n", state)
-		return out, p, res, nil
+		e.absorbFeedback(res)
+	} else {
+		out = plan.Format(p, e.model)
+		if stmtCost {
+			out += fmt.Sprintf("estimated cost: %.2f  (%s)\n", p.Total(e.model), p.Est.String())
+		}
 	}
-	out := plan.Format(p, e.model)
-	if stmtCost {
-		out += fmt.Sprintf("estimated cost: %.2f  (%s)\n", p.Total(e.model), p.Est.String())
-	}
-	out += fmt.Sprintf("cache=%s\n", state)
-	return out, p, nil, nil
+	return out + fmt.Sprintf("cache=%s\n", state), p, nil
 }
 
 // serveExplainStmt handles the SQL-level EXPLAIN statement, wrapping the
@@ -601,44 +533,6 @@ func (e *Engine) serveExplainStmt(stdctx context.Context, s *sql.ExplainStmt, ar
 		out.Rows = append(out.Rows, value.Row{value.NewString(line)})
 	}
 	return out, nil
-}
-
-// queryBlock optimizes and executes a programmatically built block on
-// the prototype optimizer. Programmatic plans never touch the plan
-// cache (there is no statement text to key on); they serialize against
-// everything else under the write lock, preserving the classic DB
-// semantics.
-func (e *Engine) queryBlock(stdctx context.Context, b *query.Block) (*Result, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cache.Bypass()
-	p, err := e.proto.OptimizeBlock(b)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.runPlan(stdctx, p, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.CacheState = "bypass"
-	return res, nil
-}
-
-// planBlock optimizes a block on the prototype optimizer without
-// executing it (programmatic path, write lock).
-func (e *Engine) planBlock(b *query.Block) (*plan.Node, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.proto.OptimizeBlock(b)
-}
-
-// runPlanShared executes an already-optimized plan under the read lock,
-// which it acquires itself (so it is not a *Locked helper: callers must
-// NOT hold the mutex).
-func (e *Engine) runPlanShared(stdctx context.Context, p *plan.Node) (*Result, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.runPlan(stdctx, p, nil)
 }
 
 // newExecContext builds the per-execution context: a fresh counter, the
@@ -659,7 +553,7 @@ func (e *Engine) newExecContext(stdctx context.Context, args []value.Value) *exe
 
 // runPlan executes a plan, collecting rows and measured counters, with
 // graceful degradation to the retained fault-free fallback on a
-// mid-query site error. Callers hold at least the read lock.
+// mid-query site error. It runs inside serve's read span.
 func (e *Engine) runPlan(stdctx context.Context, p *plan.Node, args []value.Value) (*Result, error) {
 	ctx := e.newExecContext(stdctx, args)
 	executed := p

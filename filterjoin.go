@@ -23,11 +23,11 @@
 //	                    WHERE E.did = V.did AND E.sal > V.avgsal`)
 //	fmt.Println(res.Rows, res.Cost)
 //
-// Serving layer: a DB is a thin facade over an Engine — the shared,
-// epoch-versioned core owning the catalog, the optimizer, and a
-// normalized-query plan cache — plus one default Session. Create more
-// sessions with NewSession for concurrent serving, and use Prepare for
-// statements executed repeatedly with different bind arguments.
+// Serving layer: a DB is an Engine — the shared, epoch-versioned core
+// owning the catalog, the optimizer, and a normalized-query plan cache —
+// plus the default Session it embeds. Create more sessions with
+// NewSession for concurrent serving, and use Prepare for statements
+// executed repeatedly with different bind arguments.
 package filterjoin
 
 import (
@@ -109,27 +109,21 @@ type Config struct {
 }
 
 // DB is an in-memory database instance: an Engine (catalog, optimizer,
-// plan cache) plus a default Session, with SQL and programmatic entry
-// points.
+// plan cache) plus the default Session it embeds — Exec, Query, Prepare,
+// Explain and the rest of the statement API are that session's methods
+// — and the programmatic and bulk-loading entry points below.
 //
-// SELECT statements from any number of goroutines run concurrently;
-// catalog-mutating statements (DDL, INSERT, bulk loads, registrations)
+// Queries from any number of goroutines run concurrently, SQL and
+// programmatic (QueryBlock, PlanBlock, Plan, RunPlan) alike;
+// catalog-mutating calls (DDL, INSERT, bulk loads, registrations)
 // serialize under the engine's epoch lock and invalidate every cached
-// plan. The programmatic block/plan entry points (QueryBlock, PlanBlock,
-// RunPlan) keep the classic fully-serialized semantics.
+// plan.
 type DB struct {
-	eng *Engine
-	def *Session
+	*Session
 }
 
 // Open creates an empty database.
-func Open(cfg Config) *DB {
-	eng := newEngine(cfg)
-	return &DB{eng: eng, def: eng.NewSession()}
-}
-
-// Engine exposes the serving core shared by this DB's sessions.
-func (db *DB) Engine() *Engine { return db.eng }
+func Open(cfg Config) *DB { return &DB{newEngine(cfg).NewSession()} }
 
 // NewSession returns a new lightweight session on the DB's engine.
 func (db *DB) NewSession() *Session { return db.eng.NewSession() }
@@ -138,8 +132,8 @@ func (db *DB) NewSession() *Session { return db.eng.NewSession() }
 func (db *DB) Catalog() *catalog.Catalog { return db.eng.cat }
 
 // Optimizer exposes the prototype optimizer (metrics, method toggles,
-// overrides). Cache-served queries plan on private forks of it; their
-// search counters are merged back into its Metrics.
+// overrides, tracer). Every query plans on a private fork of it; the
+// fork's search counters are merged back into its Metrics.
 func (db *DB) Optimizer() *opt.Optimizer { return db.eng.proto }
 
 // FilterJoin exposes the registered Filter Join method; nil when the
@@ -192,38 +186,6 @@ func (r *Result) Stats() []*exec.OpStats { return r.ops }
 // TotalCost weighs the measured counters under the DB's cost model.
 func (db *DB) TotalCost(r *Result) float64 { return db.eng.model.Total(r.Cost) }
 
-// Exec runs one SQL statement with optional bind arguments (see
-// Session.Exec). DDL and INSERT return a nil *Result; SELECT returns
-// rows.
-func (db *DB) Exec(text string, args ...any) (*Result, error) {
-	return db.def.Exec(text, args...)
-}
-
-// ExecContext is Exec under a caller context: cancellation or deadline
-// expiry aborts execution between rows (and between transport retries)
-// with the context's error.
-func (db *DB) ExecContext(stdctx context.Context, text string, args ...any) (*Result, error) {
-	return db.def.ExecContext(stdctx, text, args...)
-}
-
-// ExecScript runs a semicolon-separated sequence of statements,
-// discarding SELECT results.
-func (db *DB) ExecScript(text string) error { return db.def.ExecScript(text) }
-
-// Query runs a SELECT statement and returns its rows.
-func (db *DB) Query(text string, args ...any) (*Result, error) {
-	return db.def.Query(text, args...)
-}
-
-// QueryContext is Query under a caller context (see ExecContext).
-func (db *DB) QueryContext(stdctx context.Context, text string, args ...any) (*Result, error) {
-	return db.def.QueryContext(stdctx, text, args...)
-}
-
-// Prepare parses and validates a SELECT once for repeated execution with
-// bind arguments (see Session.Prepare).
-func (db *DB) Prepare(text string) (*Stmt, error) { return db.def.Prepare(text) }
-
 // ExecParsed runs an already-parsed SQL statement (tools that parse a
 // script once and dispatch statements themselves use this).
 func (db *DB) ExecParsed(st sql.Statement) (*Result, error) {
@@ -237,53 +199,25 @@ func (db *DB) InvalidateCaches() { db.eng.InvalidateCaches() }
 // QueryBlock optimizes and executes a programmatically built block
 // (bypassing the plan cache; there is no statement text to key on).
 func (db *DB) QueryBlock(b *query.Block) (*Result, error) {
-	return db.eng.queryBlock(context.Background(), b)
+	_, _, res, err := db.eng.serve(context.Background(), request{block: b, run: true})
+	return res, err
 }
 
 // PlanBlock optimizes a block without executing it.
 func (db *DB) PlanBlock(b *query.Block) (*plan.Node, error) {
-	return db.eng.planBlock(b)
+	p, _, _, err := db.eng.serve(context.Background(), request{block: b})
+	return p, err
 }
 
-// Plan parses and optimizes a SELECT without executing it (programmatic
-// path: the plan cache is not consulted).
+// Plan parses and optimizes a SELECT without executing it (the plan
+// cache is not consulted).
 func (db *DB) Plan(text string) (*plan.Node, error) {
-	st, err := sql.Parse(text)
+	sel, err := parseSelect(text)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("filterjoin: Plan requires a SELECT statement")
-	}
-	db.eng.mu.Lock()
-	defer db.eng.mu.Unlock()
-	b, err := sql.BindSelect(db.eng.cat, sel)
-	if err != nil {
-		return nil, err
-	}
-	return db.eng.proto.OptimizeBlock(b)
-}
-
-// Explain returns the optimized plan rendered as text, ending with the
-// plan-cache banner (cache=hit|miss|bypass). The lookup goes through —
-// and populates — the plan cache, exactly like execution.
-func (db *DB) Explain(text string, args ...any) (string, error) {
-	return db.def.Explain(text, args...)
-}
-
-// ExplainAnalyze optimizes and executes a SELECT, returning the plan
-// tree annotated per operator with the optimizer's estimates next to
-// the measured rows and cost counters (deterministic: wall times are
-// collected in Result.Stats but not printed here).
-func (db *DB) ExplainAnalyze(text string, args ...any) (string, error) {
-	return db.def.ExplainAnalyze(text, args...)
-}
-
-// ExplainAnalyzeOpts is ExplainAnalyze with rendering options (show
-// per-operator wall time, tune the misestimate-flag ratio).
-func (db *DB) ExplainAnalyzeOpts(text string, opts plan.AnalyzeOptions, args ...any) (string, error) {
-	return db.def.ExplainAnalyzeOpts(text, opts, args...)
+	p, _, _, err := db.eng.serve(context.Background(), request{sel: sel})
+	return p, err
 }
 
 // RunPlan executes an already-optimized plan and collects its rows and
@@ -294,72 +228,56 @@ func (db *DB) RunPlan(p *plan.Node) (*Result, error) {
 
 // RunPlanContext is RunPlan under a caller context (see ExecContext).
 func (db *DB) RunPlanContext(stdctx context.Context, p *plan.Node) (*Result, error) {
-	return db.eng.runPlanShared(stdctx, p)
+	_, _, res, err := db.eng.serve(stdctx, request{plan: p, run: true})
+	return res, err
 }
 
 // LoadCSV bulk-loads CSV data into a stored table (an optional header
-// row matching the column names is skipped). Returns rows loaded.
-func (db *DB) LoadCSV(table string, r io.Reader) (int, error) {
+// row matching the column names is skipped). Returns rows loaded; a
+// partial load (n rows, then a parse error) keeps its n rows.
+func (db *DB) LoadCSV(table string, r io.Reader) (n int, err error) {
 	e := db.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent, err := e.cat.Get(table)
-	if err != nil {
-		return 0, err
-	}
-	if ent.Table == nil {
-		return 0, fmt.Errorf("filterjoin: cannot load into non-stored relation %q", table)
-	}
-	n, err := ent.Table.LoadCSV(r)
-	// A partial load (n rows, then a parse error) has already mutated
-	// the table, so invalidate on every path; when nothing was loaded
-	// the epoch bump merely evicts still-valid plans, which is safe.
-	if n > 0 {
-		ent.InvalidateStats()
-	}
-	e.invalidateLocked()
+	e.span.Write(func() {
+		var ent *catalog.Entry
+		if ent, err = e.cat.Get(table); err != nil {
+			return
+		}
+		if ent.Table == nil {
+			err = fmt.Errorf("filterjoin: cannot load into non-stored relation %q", table)
+			return
+		}
+		if n, err = ent.Table.LoadCSV(r); n > 0 {
+			ent.InvalidateStats()
+		}
+	})
 	return n, err
 }
 
 // RegisterTable adds a pre-built storage table (bulk loading path).
 func (db *DB) RegisterTable(t *storage.Table) {
-	e := db.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cat.AddTable(t)
-	e.invalidateLocked()
+	db.eng.span.Write(func() { db.eng.cat.AddTable(t) })
 }
 
 // RegisterRemoteTable adds a table homed at a (simulated) remote site.
 func (db *DB) RegisterRemoteTable(t *storage.Table, site int) {
-	e := db.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cat.AddRemoteTable(t, site)
-	e.invalidateLocked()
+	db.eng.span.Write(func() { db.eng.cat.AddRemoteTable(t, site) })
 }
 
 // RegisterRemoteView defines a view whose body executes at a remote site.
 // The definition text must be a SELECT statement.
 func (db *DB) RegisterRemoteView(name, selectText string, site int) error {
+	sel, err := parseSelect(selectText)
+	if err != nil {
+		return err
+	}
 	e := db.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st, err := sql.Parse(selectText)
-	if err != nil {
-		return err
-	}
-	sel, ok := st.(*sql.SelectStmt)
-	if !ok {
-		return fmt.Errorf("filterjoin: remote view definition must be a SELECT")
-	}
-	b, err := sql.BindSelect(e.cat, sel)
-	if err != nil {
-		return err
-	}
-	e.cat.AddRemoteView(name, b, site)
-	e.invalidateLocked()
-	return nil
+	e.span.Write(func() {
+		var b *query.Block
+		if b, err = sql.BindSelect(e.cat, sel); err == nil {
+			e.cat.AddRemoteView(name, b, site)
+		}
+	})
+	return err
 }
 
 // RegisterFunc adds a user-defined (function-backed) relation. argCols
@@ -367,9 +285,5 @@ func (db *DB) RegisterRemoteView(name, selectText string, site int) error {
 // virtual extension for costing; perCall is the average rows returned
 // per invocation (0 lets the optimizer derive it from st).
 func (db *DB) RegisterFunc(name string, sch *schema.Schema, argCols []int, fn catalog.FuncBody, st *stats.RelStats, perCall float64) {
-	e := db.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cat.AddFunc(name, sch, argCols, fn, st, perCall)
-	e.invalidateLocked()
+	db.eng.span.Write(func() { db.eng.cat.AddFunc(name, sch, argCols, fn, st, perCall) })
 }

@@ -306,8 +306,6 @@ func (f *filterJoinOp) restrictView(ctx *exec.Context, keys *exec.KeySet) (exec.
 // optimizer.
 func (s *fjExecSpec) planRestricted(keys *exec.KeySet) (*restrictPlan, error) {
 	o := s.o.Fork()
-	o.BatchSize = s.o.BatchSize
-	o.Tracer = s.o.Tracer
 	defer func() { s.o.MergeMetrics(o.Metrics) }()
 
 	f := storage.FromRows(o.TempName("magic"), s.fSchema, keys.Rows())

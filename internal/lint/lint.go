@@ -18,10 +18,10 @@
 //   - sitefault:  transport Send errors are never discarded, so a
 //     *dist.SiteError always propagates to the facade's
 //     graceful-degradation handler.
-//   - lockepoch:  Engine catalog/model mutations hold the write lock
-//     on every path and bump the epoch + invalidate caches before
-//     returning; read paths never take the write lock (epoch
-//     monotonicity).
+//   - lockepoch:  Engine catalog/model mutations happen inside a
+//     write span (internal/epoch.Lock bumps the epoch and invalidates
+//     on every exit), spans never nest, and only the two span
+//     functions touch the mutex (epoch monotonicity).
 //   - sharesafe:  operator state written during execution is forked or
 //     reset at Open, and plan Make closures build fresh trees
 //     (cached-plan immutability).

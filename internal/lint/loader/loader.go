@@ -46,27 +46,6 @@ type Loader struct {
 	active map[string]bool // import-cycle detection
 }
 
-// New returns a loader rooted at the nearest go.mod at or above dir.
-func New(dir string) (*Loader, error) {
-	root, err := findModuleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	return &Loader{
-		ModuleRoot: root,
-		ModulePath: modPath,
-		Fset:       fset,
-		std:        importer.ForCompiler(fset, "source", nil),
-		loaded:     map[string]*Package{},
-		active:     map[string]bool{},
-	}, nil
-}
-
 // sharedLoaders memoizes one Loader per module root for the whole
 // process. Every LoadDir result is itself memoized per import path, so
 // callers that share a Loader — the analysistest fixtures, the
@@ -92,9 +71,18 @@ func NewShared(dir string) (*Loader, error) {
 	if l, ok := sharedLoaders[root]; ok {
 		return l, nil
 	}
-	l, err := New(root)
+	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
+	}
+	fset := token.NewFileSet()
+	l := &Loader{
+		ModuleRoot: root,
+		ModulePath: modPath,
+		Fset:       fset,
+		std:        importer.ForCompiler(fset, "source", nil),
+		loaded:     map[string]*Package{},
+		active:     map[string]bool{},
 	}
 	sharedLoaders[root] = l
 	return l, nil

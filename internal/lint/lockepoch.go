@@ -9,33 +9,31 @@ import (
 	"filterjoin/internal/lint/analysis"
 )
 
-// Lockepoch statically enforces the serving layer's epoch/lock
-// discipline (DESIGN.md §12/§13). The Engine is immutable between
-// catalog epochs: every mutation of catalog, model, or derived state
-// must (a) happen with the write lock held on every path, and (b) be
-// followed — before any return — by an epoch bump plus a cache
-// invalidation, so no cached plan from the previous epoch can ever be
-// served again. Read paths must never take the write lock, and
-// *Locked-suffix helpers (callers hold the lock) must never lock their
-// own mutex.
+// Lockepoch guards the serving layer's epoch/lock discipline (DESIGN.md
+// §12/§13). The discipline has four guarantees: (a) every catalog/model
+// mutation holds the write lock, (b) it is followed, before the lock is
+// released, by an epoch bump plus a cache invalidation, (c) nothing
+// acquires the lock while already holding it (sync.RWMutex deadlocks on
+// upgrade and on re-entry), (d) nobody but the lock's owner touches the
+// mutex. The span type (internal/epoch.Lock: Read and Write methods
+// over an unexported RWMutex and epoch) enforces (b) and most of (d) by
+// construction; what a type cannot say is where its closures are
+// written, and that is what remains here, checked lexically:
 //
-// The analyzer runs only on packages declaring an "engine-like" type: a
-// struct with a sync.RWMutex field and an unsigned integer field named
-// epoch. Every function in such a package is walked path-sensitively
-// (the opclose walker's discipline): lock state is tracked per engine
-// expression ("e", "db.eng"), catalog/storage mutations are recognized
-// by callee name (AddTable, Insert, CreateIndex, LoadCSV, ...), an
-// epoch bump is an increment of the epoch field, and a cache
-// invalidation is a Clear/Invalidate*/Reset* call on an engine field.
-// Same-package engine-method calls are summarized (invalidateLocked
-// counts as bump+clear at its call sites; self-locking helpers are
-// opaque at call sites but flagged if invoked while the lock is held).
-// Engine values freshly constructed in-function (composite literals,
-// constructor call results) are exempt: an object nobody else can see
-// needs no lock.
+//	(i)   a leMutators call appears only inside a Write closure, or in
+//	      an unexported function referenced only from one (transitively);
+//	(ii)  no Read or Write is entered inside a span closure, or in a
+//	      function referenced from one (transitively);
+//	(iii) in the package declaring a span type, its mutex is named only
+//	      in the Read and Write methods.
+//
+// A span type is recognized by shape — a struct with a sync.RWMutex
+// field and an integer field named epoch — and its spans by name. Rules
+// (i) and (ii) run on packages that enter a span; everything else (a
+// fork planning on its private cloned catalog, say) is out of scope.
 var Lockepoch = &analysis.Analyzer{
 	Name: "lockepoch",
-	Doc:  "engine mutations hold the write lock and bump epoch + invalidate caches before returning",
+	Doc:  "engine mutations happen inside a write span, spans never nest, and only the span functions touch the lock",
 	Run:  runLockepoch,
 }
 
@@ -55,92 +53,108 @@ var leMutators = map[string]bool{
 	"Drop":            true,
 	// Adaptive statistics feedback (DESIGN.md §15): recording an observed
 	// selectivity changes what future optimizations estimate, exactly
-	// like a stats invalidation, so every path absorbing feedback under
-	// the write lock owes the epoch bump.
+	// like a stats invalidation.
 	"ObserveFeedback": true,
 }
 
-// leSummary is the per-engine-method effect summary applied at call
-// sites within the same package.
-type leSummary struct {
-	selfLocks bool // method takes its receiver's mutex itself
-	mutates   bool
-	bumps     bool
-	clears    bool
-}
-
-// leState is the abstract state at one program point.
-type leState struct {
-	locks     map[string]int // engine expr key -> 0 none, 1 read, 2 write
-	needBump  bool           // a mutation happened; epoch bump still owed
-	needClear bool           // a mutation happened; cache invalidation still owed
-}
-
-func (s leState) clone() leState {
-	locks := make(map[string]int, len(s.locks))
-	for k, v := range s.locks {
-		locks[k] = v
-	}
-	return leState{locks: locks, needBump: s.needBump, needClear: s.needClear}
-}
-
-// merge joins two branch states conservatively: the weaker lock wins,
-// and an invalidation debt owed on either branch is owed after the join.
-func leMerge(a, b leState) leState {
-	out := leState{locks: map[string]int{}, needBump: a.needBump || b.needBump, needClear: a.needClear || b.needClear}
-	for k, v := range a.locks {
-		out.locks[k] = min(v, b.locks[k])
-	}
-	for k, v := range b.locks {
-		if _, ok := a.locks[k]; !ok {
-			out.locks[k] = min(v, 0)
-		}
-	}
-	return out
+// leSite is one interesting program point: where it is, which declared
+// function it is written in, and the kind of span closure ("read",
+// "write" or "") lexically around it.
+type leSite struct {
+	pos  token.Pos
+	from *types.Func
+	span string
+	name string // callee name (mutator and span sites)
 }
 
 func runLockepoch(pass *analysis.Pass) error {
-	engineTypes := map[*types.TypeName]bool{}
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if ok && leEngineStruct(tn.Type()) {
-			engineTypes[tn] = true
-		}
-	}
-	if len(engineTypes) == 0 {
-		return nil
-	}
-
-	w := &leWalker{pass: pass, bodies: map[types.Object]*ast.FuncDecl{}, summaries: map[types.Object]*leSummary{}}
+	var mutations, entries []leSite
+	refs := map[*types.Func][]leSite{}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if fd.Recv != nil {
-				if obj := pass.TypesInfo.Defs[fd.Name]; obj != nil {
-					w.bodies[obj] = fd
+			from, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			analysis.WithStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CallExpr:
+					site := leSite{pos: x.Pos(), from: from, span: leEnclosingSpan(pass, x, stack)}
+					if site.name = leSpanCall(pass, x); site.name != "" {
+						entries = append(entries, site)
+					} else if site.name = leMutatorCall(pass, x); site.name != "" {
+						mutations = append(mutations, site)
+					}
+				case *ast.Ident:
+					if f, ok := pass.TypesInfo.Uses[x].(*types.Func); ok && f.Pkg() == pass.Pkg && f != from {
+						refs[f] = append(refs[f], leSite{pos: x.Pos(), from: from, span: leEnclosingSpan(pass, x, stack)})
+					}
+				case *ast.SelectorExpr:
+					// Rule (iii).
+					if leSpanMutex(pass, x) && !leIsSpanMethod(from) {
+						pass.Reportf(x.Pos(), "span mutex named outside Read/Write: only the two span functions may touch the lock")
+					}
 				}
+				return true
+			})
+		}
+	}
+	if len(entries) == 0 {
+		return nil
+	}
+
+	// writeOnly: unexported functions every reference to which is inside
+	// a Write closure or another writeOnly function. inSpan: functions
+	// some reference to which is inside a span closure or another inSpan
+	// function. Both are least fixpoints over the reference sites.
+	writeOnly := map[*types.Func]bool{}
+	inSpan := map[*types.Func]bool{}
+	for changed := true; changed; {
+		changed = false
+		for f, sites := range refs {
+			all := !f.Exported()
+			for _, s := range sites {
+				all = all && (s.span == "write" || writeOnly[s.from])
+				if !inSpan[f] && (s.span != "" || inSpan[s.from]) {
+					inSpan[f], changed = true, true
+				}
+			}
+			if all && !writeOnly[f] {
+				writeOnly[f], changed = true, true
 			}
 		}
 	}
-	w.summarize()
 
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				w.checkFunc(fd)
+	// Rule (i).
+	for _, m := range mutations {
+		if m.span != "write" && !writeOnly[m.from] {
+			pass.Reportf(m.pos, "catalog/model mutation %s() outside a write span", m.name)
+		}
+	}
+	// Rule (ii).
+	for _, e := range entries {
+		switch {
+		case e.span != "":
+			pass.Reportf(e.pos, "%s span entered inside a %s span (self-deadlock)", strings.ToLower(e.name), e.span)
+		case inSpan[e.from]:
+			via := token.NoPos
+			for _, s := range refs[e.from] {
+				if s.span != "" || inSpan[s.from] {
+					via = s.pos
+					break
+				}
 			}
+			pass.Reportf(e.pos, "%s span entered in %s, which runs inside a span (referenced at line %d): self-deadlock",
+				strings.ToLower(e.name), e.from.Name(), pass.Fset.Position(via).Line)
 		}
 	}
 	return nil
 }
 
-// leEngineStruct reports whether t (or *t) is a struct with a
-// sync.RWMutex field and an unsigned integer epoch field.
-func leEngineStruct(t types.Type) bool {
+// leSpanType reports whether t (or *t) is a struct with a sync.RWMutex
+// field and an integer field named epoch.
+func leSpanType(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
@@ -155,10 +169,8 @@ func leEngineStruct(t types.Type) bool {
 	hasMu, hasEpoch := false, false
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if ft, ok := f.Type().(*types.Named); ok {
-			if ft.Obj().Name() == "RWMutex" && ft.Obj().Pkg() != nil && ft.Obj().Pkg().Path() == "sync" {
-				hasMu = true
-			}
+		if leIsRWMutex(f.Type()) {
+			hasMu = true
 		}
 		if strings.EqualFold(f.Name(), "epoch") {
 			if b, ok := f.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
@@ -169,641 +181,81 @@ func leEngineStruct(t types.Type) bool {
 	return hasMu && hasEpoch
 }
 
-type leWalker struct {
-	pass      *analysis.Pass
-	bodies    map[types.Object]*ast.FuncDecl
-	summaries map[types.Object]*leSummary
-
-	// per-function state
-	fd      *ast.FuncDecl
-	assumed bool // *Locked method: caller holds the write lock
-	exempt  map[string]bool
-	enforce bool
+func leIsRWMutex(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "RWMutex" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync"
 }
 
-// summarize computes effect summaries for every engine-type method to a
-// fixpoint over same-type calls (self-locking callees are opaque: they
-// manage their own invariants).
-func (w *leWalker) summarize() {
-	for obj, fd := range w.bodies {
-		sum := &leSummary{}
-		recvKey := leReceiverKey(fd)
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.CallExpr:
-				if op, key := w.lockOp(x); op != "" && key == recvKey {
-					sum.selfLocks = true
-				}
-				if w.isMutatorCall(x) {
-					sum.mutates = true
-				}
-				if owner := w.clearCallOwner(x); owner != "" {
-					sum.clears = true
-				}
-			case *ast.IncDecStmt:
-				if w.isEpochField(x.X) {
-					sum.bumps = true
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range x.Lhs {
-					if w.isEpochField(lhs) {
-						sum.bumps = true
-					}
-				}
-			}
-			return true
-		})
-		w.summaries[obj] = sum
+// leIsSpanMethod reports whether f is the Read or Write method of a
+// span type.
+func leIsSpanMethod(f *types.Func) bool {
+	if f == nil || (f.Name() != "Read" && f.Name() != "Write") {
+		return false
 	}
-	for changed := true; changed; {
-		changed = false
-		for obj, fd := range w.bodies {
-			sum := w.summaries[obj]
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := w.calleeSummary(call)
-				if callee == nil || callee.selfLocks {
-					return true
-				}
-				if (callee.mutates && !sum.mutates) || (callee.bumps && !sum.bumps) || (callee.clears && !sum.clears) {
-					sum.mutates = sum.mutates || callee.mutates
-					sum.bumps = sum.bumps || callee.bumps
-					sum.clears = sum.clears || callee.clears
-					changed = true
-				}
-				return true
-			})
-		}
-	}
+	recv := f.Type().(*types.Signature).Recv()
+	return recv != nil && leSpanType(recv.Type())
 }
 
-// leReceiverKey returns the receiver variable's expression key, or "".
-func leReceiverKey(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
+// leSpanCall returns "Read" or "Write" when call enters a span, else "".
+func leSpanCall(pass *analysis.Pass, call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
 		return ""
 	}
-	return fd.Recv.List[0].Names[0].Name
-}
-
-// checkFunc path-walks one function.
-func (w *leWalker) checkFunc(fd *ast.FuncDecl) {
-	w.fd = fd
-	w.assumed = fd.Recv != nil && strings.HasSuffix(fd.Name.Name, "Locked") && w.engineExpr(fd.Recv.List[0].Type) != nil
-	w.exempt = map[string]bool{}
-	// Only enforce in functions that touch engine-typed state at all;
-	// a helper that never sees an engine cannot violate its discipline.
-	w.enforce = false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if e, ok := n.(ast.Expr); ok && w.engineExpr(e) != nil {
-			w.enforce = true
-			return false
-		}
-		return true
-	})
-	if fd.Recv != nil && w.engineExpr(fd.Recv.List[0].Type) != nil {
-		w.enforce = true
+	s, ok := pass.TypesInfo.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return ""
 	}
-	if !w.enforce {
-		return
-	}
-
-	st := leState{locks: map[string]int{}}
-	if w.assumed {
-		st.locks[leReceiverKey(fd)] = 2
-	}
-	out, terminated := w.walkStmts(fd.Body.List, st)
-	if !terminated && (out.needBump || out.needClear) {
-		w.reportObligation(fd.Body.Rbrace, out)
-	}
-}
-
-// engineExpr returns the type when e has an engine-like type, else nil.
-func (w *leWalker) engineExpr(e ast.Expr) types.Type {
-	tv, ok := w.pass.TypesInfo.Types[e]
-	if !ok || tv.Type == nil {
-		// Receiver type exprs are not in Types; resolve idents directly.
-		if id, ok := e.(*ast.Ident); ok {
-			if obj := w.pass.TypesInfo.Uses[id]; obj != nil && leEngineStruct(obj.Type()) {
-				return obj.Type()
-			}
-		}
-		if star, ok := e.(*ast.StarExpr); ok {
-			return w.engineExpr(star.X)
-		}
-		return nil
-	}
-	if leEngineStruct(tv.Type) {
-		return tv.Type
-	}
-	return nil
-}
-
-// exprKey renders an ident/selector chain ("e", "db.eng"); "" otherwise.
-func exprKey(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		if base := exprKey(x.X); base != "" {
-			return base + "." + x.Sel.Name
-		}
-	case *ast.ParenExpr:
-		return exprKey(x.X)
+	if f, _ := s.Obj().(*types.Func); leIsSpanMethod(f) {
+		return f.Name()
 	}
 	return ""
 }
 
-// lockOp classifies call as a mutex operation on an engine's RWMutex
-// field, returning the op name and the owner key ("" when not one).
-func (w *leWalker) lockOp(call *ast.CallExpr) (op, owner string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", ""
-	}
-	msel, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	mt, ok := w.pass.TypesInfo.Types[msel]
-	if !ok {
-		return "", ""
-	}
-	named, ok := mt.Type.(*types.Named)
-	if !ok || named.Obj().Name() != "RWMutex" || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", ""
-	}
-	if w.engineExpr(msel.X) == nil {
-		return "", ""
-	}
-	return sel.Sel.Name, exprKey(msel.X)
-}
-
-// isMutatorCall reports whether call invokes a method from the mutator
-// name set (on any receiver — catalog entries, tables, the engine).
-func (w *leWalker) isMutatorCall(call *ast.CallExpr) bool {
+// leMutatorCall returns the method name when call invokes a method from
+// the mutator name set (on any receiver — catalog, entries, tables).
+func leMutatorCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !leMutators[sel.Sel.Name] {
-		return false
-	}
-	s, ok := w.pass.TypesInfo.Selections[sel]
-	return ok && s.Kind() == types.MethodVal
-}
-
-// mutatorReceiverRoot returns the root expression key of the mutator
-// call's receiver chain ("e" for e.cat.AddTable), to exempt mutations
-// on freshly-constructed engines.
-func mutatorReceiverRoot(call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
 		return ""
 	}
-	key := exprKey(sel.X)
-	if key == "" {
-		return ""
+	if s, ok := pass.TypesInfo.Selections[sel]; ok && s.Kind() == types.MethodVal {
+		return sel.Sel.Name
 	}
-	root, _, _ := strings.Cut(key, ".")
-	return root
+	return ""
 }
 
-// clearCallOwner matches cache-invalidation calls: Clear/Invalidate*/
-// Reset* invoked on a field of an engine value; returns the engine key.
-func (w *leWalker) clearCallOwner(call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	name := sel.Sel.Name
-	if name != "Clear" && !strings.HasPrefix(name, "Invalidate") && !strings.HasPrefix(name, "Reset") {
-		return ""
-	}
-	fsel, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if w.engineExpr(fsel.X) == nil {
-		return ""
-	}
-	return exprKey(fsel.X)
+// leSpanMutex reports whether sel selects the RWMutex field of a span
+// type.
+func leSpanMutex(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
+	s, ok := pass.TypesInfo.Selections[sel]
+	return ok && s.Kind() == types.FieldVal && leIsRWMutex(s.Obj().Type()) && leSpanType(s.Recv())
 }
 
-// isEpochField reports whether e selects the epoch field of an engine.
-func (w *leWalker) isEpochField(e ast.Expr) bool {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || !strings.EqualFold(sel.Sel.Name, "epoch") {
-		return false
-	}
-	return w.engineExpr(sel.X) != nil
-}
-
-// calleeSummary resolves a call to a same-package engine-method summary.
-func (w *leWalker) calleeSummary(call *ast.CallExpr) *leSummary {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	s, ok := w.pass.TypesInfo.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return nil
-	}
-	return w.summaries[s.Obj()]
-}
-
-// wlockedAny reports whether any tracked engine is write-locked.
-func (w *leWalker) wlockedAny(st leState) bool {
-	if w.assumed {
-		return true
-	}
-	for _, v := range st.locks {
-		if v == 2 {
-			return true
-		}
-	}
-	return false
-}
-
-// walkStmts walks a statement list from state st, returning the exit
-// state and whether every path terminated (returned).
-func (w *leWalker) walkStmts(stmts []ast.Stmt, st leState) (leState, bool) {
-	for _, s := range stmts {
-		var term bool
-		st, term = w.walkStmt(s, st)
-		if term {
-			return st, true
-		}
-	}
-	return st, false
-}
-
-func (w *leWalker) walkStmt(s ast.Stmt, st leState) (leState, bool) {
-	switch x := s.(type) {
-	case *ast.ExprStmt:
-		w.scanExpr(x.X, &st)
-	case *ast.AssignStmt:
-		for _, rhs := range x.Rhs {
-			w.scanExpr(rhs, &st)
-		}
-		w.handleAssign(x, &st)
-	case *ast.IncDecStmt:
-		w.handleWrite(x.X, &st)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, v := range vs.Values {
-					w.scanExpr(v, &st)
-				}
-				w.handleDefines(vs.Names, vs.Values, &st)
-			}
-		}
-	case *ast.DeferStmt:
-		if op, _ := w.lockOp(x.Call); op != "" {
-			// Deferred unlocks release at return; the lock is held for
-			// the rest of the function, so the state does not change.
-			break
-		}
-		if fl, ok := x.Call.Fun.(*ast.FuncLit); ok {
-			w.walkStmts(fl.Body.List, st.clone())
-			break
-		}
-		w.scanExpr(x.Call, &st)
-	case *ast.GoStmt:
-		if fl, ok := x.Call.Fun.(*ast.FuncLit); ok {
-			w.walkStmts(fl.Body.List, st.clone())
-		}
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			w.scanExpr(r, &st)
-		}
-		if st.needBump || st.needClear {
-			w.reportObligation(x.Pos(), st)
-		}
-		return st, true
-	case *ast.BlockStmt:
-		return w.walkStmts(x.List, st)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			st, _ = w.walkStmt(x.Init, st)
-		}
-		w.scanExpr(x.Cond, &st)
-		thenSt, thenTerm := w.walkStmts(x.Body.List, st.clone())
-		elseSt, elseTerm := st, false
-		if x.Else != nil {
-			elseSt, elseTerm = w.walkStmt(x.Else, st.clone())
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return st, true
-		case thenTerm:
-			return elseSt, false
-		case elseTerm:
-			return thenSt, false
-		default:
-			return leMerge(thenSt, elseSt), false
-		}
-	case *ast.ForStmt:
-		if x.Init != nil {
-			st, _ = w.walkStmt(x.Init, st)
-		}
-		if x.Cond != nil {
-			w.scanExpr(x.Cond, &st)
-		}
-		bodySt, _ := w.walkStmts(x.Body.List, st.clone())
-		if x.Post != nil {
-			bodySt, _ = w.walkStmt(x.Post, bodySt)
-		}
-		return leMerge(st, bodySt), false
-	case *ast.RangeStmt:
-		w.scanExpr(x.X, &st)
-		bodySt, _ := w.walkStmts(x.Body.List, st.clone())
-		return leMerge(st, bodySt), false
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			st, _ = w.walkStmt(x.Init, st)
-		}
-		if x.Tag != nil {
-			w.scanExpr(x.Tag, &st)
-		}
-		return w.walkClauses(x.Body, st)
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			st, _ = w.walkStmt(x.Init, st)
-		}
-		return w.walkClauses(x.Body, st)
-	case *ast.SelectStmt:
-		return w.walkClauses(x.Body, st)
-	case *ast.LabeledStmt:
-		return w.walkStmt(x.Stmt, st)
-	case *ast.BranchStmt:
-		// break/continue/goto: control leaves this statement list; the
-		// loop-merge already accounts for the body state conservatively.
-		return st, true
-	}
-	return st, false
-}
-
-// walkClauses walks switch/select clauses, merging the non-terminating
-// branches (plus the fall-past state when there is no default clause).
-func (w *leWalker) walkClauses(body *ast.BlockStmt, st leState) (leState, bool) {
-	var outs []leState
-	hasDefault := false
-	for _, cs := range body.List {
-		var list []ast.Stmt
-		switch c := cs.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			list = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			} else {
-				st2 := st.clone()
-				if out, term := w.walkStmt(c.Comm, st2); !term {
-					st2 = out
-				}
-				out, term := w.walkStmts(c.Body, st2)
-				if !term {
-					outs = append(outs, out)
-				}
-				continue
-			}
-			list = c.Body
-		}
-		out, term := w.walkStmts(list, st.clone())
-		if !term {
-			outs = append(outs, out)
-		}
-	}
-	if !hasDefault {
-		outs = append(outs, st)
-	}
-	if len(outs) == 0 {
-		return st, true
-	}
-	merged := outs[0]
-	for _, o := range outs[1:] {
-		merged = leMerge(merged, o)
-	}
-	return merged, false
-}
-
-// handleAssign processes alias defines and left-hand-side engine writes.
-func (w *leWalker) handleAssign(x *ast.AssignStmt, st *leState) {
-	if x.Tok == token.DEFINE {
-		var names []*ast.Ident
-		for _, lhs := range x.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok {
-				names = append(names, id)
-			} else {
-				names = append(names, nil)
-			}
-		}
-		w.handleDefinesAssign(names, x.Rhs, st)
-		return
-	}
-	for _, lhs := range x.Lhs {
-		w.handleWrite(lhs, st)
-	}
-}
-
-func (w *leWalker) handleDefines(names []*ast.Ident, values []ast.Expr, st *leState) {
-	w.handleDefinesAssign(names, values, st)
-}
-
-// handleDefinesAssign tracks newly-declared engine variables: aliases of
-// shared engines inherit their lock state; freshly constructed engines
-// (composite literal or constructor-call result) are exempt from the
-// discipline — nobody else can see them yet.
-func (w *leWalker) handleDefinesAssign(names []*ast.Ident, values []ast.Expr, st *leState) {
-	for i, id := range names {
-		if id == nil {
-			continue
-		}
-		var rhs ast.Expr
-		switch {
-		case len(values) == len(names):
-			rhs = values[i]
-		case len(values) == 1:
-			rhs = values[0]
-		}
-		if rhs == nil {
-			continue
-		}
-		if w.engineExpr(id) == nil && w.engineExpr(rhs) == nil {
-			continue
-		}
-		switch rv := rhs.(type) {
-		case *ast.CompositeLit:
-			w.exempt[id.Name] = true
-		case *ast.UnaryExpr:
-			if _, ok := rv.X.(*ast.CompositeLit); ok {
-				w.exempt[id.Name] = true
-			}
-		case *ast.CallExpr:
-			if w.engineExpr(rhs) != nil {
-				w.exempt[id.Name] = true
-			}
-		default:
-			if key := exprKey(rhs); key != "" && w.engineExpr(rhs) != nil {
-				st.locks[id.Name] = st.locks[key]
-				if w.exempt[key] {
-					w.exempt[id.Name] = true
-				}
-			}
-		}
-	}
-}
-
-// handleWrite flags writes to shared engine state outside the write
-// lock, and retires the epoch-bump debt on epoch increments.
-func (w *leWalker) handleWrite(lhs ast.Expr, st *leState) {
-	sel, ok := lhs.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	// Find the selector whose X is the engine owner.
-	var owner ast.Expr
-	for cur := sel; ; {
-		if w.engineExpr(cur.X) != nil {
-			owner = cur.X
-			break
-		}
-		next, ok := cur.X.(*ast.SelectorExpr)
+// leEnclosingSpan returns the kind of span whose argument list n sits
+// in — normally the closure literal, but a function value passed by
+// name counts too: "write" if any enclosing span is a write span, else
+// "read" if any is, else "".
+func leEnclosingSpan(pass *analysis.Pass, n ast.Node, stack []ast.Node) string {
+	kind := ""
+	for i, anc := range stack {
+		call, ok := anc.(*ast.CallExpr)
 		if !ok {
-			return
+			continue
 		}
-		cur = next
-	}
-	key := exprKey(owner)
-	root, _, _ := strings.Cut(key, ".")
-	if w.exempt[root] {
-		return
-	}
-	wlocked := w.assumed || st.locks[key] == 2
-	if w.isEpochField(lhs) {
-		if !wlocked {
-			w.pass.Reportf(lhs.Pos(), "write to %s outside the write lock", exprKey(lhs))
+		child := n
+		if i+1 < len(stack) {
+			child = stack[i+1]
 		}
-		st.needBump = false
-		return
-	}
-	if !wlocked {
-		w.pass.Reportf(lhs.Pos(), "write to %s outside the write lock", exprKey(lhs))
-	}
-	st.needBump, st.needClear = true, true
-}
-
-// scanExpr applies the effects of every call in e to st, in evaluation
-// order approximated by AST order.
-func (w *leWalker) scanExpr(e ast.Expr, st *leState) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			w.walkStmts(x.Body.List, st.clone())
-			return false
-		case *ast.CallExpr:
-			w.applyCall(x, st)
+		if child == ast.Node(call.Fun) {
+			continue
 		}
-		return true
-	})
-}
-
-func (w *leWalker) applyCall(call *ast.CallExpr, st *leState) {
-	if op, key := w.lockOp(call); op != "" {
-		recvKey := leReceiverKey(w.fd)
-		if w.assumed && key == recvKey {
-			w.pass.Reportf(call.Pos(), "%s is a *Locked method (caller holds the lock) but locks its own mutex", w.fd.Name.Name)
-			return
-		}
-		switch op {
-		case "Lock":
-			switch st.locks[key] {
-			case 1:
-				w.pass.Reportf(call.Pos(), "write lock acquired while the read lock is held (upgrade deadlock)")
-			case 2:
-				w.pass.Reportf(call.Pos(), "write lock acquired twice (self-deadlock)")
-			}
-			st.locks[key] = 2
-		case "RLock":
-			if st.locks[key] == 0 {
-				st.locks[key] = 1
-			}
-		case "Unlock", "RUnlock":
-			st.locks[key] = 0
-		}
-		return
-	}
-	// Name-based mutator/invalidation recognition runs before the
-	// summary lookup: a same-package catalog or cache type would
-	// otherwise contribute a zero summary for AddTable/Clear that
-	// shadows the name-based rules.
-	if w.isMutatorCall(call) {
-		if root := mutatorReceiverRoot(call); root != "" && w.exempt[root] {
-			return
-		}
-		w.requireWriteLock(call, st)
-		st.needBump, st.needClear = true, true
-		return
-	}
-	if w.clearCallOwner(call) != "" {
-		st.needClear = false
-		return
-	}
-	if sum := w.calleeSummary(call); sum != nil {
-		if sum.selfLocks {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if key := exprKey(sel.X); key != "" && (st.locks[key] != 0 || (w.assumed && key == leReceiverKey(w.fd))) {
-					w.pass.Reportf(call.Pos(), "calls self-locking %s while already holding the lock (self-deadlock)", sel.Sel.Name)
-				}
-			}
-			return
-		}
-		if sum.mutates {
-			w.requireWriteLock(call, st)
-			st.needBump, st.needClear = true, true
-		}
-		if sum.bumps {
-			st.needBump = false
-		}
-		if sum.clears {
-			st.needClear = false
+		switch leSpanCall(pass, call) {
+		case "Write":
+			return "write"
+		case "Read":
+			kind = "read"
 		}
 	}
-}
-
-func (w *leWalker) requireWriteLock(call *ast.CallExpr, st *leState) {
-	if w.wlockedAny(*st) {
-		return
-	}
-	name := "call"
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		name = sel.Sel.Name
-	}
-	w.pass.Reportf(call.Pos(), "catalog/model mutation %s() without the write lock held", name)
-}
-
-// reportObligation fires at a return reached with an invalidation debt:
-// a mutation happened on this path and the epoch bump and/or cache
-// invalidation never followed.
-func (w *leWalker) reportObligation(pos token.Pos, st leState) {
-	var missing []string
-	if st.needBump {
-		missing = append(missing, "epoch bump")
-	}
-	if st.needClear {
-		missing = append(missing, "cache invalidation")
-	}
-	w.pass.Reportf(pos, "return after catalog/model mutation without %s; stale cached plans survive the mutation", strings.Join(missing, " + "))
+	return kind
 }

@@ -1,26 +1,23 @@
-// Package lockepoch exercises the lockepoch analyzer: engine-like
-// types (sync.RWMutex + integer epoch field) must mutate catalog/model
-// state only under the write lock, bump the epoch and invalidate
-// caches before returning, never upgrade a read lock, and *Locked
-// helpers must not lock their own mutex.
+// Package lockepoch exercises the lockepoch analyzer on the span shape:
+// a span type (sync.RWMutex + integer epoch field, Read and Write
+// methods) owns the lock; catalog/model mutations must sit inside a
+// Write closure or a function reached only from one, spans must not
+// nest, and nothing but Read and Write may name the mutex.
 package lockepoch
 
-import (
-	"errors"
-	"sync"
-)
-
-var errBad = errors.New("negative row")
+import "sync"
 
 type table struct{ rows []int }
 
 func (t *table) Insert(r int) { t.rows = append(t.rows, r) }
 
+// ObserveFeedback mirrors the adaptive statistics feedback path: it
+// changes what future optimizations estimate — a mutation like any DDL.
+func (t *table) ObserveFeedback(sel float64) bool { return sel > 0 }
+
 type planCache struct{ m map[string]int }
 
-func (p *planCache) Clear()                   { p.m = map[string]int{} }
-func (p *planCache) Put(k string, v int)      { p.m[k] = v }
-func (p *planCache) Get(k string) (int, bool) { v, ok := p.m[k]; return v, ok }
+func (p *planCache) Clear() { p.m = map[string]int{} }
 
 type catalog struct{ tables map[string]*table }
 
@@ -28,124 +25,160 @@ func (c *catalog) AddTable(name string, t *table) { c.tables[name] = t }
 func (c *catalog) Drop(name string)               { delete(c.tables, name) }
 func (c *catalog) Lookup(name string) *table      { return c.tables[name] }
 
-// engine is the shape the analyzer keys on: an RWMutex plus an integer
-// epoch field in one struct.
+// guard is the shape the analyzer keys on: an RWMutex plus an integer
+// epoch field in one struct, entered through Read and Write.
+type guard struct {
+	mu         sync.RWMutex
+	epoch      uint64
+	invalidate func()
+}
+
+func (g *guard) Read(fn func(epoch uint64)) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	fn(g.epoch)
+}
+
+func (g *guard) Write(fn func()) {
+	g.mu.Lock()
+	defer func() {
+		g.epoch++
+		g.invalidate()
+		g.mu.Unlock()
+	}()
+	fn()
+}
+
+// peek reads the epoch by taking the lock itself: a third function
+// touching the mutex is a third place the discipline can break.
+func (g *guard) peek() uint64 {
+	g.mu.RLock()         // want "span mutex named outside Read/Write"
+	defer g.mu.RUnlock() // want "span mutex named outside Read/Write"
+	return g.epoch
+}
+
 type engine struct {
-	mu    sync.RWMutex
-	epoch uint64
+	span  *guard
 	cat   *catalog
 	cache *planCache
-	stats int
 }
 
-// invalidateLocked is the canonical bump-and-clear helper; its summary
-// (bumps + clears) is applied at call sites.
-func (e *engine) invalidateLocked() {
-	e.epoch++
-	e.cache.Clear()
-}
-
-// createTable is the disciplined mutation path: write lock, mutate,
-// bump + invalidate via the helper.
+// createTable is the disciplined mutation path: one write span.
 func (e *engine) createTable(name string, t *table) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cat.AddTable(name, t)
-	e.invalidateLocked()
+	e.span.Write(func() { e.cat.AddTable(name, t) })
 }
 
-// lookup is a clean read path: read lock only.
-func (e *engine) lookup(name string) *table {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.cat.Lookup(name)
-}
-
-// insertUnlocked mutates a catalog table without any lock held.
-func (e *engine) insertUnlocked(name string, r int) {
-	t := e.cat.Lookup(name)
-	t.Insert(r) // want "catalog/model mutation Insert\(\) without the write lock held"
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.invalidateLocked()
-}
-
-// createNoInvalidate mutates under the lock but forgets both the epoch
-// bump and the cache invalidation.
-func (e *engine) createNoInvalidate(name string, t *table) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cat.AddTable(name, t)
-	return nil // want "return after catalog/model mutation without epoch bump \+ cache invalidation; stale cached plans survive the mutation"
-}
-
-// insertRows invalidates on the happy path but leaks an early return
-// inside the loop with the debt still owed.
-func (e *engine) insertRows(name string, rows []int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := e.cat.Lookup(name)
-	for _, r := range rows {
-		if r < 0 {
-			t.Insert(0)
-			return errBad // want "return after catalog/model mutation without epoch bump \+ cache invalidation"
-		}
-		t.Insert(r)
-	}
-	e.epoch++
-	e.cache.Clear()
-	return nil
-}
-
-// lookupThenUpgrade attempts the classic RLock-to-Lock upgrade, which
-// self-deadlocks under sync.RWMutex.
-func (e *engine) lookupThenUpgrade(name string) *table {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t := e.cat.Lookup(name)
-	if t == nil {
-		e.mu.Lock() // want "write lock acquired while the read lock is held \(upgrade deadlock\)"
-		defer e.mu.Unlock()
-		return nil
-	}
+// lookup is a clean read path.
+func (e *engine) lookup(name string) (t *table) {
+	e.span.Read(func(uint64) { t = e.cat.Lookup(name) })
 	return t
 }
 
-// statsLocked promises via its name that the caller holds the lock,
-// then locks anyway.
-func (e *engine) statsLocked() int {
-	e.mu.RLock() // want "statsLocked is a \*Locked method \(caller holds the lock\) but locks its own mutex"
-	defer e.mu.RUnlock()
-	return e.stats
+// insertRows keeps its loop in helpers reached only from its write
+// closure, one of them two calls deep: both are clean.
+func (e *engine) insertRows(name string, rows []int) {
+	e.span.Write(func() { e.applyInsert(name, rows) })
 }
 
-// setStats writes shared engine fields with no lock at all.
-func (e *engine) setStats(v int) {
-	e.stats = v // want "write to e.stats outside the write lock"
-	e.epoch++   // want "write to e.epoch outside the write lock"
-	e.cache.Clear()
+func (e *engine) applyInsert(name string, rows []int) {
+	for _, r := range rows {
+		e.insertOne(e.cat.Lookup(name), r)
+	}
 }
 
-// newEngine builds a fresh engine: an object nobody else can see yet
-// needs no lock and no invalidation (constructor exemption).
-func newEngine() *engine {
-	e := &engine{cat: &catalog{tables: map[string]*table{}}, cache: &planCache{m: map[string]int{}}}
-	e.cat.AddTable("bootstrap", &table{})
-	e.stats = 1
-	e.epoch = 1
-	return e
+func (e *engine) insertOne(t *table, r int) { t.Insert(r) }
+
+// rebuild is handed to the write span by name, not as a literal.
+func (e *engine) rebuild() { e.cat.Drop("scratch") }
+
+func (e *engine) rebuildAll() { e.span.Write(e.rebuild) }
+
+// lookupThenAbsorb enters two spans one after the other: clean.
+func (e *engine) lookupThenAbsorb(name string, sel float64) {
+	var t *table
+	e.span.Read(func(uint64) { t = e.cat.Lookup(name) })
+	if t != nil {
+		e.span.Write(func() { t.ObserveFeedback(sel) })
+	}
 }
 
-// db wraps an engine behind a field: lock tracking follows the
+// insertUnlocked mutates a catalog table outside any span.
+func (e *engine) insertUnlocked(name string, r int) {
+	e.cat.Lookup(name).Insert(r) // want "catalog/model mutation Insert\(\) outside a write span"
+	e.span.Write(func() {})
+}
+
+// insertInRead mutates under the shared lock only.
+func (e *engine) insertInRead(name string, r int) {
+	e.span.Read(func(uint64) {
+		e.cat.Lookup(name).Insert(r) // want "catalog/model mutation Insert\(\) outside a write span"
+	})
+}
+
+// dropShared is reached from a write closure and from outside one, so
+// its mutation is not covered.
+func (e *engine) dropShared(name string) {
+	e.cat.Drop(name) // want "catalog/model mutation Drop\(\) outside a write span"
+}
+
+func (e *engine) dropBoth(name string) {
+	e.span.Write(func() { e.dropShared(name) })
+	e.dropShared(name)
+}
+
+// AbsorbFeedback is referenced only from a write closure here, but it
+// is exported: any importer can call it with no span at all.
+func (e *engine) AbsorbFeedback(name string, sel float64) {
+	e.cat.Lookup(name).ObserveFeedback(sel) // want "catalog/model mutation ObserveFeedback\(\) outside a write span"
+}
+
+func (e *engine) absorb(name string, sel float64) {
+	e.span.Write(func() { e.AbsorbFeedback(name, sel) })
+}
+
+// lookupThenUpgrade attempts the classic read-to-write upgrade, which
+// self-deadlocks under sync.RWMutex.
+func (e *engine) lookupThenUpgrade(name string) {
+	e.span.Read(func(uint64) {
+		if e.cat.Lookup(name) == nil {
+			e.span.Write(func() { e.cat.AddTable(name, &table{}) }) // want "write span entered inside a read span \(self-deadlock\)"
+		}
+	})
+}
+
+// renameWithCheck re-enters the lock it already holds exclusively.
+func (e *engine) renameWithCheck(oldName, newName string) {
+	e.span.Write(func() {
+		e.span.Read(func(uint64) {}) // want "read span entered inside a write span \(self-deadlock\)"
+		e.cat.AddTable(newName, e.cat.Lookup(oldName))
+		e.cat.Drop(oldName)
+	})
+}
+
+// serveThenAbsorb calls a span-entering method from inside a read
+// closure: the nesting is one call away, reported where the inner span
+// is entered.
+func (e *engine) serveThenAbsorb(name string) {
+	e.span.Read(func(uint64) {
+		if e.cat.Lookup(name) != nil {
+			e.absorbNested(name)
+		}
+	})
+}
+
+func (e *engine) absorbNested(name string) {
+	e.span.Write(func() { e.cat.Lookup(name).ObserveFeedback(1) }) // want "write span entered in absorbNested, which runs inside a span \(referenced at line \d+\): self-deadlock"
+}
+
+// db wraps an engine behind a field: spans are recognized through the
 // selector chain, not just bare receivers.
 type db struct{ eng *engine }
 
 func (d *db) rename(oldName, newName string, t *table) {
-	d.eng.mu.Lock()
-	defer d.eng.mu.Unlock()
-	d.eng.cat.Drop(oldName)
-	d.eng.cat.AddTable(newName, t)
-	d.eng.invalidateLocked()
+	d.eng.span.Write(func() {
+		d.eng.cat.Drop(oldName)
+		d.eng.cat.AddTable(newName, t)
+	})
 }
 
 // bootstrapInsert runs before any reader exists; the suppression
@@ -153,39 +186,4 @@ func (d *db) rename(oldName, newName string, t *table) {
 func (e *engine) bootstrapInsert(name string, r int) {
 	//lint:ignore lockepoch fixture: startup is single-threaded, no readers yet
 	e.cat.Lookup(name).Insert(r)
-	e.invalidateLocked()
-}
-
-// ObserveFeedback mirrors the adaptive statistics feedback path: it
-// records an observed selectivity on a catalog entry, changing what
-// future optimizations estimate — a mutation like any DDL.
-func (t *table) ObserveFeedback(sel float64) bool { return sel > 0 }
-
-// absorbFeedback is the disciplined adaptive path: write lock, record
-// the observations, bump + invalidate before returning.
-func (e *engine) absorbFeedback(name string, sels []float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := e.cat.Lookup(name)
-	for _, s := range sels {
-		t.ObserveFeedback(s)
-	}
-	e.invalidateLocked()
-}
-
-// absorbFeedbackNoBump records feedback under the write lock but skips
-// the epoch bump: plans cached against the stale statistics survive.
-func (e *engine) absorbFeedbackNoBump(name string, sel float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cat.Lookup(name).ObserveFeedback(sel)
-	return nil // want "return after catalog/model mutation without epoch bump \+ cache invalidation; stale cached plans survive the mutation"
-}
-
-// absorbFeedbackUnlocked records feedback with no lock at all.
-func (e *engine) absorbFeedbackUnlocked(name string, sel float64) {
-	e.cat.Lookup(name).ObserveFeedback(sel) // want "catalog/model mutation ObserveFeedback\(\) without the write lock held"
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.invalidateLocked()
 }

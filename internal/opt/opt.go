@@ -145,8 +145,9 @@ func (o *Optimizer) Batch() int {
 // the parent's — plus private Disabled/StatsOverride/metrics/temp-name
 // state seeded from the parent, so forks never contend and their
 // results are identical to planning on the parent alone. BatchSize and
-// Tracer are not carried over; callers set them, and fold the fork's
-// Metrics back with MergeMetrics.
+// Tracer carry over (a fork plans for the same executor and is observed
+// by the same tracer); Metrics start at zero and callers fold them back
+// with MergeMetrics.
 func (o *Optimizer) Fork() *Optimizer {
 	f := &Optimizer{
 		Cat:               o.Cat.Clone(),
@@ -155,6 +156,8 @@ func (o *Optimizer) Fork() *Optimizer {
 		StatsOverride:     make(map[string]*stats.RelStats, len(o.StatsOverride)),
 		MaxRelations:      o.MaxRelations,
 		DisableOrderProps: o.DisableOrderProps,
+		BatchSize:         o.BatchSize,
+		Tracer:            o.Tracer,
 		extra:             o.extra,
 		viewLeafCache:     map[string]*plan.Node{},
 		depth:             o.depth,

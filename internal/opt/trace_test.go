@@ -150,3 +150,37 @@ func TestTracerOffByDefault(t *testing.T) {
 	// trace/Emit on a tracerless optimizer must be a no-op, not a panic.
 	o.Emit(TraceEvent{Kind: EvLeaf})
 }
+
+// TestForkCarriesKnobsNotState: a fork plans for the same executor
+// (BatchSize) under the same observer (Tracer) and the same toggles,
+// but shares no mutable search state with its parent.
+func TestForkCarriesKnobsNotState(t *testing.T) {
+	o, tr := traceTwoRel(t, "hash")
+	o.BatchSize = 7
+	seen := len(tr.Events)
+
+	f := o.Fork()
+	if f.BatchSize != 7 {
+		t.Errorf("fork BatchSize = %d, want the parent's 7", f.BatchSize)
+	}
+	if f.Tracer != Tracer(tr) {
+		t.Error("fork dropped the parent's Tracer")
+	}
+	if f.Metrics != (Metrics{}) {
+		t.Errorf("fork Metrics = %+v, want zero", f.Metrics)
+	}
+	f.Disabled["hash"] = true
+	if o.Disabled["hash"] {
+		t.Error("toggling a method on the fork toggled it on the parent")
+	}
+	before := o.Metrics
+	if _, err := f.OptimizeBlock(&query.Block{Rels: []query.RelRef{{Name: "A"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) == seen {
+		t.Error("planning on the fork emitted no trace events")
+	}
+	if o.Metrics != before {
+		t.Error("planning on the fork moved the parent's Metrics before MergeMetrics")
+	}
+}

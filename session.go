@@ -6,7 +6,6 @@ import (
 
 	"filterjoin/internal/plan"
 	"filterjoin/internal/sql"
-	"filterjoin/internal/value"
 )
 
 // Session is a lightweight handle onto an Engine. Sessions hold no
@@ -81,13 +80,9 @@ func (s *Session) ExecScript(text string) error {
 // the two may mix but the used slots must be contiguous. A prepared
 // statement is safe for concurrent use.
 func (s *Session) Prepare(text string) (*Stmt, error) {
-	st, err := sql.Parse(text)
+	sel, err := parseSelect(text)
 	if err != nil {
 		return nil, err
-	}
-	sel, ok := st.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("filterjoin: Prepare supports SELECT statements, got %T", st)
 	}
 	n, err := sql.NumParams(sel)
 	if err != nil {
@@ -96,50 +91,48 @@ func (s *Session) Prepare(text string) (*Stmt, error) {
 	return &Stmt{sess: s, text: text, sel: sel, n: n}, nil
 }
 
+// parseSelect parses text, which must be one SELECT statement.
+func parseSelect(text string) (*sql.SelectStmt, error) {
+	st, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := st.(*sql.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("filterjoin: expected a SELECT statement, got %T", st)
+	}
+	return sel, nil
+}
+
 // Explain returns the optimized plan for a SELECT rendered as text,
 // ending with the plan-cache banner (cache=hit|miss|bypass). The lookup
 // both consults and populates the cache, so a subsequent Query of the
 // same statement hits.
 func (s *Session) Explain(text string, args ...any) (string, error) {
-	sel, vals, err := s.parseSelect(text, args)
-	if err != nil {
-		return "", err
-	}
-	out, _, err := s.eng.explainSelect(context.Background(), sel, vals, false, plan.AnalyzeOptions{}, false)
-	return out, err
+	return s.explain(text, false, plan.AnalyzeOptions{}, args)
 }
 
 // ExplainAnalyze optimizes and executes a SELECT, returning the plan
 // tree annotated per operator with the optimizer's estimates next to
-// the measured rows and cost counters, plus the plan-cache banner.
+// the measured rows and cost counters (deterministic: wall times are
+// collected in Result.Stats but not printed), plus the plan-cache
+// banner.
 func (s *Session) ExplainAnalyze(text string, args ...any) (string, error) {
-	return s.ExplainAnalyzeOpts(text, plan.AnalyzeOptions{}, args...)
+	return s.explain(text, true, plan.AnalyzeOptions{}, args)
 }
 
-// ExplainAnalyzeOpts is ExplainAnalyze with rendering options.
+// ExplainAnalyzeOpts is ExplainAnalyze with rendering options (show
+// per-operator wall time, tune the misestimate-flag ratio).
 func (s *Session) ExplainAnalyzeOpts(text string, opts plan.AnalyzeOptions, args ...any) (string, error) {
-	sel, vals, err := s.parseSelect(text, args)
+	return s.explain(text, true, opts, args)
+}
+
+func (s *Session) explain(text string, analyze bool, opts plan.AnalyzeOptions, args []any) (string, error) {
+	st, err := s.Prepare(text)
 	if err != nil {
 		return "", err
 	}
-	out, _, err := s.eng.explainSelect(context.Background(), sel, vals, true, opts, false)
-	return out, err
-}
-
-func (s *Session) parseSelect(text string, args []any) (*sql.SelectStmt, []value.Value, error) {
-	st, err := sql.Parse(text)
-	if err != nil {
-		return nil, nil, err
-	}
-	sel, ok := st.(*sql.SelectStmt)
-	if !ok {
-		return nil, nil, fmt.Errorf("filterjoin: expected a SELECT statement, got %T", st)
-	}
-	vals, err := toValues(args)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sel, vals, nil
+	return st.explain(analyze, opts, args)
 }
 
 // Stmt is a prepared SELECT statement: parsed and validated once,
@@ -180,21 +173,20 @@ func (st *Stmt) ExecContext(stdctx context.Context, args ...any) (*Result, error
 // unbound plan and reports cache=bypass — there is no selectivity class
 // to key on without values.
 func (st *Stmt) Explain(args ...any) (string, error) {
-	vals, err := toValues(args)
-	if err != nil {
-		return "", err
-	}
-	out, _, err := st.sess.eng.explainSelect(context.Background(), st.sel, vals, false, plan.AnalyzeOptions{}, false)
-	return out, err
+	return st.explain(false, plan.AnalyzeOptions{}, args)
 }
 
 // ExplainAnalyze executes the statement with the given arguments and
 // renders the measured plan (all arguments are required).
 func (st *Stmt) ExplainAnalyze(args ...any) (string, error) {
+	return st.explain(true, plan.AnalyzeOptions{}, args)
+}
+
+func (st *Stmt) explain(analyze bool, opts plan.AnalyzeOptions, args []any) (string, error) {
 	vals, err := toValues(args)
 	if err != nil {
 		return "", err
 	}
-	out, _, err := st.sess.eng.explainSelect(context.Background(), st.sel, vals, true, plan.AnalyzeOptions{}, false)
+	out, _, err := st.sess.eng.explainSelect(context.Background(), st.sel, vals, analyze, opts, false)
 	return out, err
 }
