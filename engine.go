@@ -218,8 +218,8 @@ func (e *Engine) applyDDL(st sql.Statement) error {
 			return fmt.Errorf("filterjoin: cannot insert into non-stored relation %q", s.Table)
 		}
 		// Rows inserted before a failure stay visible, so the statistics
-		// are stale on the error path too.
-		defer ent.InvalidateStats()
+		// take in what the table kept on the error path too.
+		defer ent.FoldInsert(ent.Table.NumRows())
 		for _, r := range s.Rows {
 			if err := ent.Table.Insert(value.Row(r)); err != nil {
 				return err

@@ -3,12 +3,14 @@ package filterjoin_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	filterjoin "filterjoin"
+	"filterjoin/internal/catalog"
 	"filterjoin/internal/query"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/sql"
@@ -48,6 +50,52 @@ func kvSchema(name string) *schema.Schema {
 		schema.Column{Table: name, Name: "k", Type: value.KindInt},
 		schema.Column{Table: name, Name: "v", Type: value.KindInt},
 	)
+}
+
+// growT appends rows (3, 30) .. (n, 10n) to invariantDB's T and runs a
+// query, so T's statistics are collected over n ascending rows and the
+// next few INSERTs are folded into them rather than re-collected.
+func growT(t *testing.T, db *filterjoin.DB, n int) *catalog.Entry {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("INSERT INTO T VALUES ")
+	for i := 3; i <= n; i++ {
+		if i > 3 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "(%d, %d)", i, 10*i)
+	}
+	if _, err := db.Exec(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query("SELECT T.a FROM T WHERE T.a = 1"); err != nil {
+		t.Fatal(err)
+	}
+	ent, err := db.Catalog().Get("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ent
+}
+
+// checkStatsExact holds the entry's current statistics to a fresh
+// Collect of its table on every field an INSERT fold keeps exact.
+func checkStatsExact(t *testing.T, ent *catalog.Entry) {
+	t.Helper()
+	got, want := ent.Stats(), stats.Collect(ent.Table)
+	if got.Rows != want.Rows {
+		t.Errorf("Rows = %g, Collect says %g", got.Rows, want.Rows)
+	}
+	for c := range want.Cols {
+		g, w := got.Cols[c], want.Cols[c]
+		if g.Distinct != w.Distinct || g.NullFrac != w.NullFrac || g.Min != w.Min || g.Max != w.Max ||
+			g.HasRange != w.HasRange || g.Sorted != w.Sorted {
+			t.Errorf("column %d: statistics %+v, Collect says %+v", c, g, w)
+		}
+		if err := g.Hist.CheckInvariants(); err != nil {
+			t.Errorf("column %d: %v", c, err)
+		}
+	}
 }
 
 // TestEveryMutationBumpsEpoch walks all eleven write entry points, each
@@ -242,6 +290,7 @@ func TestPlanDoesNotWaitForReaders(t *testing.T) {
 // be dropped even though the statement returns an error.
 func TestInsertErrorStillInvalidates(t *testing.T) {
 	db := invariantDB(t)
+	ent := growT(t, db, 200)
 	if _, err := db.Query("SELECT T.a FROM T"); err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +299,15 @@ func TestInsertErrorStillInvalidates(t *testing.T) {
 
 	// Row two puts a float into an int column, which the storage layer
 	// rejects after row one is already inserted.
-	_, err := db.Exec("INSERT INTO T VALUES (3, 30), (4.5, 40)")
+	_, err := db.Exec("INSERT INTO T VALUES (300, 30), (4.5, 40)")
 	if err == nil {
 		t.Fatal("expected the mixed-type INSERT to fail")
+	}
+	// The statistics took in exactly the row the table kept, without a
+	// second Collect.
+	checkStatsExact(t, ent)
+	if n := ent.Collects(); n != 1 {
+		t.Errorf("%d full collects after the failed INSERT, want 1", n)
 	}
 
 	if after := db.Engine().Epoch(); after <= before {
@@ -261,7 +316,7 @@ func TestInsertErrorStillInvalidates(t *testing.T) {
 	if clears := db.CacheStats().Clears; clears <= clearsBefore {
 		t.Errorf("plan cache Clears = %d, want > %d: stale plans survived the partial mutation", clears, clearsBefore)
 	}
-	r, err := db.Query("SELECT T.a FROM T WHERE T.a = 3")
+	r, err := db.Query("SELECT T.a FROM T WHERE T.a = 300")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,20 +325,106 @@ func TestInsertErrorStillInvalidates(t *testing.T) {
 	}
 }
 
+// TestInsertFoldEdgeRows runs the INSERTs whose fold is easiest to get
+// wrong through the engine and holds the statistics the next query sees
+// to a fresh Collect, along with how many Collects it took to get there.
+func TestInsertFoldEdgeRows(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		insert   string
+		collects int // after the INSERT and the Stats() that follows
+		check    func(*testing.T, *stats.RelStats)
+	}{
+		{name: "all-NULL row", insert: "INSERT INTO T VALUES (NULL, NULL)", collects: 1,
+			check: func(t *testing.T, st *stats.RelStats) {
+				if st.Cols[0].NullFrac != 1.0/201 || st.Cols[0].Distinct != 200 {
+					t.Errorf("a: %+v", st.Cols[0])
+				}
+			}},
+		{name: "value that breaks Sorted", insert: "INSERT INTO T VALUES (150, 5)", collects: 1,
+			check: func(t *testing.T, st *stats.RelStats) {
+				if st.Cols[0].Sorted || st.Cols[1].Sorted {
+					t.Error("150 after 200 left a column Sorted")
+				}
+			}},
+		{name: "repeat of min and max", insert: "INSERT INTO T VALUES (1, 2000)", collects: 1,
+			check: func(t *testing.T, st *stats.RelStats) {
+				if st.Cols[0].Distinct != 200 || st.Cols[1].Distinct != 200 {
+					t.Errorf("a repeated value bumped Distinct: %g, %g", st.Cols[0].Distinct, st.Cols[1].Distinct)
+				}
+			}},
+		{name: "new min and new max", insert: "INSERT INTO T VALUES (-5, 9999)", collects: 1,
+			check: func(t *testing.T, st *stats.RelStats) {
+				if st.Cols[0].Min != -5 || st.Cols[1].Max != 9999 || st.Cols[0].Distinct != 201 {
+					t.Errorf("a: %+v, b: %+v", st.Cols[0], st.Cols[1])
+				}
+			}},
+		{name: "more than a bucket's worth", collects: 2,
+			insert: "INSERT INTO T VALUES (201, 1), (202, 1), (203, 1), (204, 1), (205, 1), (206, 1), (207, 1)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := invariantDB(t)
+			ent := growT(t, db, 200)
+			base := ent.Stats()
+			if _, err := db.Exec(tc.insert); err != nil {
+				t.Fatal(err)
+			}
+			checkStatsExact(t, ent)
+			if n := ent.Collects(); n != tc.collects {
+				t.Errorf("%d full collects, want %d", n, tc.collects)
+			}
+			if tc.check != nil {
+				tc.check(t, ent.Stats())
+			}
+			if base.Rows != 200 || base.Cols[0].Distinct != 200 || !base.Cols[0].Sorted {
+				t.Errorf("the statistics published before the INSERT changed: %+v", base)
+			}
+		})
+	}
+
+	// A table whose statistics were collected while it was empty: the
+	// first value of a column is not something the fold models.
+	t.Run("collected-but-empty table", func(t *testing.T) {
+		db := invariantDB(t)
+		if err := db.ExecScript("CREATE TABLE E (a int, s string); SELECT E.a FROM E;"); err != nil {
+			t.Fatal(err)
+		}
+		ent, err := db.Catalog().Get("E")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ent.Stats().Rows != 0 || ent.Collects() != 1 {
+			t.Fatalf("empty E: %+v after %d collects", ent.Stats(), ent.Collects())
+		}
+		if _, err := db.Exec("INSERT INTO E VALUES (1, 'x')"); err != nil {
+			t.Fatal(err)
+		}
+		checkStatsExact(t, ent)
+		if n := ent.Collects(); n != 2 {
+			t.Errorf("%d full collects, want 2", n)
+		}
+	})
+}
+
 // TestLoadCSVPartialFailureInvalidates pins the same contract for bulk
 // loads: a load that parses some rows and then fails has mutated the
 // table, so the epoch must advance on the error path too.
 func TestLoadCSVPartialFailureInvalidates(t *testing.T) {
 	db := invariantDB(t)
+	ent := growT(t, db, 200)
 	before := db.Engine().Epoch()
 	clearsBefore := db.CacheStats().Clears
 
-	n, err := db.LoadCSV("T", strings.NewReader("5,50\nnot-an-int,60\n"))
+	n, err := db.LoadCSV("T", strings.NewReader("500,50\nnot-an-int,60\n"))
 	if err == nil {
 		t.Fatal("expected the malformed CSV load to fail")
 	}
 	if n != 1 {
 		t.Fatalf("loaded %d rows before the failure, want 1", n)
+	}
+	checkStatsExact(t, ent)
+	if n := ent.Collects(); n != 1 {
+		t.Errorf("%d full collects after the partial load, want 1", n)
 	}
 	if after := db.Engine().Epoch(); after <= before {
 		t.Errorf("epoch = %d after partial load, want > %d", after, before)
@@ -291,7 +432,7 @@ func TestLoadCSVPartialFailureInvalidates(t *testing.T) {
 	if clears := db.CacheStats().Clears; clears <= clearsBefore {
 		t.Errorf("plan cache Clears = %d, want > %d: stale plans survived the partial load", clears, clearsBefore)
 	}
-	r, err := db.Query("SELECT T.b FROM T WHERE T.a = 5")
+	r, err := db.Query("SELECT T.b FROM T WHERE T.a = 500")
 	if err != nil {
 		t.Fatal(err)
 	}

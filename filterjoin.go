@@ -246,8 +246,9 @@ func (db *DB) LoadCSV(table string, r io.Reader) (n int, err error) {
 			err = fmt.Errorf("filterjoin: cannot load into non-stored relation %q", table)
 			return
 		}
+		first := ent.Table.NumRows()
 		if n, err = ent.Table.LoadCSV(r); n > 0 {
-			ent.InvalidateStats()
+			ent.FoldInsert(first)
 		}
 	})
 	return n, err

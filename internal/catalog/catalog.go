@@ -78,10 +78,15 @@ type Entry struct {
 	tableStats *stats.RelStats
 	viewSchema *schema.Schema
 
+	// foldBudget is how many more inserted rows FoldInsert may fold into
+	// tableStats before the next full Collect; collects counts those.
+	foldBudget int
+	collects   int
+
 	// fb accumulates runtime cardinality feedback for stored relations
 	// (DESIGN.md §15); fbStats caches the feedback-corrected statistics
-	// per feedback version. Both are derived state: InvalidateStats
-	// resets them alongside the collected statistics.
+	// per feedback version. Both are derived state: InvalidateStats and
+	// FoldInsert reset them alongside the collected statistics.
 	fb        *stats.Feedback
 	fbStats   *stats.RelStats
 	fbVersion uint64
@@ -122,6 +127,8 @@ func (e *Entry) Stats() *stats.RelStats {
 		defer e.mu.Unlock()
 		if e.tableStats == nil {
 			e.tableStats = stats.Collect(e.Table)
+			e.foldBudget = e.Table.NumRows() / stats.DefaultHistogramBuckets
+			e.collects++
 		}
 		// Runtime feedback corrects the collected statistics copy-on-write:
 		// the collected base (whose histograms RelStats.Clone shares by
@@ -148,12 +155,46 @@ func (e *Entry) Stats() *stats.RelStats {
 // must not correct statistics collected from the new data.
 func (e *Entry) InvalidateStats() {
 	e.mu.Lock()
+	e.dropStats()
+	e.mu.Unlock()
+}
+
+func (e *Entry) dropStats() {
 	e.tableStats = nil
 	e.fbStats = nil
 	if e.fb != nil {
 		e.fb.Reset()
 	}
-	e.mu.Unlock()
+}
+
+// FoldInsert tells the entry that rows [first:NumRows()) were appended
+// to its table. Collected statistics are advanced over exactly those
+// rows (stats.ApplyInsert) rather than dropped, so the next reader does
+// not pay a full Collect for a one-row INSERT. They are dropped, as by
+// InvalidateStats, when none were collected yet, when the fold does not
+// model the change, or once more than one histogram bucket's worth of
+// rows has been folded in since the last Collect: the fold keeps every
+// count true but lets equi-height balance drift, and one bucket is the
+// resolution the histogram has anyway. Feedback is reset either way.
+func (e *Entry) FoldInsert(first int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	old := e.tableStats
+	e.dropStats()
+	if old == nil {
+		return
+	}
+	if e.foldBudget -= e.Table.NumRows() - first; e.foldBudget < 0 {
+		return
+	}
+	e.tableStats = stats.ApplyInsert(old, e.Table, first)
+}
+
+// Collects returns how many times the entry ran a full stats.Collect.
+func (e *Entry) Collects() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.collects
 }
 
 // Feedback returns the relation's runtime-feedback store, creating it on

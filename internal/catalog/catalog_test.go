@@ -112,6 +112,49 @@ func TestStatsLazyAndInvalidate(t *testing.T) {
 	}
 }
 
+// TestFoldInsertRules: collected statistics follow appended rows without
+// a Collect until a histogram bucket's worth went in; statistics never
+// collected stay uncollected; feedback is reset by every fold.
+func TestFoldInsertRules(t *testing.T) {
+	tb := empTable()
+	for i := 10; i < 96; i++ {
+		tb.MustInsert(value.NewInt(int64(i%3)), value.NewFloat(float64(100*i)))
+	}
+	e := New().AddTable(tb)
+	appendRow := func() {
+		first := tb.NumRows()
+		tb.MustInsert(value.NewInt(int64(first)), value.NewFloat(50))
+		e.FoldInsert(first)
+	}
+
+	appendRow()
+	if e.Collects() != 0 {
+		t.Fatalf("fold before the first Stats() collected %d times", e.Collects())
+	}
+	base := e.Stats() // 97 rows: three may be folded in
+	e.ObserveFeedback(stats.PredObservation{Key: "p", Sel: 0.5, Col: -1})
+	if e.Stats().SelFix == nil {
+		t.Fatal("feedback not applied")
+	}
+	for i := 1; i <= 3; i++ {
+		appendRow()
+		st := e.Stats()
+		if e.Collects() != 1 {
+			t.Fatalf("row %d within the budget re-collected", i)
+		}
+		if st == base || st.Rows != float64(97+i) || st.Cols[0].Distinct != float64(4+i) || st.SelFix != nil {
+			t.Fatalf("row %d: stats %+v: want fresh, %d rows, %d dids, no feedback", i, st, 97+i, 4+i)
+		}
+	}
+	if base.Rows != 97 || base.Cols[0].Distinct != 4 || base.Cols[0].Max != 96 {
+		t.Errorf("folding changed the published statistics: %+v", base)
+	}
+	appendRow()
+	if st := e.Stats(); e.Collects() != 2 || st.Rows != 101 {
+		t.Errorf("row past the budget: %d collects, %g rows; want 2, 101", e.Collects(), st.Rows)
+	}
+}
+
 func TestFuncEntry(t *testing.T) {
 	c := New()
 	s := schema.New(

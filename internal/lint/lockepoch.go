@@ -49,6 +49,7 @@ var leMutators = map[string]bool{
 	"Insert":          true,
 	"CreateIndex":     true,
 	"InvalidateStats": true,
+	"FoldInsert":      true,
 	"LoadCSV":         true,
 	"Drop":            true,
 	// Adaptive statistics feedback (DESIGN.md §15): recording an observed

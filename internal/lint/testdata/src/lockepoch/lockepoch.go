@@ -15,6 +15,10 @@ func (t *table) Insert(r int) { t.rows = append(t.rows, r) }
 // changes what future optimizations estimate — a mutation like any DDL.
 func (t *table) ObserveFeedback(sel float64) bool { return sel > 0 }
 
+// FoldInsert mirrors advancing collected statistics over appended rows:
+// like ObserveFeedback it changes what the next optimization estimates.
+func (t *table) FoldInsert(first int) {}
+
 type planCache struct{ m map[string]int }
 
 func (p *planCache) Clear() { p.m = map[string]int{} }
@@ -86,7 +90,10 @@ func (e *engine) applyInsert(name string, rows []int) {
 	}
 }
 
-func (e *engine) insertOne(t *table, r int) { t.Insert(r) }
+func (e *engine) insertOne(t *table, r int) {
+	defer t.FoldInsert(len(t.rows))
+	t.Insert(r)
+}
 
 // rebuild is handed to the write span by name, not as a literal.
 func (e *engine) rebuild() { e.cat.Drop("scratch") }
@@ -113,6 +120,15 @@ func (e *engine) insertInRead(name string, r int) {
 	e.span.Read(func(uint64) {
 		e.cat.Lookup(name).Insert(r) // want "catalog/model mutation Insert\(\) outside a write span"
 	})
+}
+
+// foldAfterSpan inserts inside the write span but advances the
+// statistics after it ended, where a reader may already be planning.
+func (e *engine) foldAfterSpan(name string, r int) {
+	t := e.cat.Lookup(name)
+	first := len(t.rows)
+	e.span.Write(func() { t.Insert(r) })
+	t.FoldInsert(first) // want "catalog/model mutation FoldInsert\(\) outside a write span"
 }
 
 // dropShared is reached from a write closure and from outside one, so

@@ -27,10 +27,10 @@ type TraceEvent struct {
 	Subset string  `json:"subset,omitempty"` // relation subset, e.g. "{D,E}"
 	Method string  `json:"method,omitempty"` // join method / plan node kind
 	Detail string  `json:"detail,omitempty"`
-	Cost   float64 `json:"cost,omitempty"`   // weighted total under the optimizer's model
-	Kept   bool    `json:"kept"`             // candidate became (or stayed) the subset's best
-	Depth  int     `json:"depth,omitempty"`  // optimizer nesting depth (nested events)
-	Prop   string  `json:"prop,omitempty"`   // order property bucket ("" = no useful order)
+	Cost   float64 `json:"cost,omitempty"`  // weighted total under the optimizer's model
+	Kept   bool    `json:"kept"`            // candidate became (or stayed) the subset's best
+	Depth  int     `json:"depth,omitempty"` // optimizer nesting depth (nested events)
+	Prop   string  `json:"prop,omitempty"`  // order property bucket ("" = no useful order)
 }
 
 // Tracer observes the optimizer's search. Implementations must be cheap:

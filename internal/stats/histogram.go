@@ -22,12 +22,18 @@ type Histogram struct {
 // buckets from the (unsorted is fine) sample values. Returns nil for an
 // empty input.
 func BuildHistogram(values []float64, buckets int) *Histogram {
-	if len(values) == 0 || buckets < 1 {
-		return nil
-	}
 	vs := make([]float64, len(values))
 	copy(vs, values)
 	sort.Float64s(vs)
+	return buildSorted(vs, buckets)
+}
+
+// buildSorted is BuildHistogram over values already in ascending order;
+// it keeps no reference to vs.
+func buildSorted(vs []float64, buckets int) *Histogram {
+	if len(vs) == 0 || buckets < 1 {
+		return nil
+	}
 	if buckets > len(vs) {
 		buckets = len(vs)
 	}

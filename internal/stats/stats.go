@@ -65,17 +65,25 @@ func Collect(t *storage.Table) *RelStats {
 	return &RelStats{Rows: float64(n), Cols: cols}
 }
 
+// exactFloat reports whether f is a finite number below 2^53 in
+// magnitude. On such values float equality and Row.Key equality agree
+// (the key folds integral floats onto ints, and every int64 that small
+// converts to float64 exactly), so distinct values can be counted off a
+// sorted float run instead of a key set.
+func exactFloat(f float64) bool { return math.Abs(f) < 1<<53 }
+
 func collectColumn(t *storage.Table, c int) ColStats {
+	rows := t.Rows()
 	var (
-		distinct = map[string]bool{}
 		nulls    int
 		numeric  []float64
-		isNum    = true
+		isNum    = true // every non-null value so far is numeric...
+		exact    = true // ...and an exactFloat
 		sorted   = true
 		prev     value.Value
 		havePrev bool
 	)
-	for _, r := range t.Rows() {
+	for _, r := range rows {
 		v := r[c]
 		if v.IsNull() {
 			nulls++
@@ -85,25 +93,57 @@ func collectColumn(t *storage.Table, c int) ColStats {
 			sorted = false
 		}
 		prev, havePrev = v, true
-		distinct[r.Key([]int{c})] = true
-		if f, ok := v.AsFloat(); ok {
-			numeric = append(numeric, f)
-		} else {
-			isNum = false
+		if !isNum {
+			continue
 		}
+		f, ok := v.AsFloat()
+		if !ok {
+			isNum, numeric = false, nil
+			continue
+		}
+		if numeric == nil {
+			numeric = make([]float64, 0, len(rows)-nulls)
+		}
+		numeric = append(numeric, f)
+		exact = exact && exactFloat(f)
 	}
-	cs := ColStats{Distinct: float64(len(distinct)), Sorted: sorted && havePrev}
-	if n := t.NumRows(); n > 0 {
-		cs.NullFrac = float64(nulls) / float64(n)
+	cs := ColStats{Sorted: sorted && havePrev}
+	if len(rows) > 0 {
+		cs.NullFrac = float64(nulls) / float64(len(rows))
 	}
 	if isNum && len(numeric) > 0 {
 		sort.Float64s(numeric)
 		cs.HasRange = true
 		cs.Min = numeric[0]
 		cs.Max = numeric[len(numeric)-1]
-		cs.Hist = BuildHistogram(numeric, DefaultHistogramBuckets)
+		cs.Hist = buildSorted(numeric, DefaultHistogramBuckets)
+	}
+	if isNum && exact {
+		cs.Distinct = float64(countDistinct(numeric))
+	} else {
+		cs.Distinct = float64(distinctKeys(rows, c))
 	}
 	return cs
+}
+
+// distinctKeys counts the distinct non-null values of column c under
+// Row.Key equality, the definition every Distinct in this package uses.
+func distinctKeys(rows []value.Row, c int) int {
+	var (
+		seen = map[string]struct{}{}
+		idx  = []int{c}
+		buf  []byte
+	)
+	for _, r := range rows {
+		if r[c].IsNull() {
+			continue
+		}
+		buf = r.AppendKey(buf[:0], idx)
+		if _, ok := seen[string(buf)]; !ok {
+			seen[string(buf)] = struct{}{}
+		}
+	}
+	return len(seen)
 }
 
 // Concat returns stats for the cross-product-shaped concatenation of two

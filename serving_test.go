@@ -19,16 +19,20 @@ func servingDB(t *testing.T, cacheOff bool) *filterjoin.DB {
 	return servingDBWith(t, filterjoin.Config{BatchSize: 1024, DisablePlanCache: cacheOff})
 }
 
+// servingSchemaSQL is the quickstart catalog shape: Emp/Dept, the
+// emp_did index and the DepAvgSal view of the paper's Fig 1.
+const servingSchemaSQL = `
+	CREATE TABLE Emp (eid int, did int, sal float, age int);
+	CREATE TABLE Dept (did int, budget int);
+	CREATE INDEX emp_did ON Emp (did);
+	CREATE VIEW DepAvgSal AS
+	  (SELECT E.did, AVG(E.sal) AS avgsal FROM Emp E GROUP BY E.did);
+`
+
 func servingDBWith(t *testing.T, cfg filterjoin.Config) *filterjoin.DB {
 	t.Helper()
 	db := filterjoin.Open(cfg)
-	if err := db.ExecScript(`
-		CREATE TABLE Emp (eid int, did int, sal float, age int);
-		CREATE TABLE Dept (did int, budget int);
-		CREATE INDEX emp_did ON Emp (did);
-		CREATE VIEW DepAvgSal AS
-		  (SELECT E.did, AVG(E.sal) AS avgsal FROM Emp E GROUP BY E.did);
-	`); err != nil {
+	if err := db.ExecScript(servingSchemaSQL); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
