@@ -135,9 +135,19 @@ func (e *Engine) invalidate() {
 	}
 }
 
-// InvalidateCaches drops cached plans and costers; call after bulk
-// loading through the storage API directly.
-func (e *Engine) InvalidateCaches() { e.span.Write(func() {}) }
+// InvalidateCaches drops cached plans and costers and brings collected
+// statistics up to date with rows appended through the storage API
+// directly (call it after such a bulk load). Statistics of a table that
+// did not grow are left untouched.
+func (e *Engine) InvalidateCaches() {
+	e.span.Write(func() {
+		for _, name := range e.cat.Names() {
+			if ent, err := e.cat.Get(name); err == nil {
+				ent.FoldAppended()
+			}
+		}
+	})
+}
 
 // execStmt dispatches one parsed statement: SELECT-family statements
 // are read spans, everything else is one write span.

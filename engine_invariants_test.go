@@ -406,6 +406,51 @@ func TestInsertFoldEdgeRows(t *testing.T) {
 	})
 }
 
+// TestInvalidateCachesFoldsStorageLoads: rows appended through the
+// storage API reach the collected statistics at InvalidateCaches — the
+// case its doc names — and a table that did not grow is not touched.
+func TestInvalidateCachesFoldsStorageLoads(t *testing.T) {
+	db := filterjoin.Open(filterjoin.Config{})
+	if err := db.ExecScript("CREATE TABLE L (a int, b int);"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := db.Exec(fmt.Sprintf("INSERT INTO L VALUES (%d, %d)", i, i%10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "SELECT L.a FROM L WHERE L.b = 3"
+	if _, err := db.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	ent, err := db.Catalog().Get("L")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before, collects := ent.Stats(), ent.Collects()
+	db.InvalidateCaches()
+	if ent.Stats() != before || ent.Collects() != collects {
+		t.Errorf("InvalidateCaches on an unchanged table replaced its statistics (%d -> %d collects)", collects, ent.Collects())
+	}
+
+	for i := 100; i < 1000; i++ {
+		ent.Table.MustInsert(value.NewInt(int64(i)), value.NewInt(int64(i%10)))
+	}
+	db.InvalidateCaches()
+	if rows := ent.Stats().Rows; rows != 1000 {
+		t.Errorf("statistics describe %g rows after the bulk load, want 1000", rows)
+	}
+	checkStatsExact(t, ent)
+	p, err := db.Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Rows < 90 || p.Rows > 110 {
+		t.Errorf("b = 3 estimated at %g rows of 1000, want about 100", p.Rows)
+	}
+}
+
 // TestLoadCSVPartialFailureInvalidates pins the same contract for bulk
 // loads: a load that parses some rows and then fails has mutated the
 // table, so the epoch must advance on the error path too.

@@ -192,8 +192,9 @@ func (db *DB) ExecParsed(st sql.Statement) (*Result, error) {
 	return db.eng.execStmt(context.Background(), st, nil)
 }
 
-// InvalidateCaches drops memoized plans and costers; call after bulk
-// loading through the storage API directly.
+// InvalidateCaches drops memoized plans and costers and folds rows
+// appended through the storage API directly into the collected
+// statistics of the tables that grew; call after such a bulk load.
 func (db *DB) InvalidateCaches() { db.eng.InvalidateCaches() }
 
 // QueryBlock optimizes and executes a programmatically built block

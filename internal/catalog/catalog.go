@@ -85,8 +85,8 @@ type Entry struct {
 
 	// fb accumulates runtime cardinality feedback for stored relations
 	// (DESIGN.md §15); fbStats caches the feedback-corrected statistics
-	// per feedback version. Both are derived state: InvalidateStats and
-	// FoldInsert reset them alongside the collected statistics.
+	// per feedback version. Both are derived state: FoldInsert resets
+	// them alongside the collected statistics.
 	fb        *stats.Feedback
 	fbStats   *stats.RelStats
 	fbVersion uint64
@@ -150,15 +150,6 @@ func (e *Entry) Stats() *stats.RelStats {
 	return nil
 }
 
-// InvalidateStats drops cached statistics (after bulk loads), including
-// accumulated runtime feedback: observations made against the old data
-// must not correct statistics collected from the new data.
-func (e *Entry) InvalidateStats() {
-	e.mu.Lock()
-	e.dropStats()
-	e.mu.Unlock()
-}
-
 func (e *Entry) dropStats() {
 	e.tableStats = nil
 	e.fbStats = nil
@@ -170,15 +161,20 @@ func (e *Entry) dropStats() {
 // FoldInsert tells the entry that rows [first:NumRows()) were appended
 // to its table. Collected statistics are advanced over exactly those
 // rows (stats.ApplyInsert) rather than dropped, so the next reader does
-// not pay a full Collect for a one-row INSERT. They are dropped, as by
-// InvalidateStats, when none were collected yet, when the fold does not
-// model the change, or once more than one histogram bucket's worth of
-// rows has been folded in since the last Collect: the fold keeps every
-// count true but lets equi-height balance drift, and one bucket is the
-// resolution the histogram has anyway. Feedback is reset either way.
+// not pay a full Collect for a one-row INSERT. They are dropped when
+// none were collected yet, when the fold does not model the change, or
+// once more than one histogram bucket's worth of rows has been folded
+// in since the last Collect: the fold keeps every count true but lets
+// equi-height balance drift, and one bucket is the resolution the
+// histogram has anyway. Feedback — observations made against the old
+// data must not correct statistics of the new — is reset either way.
 func (e *Entry) FoldInsert(first int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.foldInsert(first)
+}
+
+func (e *Entry) foldInsert(first int) {
 	old := e.tableStats
 	e.dropStats()
 	if old == nil {
@@ -188,6 +184,21 @@ func (e *Entry) FoldInsert(first int) {
 		return
 	}
 	e.tableStats = stats.ApplyInsert(old, e.Table, first)
+}
+
+// FoldAppended is FoldInsert for rows appended behind the entry's back
+// (a bulk load through the storage API): it folds from the row count
+// the collected statistics describe. An entry whose table did not grow,
+// or whose statistics were never collected, is left exactly as it is.
+func (e *Entry) FoldAppended() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.tableStats == nil {
+		return
+	}
+	if first := int(e.tableStats.Rows); e.Table.NumRows() > first {
+		e.foldInsert(first)
+	}
 }
 
 // Collects returns how many times the entry ran a full stats.Collect.

@@ -8,6 +8,7 @@ import (
 
 	"filterjoin/internal/catalog"
 	"filterjoin/internal/cost"
+	"filterjoin/internal/magic"
 	"filterjoin/internal/opt"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/stats"
@@ -119,7 +120,7 @@ func sampleOne(o *opt.Optimizer, e *catalog.Entry, fSchema *schema.Schema, bodyC
 		delete(o.StatsOverride, fName)
 		o.Cat.Drop(fName)
 	}()
-	rb, err := restrictedBlock(o.Cat, e, bodyCols, fName)
+	rb, err := magic.RestrictedBlock(o.Cat, e, bodyCols, fName)
 	if err != nil {
 		return SamplePoint{}, err
 	}

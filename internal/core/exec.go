@@ -8,6 +8,7 @@ import (
 	"filterjoin/internal/dist"
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
+	"filterjoin/internal/magic"
 	"filterjoin/internal/opt"
 	"filterjoin/internal/plan"
 	"filterjoin/internal/plancache"
@@ -311,7 +312,7 @@ func (s *fjExecSpec) planRestricted(keys *exec.KeySet) (*restrictPlan, error) {
 	f := storage.FromRows(o.TempName("magic"), s.fSchema, keys.Rows())
 	o.Cat.AddTable(f)
 	defer o.Cat.Drop(f.Name())
-	rb, err := restrictedBlock(o.Cat, s.entry, s.bodyCols, f.Name())
+	rb, err := magic.RestrictedBlock(o.Cat, s.entry, s.bodyCols, f.Name())
 	if err != nil {
 		return nil, err
 	}

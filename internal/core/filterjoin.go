@@ -9,6 +9,7 @@ import (
 	"filterjoin/internal/catalog"
 	"filterjoin/internal/cost"
 	"filterjoin/internal/expr"
+	"filterjoin/internal/magic"
 	"filterjoin/internal/opt"
 	"filterjoin/internal/plan"
 	"filterjoin/internal/stats"
@@ -158,28 +159,22 @@ func (m *Method) countRestrict(hit bool) {
 	m.mu.Unlock()
 }
 
-func pagesOf(rows float64, rowBytes int) float64 {
-	if rows <= 0 {
-		return 0
-	}
-	rpp := storage.PageSize / rowBytes
-	if rpp < 1 {
-		rpp = 1
-	}
-	return math.Ceil(rows / float64(rpp))
+// fjKeys are a step's equi key pairs with one pair per distinct inner
+// column, and for each kept pair every outer column equated to it.
+type fjKeys struct {
+	outer, inner []int
+	outerAlts    [][]int
 }
 
 // Candidates implements opt.JoinMethod: it proposes Filter Join plans for
-// joining outer with the inner relation, one per (attribute subset ×
-// representation) variant allowed by Limitation 3.
-func (m *Method) Candidates(c *opt.Ctx, outer *plan.Node, inner int) ([]*plan.Node, error) {
-	ri := c.Rels[inner]
+// the step, one per (attribute subset × representation) variant allowed
+// by Limitation 3.
+func (m *Method) Candidates(s *opt.JoinStep) ([]*plan.Node, error) {
+	outer, ri := s.Outer, s.Inner
 	if ri.Entry.Kind == catalog.KindBase && !m.Opts.IncludeStored {
 		return nil, nil
 	}
-	preds := c.ApplicablePreds(outer.Rels, inner)
-	allOuter, allInner, residualPreds := c.EquiSplit(preds, outer.Rels, inner)
-	if len(allOuter) == 0 {
+	if len(s.OuterCols) == 0 {
 		return nil, nil
 	}
 	// Equality closure can equate several outer columns with the same
@@ -187,16 +182,13 @@ func (m *Method) Candidates(c *opt.Ctx, outer *plan.Node, inner int) ([]*plan.No
 	// identical values), but the alternatives matter for prefix
 	// production sets, where only some equality-class members exist in
 	// the prefix subplan.
-	var outerAlts [][]int
-	allOuter, allInner, outerAlts = dedupeByInner(allOuter, allInner)
-	rows, outStats := c.JoinResult(outer, inner, preds)
-	combined := c.CombinedColMap(outer, inner)
+	keys := dedupeByInner(s.OuterCols, s.InnerCols)
 
 	// Attribute-subset variants (Limitation 3): the full attribute set,
 	// plus each single attribute when enabled.
-	variants := [][]int{allIdx(len(allOuter))}
-	if m.Opts.AttrSubsets && len(allOuter) > 1 {
-		for j := range allOuter {
+	variants := [][]int{allIdx(len(keys.outer))}
+	if m.Opts.AttrSubsets && len(keys.outer) > 1 {
+		for j := range keys.outer {
 			variants = append(variants, []int{j})
 		}
 	}
@@ -219,7 +211,7 @@ func (m *Method) Candidates(c *opt.Ctx, outer *plan.Node, inner int) ([]*plan.No
 				reprs = append(reprs, ReprBloom)
 			}
 			for _, repr := range reprs {
-				n, err := m.buildCandidate(c, outer, prod, inner, preds, allOuter, allInner, outerAlts, v, repr, residualPreds, rows, outStats, combined)
+				n, err := m.buildCandidate(s, keys, prod, v, repr)
 				if err != nil {
 					return nil, err
 				}
@@ -257,21 +249,20 @@ func prefixChain(outer *plan.Node) []*plan.Node {
 // dedupeByInner keeps one (outer, inner) pair per distinct inner column
 // and returns, for each kept pair, the full list of equivalent outer
 // columns.
-func dedupeByInner(outer, inner []int) ([]int, []int, [][]int) {
+func dedupeByInner(outer, inner []int) *fjKeys {
 	pos := map[int]int{}
-	var no, ni []int
-	var alts [][]int
+	k := &fjKeys{}
 	for i := range inner {
 		if j, ok := pos[inner[i]]; ok {
-			alts[j] = append(alts[j], outer[i])
+			k.outerAlts[j] = append(k.outerAlts[j], outer[i])
 			continue
 		}
-		pos[inner[i]] = len(ni)
-		no = append(no, outer[i])
-		ni = append(ni, inner[i])
-		alts = append(alts, []int{outer[i]})
+		pos[inner[i]] = len(k.inner)
+		k.outer = append(k.outer, outer[i])
+		k.inner = append(k.inner, inner[i])
+		k.outerAlts = append(k.outerAlts, []int{outer[i]})
 	}
-	return no, ni, alts
+	return k
 }
 
 func allIdx(n int) []int {
@@ -285,16 +276,13 @@ func allIdx(n int) []int {
 // buildCandidate assembles one Filter Join plan node with the full
 // Table 1 cost breakdown. prod is the production-set subplan; nil means
 // the full outer (Limitation 2).
-func (m *Method) buildCandidate(
-	c *opt.Ctx, outer, prod *plan.Node, inner int, preds []*opt.PredInfo,
-	allOuter, allInner []int, outerAlts [][]int, variant []int, repr FilterRepr,
-	residualPreds []*opt.PredInfo, rows float64, outStats *stats.RelStats, combined []int,
-) (*plan.Node, error) {
+func (m *Method) buildCandidate(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant []int, repr FilterRepr) (*plan.Node, error) {
+	c, outer, ri := s.Ctx, s.Outer, s.Inner
+	allOuter, allInner := keys.outer, keys.inner
 	prefix := prod != nil
 	if prod == nil {
 		prod = outer
 	}
-	ri := c.Rels[inner]
 	e := ri.Entry
 	model := c.O.Model
 
@@ -305,7 +293,7 @@ func (m *Method) buildCandidate(
 		// Pick an outer column for this attribute that the production
 		// set actually carries (any member of the equality class works).
 		chosen := -1
-		for _, cand := range outerAlts[j] {
+		for _, cand := range keys.outerAlts[j] {
 			if cand >= 0 && cand < len(prod.ColMap) && prod.ColMap[cand] >= 0 {
 				chosen = cand
 				break
@@ -333,7 +321,7 @@ func (m *Method) buildCandidate(
 	// View bindings must have direct provenance into the body.
 	var bodyCols []int
 	if e.Kind == catalog.KindView {
-		bc, ok, err := viewBindings(c.O.Cat, e, innerLocal)
+		bc, ok, err := magic.ViewBindings(c.O.Cat, e, innerLocal)
 		if err != nil {
 			return nil, err
 		}
@@ -401,7 +389,7 @@ func (m *Method) buildCandidate(
 		comp.ProductionCostP = prod.Est
 	} else {
 		pRowBytes := outer.OutSchema.RowWidth()
-		pagesP := pagesOf(outer.Rows, pRowBytes)
+		pagesP := opt.PagesOf(outer.Rows, pRowBytes)
 		matExtra := cost.Estimate{PageWrites: pagesP, PageReads: 2 * pagesP, CPUTuples: 2 * outer.Rows}
 		materialize = cost.LessEq(model.TotalEstimate(matExtra), model.TotalEstimate(outer.Est))
 		if materialize {
@@ -427,7 +415,7 @@ func (m *Method) buildCandidate(
 	if e.Kind == catalog.KindView {
 		// The runtime writes F into a transient table the magic-rewritten
 		// view plan scans.
-		comp.AvailCostF.PageWrites += pagesOf(fCard, keyBytes)
+		comp.AvailCostF.PageWrites += opt.PagesOf(fCard, keyBytes)
 	}
 
 	// ---- FilterCost_Rk, AvailCost_Rk', restricted cardinality ----------
@@ -441,8 +429,7 @@ func (m *Method) buildCandidate(
 	case catalog.KindBase, catalog.KindRemote:
 		t := e.Table
 		raw := ri.RawStats
-		tablePages := float64(t.NumPages())
-		scanEst := cost.Estimate{PageReads: tablePages, CPUTuples: 2 * raw.Rows}
+		scanEst := cost.Estimate{PageReads: float64(t.NumPages()), CPUTuples: 2 * raw.Rows}
 		if ri.LocalPred != nil {
 			scanEst.CPUTuples += raw.Rows * effSel
 		}
@@ -450,18 +437,8 @@ func (m *Method) buildCandidate(
 		comp.FilterCostRk = scanEst
 		access = AccessScanFilter
 		if repr == ReprExact {
-			if ix := pickIndexOn(t, innerLocal); ix != nil {
-				keyCardDistincts := make([]float64, len(ix.Cols()))
-				for i, col := range ix.Cols() {
-					keyCardDistincts[i] = raw.DistinctOf(col)
-				}
-				keyCard := stats.ProjectionCardinality(raw.Rows, keyCardDistincts)
-				if keyCard < 1 {
-					keyCard = 1
-				}
-				k := raw.Rows / keyCard
-				clustered := len(ix.Cols()) > 0 && raw.ClusteredOn(ix.Cols()[0])
-				matchPages := stats.MatchPages(raw.Rows, tablePages, k, t.RowsPerPage(), clustered)
+			if ix := opt.PickIndex(t, innerLocal); ix != nil {
+				k, matchPages := opt.IndexProbe(raw, t, ix)
 				ixEst := cost.Estimate{
 					PageReads: fCard * (1 + matchPages),
 					CPUTuples: fCard * (k + 2),
@@ -525,7 +502,7 @@ func (m *Method) buildCandidate(
 		}
 
 	case catalog.KindFunc:
-		perCall := funcPerCall(e, ri.RawStats)
+		perCall := opt.FuncPerCall(e, ri.RawStats)
 		comp.FilterCostRk = cost.Estimate{FnCalls: fCard, CPUTuples: fCard * (perCall + 1)}
 		restrictRows = fCard * perCall * ri.LocalSel
 		if ri.LocalPred != nil {
@@ -538,11 +515,11 @@ func (m *Method) buildCandidate(
 	}
 
 	// ---- FinalJoinCost --------------------------------------------------
-	comp.FinalJoinCost = cost.Estimate{CPUTuples: restrictRows + outer.Rows + rows}
+	comp.FinalJoinCost = cost.Estimate{CPUTuples: restrictRows + outer.Rows + s.Rows}
 
 	ch := &Choice{
 		InnerName:        e.Name,
-		InnerIndex:       inner,
+		InnerIndex:       ri.Index,
 		AllOuterCols:     allOuter,
 		AllInnerCols:     allInner,
 		FilterOuterCols:  filterOuter,
@@ -561,20 +538,19 @@ func (m *Method) buildCandidate(
 		ch.ProductionRels = prod.Rels.Members()
 	}
 
-	outSchema := outer.OutSchema.Concat(ri.Schema)
 	op := &fjExecSpec{
 		method:         m,
 		o:              c.O,
 		entry:          e,
 		choice:         ch,
-		outSchema:      outSchema,
+		outSchema:      s.OutSchema,
 		outerMake:      outer.Make,
 		alias:          ri.Ref.Binding(),
 		outerFilterPos: outerFilterPos,
 		outerAllPos:    outerAllPos,
 		innerFilterLoc: innerLocal,
 		innerAllLoc:    allInnerLocal,
-		residual:       opt.ResidualExpr(residualPreds, combined),
+		residual:       opt.ResidualExpr(s.Residual, s.ColMap),
 		localPred:      relLocalPred(ri),
 		index:          chosenIx,
 		ixPerm:         ixOuterPerm,
@@ -600,26 +576,23 @@ func (m *Method) buildCandidate(
 	m.mu.Unlock()
 	if c.O.Traces() {
 		c.O.Emit(opt.TraceEvent{Kind: opt.EvFJVariant,
-			Subset: c.RelSetName(outer.Rels.With(inner)),
+			Subset: c.RelSetName(s.Rels),
 			Method: "filterjoin",
 			Detail: e.Name + ": " + ch.String(),
 			Cost:   model.TotalEstimate(comp.Total())})
 	}
-	return plan.NewNode(&plan.Node{
-		Kind:      "FilterJoin",
-		Detail:    e.Name + ": " + ch.String(),
-		Children:  []*plan.Node{outer},
-		Est:       comp.Total(),
-		Rows:      rows,
-		Stats:     outStats,
-		OutSchema: outSchema,
-		ColMap:    combined,
-		Rels:      outer.Rels.With(inner),
-		// The final join-back probes a hash of the restricted inner with
-		// the streamed outer, so the outer's physical order survives the
-		// Filter Join — extended across the equi-join columns — and magic
-		// plans compete in the same order-property buckets as direct joins.
-		Ordering: outer.Ordering.ExtendEquiv(allOuter, allInner),
+	// The final join-back probes a hash of the restricted inner with the
+	// streamed outer, so the outer's physical order survives the Filter
+	// Join — extended across the equi-join columns — and magic plans
+	// compete in the same order-property buckets as direct joins. The
+	// extension runs over the deduplicated pairs, not s.Ordering's full
+	// set: the wider one is as true, but it moves plans between memo
+	// buckets and so changes how many candidates the search considers.
+	return s.Node(outer.Ordering.ExtendEquiv(allOuter, allInner), &plan.Node{
+		Kind:     "FilterJoin",
+		Detail:   e.Name + ": " + ch.String(),
+		Children: []*plan.Node{outer},
+		Est:      comp.Total(),
 		Make:     op.make,
 		Extra:    ch,
 	}), nil
@@ -645,28 +618,6 @@ func relLocalPred(ri *opt.RelInfo) expr.Expr {
 	return expr.Remap(ri.LocalPred, ri.ColMap)
 }
 
-// pickIndexOn selects an index whose key columns are a subset of cols.
-func pickIndexOn(t *storage.Table, cols []int) *storage.HashIndex {
-	have := map[int]bool{}
-	for _, c := range cols {
-		have[c] = true
-	}
-	var best *storage.HashIndex
-	for _, ix := range t.Indexes() {
-		ok := true
-		for _, c := range ix.Cols() {
-			if !have[c] {
-				ok = false
-				break
-			}
-		}
-		if ok && (best == nil || len(ix.Cols()) > len(best.Cols())) {
-			best = ix
-		}
-	}
-	return best
-}
-
 // indexPermutation maps each index key column to its position within the
 // filter key row (which is laid out in innerLocal order).
 func indexPermutation(ixCols, innerLocal []int) []int {
@@ -681,22 +632,4 @@ func indexPermutation(ixCols, innerLocal []int) []int {
 		}
 	}
 	return perm
-}
-
-func funcPerCall(e *catalog.Entry, raw *stats.RelStats) float64 {
-	perCall := e.FnPerCall
-	if perCall <= 0 {
-		perCall = 1
-	}
-	if raw != nil && raw.Rows > 0 && len(e.ArgCols) > 0 {
-		d := make([]float64, len(e.ArgCols))
-		for i, a := range e.ArgCols {
-			d[i] = raw.DistinctOf(a)
-		}
-		dom := stats.ProjectionCardinality(raw.Rows, d)
-		if dom >= 1 {
-			perCall = raw.Rows / dom
-		}
-	}
-	return perCall
 }

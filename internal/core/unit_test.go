@@ -73,7 +73,8 @@ func TestReprAndAccessStrings(t *testing.T) {
 }
 
 func TestDedupeByInner(t *testing.T) {
-	o, i, alts := dedupeByInner([]int{1, 4, 9}, []int{6, 6, 7})
+	k := dedupeByInner([]int{1, 4, 9}, []int{6, 6, 7})
+	o, i, alts := k.outer, k.inner, k.outerAlts
 	if len(o) != 2 || o[0] != 1 || o[1] != 9 || i[0] != 6 || i[1] != 7 {
 		t.Errorf("dedupe = %v, %v", o, i)
 	}
@@ -156,22 +157,6 @@ func TestAttrsKey(t *testing.T) {
 	}
 	if attrsKey(nil) != "" {
 		t.Error("empty attrs")
-	}
-}
-
-func TestPagesOf(t *testing.T) {
-	if pagesOf(0, 8) != 0 {
-		t.Error("no rows, no pages")
-	}
-	if pagesOf(1, 8) != 1 {
-		t.Error("one row, one page")
-	}
-	// 4096/8 = 512 rows per page.
-	if pagesOf(513, 8) != 2 {
-		t.Error("just over a page")
-	}
-	if pagesOf(10, 10000) != 10 {
-		t.Error("row wider than a page: one row per page")
 	}
 }
 

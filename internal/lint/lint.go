@@ -1,4 +1,4 @@
-// Package lint hosts optlint, the repo's static-analysis suite. Ten
+// Package lint hosts optlint, the repo's static-analysis suite. Nine
 // analyzers encode contracts the paper's cost-based argument depends
 // on; each maps to a runtime invariant that was previously enforced
 // only by property tests (see DESIGN.md "Static analysis"):
@@ -7,9 +7,6 @@
 //     paths, and Close errors are never silently dropped.
 //   - costcharge: an Operator whose Open/NextBatch does per-row work
 //     must charge ctx.Counter (Table 1 cost conservation).
-//   - orderprop:  every plan.Node construction declares its output
-//     Ordering, or explicitly marks itself unordered (interesting-
-//     order memo honesty).
 //   - exhaustive: switches over the Limitation 3 filter-set variant
 //     enums cover every variant; type switches over expr.Expr cover
 //     every expression form or carry a default.
@@ -51,7 +48,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Opclose,
 		Costcharge,
-		Orderprop,
 		Exhaustive,
 		Floatcmp,
 		Sitefault,

@@ -17,7 +17,6 @@ import (
 
 func TestOpclose(t *testing.T)    { analysistest.Run(t, lint.Opclose, "opclose") }
 func TestCostcharge(t *testing.T) { analysistest.Run(t, lint.Costcharge, "costcharge") }
-func TestOrderprop(t *testing.T)  { analysistest.Run(t, lint.Orderprop, "orderprop") }
 func TestExhaustive(t *testing.T) { analysistest.Run(t, lint.Exhaustive, "exhaustive") }
 func TestFloatcmp(t *testing.T)   { analysistest.Run(t, lint.Floatcmp, "floatcmp") }
 func TestSitefault(t *testing.T)  { analysistest.Run(t, lint.Sitefault, "sitefault") }

@@ -41,17 +41,17 @@ var Lockepoch = &analysis.Analyzer{
 // effects outlive the statement: anything reaching one of these has
 // changed what cached plans were optimized against.
 var leMutators = map[string]bool{
-	"AddTable":        true,
-	"AddView":         true,
-	"AddRemoteTable":  true,
-	"AddRemoteView":   true,
-	"AddFunc":         true,
-	"Insert":          true,
-	"CreateIndex":     true,
-	"InvalidateStats": true,
-	"FoldInsert":      true,
-	"LoadCSV":         true,
-	"Drop":            true,
+	"AddTable":       true,
+	"AddView":        true,
+	"AddRemoteTable": true,
+	"AddRemoteView":  true,
+	"AddFunc":        true,
+	"Insert":         true,
+	"CreateIndex":    true,
+	"FoldAppended":   true,
+	"FoldInsert":     true,
+	"LoadCSV":        true,
+	"Drop":           true,
 	// Adaptive statistics feedback (DESIGN.md §15): recording an observed
 	// selectivity changes what future optimizations estimate, exactly
 	// like a stats invalidation.

@@ -122,18 +122,16 @@ func Rewrite(cat *catalog.Catalog, b *query.Block, viewIdx int, sips []int) (*Re
 	}
 
 	// Bindings must have provenance into the view body.
-	viewLayout, err := e.ViewDef.Layout(cat)
+	boundLocal := make([]int, len(boundView))
+	for i, bc := range boundView {
+		boundLocal[i] = bc - viewOffset
+	}
+	bodyCols, ok, err := ViewBindings(cat, e, boundLocal)
 	if err != nil {
 		return nil, err
 	}
-	prov := e.ViewDef.OutputProvenance(viewLayout.Schema.Len())
-	bodyCols := make([]int, len(boundView))
-	for i, bc := range boundView {
-		local := bc - viewOffset
-		if local < 0 || local >= len(prov) || prov[local] < 0 {
-			return nil, fmt.Errorf("magic: view output column %d has no direct provenance (aggregate?)", local)
-		}
-		bodyCols[i] = prov[local]
+	if !ok {
+		return nil, fmt.Errorf("magic: a bound output column of view %q has no direct provenance (aggregate?)", e.Name)
 	}
 
 	rewriteSeq++
@@ -192,21 +190,9 @@ func Rewrite(cat *catalog.Catalog, b *query.Block, viewIdx int, sips []int) (*Re
 	cat.AddView(fName, fb)
 
 	// ---- Restricted view: the body joined with Filter ----
-	rv := e.ViewDef.Clone()
-	w := viewLayout.Schema.Len()
-	if !rv.HasAggregation() && rv.Proj == nil {
-		rv.Proj = make([]query.Output, w)
-		for c := 0; c < w; c++ {
-			col := viewLayout.Schema.Col(c)
-			rv.Proj[c] = query.Output{Expr: expr.NewCol(c, col.QualifiedName()), Name: col.Name}
-		}
-	}
-	rv.Rels = append(rv.Rels, query.RelRef{Name: fName})
-	for j, bc := range bodyCols {
-		rv.Preds = append(rv.Preds, expr.Eq(
-			expr.NewCol(bc, viewLayout.Schema.Col(bc).QualifiedName()),
-			expr.NewCol(w+j, fmt.Sprintf("%s.k%d", fName, j)),
-		))
+	rv, err := RestrictedBlock(cat, e, bodyCols, fName)
+	if err != nil {
+		return nil, err
 	}
 	cat.AddView(rvName, rv)
 

@@ -269,7 +269,8 @@ func (o *Optimizer) buildStoredLeaf(ctx *Ctx, ri *RelInfo) {
 	if localLocal != nil {
 		detail += " σ(" + localLocal.String() + ")"
 	}
-	ri.Access = plan.NewNode(&plan.Node{
+	// Heap scans, index lookups, and Ship promise no order.
+	ri.Access = plan.NewNode(nil, &plan.Node{
 		Kind:      kind,
 		Detail:    detail,
 		Est:       est,
@@ -278,7 +279,6 @@ func (o *Optimizer) buildStoredLeaf(ctx *Ctx, ri *RelInfo) {
 		OutSchema: ri.Schema,
 		ColMap:    ri.ColMap,
 		Rels:      query.NewRelSet(ri.Index),
-		Ordering:  nil, // heap scans, index lookups, and Ship promise no order
 		Make:      mk,
 		// Feedback provenance: the adaptive layer maps this node's
 		// measured output rows back to (relation, predicate) to correct
@@ -344,13 +344,7 @@ func (o *Optimizer) indexAccessPlan(ri *RelInfo, localLocal expr.Expr, alias str
 		if ix == nil {
 			continue
 		}
-		d := raw.DistinctOf(col.Idx)
-		if d < 1 {
-			d = 1
-		}
-		k := raw.Rows / d
-		matchPages := stats.MatchPages(raw.Rows, float64(t.NumPages()), k,
-			t.RowsPerPage(), raw.ClusteredOn(col.Idx))
+		k, matchPages := IndexProbe(raw, t, ix)
 		est := cost.Estimate{PageReads: 1 + matchPages, CPUTuples: k}
 		var rest []expr.Expr
 		for j, other := range cs {
@@ -437,7 +431,7 @@ func (o *Optimizer) buildViewLeaf(ctx *Ctx, ri *RelInfo) error {
 		mk = func() exec.Operator { return dist.NewShip(inner(), rowBytes, site) }
 		detail += fmt.Sprintf(" @site%d", site)
 	}
-	ri.Access = plan.NewNode(&plan.Node{
+	ri.Access = plan.NewNode(viewLeafOrdering(nested, ri), &plan.Node{
 		Kind:      "ViewScan",
 		Detail:    detail,
 		Children:  []*plan.Node{nested},
@@ -447,7 +441,6 @@ func (o *Optimizer) buildViewLeaf(ctx *Ctx, ri *RelInfo) error {
 		OutSchema: ri.Schema,
 		ColMap:    ri.ColMap,
 		Rels:      query.NewRelSet(ri.Index),
-		Ordering:  viewLeafOrdering(nested, ri),
 		Make:      mk,
 	})
 	return nil
@@ -597,20 +590,19 @@ func (c *Ctx) ApplicablePreds(outer query.RelSet, inner int) []*PredInfo {
 	return out
 }
 
-// EquiSplit partitions applicable predicates into equi-join pairs
+// equiSplit partitions applicable predicates into equi-join pairs
 // (outer block column, inner block column) and residual predicates.
-func (c *Ctx) EquiSplit(preds []*PredInfo, outer query.RelSet, inner int) (outerCols, innerCols []int, residual []*PredInfo) {
-	innerRel := c.Rels[inner]
+func (c *Ctx) equiSplit(preds []*PredInfo, outer query.RelSet, inner int) (outerCols, innerCols []int, residual []*PredInfo) {
 	for _, p := range preds {
 		if p.EquiL >= 0 {
 			lRel := c.Layout.RelOfCol(p.EquiL)
 			rRel := c.Layout.RelOfCol(p.EquiR)
 			switch {
-			case lRel == innerRel.Index && outer.Has(rRel):
+			case lRel == inner && outer.Has(rRel):
 				outerCols = append(outerCols, p.EquiR)
 				innerCols = append(innerCols, p.EquiL)
 				continue
-			case rRel == innerRel.Index && outer.Has(lRel):
+			case rRel == inner && outer.Has(lRel):
 				outerCols = append(outerCols, p.EquiL)
 				innerCols = append(innerCols, p.EquiR)
 				continue
@@ -634,10 +626,9 @@ func (c *Ctx) DistinctOfBlockCol(n *plan.Node, col int) float64 {
 	return n.Stats.DistinctOf(pos)
 }
 
-// PredSelectivity estimates the selectivity of one applicable join
+// predSelectivity estimates the selectivity of one applicable join
 // predicate between the outer plan and the inner relation.
-func (c *Ctx) PredSelectivity(p *PredInfo, outer *plan.Node, inner int) float64 {
-	ri := c.Rels[inner]
+func (c *Ctx) predSelectivity(p *PredInfo, outer *plan.Node, ri *RelInfo) float64 {
 	if p.EquiL >= 0 {
 		dl := c.sideDistinct(p.EquiL, outer, ri)
 		dr := c.sideDistinct(p.EquiR, outer, ri)
@@ -654,11 +645,10 @@ func (c *Ctx) sideDistinct(col int, outer *plan.Node, ri *RelInfo) float64 {
 	return c.DistinctOfBlockCol(outer, col)
 }
 
-// JoinResult computes the standard estimate for joining outer with the
+// joinResult computes the standard estimate for joining outer with the
 // inner relation under the applicable predicates: output rows and output
 // stats (outer columns followed by inner columns).
-func (c *Ctx) JoinResult(outer *plan.Node, inner int, preds []*PredInfo) (float64, *stats.RelStats) {
-	ri := c.Rels[inner]
+func (c *Ctx) joinResult(outer *plan.Node, ri *RelInfo, preds []*PredInfo) (float64, *stats.RelStats) {
 	sel := 1.0
 	counted := map[int]bool{}
 	for _, p := range preds {
@@ -670,7 +660,7 @@ func (c *Ctx) JoinResult(outer *plan.Node, inner int, preds []*PredInfo) (float6
 			}
 			counted[p.Class] = true
 		}
-		sel *= c.PredSelectivity(p, outer, inner)
+		sel *= c.predSelectivity(p, outer, ri)
 	}
 	rows := outer.Rows * ri.FilteredRows * sel
 	if rows < 0 {
@@ -719,25 +709,6 @@ func (c *Ctx) combinedPos(col int, outer *plan.Node, ri *RelInfo, outerWidth int
 		return ri.ColMap[col] + outerWidth
 	}
 	return -1
-}
-
-// CombinedColMap returns the block-layout column map for a join output
-// laid out as outer columns followed by the inner relation's columns.
-func (c *Ctx) CombinedColMap(outer *plan.Node, inner int) []int {
-	ri := c.Rels[inner]
-	outerWidth := outer.OutSchema.Len()
-	out := make([]int, len(outer.ColMap))
-	for i := range out {
-		switch {
-		case outer.ColMap[i] >= 0:
-			out[i] = outer.ColMap[i]
-		case ri.ColMap[i] >= 0:
-			out[i] = ri.ColMap[i] + outerWidth
-		default:
-			out[i] = -1
-		}
-	}
-	return out
 }
 
 // ResidualExpr conjoins and remaps residual predicates into the combined

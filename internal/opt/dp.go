@@ -80,18 +80,16 @@ func (o *Optimizer) keepCandidate(ctx *Ctx, tbl propTable, ns query.RelSet, cand
 
 // candidatesFor collects every enabled join method's plans for
 // extending outer with the inner relation — the built-in methods plus
-// registered external ones (the Filter Join). Both the DP loop and the
-// forced-order path go through here.
+// registered external ones (the Filter Join) — from one JoinStep. Both
+// the DP loop and the forced-order path go through here.
 func (o *Optimizer) candidatesFor(ctx *Ctx, outer *plan.Node, inner int) ([]*plan.Node, error) {
-	cands, err := ctx.builtinCandidates(outer, inner)
-	if err != nil {
-		return nil, err
-	}
+	step := ctx.newJoinStep(outer, inner)
+	cands := step.builtinCandidates()
 	for _, m := range o.extra {
 		if !o.methodEnabled(m.Name()) {
 			continue
 		}
-		extra, err := m.Candidates(ctx, outer, inner)
+		extra, err := m.Candidates(step)
 		if err != nil {
 			return nil, err
 		}

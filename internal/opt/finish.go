@@ -29,7 +29,7 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 		est := prev.Est
 		est.CPUTuples += prev.Rows
 		mk := prev.Make
-		node = plan.NewNode(&plan.Node{
+		node = plan.NewNode(prev.Ordering, &plan.Node{
 			Kind:      "Select",
 			Detail:    pred.String(),
 			Children:  []*plan.Node{prev},
@@ -39,7 +39,6 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 			OutSchema: prev.OutSchema,
 			ColMap:    prev.ColMap,
 			Rels:      prev.Rels,
-			Ordering:  prev.Ordering,
 			Make:      func() exec.Operator { return exec.NewSelect(mk(), pred) },
 		})
 	}
@@ -78,7 +77,7 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 			st = st.Clone()
 			st.Rows = rows
 		}
-		node = plan.NewNode(&plan.Node{
+		node = plan.NewNode(prev.Ordering, &plan.Node{
 			Kind:      "Distinct",
 			Children:  []*plan.Node{prev},
 			Est:       est,
@@ -87,7 +86,6 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 			OutSchema: prev.OutSchema,
 			ColMap:    prev.ColMap,
 			Rels:      prev.Rels,
-			Ordering:  prev.Ordering,
 			Make:      func() exec.Operator { return exec.NewDistinct(mk()) },
 		})
 	}
@@ -128,7 +126,7 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 			}
 			est := prev.Est
 			est.CPUTuples += prev.Rows + float64(n)*lg2(float64(n)) + rows
-			node = plan.NewNode(&plan.Node{
+			node = plan.NewNode(want, &plan.Node{
 				Kind:      "TopN",
 				Detail:    fmt.Sprintf("%s limit %d", detail, n),
 				Children:  []*plan.Node{prev},
@@ -138,14 +136,13 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 				OutSchema: prev.OutSchema,
 				ColMap:    prev.ColMap,
 				Rels:      prev.Rels,
-				Ordering:  want,
 				Make:      func() exec.Operator { return exec.NewTopN(mk(), n, keys, desc) },
 			})
 			return node, nil
 		default:
 			est := prev.Est
 			est.CPUTuples += prev.Rows*lg2(prev.Rows) + prev.Rows
-			node = plan.NewNode(&plan.Node{
+			node = plan.NewNode(want, &plan.Node{
 				Kind:      "Sort",
 				Detail:    detail,
 				Children:  []*plan.Node{prev},
@@ -155,7 +152,6 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 				OutSchema: prev.OutSchema,
 				ColMap:    prev.ColMap,
 				Rels:      prev.Rels,
-				Ordering:  want,
 				Make: func() exec.Operator {
 					s := exec.NewSort(mk(), keys, desc)
 					s.InputHint = int(prev.Rows + 0.5)
@@ -173,7 +169,7 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 		}
 		mk := prev.Make
 		n := b.Limit
-		node = plan.NewNode(&plan.Node{
+		node = plan.NewNode(prev.Ordering, &plan.Node{
 			Kind:      "Limit",
 			Detail:    fmt.Sprintf("%d", n),
 			Children:  []*plan.Node{prev},
@@ -183,7 +179,6 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 			OutSchema: prev.OutSchema,
 			ColMap:    prev.ColMap,
 			Rels:      prev.Rels,
-			Ordering:  prev.Ordering,
 			Make:      func() exec.Operator { return exec.NewLimit(mk(), n) },
 		})
 	}
@@ -215,7 +210,7 @@ func (o *Optimizer) finishHaving(ctx *Ctx, prev *plan.Node) (*plan.Node, error) 
 	}
 	mk := prev.Make
 	having := b.Having
-	return plan.NewNode(&plan.Node{
+	return plan.NewNode(prev.Ordering, &plan.Node{
 		Kind:      "Having",
 		Detail:    having.String(),
 		Children:  []*plan.Node{prev},
@@ -225,7 +220,6 @@ func (o *Optimizer) finishHaving(ctx *Ctx, prev *plan.Node) (*plan.Node, error) 
 		OutSchema: prev.OutSchema,
 		ColMap:    prev.ColMap,
 		Rels:      prev.Rels,
-		Ordering:  prev.Ordering,
 		Make:      func() exec.Operator { return exec.NewSelect(mk(), having) },
 	}), nil
 }
@@ -318,7 +312,7 @@ func (o *Optimizer) finishGroupBy(ctx *Ctx, prev *plan.Node) (*plan.Node, error)
 		outOrd = prev.Ordering.Project(func(c int) bool { return colMap[c] >= 0 })
 		mkOp = func() exec.Operator { return exec.NewStreamGroupBy(mk(), groupPos, aggs) }
 	}
-	return plan.NewNode(&plan.Node{
+	return plan.NewNode(outOrd, &plan.Node{
 		Kind:      kind,
 		Detail:    groupByDetail(ctx, b),
 		Children:  []*plan.Node{prev},
@@ -328,7 +322,6 @@ func (o *Optimizer) finishGroupBy(ctx *Ctx, prev *plan.Node) (*plan.Node, error)
 		OutSchema: outSchema,
 		ColMap:    colMap,
 		Rels:      prev.Rels,
-		Ordering:  outOrd,
 		Make:      mkOp,
 	}), nil
 }
@@ -379,7 +372,8 @@ func (o *Optimizer) finishProject(ctx *Ctx, prev *plan.Node) (*plan.Node, error)
 	est := prev.Est
 	est.CPUTuples += prev.Rows
 	mk := prev.Make
-	return plan.NewNode(&plan.Node{
+	ord := prev.Ordering.Project(func(c int) bool { return colMap[c] >= 0 })
+	return plan.NewNode(ord, &plan.Node{
 		Kind:      "Project",
 		Detail:    projDetail(b),
 		Children:  []*plan.Node{prev},
@@ -389,7 +383,6 @@ func (o *Optimizer) finishProject(ctx *Ctx, prev *plan.Node) (*plan.Node, error)
 		OutSchema: outSchema,
 		ColMap:    colMap,
 		Rels:      prev.Rels,
-		Ordering:  prev.Ordering.Project(func(c int) bool { return colMap[c] >= 0 }),
 		Make:      func() exec.Operator { return exec.NewProject(mk(), exprs, outSchema) },
 	}), nil
 }
@@ -435,7 +428,7 @@ func (o *Optimizer) identityProject(ctx *Ctx, prev *plan.Node) *plan.Node {
 	est.CPUTuples += prev.Rows
 	mk := prev.Make
 	outSchema := ctx.Layout.Schema
-	return plan.NewNode(&plan.Node{
+	return plan.NewNode(prev.Ordering, &plan.Node{
 		Kind:      "Project",
 		Detail:    "*",
 		Children:  []*plan.Node{prev},
@@ -445,7 +438,6 @@ func (o *Optimizer) identityProject(ctx *Ctx, prev *plan.Node) *plan.Node {
 		OutSchema: outSchema,
 		ColMap:    plan.IdentityColMap(width),
 		Rels:      prev.Rels,
-		Ordering:  prev.Ordering,
 		Make:      func() exec.Operator { return exec.NewProject(mk(), exprs, outSchema) },
 	})
 }

@@ -21,14 +21,13 @@ import (
 )
 
 // JoinMethod is a pluggable join algorithm the DP loop consults at every
-// join step. Candidates returns zero or more complete plans for joining
-// the outer (a plan over some subset of the block's relations) with the
-// inner relation (an ordinal into ctx.Rels). Returned nodes must follow
-// the convention that their output is the outer's columns followed by
-// the inner relation's columns.
+// join step. Candidates returns zero or more complete plans for the
+// step — its outer (a plan over some subset of the block's relations)
+// joined with its inner relation — each finished by step.Node, so its
+// output is the outer's columns followed by the inner relation's.
 type JoinMethod interface {
 	Name() string
-	Candidates(ctx *Ctx, outer *plan.Node, inner int) ([]*plan.Node, error)
+	Candidates(step *JoinStep) ([]*plan.Node, error)
 }
 
 // Metrics instruments one optimizer (cumulative across invocations).

@@ -13,14 +13,19 @@ import (
 	"filterjoin/internal/exec"
 )
 
-// NewNode finalizes a node under construction: its Make is replaced by
-// a version that wraps the built operator in an exec.Instrumented shim
-// labeled with the node's kind and tagged with the node itself. Every
-// plan-node constructor calls this, so any operator tree built from a
-// finished plan carries per-node runtime accounting; parents that
-// capture a child's Make afterwards (join candidates capture the
-// outer's) compose instrumented subtrees automatically.
-func NewNode(n *Node) *Node {
+// NewNode finalizes a node under construction. ord is the physical sort
+// order the node's output carries (nil for explicitly unordered): it is
+// a parameter, not a field of the literal, so a constructor cannot leave
+// the property undeclared and land an ordered operator in the memo's ""
+// bucket. The node's Make is replaced by a version that wraps the built
+// operator in an exec.Instrumented shim labeled with the node's kind and
+// tagged with the node itself. Every plan-node constructor calls this,
+// so any operator tree built from a finished plan carries per-node
+// runtime accounting; parents that capture a child's Make afterwards
+// (join candidates capture the outer's) compose instrumented subtrees
+// automatically.
+func NewNode(ord Ordering, n *Node) *Node {
+	n.Ordering = ord
 	if n.Make == nil {
 		return n
 	}
