@@ -125,48 +125,11 @@ func refinableCmp(pred expr.Expr) (col int, op expr.CmpOp, x float64, ok bool) {
 	if !isCmp {
 		return 0, 0, 0, false
 	}
-	if lc, isCol := c.L.(expr.Col); isCol {
-		if f, isNum := constFloat(c.R); isNum {
-			return lc.Idx, c.Op, f, true
-		}
+	cc, op, k, ok := expr.ColConst(c)
+	if !ok {
 		return 0, 0, 0, false
 	}
-	if rc, isCol := c.R.(expr.Col); isCol {
-		if f, isNum := constFloat(c.L); isNum {
-			return rc.Idx, flipCmpOp(c.Op), f, true
-		}
-	}
-	return 0, 0, 0, false
-}
-
-// constFloat extracts the numeric value of a literal or bound parameter.
-func constFloat(e expr.Expr) (float64, bool) {
-	switch x := e.(type) {
-	case expr.Lit:
-		return x.V.AsFloat()
-	case expr.Param:
-		if x.Has {
-			return x.V.AsFloat()
-		}
-		return 0, false
-	default:
-		// Col, Cmp, And, Or, Not, Arith: not a constant.
-		return 0, false
-	}
-}
-
-// flipCmpOp mirrors a comparison operator for swapped operands
-// (5 < col  ≡  col > 5).
-func flipCmpOp(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.LT:
-		return expr.GT
-	case expr.LE:
-		return expr.GE
-	case expr.GT:
-		return expr.LT
-	case expr.GE:
-		return expr.LE
-	}
-	return op
+	v, _ := k.Eval(nil) // a literal or bound parameter: cannot fail
+	x, ok = v.AsFloat()
+	return cc.Idx, op, x, ok
 }

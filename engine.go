@@ -442,14 +442,8 @@ func (e *Engine) configFingerprint() string {
 		}
 	}
 	sort.Strings(off)
-	var ov []string
-	for k := range o.StatsOverride {
-		ov = append(ov, k)
-	}
-	sort.Strings(ov)
-	return fmt.Sprintf("off=%s ov=%s noorder=%t batch=%d max=%d fj=%t",
-		strings.Join(off, ","), strings.Join(ov, ","),
-		o.DisableOrderProps, o.Batch(), o.MaxRelations, e.fj != nil)
+	return fmt.Sprintf("off=%s noorder=%t batch=%d max=%d fj=%t",
+		strings.Join(off, ","), o.DisableOrderProps, o.Batch(), o.MaxRelations, e.fj != nil)
 }
 
 // serveUnion runs each UNION arm through the cached SELECT path (each

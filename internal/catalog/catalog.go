@@ -69,10 +69,9 @@ type Entry struct {
 	FnStats   *stats.RelStats
 	FnPerCall float64 // average rows returned per invocation (estimate)
 
-	// mu guards the lazily computed caches below. Entries are shared
-	// between an optimizer and its forks (Catalog.Clone copies the map,
-	// not the entries), so concurrent sessions planning on forks may race
-	// to fill them; both computations are deterministic, so
+	// mu guards the lazily computed caches below. An optimizer and its
+	// forks share one catalog, so concurrent sessions planning on forks
+	// may race to fill them; both computations are deterministic, so
 	// first-write-wins.
 	mu         sync.Mutex
 	tableStats *stats.RelStats
@@ -229,7 +228,9 @@ func (e *Entry) ObserveFeedback(o stats.PredObservation) bool {
 	return e.Feedback().Observe(o)
 }
 
-// Catalog is a name → relation map.
+// Catalog is a name → relation map. Planning only reads it (relations
+// an optimization needs beyond it arrive by value, see TableEntry), so
+// it is written only inside the engine's write spans.
 type Catalog struct {
 	entries map[string]*Entry
 }
@@ -239,9 +240,18 @@ func New() *Catalog {
 	return &Catalog{entries: map[string]*Entry{}}
 }
 
+// TableEntry describes t as a local base table without registering it
+// anywhere: the relation an optimization is handed by value (a Filter
+// Join's filter set, opt.OptimizeBlockGiven). A non-nil st stands in for
+// collected statistics — the parametric coster plants a synthetic |F|
+// on an empty table; nil collects from t's rows on first use.
+func TableEntry(t *storage.Table, st *stats.RelStats) *Entry {
+	return &Entry{Name: t.Name(), Kind: KindBase, Table: t, tableStats: st}
+}
+
 // AddTable registers a local base table.
 func (c *Catalog) AddTable(t *storage.Table) *Entry {
-	e := &Entry{Name: t.Name(), Kind: KindBase, Table: t}
+	e := TableEntry(t, nil)
 	c.entries[t.Name()] = e
 	return e
 }
@@ -304,19 +314,6 @@ func (c *Catalog) Has(name string) bool {
 
 // Drop removes a relation.
 func (c *Catalog) Drop(name string) { delete(c.entries, name) }
-
-// Clone returns a catalog with its own name map over the same entries.
-// Registrations and drops on the clone are invisible to the original, so
-// a forked optimizer can stage transient relations (the parametric
-// coster's filter tables) without mutating the shared catalog. The
-// entries themselves are shared; their lazy caches are mutex-guarded.
-func (c *Catalog) Clone() *Catalog {
-	cp := &Catalog{entries: make(map[string]*Entry, len(c.entries))}
-	for n, e := range c.entries {
-		cp.entries[n] = e
-	}
-	return cp
-}
 
 // Names lists registered relation names, sorted.
 func (c *Catalog) Names() []string {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -62,9 +61,7 @@ func attrsKey(cols []int) string {
 }
 
 // buildViewCoster samples the restricted view at the configured filter
-// selectivities. Each sample registers a transient, empty filter table
-// with overridden statistics, optimizes the magic-rewritten block, and
-// records (cost, rows).
+// selectivities, one nested optimization (sampleOne) per grid point.
 func (m *Method) buildViewCoster(c *opt.Ctx, ri *opt.RelInfo, innerLocal, bodyCols []int) (*ViewCoster, error) {
 	o := c.O
 	e := ri.Entry
@@ -95,36 +92,29 @@ func (m *Method) buildViewCoster(c *opt.Ctx, ri *opt.RelInfo, innerLocal, bodyCo
 		}
 		vc.Points = append(vc.Points, p)
 	}
-	sort.Slice(vc.Points, func(i, j int) bool { return vc.Points[i].Sel < vc.Points[j].Sel })
 	vc.fitCardinalityLine()
 	return vc, nil
 }
 
-// sampleOne costs one equivalence class: it stages a transient, empty
-// filter table with overridden statistics on o's catalog, optimizes the
-// magic-rewritten block, and returns (cost, rows) at that selectivity.
+// sampleOne costs one equivalence class: it optimizes the
+// magic-rewritten block over an empty filter table carrying synthetic
+// statistics for that selectivity — F is handed to the optimizer by
+// value, the catalog is only read — and returns (cost, rows).
 func sampleOne(o *opt.Optimizer, e *catalog.Entry, fSchema *schema.Schema, bodyCols []int, sel, domain float64) (SamplePoint, error) {
 	fCard := sel * domain
 	if fCard < 1 {
 		fCard = 1
 	}
-	fName := o.TempName("fcost")
-	ft := storage.NewTable(fName, fSchema)
-	o.Cat.AddTable(ft)
 	fCols := make([]stats.ColStats, fSchema.Len())
 	for i := range fCols {
 		fCols[i] = stats.ColStats{Distinct: fCard}
 	}
-	o.StatsOverride[fName] = &stats.RelStats{Rows: fCard, Cols: fCols}
-	defer func() {
-		delete(o.StatsOverride, fName)
-		o.Cat.Drop(fName)
-	}()
-	rb, err := magic.RestrictedBlock(o.Cat, e, bodyCols, fName)
+	f := catalog.TableEntry(storage.NewTable(filterRel, fSchema), &stats.RelStats{Rows: fCard, Cols: fCols})
+	rb, err := magic.RestrictedBlock(o.Cat, e, bodyCols, filterRel)
 	if err != nil {
 		return SamplePoint{}, err
 	}
-	n, err := o.OptimizeBlock(rb)
+	n, err := o.OptimizeBlockGiven(rb, f)
 	if err != nil {
 		return SamplePoint{}, err
 	}

@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"filterjoin/internal/core"
 	"filterjoin/internal/cost"
 	"filterjoin/internal/opt"
+	"filterjoin/internal/plancache"
 )
 
 // TestCosterInterpolationNearFreshOptimization checks Assumption 1's
@@ -87,5 +89,50 @@ func TestCosterKnob(t *testing.T) {
 	// Both stay small constants relative to the join search.
 	if eight > 20 {
 		t.Errorf("nested optimizations should stay bounded: %d", eight)
+	}
+}
+
+// TestSamplePointsNormalised: SamplePoints given shuffled, duplicated
+// and partly out of range class and cost exactly like the ascending
+// grid — plancache.Classify assumes ascending, so unsorted points would
+// put every selectivity in class 0 — and the default stays the default.
+func TestSamplePointsNormalised(t *testing.T) {
+	sorted := []float64{0.02, 0.25, 1.0}
+	shuffled := []float64{1.0, 0.25, 0.02, 0.25, 0, 1.5}
+	given := append([]float64(nil), shuffled...)
+
+	grid := core.NewMethod(core.Options{SamplePoints: shuffled}).Opts.Grid()
+	if !reflect.DeepEqual(grid, sorted) {
+		t.Fatalf("grid = %v, want %v", grid, sorted)
+	}
+	if !reflect.DeepEqual(shuffled, given) {
+		t.Errorf("NewMethod reordered the caller's slice: %v", shuffled)
+	}
+	for want, sel := range []float64{0.01, 0.1, 0.5} {
+		if got := plancache.Classify(sel, grid); got != want {
+			t.Errorf("sel %.2f classed %d, want %d", sel, got, want)
+		}
+	}
+
+	cat := fig1DB(t, 8000, 200, 0.2, 0.1)
+	coster := func(points []float64) (*core.ViewCoster, float64) {
+		m := core.NewMethod(core.Options{SamplePoints: points})
+		o := opt.New(cat, cost.DefaultModel())
+		o.Register(m)
+		p, err := o.OptimizeBlock(fig1Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Costers()[0], p.Total(o.Model)
+	}
+	vcS, costS := coster(sorted)
+	vcU, costU := coster(shuffled)
+	if !reflect.DeepEqual(vcU, vcS) || costU != costS {
+		t.Errorf("shuffled points cost differently: plan %g vs %g, coster %+v vs %+v", costU, costS, vcU, vcS)
+	}
+
+	def := core.NewMethod(core.Options{})
+	if def.Opts.SamplePoints != nil || !reflect.DeepEqual(def.Opts.Grid(), core.DefaultSamplePoints) {
+		t.Errorf("default grid = %v (SamplePoints %v)", def.Opts.Grid(), def.Opts.SamplePoints)
 	}
 }

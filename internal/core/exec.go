@@ -264,7 +264,7 @@ func keySchema(s *fjExecSpec, t *storage.Table) *schema.Schema {
 // instantiates that plan over its own F and does no planning work.
 func (f *filterJoinOp) restrictView(ctx *exec.Context, keys *exec.KeySet) (exec.Operator, error) {
 	s := f.spec
-	ft := storage.FromRows("__F", s.fSchema, keys.Rows())
+	ft := storage.FromRows(filterRel, s.fSchema, keys.Rows())
 	ctx.Counter.PageWrites += int64(ft.NumPages()) // AvailCost_F: materializing F
 
 	class := plancache.Classify(float64(keys.Len())/s.innerDomain, s.method.Opts.Grid())
@@ -298,10 +298,10 @@ func (f *filterJoinOp) restrictView(ctx *exec.Context, keys *exec.KeySet) (exec.
 }
 
 // planRestricted optimizes the rewritten block (view body ⋈ F) against
-// keys' true cardinality and statistics. The spec's optimizer is shared
-// by concurrent executions of one cached plan and planning mutates
-// optimizer state (temp names, transient catalog entries, metrics), so
-// it runs on a private fork whose search counters are folded back. The
+// keys' true cardinality and statistics, F handed to the optimizer by
+// value. The spec's optimizer is shared by concurrent executions of one
+// cached plan and a search mutates its optimizer (memo, metrics), so it
+// runs on a private fork whose search counters are folded back. The
 // returned plan keeps F's table without its rows, and the fork is
 // quiescent by then: a view over a view captured it as its own spec's
 // optimizer.
@@ -309,14 +309,12 @@ func (s *fjExecSpec) planRestricted(keys *exec.KeySet) (*restrictPlan, error) {
 	o := s.o.Fork()
 	defer func() { s.o.MergeMetrics(o.Metrics) }()
 
-	f := storage.FromRows(o.TempName("magic"), s.fSchema, keys.Rows())
-	o.Cat.AddTable(f)
-	defer o.Cat.Drop(f.Name())
-	rb, err := magic.RestrictedBlock(o.Cat, s.entry, s.bodyCols, f.Name())
+	f := storage.FromRows(filterRel, s.fSchema, keys.Rows())
+	rb, err := magic.RestrictedBlock(o.Cat, s.entry, s.bodyCols, filterRel)
 	if err != nil {
 		return nil, err
 	}
-	node, err := o.OptimizeBlock(rb)
+	node, err := o.OptimizeBlockGiven(rb, catalog.TableEntry(f, nil))
 	if err != nil {
 		return nil, fmt.Errorf("core: planning restricted view %s: %w", s.entry.Name, err)
 	}

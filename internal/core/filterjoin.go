@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"filterjoin/internal/bloom"
@@ -41,7 +42,8 @@ type Options struct {
 	// BloomBitsPerEntry sizes Bloom filters (default 10).
 	BloomBitsPerEntry float64
 	// SamplePoints are the view-coster equivalence classes (default
-	// DefaultSamplePoints).
+	// DefaultSamplePoints). NewMethod keeps the distinct values in
+	// (0,1], ascending.
 	SamplePoints []float64
 	// DisableExact suppresses the exact filter-set variant, forcing the
 	// lossy representation; an ablation/forcing knob for experiments,
@@ -57,10 +59,10 @@ type Options struct {
 	PrefixProductionSets bool
 }
 
-// Grid returns the Fig-5 selectivity grid: SamplePoints, defaulting to
-// the paper's. The view coster samples at these points, the plan cache
-// classes bind parameters by them, and the runtime Filter Join classes
-// the actual |F| by them.
+// Grid returns the Fig-5 selectivity grid, ascending: SamplePoints,
+// defaulting to the paper's. The view coster samples at these points,
+// the plan cache classes bind parameters by them, and the runtime Filter
+// Join classes the actual |F| by them.
 func (o Options) Grid() []float64 {
 	if len(o.SamplePoints) > 0 {
 		return o.SamplePoints
@@ -93,9 +95,20 @@ type Method struct {
 }
 
 // NewMethod creates a Filter Join method with the given options.
+// SamplePoints is normalised here, once, into the ascending grid
+// plancache.Classify assumes, so the coster, the plan-cache key and the
+// run-time sub-plan cache all class by the same points.
 func NewMethod(opts Options) *Method {
 	if opts.BloomBitsPerEntry <= 0 {
 		opts.BloomBitsPerEntry = DefaultBloomBitsPerEntry
+	}
+	given := append([]float64(nil), opts.SamplePoints...)
+	sort.Float64s(given)
+	opts.SamplePoints = nil
+	for _, p := range given {
+		if n := len(opts.SamplePoints); p > 0 && p <= 1 && (n == 0 || p != opts.SamplePoints[n-1]) {
+			opts.SamplePoints = append(opts.SamplePoints, p)
+		}
 	}
 	return &Method{Opts: opts, costers: map[costerKey]*ViewCoster{}}
 }

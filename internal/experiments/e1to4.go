@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"filterjoin/internal/catalog"
 	"filterjoin/internal/core"
 	"filterjoin/internal/cost"
 	"filterjoin/internal/datagen"
@@ -210,14 +211,11 @@ func E3CardinalityFit() (*Report, error) {
 		for i := 0; i < k; i++ {
 			ft.MustInsert(value.NewInt(int64(i)))
 		}
-		cat.AddTable(ft)
-		pl, err := o.OptimizeBlock(restrictedViewBlockForEmp(fName))
+		pl, err := o.OptimizeBlockGiven(restrictedViewBlockForEmp(fName), catalog.TableEntry(ft, nil))
 		if err != nil {
-			cat.Drop(fName)
 			return nil, err
 		}
 		got, _, err := measured(pl)
-		cat.Drop(fName)
 		if err != nil {
 			return nil, err
 		}

@@ -112,9 +112,7 @@ func measureCorrelatedView(cat *catalog.Catalog, model cost.Model, memo bool) (f
 	fs := schema.New(schema.Column{Table: "F_corr", Name: "k0", Type: value.KindInt})
 	ft := storage.NewTable("F_corr", fs)
 	ft.MustInsert(value.NewInt(0))
-	cat.AddTable(ft)
-	defer cat.Drop("F_corr")
-	innerPlan, err := o.OptimizeBlock(restrictedViewBlockForEmp("F_corr"))
+	innerPlan, err := o.OptimizeBlockGiven(restrictedViewBlockForEmp("F_corr"), catalog.TableEntry(ft, nil))
 	if err != nil {
 		return 0, err
 	}

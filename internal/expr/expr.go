@@ -435,3 +435,43 @@ func (a Arith) String() string {
 
 // Eq is shorthand for an equality comparison between two columns.
 func Eq(l, r Expr) Cmp { return Cmp{Op: EQ, L: l, R: r} }
+
+// ColConst recognizes "column op constant" in either operand order. It
+// returns the column, the operator normalised to read column-first
+// (5 < col ≡ col > 5), and the constant side as written: a literal or a
+// bound parameter, whose planning-time value k.Eval(nil) yields without
+// error. The expression is returned rather than the value because an
+// index lookup resolves a Param at Open, not at plan time.
+func ColConst(c Cmp) (col Col, op CmpOp, k Expr, ok bool) {
+	isConst := func(e Expr) bool {
+		switch x := e.(type) {
+		case Lit:
+			return true
+		case Param:
+			return x.Has
+		default:
+			// Columns and compound expressions are row-dependent.
+			return false
+		}
+	}
+	if l, isCol := c.L.(Col); isCol && isConst(c.R) {
+		return l, c.Op, c.R, true
+	}
+	if r, isCol := c.R.(Col); isCol && isConst(c.L) {
+		op = c.Op
+		switch c.Op {
+		case LT:
+			op = GT
+		case LE:
+			op = GE
+		case GT:
+			op = LT
+		case GE:
+			op = LE
+		default:
+			// EQ and NE are symmetric.
+		}
+		return r, op, c.L, true
+	}
+	return Col{}, 0, nil, false
+}

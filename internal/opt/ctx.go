@@ -69,17 +69,41 @@ type Ctx struct {
 	// only distinguishes orderings over these columns. Empty when the
 	// property-aware memo is disabled.
 	interestingCols map[int]bool
+
+	// given, when non-nil, is the one relation the block names that the
+	// catalog does not hold (OptimizeBlockGiven). The block's names
+	// resolve through the Ctx — given first, then the catalog — so an
+	// optimization reads the catalog and writes nothing.
+	given *catalog.Entry
 }
 
-func (o *Optimizer) newCtx(b *query.Block) (*Ctx, error) {
-	layout, err := b.Layout(o.Cat)
+// entry resolves a relation name of the block.
+func (c *Ctx) entry(name string) (*catalog.Entry, error) {
+	if c.given != nil && c.given.Name == name {
+		return c.given, nil
+	}
+	return c.O.Cat.Get(name)
+}
+
+// RelationSchema implements query.SchemaResolver over the block's scope.
+func (c *Ctx) RelationSchema(name string) (*schema.Schema, error) {
+	e, err := c.entry(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.Schema(c.O.Cat)
+}
+
+func (o *Optimizer) newCtx(b *query.Block, given *catalog.Entry) (*Ctx, error) {
+	ctx := &Ctx{O: o, Block: b, given: given}
+	layout, err := b.Layout(ctx)
 	if err != nil {
 		return nil, err
 	}
 	if err := validateBlock(b, layout); err != nil {
 		return nil, err
 	}
-	ctx := &Ctx{O: o, Block: b, Layout: layout}
+	ctx.Layout = layout
 
 	// Classify predicates.
 	for _, p := range b.Preds {
@@ -111,7 +135,7 @@ func (o *Optimizer) newCtx(b *query.Block) (*Ctx, error) {
 }
 
 func (o *Optimizer) buildRelInfo(ctx *Ctx, i int, ref query.RelRef) (*RelInfo, error) {
-	entry, err := o.Cat.Get(ref.Name)
+	entry, err := ctx.entry(ref.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -200,18 +224,9 @@ func validateBlock(b *query.Block, layout *query.Layout) error {
 	return nil
 }
 
-// relStats returns the statistics for a stored/function relation,
-// honoring StatsOverride.
-func (o *Optimizer) relStats(e *catalog.Entry) *stats.RelStats {
-	if s, ok := o.StatsOverride[e.Name]; ok {
-		return s
-	}
-	return e.Stats()
-}
-
 func (o *Optimizer) buildStoredLeaf(ctx *Ctx, ri *RelInfo) {
 	t := ri.Entry.Table
-	raw := o.relStats(ri.Entry)
+	raw := ri.Entry.Stats()
 	if raw == nil {
 		raw = &stats.RelStats{Rows: float64(t.NumRows()), Cols: make([]stats.ColStats, ri.Width)}
 	}
@@ -301,21 +316,6 @@ func conjuncts(e expr.Expr) []expr.Expr {
 	return []expr.Expr{e}
 }
 
-// constKeySide reports whether e can supply an index key at Open time: a
-// literal, or a bound parameter (whose current binding the lookup
-// resolves when it opens).
-func constKeySide(e expr.Expr) bool {
-	switch x := e.(type) {
-	case expr.Lit:
-		return true
-	case expr.Param:
-		return x.Has
-	default:
-		// Columns and compound expressions are row-dependent.
-		return false
-	}
-}
-
 // indexAccessPlan looks for an equality conjunct `col = constant` (a
 // literal or bound parameter) on an indexed column of the relation and
 // builds an index-lookup leaf: one index probe plus the matching pages,
@@ -328,16 +328,11 @@ func (o *Optimizer) indexAccessPlan(ri *RelInfo, localLocal expr.Expr, alias str
 	cs := conjuncts(localLocal)
 	for pick, cj := range cs {
 		cmp, ok := cj.(expr.Cmp)
-		if !ok || cmp.Op != expr.EQ {
+		if !ok {
 			continue
 		}
-		var col expr.Col
-		var keyExpr expr.Expr
-		if c, okc := cmp.L.(expr.Col); okc && constKeySide(cmp.R) {
-			col, keyExpr = c, cmp.R
-		} else if c, okc := cmp.R.(expr.Col); okc && constKeySide(cmp.L) {
-			col, keyExpr = c, cmp.L
-		} else {
+		col, op, keyExpr, ok := expr.ColConst(cmp)
+		if !ok || op != expr.EQ {
 			continue
 		}
 		ix := t.IndexOn([]int{col.Idx})
@@ -474,7 +469,7 @@ func viewLeafOrdering(nested *plan.Node, ri *RelInfo) plan.Ordering {
 }
 
 func (o *Optimizer) buildFuncInfo(ctx *Ctx, ri *RelInfo) {
-	raw := o.relStats(ri.Entry)
+	raw := ri.Entry.Stats()
 	if raw == nil {
 		raw = &stats.RelStats{Rows: 1000, Cols: make([]stats.ColStats, ri.Width)}
 	}

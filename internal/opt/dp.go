@@ -80,8 +80,7 @@ func (o *Optimizer) keepCandidate(ctx *Ctx, tbl propTable, ns query.RelSet, cand
 
 // candidatesFor collects every enabled join method's plans for
 // extending outer with the inner relation — the built-in methods plus
-// registered external ones (the Filter Join) — from one JoinStep. Both
-// the DP loop and the forced-order path go through here.
+// registered external ones (the Filter Join) — from one JoinStep.
 func (o *Optimizer) candidatesFor(ctx *Ctx, outer *plan.Node, inner int) ([]*plan.Node, error) {
 	step := ctx.newJoinStep(outer, inner)
 	cands := step.builtinCandidates()
@@ -120,23 +119,22 @@ func (o *Optimizer) keepLeaf(ctx *Ctx, memo map[query.RelSet]propTable, i int, l
 // deferred: a subset is extended with unconnected relations only when
 // no predicate-connected extension exists. The returned table holds the
 // full subset's surviving entries; finishBest picks among them.
-func (o *Optimizer) runDP(ctx *Ctx) (propTable, error) {
+//
+// A non-nil order (a permutation of the relation ordinals) constrains
+// the search to that one left-deep chain: only order[0] is seeded and a
+// subset of size k is extended only by order[k]; every enabled method
+// still competes at each step.
+func (o *Optimizer) runDP(ctx *Ctx, order []int) (propTable, error) {
 	n := len(ctx.Rels)
 	memo := map[query.RelSet]propTable{}
 
 	for i, ri := range ctx.Rels {
-		if ri.Access != nil {
+		if ri.Access != nil && (order == nil || i == order[0]) {
 			o.keepLeaf(ctx, memo, i, ri.Access)
 		}
 	}
 	if len(memo) == 0 {
-		return nil, fmt.Errorf("opt: no relation in the block has an access path (a function-backed relation cannot be outermost)")
-	}
-	if n == 1 {
-		if tbl, ok := memo[query.NewRelSet(0)]; ok {
-			return tbl, nil
-		}
-		return nil, fmt.Errorf("opt: single relation has no access path")
+		return nil, fmt.Errorf("opt: no relation that may be outermost has an access path (a function-backed relation cannot be)")
 	}
 
 	for size := 2; size <= n; size++ {
@@ -152,7 +150,12 @@ func (o *Optimizer) runDP(ctx *Ctx) (propTable, error) {
 		sort.Slice(prev, func(a, b int) bool { return prev[a] < prev[b] })
 		for _, s := range prev {
 			tbl := memo[s]
-			exts := o.extensions(ctx, s, n)
+			var exts []int
+			if order != nil {
+				exts = order[size-1 : size]
+			} else {
+				exts = o.extensions(ctx, s, n)
+			}
 			for _, key := range sortedProps(tbl) {
 				outer := tbl[key].node
 				for _, i := range exts {
@@ -178,7 +181,7 @@ func (o *Optimizer) runDP(ctx *Ctx) (propTable, error) {
 	}
 	tbl, ok := memo[full]
 	if !ok || len(tbl) == 0 {
-		return nil, fmt.Errorf("opt: no complete plan found (disconnected query with an unbindable function relation?)")
+		return nil, fmt.Errorf("opt: no complete plan found (an unbindable function relation, or a forced order no method can follow?)")
 	}
 	return tbl, nil
 }
@@ -204,55 +207,6 @@ func (o *Optimizer) finishBest(ctx *Ctx, tbl propTable) (*plan.Node, error) {
 		return nil, fmt.Errorf("opt: no complete plan found")
 	}
 	return best, nil
-}
-
-// OptimizeBlockWithOrder optimizes b with the join order fixed to the
-// given permutation of relation ordinals: the DP collapses to a single
-// left-deep chain, but every enabled join method still competes at each
-// step, and candidates flow through the same keep/prune/trace path as
-// the free search (per-property entries included). Experiment E2 uses
-// this to cost all six orders of Fig 3.
-func (o *Optimizer) OptimizeBlockWithOrder(b *query.Block, order []int) (*plan.Node, error) {
-	if len(order) != len(b.Rels) {
-		return nil, fmt.Errorf("opt: order has %d entries for %d relations", len(order), len(b.Rels))
-	}
-	o.depth++
-	defer func() { o.depth-- }()
-	ctx, err := o.newCtx(b)
-	if err != nil {
-		return nil, err
-	}
-	leaf := ctx.Rels[order[0]].Access
-	if leaf == nil {
-		return nil, fmt.Errorf("opt: relation %d cannot be outermost (no access path)", order[0])
-	}
-	memo := map[query.RelSet]propTable{}
-	o.keepLeaf(ctx, memo, order[0], leaf)
-	cur := memo[query.NewRelSet(order[0])]
-	subset := query.NewRelSet(order[0])
-	for _, i := range order[1:] {
-		ns := subset.With(i)
-		next := propTable{}
-		for _, key := range sortedProps(cur) {
-			cands, err := o.candidatesFor(ctx, cur[key].node, i)
-			if err != nil {
-				return nil, err
-			}
-			for _, cand := range cands {
-				o.keepCandidate(ctx, next, ns, cand)
-			}
-		}
-		if len(next) == 0 {
-			return nil, fmt.Errorf("opt: no join method applies at relation %d in the forced order", i)
-		}
-		cur, subset = next, ns
-	}
-	p, err := o.finishBest(ctx, cur)
-	if err != nil {
-		return nil, err
-	}
-	o.attachFallback(p, func() (*plan.Node, error) { return o.OptimizeBlockWithOrder(b, order) })
-	return p, nil
 }
 
 // extensions returns the relations the subset should be extended with:

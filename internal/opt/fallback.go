@@ -1,53 +1,35 @@
 package opt
 
 import (
+	"filterjoin/internal/catalog"
 	"filterjoin/internal/plan"
 	"filterjoin/internal/query"
 )
 
-// attachFallback retains a degradation plan on p: when the chosen plan
+// fallback plans the degradation alternative of a top-level plan that
 // contains a FetchMatches join — the one strategy whose network
 // crossings happen per outer row, mid-stream, after rows may already
-// have been emitted — the block is re-optimized with fetch-matches
-// disabled and the runner-up attached as p.Fallback. If the transport
-// later exhausts its retries inside the primary, the executor restarts
-// the query on the fallback instead of failing it (DESIGN.md §10).
+// have been emitted. If the transport later exhausts its retries inside
+// the primary, the executor restarts the query on the fallback instead
+// of failing it (DESIGN.md §10). nil means no fault-free alternative
+// exists (e.g. every other method is disabled): degradation is simply
+// unavailable and a SiteError surfaces as the query error.
 //
 // Bulk-shipment plans (ShipScan, semi-join filter shipments) need no
 // fallback: their crossings happen at Open, before any row is produced,
 // so a SiteError there is an honest whole-query error.
 //
-// The re-optimization is invisible to observability: search metrics are
-// snapshotted and restored, and the tracer is detached, so exact-count
-// metrics tests and trace goldens see only the primary search. Only the
-// top-level block (depth 1) retains a fallback — a nested sub-plan's
-// SiteError propagates to the top, where the top-level fallback covers
-// it.
-func (o *Optimizer) attachFallback(p *plan.Node, replan func() (*plan.Node, error)) {
-	if p == nil || o.depth != 1 || p.Find("FetchMatches") == nil {
-		return
-	}
-	saveMetrics := o.Metrics
-	saveTracer := o.Tracer
-	wasDisabled := o.Disabled["fetchmatches"]
-	o.Tracer = nil
-	o.Disabled["fetchmatches"] = true
-	defer func() {
-		o.Disabled["fetchmatches"] = wasDisabled
-		o.Tracer = saveTracer
-		o.Metrics = saveMetrics
-	}()
-	alt, err := replan()
-	if err != nil {
-		// No fault-free alternative exists (e.g. every other method is
-		// disabled): degradation is simply unavailable and a SiteError
-		// surfaces as the query error.
-		return
-	}
-	p.Fallback = alt
-}
-
-// optimizeBlockFallback is the replan used by OptimizeBlock.
-func (o *Optimizer) optimizeBlockFallback(b *query.Block) func() (*plan.Node, error) {
-	return func() (*plan.Node, error) { return o.OptimizeBlock(b) }
+// The same search runs again on a fork with fetch-matches off and no
+// tracer, and the fork's metrics are dropped, so exact-count metrics
+// tests and trace goldens see only the primary search. The fork has its
+// own view-leaf memo, so view leaves are re-planned without
+// fetch-matches too, and it is the optimizer the fallback's Filter Joins
+// capture, so the restricted views they plan at run time inherit the
+// toggle.
+func (o *Optimizer) fallback(b *query.Block, given *catalog.Entry, order []int) *plan.Node {
+	f := o.Fork()
+	f.Tracer = nil
+	f.Disabled["fetchmatches"] = true
+	alt, _ := f.optimize(b, given, order) // an error is "no alternative": alt is nil
+	return alt
 }

@@ -10,6 +10,25 @@ import (
 	"filterjoin/internal/stats"
 )
 
+// unaryNode finishes a node with the single input prev — the unary twin
+// of JoinStep.Node: n carries what is the operator's own (Kind, Detail,
+// Est, Make) and inherits prev's Stats, OutSchema and ColMap wherever
+// the literal leaves them unset. rows is a parameter because 0 is an
+// estimate, not "unset".
+func unaryNode(prev *plan.Node, ord plan.Ordering, rows float64, n *plan.Node) *plan.Node {
+	n.Children, n.Rows, n.Rels = []*plan.Node{prev}, rows, prev.Rels
+	if n.Stats == nil {
+		n.Stats = prev.Stats
+	}
+	if n.OutSchema == nil {
+		n.OutSchema = prev.OutSchema
+	}
+	if n.ColMap == nil {
+		n.ColMap = prev.ColMap
+	}
+	return plan.NewNode(ord, n)
+}
+
 // finish layers the block's output shape — constant predicates,
 // aggregation or projection, DISTINCT — on top of the best join.
 func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
@@ -29,17 +48,11 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 		est := prev.Est
 		est.CPUTuples += prev.Rows
 		mk := prev.Make
-		node = plan.NewNode(prev.Ordering, &plan.Node{
-			Kind:      "Select",
-			Detail:    pred.String(),
-			Children:  []*plan.Node{prev},
-			Est:       est,
-			Rows:      prev.Rows,
-			Stats:     prev.Stats,
-			OutSchema: prev.OutSchema,
-			ColMap:    prev.ColMap,
-			Rels:      prev.Rels,
-			Make:      func() exec.Operator { return exec.NewSelect(mk(), pred) },
+		node = unaryNode(prev, prev.Ordering, prev.Rows, &plan.Node{
+			Kind:   "Select",
+			Detail: pred.String(),
+			Est:    est,
+			Make:   func() exec.Operator { return exec.NewSelect(mk(), pred) },
 		})
 	}
 
@@ -77,16 +90,11 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 			st = st.Clone()
 			st.Rows = rows
 		}
-		node = plan.NewNode(prev.Ordering, &plan.Node{
-			Kind:      "Distinct",
-			Children:  []*plan.Node{prev},
-			Est:       est,
-			Rows:      rows,
-			Stats:     st,
-			OutSchema: prev.OutSchema,
-			ColMap:    prev.ColMap,
-			Rels:      prev.Rels,
-			Make:      func() exec.Operator { return exec.NewDistinct(mk()) },
+		node = unaryNode(prev, prev.Ordering, rows, &plan.Node{
+			Kind:  "Distinct",
+			Est:   est,
+			Stats: st,
+			Make:  func() exec.Operator { return exec.NewDistinct(mk()) },
 		})
 	}
 
@@ -126,32 +134,19 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 			}
 			est := prev.Est
 			est.CPUTuples += prev.Rows + float64(n)*lg2(float64(n)) + rows
-			node = plan.NewNode(want, &plan.Node{
-				Kind:      "TopN",
-				Detail:    fmt.Sprintf("%s limit %d", detail, n),
-				Children:  []*plan.Node{prev},
-				Est:       est,
-				Rows:      rows,
-				Stats:     prev.Stats,
-				OutSchema: prev.OutSchema,
-				ColMap:    prev.ColMap,
-				Rels:      prev.Rels,
-				Make:      func() exec.Operator { return exec.NewTopN(mk(), n, keys, desc) },
-			})
-			return node, nil
+			return unaryNode(prev, want, rows, &plan.Node{
+				Kind:   "TopN",
+				Detail: fmt.Sprintf("%s limit %d", detail, n),
+				Est:    est,
+				Make:   func() exec.Operator { return exec.NewTopN(mk(), n, keys, desc) },
+			}), nil
 		default:
 			est := prev.Est
 			est.CPUTuples += prev.Rows*lg2(prev.Rows) + prev.Rows
-			node = plan.NewNode(want, &plan.Node{
-				Kind:      "Sort",
-				Detail:    detail,
-				Children:  []*plan.Node{prev},
-				Est:       est,
-				Rows:      prev.Rows,
-				Stats:     prev.Stats,
-				OutSchema: prev.OutSchema,
-				ColMap:    prev.ColMap,
-				Rels:      prev.Rels,
+			node = unaryNode(prev, want, prev.Rows, &plan.Node{
+				Kind:   "Sort",
+				Detail: detail,
+				Est:    est,
 				Make: func() exec.Operator {
 					s := exec.NewSort(mk(), keys, desc)
 					s.InputHint = int(prev.Rows + 0.5)
@@ -169,17 +164,11 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 		}
 		mk := prev.Make
 		n := b.Limit
-		node = plan.NewNode(prev.Ordering, &plan.Node{
-			Kind:      "Limit",
-			Detail:    fmt.Sprintf("%d", n),
-			Children:  []*plan.Node{prev},
-			Est:       prev.Est,
-			Rows:      rows,
-			Stats:     prev.Stats,
-			OutSchema: prev.OutSchema,
-			ColMap:    prev.ColMap,
-			Rels:      prev.Rels,
-			Make:      func() exec.Operator { return exec.NewLimit(mk(), n) },
+		node = unaryNode(prev, prev.Ordering, rows, &plan.Node{
+			Kind:   "Limit",
+			Detail: fmt.Sprintf("%d", n),
+			Est:    prev.Est,
+			Make:   func() exec.Operator { return exec.NewLimit(mk(), n) },
 		})
 	}
 	return node, nil
@@ -210,17 +199,12 @@ func (o *Optimizer) finishHaving(ctx *Ctx, prev *plan.Node) (*plan.Node, error) 
 	}
 	mk := prev.Make
 	having := b.Having
-	return plan.NewNode(prev.Ordering, &plan.Node{
-		Kind:      "Having",
-		Detail:    having.String(),
-		Children:  []*plan.Node{prev},
-		Est:       est,
-		Rows:      rows,
-		Stats:     st,
-		OutSchema: prev.OutSchema,
-		ColMap:    prev.ColMap,
-		Rels:      prev.Rels,
-		Make:      func() exec.Operator { return exec.NewSelect(mk(), having) },
+	return unaryNode(prev, prev.Ordering, rows, &plan.Node{
+		Kind:   "Having",
+		Detail: having.String(),
+		Est:    est,
+		Stats:  st,
+		Make:   func() exec.Operator { return exec.NewSelect(mk(), having) },
 	}), nil
 }
 
@@ -285,7 +269,7 @@ func (o *Optimizer) finishGroupBy(ctx *Ctx, prev *plan.Node) (*plan.Node, error)
 	est := prev.Est
 	est.CPUTuples += prev.Rows + rows
 
-	outSchema, err := b.OutputSchema(o.Cat, "")
+	outSchema, err := b.OutputSchema(ctx, "")
 	if err != nil {
 		return nil, err
 	}
@@ -312,16 +296,13 @@ func (o *Optimizer) finishGroupBy(ctx *Ctx, prev *plan.Node) (*plan.Node, error)
 		outOrd = prev.Ordering.Project(func(c int) bool { return colMap[c] >= 0 })
 		mkOp = func() exec.Operator { return exec.NewStreamGroupBy(mk(), groupPos, aggs) }
 	}
-	return plan.NewNode(outOrd, &plan.Node{
+	return unaryNode(prev, outOrd, rows, &plan.Node{
 		Kind:      kind,
 		Detail:    groupByDetail(ctx, b),
-		Children:  []*plan.Node{prev},
 		Est:       est,
-		Rows:      rows,
 		Stats:     &stats.RelStats{Rows: rows, Cols: outCols},
 		OutSchema: outSchema,
 		ColMap:    colMap,
-		Rels:      prev.Rels,
 		Make:      mkOp,
 	}), nil
 }
@@ -352,7 +333,7 @@ func (o *Optimizer) finishProject(ctx *Ctx, prev *plan.Node) (*plan.Node, error)
 		}
 		exprs[i] = expr.Remap(p.Expr, prev.ColMap)
 	}
-	outSchema, err := b.OutputSchema(o.Cat, "")
+	outSchema, err := b.OutputSchema(ctx, "")
 	if err != nil {
 		return nil, err
 	}
@@ -373,16 +354,13 @@ func (o *Optimizer) finishProject(ctx *Ctx, prev *plan.Node) (*plan.Node, error)
 	est.CPUTuples += prev.Rows
 	mk := prev.Make
 	ord := prev.Ordering.Project(func(c int) bool { return colMap[c] >= 0 })
-	return plan.NewNode(ord, &plan.Node{
+	return unaryNode(prev, ord, prev.Rows, &plan.Node{
 		Kind:      "Project",
 		Detail:    projDetail(b),
-		Children:  []*plan.Node{prev},
 		Est:       est,
-		Rows:      prev.Rows,
 		Stats:     &stats.RelStats{Rows: prev.Rows, Cols: outCols},
 		OutSchema: outSchema,
 		ColMap:    colMap,
-		Rels:      prev.Rels,
 		Make:      func() exec.Operator { return exec.NewProject(mk(), exprs, outSchema) },
 	}), nil
 }
@@ -428,16 +406,13 @@ func (o *Optimizer) identityProject(ctx *Ctx, prev *plan.Node) *plan.Node {
 	est.CPUTuples += prev.Rows
 	mk := prev.Make
 	outSchema := ctx.Layout.Schema
-	return plan.NewNode(prev.Ordering, &plan.Node{
+	return unaryNode(prev, prev.Ordering, prev.Rows, &plan.Node{
 		Kind:      "Project",
 		Detail:    "*",
-		Children:  []*plan.Node{prev},
 		Est:       est,
-		Rows:      prev.Rows,
 		Stats:     &stats.RelStats{Rows: prev.Rows, Cols: outCols},
 		OutSchema: outSchema,
 		ColMap:    plan.IdentityColMap(width),
-		Rels:      prev.Rels,
 		Make:      func() exec.Operator { return exec.NewProject(mk(), exprs, outSchema) },
 	})
 }

@@ -163,14 +163,13 @@ func (s *JoinStep) nestedLoopJoin() *plan.Node {
 	est.CPUTuples += 2*outer.Rows*a.Rows + s.Rows
 	pred := ResidualExpr(s.Preds, s.ColMap)
 	outerMk, innerMk := outer.Make, a.Make
-	name := s.Ctx.O.TempName("nlj")
 	return s.Node(s.Ordering, &plan.Node{
 		Kind:     "NestedLoopJoin",
 		Detail:   predDetail(pred),
 		Children: []*plan.Node{outer, a},
 		Est:      est,
 		Make: func() exec.Operator {
-			return exec.NewNestedLoopJoin(outerMk(), exec.NewMaterialize(innerMk(), name), pred)
+			return exec.NewNestedLoopJoin(outerMk(), exec.NewMaterialize(innerMk(), "__nlj"), pred)
 		},
 	})
 }

@@ -3,6 +3,7 @@ package opt
 import (
 	"testing"
 
+	"filterjoin/internal/catalog"
 	"filterjoin/internal/cost"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/query"
@@ -12,7 +13,12 @@ import (
 // method except the named ones disabled, so candidate counts are exact.
 func only(t testing.TB, enabled ...string) *Optimizer {
 	t.Helper()
-	o := New(buildCat(t), cost.DefaultModel())
+	return onlyOver(buildCat(t), enabled...)
+}
+
+// onlyOver is only over a given catalog.
+func onlyOver(cat *catalog.Catalog, enabled ...string) *Optimizer {
+	o := New(cat, cost.DefaultModel())
 	all := []string{"hash", "merge", "nlj", "indexnl", "funcprobe", "funcprobememo", "fetchmatches", "indexaccess"}
 	keep := map[string]bool{}
 	for _, m := range enabled {

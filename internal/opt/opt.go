@@ -17,7 +17,6 @@ import (
 	"filterjoin/internal/cost"
 	"filterjoin/internal/plan"
 	"filterjoin/internal/query"
-	"filterjoin/internal/stats"
 )
 
 // JoinMethod is a pluggable join algorithm the DP loop consults at every
@@ -56,11 +55,6 @@ type Optimizer struct {
 	// "indexnl", "funcprobe", "fetchmatches", or an extra method's name).
 	Disabled map[string]bool
 
-	// StatsOverride substitutes statistics for named relations; the
-	// parametric view coster uses it to plant synthetic filter-set
-	// cardinalities without building data.
-	StatsOverride map[string]*stats.RelStats
-
 	// MaxRelations caps the DP size (default 14).
 	MaxRelations int
 
@@ -91,13 +85,12 @@ type Optimizer struct {
 	extra         []JoinMethod
 	viewLeafCache map[string]*plan.Node
 	depth         int
-	tempSeq       int
 
 	// metricsMu guards concurrent MergeMetrics calls from sessions folding
 	// per-query fork counters back into a shared prototype optimizer. The
-	// rest of the struct is NOT protected: OptimizeBlock mutates depth,
-	// tempSeq and viewLeafCache and must run on a private fork when the
-	// optimizer is shared.
+	// rest of the struct is NOT protected: an optimization mutates depth,
+	// Metrics and viewLeafCache — and nothing outside the optimizer — so
+	// it must run on a private fork when the optimizer is shared.
 	metricsMu sync.Mutex
 }
 
@@ -107,7 +100,6 @@ func New(cat *catalog.Catalog, model cost.Model) *Optimizer {
 		Cat:           cat,
 		Model:         model,
 		Disabled:      map[string]bool{},
-		StatsOverride: map[string]*stats.RelStats{},
 		MaxRelations:  14,
 		viewLeafCache: map[string]*plan.Node{},
 	}
@@ -124,12 +116,6 @@ func (o *Optimizer) InvalidateCaches() {
 	o.viewLeafCache = map[string]*plan.Node{}
 }
 
-// TempName returns a unique name for transient catalog entries.
-func (o *Optimizer) TempName(prefix string) string {
-	o.tempSeq++
-	return fmt.Sprintf("__%s_%d", prefix, o.tempSeq)
-}
-
 // Batch returns the effective executor batch size (at least 1).
 func (o *Optimizer) Batch() int {
 	if o.BatchSize < 1 {
@@ -139,34 +125,28 @@ func (o *Optimizer) Batch() int {
 }
 
 // Fork returns an isolated optimizer for one query of a concurrent
-// session (or one Filter Join execution's runtime planning). The fork
-// sees a cloned catalog — transient relations it registers never touch
-// the parent's — plus private Disabled/StatsOverride/metrics/temp-name
-// state seeded from the parent, so forks never contend and their
-// results are identical to planning on the parent alone. BatchSize and
-// Tracer carry over (a fork plans for the same executor and is observed
-// by the same tracer); Metrics start at zero and callers fold them back
-// with MergeMetrics.
+// session (or one Filter Join execution's runtime planning): the same
+// catalog, cost model and registered methods, a private copy of the
+// Disabled toggles, and fresh search state (view-leaf memo, depth,
+// Metrics). Planning writes nothing outside the optimizer, so forks
+// never contend and plan exactly as the parent alone would. BatchSize
+// and Tracer carry over (a fork plans for the same executor and is
+// observed by the same tracer); callers fold Metrics back with
+// MergeMetrics.
 func (o *Optimizer) Fork() *Optimizer {
 	f := &Optimizer{
-		Cat:               o.Cat.Clone(),
+		Cat:               o.Cat,
 		Model:             o.Model,
 		Disabled:          make(map[string]bool, len(o.Disabled)),
-		StatsOverride:     make(map[string]*stats.RelStats, len(o.StatsOverride)),
 		MaxRelations:      o.MaxRelations,
 		DisableOrderProps: o.DisableOrderProps,
 		BatchSize:         o.BatchSize,
 		Tracer:            o.Tracer,
 		extra:             o.extra,
 		viewLeafCache:     map[string]*plan.Node{},
-		depth:             o.depth,
-		tempSeq:           o.tempSeq,
 	}
 	for k, v := range o.Disabled {
 		f.Disabled[k] = v
-	}
-	for k, v := range o.StatsOverride {
-		f.StatsOverride[k] = v
 	}
 	return f
 }
@@ -184,6 +164,42 @@ func (o *Optimizer) MergeMetrics(m Metrics) {
 // plan, including the block's output shape (projection / aggregation /
 // distinct) on top of the best join order.
 func (o *Optimizer) OptimizeBlock(b *query.Block) (*plan.Node, error) {
+	return o.optimize(b, nil, nil)
+}
+
+// OptimizeBlockGiven is OptimizeBlock for a block that names one
+// relation the catalog does not hold: given (catalog.TableEntry),
+// resolved by its Name ahead of the catalog for this block only. It is
+// how a restricted view is planned as a function of its filter set
+// (paper §4.2) with the catalog left untouched.
+func (o *Optimizer) OptimizeBlockGiven(b *query.Block, given *catalog.Entry) (*plan.Node, error) {
+	return o.optimize(b, given, nil)
+}
+
+// OptimizeBlockWithOrder optimizes b with the join order fixed to the
+// given permutation of relation ordinals: the DP collapses to a single
+// left-deep chain, but every enabled join method still competes at each
+// step, and candidates flow through the same keep/prune/trace path as
+// the free search (per-property entries included). Experiment E2 uses
+// this to cost all six orders of Fig 3.
+func (o *Optimizer) OptimizeBlockWithOrder(b *query.Block, order []int) (*plan.Node, error) {
+	if len(order) != len(b.Rels) {
+		return nil, fmt.Errorf("opt: order has %d entries for %d relations", len(order), len(b.Rels))
+	}
+	var seen query.RelSet
+	for _, r := range order {
+		if r < 0 || r >= len(order) || seen.Has(r) {
+			return nil, fmt.Errorf("opt: order %v is not a permutation of the block's %d relations", order, len(order))
+		}
+		seen = seen.With(r)
+	}
+	return o.optimize(b, nil, order)
+}
+
+// optimize is the one entry to the search. order, when non-nil, is a
+// validated permutation the DP is constrained to; given is the block's
+// by-value relation, if it has one.
+func (o *Optimizer) optimize(b *query.Block, given *catalog.Entry, order []int) (*plan.Node, error) {
 	if len(b.Rels) == 0 {
 		return nil, fmt.Errorf("opt: block has no relations")
 	}
@@ -191,21 +207,20 @@ func (o *Optimizer) OptimizeBlock(b *query.Block) (*plan.Node, error) {
 		return nil, fmt.Errorf("opt: %d relations exceeds MaxRelations=%d", len(b.Rels), o.MaxRelations)
 	}
 	o.depth++
+	defer func() { o.depth-- }()
 	if o.depth > 16 {
-		o.depth--
 		return nil, fmt.Errorf("opt: nested optimization too deep (view cycle?)")
 	}
-	defer func() { o.depth-- }()
 	if o.depth > 1 {
 		o.Metrics.NestedOptimizations++
 		o.trace(TraceEvent{Kind: EvNested, Depth: o.depth, Detail: blockDesc(b)})
 	}
 
-	ctx, err := o.newCtx(b)
+	ctx, err := o.newCtx(b, given)
 	if err != nil {
 		return nil, err
 	}
-	tbl, err := o.runDP(ctx)
+	tbl, err := o.runDP(ctx, order)
 	if err != nil {
 		return nil, err
 	}
@@ -213,11 +228,15 @@ func (o *Optimizer) OptimizeBlock(b *query.Block) (*plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.attachFallback(p, o.optimizeBlockFallback(b))
-	if bs := o.Batch(); bs > 1 && o.depth == 1 {
-		p.BatchSize = bs
-		if p.Fallback != nil {
-			p.Fallback.BatchSize = bs
+	// Only the top-level block retains a fallback and the batch stamp: a
+	// nested sub-plan's SiteError propagates to the top, where the
+	// top-level fallback covers it.
+	if o.depth == 1 {
+		if p.Find("FetchMatches") != nil {
+			p.Fallback = o.fallback(b, given, order)
+		}
+		if bs := o.Batch(); bs > 1 {
+			p.BatchSize = bs
 		}
 	}
 	return p, nil

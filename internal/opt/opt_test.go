@@ -324,8 +324,12 @@ func TestErrorCases(t *testing.T) {
 	if _, err := o.OptimizeBlock(joinAB()); err == nil {
 		t.Error("MaxRelations must be enforced")
 	}
-	if _, err := New(cat, cost.DefaultModel()).OptimizeBlockWithOrder(joinAB(), []int{0}); err == nil {
-		t.Error("short order must error")
+	// A forced order must be a permutation of the block's relations:
+	// anything else is an error, never a panic or a self-join.
+	for _, order := range [][]int{{0}, {2, 0}, {-1, 1}, {0, 0}, nil} {
+		if _, err := New(cat, cost.DefaultModel()).OptimizeBlockWithOrder(joinAB(), order); err == nil {
+			t.Errorf("order %v must error", order)
+		}
 	}
 	if _, err := o.OptimizeBlock(&query.Block{Rels: []query.RelRef{{Name: "Missing"}}}); err == nil {
 		t.Error("unknown relation must error")
@@ -371,20 +375,29 @@ func TestBlockValidation(t *testing.T) {
 	}
 }
 
+// TestStatsOverride: a relation handed to the optimization by value
+// carries its own statistics — the planted row count reaches the plan —
+// and is resolved without the catalog ever holding it.
 func TestStatsOverride(t *testing.T) {
 	cat := buildCat(t)
 	o := New(cat, cost.DefaultModel())
 	fake := 123456.0
-	o.StatsOverride["A"] = &stats.RelStats{
-		Rows: fake,
-		Cols: []stats.ColStats{{Distinct: 100}, {Distinct: fake}},
-	}
-	p, err := o.OptimizeBlock(&query.Block{Rels: []query.RelRef{{Name: "A"}}})
+	f := catalog.TableEntry(
+		storage.NewTable("F", schema.New(schema.Column{Table: "F", Name: "k", Type: value.KindInt})),
+		&stats.RelStats{Rows: fake, Cols: []stats.ColStats{{Distinct: fake}}})
+	b := &query.Block{Rels: []query.RelRef{{Name: "F"}}}
+	p, err := o.OptimizeBlockGiven(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Rows != fake {
-		t.Errorf("override ignored: rows = %g", p.Rows)
+		t.Errorf("planted statistics ignored: rows = %g", p.Rows)
+	}
+	if cat.Has("F") {
+		t.Error("the by-value relation was registered in the catalog")
+	}
+	if _, err := o.OptimizeBlock(b); err == nil {
+		t.Error("the by-value relation outlived its optimization")
 	}
 }
 

@@ -233,11 +233,11 @@ func TestStreamAggregationOnOrderedInput(t *testing.T) {
 func TestMemoKeepsSecondBestOrderedPlan(t *testing.T) {
 	cat := buildCat(t)
 	o := New(cat, cost.DefaultModel())
-	ctx, err := o.newCtx(fanOutJoin(query.OrderItem{Col: 0}))
+	ctx, err := o.newCtx(fanOutJoin(query.OrderItem{Col: 0}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := o.runDP(ctx)
+	tbl, err := o.runDP(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

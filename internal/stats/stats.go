@@ -358,68 +358,29 @@ func Selectivity(e expr.Expr, s *RelStats) float64 {
 	}
 }
 
-// asConst extracts the constant side of a comparison: a literal, or a
-// bound parameter behaving as the literal it was planned with.
-func asConst(e expr.Expr) (expr.Lit, bool) {
-	switch x := e.(type) {
-	case expr.Lit:
-		return x, true
-	case expr.Param:
-		if x.Has {
-			return expr.Lit{V: x.V}, true
-		}
-	default:
-		// Columns and compound expressions are not constants.
-	}
-	return expr.Lit{}, false
-}
-
 func cmpSelectivity(p expr.Cmp, s *RelStats) float64 {
-	// Column vs literal (or bound parameter) in either order.
-	if col, ok := p.L.(expr.Col); ok {
-		if lit, ok2 := asConst(p.R); ok2 {
-			return colLitSelectivity(p.Op, col, lit, s)
-		}
-		if rcol, ok2 := p.R.(expr.Col); ok2 {
-			// column-vs-column comparison within one relation.
-			if p.Op == expr.EQ {
-				return JoinSelectivity(s.DistinctOf(col.Idx), s.DistinctOf(rcol.Idx))
-			}
-			return 1.0 / 3.0
-		}
+	if col, op, k, ok := expr.ColConst(p); ok {
+		v, _ := k.Eval(nil) // a literal or bound parameter: cannot fail
+		return colLitSelectivity(op, col, v, s)
 	}
-	if col, ok := p.R.(expr.Col); ok {
-		if lit, ok2 := asConst(p.L); ok2 {
-			return colLitSelectivity(flipOp(p.Op), col, lit, s)
-		}
-	}
-	if p.Op == expr.EQ {
+	lcol, lok := p.L.(expr.Col)
+	rcol, rok := p.R.(expr.Col)
+	switch {
+	case lok && rok && p.Op == expr.EQ:
+		// column-vs-column comparison within one relation.
+		return JoinSelectivity(s.DistinctOf(lcol.Idx), s.DistinctOf(rcol.Idx))
+	case p.Op == expr.EQ:
 		return 0.1
 	}
 	return 1.0 / 3.0
 }
 
-func flipOp(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.LT:
-		return expr.GT
-	case expr.LE:
-		return expr.GE
-	case expr.GT:
-		return expr.LT
-	case expr.GE:
-		return expr.LE
-	default:
-		return op
-	}
-}
-
-func colLitSelectivity(op expr.CmpOp, col expr.Col, lit expr.Lit, s *RelStats) float64 {
+func colLitSelectivity(op expr.CmpOp, col expr.Col, lit value.Value, s *RelStats) float64 {
 	if col.Idx < 0 || col.Idx >= len(s.Cols) {
 		return defaultSel(op)
 	}
 	cs := s.Cols[col.Idx]
-	f, numeric := lit.V.AsFloat()
+	f, numeric := lit.AsFloat()
 	switch op {
 	case expr.EQ:
 		if numeric && cs.Hist != nil {
