@@ -134,6 +134,28 @@ func BenchmarkOptimizeFig1NoFilterJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeSevenRelations measures one warm optimization of the
+// largest plan_cold shape — Emp, five Dept aliases and DepAvgSal — with
+// the Filter Join available: the DP's constant factor a cache miss pays.
+func BenchmarkOptimizeSevenRelations(b *testing.B) {
+	cat, err := datagen.Fig1Catalog(datagen.DefaultFig1())
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := opt.New(cat, cost.DefaultModel())
+	o.Register(core.NewMethod(core.Options{}))
+	if _, err := o.OptimizeBlock(datagen.ColdShape(5, true)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.OptimizeBlock(datagen.ColdShape(5, true)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkExecuteFilterJoinPlan measures executing the Fig 1 query with
 // the Filter Join plan, end to end.
 func BenchmarkExecuteFilterJoinPlan(b *testing.B) {

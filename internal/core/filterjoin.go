@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -72,7 +73,7 @@ func (o Options) Grid() []float64 {
 
 // Metrics instruments the method.
 type Metrics struct {
-	CandidatesBuilt int64
+	CandidatesBuilt int64 // variants priced and offered to the DP, admitted or not
 	CosterBuilds    int64 // parametric costers constructed (each costs a few nested optimizations)
 	CosterHits      int64 // costing queries answered from cache in O(1)
 	RestrictPlans   int64 // restricted views planned at run time (first Open in a Fig-5 class of a plan node)
@@ -84,8 +85,9 @@ type Metrics struct {
 type Method struct {
 	Opts    Options
 	Metrics Metrics
-	// Trace, when non-nil, observes every candidate the method builds
-	// with its weighted total cost (used by ablation experiments).
+	// Trace, when non-nil, observes every variant the method prices,
+	// admitted or not, with its weighted total cost (used by ablation
+	// experiments).
 	Trace   func(ch *Choice, total float64)
 	costers map[costerKey]*ViewCoster
 	// mu guards costers, Metrics, and Trace invocations: one Method is
@@ -179,16 +181,17 @@ type fjKeys struct {
 	outerAlts    [][]int
 }
 
-// Candidates implements opt.JoinMethod: it proposes Filter Join plans for
-// the step, one per (attribute subset × representation) variant allowed
-// by Limitation 3.
-func (m *Method) Candidates(s *opt.JoinStep) ([]*plan.Node, error) {
+// Offer implements opt.JoinMethod: it prices the step's Filter Join
+// variants, one per (production set × attribute subset ×
+// representation) allowed by Limitations 2 and 3, offers each price to
+// the step, and builds only the variants the step admits.
+func (m *Method) Offer(s *opt.JoinStep) error {
 	outer, ri := s.Outer, s.Inner
 	if ri.Entry.Kind == catalog.KindBase && !m.Opts.IncludeStored {
-		return nil, nil
+		return nil
 	}
 	if len(s.OuterCols) == 0 {
-		return nil, nil
+		return nil
 	}
 	// Equality closure can equate several outer columns with the same
 	// inner column; one binding per inner column suffices (they carry
@@ -196,6 +199,14 @@ func (m *Method) Candidates(s *opt.JoinStep) ([]*plan.Node, error) {
 	// production sets, where only some equality-class members exist in
 	// the prefix subplan.
 	keys := dedupeByInner(s.OuterCols, s.InnerCols)
+	// The final join-back probes a hash of the restricted inner with the
+	// streamed outer, so the outer's physical order survives the Filter
+	// Join — extended across the equi-join columns — and magic plans
+	// compete in the same order-property buckets as direct joins. The
+	// extension runs over the deduplicated pairs, not s.Ordering's full
+	// set: the wider one is as true, but it moves plans between memo
+	// buckets and so changes how many candidates the search considers.
+	ord := outer.Ordering.ExtendEquiv(keys.outer, keys.inner)
 
 	// Attribute-subset variants (Limitation 3): the full attribute set,
 	// plus each single attribute when enabled.
@@ -213,7 +224,6 @@ func (m *Method) Candidates(s *opt.JoinStep) ([]*plan.Node, error) {
 		prods = append(prods, prefixChain(outer)...)
 	}
 
-	var out []*plan.Node
 	for _, prod := range prods {
 		for _, v := range variants {
 			var reprs []FilterRepr
@@ -224,20 +234,13 @@ func (m *Method) Candidates(s *opt.JoinStep) ([]*plan.Node, error) {
 				reprs = append(reprs, ReprBloom)
 			}
 			for _, repr := range reprs {
-				n, err := m.buildCandidate(s, keys, prod, v, repr)
-				if err != nil {
-					return nil, err
-				}
-				if n != nil {
-					out = append(out, n)
-					m.mu.Lock()
-					m.Metrics.CandidatesBuilt++
-					m.mu.Unlock()
+				if err := m.offerVariant(s, keys, ord, prod, v, repr); err != nil {
+					return err
 				}
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // prefixChain walks the outer's left spine and returns every proper
@@ -263,14 +266,12 @@ func prefixChain(outer *plan.Node) []*plan.Node {
 // and returns, for each kept pair, the full list of equivalent outer
 // columns.
 func dedupeByInner(outer, inner []int) *fjKeys {
-	pos := map[int]int{}
 	k := &fjKeys{}
 	for i := range inner {
-		if j, ok := pos[inner[i]]; ok {
+		if j := slices.Index(k.inner, inner[i]); j >= 0 {
 			k.outerAlts[j] = append(k.outerAlts[j], outer[i])
 			continue
 		}
-		pos[inner[i]] = len(k.inner)
 		k.outer = append(k.outer, outer[i])
 		k.inner = append(k.inner, inner[i])
 		k.outerAlts = append(k.outerAlts, []int{outer[i]})
@@ -286,23 +287,83 @@ func allIdx(n int) []int {
 	return out
 }
 
-// buildCandidate assembles one Filter Join plan node with the full
-// Table 1 cost breakdown. prod is the production-set subplan; nil means
-// the full outer (Limitation 2).
-func (m *Method) buildCandidate(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant []int, repr FilterRepr) (*plan.Node, error) {
+// fjVariant is one priced Filter Join variant: what its Table 1 cost
+// formula was computed from, so an admitted variant is built from the
+// same numbers. prod is the production-set subplan (the outer itself
+// unless prefix).
+type fjVariant struct {
+	prod        *plan.Node
+	prefix      bool
+	repr        FilterRepr
+	materialize bool
+
+	filterOuter, filterInner []int // block columns of the filter attributes
+	innerLocal               []int // filterInner within the inner relation
+	bodyCols                 []int // view body columns receiving bindings
+
+	fCard, fSel, innerDomain, restrictRows float64
+	keyBytes                               int
+
+	access InnerAccess
+	index  *storage.HashIndex // for AccessIndexProbe
+	comp   Components
+}
+
+// offerVariant prices one Filter Join variant, offers the price to the
+// step, and builds the variant only when the step admits it. Every
+// priced variant is counted (CandidatesBuilt) and reported to Trace and
+// the tracer, admitted or not.
+func (m *Method) offerVariant(s *opt.JoinStep, keys *fjKeys, ord plan.Ordering, prod *plan.Node, variant []int, repr FilterRepr) error {
+	v, ok, err := m.price(s, keys, prod, variant, repr)
+	if err != nil || !ok {
+		return err
+	}
+	c := s.Ctx
+	total := c.O.Model.TotalEstimate(v.comp.Total())
+	var ch *Choice // built ahead of admission only for an observer
+	if m.Trace != nil || c.O.Traces() {
+		ch = m.choice(s, keys, &v)
+	}
+	m.mu.Lock()
+	m.Metrics.CandidatesBuilt++
+	if m.Trace != nil {
+		m.Trace(ch, total)
+	}
+	m.mu.Unlock()
+	if c.O.Traces() {
+		c.O.Emit(opt.TraceEvent{Kind: opt.EvFJVariant,
+			Subset: c.RelSetName(s.Rels),
+			Method: "filterjoin",
+			Detail: s.Inner.Entry.Name + ": " + ch.String(),
+			Cost:   total})
+	}
+	if !s.Admit(v.comp.Total(), ord) {
+		return nil
+	}
+	if ch == nil {
+		ch = m.choice(s, keys, &v)
+	}
+	return m.build(s, keys, &v, ch)
+}
+
+// price computes one variant's full Table 1 cost breakdown. ok is false
+// when the variant cannot run at this step (a filter attribute the
+// production set lacks, an unbound function argument, a view binding
+// without direct provenance, an outer key the outer lacks).
+func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant []int, repr FilterRepr) (v fjVariant, ok bool, err error) {
 	c, outer, ri := s.Ctx, s.Outer, s.Inner
-	allOuter, allInner := keys.outer, keys.inner
-	prefix := prod != nil
+	v.prefix, v.repr = prod != nil, repr
 	if prod == nil {
 		prod = outer
 	}
+	v.prod = prod
 	e := ri.Entry
 	model := c.O.Model
 
-	filterOuter := make([]int, len(variant))
-	filterInner := make([]int, len(variant))
+	v.filterOuter = make([]int, len(variant))
+	v.filterInner = make([]int, len(variant))
 	for i, j := range variant {
-		filterInner[i] = allInner[j]
+		v.filterInner[i] = keys.inner[j]
 		// Pick an outer column for this attribute that the production
 		// set actually carries (any member of the equality class works).
 		chosen := -1
@@ -313,57 +374,44 @@ func (m *Method) buildCandidate(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, 
 			}
 		}
 		if chosen < 0 {
-			return nil, nil
+			return v, false, nil
 		}
-		filterOuter[i] = chosen
+		v.filterOuter[i] = chosen
 	}
-	innerLocal := make([]int, len(filterInner))
-	for i, col := range filterInner {
-		innerLocal[i] = col - ri.Offset
-	}
-	allInnerLocal := make([]int, len(allInner))
-	for i, col := range allInner {
-		allInnerLocal[i] = col - ri.Offset
+	v.innerLocal = make([]int, len(v.filterInner))
+	for i, col := range v.filterInner {
+		v.innerLocal[i] = col - ri.Offset
 	}
 
 	// Function relations need every argument bound by the filter set.
-	if e.Kind == catalog.KindFunc && !coversArgs(e.ArgCols, innerLocal) {
-		return nil, nil
+	if e.Kind == catalog.KindFunc && !coversArgs(e.ArgCols, v.innerLocal) {
+		return v, false, nil
 	}
 
 	// View bindings must have direct provenance into the body.
-	var bodyCols []int
 	if e.Kind == catalog.KindView {
-		bc, ok, err := magic.ViewBindings(c.O.Cat, e, innerLocal)
-		if err != nil {
-			return nil, err
+		bc, okb, err := magic.ViewBindings(c.O.Cat, e, v.innerLocal)
+		if err != nil || !okb {
+			return v, false, err
 		}
-		if !ok {
-			return nil, nil
-		}
-		bodyCols = bc
+		v.bodyCols = bc
 	}
 
-	outerFilterPos, ok := opt.OuterKeyPositions(prod, filterOuter)
-	if !ok {
-		return nil, nil
-	}
-	outerAllPos, ok := opt.OuterKeyPositions(outer, allOuter)
-	if !ok {
-		return nil, nil
+	if !opt.Covers(prod, v.filterOuter) || !opt.Covers(outer, keys.outer) {
+		return v, false, nil
 	}
 
 	// ---- Cardinalities -------------------------------------------------
-	fDistincts := make([]float64, len(filterOuter))
-	for i, col := range filterOuter {
+	fDistincts := make([]float64, len(v.filterOuter))
+	for i, col := range v.filterOuter {
 		fDistincts[i] = c.DistinctOfBlockCol(prod, col)
 	}
 	fCard := stats.ProjectionCardinality(prod.Rows, fDistincts)
 	if fCard < 1 && prod.Rows >= 1 {
 		fCard = 1
 	}
-	innerDistincts := make([]float64, len(innerLocal))
-	for i, col := range innerLocal {
+	innerDistincts := make([]float64, len(v.innerLocal))
+	for i, col := range v.innerLocal {
 		innerDistincts[i] = ri.RawStats.DistinctOf(col)
 	}
 	innerDomain := stats.ProjectionCardinality(ri.RawStats.Rows, innerDistincts)
@@ -382,21 +430,22 @@ func (m *Method) buildCandidate(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, 
 			effSel = 1
 		}
 	}
+	v.fCard, v.fSel, v.innerDomain = fCard, fSel, innerDomain
 
 	keyBytes := 0
-	for _, col := range filterInner {
+	for _, col := range v.filterInner {
 		keyBytes += c.Layout.Schema.Col(col).Type.Width()
 	}
 	if keyBytes == 0 {
 		keyBytes = 8
 	}
+	v.keyBytes = keyBytes
 
-	var comp Components
+	comp := &v.comp
 
 	// ---- JoinCost_P and ProductionCost_P -------------------------------
 	comp.JoinCostP = outer.Est
-	materialize := false
-	if prefix {
+	if v.prefix {
 		// The filter set is produced by re-running the prefix subplan;
 		// the full outer streams once into the final join unchanged.
 		comp.ProductionCostP = prod.Est
@@ -404,8 +453,8 @@ func (m *Method) buildCandidate(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, 
 		pRowBytes := outer.OutSchema.RowWidth()
 		pagesP := opt.PagesOf(outer.Rows, pRowBytes)
 		matExtra := cost.Estimate{PageWrites: pagesP, PageReads: 2 * pagesP, CPUTuples: 2 * outer.Rows}
-		materialize = cost.LessEq(model.TotalEstimate(matExtra), model.TotalEstimate(outer.Est))
-		if materialize {
+		v.materialize = cost.LessEq(model.TotalEstimate(matExtra), model.TotalEstimate(outer.Est))
+		if v.materialize {
 			comp.ProductionCostP = matExtra
 		} else {
 			comp.ProductionCostP = outer.Est // recompute P for the final join
@@ -432,12 +481,6 @@ func (m *Method) buildCandidate(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, 
 	}
 
 	// ---- FilterCost_Rk, AvailCost_Rk', restricted cardinality ----------
-	var (
-		restrictRows float64
-		access       InnerAccess
-		chosenIx     *storage.HashIndex
-		ixOuterPerm  []int // permutation: index col order -> position in filter key row
-	)
 	switch e.Kind {
 	case catalog.KindBase, catalog.KindRemote:
 		t := e.Table
@@ -446,11 +489,11 @@ func (m *Method) buildCandidate(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, 
 		if ri.LocalPred != nil {
 			scanEst.CPUTuples += raw.Rows * effSel
 		}
-		restrictRows = raw.Rows * effSel * ri.LocalSel
+		v.restrictRows = raw.Rows * effSel * ri.LocalSel
 		comp.FilterCostRk = scanEst
-		access = AccessScanFilter
+		v.access = AccessScanFilter
 		if repr == ReprExact {
-			if ix := opt.PickIndex(t, innerLocal); ix != nil {
+			if ix := opt.PickIndex(t, v.innerLocal); ix != nil {
 				k, matchPages := opt.IndexProbe(raw, t, ix)
 				ixEst := cost.Estimate{
 					PageReads: fCard * (1 + matchPages),
@@ -461,27 +504,26 @@ func (m *Method) buildCandidate(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, 
 				}
 				if cost.Less(model.TotalEstimate(ixEst), model.TotalEstimate(scanEst)) {
 					comp.FilterCostRk = ixEst
-					access = AccessIndexProbe
-					chosenIx = ix
-					ixOuterPerm = indexPermutation(ix.Cols(), innerLocal)
+					v.access = AccessIndexProbe
+					v.index = ix
 				}
 			}
 		}
 		if e.Kind == catalog.KindRemote {
-			if access == AccessScanFilter {
-				access = AccessRemote
+			if v.access == AccessScanFilter {
+				v.access = AccessRemote
 			}
 			comp.AvailCostRkP = cost.Estimate{
-				NetBytes:  restrictRows * float64(t.Schema().RowWidth()),
+				NetBytes:  v.restrictRows * float64(t.Schema().RowWidth()),
 				NetMsgs:   1,
-				CPUTuples: restrictRows,
+				CPUTuples: v.restrictRows,
 			}
 		}
 
 	case catalog.KindView:
-		vc, hit, err := m.viewCosterFor(c, ri, innerLocal, bodyCols)
+		vc, hit, err := m.viewCosterFor(c, ri, v.innerLocal, v.bodyCols)
 		if err != nil {
-			return nil, err
+			return v, false, err
 		}
 		m.mu.Lock()
 		if hit {
@@ -493,122 +535,122 @@ func (m *Method) buildCandidate(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, 
 		if c.O.Traces() {
 			if hit {
 				c.O.Emit(opt.TraceEvent{Kind: opt.EvCosterHit,
-					Detail: fmt.Sprintf("view %s attrs %v", e.Name, innerLocal)})
+					Detail: fmt.Sprintf("view %s attrs %v", e.Name, v.innerLocal)})
 			} else {
 				c.O.Emit(opt.TraceEvent{Kind: opt.EvCosterBuild,
-					Detail: fmt.Sprintf("view %s attrs %v (%d sample points)", e.Name, innerLocal, len(vc.Points))})
+					Detail: fmt.Sprintf("view %s attrs %v (%d sample points)", e.Name, v.innerLocal, len(vc.Points))})
 			}
 		}
 		comp.FilterCostRk = vc.Cost(fSel)
-		restrictRows = vc.Rows(fSel) * ri.LocalSel
+		v.restrictRows = vc.Rows(fSel) * ri.LocalSel
 		if ri.LocalPred != nil {
 			comp.FilterCostRk.CPUTuples += vc.Rows(fSel)
 		}
-		access = AccessMagicView
+		v.access = AccessMagicView
 		if e.Site > 0 {
 			vs := ri.Schema
 			comp.AvailCostRkP = cost.Estimate{
-				NetBytes:  restrictRows * float64(vs.RowWidth()),
+				NetBytes:  v.restrictRows * float64(vs.RowWidth()),
 				NetMsgs:   1,
-				CPUTuples: restrictRows,
+				CPUTuples: v.restrictRows,
 			}
 		}
 
 	case catalog.KindFunc:
 		perCall := opt.FuncPerCall(e, ri.RawStats)
 		comp.FilterCostRk = cost.Estimate{FnCalls: fCard, CPUTuples: fCard * (perCall + 1)}
-		restrictRows = fCard * perCall * ri.LocalSel
+		v.restrictRows = fCard * perCall * ri.LocalSel
 		if ri.LocalPred != nil {
 			comp.FilterCostRk.CPUTuples += fCard * perCall
 		}
-		access = AccessFuncCalls
+		v.access = AccessFuncCalls
 
 	default:
-		return nil, nil
+		return v, false, nil
 	}
 
 	// ---- FinalJoinCost --------------------------------------------------
-	comp.FinalJoinCost = cost.Estimate{CPUTuples: restrictRows + outer.Rows + s.Rows}
+	comp.FinalJoinCost = cost.Estimate{CPUTuples: v.restrictRows + outer.Rows + s.Rows}
+	return v, true, nil
+}
 
+// choice is the variant's annotation: what EXPLAIN, the tracer and the
+// run time read off a Filter Join node.
+func (m *Method) choice(s *opt.JoinStep, keys *fjKeys, v *fjVariant) *Choice {
 	ch := &Choice{
-		InnerName:        e.Name,
-		InnerIndex:       ri.Index,
-		AllOuterCols:     allOuter,
-		AllInnerCols:     allInner,
-		FilterOuterCols:  filterOuter,
-		FilterInnerCols:  filterInner,
-		Repr:             repr,
+		InnerName:        s.Inner.Entry.Name,
+		InnerIndex:       s.Inner.Index,
+		AllOuterCols:     keys.outer,
+		AllInnerCols:     keys.inner,
+		FilterOuterCols:  v.filterOuter,
+		FilterInnerCols:  v.filterInner,
+		Repr:             v.repr,
 		BloomBits:        m.Opts.BloomBitsPerEntry,
-		Access:           access,
-		Materialize:      materialize,
-		PrefixProduction: prefix,
-		FilterCard:       fCard,
-		FilterSel:        fSel,
-		RestrictRows:     restrictRows,
-		Components:       comp,
+		Access:           v.access,
+		Materialize:      v.materialize,
+		PrefixProduction: v.prefix,
+		FilterCard:       v.fCard,
+		FilterSel:        v.fSel,
+		RestrictRows:     v.restrictRows,
+		Components:       v.comp,
 	}
-	if prefix {
-		ch.ProductionRels = prod.Rels.Members()
+	if v.prefix {
+		ch.ProductionRels = v.prod.Rels.Members()
 	}
+	return ch
+}
 
+// build assembles an admitted variant's plan node and its executable
+// spec, and keeps it in the step's memo table.
+func (m *Method) build(s *opt.JoinStep, keys *fjKeys, v *fjVariant, ch *Choice) error {
+	c, outer, ri := s.Ctx, s.Outer, s.Inner
+	e := ri.Entry
+	outerFilterPos, _ := opt.OuterKeyPositions(v.prod, v.filterOuter)
+	outerAllPos, _ := opt.OuterKeyPositions(outer, keys.outer)
+	allInnerLocal := make([]int, len(keys.inner))
+	for i, col := range keys.inner {
+		allInnerLocal[i] = col - ri.Offset
+	}
 	op := &fjExecSpec{
 		method:         m,
 		o:              c.O,
 		entry:          e,
 		choice:         ch,
-		outSchema:      s.OutSchema,
+		outSchema:      s.OutSchema(),
 		outerMake:      outer.Make,
 		alias:          ri.Ref.Binding(),
 		outerFilterPos: outerFilterPos,
 		outerAllPos:    outerAllPos,
-		innerFilterLoc: innerLocal,
+		innerFilterLoc: v.innerLocal,
 		innerAllLoc:    allInnerLocal,
-		residual:       opt.ResidualExpr(s.Residual, s.ColMap),
+		residual:       opt.ResidualExpr(s.Residual, s.ColMap()),
 		localPred:      relLocalPred(ri),
-		index:          chosenIx,
-		ixPerm:         ixOuterPerm,
-		bodyCols:       bodyCols,
-		innerDomain:    innerDomain,
-		keyBytes:       keyBytes,
+		index:          v.index,
+		bodyCols:       v.bodyCols,
+		innerDomain:    v.innerDomain,
+		keyBytes:       v.keyBytes,
 	}
-	if prefix {
-		op.filterMake = prod.Make
+	if v.index != nil {
+		op.ixPerm = indexPermutation(v.index.Cols(), v.innerLocal)
+	}
+	if v.prefix {
+		op.filterMake = v.prod.Make
 	}
 	if e.Kind == catalog.KindView {
-		fs, err := filterSchema(c.O.Cat, e, innerLocal)
+		fs, err := filterSchema(c.O.Cat, e, v.innerLocal)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		op.fSchema = fs
 	}
-
-	m.mu.Lock()
-	if m.Trace != nil {
-		m.Trace(ch, model.TotalEstimate(comp.Total()))
-	}
-	m.mu.Unlock()
-	if c.O.Traces() {
-		c.O.Emit(opt.TraceEvent{Kind: opt.EvFJVariant,
-			Subset: c.RelSetName(s.Rels),
-			Method: "filterjoin",
-			Detail: e.Name + ": " + ch.String(),
-			Cost:   model.TotalEstimate(comp.Total())})
-	}
-	// The final join-back probes a hash of the restricted inner with the
-	// streamed outer, so the outer's physical order survives the Filter
-	// Join — extended across the equi-join columns — and magic plans
-	// compete in the same order-property buckets as direct joins. The
-	// extension runs over the deduplicated pairs, not s.Ordering's full
-	// set: the wider one is as true, but it moves plans between memo
-	// buckets and so changes how many candidates the search considers.
-	return s.Node(outer.Ordering.ExtendEquiv(allOuter, allInner), &plan.Node{
+	s.Keep(&plan.Node{
 		Kind:     "FilterJoin",
 		Detail:   e.Name + ": " + ch.String(),
 		Children: []*plan.Node{outer},
-		Est:      comp.Total(),
 		Make:     op.make,
 		Extra:    ch,
-	}), nil
+	})
+	return nil
 }
 
 func coversArgs(argCols, innerLocal []int) bool {

@@ -140,6 +140,40 @@ func Fig1Query() *query.Block {
 	}
 }
 
+// ColdShape is one of the benchmark's plan_cold query shapes as a block
+// over Fig1Catalog: Emp E joined on did to depts Dept aliases D1..Dn,
+// each with a budget filter, plus DepAvgSal V (and E.sal > V.avgsal)
+// when view is set, all pinned to one department.
+// Layout: E:[0..3], Dk:[2k+2, 2k+3], V after the last Dk.
+func ColdShape(depts int, view bool) *query.Block {
+	did := expr.NewCol(1, "E.did")
+	b := &query.Block{
+		Rels: []query.RelRef{{Name: "Emp", Alias: "E"}},
+		Preds: []expr.Expr{
+			expr.Eq(did, expr.Int(7)),
+			expr.NewCmp(expr.LT, expr.NewCol(3, "E.age"), expr.Int(40)),
+		},
+		Proj: []query.Output{{Expr: expr.NewCol(0, "E.eid"), Name: "eid"}},
+	}
+	for k := 1; k <= depts; k++ {
+		alias, at := fmt.Sprintf("D%d", k), 2*k+2
+		b.Rels = append(b.Rels, query.RelRef{Name: "Dept", Alias: alias})
+		b.Preds = append(b.Preds,
+			expr.Eq(did, expr.NewCol(at, alias+".did")),
+			expr.NewCmp(expr.GT, expr.NewCol(at+1, alias+".budget"), expr.Int(int64(5000*k))))
+		b.Proj = append(b.Proj, query.Output{Expr: expr.NewCol(at+1, alias+".budget"), Name: alias + "_budget"})
+	}
+	if view {
+		at := 2*depts + 4
+		b.Rels = append(b.Rels, query.RelRef{Name: "DepAvgSal", Alias: "V"})
+		b.Preds = append(b.Preds,
+			expr.Eq(did, expr.NewCol(at, "V.did")),
+			expr.NewCmp(expr.GT, expr.NewCol(2, "E.sal"), expr.NewCol(at+1, "V.avgsal")))
+		b.Proj = append(b.Proj, query.Output{Expr: expr.NewCol(at+1, "V.avgsal"), Name: "avgsal"})
+	}
+	return b
+}
+
 // Fig1QuerySQL is the same query as SQL text.
 const Fig1QuerySQL = `
 SELECT E.did, E.sal, V.avgsal

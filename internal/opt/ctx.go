@@ -66,9 +66,9 @@ type Ctx struct {
 
 	// interestingCols marks block columns whose sort order can matter
 	// downstream (merge keys, GROUP BY, ORDER BY provenance); the memo
-	// only distinguishes orderings over these columns. Empty when the
-	// property-aware memo is disabled.
-	interestingCols map[int]bool
+	// only distinguishes orderings over these columns. Indexed by block
+	// column; nil when the property-aware memo is disabled.
+	interestingCols []bool
 
 	// given, when non-nil, is the one relation the block names that the
 	// catalog does not hold (OptimizeBlockGiven). The block's names
@@ -518,11 +518,17 @@ func (c *Ctx) closeEquiClasses() {
 			direct[[2]int{a, b}] = true
 		}
 	}
-	// Collect class members that participate in some equality.
+	// Collect class members that participate in some equality, classes
+	// in order of first appearance in c.Preds: the derived predicates'
+	// order fixes the equi-key order, and with it plans and EXPLAIN.
 	classes := map[int][]int{}
+	var roots []int
 	for _, p := range c.Preds {
 		if p.EquiL >= 0 {
 			r := find(p.EquiL)
+			if _, ok := classes[r]; !ok {
+				roots = append(roots, r)
+			}
 			classes[r] = appendUnique(classes[r], p.EquiL)
 			classes[r] = appendUnique(classes[r], p.EquiR)
 		}
@@ -532,7 +538,8 @@ func (c *Ctx) closeEquiClasses() {
 			p.Class = find(p.EquiL)
 		}
 	}
-	for root, members := range classes {
+	for _, root := range roots {
+		members := classes[root]
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
 				a, b := members[i], members[j]
@@ -575,19 +582,48 @@ func appendUnique(s []int, v int) []int {
 // inner relation joins the outer subset: they reference the inner, span
 // at least two relations, and everything they reference is available.
 func (c *Ctx) ApplicablePreds(outer query.RelSet, inner int) []*PredInfo {
-	var out []*PredInfo
 	all := outer.With(inner)
+	n := 0
 	for _, p := range c.Preds {
-		if p.Rels.Has(inner) && p.Rels.Count() >= 2 && p.Rels.SubsetOf(all) {
+		if p.applicable(all, inner) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*PredInfo, 0, n)
+	for _, p := range c.Preds {
+		if p.applicable(all, inner) {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
+// connects reports whether some predicate becomes evaluable when the
+// inner relation joins the outer subset (ApplicablePreds is non-empty).
+func (c *Ctx) connects(outer query.RelSet, inner int) bool {
+	all := outer.With(inner)
+	for _, p := range c.Preds {
+		if p.applicable(all, inner) {
+			return true
+		}
+	}
+	return false
+}
+
+func (p *PredInfo) applicable(all query.RelSet, inner int) bool {
+	return p.Rels.Has(inner) && p.Rels.Count() >= 2 && p.Rels.SubsetOf(all)
+}
+
 // equiSplit partitions applicable predicates into equi-join pairs
 // (outer block column, inner block column) and residual predicates.
 func (c *Ctx) equiSplit(preds []*PredInfo, outer query.RelSet, inner int) (outerCols, innerCols []int, residual []*PredInfo) {
+	if n := len(preds); n > 0 {
+		buf := make([]int, 2*n)
+		outerCols, innerCols = buf[:0:n], buf[n:n:2*n]
+	}
 	for _, p := range preds {
 		if p.EquiL >= 0 {
 			lRel := c.Layout.RelOfCol(p.EquiL)
@@ -640,20 +676,14 @@ func (c *Ctx) sideDistinct(col int, outer *plan.Node, ri *RelInfo) float64 {
 	return c.DistinctOfBlockCol(outer, col)
 }
 
-// joinResult computes the standard estimate for joining outer with the
-// inner relation under the applicable predicates: output rows and output
-// stats (outer columns followed by inner columns).
-func (c *Ctx) joinResult(outer *plan.Node, ri *RelInfo, preds []*PredInfo) (float64, *stats.RelStats) {
+// joinRows estimates the output cardinality of joining outer with the
+// inner relation under the applicable predicates. Only one equality per
+// equivalence class counts: a=b ∧ b=c ∧ a=c are not independent filters.
+func (c *Ctx) joinRows(outer *plan.Node, ri *RelInfo, preds []*PredInfo) float64 {
 	sel := 1.0
-	counted := map[int]bool{}
-	for _, p := range preds {
-		if p.Class >= 0 {
-			// One equality per equivalence class: a=b ∧ b=c ∧ a=c are not
-			// independent filters.
-			if counted[p.Class] {
-				continue
-			}
-			counted[p.Class] = true
+	for i, p := range preds {
+		if p.Class >= 0 && classSeen(preds[:i], p.Class) {
+			continue
 		}
 		sel *= c.predSelectivity(p, outer, ri)
 	}
@@ -661,6 +691,21 @@ func (c *Ctx) joinResult(outer *plan.Node, ri *RelInfo, preds []*PredInfo) (floa
 	if rows < 0 {
 		rows = 0
 	}
+	return rows
+}
+
+func classSeen(preds []*PredInfo, class int) bool {
+	for _, p := range preds {
+		if p.Class == class {
+			return true
+		}
+	}
+	return false
+}
+
+// joinStats derives the output statistics of that join (outer columns
+// followed by inner columns) at its estimated rows.
+func (c *Ctx) joinStats(outer *plan.Node, ri *RelInfo, preds []*PredInfo, rows float64) *stats.RelStats {
 	outStats := outer.Stats
 	if outStats == nil {
 		outStats = &stats.RelStats{Rows: outer.Rows, Cols: make([]stats.ColStats, outer.OutSchema.Len())}
@@ -688,7 +733,7 @@ func (c *Ctx) joinResult(outer *plan.Node, ri *RelInfo, preds []*PredInfo) (floa
 		combined.Cols[lp].Distinct = d
 		combined.Cols[rp].Distinct = d
 	}
-	return rows, combined
+	return combined
 }
 
 // combinedPos maps a block-layout column to its position in the
@@ -722,12 +767,24 @@ func ResidualExpr(preds []*PredInfo, colMap []int) expr.Expr {
 // OuterKeyPositions maps block-layout key columns into positions within
 // the outer plan's output; returns false if any is unavailable.
 func OuterKeyPositions(outer *plan.Node, cols []int) ([]int, bool) {
+	if !Covers(outer, cols) {
+		return nil, false
+	}
 	out := make([]int, len(cols))
 	for i, c := range cols {
-		if c < 0 || c >= len(outer.ColMap) || outer.ColMap[c] < 0 {
-			return nil, false
-		}
 		out[i] = outer.ColMap[c]
 	}
 	return out, true
+}
+
+// Covers reports whether every block-layout column in cols is in n's
+// output: the check OuterKeyPositions makes, without building the
+// positions, for pricing a candidate before it is admitted.
+func Covers(n *plan.Node, cols []int) bool {
+	for _, c := range cols {
+		if c < 0 || c >= len(n.ColMap) || n.ColMap[c] < 0 {
+			return false
+		}
+	}
+	return true
 }

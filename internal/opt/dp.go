@@ -13,10 +13,11 @@ import (
 // pair: the cheapest known plan whose physical ordering delivers prop.
 // prop is the plan's ordering reduced to the block's interesting
 // columns (see interestingPrefix); the "" bucket holds the cheapest
-// plan regardless of order.
+// plan regardless of order. total is the node's cost under the model.
 type memoEntry struct {
-	prop plan.Ordering
-	node *plan.Node
+	prop  plan.Ordering
+	node  *plan.Node
+	total float64
 }
 
 // propTable is the per-subset slice of the memo, keyed by the canonical
@@ -34,38 +35,39 @@ func sortedProps(tbl propTable) []string {
 	return keys
 }
 
-// keepCandidate offers cand as a memo entry for subset ns, applying the
-// property-aware dominance rule: a candidate is dropped when some kept
-// plan is no costlier AND delivers the candidate's order property; a
-// kept candidate conversely evicts entries it dominates. With order
-// properties disabled every plan lands in the "" bucket and this
-// reduces to the classic cheapest-per-subset rule. One call accounts
-// for one considered plan in Metrics and the trace.
-func (o *Optimizer) keepCandidate(ctx *Ctx, tbl propTable, ns query.RelSet, cand *plan.Node) bool {
+// dominated is the memo's one pruning rule: some kept plan is no
+// costlier than total AND delivers the order property of ord (ord
+// reduced by interestingPrefix, tested here without building it). With
+// order properties disabled every plan delivers the empty property and
+// this reduces to the classic cheapest-per-subset rule.
+func (c *Ctx) dominated(tbl propTable, total float64, ord plan.Ordering) bool {
+	for _, e := range tbl {
+		if cost.LessEq(e.total, total) && c.deliversPrefix(e.node.Ordering, ord) {
+			return true
+		}
+	}
+	return false
+}
+
+// keepCandidate offers a built candidate, whose ordering reduces to the
+// memo property prop, as a memo entry for subset ns: it is dropped when
+// dominated, and a kept candidate conversely evicts the entries it
+// dominates on both cost and order. One call accounts for one
+// considered plan in Metrics and the trace; JoinStep.Admit accounts for
+// the candidates it never lets a method build.
+func (o *Optimizer) keepCandidate(ctx *Ctx, tbl propTable, ns query.RelSet, cand *plan.Node, prop plan.Ordering) {
 	o.Metrics.PlansConsidered++
 	if len(tbl) == 0 {
 		o.Metrics.SubsetsExplored++
 	}
-	prop := ctx.interestingPrefix(cand.Ordering)
-	key := prop.Key()
-	candCost := cand.Total(o.Model)
-
-	kept := true
-	for _, e := range tbl {
-		if cost.LessEq(e.node.Total(o.Model), candCost) && e.node.Ordering.Satisfies(prop) {
-			kept = false
-			break
-		}
-	}
+	total := cand.Total(o.Model)
+	kept := !ctx.dominated(tbl, total, cand.Ordering)
 	if kept {
-		tbl[key] = &memoEntry{prop: prop, node: cand}
-		// Evict entries the new plan dominates on both cost and order.
-		for _, k := range sortedProps(tbl) {
-			if k == key {
-				continue
-			}
-			e := tbl[k]
-			if cost.LessEq(candCost, e.node.Total(o.Model)) && cand.Ordering.Satisfies(e.prop) {
+		key := prop.Key()
+		tbl[key] = &memoEntry{prop: prop, node: cand, total: total}
+		// Each eviction depends on that entry alone, so map order is moot.
+		for k, e := range tbl {
+			if k != key && cost.LessEq(total, e.total) && cand.Ordering.Satisfies(e.prop) {
 				delete(tbl, k)
 			}
 		}
@@ -73,41 +75,41 @@ func (o *Optimizer) keepCandidate(ctx *Ctx, tbl propTable, ns query.RelSet, cand
 	if o.Traces() {
 		o.trace(TraceEvent{Kind: EvCandidate, Subset: ctx.RelSetName(ns),
 			Method: cand.Kind, Detail: cand.Detail,
-			Cost: candCost, Kept: kept, Prop: ctx.propName(prop)})
+			Cost: total, Kept: kept, Prop: ctx.propName(prop)})
 	}
-	return kept
 }
 
-// candidatesFor collects every enabled join method's plans for
-// extending outer with the inner relation — the built-in methods plus
-// registered external ones (the Filter Join) — from one JoinStep.
-func (o *Optimizer) candidatesFor(ctx *Ctx, outer *plan.Node, inner int) ([]*plan.Node, error) {
-	step := ctx.newJoinStep(outer, inner)
-	cands := step.builtinCandidates()
+// offerStep offers one DP extension — outer joined with the inner
+// relation — to every enabled join method, built in first and then the
+// registered ones (the Filter Join), in that fixed order. Each method
+// admits and keeps its candidates into tbl, the extended subset's table,
+// one at a time.
+func (o *Optimizer) offerStep(ctx *Ctx, tbl propTable, outer *plan.Node, inner int) error {
+	step := ctx.newJoinStep(outer, inner, tbl)
+	step.offerBuiltins()
 	for _, m := range o.extra {
 		if !o.methodEnabled(m.Name()) {
 			continue
 		}
-		extra, err := m.Candidates(step)
-		if err != nil {
-			return nil, err
+		if err := m.Offer(step); err != nil {
+			return err
 		}
-		cands = append(cands, extra...)
 	}
-	return cands, nil
+	return nil
 }
 
 // keepLeaf seeds a relation's access path into its singleton subset.
 func (o *Optimizer) keepLeaf(ctx *Ctx, memo map[query.RelSet]propTable, i int, leaf *plan.Node) {
 	s := query.NewRelSet(i)
 	prop := ctx.interestingPrefix(leaf.Ordering)
-	memo[s] = propTable{prop.Key(): &memoEntry{prop: prop, node: leaf}}
+	total := leaf.Total(o.Model)
+	memo[s] = propTable{prop.Key(): &memoEntry{prop: prop, node: leaf, total: total}}
 	o.Metrics.SubsetsExplored++
 	o.Metrics.PlansConsidered++
 	if o.Traces() {
 		o.trace(TraceEvent{Kind: EvLeaf, Subset: ctx.RelSetName(s),
 			Method: leaf.Kind, Detail: leaf.Detail,
-			Cost: leaf.Total(o.Model), Kept: true, Prop: ctx.propName(prop)})
+			Cost: total, Kept: true, Prop: ctx.propName(prop)})
 	}
 }
 
@@ -159,16 +161,12 @@ func (o *Optimizer) runDP(ctx *Ctx, order []int) (propTable, error) {
 			for _, key := range sortedProps(tbl) {
 				outer := tbl[key].node
 				for _, i := range exts {
-					cands, err := o.candidatesFor(ctx, outer, i)
-					if err != nil {
-						return nil, err
-					}
 					ns := s.With(i)
 					if memo[ns] == nil {
 						memo[ns] = propTable{}
 					}
-					for _, cand := range cands {
-						o.keepCandidate(ctx, memo[ns], ns, cand)
+					if err := o.offerStep(ctx, memo[ns], outer, i); err != nil {
+						return nil, err
 					}
 				}
 			}
@@ -218,7 +216,7 @@ func (o *Optimizer) extensions(ctx *Ctx, s query.RelSet, n int) []int {
 		if s.Has(i) {
 			continue
 		}
-		if len(ctx.ApplicablePreds(s, i)) > 0 {
+		if ctx.connects(s, i) {
 			connected = append(connected, i)
 		} else {
 			rest = append(rest, i)

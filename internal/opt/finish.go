@@ -11,7 +11,7 @@ import (
 )
 
 // unaryNode finishes a node with the single input prev — the unary twin
-// of JoinStep.Node: n carries what is the operator's own (Kind, Detail,
+// of JoinStep.Keep: n carries what is the operator's own (Kind, Detail,
 // Est, Make) and inherits prev's Stats, OutSchema and ColMap wherever
 // the literal leaves them unset. rows is a parameter because 0 is an
 // estimate, not "unset".

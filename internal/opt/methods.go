@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"filterjoin/internal/catalog"
 	"filterjoin/internal/dist"
@@ -34,78 +35,58 @@ func PagesOf(rows float64, rowBytes int) float64 {
 	return math.Ceil(rows / float64(rpp))
 }
 
-// builtinCandidates produces the standard join-method plans for the
-// step. Every built-in method except the merge join streams its outer
-// input, so the outer's retained ordering survives as s.Ordering; the
-// merge join instead produces the order of its own key sequence.
-func (s *JoinStep) builtinCandidates() []*plan.Node {
+// offerBuiltins offers the standard join methods' candidates for the
+// step, in a fixed order. Every built-in method except the merge join
+// streams its outer input, so the outer's retained ordering survives as
+// s.Ordering; the merge join instead produces the order of its own key
+// sequence.
+func (s *JoinStep) offerBuiltins() {
 	o, ri := s.Ctx.O, s.Inner
-	var cands []*plan.Node
-	add := func(n *plan.Node) {
-		if n != nil {
-			cands = append(cands, n)
-		}
-	}
 	keyed := len(s.OuterCols) > 0
 
 	if ri.Access != nil {
 		if keyed {
 			if o.methodEnabled("hash") {
-				add(s.hashJoin())
+				s.hashJoin()
 			}
 			if o.methodEnabled("merge") {
-				add(s.mergeJoin())
+				s.mergeJoin()
 			}
 		}
 		if o.methodEnabled("nlj") {
-			add(s.nestedLoopJoin())
+			s.nestedLoopJoin()
 		}
 	}
 	if keyed && ri.Entry.Kind == catalog.KindBase && o.methodEnabled("indexnl") {
-		add(s.indexNLJoin())
+		s.indexNLJoin()
 	}
 	if keyed && ri.Entry.Kind == catalog.KindRemote && o.methodEnabled("fetchmatches") {
-		add(s.fetchMatches())
+		s.fetchMatches()
 	}
 	if ri.Entry.Kind == catalog.KindFunc && (o.methodEnabled("funcprobe") || o.methodEnabled("funcprobememo")) {
-		cands = append(cands, s.funcProbes()...)
+		s.funcProbes()
 	}
-	return cands
 }
 
-func keyDetail(c *Ctx, outerCols, innerCols []int) string {
-	s := ""
-	for i := range outerCols {
-		if i > 0 {
-			s += ", "
-		}
-		s += fmt.Sprintf("%s=%s",
-			c.Layout.Schema.Col(outerCols[i]).QualifiedName(),
-			c.Layout.Schema.Col(innerCols[i]).QualifiedName())
-	}
-	return s
-}
-
-func (s *JoinStep) hashJoin() *plan.Node {
+func (s *JoinStep) hashJoin() {
 	outer, a := s.Outer, s.Inner.Access
-	outerPos, ok := OuterKeyPositions(outer, s.OuterCols)
-	if !ok {
-		return nil
-	}
-	innerPos, ok := OuterKeyPositions(a, s.InnerCols)
-	if !ok {
-		return nil
+	if !Covers(outer, s.OuterCols) || !Covers(a, s.InnerCols) {
+		return
 	}
 	est := outer.Est.Plus(a.Est)
 	est.CPUTuples += a.Rows + outer.Rows + s.Rows
-	res := ResidualExpr(s.Residual, s.ColMap)
+	if !s.Admit(est, s.Ordering) {
+		return
+	}
+	outerPos, _ := OuterKeyPositions(outer, s.OuterCols)
+	innerPos, _ := OuterKeyPositions(a, s.InnerCols)
+	res := ResidualExpr(s.Residual, s.ColMap())
 	outerMk, innerMk := outer.Make, a.Make
 	hint := int(a.Rows + 0.5) // pre-size the build table from the estimate
-	return s.Node(s.Ordering, &plan.Node{
+	s.Keep(&plan.Node{
 		Kind:     "HashJoin",
-		Detail:   keyDetail(s.Ctx, s.OuterCols, s.InnerCols),
+		Detail:   s.keys(),
 		Children: []*plan.Node{outer, a},
-		Est:      est,
 		Make: func() exec.Operator {
 			j := exec.NewHashJoinProbeFirst(innerMk(), outerMk(), innerPos, outerPos, res)
 			j.BuildSizeHint = hint
@@ -114,7 +95,7 @@ func (s *JoinStep) hashJoin() *plan.Node {
 	})
 }
 
-func (s *JoinStep) mergeJoin() *plan.Node {
+func (s *JoinStep) mergeJoin() {
 	outer, a := s.Outer, s.Inner.Access
 	// When the outer's retained ordering already covers the merge keys
 	// ascending (in some pair permutation), the outer arrives sorted:
@@ -124,50 +105,51 @@ func (s *JoinStep) mergeJoin() *plan.Node {
 	if s.Ctx.O.orderAware() {
 		oc, ic, presorted = reorderPairsForPresorted(outer.Ordering, oc, ic)
 	}
-	outerPos, ok := OuterKeyPositions(outer, oc)
-	if !ok {
-		return nil
-	}
-	innerPos, ok := OuterKeyPositions(a, ic)
-	if !ok {
-		return nil
+	if !Covers(outer, oc) || !Covers(a, ic) {
+		return
 	}
 	est := outer.Est.Plus(a.Est)
 	est.CPUTuples += a.Rows*lg2(a.Rows) + 2*(outer.Rows+a.Rows) + s.Rows
 	if !presorted {
 		est.CPUTuples += outer.Rows * lg2(outer.Rows)
 	}
-	res := ResidualExpr(s.Residual, s.ColMap)
-	outerMk, innerMk := outer.Make, a.Make
-	detail := keyDetail(s.Ctx, oc, ic)
-	if presorted {
-		detail += " outer presorted"
+	if !s.Admit(est, mergeOutputOrdering(oc, ic)) {
+		return
 	}
-	return s.Node(mergeOutputOrdering(oc, ic), &plan.Node{
+	outerPos, _ := OuterKeyPositions(outer, oc)
+	innerPos, _ := OuterKeyPositions(a, ic)
+	res := ResidualExpr(s.Residual, s.ColMap())
+	outerMk, innerMk := outer.Make, a.Make
+	detail := s.keys()
+	if presorted {
+		detail = s.Ctx.keyDetail(oc, ic) + " outer presorted"
+	}
+	s.Keep(&plan.Node{
 		Kind:     "MergeJoin",
 		Detail:   detail,
 		Children: []*plan.Node{outer, a},
-		Est:      est,
 		Make: func() exec.Operator {
 			return exec.NewMergeJoinPresorted(outerMk(), innerMk(), outerPos, innerPos, res, presorted, false)
 		},
 	})
 }
 
-func (s *JoinStep) nestedLoopJoin() *plan.Node {
+func (s *JoinStep) nestedLoopJoin() {
 	outer, a := s.Outer, s.Inner.Access
 	pagesA := PagesOf(a.Rows, a.OutSchema.RowWidth())
 	est := outer.Est.Plus(a.Est)
 	est.PageWrites += pagesA
 	est.PageReads += outer.Rows * pagesA
 	est.CPUTuples += 2*outer.Rows*a.Rows + s.Rows
-	pred := ResidualExpr(s.Preds, s.ColMap)
+	if !s.Admit(est, s.Ordering) {
+		return
+	}
+	pred := ResidualExpr(s.Preds, s.ColMap())
 	outerMk, innerMk := outer.Make, a.Make
-	return s.Node(s.Ordering, &plan.Node{
+	s.Keep(&plan.Node{
 		Kind:     "NestedLoopJoin",
 		Detail:   predDetail(pred),
 		Children: []*plan.Node{outer, a},
-		Est:      est,
 		Make: func() exec.Operator {
 			return exec.NewNestedLoopJoin(outerMk(), exec.NewMaterialize(innerMk(), "__nlj"), pred)
 		},
@@ -185,14 +167,10 @@ func predDetail(p expr.Expr) string {
 // (relation-local) equi columns; returns nil if none applies.
 func PickIndex(t *storage.Table, localCols []int) *storage.HashIndex {
 	var best *storage.HashIndex
-	have := map[int]bool{}
-	for _, c := range localCols {
-		have[c] = true
-	}
 	for _, ix := range t.Indexes() {
 		ok := true
 		for _, c := range ix.Cols() {
-			if !have[c] {
+			if !slices.Contains(localCols, c) {
 				ok = false
 				break
 			}
@@ -223,11 +201,11 @@ func IndexProbe(raw *stats.RelStats, t *storage.Table, ix *storage.HashIndex) (k
 	return k, stats.MatchPages(raw.Rows, float64(t.NumPages()), k, t.RowsPerPage(), clustered)
 }
 
-// indexJoinShape computes the common pieces of index-driven joins:
-// the chosen index, the outer key positions aligned with the index
-// columns, expected matches per probe and pages per probe, and the
-// residual predicate (everything not covered by the index equality).
-func (s *JoinStep) indexJoinShape() (ix *storage.HashIndex, outerPos []int, k, matchPages float64, residual expr.Expr, ok bool) {
+// indexProbe prices the probe of an index-driven join: the inner's
+// index covering the most equi columns (PickIndex), with expected
+// matches and pages per probe. ok is false when no index applies or the
+// outer lacks a key the index needs.
+func (s *JoinStep) indexProbe() (ix *storage.HashIndex, k, matchPages float64, ok bool) {
 	ri := s.Inner
 	t := ri.Entry.Table
 	local := make([]int, len(s.InnerCols))
@@ -236,33 +214,41 @@ func (s *JoinStep) indexJoinShape() (ix *storage.HashIndex, outerPos []int, k, m
 	}
 	ix = PickIndex(t, local)
 	if ix == nil {
-		return nil, nil, 0, 0, nil, false
+		return nil, 0, 0, false
 	}
-	// Outer key positions aligned with ix.Cols() order.
-	outerPos = make([]int, len(ix.Cols()))
-	covered := map[int]bool{}
-	for i, ic := range ix.Cols() {
-		found := false
-		for j, lc := range local {
-			if lc == ic {
-				p, okp := OuterKeyPositions(s.Outer, []int{s.OuterCols[j]})
-				if !okp {
-					return nil, nil, 0, 0, nil, false
-				}
-				outerPos[i] = p[0]
-				covered[j] = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, nil, 0, 0, nil, false
+	for _, ic := range ix.Cols() {
+		j := s.innerKey(ic)
+		if j < 0 || !Covers(s.Outer, s.OuterCols[j:j+1]) {
+			return nil, 0, 0, false
 		}
 	}
 	k, matchPages = IndexProbe(ri.RawStats, t, ix)
+	return ix, k, matchPages, true
+}
 
-	// Residual: all applicable preds except the covered equi pairs, plus
-	// the relation's local predicate (index fetch bypasses the leaf).
+// innerKey returns the first key pair whose inner column is the inner
+// relation's local column col, or -1.
+func (s *JoinStep) innerKey(col int) int {
+	for j, ic := range s.InnerCols {
+		if ic-s.Inner.Offset == col {
+			return j
+		}
+	}
+	return -1
+}
+
+// indexJoinBuild completes an admitted index-driven join on ix: the
+// outer key positions aligned with ix.Cols() and the residual — every
+// applicable predicate but the equi pairs the index covers, plus the
+// relation's local predicate (an index fetch bypasses the leaf).
+func (s *JoinStep) indexJoinBuild(ix *storage.HashIndex) (outerPos []int, residual expr.Expr) {
+	outerPos = make([]int, len(ix.Cols()))
+	covered := make([]bool, len(s.InnerCols))
+	for i, ic := range ix.Cols() {
+		j := s.innerKey(ic)
+		outerPos[i] = s.Outer.ColMap[s.OuterCols[j]]
+		covered[j] = true
+	}
 	var rest []*PredInfo
 	for _, p := range s.Preds {
 		used := false
@@ -279,35 +265,38 @@ func (s *JoinStep) indexJoinShape() (ix *storage.HashIndex, outerPos []int, k, m
 			rest = append(rest, p)
 		}
 	}
-	return ix, outerPos, k, matchPages, s.residualWithLocal(rest), true
+	return outerPos, s.residualWithLocal(rest)
 }
 
-func (s *JoinStep) indexNLJoin() *plan.Node {
-	ix, outerPos, k, matchPages, residual, ok := s.indexJoinShape()
+func (s *JoinStep) indexNLJoin() {
+	ix, k, matchPages, ok := s.indexProbe()
 	if !ok {
-		return nil
+		return
 	}
 	outer, ri := s.Outer, s.Inner
 	est := outer.Est
 	est.PageReads += outer.Rows * (1 + matchPages)
 	est.CPUTuples += outer.Rows * (k + 1)
+	if !s.Admit(est, s.Ordering) {
+		return
+	}
+	outerPos, residual := s.indexJoinBuild(ix)
 	outerMk := outer.Make
 	t, alias := ri.Entry.Table, ri.Ref.Binding()
-	return s.Node(s.Ordering, &plan.Node{
+	s.Keep(&plan.Node{
 		Kind:     "IndexNLJoin",
-		Detail:   fmt.Sprintf("%s via %s", keyDetail(s.Ctx, s.OuterCols, s.InnerCols), ix.Name()),
+		Detail:   s.keys() + " via " + ix.Name(),
 		Children: []*plan.Node{outer},
-		Est:      est,
 		Make: func() exec.Operator {
 			return exec.NewIndexNLJoin(outerMk(), t, ix, outerPos, residual, alias)
 		},
 	})
 }
 
-func (s *JoinStep) fetchMatches() *plan.Node {
-	ix, outerPos, k, matchPages, residual, ok := s.indexJoinShape()
+func (s *JoinStep) fetchMatches() {
+	ix, k, matchPages, ok := s.indexProbe()
 	if !ok {
-		return nil
+		return
 	}
 	outer, ri := s.Outer, s.Inner
 	t := ri.Entry.Table
@@ -321,14 +310,17 @@ func (s *JoinStep) fetchMatches() *plan.Node {
 	est.NetBytes += outer.Rows * (float64(keyBytes) + k*float64(rowBytes))
 	est.PageReads += outer.Rows * (1 + matchPages)
 	est.CPUTuples += outer.Rows * (k + 1)
+	if !s.Admit(est, s.Ordering) {
+		return
+	}
+	outerPos, residual := s.indexJoinBuild(ix)
 	outerMk := outer.Make
 	alias := ri.Ref.Binding()
 	site := ri.Entry.Site
-	return s.Node(s.Ordering, &plan.Node{
+	s.Keep(&plan.Node{
 		Kind:     "FetchMatches",
-		Detail:   fmt.Sprintf("%s @site%d", keyDetail(s.Ctx, s.OuterCols, s.InnerCols), site),
+		Detail:   fmt.Sprintf("%s @site%d", s.keys(), site),
 		Children: []*plan.Node{outer},
-		Est:      est,
 		Make: func() exec.Operator {
 			return dist.NewFetchMatchesJoin(outerMk(), t, ix, outerPos, residual, alias, site)
 		},
@@ -356,33 +348,55 @@ func FuncPerCall(e *catalog.Entry, raw *stats.RelStats) float64 {
 	return perCall
 }
 
-func (s *JoinStep) funcProbes() []*plan.Node {
+func (s *JoinStep) funcProbes() {
 	outer, ri := s.Outer, s.Inner
 	o, e := s.Ctx.O, ri.Entry
 	// Every argument column must be bound by an equi predicate from the
 	// outer; otherwise the function cannot be invoked at this position.
 	argOuter := make([]int, len(e.ArgCols))
-	used := map[int]bool{}
+	used := make([]bool, len(s.InnerCols))
 	for i, a := range e.ArgCols {
-		want := ri.Offset + a
-		found := false
-		for j, ic := range s.InnerCols {
-			if ic == want {
-				argOuter[i] = s.OuterCols[j]
-				used[j] = true
-				found = true
-				break
-			}
+		j := s.innerKey(a)
+		if j < 0 {
+			return
 		}
-		if !found {
-			return nil
+		argOuter[i] = s.OuterCols[j]
+		used[j] = true
+	}
+	if !Covers(outer, argOuter) {
+		return
+	}
+	perCall := FuncPerCall(e, ri.RawStats)
+
+	// Plain repeated invocation.
+	if o.methodEnabled("funcprobe") {
+		est := outer.Est
+		est.FnCalls += outer.Rows
+		est.CPUTuples += outer.Rows*(perCall+1) + s.Rows
+		if s.Admit(est, s.Ordering) {
+			s.Keep(s.funcProbeNode("FuncProbe", fmt.Sprintf("%s(%d args)", e.Name, len(e.ArgCols)), argOuter, used, false))
 		}
 	}
-	argPos, ok := OuterKeyPositions(outer, argOuter)
-	if !ok {
-		return nil
+	// Memoized invocation: one call per distinct binding.
+	if o.methodEnabled("funcprobememo") {
+		dcols := make([]float64, len(argOuter))
+		for i, col := range argOuter {
+			dcols[i] = s.Ctx.DistinctOfBlockCol(outer, col)
+		}
+		d := stats.ProjectionCardinality(outer.Rows, dcols)
+		est := outer.Est
+		est.FnCalls += d
+		est.CPUTuples += outer.Rows + d*perCall + outer.Rows*perCall + s.Rows
+		if s.Admit(est, s.Ordering) {
+			s.Keep(s.funcProbeNode("FuncProbeMemo", fmt.Sprintf("%s(%d args), ~%.0f distinct", e.Name, len(e.ArgCols), d), argOuter, used, true))
+		}
 	}
-	// Residual: unused equi preds + non-equi preds + local predicates.
+}
+
+// funcProbeNode builds an admitted function probe: the outer's argument
+// columns feed each call, and the residual is every applicable predicate
+// but the used argument bindings, plus the relation's local predicate.
+func (s *JoinStep) funcProbeNode(kind, detail string, argOuter []int, used []bool, memo bool) *plan.Node {
 	var rest []*PredInfo
 	for _, p := range s.Preds {
 		isBinding := false
@@ -399,45 +413,14 @@ func (s *JoinStep) funcProbes() []*plan.Node {
 		}
 	}
 	residual := s.residualWithLocal(rest)
-	perCall := FuncPerCall(e, ri.RawStats)
-	outerMk := outer.Make
-	alias := ri.Ref.Binding()
-
-	var nodes []*plan.Node
-	// Plain repeated invocation.
-	if o.methodEnabled("funcprobe") {
-		est := outer.Est
-		est.FnCalls += outer.Rows
-		est.CPUTuples += outer.Rows*(perCall+1) + s.Rows
-		nodes = append(nodes, s.Node(s.Ordering, &plan.Node{
-			Kind:     "FuncProbe",
-			Detail:   fmt.Sprintf("%s(%d args)", e.Name, len(e.ArgCols)),
-			Children: []*plan.Node{outer},
-			Est:      est,
-			Make: func() exec.Operator {
-				return udr.NewProbeJoin(outerMk(), e, argPos, residual, false, alias)
-			},
-		}))
+	argPos, _ := OuterKeyPositions(s.Outer, argOuter)
+	outerMk, e, alias := s.Outer.Make, s.Inner.Entry, s.Inner.Ref.Binding()
+	return &plan.Node{
+		Kind:     kind,
+		Detail:   detail,
+		Children: []*plan.Node{s.Outer},
+		Make: func() exec.Operator {
+			return udr.NewProbeJoin(outerMk(), e, argPos, residual, memo, alias)
+		},
 	}
-	// Memoized invocation: one call per distinct binding.
-	if o.methodEnabled("funcprobememo") {
-		dcols := make([]float64, len(argOuter))
-		for i, col := range argOuter {
-			dcols[i] = s.Ctx.DistinctOfBlockCol(outer, col)
-		}
-		d := stats.ProjectionCardinality(outer.Rows, dcols)
-		est := outer.Est
-		est.FnCalls += d
-		est.CPUTuples += outer.Rows + d*perCall + outer.Rows*perCall + s.Rows
-		nodes = append(nodes, s.Node(s.Ordering, &plan.Node{
-			Kind:     "FuncProbeMemo",
-			Detail:   fmt.Sprintf("%s(%d args), ~%.0f distinct", e.Name, len(e.ArgCols), d),
-			Children: []*plan.Node{outer},
-			Est:      est,
-			Make: func() exec.Operator {
-				return udr.NewProbeJoin(outerMk(), e, argPos, residual, true, alias)
-			},
-		}))
-	}
-	return nodes
 }

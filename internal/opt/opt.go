@@ -6,7 +6,10 @@
 // JoinMethod interface — the paper's Filter Join (internal/core)
 // registers itself through that interface, exactly as §3 of the paper
 // prescribes: magic sets enters the optimizer as one more join method
-// with its own cost formula, not as a query rewrite.
+// with its own cost formula, not as a query rewrite. Every method, built
+// in or registered, prices a candidate before constructing it: the DP
+// admits it on its estimate and order against the live memo table, and
+// only an admitted candidate is built (JoinStep.Admit, JoinStep.Keep).
 package opt
 
 import (
@@ -20,13 +23,15 @@ import (
 )
 
 // JoinMethod is a pluggable join algorithm the DP loop consults at every
-// join step. Candidates returns zero or more complete plans for the
-// step — its outer (a plan over some subset of the block's relations)
-// joined with its inner relation — each finished by step.Node, so its
-// output is the outer's columns followed by the inner relation's.
+// join step. Offer proposes zero or more plans for the step — its outer
+// (a plan over some subset of the block's relations) joined with its
+// inner relation — one at a time: price the candidate (estimate and
+// delivered ordering), offer the price to step.Admit, and only if it is
+// admitted build the node and hand it to step.Keep, so its output is the
+// outer's columns followed by the inner relation's.
 type JoinMethod interface {
 	Name() string
-	Candidates(step *JoinStep) ([]*plan.Node, error)
+	Offer(step *JoinStep) error
 }
 
 // Metrics instruments one optimizer (cumulative across invocations).

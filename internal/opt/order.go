@@ -15,10 +15,10 @@ import (
 // columns, GROUP BY columns, and the provenance of ORDER BY targets.
 // Orderings on other columns are not worth a memo entry of their own.
 func (c *Ctx) computeInterestingCols() {
-	c.interestingCols = map[int]bool{}
 	if c.O.DisableOrderProps {
 		return
 	}
+	c.interestingCols = make([]bool, c.Layout.Schema.Len())
 	for _, p := range c.Preds {
 		if p.EquiL >= 0 {
 			c.interestingCols[p.EquiL] = true
@@ -44,14 +44,44 @@ const maxPropKeys = 3
 // the memo tracks: the leading keys restricted to interesting columns.
 // A nil result (key "") is the "no useful order" bucket.
 func (c *Ctx) interestingPrefix(ord plan.Ordering) plan.Ordering {
-	if len(c.interestingCols) == 0 {
+	if c.interestingCols == nil {
 		return nil
 	}
-	p := ord.Project(func(col int) bool { return c.interestingCols[col] })
-	if len(p) > maxPropKeys {
-		p = p[:maxPropKeys]
+	if len(ord) > maxPropKeys {
+		ord = ord[:maxPropKeys]
 	}
-	return p
+	return ord.Project(c.interesting)
+}
+
+func (c *Ctx) interesting(col int) bool { return c.interestingCols[col] }
+
+// deliversPrefix reports have.Satisfies(c.interestingPrefix(ord))
+// without building the prefix: each of ord's leading keys that keeps an
+// interesting column must be matched, in direction and on one of those
+// columns, by have's key at the same position.
+func (c *Ctx) deliversPrefix(have, ord plan.Ordering) bool {
+	if c.interestingCols == nil {
+		return true
+	}
+	for i, k := range ord {
+		if i == maxPropKeys {
+			break
+		}
+		kept, matched := false, false
+		for _, col := range k.Cols {
+			if c.interestingCols[col] {
+				kept = true
+				matched = matched || (i < len(have) && have[i].Has(col))
+			}
+		}
+		if !kept {
+			break
+		}
+		if !matched || have[i].Desc != k.Desc {
+			return false
+		}
+	}
+	return true
 }
 
 // propName renders a property ordering with the block layout's column
@@ -114,8 +144,11 @@ func reorderPairsForPresorted(ord plan.Ordering, outerCols, innerCols []int) ([]
 // are value-equal in every output row).
 func mergeOutputOrdering(outerCols, innerCols []int) plan.Ordering {
 	out := make(plan.Ordering, len(outerCols))
+	cols := make([]int, 2*len(outerCols))
 	for i := range outerCols {
-		out[i] = plan.OrderKey{Cols: []int{outerCols[i], innerCols[i]}}
+		key := cols[2*i : 2*i+2 : 2*i+2]
+		key[0], key[1] = outerCols[i], innerCols[i]
+		out[i] = plan.OrderKey{Cols: key}
 	}
 	return out
 }

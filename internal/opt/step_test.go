@@ -9,33 +9,38 @@ import (
 )
 
 // fakeJoin is a JoinMethod that knows nothing but the step: it offers
-// one candidate per call, a hash join costed at a fixed estimate.
+// one candidate per call, a hash join priced at a fixed estimate.
 type fakeJoin struct {
 	est   cost.Estimate
 	steps []*JoinStep
+	built int
 }
 
 func (f *fakeJoin) Name() string { return "fake" }
 
-func (f *fakeJoin) Candidates(s *JoinStep) ([]*plan.Node, error) {
+func (f *fakeJoin) Offer(s *JoinStep) error {
 	f.steps = append(f.steps, s)
+	if !s.Admit(f.est, s.Ordering) {
+		return nil
+	}
+	f.built++
 	outerPos, _ := OuterKeyPositions(s.Outer, s.OuterCols)
 	innerPos, _ := OuterKeyPositions(s.Inner.Access, s.InnerCols)
 	outerMk, innerMk := s.Outer.Make, s.Inner.Access.Make
-	return []*plan.Node{s.Node(s.Ordering, &plan.Node{
+	s.Keep(&plan.Node{
 		Kind:     "FakeJoin",
 		Children: []*plan.Node{s.Outer},
-		Est:      f.est,
 		Make: func() exec.Operator {
 			return exec.NewHashJoinProbeFirst(innerMk(), outerMk(), innerPos, outerPos, nil)
 		},
-	})}, nil
+	})
+	return nil
 }
 
 // TestRegisteredMethodSeesEveryStep pins the JoinMethod seam without
 // the Filter Join: a registered method is offered each DP extension
 // exactly once, with the step the built-in methods were costed from;
-// its candidate is counted, traced, shaped by step.Node, and chosen
+// its candidate is counted, traced, shaped by step.Keep, and chosen
 // when it is the cheapest.
 func TestRegisteredMethodSeesEveryStep(t *testing.T) {
 	o, ref := only(t, "hash"), only(t, "hash")
@@ -76,8 +81,8 @@ func TestRegisteredMethodSeesEveryStep(t *testing.T) {
 	if s == nil {
 		t.Fatal("chosen candidate's outer matches no offered step")
 	}
-	if fj.Rows != s.Rows || fj.Stats != s.Stats || fj.OutSchema != s.OutSchema || fj.Rels != s.Rels {
-		t.Error("step.Node did not give the candidate the step's output shape")
+	if fj.Rows != s.Rows || fj.Stats != s.shape() || fj.OutSchema != s.OutSchema() || fj.Rels != s.Rels || fj.Est != fake.est {
+		t.Error("step.Keep did not give the candidate the step's output shape and its admitted estimate")
 	}
 	if len(s.OuterCols) != 1 || len(s.Preds) != 1 || len(s.Residual) != 0 {
 		t.Errorf("step keys = %v/%v, preds %d, residual %d", s.OuterCols, s.InnerCols, len(s.Preds), len(s.Residual))
@@ -88,11 +93,19 @@ func TestRegisteredMethodSeesEveryStep(t *testing.T) {
 		t.Error("plan through the registered method returns different rows")
 	}
 
-	// Priced out of reach, it is still offered and never chosen.
+	// Priced out of reach, it is still offered and counted, never
+	// chosen — and without a tracer never built.
 	o2 := only(t, "hash")
-	o2.Register(&fakeJoin{est: cost.Estimate{PageReads: 1e12}})
+	dear := &fakeJoin{est: cost.Estimate{PageReads: 1e12}}
+	o2.Register(dear)
 	if p2 := mustOptimize(t, o2); p2.Find("FakeJoin") != nil {
 		t.Error("costliest candidate chosen")
+	}
+	if dear.built != 0 {
+		t.Errorf("a dominated candidate was built %d times", dear.built)
+	}
+	if got, n := o2.Metrics.PlansConsidered, ref.Metrics.PlansConsidered+2; got != n {
+		t.Errorf("PlansConsidered = %d, want %d (a pruned offer still counts)", got, n)
 	}
 }
 

@@ -94,18 +94,31 @@ func (have Ordering) PrefixCovers(cols []int) bool {
 // the inner one. The receiver is not mutated (orderings are shared
 // between plan nodes).
 func (have Ordering) ExtendEquiv(outerCols, innerCols []int) Ordering {
-	if len(have) == 0 || len(outerCols) == 0 {
+	// Size one column buffer for every key at once; an ordering no pair
+	// touches is returned as is.
+	size, hits := 0, 0
+	for _, k := range have {
+		size += len(k.Cols)
+		for _, oc := range outerCols {
+			if k.Has(oc) {
+				hits++
+			}
+		}
+	}
+	if hits == 0 {
 		return have
 	}
 	out := make(Ordering, len(have))
+	buf := make([]int, 0, size+hits)
 	for i, k := range have {
-		cols := append([]int(nil), k.Cols...)
+		start := len(buf)
+		buf = append(buf, k.Cols...)
 		for j, oc := range outerCols {
-			if k.Has(oc) && !containsInt(cols, innerCols[j]) {
-				cols = append(cols, innerCols[j])
+			if k.Has(oc) && !containsInt(buf[start:], innerCols[j]) {
+				buf = append(buf, innerCols[j])
 			}
 		}
-		out[i] = OrderKey{Cols: cols, Desc: k.Desc}
+		out[i] = OrderKey{Cols: buf[start:len(buf):len(buf)], Desc: k.Desc}
 	}
 	return out
 }
@@ -123,19 +136,34 @@ func containsInt(s []int, v int) bool {
 // set, truncating at the first key with no surviving column (order
 // beyond that point is no longer a usable prefix).
 func (have Ordering) Project(keep func(col int) bool) Ordering {
-	var out Ordering
+	n, size := 0, 0
 	for _, k := range have {
-		var cols []int
+		kept := 0
 		for _, c := range k.Cols {
 			if keep(c) {
-				cols = append(cols, c)
+				kept++
 			}
 		}
-		if len(cols) == 0 {
+		if kept == 0 {
 			break
 		}
+		n, size = n+1, size+kept
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(Ordering, n)
+	buf := make([]int, 0, size)
+	for i, k := range have[:n] {
+		start := len(buf)
+		for _, c := range k.Cols {
+			if keep(c) {
+				buf = append(buf, c)
+			}
+		}
+		cols := buf[start:len(buf):len(buf)]
 		sort.Ints(cols)
-		out = append(out, OrderKey{Cols: cols, Desc: k.Desc})
+		out[i] = OrderKey{Cols: cols, Desc: k.Desc}
 	}
 	return out
 }
