@@ -1,5 +1,14 @@
 package filterjoin
 
+import "filterjoin/internal/dist"
+
 // ConfigFingerprint exposes the plan-cache config fingerprint to the
 // facade tests.
 func (e *Engine) ConfigFingerprint() string { return e.configFingerprint() }
+
+// SetChaos swaps the fault schedule db's later executions run under
+// (nil: the free network), so a test can fault one statement and run
+// the next clean on the same engine.
+func (db *DB) SetChaos(c *dist.ChaosConfig, p dist.RetryPolicy) {
+	db.eng.chaos, db.eng.retry = c, p
+}

@@ -11,11 +11,13 @@ import (
 	"strings"
 	"testing"
 
+	"filterjoin/internal/catalog"
 	"filterjoin/internal/core"
 	"filterjoin/internal/cost"
 	"filterjoin/internal/dist"
 	"filterjoin/internal/exec"
 	"filterjoin/internal/opt"
+	"filterjoin/internal/plan"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/fuzz_counters.golden from the morsel-size-1 run")
@@ -142,12 +144,33 @@ func freeNet() exec.Transport { return nil }
 // overpull past a Limit, or reordering inside a batched operator shows
 // up here as a diff against the golden.
 func TestBatchRowDifferentialFuzz(t *testing.T) {
-	model := cost.DefaultModel()
 	golden := loadFuzzGolden(t)
 	trials := 25
 	if testing.Short() {
 		trials = 6
 	}
+	for _, fp := range rowCorpus(t, trials) {
+		checkMorselInvariance(t, golden, fp.key, fp.query, &planRunner{fp.plan.Make}, freeNet)
+	}
+	if *update {
+		saveFuzzGolden(t, golden)
+	}
+}
+
+// fuzzPlan is one plan of a fuzz corpus: its golden key, the query it
+// answers, the catalog it reads, and the plan.
+type fuzzPlan struct {
+	key, query string
+	cat        *catalog.Catalog
+	plan       *plan.Node
+}
+
+// rowCorpus plans the first trials random local queries under every
+// optimizer configuration the row fuzz covers.
+func rowCorpus(t *testing.T, trials int) []fuzzPlan {
+	t.Helper()
+	model := cost.DefaultModel()
+	var out []fuzzPlan
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 7919))
 		cat, nTables := randCatalog(rng)
@@ -177,13 +200,46 @@ func TestBatchRowDifferentialFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d (%s): optimize: %v\nquery: %s", trial, cfg.name, err, q)
 			}
-			key := fmt.Sprintf("row/trial=%02d/%s", trial, cfg.name)
-			checkMorselInvariance(t, golden, key, q.String(), &planRunner{p.Make}, freeNet)
+			out = append(out, fuzzPlan{fmt.Sprintf("row/trial=%02d/%s", trial, cfg.name), q.String(), cat, p})
 		}
 	}
-	if *update {
-		saveFuzzGolden(t, golden)
+	return out
+}
+
+// distCorpus plans the first trials random distributed queries under
+// the configurations the chaos morsel fuzz covers.
+func distCorpus(t *testing.T, trials int) []fuzzPlan {
+	t.Helper()
+	base := cost.DefaultModel()
+	netHeavy := base
+	netHeavy.NetByte *= 5000
+	var out []fuzzPlan
+	for trial := 0; trial < trials; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)*7919 + 13))
+		cat, nRemote := randDistCatalog(rng)
+		q := randDistQuery(rng, nRemote)
+
+		configs := []struct {
+			name  string
+			model cost.Model
+			fj    *core.Method
+		}{
+			{"fj-everything", base, core.NewMethod(core.Options{
+				IncludeStored: true, AttrSubsets: true, Bloom: true,
+			})},
+			{"fetch-preferred", netHeavy, core.NewMethod(core.Options{})},
+		}
+		for _, cfg := range configs {
+			o := opt.New(cat, cfg.model)
+			o.Register(cfg.fj)
+			p, err := o.OptimizeBlock(q)
+			if err != nil {
+				t.Fatalf("trial %d (%s): optimize: %v\nquery: %s", trial, cfg.name, err, q)
+			}
+			out = append(out, fuzzPlan{fmt.Sprintf("chaos/trial=%02d/%s", trial, cfg.name), q.String(), cat, p})
+		}
 	}
+	return out
 }
 
 // TestBatchChaosDifferentialFuzz replays the frozen chaos schedules
@@ -197,55 +253,23 @@ func TestBatchRowDifferentialFuzz(t *testing.T) {
 // fresh seeded transport, so identical send sequences see identical
 // fault schedules.
 func TestBatchChaosDifferentialFuzz(t *testing.T) {
-	base := cost.DefaultModel()
-	netHeavy := base
-	netHeavy.NetByte *= 5000
 	golden := loadFuzzGolden(t)
-
 	trials := 8
 	if testing.Short() {
 		trials = 2
 	}
 	var totalRetries int64
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)*7919 + 13))
-		cat, nRemote := randDistCatalog(rng)
-		q := randDistQuery(rng, nRemote)
-
-		configs := []struct {
-			name     string
-			model    cost.Model
-			fj       *core.Method
-			disabled []string
-		}{
-			{"fj-everything", base, core.NewMethod(core.Options{
-				IncludeStored: true, AttrSubsets: true, Bloom: true,
-			}), nil},
-			{"fetch-preferred", netHeavy, core.NewMethod(core.Options{}), nil},
-		}
-		for _, cfg := range configs {
-			o := opt.New(cat, cfg.model)
-			for _, d := range cfg.disabled {
-				o.Disabled[d] = true
+	for _, fp := range distCorpus(t, trials) {
+		for _, seed := range chaosFuzzSeeds {
+			chaosNet := func() exec.Transport {
+				return dist.NewChaosTransport(
+					dist.ChaosConfig{Seed: seed, DropRate: 0.6, MaxLatencyMs: 40, OutageEvery: 5, OutageLen: 2},
+					dist.RetryPolicy{MaxAttempts: 5, TimeoutMs: 25, BackoffMs: 2},
+				)
 			}
-			if cfg.fj != nil {
-				o.Register(cfg.fj)
-			}
-			p, err := o.OptimizeBlock(q)
-			if err != nil {
-				t.Fatalf("trial %d (%s): optimize: %v\nquery: %s", trial, cfg.name, err, q)
-			}
-			for _, seed := range chaosFuzzSeeds {
-				chaosNet := func() exec.Transport {
-					return dist.NewChaosTransport(
-						dist.ChaosConfig{Seed: seed, DropRate: 0.6, MaxLatencyMs: 40, OutageEvery: 5, OutageLen: 2},
-						dist.RetryPolicy{MaxAttempts: 5, TimeoutMs: 25, BackoffMs: 2},
-					)
-				}
-				key := fmt.Sprintf("chaos/trial=%02d/%s/seed=%02d", trial, cfg.name, seed)
-				c := checkMorselInvariance(t, golden, key, q.String(), &planRunner{p.Make}, chaosNet)
-				totalRetries += c.Retries
-			}
+			key := fmt.Sprintf("%s/seed=%02d", fp.key, seed)
+			c := checkMorselInvariance(t, golden, key, fp.query, &planRunner{fp.plan.Make}, chaosNet)
+			totalRetries += c.Retries
 		}
 	}
 	if totalRetries == 0 {

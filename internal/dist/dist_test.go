@@ -166,7 +166,8 @@ func TestShipFailedChildOpenChargesNothing(t *testing.T) {
 // never Close an operator whose Open failed.
 func TestShipSendFailureClosesChild(t *testing.T) {
 	tb := table(t, "r", [][]int64{{1, 1}})
-	ship := NewShip(exec.NewTableScan(tb, ""), 16, 1)
+	child := exec.NewInstrumented(exec.NewTableScan(tb, ""), "TableScan", nil)
+	ship := NewShip(child, 16, 1)
 	ctx := exec.NewContext()
 	n := NewTransport(&scriptLink{script: []Outcome{
 		{Err: ErrSiteDown}, {Err: ErrSiteDown},
@@ -176,6 +177,9 @@ func TestShipSendFailureClosesChild(t *testing.T) {
 	var se *SiteError
 	if !errors.As(err, &se) {
 		t.Fatalf("Open = %v, want *SiteError", err)
+	}
+	if st := child.Stats(); st.Opens != 1 || st.Closes != 1 {
+		t.Fatalf("child opens=%d closes=%d after the failed send, want 1/1", st.Opens, st.Closes)
 	}
 	// The child was closed and the operator restarts cleanly once the
 	// outage passes (script exhausted ⇒ link delivers).

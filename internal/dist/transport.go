@@ -297,7 +297,8 @@ func (n *Net) Send(ctx *exec.Context, site int, bytes int64) error {
 // transport. The nil-transport path is the free instant network: charge
 // the message and its bytes, deliver. Callers must propagate a non-nil
 // error — it is either the caller context's cancellation or a
-// *SiteError the facade needs intact to degrade (optlint: sitefault).
+// *SiteError the facade needs intact to degrade (the lifecycle sweep
+// fails each send in turn and checks the run returns exactly that).
 func Send(ctx *exec.Context, site int, bytes int64) error {
 	if ctx.Net == nil {
 		if err := ctx.Err(); err != nil {

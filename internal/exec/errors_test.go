@@ -100,8 +100,9 @@ func schemaOf(t *testing.T) *schema.Schema {
 
 // failingOp errors from Next after emitting its rows, and again from
 // Close. It records whether Close ran, so tests can assert both halves
-// of the opclose contract: the error path closes the child, and the
-// Close error is joined into the returned error instead of dropped.
+// of the operator lifecycle contract: the error path closes the child,
+// and the Close error is joined into the returned error instead of
+// dropped.
 type failingOp struct {
 	sch      *schema.Schema
 	rows     []value.Row

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"filterjoin/internal/bloom"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/value"
@@ -49,18 +48,17 @@ func BuildKeySet(ctx *Context, op Operator, keyIdx []int) (*KeySet, error) {
 // the result.
 func BuildKeySetSized(ctx *Context, op Operator, keyIdx []int, hint int) (*KeySet, error) {
 	ks := NewKeySetSized(len(keyIdx), hint)
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	err := forEachInput(ctx, op, hint, func(r value.Row) error {
-		ctx.Counter.CPUTuples++
-		ks.Add(r, keyIdx)
+	err := drainInto(ctx, op, hint, func(rows []value.Row) error {
+		ctx.Counter.CPUTuples += int64(len(rows))
+		for _, r := range rows {
+			ks.Add(r, keyIdx)
+		}
 		return nil
 	})
 	if err != nil {
-		return nil, errors.Join(err, op.Close(ctx))
+		return nil, err
 	}
-	return ks, op.Close(ctx)
+	return ks, nil
 }
 
 // Add inserts r's projection onto keyIdx. The key is encoded straight

@@ -120,11 +120,15 @@ func (in *Instrumented) exit(ctx *Context, before cost.Counter, start time.Time)
 	}
 }
 
-// Open implements Operator.
+// Open implements Operator. Only a successful Open counts: callers never
+// Close an operator whose Open failed, so Opens == Closes holds for a
+// correct error path as well as a clean run.
 func (in *Instrumented) Open(ctx *Context) error {
 	before, start := in.enter(ctx)
 	err := in.Op.Open(ctx)
-	in.stats.Opens++
+	if err == nil {
+		in.stats.Opens++
+	}
 	in.exit(ctx, before, start)
 	return err
 }

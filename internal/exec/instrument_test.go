@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"testing"
 
 	"filterjoin/internal/cost"
@@ -66,6 +67,21 @@ func TestInstrumentedBasicCounts(t *testing.T) {
 		t.Fatalf("context registry = %v, want the one shim", got)
 	}
 	sumSelf(t, ctx)
+}
+
+// A failed Open is not an Open: callers never Close an operator whose
+// Open failed, so counting it would make a correct error path read as a
+// leak (Opens > Closes).
+func TestInstrumentedFailedOpenNotCounted(t *testing.T) {
+	boom := errors.New("boom")
+	in := NewInstrumented(Error(intSchema("t", "a"), boom), "Error", nil)
+	ctx := NewContext()
+	if _, err := Drain(ctx, in); !errors.Is(err, boom) {
+		t.Fatalf("Drain = %v, want %v", err, boom)
+	}
+	if st := in.Stats(); st.Opens != 0 || st.Closes != 0 {
+		t.Fatalf("opens=%d closes=%d after a failed Open, want 0/0", st.Opens, st.Closes)
+	}
 }
 
 // The inner of a nested-loops join is re-opened once per outer row; its

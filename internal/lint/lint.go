@@ -1,10 +1,9 @@
-// Package lint hosts optlint, the repo's static-analysis suite. Nine
+// Package lint hosts optlint, the repo's static-analysis suite. Eight
 // analyzers encode contracts the paper's cost-based argument depends
 // on; each maps to a runtime invariant that was previously enforced
 // only by property tests (see DESIGN.md "Static analysis"):
 //
-//   - opclose:    every Operator Open is balanced by Close on all
-//     paths, and Close errors are never silently dropped.
+//   - opclose:    Close errors are never silently dropped.
 //   - costcharge: an Operator whose Open/NextBatch does per-row work
 //     must charge ctx.Counter (Table 1 cost conservation).
 //   - exhaustive: switches over the Limitation 3 filter-set variant
@@ -12,9 +11,6 @@
 //     every expression form or carry a default.
 //   - floatcmp:   cost dominance comparisons go through the epsilon
 //     helpers in internal/cost, never raw float operators.
-//   - sitefault:  transport Send errors are never discarded, so a
-//     *dist.SiteError always propagates to the facade's
-//     graceful-degradation handler.
 //   - lockepoch:  Engine catalog/model mutations happen inside a
 //     write span (internal/epoch.Lock bumps the epoch and invalidates
 //     on every exit), spans never nest, and only the two span
@@ -50,7 +46,6 @@ func All() []*analysis.Analyzer {
 		Costcharge,
 		Exhaustive,
 		Floatcmp,
-		Sitefault,
 		Lockepoch,
 		Sharesafe,
 		Parambind,

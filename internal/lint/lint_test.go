@@ -19,7 +19,6 @@ func TestOpclose(t *testing.T)    { analysistest.Run(t, lint.Opclose, "opclose")
 func TestCostcharge(t *testing.T) { analysistest.Run(t, lint.Costcharge, "costcharge") }
 func TestExhaustive(t *testing.T) { analysistest.Run(t, lint.Exhaustive, "exhaustive") }
 func TestFloatcmp(t *testing.T)   { analysistest.Run(t, lint.Floatcmp, "floatcmp") }
-func TestSitefault(t *testing.T)  { analysistest.Run(t, lint.Sitefault, "sitefault") }
 func TestLockepoch(t *testing.T)  { analysistest.Run(t, lint.Lockepoch, "lockepoch") }
 func TestSharesafe(t *testing.T)  { analysistest.Run(t, lint.Sharesafe, "sharesafe") }
 func TestParambind(t *testing.T)  { analysistest.Run(t, lint.Parambind, "parambind") }

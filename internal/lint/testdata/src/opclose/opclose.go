@@ -1,6 +1,5 @@
 // Package opclose exercises the opclose analyzer: dropped Close
-// errors, Open without Close on an error path, field-level pairing,
-// and //lint:ignore suppression.
+// errors and //lint:ignore suppression.
 package opclose
 
 import (
@@ -10,7 +9,7 @@ import (
 	"filterjoin/internal/schema"
 )
 
-// fakeOp implements exec.Operator and closes the child it opens.
+// fakeOp implements exec.Operator and returns its child's Close error.
 type fakeOp struct {
 	child exec.Operator
 }
@@ -28,23 +27,6 @@ func (f *fakeOp) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
 func (f *fakeOp) Close(ctx *exec.Context) error {
 	return f.child.Close(ctx)
 }
-
-// leakyOp opens its child but no method ever closes it.
-type leakyOp struct {
-	child exec.Operator
-}
-
-func (l *leakyOp) Schema() *schema.Schema { return nil }
-
-func (l *leakyOp) Open(ctx *exec.Context) error {
-	return l.child.Open(ctx) // want "leakyOp.Open opens field child but no method of leakyOp closes it"
-}
-
-func (l *leakyOp) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
-	return l.child.NextBatch(ctx, dst, max)
-}
-
-func (l *leakyOp) Close(ctx *exec.Context) error { return nil }
 
 func dropBare(ctx *exec.Context, op exec.Operator) error {
 	if err := op.Open(ctx); err != nil {
@@ -71,17 +53,6 @@ func dropBlank(ctx *exec.Context, op exec.Operator) error {
 	return nil
 }
 
-func leakOnError(ctx *exec.Context, op exec.Operator) error {
-	if err := op.Open(ctx); err != nil { // want "op.Open is not balanced by a Close on every path"
-		return err
-	}
-	var b exec.Batch
-	if err := op.NextBatch(ctx, &b, 1); err != nil {
-		return err // op is still open here
-	}
-	return op.Close(ctx)
-}
-
 func balanced(ctx *exec.Context, op exec.Operator) error {
 	if err := op.Open(ctx); err != nil {
 		return err
@@ -102,35 +73,4 @@ func balanced(ctx *exec.Context, op exec.Operator) error {
 func suppressed(ctx *exec.Context, op exec.Operator) {
 	//lint:ignore opclose fixture asserts the directive reaches the next line
 	op.Close(ctx)
-}
-
-// goWorkerClean runs a worker pipeline inside a goroutine closure; the
-// operator opened inside the closure is closed on every path of the
-// closure, which is what the analyzer now checks inside FuncLit bodies.
-func goWorkerClean(mk func() exec.Operator) error {
-	done := make(chan error, 1)
-	go func() {
-		op := mk()
-		w := exec.NewContext()
-		if err := op.Open(w); err != nil {
-			done <- err
-			return
-		}
-		done <- op.Close(w)
-	}()
-	return <-done
-}
-
-// goWorkerLeak opens an operator inside a goroutine and abandons it:
-// nothing outside the closure can ever close it.
-func goWorkerLeak(mk func() exec.Operator) {
-	go func() {
-		op := mk()
-		w := exec.NewContext()
-		if err := op.Open(w); err != nil { // want "op.Open is not balanced by a Close on every path"
-			return
-		}
-		var b exec.Batch
-		_ = op.NextBatch(w, &b, 1)
-	}()
 }
