@@ -333,11 +333,9 @@ func (f *filterJoinOp) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) er
 }
 
 // Close implements exec.Operator.
-func (f *filterJoinOp) Close(ctx *exec.Context) error {
-	if f.final == nil {
-		return nil
+func (f *filterJoinOp) Close(ctx *exec.Context) {
+	if f.final != nil {
+		f.final.Close(ctx)
+		f.final = nil
 	}
-	err := f.final.Close(ctx)
-	f.final = nil
-	return err
 }

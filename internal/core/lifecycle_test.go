@@ -29,24 +29,52 @@ import (
 )
 
 // countdown is a caller context whose Err reports context.Canceled from
-// its n-th call on (never when n <= 0). calls counts every poll.
+// its n-th call on (never when n <= 0). calls counts every poll. Each
+// poll, and the run's return, snapshots the Nexts of every instrumented
+// operator of ctx; stall is the largest growth of one operator between
+// two snapshots, the morsels a cancel could go unseen for.
 type countdown struct {
 	context.Context
 	n, calls int
+	ctx      *exec.Context
+	seen     []int64 // Nexts per operator at the last snapshot
+	stall    stall
+}
+
+// stall is an operator's growth in Nexts between two snapshots, and the
+// poll that ended it (one past the last poll: the run's return).
+type stall struct {
+	label string
+	nexts int64
+	poll  int
 }
 
 func (c *countdown) Err() error {
 	c.calls++
+	c.snapshot(c.calls)
 	if c.n > 0 && c.calls >= c.n {
 		return context.Canceled
 	}
 	return nil
 }
 
+func (c *countdown) snapshot(poll int) {
+	for i, s := range c.ctx.OperatorStats() {
+		if i == len(c.seen) {
+			c.seen = append(c.seen, 0)
+		}
+		if d := s.Nexts - c.seen[i]; d > c.stall.nexts {
+			c.stall = stall{s.Label, d, poll}
+		}
+		c.seen[i] = s.Nexts
+	}
+}
+
 // faultNet is the free network with one fault: its k-th Send fails with
 // a *dist.SiteError (never when k <= 0). Every other Send polls
 // cancellation and charges exactly as dist.Send's nil-transport path,
-// so a run's polls and bill are those of the free network.
+// so a run's polls and bill are those of the free network; the sweep's
+// Liveness leg checks this.
 type faultNet struct {
 	k, sends int
 	err      *dist.SiteError
@@ -73,6 +101,7 @@ type lifecycleRun struct {
 	err          error
 	injected     error // the *dist.SiteError faultNet returned, if any
 	polls, sends int
+	stall        stall
 	bill         cost.Counter
 	ops          []*exec.OpStats
 }
@@ -81,20 +110,27 @@ type lifecycleRun struct {
 // cancelling at the cancelAt-th ctx.Err poll and failing the failSend-th
 // transport send (0 = neither).
 func runLifecycle(p *plan.Node, morsel, cancelAt, failSend int) lifecycleRun {
-	return drainLifecycle(p.Make(), morsel, cancelAt, failSend, nil)
+	return drainLifecycle(p.Make(), morsel, cancelAt, &faultNet{k: failSend}, nil)
 }
 
-// drainLifecycle is runLifecycle over a given operator tree and
-// bind-parameter values.
-func drainLifecycle(op exec.Operator, morsel, cancelAt, failSend int, params []value.Value) lifecycleRun {
-	caller := &countdown{Context: context.Background(), n: cancelAt}
-	net := &faultNet{k: failSend}
+// drainLifecycle is runLifecycle over a given operator tree, transport
+// and bind-parameter values. A nil net leaves ctx.Net nil: dist.Send's
+// own free network.
+func drainLifecycle(op exec.Operator, morsel, cancelAt int, net *faultNet, params []value.Value) lifecycleRun {
 	ctx := exec.NewContext()
-	ctx.BatchSize, ctx.Caller, ctx.Net, ctx.Params = morsel, caller, net, params
+	caller := &countdown{Context: context.Background(), n: cancelAt, ctx: ctx}
+	ctx.BatchSize, ctx.Caller, ctx.Params = morsel, caller, params
+	if net != nil {
+		ctx.Net = net
+	}
 	rows, err := exec.Drain(ctx, op)
-	r := lifecycleRun{op: op, rows: rows, err: err, polls: caller.calls, sends: net.sends, bill: *ctx.Counter, ops: ctx.OperatorStats()}
-	if net.err != nil {
-		r.injected = net.err
+	caller.snapshot(caller.calls + 1)
+	r := lifecycleRun{op: op, rows: rows, err: err, polls: caller.calls, stall: caller.stall, bill: *ctx.Counter, ops: ctx.OperatorStats()}
+	if net != nil {
+		r.sends = net.sends
+		if net.err != nil {
+			r.injected = net.err
+		}
 	}
 	return r
 }
@@ -153,7 +189,7 @@ func checkLifecycle(t *testing.T, what string, r lifecycleRun, want error, clean
 	if want == nil {
 		return
 	}
-	again := drainLifecycle(r.op, exec.DefaultBatchSize, 0, 0, nil)
+	again := drainLifecycle(r.op, exec.DefaultBatchSize, 0, nil, nil)
 	if again.err != nil || !sameRows(again.rows, clean.rows) {
 		t.Fatalf("%s, drained again: %d rows (err %v), want the clean run's %d in order", what, len(again.rows), again.err, len(clean.rows))
 	}
@@ -204,6 +240,12 @@ func profileOf(ops []*exec.OpStats) []opProfile {
 //   - Lifecycle: each aborted run returns exactly the injected error,
 //     leaves every instrumented operator with Opens == Closes, and bills
 //     no cost component above the clean run.
+//   - Liveness: in a clean run no instrumented operator's Nexts grows by
+//     more than one between two consecutive polls (or the last poll and
+//     the return), so a cancel is seen within one morsel per operator;
+//     and the clean run with no transport (dist.Send's own path) returns
+//     the same rows, bill and poll count as under faultNet, which every
+//     failed-send run relies on.
 //   - Bill: an extra's clean run reproduces its fuzz_counters.golden
 //     line (rows in order and every counter) at every morsel size.
 //   - Reuse: an aborted run's tree drained again returns the clean rows
@@ -292,6 +334,18 @@ func sweepPlan(t *testing.T, fp fuzzPlan, morsels []int, golden map[string]strin
 		clean = runLifecycle(fp.plan, m, 0, 0)
 		what := fmt.Sprintf("%s morsel=%d", fp.key, m)
 		checkLifecycle(t, what+" clean", clean, nil, clean)
+		if st := clean.stall; st.nexts > 1 {
+			at := fmt.Sprintf("poll %d/%d", st.poll, clean.polls)
+			if st.poll > clean.polls {
+				at = "the return"
+			}
+			t.Fatalf("%s: %s pulled %d morsels before %s; a cancel goes unseen that long", what, st.label, st.nexts, at)
+		}
+		free := drainLifecycle(fp.plan.Make(), m, 0, nil, nil)
+		if free.err != nil || !sameRows(free.rows, clean.rows) || free.bill != clean.bill || free.polls != clean.polls {
+			t.Fatalf("%s: with no transport: %d rows (err %v), billed %s in %d polls; under faultNet %d rows, %s in %d polls",
+				what, len(free.rows), free.err, free.bill.String(), free.polls, len(clean.rows), clean.bill.String(), clean.polls)
+		}
 		if got := fingerprint(clean.rows, clean.bill); strings.HasPrefix(fp.key, "extra/") && got != golden[fp.key] {
 			t.Fatalf("%s: clean run differs from %s (record a new extra with -update):\ngot:  %s\nwant: %s", what, fuzzGoldenPath, got, golden[fp.key])
 		}
@@ -382,11 +436,11 @@ func checkRebind(t *testing.T, golden map[string]string, extras []sweepExtra) {
 		if got, want := p.OutSchema.Columns(), x.plan.OutSchema.Columns(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: parameterized plan outputs %v, the literal plan %v", x.key, got, want)
 		}
-		r := drainLifecycle(p.Make(), exec.DefaultBatchSize, 0, 0, x.args)
+		r := drainLifecycle(p.Make(), exec.DefaultBatchSize, 0, nil, x.args)
 		if got := fingerprint(r.rows, r.bill); r.err != nil || got != golden[x.key] {
 			t.Fatalf("%s: bound to its own values (err %v):\ngot:  %s\nwant: %s", x.key, r.err, got, golden[x.key])
 		}
-		second := drainLifecycle(p.Make(), exec.DefaultBatchSize, 0, 0, x.second)
+		second := drainLifecycle(p.Make(), exec.DefaultBatchSize, 0, nil, x.second)
 		lit := runLifecycle(x.optimize(t, literalBlock(t, x.cat, x.stmt, x.second)), exec.DefaultBatchSize, 0, 0)
 		if second.err != nil || lit.err != nil {
 			t.Fatalf("%s: second binding: %v / literal: %v", x.key, second.err, lit.err)
@@ -601,21 +655,48 @@ func lifecycleExtras(t *testing.T) []sweepExtra {
 	add("consecutive", cat, model, plain, []string{"funcprobe", "funcprobememo"}, `
 		SELECT B.k, F.twice FROM B, F WHERE B.k = F.k`, nil, nil)
 
+	// Hand-built plans over instrumented Values leaves, which never poll.
 	// The optimizer materializes every nested-loops inner, and the
-	// uninstrumented Materialize hides the inner's own lifecycle; this
-	// hand-built join re-opens an instrumented inner per outer row.
-	leaf := func(n int) exec.Operator {
-		rows := make([]value.Row, n)
-		for i := range rows {
-			rows[i] = value.Row{value.NewInt(int64(i))}
+	// uninstrumented Materialize hides the inner's own lifecycle;
+	// nlj-rescan re-opens an instrumented inner per outer row. The
+	// planner streams a group-by only over a merge join, which polls,
+	// and a Filter Join's restricted scan is not instrumented; the other
+	// three put a streamed group-by (groups of three rows) and both
+	// filter sets (two rejected rows in a row) directly over a leaf, so a
+	// missing poll in their own pull loops shows in the leaf's Nexts.
+	leaf := func(keys ...int64) exec.Operator {
+		rows := make([]value.Row, len(keys))
+		for i, k := range keys {
+			rows[i] = value.Row{value.NewInt(k)}
 		}
 		return exec.NewInstrumented(exec.NewValues(schema.New(schema.Column{Name: "k", Type: value.KindInt}), rows), "Values", nil)
 	}
-	out = append(out, sweepExtra{fuzzPlan: fuzzPlan{key: "extra/nlj-rescan", query: "4 x 5 rows, inner re-opened", plan: plan.NewNode(nil, &plan.Node{
-		Kind:   "NestedLoopJoin",
-		Detail: "cross, inner re-opened",
-		Make:   func() exec.Operator { return exec.NewNestedLoopJoin(leaf(4), leaf(5), nil) },
-	})}})
+	upTo := func(n int64) []int64 {
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = int64(i)
+		}
+		return keys
+	}
+	hand := func(name, query, kind, detail string, mk func() exec.Operator) {
+		out = append(out, sweepExtra{fuzzPlan: fuzzPlan{key: "extra/" + name, query: query, plan: plan.NewNode(nil, &plan.Node{Kind: kind, Detail: detail, Make: mk})}})
+	}
+	hand("nlj-rescan", "4 x 5 rows, inner re-opened", "NestedLoopJoin", "cross, inner re-opened", func() exec.Operator {
+		return exec.NewNestedLoopJoin(leaf(upTo(4)...), leaf(upTo(5)...), nil)
+	})
+	hand("stream-groupby-leaf", "COUNT(*) per k over 4 runs of 3 equal keys", "StreamGroupBy", "k; COUNT(*)", func() exec.Operator {
+		return exec.NewStreamGroupBy(leaf(0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3), []int{0}, []expr.AggSpec{{Kind: expr.AggCount, Name: "n"}})
+	})
+	every3 := exec.NewKeySet(1)
+	for k := int64(0); k < 12; k += 3 {
+		every3.Add(value.Row{value.NewInt(k)}, []int{0})
+	}
+	hand("keyset-filter-leaf", "keys 0..11 restricted to multiples of 3", "KeySetFilter", "exact filter on {#0}", func() exec.Operator {
+		return exec.NewKeySetFilter(leaf(upTo(12)...), every3, []int{0})
+	})
+	hand("bloom-filter-leaf", "keys 0..11 restricted to multiples of 3", "BloomFilterScan", "bloom filter on {#0}", func() exec.Operator {
+		return exec.NewBloomFilterScan(leaf(upTo(12)...), every3.ToBloom(64, []int{0}), []int{0})
+	})
 	return out
 }
 

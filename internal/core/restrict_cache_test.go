@@ -111,8 +111,11 @@ func (l *openLog) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error {
 	return err
 }
 
-func (l *openLog) Close(ctx *exec.Context) error {
-	return l.bracket(ctx, func() error { return l.Operator.Close(ctx) })
+func (l *openLog) Close(ctx *exec.Context) {
+	l.bracket(ctx, func() error {
+		l.Operator.Close(ctx)
+		return nil
+	})
 }
 
 // TestRestrictCacheNLJReopen puts one Filter Join operator on the inner

@@ -16,8 +16,6 @@
 package dist
 
 import (
-	"errors"
-
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/schema"
@@ -60,7 +58,8 @@ func (s *Ship) Open(ctx *exec.Context) error {
 		return err
 	}
 	if err := Send(ctx, s.Site, 0); err != nil {
-		return errors.Join(err, s.Child.Close(ctx))
+		s.Child.Close(ctx)
+		return err
 	}
 	return nil
 }
@@ -82,7 +81,7 @@ func (s *Ship) next(ctx *exec.Context) (value.Row, bool, error) {
 }
 
 // Close implements exec.Operator.
-func (s *Ship) Close(ctx *exec.Context) error { return s.Child.Close(ctx) }
+func (s *Ship) Close(ctx *exec.Context) { s.Child.Close(ctx) }
 
 // FetchMatchesJoin is the System R* "fetch matches as needed" strategy:
 // for every outer row, send the join key to the remote site (one message
@@ -179,9 +178,9 @@ func (j *FetchMatchesJoin) match(*exec.Context) (value.Row, bool, error) {
 // cannot replay stale match state from the aborted run; Open performs
 // the same reset, but an operator must also be safe to inspect or
 // re-wrap between Close and the next Open.
-func (j *FetchMatchesJoin) Close(ctx *exec.Context) error {
+func (j *FetchMatchesJoin) Close(ctx *exec.Context) {
 	j.loop.Reset()
 	j.ids = nil
 	j.pos = 0
-	return j.Outer.Close(ctx)
+	j.Outer.Close(ctx)
 }

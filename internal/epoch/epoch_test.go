@@ -1,6 +1,9 @@
 package epoch
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // TestWriteBumpsOnEveryExit: the epoch advances and the hook runs once
 // per write span — also when the closure panics — and the lock is free
@@ -22,5 +25,32 @@ func TestWriteBumpsOnEveryExit(t *testing.T) {
 	}()
 	if got := seen(); got != 2 || calls != 2 {
 		t.Fatalf("after two write spans (one panicking): epoch %d, invalidations %d, want 2 and 2", got, calls)
+	}
+}
+
+// TestReadReleasesOnPanic: a read span whose closure panics leaves the
+// epoch where it was, runs no invalidation, and releases the shared
+// lock, so the next write span completes.
+func TestReadReleasesOnPanic(t *testing.T) {
+	calls := 0
+	l := New(func() { calls++ })
+	func() {
+		defer func() { _ = recover() }()
+		l.Read(func(uint64) { panic("mid-read") })
+	}()
+	var e uint64
+	l.Read(func(epoch uint64) { e = epoch })
+	if e != 0 || calls != 0 {
+		t.Fatalf("after a panicking read span: epoch %d, invalidations %d, want 0 and 0", e, calls)
+	}
+	done := make(chan struct{})
+	go func() {
+		l.Write(func() {})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("write span still blocked 5s after a panicking read span: the shared lock was not released")
 	}
 }

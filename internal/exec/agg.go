@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"errors"
 	"sort"
 
 	"filterjoin/internal/expr"
@@ -115,10 +114,8 @@ func (g *GroupBy) Open(ctx *Context) error {
 		}
 		return nil
 	})
+	g.Child.Close(ctx)
 	if err != nil {
-		return errors.Join(err, g.Child.Close(ctx))
-	}
-	if err := g.Child.Close(ctx); err != nil {
 		return err
 	}
 	// Scalar aggregation over an empty input still yields one row.
@@ -155,9 +152,8 @@ func (g *GroupBy) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (g *GroupBy) Close(*Context) error {
+func (g *GroupBy) Close(*Context) {
 	g.results = nil
-	return nil
 }
 
 // StreamGroupBy is order-consuming aggregation: it requires its input to
@@ -308,7 +304,7 @@ func (g *StreamGroupBy) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (g *StreamGroupBy) Close(ctx *Context) error {
+func (g *StreamGroupBy) Close(ctx *Context) {
 	g.states = nil
-	return g.Child.Close(ctx)
+	g.Child.Close(ctx)
 }

@@ -65,7 +65,7 @@ func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (s *Select) Close(ctx *Context) error { return s.Child.Close(ctx) }
+func (s *Select) Close(ctx *Context) { s.Child.Close(ctx) }
 
 // Project computes output expressions over each child row. Output rows
 // are carved from an arena instead of allocated per row.
@@ -168,7 +168,7 @@ func (p *Project) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (p *Project) Close(ctx *Context) error { return p.Child.Close(ctx) }
+func (p *Project) Close(ctx *Context) { p.Child.Close(ctx) }
 
 // Distinct removes duplicate rows with a hash set, charging one CPU
 // operation per input row. This is the operator behind ProjCost_F: the
@@ -232,7 +232,7 @@ func (d *Distinct) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (d *Distinct) Close(ctx *Context) error { return d.Child.Close(ctx) }
+func (d *Distinct) Close(ctx *Context) { d.Child.Close(ctx) }
 
 // Sort materializes and sorts the child's rows on Open, charging CPU
 // proportional to n·log₂n comparisons.
@@ -287,7 +287,7 @@ func (s *Sort) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (s *Sort) Close(*Context) error { return nil }
+func (s *Sort) Close(*Context) {}
 
 // Limit passes through at most N rows.
 type Limit struct {
@@ -331,7 +331,7 @@ func (l *Limit) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (l *Limit) Close(ctx *Context) error { return l.Child.Close(ctx) }
+func (l *Limit) Close(ctx *Context) { l.Child.Close(ctx) }
 
 // Materialize drains its child into a temporary table on first Open and
 // thereafter scans the temporary. The build charges page writes; every
@@ -373,11 +373,10 @@ func (m *Materialize) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (m *Materialize) Close(ctx *Context) error {
-	if m.scan == nil {
-		return nil
+func (m *Materialize) Close(ctx *Context) {
+	if m.scan != nil {
+		m.scan.Close(ctx)
 	}
-	return m.scan.Close(ctx)
 }
 
 // Built exposes the materialized table after the first Open (nil before).

@@ -98,18 +98,16 @@ func schemaOf(t *testing.T) *schema.Schema {
 	return schema.New(schema.Column{Name: "s", Type: value.KindString})
 }
 
-// failingOp errors from Next after emitting its rows, and again from
-// Close. It records whether Close ran, so tests can assert both halves
-// of the operator lifecycle contract: the error path closes the child,
-// and the Close error is joined into the returned error instead of
-// dropped.
+// failingOp errors from Next after emitting its rows. It records
+// whether Close ran, so tests can assert the error half of the operator
+// lifecycle contract: the error path closes the child and returns the
+// Next error.
 type failingOp struct {
-	sch      *schema.Schema
-	rows     []value.Row
-	nextErr  error
-	closeErr error
-	pos      int
-	closed   bool
+	sch     *schema.Schema
+	rows    []value.Row
+	nextErr error
+	pos     int
+	closed  bool
 }
 
 func (f *failingOp) Schema() *schema.Schema { return f.sch }
@@ -130,29 +128,23 @@ func (f *failingOp) NextBatch(ctx *Context, dst *Batch, max int) error {
 	})
 }
 
-func (f *failingOp) Close(ctx *Context) error {
-	f.closed = true
-	return f.closeErr
-}
+func (f *failingOp) Close(ctx *Context) { f.closed = true }
 
-var (
-	errNext  = errors.New("next exploded")
-	errClose = errors.New("close exploded")
-)
+var errNext = errors.New("next exploded")
 
 func newFailingOp(t *testing.T) *failingOp {
 	t.Helper()
 	return &failingOp{
-		sch:      schema.New(schema.Column{Name: "g", Type: value.KindInt}),
-		rows:     []value.Row{{value.NewInt(1)}},
-		nextErr:  errNext,
-		closeErr: errClose,
+		sch:     schema.New(schema.Column{Name: "g", Type: value.KindInt}),
+		rows:    []value.Row{{value.NewInt(1)}},
+		nextErr: errNext,
 	}
 }
 
-// checkJoined asserts the error path closed the child and surfaced
-// both the Next error and the Close error.
-func checkJoined(t *testing.T, what string, f *failingOp, err error) {
+// checkClosed asserts the error path closed the child and surfaced the
+// Next error. The tests that use it are named for when Close returned an
+// error to be joined with the Next error; only these two halves remain.
+func checkClosed(t *testing.T, what string, f *failingOp, err error) {
 	t.Helper()
 	if !f.closed {
 		t.Errorf("%s: error path did not Close the child", what)
@@ -160,38 +152,34 @@ func checkJoined(t *testing.T, what string, f *failingOp, err error) {
 	if !errors.Is(err, errNext) {
 		t.Errorf("%s: Next error lost: %v", what, err)
 	}
-	if !errors.Is(err, errClose) {
-		t.Errorf("%s: Close error dropped: %v", what, err)
-	}
 }
 
 func TestDrainJoinsCloseError(t *testing.T) {
 	f := newFailingOp(t)
 	_, err := Drain(NewContext(), f)
-	checkJoined(t, "Drain", f, err)
+	checkClosed(t, "Drain", f, err)
 }
 
 func TestCountJoinsCloseError(t *testing.T) {
 	f := newFailingOp(t)
 	_, err := Count(NewContext(), f)
-	checkJoined(t, "Count", f, err)
+	checkClosed(t, "Count", f, err)
 }
 
 func TestGroupByOpenJoinsCloseError(t *testing.T) {
 	f := newFailingOp(t)
 	g := NewGroupBy(f, []int{0}, nil)
 	err := g.Open(NewContext())
-	checkJoined(t, "GroupBy.Open", f, err)
+	checkClosed(t, "GroupBy.Open", f, err)
 }
 
 func TestGroupByAggEvalJoinsCloseError(t *testing.T) {
-	// The aggregate argument errors during the build loop; the child's
-	// Close error must still surface alongside it.
+	// The aggregate argument errors during the build loop; the child
+	// must still be closed.
 	f := &failingOp{
-		sch:      schemaOf(t),
-		rows:     []value.Row{{value.NewString("x")}},
-		nextErr:  nil, // never reached: Eval fails on the first row
-		closeErr: errClose,
+		sch:  schemaOf(t),
+		rows: []value.Row{{value.NewString("x")}},
+		// nextErr is never reached: Eval fails on the first row.
 	}
 	g := NewGroupBy(f, nil, []expr.AggSpec{
 		{Kind: expr.AggSum, Arg: expr.NewCol(0, "s"), Name: "s"},
@@ -199,9 +187,6 @@ func TestGroupByAggEvalJoinsCloseError(t *testing.T) {
 	err := g.Open(NewContext())
 	if !f.closed {
 		t.Error("GroupBy.Open: eval error path did not Close the child")
-	}
-	if !errors.Is(err, errClose) {
-		t.Errorf("GroupBy.Open: Close error dropped: %v", err)
 	}
 	if err == nil {
 		t.Error("GroupBy.Open: SUM over strings must error")
@@ -212,11 +197,11 @@ func TestTopNOpenJoinsCloseError(t *testing.T) {
 	f := newFailingOp(t)
 	top := NewTopN(f, 1, []int{0}, nil)
 	err := top.Open(NewContext())
-	checkJoined(t, "TopN.Open", f, err)
+	checkClosed(t, "TopN.Open", f, err)
 }
 
 func TestBuildKeySetJoinsCloseError(t *testing.T) {
 	f := newFailingOp(t)
 	_, err := BuildKeySet(NewContext(), f, []int{0})
-	checkJoined(t, "BuildKeySet", f, err)
+	checkClosed(t, "BuildKeySet", f, err)
 }

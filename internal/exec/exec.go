@@ -16,7 +16,6 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"filterjoin/internal/cost"
@@ -128,8 +127,9 @@ type Operator interface {
 	// NextBatch appends up to max rows to dst, which the caller has
 	// Reset. dst left empty signals end of stream (see Batch).
 	NextBatch(ctx *Context, dst *Batch, max int) error
-	// Close releases resources. Close after Close is a no-op.
-	Close(ctx *Context) error
+	// Close releases resources; it cannot fail. Close after Close is a
+	// no-op.
+	Close(ctx *Context)
 }
 
 // Drain opens op, pulls every row, closes it, and returns the rows.
@@ -164,16 +164,14 @@ func Count(ctx *Context, op Operator) (int, error) {
 	return n, nil
 }
 
-// drainInto opens op, hands every morsel to sink, and closes op; a pull
-// error is joined with the Close error.
+// drainInto opens op, hands every morsel to sink, and closes op.
 func drainInto(ctx *Context, op Operator, expect int, sink func([]value.Row) error) error {
 	if err := op.Open(ctx); err != nil {
 		return err
 	}
-	if err := forEachBatch(ctx, op, expect, sink); err != nil {
-		return errors.Join(err, op.Close(ctx))
-	}
-	return op.Close(ctx)
+	err := forEachBatch(ctx, op, expect, sink)
+	op.Close(ctx)
+	return err
 }
 
 // MaterializeToTable drains op into a fresh storage table named name,
@@ -203,7 +201,7 @@ func (e *errOp) Open(*Context) error    { return e.err }
 func (e *errOp) NextBatch(*Context, *Batch, int) error {
 	return fmt.Errorf("exec: NextBatch on failed operator: %w", e.err)
 }
-func (e *errOp) Close(*Context) error { return nil }
+func (e *errOp) Close(*Context) {}
 
 // Values is a leaf operator over in-memory rows that charges CPU only
 // (used for pipelined intermediate results and tests).
@@ -235,4 +233,4 @@ func (v *Values) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (v *Values) Close(*Context) error { return nil }
+func (v *Values) Close(*Context) {}

@@ -159,7 +159,7 @@ func (f *KeySetFilter) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (f *KeySetFilter) Close(ctx *Context) error { return f.Child.Close(ctx) }
+func (f *KeySetFilter) Close(ctx *Context) { f.Child.Close(ctx) }
 
 // BloomFilterScan passes through child rows that the Bloom filter may
 // contain — the lossy filter-set variant. False positives let extra rows
@@ -214,7 +214,7 @@ func (b *BloomFilterScan) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (b *BloomFilterScan) Close(ctx *Context) error { return b.Child.Close(ctx) }
+func (b *BloomFilterScan) Close(ctx *Context) { b.Child.Close(ctx) }
 
 // KeySetScan exposes a KeySet as a leaf operator so the filter set can be
 // joined into a view body (the magic-rewrite "Filter" view of Fig 2).
@@ -247,4 +247,4 @@ func (k *KeySetScan) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (k *KeySetScan) Close(*Context) error { return nil }
+func (k *KeySetScan) Close(*Context) {}

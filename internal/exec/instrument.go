@@ -147,10 +147,9 @@ func (in *Instrumented) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (in *Instrumented) Close(ctx *Context) error {
+func (in *Instrumented) Close(ctx *Context) {
 	before, start := in.enter(ctx)
-	err := in.Op.Close(ctx)
+	in.Op.Close(ctx)
 	in.stats.Closes++
 	in.exit(ctx, before, start)
-	return err
 }

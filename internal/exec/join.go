@@ -154,18 +154,17 @@ func (j *NestedLoopJoin) nextInner(ctx *Context) (value.Row, bool, error) {
 		return ir, ok, err
 	}
 	j.innerOpen = false
-	return nil, false, j.Inner.Close(ctx)
+	j.Inner.Close(ctx)
+	return nil, false, nil
 }
 
 // Close implements Operator.
-func (j *NestedLoopJoin) Close(ctx *Context) error {
+func (j *NestedLoopJoin) Close(ctx *Context) {
 	if j.innerOpen {
-		if err := j.Inner.Close(ctx); err != nil {
-			return err
-		}
+		j.Inner.Close(ctx)
 		j.innerOpen = false
 	}
-	return j.Outer.Close(ctx)
+	j.Outer.Close(ctx)
 }
 
 // HashJoin builds a hash table over the left input's key columns on Open,
@@ -301,9 +300,9 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (j *HashJoin) Close(ctx *Context) error {
+func (j *HashJoin) Close(ctx *Context) {
 	j.tab.rows = nil
-	return j.Right.Close(ctx)
+	j.Right.Close(ctx)
 }
 
 // MergeJoin equi-joins two inputs that it sorts on Open (charging sort
@@ -447,9 +446,8 @@ func (j *MergeJoin) next(ctx *Context) (value.Row, bool, error) {
 }
 
 // Close implements Operator.
-func (j *MergeJoin) Close(*Context) error {
+func (j *MergeJoin) Close(*Context) {
 	j.lrows, j.rrows = nil, nil
-	return nil
 }
 
 // IndexNLJoin drives an index-nested-loops join: for every outer row it
@@ -525,4 +523,4 @@ func (j *IndexNLJoin) match(*Context) (value.Row, bool, error) {
 }
 
 // Close implements Operator.
-func (j *IndexNLJoin) Close(ctx *Context) error { return j.Outer.Close(ctx) }
+func (j *IndexNLJoin) Close(ctx *Context) { j.Outer.Close(ctx) }

@@ -48,7 +48,7 @@ func (s *TableScan) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (s *TableScan) Close(*Context) error { return nil }
+func (s *TableScan) Close(*Context) {}
 
 // IndexLookup scans the rows of a table matching one key via a hash
 // index. Each Open charges one page read for the index probe plus one
@@ -126,4 +126,4 @@ func (l *IndexLookup) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (l *IndexLookup) Close(*Context) error { return nil }
+func (l *IndexLookup) Close(*Context) {}

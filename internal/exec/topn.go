@@ -2,7 +2,6 @@ package exec
 
 import (
 	"container/heap"
-	"errors"
 
 	"filterjoin/internal/schema"
 	"filterjoin/internal/value"
@@ -79,10 +78,8 @@ func (t *TopN) Open(ctx *Context) error {
 		}
 		return nil
 	})
+	t.Child.Close(ctx)
 	if err != nil {
-		return errors.Join(err, t.Child.Close(ctx))
-	}
-	if err := t.Child.Close(ctx); err != nil {
 		return err
 	}
 	// Pop in reverse: the heap yields worst-first.
@@ -103,7 +100,6 @@ func (t *TopN) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (t *TopN) Close(*Context) error {
+func (t *TopN) Close(*Context) {
 	t.rows = nil
-	return nil
 }

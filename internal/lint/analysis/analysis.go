@@ -89,49 +89,6 @@ func WithStack(n ast.Node, f func(n ast.Node, stack []ast.Node) bool) {
 	walk(n)
 }
 
-// ImportedPackage returns the package with the given import path from
-// the pass's transitive imports, or the pass's own package when the
-// path matches it. It returns nil when the package is not reachable —
-// analyzers use that to skip packages the invariant cannot apply to.
-func (p *Pass) ImportedPackage(path string) *types.Package {
-	if p.Pkg.Path() == path {
-		return p.Pkg
-	}
-	seen := map[*types.Package]bool{}
-	var find func(pkg *types.Package) *types.Package
-	find = func(pkg *types.Package) *types.Package {
-		if seen[pkg] {
-			return nil
-		}
-		seen[pkg] = true
-		for _, imp := range pkg.Imports() {
-			if imp.Path() == path {
-				return imp
-			}
-			if found := find(imp); found != nil {
-				return found
-			}
-		}
-		return nil
-	}
-	return find(p.Pkg)
-}
-
-// NamedInterface resolves an interface type by package path and name
-// through the pass's imports; nil when unreachable or not an interface.
-func (p *Pass) NamedInterface(path, name string) *types.Interface {
-	pkg := p.ImportedPackage(path)
-	if pkg == nil {
-		return nil
-	}
-	obj := pkg.Scope().Lookup(name)
-	if obj == nil {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	return iface
-}
-
 // Implements reports whether t or *t satisfies iface.
 func Implements(t types.Type, iface *types.Interface) bool {
 	if iface == nil || t == nil {

@@ -1,8 +1,7 @@
-// Package lint hosts optlint, the repo's static-analysis suite. Five
+// Package lint hosts optlint, the repo's static-analysis suite. Three
 // analyzers encode contracts the paper's cost-based argument depends on
 // that no run can check (see DESIGN.md "Static analysis"):
 //
-//   - opclose:    Close errors are never silently dropped.
 //   - exhaustive: switches over the Limitation 3 filter-set variant
 //     enums cover every variant; type switches over expr.Expr cover
 //     every expression form or carry a default.
@@ -12,8 +11,6 @@
 //     write span (internal/epoch.Lock bumps the epoch and invalidates
 //     on every exit), spans never nest, and only the two span
 //     functions touch the mutex (epoch monotonicity).
-//   - ctxcancel:  row-pulling loops observe exec.Context cancellation
-//     (cancellation liveness).
 //
 // A finding is suppressed by a "//lint:ignore <analyzer> <reason>"
 // comment on the flagged line or the line directly above it.
@@ -33,11 +30,9 @@ import (
 // All returns the full analyzer suite in deterministic order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Opclose,
 		Exhaustive,
 		Floatcmp,
 		Lockepoch,
-		Ctxcancel,
 	}
 }
 

@@ -15,11 +15,9 @@ import (
 // carry `// want` comments, clean idioms and //lint:ignore suppression
 // carry none.
 
-func TestOpclose(t *testing.T)    { analysistest.Run(t, lint.Opclose, "opclose") }
 func TestExhaustive(t *testing.T) { analysistest.Run(t, lint.Exhaustive, "exhaustive") }
 func TestFloatcmp(t *testing.T)   { analysistest.Run(t, lint.Floatcmp, "floatcmp") }
 func TestLockepoch(t *testing.T)  { analysistest.Run(t, lint.Lockepoch, "lockepoch") }
-func TestCtxcancel(t *testing.T)  { analysistest.Run(t, lint.Ctxcancel, "ctxcancel") }
 
 // TestRealTreeClean is the suite's anchor: the shipped tree must be
 // violation-free, so any regression an analyzer can see fails `go test`

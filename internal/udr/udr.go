@@ -125,9 +125,9 @@ func (j *ProbeJoin) result(*exec.Context) (value.Row, bool, error) {
 }
 
 // Close implements exec.Operator.
-func (j *ProbeJoin) Close(ctx *exec.Context) error {
+func (j *ProbeJoin) Close(ctx *exec.Context) {
 	j.cache = nil
-	return j.Outer.Close(ctx)
+	j.Outer.Close(ctx)
 }
 
 // ConsecutiveScan is the Filter-Join access path for a function relation:
@@ -201,4 +201,4 @@ func (s *ConsecutiveScan) next(ctx *exec.Context) (value.Row, bool, error) {
 }
 
 // Close implements exec.Operator.
-func (s *ConsecutiveScan) Close(*exec.Context) error { return nil }
+func (s *ConsecutiveScan) Close(*exec.Context) {}
