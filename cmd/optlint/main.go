@@ -4,12 +4,10 @@
 //	go run ./cmd/optlint ./...
 //
 // Exit status is 0 when no analyzer finds a violation, 1 otherwise, and
-// 2 on usage or load errors. Findings are suppressed per line with
-// "//lint:ignore <analyzer> <reason>".
+// 2 on usage or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -18,7 +16,6 @@ import (
 	"time"
 
 	"filterjoin/internal/lint"
-	"filterjoin/internal/lint/analysis"
 	"filterjoin/internal/lint/loader"
 )
 
@@ -28,9 +25,6 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("optlint", flag.ContinueOnError)
-	list := fs.Bool("list", false, "list analyzers and exit")
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	ghOut := fs.Bool("gh", false, "emit findings as GitHub Actions ::error annotations")
 	timing := fs.Bool("time", false, "report load and analysis wall time to stderr")
 	fs.Usage = func() {
@@ -40,21 +34,6 @@ func run(args []string) int {
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	analyzers := selectAnalyzers(*only)
-	if analyzers == nil {
-		fmt.Fprintf(os.Stderr, "optlint: unknown analyzer in -only=%s\n", *only)
-		return 2
-	}
-	if *jsonOut && *ghOut {
-		fmt.Fprintln(os.Stderr, "optlint: -json and -gh are mutually exclusive")
-		return 2
-	}
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
@@ -85,6 +64,7 @@ func run(args []string) int {
 		}
 	}
 	runStart := time.Now()
+	analyzers := lint.All()
 	diags, err := lint.Run(l.Fset, pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "optlint: %v\n", err)
@@ -96,49 +76,24 @@ func run(args []string) int {
 			len(pkgs), loadDur.Round(time.Millisecond), len(analyzers), runDur.Round(time.Millisecond))
 	}
 
-	findings := make([]finding, 0, len(diags))
 	for _, d := range diags {
 		pos := l.Fset.Position(d.Pos)
-		rel := pos.Filename
+		file := pos.Filename
 		if r, err := filepath.Rel(wd, pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
-			rel = r
+			file = r
 		}
-		findings = append(findings, finding{
-			File: filepath.ToSlash(rel), Line: pos.Line, Col: pos.Column,
-			Message: d.Message, Analyzer: d.Analyzer,
-		})
-	}
-	switch {
-	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(os.Stderr, "optlint: %v\n", err)
-			return 2
-		}
-	case *ghOut:
-		for _, f := range findings {
+		file = filepath.ToSlash(file)
+		if *ghOut {
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=optlint/%s::%s\n",
-				f.File, f.Line, f.Col, f.Analyzer, ghEscape(f.Message))
-		}
-	default:
-		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
+				file, pos.Line, pos.Column, d.Analyzer, ghEscape(d.Message))
+		} else {
+			fmt.Printf("%s:%d:%d: %s (%s)\n", file, pos.Line, pos.Column, d.Message, d.Analyzer)
 		}
 	}
-	if len(findings) > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// finding is one diagnostic in machine-readable form (-json).
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-	Analyzer string `json:"analyzer"`
 }
 
 // ghEscape encodes the characters the GitHub Actions annotation format
@@ -148,24 +103,4 @@ func ghEscape(s string) string {
 	s = strings.ReplaceAll(s, "\r", "%0D")
 	s = strings.ReplaceAll(s, "\n", "%0A")
 	return s
-}
-
-func selectAnalyzers(only string) []*analysis.Analyzer {
-	all := lint.All()
-	if only == "" {
-		return all
-	}
-	byName := map[string]*analysis.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(only, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil
-		}
-		out = append(out, a)
-	}
-	return out
 }

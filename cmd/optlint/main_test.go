@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,35 +80,9 @@ func TestGHAnnotationFormat(t *testing.T) {
 	}
 }
 
-func TestJSONFormat(t *testing.T) {
-	seedModule(t)
-	var code int
-	out := capture(t, func() { code = run([]string{"-json", "./..."}) })
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\noutput: %s", code, out)
-	}
-	var findings []finding
-	if err := json.Unmarshal([]byte(out), &findings); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out)
-	}
-	if len(findings) == 0 {
-		t.Fatal("expected at least one finding")
-	}
-	f := findings[0]
-	if f.File != "eng.go" || f.Line == 0 || f.Analyzer != "lockepoch" || f.Message == "" {
-		t.Errorf("finding fields wrong: %+v", f)
-	}
-}
-
 func TestGHEscape(t *testing.T) {
 	got := ghEscape("a%b\r\nc")
 	if got != "a%25b%0D%0Ac" {
 		t.Errorf("ghEscape = %q", got)
-	}
-}
-
-func TestJSONAndGHExclusive(t *testing.T) {
-	if code := run([]string{"-json", "-gh", "./..."}); code != 2 {
-		t.Errorf("exit = %d, want 2 for -json with -gh", code)
 	}
 }

@@ -143,8 +143,6 @@ func (e *Entry) Stats() *stats.RelStats {
 		return e.tableStats
 	case KindFunc:
 		return e.FnStats
-	case KindView:
-		return nil // view stats are derived by the optimizer, never stored
 	}
 	return nil
 }

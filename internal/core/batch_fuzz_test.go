@@ -18,6 +18,7 @@ import (
 	"filterjoin/internal/exec"
 	"filterjoin/internal/opt"
 	"filterjoin/internal/plan"
+	"filterjoin/internal/query"
 	"filterjoin/internal/value"
 )
 
@@ -164,11 +165,46 @@ func TestBatchRowDifferentialFuzz(t *testing.T) {
 }
 
 // fuzzPlan is one plan of a fuzz corpus: its golden key, the query it
-// answers, the catalog it reads, and the plan.
+// answers, the catalog it reads, and the plan. A planned entry also
+// keeps its block and the configuration that planned it; a hand-built
+// one has neither.
 type fuzzPlan struct {
 	key, query string
 	cat        *catalog.Catalog
 	plan       *plan.Node
+	block      *query.Block
+	optimize   planFunc
+}
+
+// planFunc plans a block with a fresh optimizer of one configuration
+// and returns the plan with the optimizer's counters.
+type planFunc func(*query.Block) (*plan.Node, opt.Metrics, error)
+
+// planner returns the planFunc that plans over cat under model with
+// the named methods disabled and, when fj is not nil, a fresh Filter
+// Join method with its options registered.
+func planner(cat *catalog.Catalog, model cost.Model, fj *core.Options, disabled ...string) planFunc {
+	return func(b *query.Block) (*plan.Node, opt.Metrics, error) {
+		o := opt.New(cat, model)
+		for _, d := range disabled {
+			o.Disabled[d] = true
+		}
+		if fj != nil {
+			o.Register(core.NewMethod(*fj))
+		}
+		p, err := o.OptimizeBlock(b)
+		return p, o.Metrics, err
+	}
+}
+
+// planned plans b with optimize into a corpus entry.
+func planned(t *testing.T, key string, cat *catalog.Catalog, b *query.Block, optimize planFunc) fuzzPlan {
+	t.Helper()
+	p, _, err := optimize(b)
+	if err != nil {
+		t.Fatalf("%s: optimize: %v\nquery: %s", key, err, b)
+	}
+	return fuzzPlan{key, b.String(), cat, p, b, optimize}
 }
 
 // rowCorpus plans the first trials random local queries under every
@@ -184,29 +220,19 @@ func rowCorpus(t *testing.T, trials int) []fuzzPlan {
 
 		configs := []struct {
 			name     string
-			fj       *core.Method
+			fj       *core.Options
 			disabled []string
 		}{
 			{"plain", nil, nil},
-			{"fj-everything", core.NewMethod(core.Options{
+			{"fj-everything", &core.Options{
 				IncludeStored: true, AttrSubsets: true, Bloom: true,
 				PrefixProductionSets: true,
-			}), nil},
-			{"fj-only-hash", core.NewMethod(core.Options{}), []string{"merge", "nlj", "indexnl"}},
+			}, nil},
+			{"fj-only-hash", &core.Options{}, []string{"merge", "nlj", "indexnl"}},
 		}
 		for _, cfg := range configs {
-			o := opt.New(cat, model)
-			for _, d := range cfg.disabled {
-				o.Disabled[d] = true
-			}
-			if cfg.fj != nil {
-				o.Register(cfg.fj)
-			}
-			p, err := o.OptimizeBlock(q)
-			if err != nil {
-				t.Fatalf("trial %d (%s): optimize: %v\nquery: %s", trial, cfg.name, err, q)
-			}
-			out = append(out, fuzzPlan{fmt.Sprintf("row/trial=%02d/%s", trial, cfg.name), q.String(), cat, p})
+			key := fmt.Sprintf("row/trial=%02d/%s", trial, cfg.name)
+			out = append(out, planned(t, key, cat, q, planner(cat, model, cfg.fj, cfg.disabled...)))
 		}
 	}
 	return out
@@ -228,21 +254,16 @@ func distCorpus(t *testing.T, trials int) []fuzzPlan {
 		configs := []struct {
 			name  string
 			model cost.Model
-			fj    *core.Method
+			fj    *core.Options
 		}{
-			{"fj-everything", base, core.NewMethod(core.Options{
+			{"fj-everything", base, &core.Options{
 				IncludeStored: true, AttrSubsets: true, Bloom: true,
-			})},
-			{"fetch-preferred", netHeavy, core.NewMethod(core.Options{})},
+			}},
+			{"fetch-preferred", netHeavy, &core.Options{}},
 		}
 		for _, cfg := range configs {
-			o := opt.New(cat, cfg.model)
-			o.Register(cfg.fj)
-			p, err := o.OptimizeBlock(q)
-			if err != nil {
-				t.Fatalf("trial %d (%s): optimize: %v\nquery: %s", trial, cfg.name, err, q)
-			}
-			out = append(out, fuzzPlan{fmt.Sprintf("chaos/trial=%02d/%s", trial, cfg.name), q.String(), cat, p})
+			key := fmt.Sprintf("chaos/trial=%02d/%s", trial, cfg.name)
+			out = append(out, planned(t, key, cat, q, planner(cat, cfg.model, cfg.fj)))
 		}
 	}
 	return out

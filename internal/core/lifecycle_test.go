@@ -3,6 +3,10 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,7 +22,6 @@ import (
 	"filterjoin/internal/dist"
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
-	"filterjoin/internal/opt"
 	"filterjoin/internal/plan"
 	"filterjoin/internal/query"
 	"filterjoin/internal/schema"
@@ -254,8 +257,10 @@ func profileOf(ops []*exec.OpStats) []opProfile {
 //     the plan at once and both return the clean rows.
 //   - Rebind: see checkRebind.
 //
-// The corpus must execute every plan-node kind opt and core construct,
-// and some plan must run a Filter Join with a Bloom filter.
+// The corpus must execute every plan-node kind opt and core construct
+// (plannedKinds), plan a leaf of every catalog.Kind, and run a Filter
+// Join of every core.InnerAccess and every core.FilterRepr
+// (checkVariants).
 func TestLifecycleSweep(t *testing.T) {
 	morsels := []int{1, 7, exec.DefaultBatchSize}
 	if testing.Short() {
@@ -282,7 +287,6 @@ func TestLifecycleSweep(t *testing.T) {
 	// Plans sweep in parallel subtests; each reports what it executed.
 	var mu sync.Mutex
 	seen := map[string]bool{}
-	bloom := false
 	var cancels, faults int
 	t.Run("plans", func(t *testing.T) {
 		for _, fp := range plans {
@@ -294,7 +298,6 @@ func TestLifecycleSweep(t *testing.T) {
 				for _, l := range s.labels {
 					seen[l] = true
 				}
-				bloom = bloom || s.bloom
 				cancels += s.cancels
 				faults += s.faults
 			})
@@ -308,9 +311,7 @@ func TestLifecycleSweep(t *testing.T) {
 			t.Errorf("no corpus plan executes a %s node; widen lifecycleExtras", kind)
 		}
 	}
-	if !bloom {
-		t.Errorf("no corpus plan runs a Filter Join with a Bloom filter; widen lifecycleExtras")
-	}
+	checkVariants(t, plans)
 	checkRebind(t, golden, extras)
 	t.Logf("%d distinct plans x %d morsel sizes: %d cancelled runs, %d failed-send runs", len(plans), len(morsels), cancels, faults)
 }
@@ -318,7 +319,6 @@ func TestLifecycleSweep(t *testing.T) {
 // sweepTally is what sweeping one plan executed.
 type sweepTally struct {
 	labels          []string // instrumented operators of the clean run
-	bloom           bool     // a Filter Join with a Bloom filter
 	cancels, faults int
 }
 
@@ -326,9 +326,6 @@ type sweepTally struct {
 // over one plan.
 func sweepPlan(t *testing.T, fp fuzzPlan, morsels []int, golden map[string]string) sweepTally {
 	var s sweepTally
-	fp.plan.Walk(func(n *plan.Node) {
-		s.bloom = s.bloom || n.Kind == "FilterJoin" && strings.Contains(n.Detail, ": bloom filter")
-	})
 	var clean lifecycleRun
 	for _, m := range morsels {
 		clean = runLifecycle(fp.plan, m, 0, 0)
@@ -429,7 +426,7 @@ func checkRebind(t *testing.T, golden map[string]string, extras []sweepExtra) {
 		if err != nil {
 			t.Fatalf("%s: bind: %v", x.key, err)
 		}
-		p := x.optimize(t, b)
+		p := planned(t, x.key, x.cat, b, x.optimize).plan
 		if got, want := plan.Format(p, cost.DefaultModel()), plan.Format(x.plan, cost.DefaultModel()); got != want {
 			t.Fatalf("%s: parameterized plan differs from the literal plan:\n%s\nwant:\n%s", x.key, got, want)
 		}
@@ -441,7 +438,7 @@ func checkRebind(t *testing.T, golden map[string]string, extras []sweepExtra) {
 			t.Fatalf("%s: bound to its own values (err %v):\ngot:  %s\nwant: %s", x.key, r.err, got, golden[x.key])
 		}
 		second := drainLifecycle(p.Make(), exec.DefaultBatchSize, 0, nil, x.second)
-		lit := runLifecycle(x.optimize(t, literalBlock(t, x.cat, x.stmt, x.second)), exec.DefaultBatchSize, 0, 0)
+		lit := runLifecycle(planned(t, x.key, x.cat, literalBlock(t, x.cat, x.stmt, x.second), x.optimize).plan, exec.DefaultBatchSize, 0, 0)
 		if second.err != nil || lit.err != nil {
 			t.Fatalf("%s: second binding: %v / literal: %v", x.key, second.err, lit.err)
 		}
@@ -528,14 +525,87 @@ func plannedKinds(t *testing.T) []string {
 	return kinds
 }
 
+// checkVariants requires the corpus to plan a leaf of every
+// catalog.Kind and to run a Filter Join of every core.InnerAccess and
+// every core.FilterRepr. The three lists are read from their
+// declarations, so a new variant fails here until some plan runs it.
+func checkVariants(t *testing.T, plans []fuzzPlan) {
+	t.Helper()
+	seen := map[string]map[int]bool{"Kind": {}, "InnerAccess": {}, "FilterRepr": {}}
+	for _, fp := range plans {
+		if fp.block == nil {
+			continue // hand-built
+		}
+		for _, r := range fp.block.Rels {
+			e, err := fp.cat.Get(r.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen["Kind"][int(e.Kind)] = true
+		}
+		fp.plan.Walk(func(n *plan.Node) {
+			if ch, ok := n.Extra.(*core.Choice); ok {
+				seen["InnerAccess"][int(ch.Access)] = true
+				seen["FilterRepr"][int(ch.Repr)] = true
+			}
+		})
+	}
+	for _, enum := range []struct{ file, typ, what string }{
+		{filepath.Join("..", "catalog", "catalog.go"), "Kind", "plans a leaf of kind %s"},
+		{"components.go", "InnerAccess", "runs a Filter Join via %s"},
+		{"components.go", "FilterRepr", "runs a Filter Join with filter set %s"},
+	} {
+		for v, name := range enumConsts(t, enum.file, enum.typ) {
+			if !seen[enum.typ][v] {
+				t.Errorf("no corpus plan "+enum.what+"; widen lifecycleExtras", name)
+			}
+		}
+	}
+}
+
+// enumConsts returns the constants of type typ declared in file, in
+// order. They must form one iota block, so a constant's value is its
+// position.
+func enumConsts(t *testing.T, file, typ string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		if id, ok := gd.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident); !ok || id.Name != typ {
+			continue
+		}
+		for i, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			iota := len(vs.Values) == 1 && types.ExprString(vs.Values[0]) == "iota"
+			if i == 0 && !iota || i > 0 && (vs.Type != nil || vs.Values != nil) {
+				t.Fatalf("%s: %s is not one iota sequence at %s", file, typ, vs.Names[0])
+			}
+			for _, n := range vs.Names {
+				names = append(names, n.Name)
+			}
+		}
+		break
+	}
+	if len(names) < 2 {
+		t.Fatalf("%s: found %d constants of type %s", file, len(names), typ)
+	}
+	return names
+}
+
 // sweepExtra is one of the sweep's plans beyond the fuzz corpora, with
 // what checkRebind needs to plan it again from its text.
 type sweepExtra struct {
 	fuzzPlan
-	optimize func(*testing.T, *query.Block) *plan.Node
-	stmt     *sql.SelectStmt // the text with bind placeholders
-	args     []value.Value   // the binding the literal plan was planned for
-	second   []value.Value   // another binding, one value per placeholder
+	stmt   *sql.SelectStmt // the text with bind placeholders
+	args   []value.Value   // the binding the literal plan was planned for
+	second []value.Value   // another binding, one value per placeholder
 }
 
 // ints is a binding of integer values.
@@ -556,8 +626,9 @@ func ints(vs ...int64) []value.Value {
 // disjunct, a residual A.v + B.v > c under every join method (forced
 // nested loops, hash, merge, index nested loops, fetch matches from a
 // remote table, a Bloom Filter Join and a function probe), a function
-// relation under its three strategies, and a hand-built nested-loops
-// join whose inner is not materialized.
+// relation under its three strategies, a Filter Join restricting a
+// stored inner by scan and by index probes, and a hand-built
+// nested-loops join whose inner is not materialized.
 func lifecycleExtras(t *testing.T) []sweepExtra {
 	t.Helper()
 	var out []sweepExtra
@@ -567,21 +638,6 @@ func lifecycleExtras(t *testing.T) []sweepExtra {
 	// parameter.
 	add := func(name string, cat *catalog.Catalog, model cost.Model, fj *core.Options, disabled []string, text string, args, second []value.Value) {
 		t.Helper()
-		optimize := func(t *testing.T, b *query.Block) *plan.Node {
-			t.Helper()
-			o := opt.New(cat, model)
-			for _, d := range disabled {
-				o.Disabled[d] = true
-			}
-			if fj != nil {
-				o.Register(core.NewMethod(*fj))
-			}
-			p, err := o.OptimizeBlock(b)
-			if err != nil {
-				t.Fatalf("%s: optimize: %v", name, err)
-			}
-			return p
-		}
 		st, err := sql.Parse(text)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -590,7 +646,7 @@ func lifecycleExtras(t *testing.T) []sweepExtra {
 		if !ok {
 			t.Fatalf("%s: not a SELECT", name)
 		}
-		x := sweepExtra{optimize: optimize, stmt: sel, args: args, second: second}
+		x := sweepExtra{stmt: sel, args: args, second: second}
 		var b *query.Block
 		if len(args) > 0 {
 			b = literalBlock(t, cat, sel, args)
@@ -603,7 +659,8 @@ func lifecycleExtras(t *testing.T) []sweepExtra {
 		if len(x.args) != len(second) {
 			t.Fatalf("%s: %d parameters, second binding has %d values", name, len(x.args), len(second))
 		}
-		x.fuzzPlan = fuzzPlan{"extra/" + name, text, cat, optimize(t, b)}
+		x.fuzzPlan = planned(t, "extra/"+name, cat, b, planner(cat, model, fj, disabled...))
+		x.query = text
 		out = append(out, x)
 	}
 	model := cost.DefaultModel()
@@ -654,6 +711,16 @@ func lifecycleExtras(t *testing.T) []sweepExtra {
 		SELECT B.k, F.twice FROM B, F WHERE B.k = F.k`, nil, nil)
 	add("consecutive", cat, model, plain, []string{"funcprobe", "funcprobememo"}, `
 		SELECT B.k, F.twice FROM B, F WHERE B.k = F.k`, nil, nil)
+	// A Filter Join restricting a stored inner by a scan and, with CPU
+	// dearer, by index probes.
+	cpuHeavy := model
+	cpuHeavy.CPUTuple *= 10
+	stored := &core.Options{IncludeStored: true}
+	fjOnly := []string{"hash", "merge", "nlj", "indexnl"}
+	add("stored-scan", cat, model, stored, fjOnly, `
+		SELECT B.k, A.v FROM B, A WHERE B.k = A.k AND B.v < 10`, nil, ints(30))
+	add("stored-index-probe", cat, cpuHeavy, stored, fjOnly, `
+		SELECT A.k, L.v FROM A, L WHERE A.k = L.k AND A.v < 2`, nil, ints(5))
 
 	// Hand-built plans over instrumented Values leaves, which never poll.
 	// The optimizer materializes every nested-loops inner, and the

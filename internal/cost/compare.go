@@ -9,7 +9,8 @@ import "math"
 // prices identically can differ in the last few ulps. All dominance
 // tests in the optimizer go through Less/LessEq/ApproxEq so that such
 // ties are decided by the deterministic tie-breakers (arrival order),
-// not by rounding noise. The optlint floatcmp analyzer enforces this.
+// not by rounding noise. The jitter test (TestJitterKeepsPlans in
+// internal/core) checks this by moving every total a few ulps.
 const Eps = 1e-9
 
 // ApproxEq reports whether a and b are equal within Eps relative

@@ -40,14 +40,25 @@ func (e Estimate) Times(f float64) Estimate {
 	}
 }
 
-// Total weighs the estimate into scalar cost under model m.
+// TotalHook, when non-nil, is applied to every total TotalEstimate
+// returns. It is for tests only: the jitter test
+// (internal/core/jitter_test.go) moves every total by a few ulps and
+// requires every plan to come out the same, which holds only if each
+// cost comparison goes through the helpers in compare.go.
+var TotalHook func(float64) float64
+
+// TotalEstimate weighs the estimate into scalar cost under model m.
 func (m Model) TotalEstimate(e Estimate) float64 {
-	return m.PageRead*e.PageReads +
+	t := m.PageRead*e.PageReads +
 		m.PageWrite*e.PageWrites +
 		m.CPUTuple*e.CPUTuples +
 		m.NetByte*e.NetBytes +
 		m.NetMsg*e.NetMsgs +
 		m.FnCall*e.FnCalls
+	if TotalHook != nil {
+		return TotalHook(t)
+	}
+	return t
 }
 
 // FromCounter converts measured counters into an Estimate (for

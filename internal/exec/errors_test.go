@@ -142,8 +142,7 @@ func newFailingOp(t *testing.T) *failingOp {
 }
 
 // checkClosed asserts the error path closed the child and surfaced the
-// Next error. The tests that use it are named for when Close returned an
-// error to be joined with the Next error; only these two halves remain.
+// Next error.
 func checkClosed(t *testing.T, what string, f *failingOp, err error) {
 	t.Helper()
 	if !f.closed {
@@ -154,26 +153,26 @@ func checkClosed(t *testing.T, what string, f *failingOp, err error) {
 	}
 }
 
-func TestDrainJoinsCloseError(t *testing.T) {
+func TestDrainClosesChildOnError(t *testing.T) {
 	f := newFailingOp(t)
 	_, err := Drain(NewContext(), f)
 	checkClosed(t, "Drain", f, err)
 }
 
-func TestCountJoinsCloseError(t *testing.T) {
+func TestCountClosesChildOnError(t *testing.T) {
 	f := newFailingOp(t)
 	_, err := Count(NewContext(), f)
 	checkClosed(t, "Count", f, err)
 }
 
-func TestGroupByOpenJoinsCloseError(t *testing.T) {
+func TestGroupByOpenClosesChildOnError(t *testing.T) {
 	f := newFailingOp(t)
 	g := NewGroupBy(f, []int{0}, nil)
 	err := g.Open(NewContext())
 	checkClosed(t, "GroupBy.Open", f, err)
 }
 
-func TestGroupByAggEvalJoinsCloseError(t *testing.T) {
+func TestGroupByAggEvalClosesChildOnError(t *testing.T) {
 	// The aggregate argument errors during the build loop; the child
 	// must still be closed.
 	f := &failingOp{
@@ -193,14 +192,14 @@ func TestGroupByAggEvalJoinsCloseError(t *testing.T) {
 	}
 }
 
-func TestTopNOpenJoinsCloseError(t *testing.T) {
+func TestTopNOpenClosesChildOnError(t *testing.T) {
 	f := newFailingOp(t)
 	top := NewTopN(f, 1, []int{0}, nil)
 	err := top.Open(NewContext())
 	checkClosed(t, "TopN.Open", f, err)
 }
 
-func TestBuildKeySetJoinsCloseError(t *testing.T) {
+func TestBuildKeySetClosesChildOnError(t *testing.T) {
 	f := newFailingOp(t)
 	_, err := BuildKeySet(NewContext(), f, []int{0})
 	checkClosed(t, "BuildKeySet", f, err)

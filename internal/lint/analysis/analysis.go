@@ -17,8 +17,7 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// "//lint:ignore <name> <reason>" suppression comments.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
@@ -34,8 +33,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Report receives each diagnostic. The runner installs a collector
-	// that applies //lint:ignore suppression before surfacing it.
+	// Report receives each diagnostic.
 	Report func(Diagnostic)
 }
 
@@ -49,13 +47,6 @@ type Diagnostic struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
-}
-
-// Inspect walks every file of the pass in depth-first order.
-func (p *Pass) Inspect(f func(ast.Node) bool) {
-	for _, file := range p.Files {
-		ast.Inspect(file, f)
-	}
 }
 
 // WithStack walks the subtree rooted at n in depth-first order,
@@ -87,18 +78,4 @@ func WithStack(n ast.Node, f func(n ast.Node, stack []ast.Node) bool) {
 		stack = stack[:len(stack)-1]
 	}
 	walk(n)
-}
-
-// Implements reports whether t or *t satisfies iface.
-func Implements(t types.Type, iface *types.Interface) bool {
-	if iface == nil || t == nil {
-		return false
-	}
-	if types.Implements(t, iface) {
-		return true
-	}
-	if _, isPtr := t.(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), iface)
-	}
-	return false
 }

@@ -2,11 +2,8 @@
 // under internal/lint/testdata/src and checks its diagnostics against
 // `// want "regexp"` comments, mirroring the upstream
 // golang.org/x/tools/go/analysis/analysistest contract. Fixtures are
-// loaded under the import path "fixture/<name>", which the analyzers'
-// package gates treat as always-enforced, and may import real packages
-// of this module. Suppression directives (//lint:ignore) are applied
-// exactly as in production, so a fixture line carrying a directive and
-// no want comment asserts the suppression works.
+// loaded under the import path "fixture/<name>" and may import real
+// packages of this module.
 package analysistest
 
 import (

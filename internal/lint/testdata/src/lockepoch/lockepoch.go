@@ -196,10 +196,3 @@ func (d *db) rename(oldName, newName string, t *table) {
 		d.eng.cat.AddTable(newName, t)
 	})
 }
-
-// bootstrapInsert runs before any reader exists; the suppression
-// documents why the discipline does not apply.
-func (e *engine) bootstrapInsert(name string, r int) {
-	//lint:ignore lockepoch fixture: startup is single-threaded, no readers yet
-	e.cat.Lookup(name).Insert(r)
-}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"testing"
 
 	"filterjoin/internal/expr"
@@ -154,6 +155,33 @@ func TestOutputSchema(t *testing.T) {
 	}
 	if s2.Col(0).Type != value.KindFloat || s2.Col(0).Name != "y2" {
 		t.Errorf("proj schema = %s", s2)
+	}
+	// Computed select items: arithmetic keeps its left operand's type,
+	// every boolean form is a bool.
+	x, y := expr.NewCol(0, "A.x"), expr.NewCol(1, "A.y")
+	pos, neg := expr.NewCmp(expr.GT, x, expr.Int(0)), expr.NewCmp(expr.LT, y, expr.Float(1))
+	items := []struct {
+		e    expr.Expr
+		want value.Kind
+	}{
+		{expr.Arith{Op: expr.Mul, L: y, R: expr.Int(2)}, value.KindFloat},
+		{pos, value.KindBool},
+		{expr.NewAnd(pos, neg), value.KindBool},
+		{expr.NewOr(pos, neg), value.KindBool},
+		{expr.Not{Kid: pos}, value.KindBool},
+	}
+	b3 := &Block{Rels: []RelRef{{Name: "A"}}}
+	for i, it := range items {
+		b3.Proj = append(b3.Proj, Output{Expr: it.e, Name: fmt.Sprintf("c%d", i)})
+	}
+	s3, err := b3.OutputSchema(twoRelResolver(), "X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range items {
+		if got := s3.Col(i).Type; got != it.want {
+			t.Errorf("%s: output type %v, want %v", it.e, got, it.want)
+		}
 	}
 }
 

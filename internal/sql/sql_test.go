@@ -330,6 +330,22 @@ func TestBindAggregationErrors(t *testing.T) {
 	}
 }
 
+// TestBindNotAndAggregateInWhere: NOT binds to a negation, and an
+// aggregate in WHERE is refused by name.
+func TestBindNotAndAggregateInWhere(t *testing.T) {
+	b, err := bind(t, "SELECT E.eid FROM Emp E WHERE NOT (E.sal > 5)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := b.Preds[0].(expr.Not); !ok || n.Kid.String() != "E.sal > 5" {
+		t.Errorf("WHERE NOT (...) bound to %v", b.Preds[0])
+	}
+	_, err = bind(t, "SELECT E.did FROM Emp E WHERE AVG(E.sal) > 5")
+	if want := `sql: aggregate "AVG" not allowed here`; err == nil || err.Error() != want {
+		t.Errorf("aggregate in WHERE: err %v, want %q", err, want)
+	}
+}
+
 func TestBindAmbiguousColumn(t *testing.T) {
 	if _, err := bind(t, "SELECT did FROM Emp E, Dept D"); err == nil {
 		t.Error("ambiguous did must error")
