@@ -102,6 +102,7 @@ func newEngine(cfg Config) *Engine {
 		fbRatio:       fbRatio,
 	}
 	e.span = epoch.New(e.invalidate)
+	cat.Guard(e.span)
 	if !cfg.DisableFilterJoin {
 		e.fj = core.NewMethod(cfg.FilterJoin)
 		o.Register(e.fj)

@@ -104,7 +104,11 @@ func checkStatsExact(t *testing.T, ent *catalog.Entry) {
 // contract: the epoch advances, the plan cache is cleared, and the next
 // SELECT (a statement cached just before) re-plans against, and answers
 // from, the new state. A rejected statement pays the same bump: the
-// span does not ask whether anything was mutated.
+// span does not ask whether anything was mutated. Three sessions loop a
+// statement of their own while each write runs: under -race a
+// storage mutation left outside its span races with them. A span nested
+// in a span on the case's path trips a 20 s watchdog that panics with
+// the case's name instead of hanging the run.
 func TestEveryMutationBumpsEpoch(t *testing.T) {
 	const primed = "SELECT T.a FROM T"
 	sql1 := func(text string) func(*filterjoin.DB) error {
@@ -173,6 +177,9 @@ func TestEveryMutationBumpsEpoch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			defer time.AfterFunc(20*time.Second, func() {
+				panic(t.Name() + " still running after 20s: a span nested in a span?")
+			}).Stop()
 			open := invariantDB
 			if tc.setup != nil {
 				open = tc.setup
@@ -183,7 +190,37 @@ func TestEveryMutationBumpsEpoch(t *testing.T) {
 			}
 			epoch, clears := d.Engine().Epoch(), d.CacheStats().Clears
 
-			if err := tc.do(d); (err != nil) != tc.wantErr {
+			stop := make(chan struct{})
+			var started, readers sync.WaitGroup
+			// Equality predicates: planning each one looks T's indexes up.
+			for _, q := range []string{"SELECT T.a FROM T WHERE T.a = 1", "SELECT T.b FROM T WHERE T.a = 2", "SELECT T.a, T.b FROM T WHERE T.b = 20"} {
+				s := d.NewSession()
+				started.Add(1)
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for n := 0; ; n++ {
+						_, err := s.Query(q)
+						if n == 0 {
+							started.Done()
+						}
+						if err != nil {
+							t.Errorf("reader %q: %v", q, err)
+							return
+						}
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			started.Wait()
+			err := tc.do(d)
+			close(stop)
+			readers.Wait()
+			if (err != nil) != tc.wantErr {
 				t.Fatalf("err = %v, want error: %t", err, tc.wantErr)
 			}
 			if got := d.Engine().Epoch(); got <= epoch {
@@ -247,7 +284,11 @@ func TestPlanDoesNotWaitForReaders(t *testing.T) {
 		_, err := db.Query("SELECT T.a, F.v FROM T, F WHERE T.a = F.k")
 		parked <- err
 	}()
-	<-entered
+	select {
+	case <-entered:
+	case err := <-parked:
+		t.Fatalf("SELECT over F returned before it parked: %v", err)
+	}
 
 	planners := make(chan error, 1)
 	go func() {
@@ -284,10 +325,10 @@ func TestPlanDoesNotWaitForReaders(t *testing.T) {
 	}
 }
 
-// TestInsertErrorStillInvalidates pins the lockepoch error-path
-// contract: an INSERT that fails mid-statement has already made its
-// earlier rows visible, so the epoch must advance and cached plans must
-// be dropped even though the statement returns an error.
+// TestInsertErrorStillInvalidates pins the write span's error path: an
+// INSERT that fails mid-statement has already made its earlier rows
+// visible, so the epoch must advance and cached plans must be dropped
+// even though the statement returns an error.
 func TestInsertErrorStillInvalidates(t *testing.T) {
 	db := invariantDB(t)
 	ent := growT(t, db, 200)

@@ -128,7 +128,9 @@ func Open(cfg Config) *DB { return &DB{newEngine(cfg).NewSession()} }
 // NewSession returns a new lightweight session on the DB's engine.
 func (db *DB) NewSession() *Session { return db.eng.NewSession() }
 
-// Catalog exposes the relation catalog.
+// Catalog exposes the relation catalog. It is read-only to callers:
+// mutate it through the DB's methods, whose write spans bump the epoch.
+// Its mutators panic outside a write span.
 func (db *DB) Catalog() *catalog.Catalog { return db.eng.cat }
 
 // Optimizer exposes the prototype optimizer (metrics, method toggles,

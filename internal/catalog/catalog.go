@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"filterjoin/internal/epoch"
 	"filterjoin/internal/query"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/stats"
@@ -48,6 +49,8 @@ func (k Kind) String() string {
 // FuncBody is the implementation of a user-defined relation: invoked with
 // one binding of the argument columns, it returns the matching rows
 // (complete rows of the relation's schema, argument columns included).
+// A body must not call back into the DB serving it: it runs inside the
+// caller's read span, and a nested read deadlocks behind a queued writer.
 type FuncBody func(args value.Row) ([]value.Row, error)
 
 // Entry describes one named relation.
@@ -89,6 +92,8 @@ type Entry struct {
 	fb        *stats.Feedback
 	fbStats   *stats.RelStats
 	fbVersion uint64
+
+	guard *epoch.Lock // the registering catalog's; nil guards nothing
 }
 
 // Virtual reports whether the relation is a paper-sense virtual relation.
@@ -166,6 +171,7 @@ func (e *Entry) dropStats() {
 // histogram has anyway. Feedback — observations made against the old
 // data must not correct statistics of the new — is reset either way.
 func (e *Entry) FoldInsert(first int) {
+	e.guard.MustWrite()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.foldInsert(first)
@@ -188,6 +194,7 @@ func (e *Entry) foldInsert(first int) {
 // the collected statistics describe. An entry whose table did not grow,
 // or whose statistics were never collected, is left exactly as it is.
 func (e *Entry) FoldAppended() {
+	e.guard.MustWrite()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.tableStats == nil {
@@ -220,22 +227,46 @@ func (e *Entry) Feedback() *stats.Feedback {
 // ObserveFeedback folds one measured selectivity into the relation's
 // feedback store and reports whether the store changed. A true return
 // means statistics-derived artifacts (cached plans, memoized view
-// leaves) are stale: the engine calling this under its write lock owes
-// an epoch bump before releasing it (enforced by optlint's lockepoch).
+// leaves) are stale, so a guarded entry observes only inside a write
+// span, whose exit bumps the epoch, and panics outside one.
 func (e *Entry) ObserveFeedback(o stats.PredObservation) bool {
+	e.guard.MustWrite()
 	return e.Feedback().Observe(o)
 }
 
 // Catalog is a name → relation map. Planning only reads it (relations
 // an optimization needs beyond it arrive by value, see TableEntry), so
-// it is written only inside the engine's write spans.
+// it is written only inside the engine's write spans: a guarded catalog
+// and its entries panic when mutated outside one.
 type Catalog struct {
 	entries map[string]*Entry
+	guard   *epoch.Lock
 }
 
-// New creates an empty catalog.
+// New creates an empty, unguarded catalog.
 func New() *Catalog {
 	return &Catalog{entries: map[string]*Entry{}}
+}
+
+// Guard makes every later mutation of the catalog, and of the entries
+// it registers, call l.MustWrite first.
+func (c *Catalog) Guard(l *epoch.Lock) { c.guard = l }
+
+// Clone returns an unguarded catalog holding the same entries: a
+// private namespace to add transient relations to.
+func (c *Catalog) Clone() *Catalog {
+	out := New()
+	for name, e := range c.entries {
+		out.entries[name] = e
+	}
+	return out
+}
+
+func (c *Catalog) add(e *Entry) *Entry {
+	c.guard.MustWrite()
+	e.guard = c.guard
+	c.entries[e.Name] = e
+	return e
 }
 
 // TableEntry describes t as a local base table without registering it
@@ -249,32 +280,24 @@ func TableEntry(t *storage.Table, st *stats.RelStats) *Entry {
 
 // AddTable registers a local base table.
 func (c *Catalog) AddTable(t *storage.Table) *Entry {
-	e := TableEntry(t, nil)
-	c.entries[t.Name()] = e
-	return e
+	return c.add(TableEntry(t, nil))
 }
 
 // AddRemoteTable registers a table homed at the given site (>0).
 func (c *Catalog) AddRemoteTable(t *storage.Table, site int) *Entry {
-	e := &Entry{Name: t.Name(), Kind: KindRemote, Table: t, Site: site}
-	c.entries[t.Name()] = e
-	return e
+	return c.add(&Entry{Name: t.Name(), Kind: KindRemote, Table: t, Site: site})
 }
 
 // AddView registers a view defined by a query block.
 func (c *Catalog) AddView(name string, def *query.Block) *Entry {
-	e := &Entry{Name: name, Kind: KindView, ViewDef: def}
-	c.entries[name] = e
-	return e
+	return c.add(&Entry{Name: name, Kind: KindView, ViewDef: def})
 }
 
 // AddRemoteView registers a view whose body executes at a remote site:
 // the virtual-relation case the paper highlights for heterogeneous
 // databases. Site must be > 0.
 func (c *Catalog) AddRemoteView(name string, def *query.Block, site int) *Entry {
-	e := &Entry{Name: name, Kind: KindView, ViewDef: def, Site: site}
-	c.entries[name] = e
-	return e
+	return c.add(&Entry{Name: name, Kind: KindView, ViewDef: def, Site: site})
 }
 
 // AddFunc registers a user-defined relation. argCols are the schema
@@ -282,7 +305,7 @@ func (c *Catalog) AddRemoteView(name string, def *query.Block, site int) *Entry 
 // assumed value distribution for costing; perCall is the average number
 // of rows one invocation returns.
 func (c *Catalog) AddFunc(name string, sch *schema.Schema, argCols []int, fn FuncBody, st *stats.RelStats, perCall float64) *Entry {
-	e := &Entry{
+	return c.add(&Entry{
 		Name:      name,
 		Kind:      KindFunc,
 		Fn:        fn,
@@ -290,9 +313,7 @@ func (c *Catalog) AddFunc(name string, sch *schema.Schema, argCols []int, fn Fun
 		ArgCols:   append([]int(nil), argCols...),
 		FnStats:   st,
 		FnPerCall: perCall,
-	}
-	c.entries[name] = e
-	return e
+	})
 }
 
 // Get looks a relation up by name.
@@ -311,7 +332,10 @@ func (c *Catalog) Has(name string) bool {
 }
 
 // Drop removes a relation.
-func (c *Catalog) Drop(name string) { delete(c.entries, name) }
+func (c *Catalog) Drop(name string) {
+	c.guard.MustWrite()
+	delete(c.entries, name)
+}
 
 // Names lists registered relation names, sorted.
 func (c *Catalog) Names() []string {

@@ -3,6 +3,7 @@ package catalog
 import (
 	"testing"
 
+	"filterjoin/internal/epoch"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/query"
 	"filterjoin/internal/schema"
@@ -207,5 +208,60 @@ func TestKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%v renders %q", k, k.String())
 		}
+	}
+}
+
+func panics(fn func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestGuardChecksEveryMutator: every mutator of a guarded catalog, and of
+// the entries it registered, panics outside a write span and inside a
+// read span, and runs inside a write span; an unguarded catalog's, a
+// guarded one's Clone included, never panic.
+func TestGuardChecksEveryMutator(t *testing.T) {
+	for _, m := range []struct {
+		name   string
+		mutate func(*Catalog, *Entry)
+	}{
+		{"AddTable", func(c *Catalog, _ *Entry) { c.AddTable(empTable()) }},
+		{"AddRemoteTable", func(c *Catalog, _ *Entry) { c.AddRemoteTable(empTable(), 1) }},
+		{"AddView", func(c *Catalog, _ *Entry) { c.AddView("V", &query.Block{}) }},
+		{"AddRemoteView", func(c *Catalog, _ *Entry) { c.AddRemoteView("V", &query.Block{}, 1) }},
+		{"AddFunc", func(c *Catalog, _ *Entry) { c.AddFunc("F", nil, nil, nil, nil, 1) }},
+		{"Drop", func(c *Catalog, _ *Entry) { c.Drop("Emp") }},
+		{"FoldInsert", func(_ *Catalog, e *Entry) { e.FoldInsert(e.Table.NumRows()) }},
+		{"FoldAppended", func(_ *Catalog, e *Entry) { e.FoldAppended() }},
+		{"ObserveFeedback", func(_ *Catalog, e *Entry) { e.ObserveFeedback(stats.PredObservation{Key: "k", Sel: 0.5, Col: -1}) }},
+	} {
+		l := epoch.New(func() {})
+		g := New()
+		g.Guard(l)
+		var ent *Entry
+		l.Write(func() { ent = g.AddTable(empTable()) })
+		if !panics(func() { m.mutate(g, ent) }) {
+			t.Errorf("%s on a guarded catalog outside any span did not panic", m.name)
+		}
+		l.Read(func(uint64) {
+			if !panics(func() { m.mutate(g, ent) }) {
+				t.Errorf("%s on a guarded catalog inside a read span did not panic", m.name)
+			}
+		})
+		l.Write(func() {
+			if panics(func() { m.mutate(g, ent) }) {
+				t.Errorf("%s on a guarded catalog panicked inside a write span", m.name)
+			}
+		})
+		u := New()
+		if uent := u.AddTable(empTable()); panics(func() { m.mutate(u, uent) }) {
+			t.Errorf("%s on an unguarded catalog panicked", m.name)
+		}
+	}
+	g := New()
+	g.Guard(epoch.New(func() {}))
+	if c := g.Clone(); panics(func() { c.AddView("W", &query.Block{}); c.Drop("W") }) {
+		t.Error("a guarded catalog's clone is guarded")
 	}
 }

@@ -3,10 +3,15 @@
 // it — a read span and a write span — the only ways, and makes the
 // write span's epoch bump and invalidation something a mutation cannot
 // skip: the mutex and the counter are unexported, so no caller can hold
-// one without going through Read or Write (DESIGN.md §12).
+// one without going through Read or Write (DESIGN.md §12). MustWrite
+// lets the guarded state check at run time that it is mutated only
+// inside a write span.
 package epoch
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Lock is an RWMutex, the epoch it guards, and the invalidation every
 // mutation owes.
@@ -14,6 +19,7 @@ type Lock struct {
 	mu         sync.RWMutex
 	epoch      uint64
 	invalidate func()
+	writing    atomic.Bool // a Write closure is running
 }
 
 // New returns a Lock at epoch 0 whose write spans end by calling
@@ -35,10 +41,20 @@ func (l *Lock) Read(fn func(epoch uint64)) {
 // the pre-mutation state survives a mutation, whole or partial.
 func (l *Lock) Write(fn func()) {
 	l.mu.Lock()
+	l.writing.Store(true)
 	defer func() {
 		l.epoch++
 		l.invalidate()
+		l.writing.Store(false)
 		l.mu.Unlock()
 	}()
 	fn()
+}
+
+// MustWrite panics unless a write span is running: the guarded state's
+// mutators call it first. A nil *Lock guards nothing.
+func (l *Lock) MustWrite() {
+	if l != nil && !l.writing.Load() {
+		panic("epoch: mutation outside a write span")
+	}
 }

@@ -54,3 +54,36 @@ func TestReadReleasesOnPanic(t *testing.T) {
 		t.Fatal("write span still blocked 5s after a panicking read span: the shared lock was not released")
 	}
 }
+
+func panics(fn func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestMustWrite: MustWrite passes only while a Write closure runs — not
+// outside any span, not inside a Read span, and not after a Write whose
+// closure panicked — and a nil Lock guards nothing.
+func TestMustWrite(t *testing.T) {
+	l := New(func() {})
+	if !panics(l.MustWrite) {
+		t.Error("MustWrite outside any span did not panic")
+	}
+	l.Read(func(uint64) {
+		if !panics(l.MustWrite) {
+			t.Error("MustWrite inside a read span did not panic")
+		}
+	})
+	l.Write(func() {
+		if panics(l.MustWrite) {
+			t.Error("MustWrite inside a write span panicked")
+		}
+	})
+	panics(func() { l.Write(func() { panic("mid-mutation") }) })
+	if !panics(l.MustWrite) {
+		t.Error("MustWrite after a panicking write span did not panic: the flag stayed set")
+	}
+	if panics((*Lock)(nil).MustWrite) {
+		t.Error("MustWrite on a nil Lock panicked")
+	}
+}
