@@ -11,85 +11,101 @@
 package filterjoin
 
 import (
+	"filterjoin/internal/catalog"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/plan"
 	"filterjoin/internal/stats"
+	"filterjoin/internal/value"
 )
+
+// feedbackRatio is the est-vs-actual factor beyond which a measured
+// cardinality is fed back into statistics.
+const feedbackRatio = 2
 
 // feedbackObs is one candidate statistics correction: a measured
 // selectivity for a predicate over a named base relation.
 type feedbackObs struct {
 	rel  string
-	pred expr.Expr // the leaf's local predicate (provenance)
-	est  float64   // the executed plan's estimated output rows
+	pred expr.Expr // the leaf's local predicate under the execution's binding
 	act  float64   // measured output rows (complete: one Open, no truncation)
 	raw  float64   // unfiltered relation cardinality the plan was built from
 }
 
 // absorbFeedback is the slow feedback loop. It must be called outside
 // any span: candidates are extracted lock-free from the finished result,
-// and only if any exist does it enter a write span, verify each against
-// the catalog's current estimate, and record the misestimated ones.
-// Verification inside the span matters because the executed plan's
-// estimates may predate a correction another session has already
-// applied: comparing against ent.Stats() keeps one misestimate from
-// being observed twice. The span's epoch bump is unconditional: plans
-// cached under it were planned from statistics just shown to
-// misestimate, and a rare spurious bump (every per-relation check
-// failing inside the span) only costs one re-optimization.
-func (e *Engine) absorbFeedback(res *Result) {
+// a read span checks each against the catalog's current estimate, and
+// only if one misestimates does it enter a write span, check again and
+// record the misestimated ones. The check runs under the execution's
+// binding, not the planned one: a cached plan serves every binding of
+// its selectivity class, and its leaves' estimates are for the binding
+// it was planned with. Checking again inside the write span matters
+// because another session may have applied a correction in between:
+// comparing against ent.Stats() keeps one misestimate from being
+// observed twice. The span's epoch bump is unconditional: plans cached
+// under it were planned from statistics just shown to misestimate, and
+// a rare spurious bump (every check failing inside the span) only costs
+// one re-optimization.
+func (e *Engine) absorbFeedback(res *Result, args []value.Value) {
 	if !e.adaptFeedback || res == nil || res.Plan == nil {
 		return
 	}
-	cands := collectObservations(res)
-	// Cheap pre-gate: enter the write span only when some candidate
-	// misestimates against the executed plan's own numbers.
-	need := false
-	for _, c := range cands {
-		if _, off := plan.Misestimate(c.est, c.act, e.fbRatio); off {
-			need = true
-			break
-		}
+	cands := collectObservations(res, args)
+	if len(cands) == 0 {
+		return
 	}
+	need := false
+	e.span.Read(func(uint64) {
+		for _, c := range cands {
+			if _, ok := e.correction(c); ok {
+				need = true
+				return
+			}
+		}
+	})
 	if !need {
 		return
 	}
 	e.span.Write(func() {
 		for _, c := range cands {
-			ent, err := e.cat.Get(c.rel)
-			if err != nil {
-				continue
+			if ent, ok := e.correction(c); ok {
+				o := stats.PredObservation{
+					Key: stats.PredKey(c.pred),
+					Sel: c.act / c.raw,
+					Col: -1,
+				}
+				if col, op, x, ok := refinableCmp(c.pred); ok {
+					o.Col, o.Op, o.X = col, op, x
+				}
+				ent.ObserveFeedback(o)
 			}
-			st := ent.Stats()
-			if st == nil {
-				continue
-			}
-			planned := stats.Selectivity(c.pred, st) * c.raw
-			if _, off := plan.Misestimate(planned, c.act, e.fbRatio); !off {
-				continue
-			}
-			o := stats.PredObservation{
-				Key: stats.PredKey(c.pred),
-				Sel: c.act / c.raw,
-				Col: -1,
-			}
-			if col, op, x, ok := refinableCmp(c.pred); ok {
-				o.Col, o.Op, o.X = col, op, x
-			}
-			ent.ObserveFeedback(o)
 		}
 	})
 }
 
+// correction returns c's catalog entry and whether the entry's current
+// statistics misestimate c by the feedback ratio. It runs inside a span.
+func (e *Engine) correction(c feedbackObs) (*catalog.Entry, bool) {
+	ent, err := e.cat.Get(c.rel)
+	if err != nil {
+		return nil, false
+	}
+	st := ent.Stats()
+	if st == nil {
+		return nil, false
+	}
+	_, off := plan.Misestimate(stats.Selectivity(c.pred, st)*c.raw, c.act, feedbackRatio)
+	return ent, off
+}
+
 // collectObservations extracts complete leaf-scan measurements from a
-// finished result, without touching the catalog (lock-free). A
-// measurement is complete only when the node was opened exactly once —
-// multi-open leaves are probe-parameterized access paths (index
-// nested-loop inners, recomputed production sets) whose per-open counts
-// do not reflect the static predicate alone — and when no ancestor
-// truncates its input (TopN/Limit), which would undercount every leaf
-// below it.
-func collectObservations(res *Result) []feedbackObs {
+// finished result, without touching the catalog (lock-free), binding
+// each leaf's predicate with the execution's arguments. A measurement is
+// complete only when the node was opened exactly once — multi-open
+// leaves are probe-parameterized access paths (index nested-loop
+// inners, recomputed production sets) whose per-open counts do not
+// reflect the static predicate alone — and when no ancestor truncates
+// its input (TopN/Limit), which would undercount every leaf below it.
+func collectObservations(res *Result, args []value.Value) []feedbackObs {
 	truncated := false
 	res.Plan.Walk(func(n *plan.Node) {
 		switch n.Kind {
@@ -108,8 +124,7 @@ func collectObservations(res *Result) []feedbackObs {
 		}
 		out = append(out, feedbackObs{
 			rel:  n.Source,
-			pred: n.SourcePred,
-			est:  n.Rows,
+			pred: expr.BindParams(n.SourcePred, args),
 			act:  float64(st.Rows),
 			raw:  n.SourceRows,
 		})

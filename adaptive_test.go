@@ -159,8 +159,9 @@ func TestAdaptiveFeedbackConverges(t *testing.T) {
 // With feedback off (the default), the engine must be bit-identical in
 // rows and counters at morsel sizes 1 and 1024.
 func TestAdaptiveDisabledBitIdentical(t *testing.T) {
-	row := adaptiveDB(t, filterjoin.Config{BatchSize: 1})
-	batch := adaptiveDB(t, filterjoin.Config{BatchSize: 1024})
+	row := adaptiveDB(t, filterjoin.Config{})
+	row.SetBatchSize(1)
+	batch := adaptiveDB(t, filterjoin.Config{})
 	queries := []string{
 		correlatedQuery,
 		`SELECT B.g, COUNT(*) FROM Big B WHERE B.a < 7 GROUP BY B.g`,
@@ -181,5 +182,42 @@ func TestAdaptiveDisabledBitIdentical(t *testing.T) {
 		if got, want := fmt.Sprint(sortedRows(r1.Rows)), fmt.Sprint(sortedRows(r2.Rows)); got != want {
 			t.Errorf("query %q: row/batch results differ", q)
 		}
+	}
+}
+
+// A cached plan serves every binding of its selectivity class, so
+// feedback must judge a run under the binding it ran with: `< 900`
+// served from `< 100`'s cache entry returns 900 rows, which is no
+// misestimate of `B.id < 900`, and must neither correct `B.id < 100`'s
+// statistics nor move the epoch.
+func TestAdaptiveFeedbackUsesExecutionBinding(t *testing.T) {
+	db := adaptiveDB(t, filterjoin.Config{AdaptiveFeedback: true})
+	eng := db.Engine()
+	const low, high = `SELECT B.id FROM Big B WHERE B.id < 100`, `SELECT B.id FROM Big B WHERE B.id < 900`
+	epoch0 := eng.Epoch()
+	for i := 0; i < 4; i++ {
+		for _, q := range []string{low, high} {
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 && res.CacheState != "hit" {
+				t.Fatalf("round %d %q: CacheState = %q, want hit (test premise: one Fig-5 class)", i, q, res.CacheState)
+			}
+		}
+		if got := eng.Epoch(); got != epoch0 {
+			t.Fatalf("round %d: epoch %d -> %d: an accurately estimated binding was fed back", i, epoch0, got)
+		}
+	}
+	p, err := db.Plan(low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := p.Find("TableScan")
+	if leaf == nil || leaf.Source != "Big" {
+		t.Fatalf("plan has no Big scan:\n%s", plan.Format(p, db.Model()))
+	}
+	if leaf.Rows < 80 || leaf.Rows > 130 {
+		t.Fatalf("B.id < 100 estimated at %.0f rows, want ~101", leaf.Rows)
 	}
 }

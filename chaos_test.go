@@ -81,11 +81,9 @@ func TestChaosFacadeRowIdentical(t *testing.T) {
 	want := sortedRows(freeRes.Rows)
 
 	for _, seed := range []int64{1, 2, 3} {
-		cfg := filterjoin.Config{
-			Chaos: &dist.ChaosConfig{Seed: seed, DropRate: 0.5, MaxLatencyMs: 50, OutageEvery: 6, OutageLen: 2},
-			Retry: dist.RetryPolicy{MaxAttempts: 5, TimeoutMs: 30, BackoffMs: 2},
-		}
-		db := distDB(t, cfg)
+		db := distDB(t, filterjoin.Config{})
+		db.SetChaos(&dist.ChaosConfig{Seed: seed, DropRate: 0.5, MaxLatencyMs: 50, OutageEvery: 6, OutageLen: 2},
+			dist.RetryPolicy{MaxAttempts: 5, TimeoutMs: 30, BackoffMs: 2})
 		// Force the chattiest strategy — fetch matches by key, one
 		// message per outer row — so every seed's schedule has enough
 		// sends to hit drops and outage windows.
@@ -130,24 +128,12 @@ func TestChaosFacadeRowIdentical(t *testing.T) {
 // window, while the fallback's single bulk-open message gets through on
 // a retry.
 func degradeDB(t *testing.T) *filterjoin.DB {
-	return degradeDBWith(t, nil)
-}
-
-// degradeDBWith is degradeDB with a config hook, so tests can stack
-// further knobs (batch size, parallelism) on the degradation scenario.
-func degradeDBWith(t *testing.T, mut func(*filterjoin.Config)) *filterjoin.DB {
 	t.Helper()
 	model := cost.DefaultModel()
 	model.NetByte *= 5000
-	cfg := filterjoin.Config{
-		Model: &model,
-		Chaos: &dist.ChaosConfig{OutageEvery: 5, OutageLen: 4, NoEventualDelivery: true},
-		Retry: dist.RetryPolicy{MaxAttempts: 3, BackoffMs: 1},
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	db := distDB(t, cfg)
+	db := distDB(t, filterjoin.Config{Model: &model})
+	db.SetChaos(&dist.ChaosConfig{OutageEvery: 5, OutageLen: 4, NoEventualDelivery: true},
+		dist.RetryPolicy{MaxAttempts: 3, BackoffMs: 1})
 	for _, m := range []string{"merge", "nlj", "indexnl", "filterjoin"} {
 		db.Optimizer().Disabled[m] = true
 	}

@@ -218,10 +218,8 @@ func renderMagicSQL(db *filterjoin.DB, block *query.Block, ch *core.Choice, fjNo
 	if e.ViewDef == nil {
 		return nil
 	}
-	// The rewrite registers transient views, so it runs on a private
-	// copy: the engine's catalog is mutated only inside write spans.
 	sips := fjNode.Children[0].Rels.Members()
-	rw, err := magic.Rewrite(db.Catalog().Clone(), block, ch.InnerIndex, sips)
+	rw, err := magic.Rewrite(db.Catalog(), block, ch.InnerIndex, sips)
 	if err != nil {
 		return err
 	}

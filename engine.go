@@ -52,19 +52,20 @@ type Engine struct {
 	proto *opt.Optimizer
 	fj    *core.Method
 	model cost.Model
+
+	// chaos, when non-nil, replaces the free instant network with the
+	// seeded fault-injecting transport under the retry policy (DESIGN.md
+	// §10). Only tests set it.
 	chaos *dist.ChaosConfig
 	retry dist.RetryPolicy
-	batch int
 
 	cache    *plancache.Cache
 	cacheOff bool
 
-	// Statistics-feedback knobs (DESIGN.md §14), resolved once at
-	// construction. Off by default, in which case no feedback path runs:
-	// behavior, counters, and goldens are bit-identical to the static
-	// engine.
+	// adaptFeedback turns statistics feedback (DESIGN.md §14) on. Off by
+	// default, in which case no feedback path runs: behavior, counters,
+	// and goldens are bit-identical to the static engine.
 	adaptFeedback bool
-	fbRatio       float64
 }
 
 func newEngine(cfg Config) *Engine {
@@ -74,37 +75,19 @@ func newEngine(cfg Config) *Engine {
 	}
 	cat := catalog.New()
 	o := opt.New(cat, model)
-	if cfg.MaxRelations > 0 {
-		o.MaxRelations = cfg.MaxRelations
-	}
-	batch := cfg.BatchSize
-	if batch == 0 {
-		batch = exec.DefaultBatchSize
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	o.BatchSize = batch
-	fbRatio := cfg.FeedbackRatio
-	if fbRatio <= 1 {
-		fbRatio = 2
-	}
+	o.BatchSize = exec.DefaultBatchSize
 	e := &Engine{
 		cat:           cat,
 		proto:         o,
 		model:         model,
-		chaos:         cfg.Chaos,
-		retry:         cfg.Retry,
-		batch:         batch,
-		cache:         plancache.New(cfg.PlanCacheSize),
+		cache:         plancache.New(0),
 		cacheOff:      cfg.DisablePlanCache,
 		adaptFeedback: cfg.AdaptiveFeedback,
-		fbRatio:       fbRatio,
 	}
 	e.span = epoch.New(e.invalidate)
 	cat.Guard(e.span)
 	if !cfg.DisableFilterJoin {
-		e.fj = core.NewMethod(cfg.FilterJoin)
+		e.fj = core.NewMethod(core.Options{})
 		o.Register(e.fj)
 	}
 	return e
@@ -350,7 +333,7 @@ func (e *Engine) serveSelect(stdctx context.Context, sel *sql.SelectStmt, userAr
 	}
 	_, _, res, err := e.serve(stdctx, request{sel: norm, text: sql.FormatSelect(norm), args: args, run: true})
 	if err == nil {
-		e.absorbFeedback(res)
+		e.absorbFeedback(res, args)
 	}
 	return res, err
 }
@@ -375,14 +358,13 @@ func (e *Engine) classVector(b *query.Block, nParams int) string {
 	}
 	layout, err := b.Layout(e.cat)
 	if err == nil {
-		grid := e.classGrid()
 		for _, p := range b.Preds {
 			set := map[int]bool{}
 			expr.CollectParams(p, set)
 			if len(set) == 0 {
 				continue
 			}
-			cls := e.classifyPred(p, b, layout, grid)
+			cls := e.classifyPred(p, b, layout)
 			for idx := range set {
 				if idx >= 0 && idx < nParams {
 					classes[idx] = cls
@@ -400,7 +382,7 @@ func (e *Engine) classVector(b *query.Block, nParams int) string {
 // classifyPred buckets one predicate's selectivity into the sample grid.
 // Only single-relation predicates over relations with stored statistics
 // are classifiable; everything else shares class -1.
-func (e *Engine) classifyPred(p expr.Expr, b *query.Block, layout *query.Layout, grid []float64) int {
+func (e *Engine) classifyPred(p expr.Expr, b *query.Block, layout *query.Layout) int {
 	rels := query.PredRels(p, layout)
 	if rels.Count() != 1 {
 		return -1
@@ -418,16 +400,7 @@ func (e *Engine) classifyPred(p expr.Expr, b *query.Block, layout *query.Layout,
 		return -1
 	}
 	local := p.Shift(-layout.Offsets[ri])
-	return plancache.Classify(stats.Selectivity(local, st), grid)
-}
-
-// classGrid returns the selectivity grid shared with the parametric view
-// coster: the configured sample points, defaulting to the paper's.
-func (e *Engine) classGrid() []float64 {
-	if e.fj != nil {
-		return e.fj.Opts.Grid()
-	}
-	return core.DefaultSamplePoints
+	return plancache.Classify(stats.Selectivity(local, st), core.DefaultSamplePoints)
 }
 
 // configFingerprint captures every optimizer knob that changes plan
@@ -516,7 +489,7 @@ func (e *Engine) explainSelect(stdctx context.Context, sel *sql.SelectStmt, user
 		out = plan.FormatAnalyze(res.Plan, e.model, res.ops, res.Cost, opts)
 		out += degradedLine(res)
 		out += fmt.Sprintf("rows: %d\n", len(res.Rows))
-		e.absorbFeedback(res)
+		e.absorbFeedback(res, r.args)
 	} else {
 		out = plan.Format(p, e.model)
 		if stmtCost {
@@ -548,7 +521,7 @@ func (e *Engine) serveExplainStmt(stdctx context.Context, s *sql.ExplainStmt, ar
 func (e *Engine) newExecContext(stdctx context.Context, args []value.Value) *exec.Context {
 	ctx := exec.NewContext()
 	ctx.Caller = stdctx
-	ctx.BatchSize = e.batch
+	ctx.BatchSize = e.proto.Batch()
 	ctx.Params = args
 	if e.chaos != nil {
 		ctx.Net = dist.NewChaosTransport(*e.chaos, e.retry)

@@ -56,9 +56,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		oMagic := opt.New(cat, model)
+		oMagic := opt.New(rw.Cat, model)
 		costMagic, _ := measure(oMagic, rw.Final, model)
-		rw.Drop()
 
 		oFJ := opt.New(cat, model)
 		oFJ.Register(core.NewMethod(core.Options{}))

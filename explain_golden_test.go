@@ -43,11 +43,11 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // quickstartDB loads the quickstart example's deterministic schema and
-// data (6000 employees over 150 departments, formula-generated). The
-// batch size is pinned because EXPLAIN prints it (batch=N).
+// data (6000 employees over 150 departments, formula-generated) on the
+// default config, whose batch size EXPLAIN prints (batch=1024).
 func quickstartDB(t *testing.T) *filterjoin.DB {
 	t.Helper()
-	return quickstartDBWith(t, filterjoin.Config{BatchSize: 1024})
+	return quickstartDBWith(t, filterjoin.Config{})
 }
 
 func quickstartDBWith(t *testing.T, cfg filterjoin.Config) *filterjoin.DB {
@@ -183,9 +183,7 @@ func TestExplainAnalyzeGoldenOrderByElision(t *testing.T) {
 // deterministic because the chaos schedule depends only on the seed and
 // the send sequence, which batching preserves.
 func TestExplainAnalyzeGoldenBatchDegraded(t *testing.T) {
-	db := degradeDBWith(t, func(cfg *filterjoin.Config) {
-		cfg.BatchSize = 1024
-	})
+	db := degradeDB(t)
 	got, err := db.ExplainAnalyze(distJoinQuery)
 	if err != nil {
 		t.Fatal(err)

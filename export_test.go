@@ -12,3 +12,7 @@ func (e *Engine) ConfigFingerprint() string { return e.configFingerprint() }
 func (db *DB) SetChaos(c *dist.ChaosConfig, p dist.RetryPolicy) {
 	db.eng.chaos, db.eng.retry = c, p
 }
+
+// SetBatchSize sets the executor morsel size db's later plans record and
+// executions run at (default exec.DefaultBatchSize).
+func (db *DB) SetBatchSize(n int) { db.eng.proto.BatchSize = n }

@@ -425,3 +425,30 @@ func TestDegreeOfParallelismIsInert(t *testing.T) {
 		t.Errorf("Result.Cost %s, want %s", got.Cost.String(), want.Cost.String())
 	}
 }
+
+// Open(Config{}) resolves to fixed optimizer and plan-cache defaults:
+// the plan-cache config fingerprint, and a 256-entry cache whose 257th
+// distinct statement evicts exactly one entry.
+func TestOpenDefaults(t *testing.T) {
+	db := filterjoin.Open(filterjoin.Config{})
+	const fp = "off= noorder=false batch=1024 max=14 fj=true"
+	if got := db.Engine().ConfigFingerprint(); got != fp {
+		t.Errorf("default config fingerprint %q, want %q", got, fp)
+	}
+	if err := db.ExecScript(`CREATE TABLE T (a int); INSERT INTO T VALUES (1);`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 257; i++ {
+		if _, err := db.Query(fmt.Sprintf(`SELECT T.a AS c%d FROM T`, i)); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if i == 257 {
+			want = 1
+		}
+		if st := db.CacheStats(); st.Misses != int64(i) || st.Evictions != want {
+			t.Fatalf("after %d distinct statements: misses %d, evictions %d; want %d, %d",
+				i, st.Misses, st.Evictions, i, want)
+		}
+	}
+}

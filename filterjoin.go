@@ -58,54 +58,22 @@ type Config struct {
 	// DisableFilterJoin turns the paper's join method off entirely
 	// (the baseline optimizer).
 	DisableFilterJoin bool
-	// FilterJoin tunes the Filter Join method (attribute subsets, Bloom
-	// filters, stored-relation semi-joins, coster sample points).
-	FilterJoin core.Options
-	// MaxRelations caps the DP size (default 14).
-	MaxRelations int
 	// Deprecated: no effect. Every query runs on one thread; the field
 	// remains only because the frozen bench/ sources set it.
 	DegreeOfParallelism int
-	// Chaos, when non-nil, replaces the free instant network with the
-	// seeded fault-injecting transport: remote crossings suffer message
-	// loss, latency, and transient site outages from the reproducible
-	// schedule Chaos describes, recovered by the Retry policy. Every
-	// query execution gets a fresh schedule, so a query's fault pattern
-	// depends only on (Chaos.Seed, the query) — never on what ran before
-	// it — and the default transport guarantees eventual delivery, so
-	// results stay row-identical to fault-free runs (DESIGN.md §10).
-	Chaos *dist.ChaosConfig
-	// Retry tunes the retry/timeout/backoff policy applied to every
-	// remote send when Chaos is set; zero fields take the dist defaults
-	// (4 attempts, 400ms per-attempt timeout, 10ms initial backoff,
-	// doubling per retry).
-	Retry dist.RetryPolicy
-	// BatchSize sets the executor morsel size: operators exchange
-	// batches of up to that many rows. 0 takes the default (1024); 1
-	// degenerates every pull to a single row. It tunes dispatch overhead
-	// only: results, row order, and measured cost counters are identical
-	// at every setting (DESIGN.md §11).
-	BatchSize int
 	// DisablePlanCache turns the serving layer's normalized-query plan
 	// cache off: every SELECT re-optimizes from scratch and EXPLAIN
 	// reports cache=bypass.
 	DisablePlanCache bool
-	// PlanCacheSize caps the plan cache's entry count; 0 takes the
-	// default (256).
-	PlanCacheSize int
 	// AdaptiveFeedback enables post-run statistics feedback (DESIGN.md
 	// §14): after every instrumented SELECT, per-operator actual
-	// cardinalities that miss their estimates by FeedbackRatio are folded
+	// cardinalities that miss their estimates by a factor of 2 are folded
 	// back into the scanned relations' statistics (observed predicate
 	// selectivities plus histogram refinement, copy-on-write), and the
 	// catalog epoch is bumped so cached plans built from the stale
 	// statistics re-optimize. Off by default: the engine then behaves
 	// exactly as a static System R optimizer.
 	AdaptiveFeedback bool
-	// FeedbackRatio is the est-vs-actual factor beyond which a measured
-	// cardinality is fed back into statistics; values <= 1 take the
-	// default 2.
-	FeedbackRatio float64
 }
 
 // DB is an in-memory database instance: an Engine (catalog, optimizer,

@@ -331,12 +331,6 @@ func (c *Catalog) Has(name string) bool {
 	return ok
 }
 
-// Drop removes a relation.
-func (c *Catalog) Drop(name string) {
-	c.guard.MustWrite()
-	delete(c.entries, name)
-}
-
 // Names lists registered relation names, sorted.
 func (c *Catalog) Names() []string {
 	out := make([]string, 0, len(c.entries))

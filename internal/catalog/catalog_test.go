@@ -187,17 +187,13 @@ func TestFuncEntry(t *testing.T) {
 	}
 }
 
-func TestDropAndNames(t *testing.T) {
+func TestNames(t *testing.T) {
 	c := New()
 	c.AddTable(empTable())
 	c.AddView("B", &query.Block{Rels: []query.RelRef{{Name: "Emp"}}})
 	names := c.Names()
 	if len(names) != 2 || names[0] != "B" || names[1] != "Emp" {
 		t.Errorf("Names = %v", names)
-	}
-	c.Drop("B")
-	if c.Has("B") {
-		t.Error("Drop failed")
 	}
 }
 
@@ -231,7 +227,6 @@ func TestGuardChecksEveryMutator(t *testing.T) {
 		{"AddView", func(c *Catalog, _ *Entry) { c.AddView("V", &query.Block{}) }},
 		{"AddRemoteView", func(c *Catalog, _ *Entry) { c.AddRemoteView("V", &query.Block{}, 1) }},
 		{"AddFunc", func(c *Catalog, _ *Entry) { c.AddFunc("F", nil, nil, nil, nil, 1) }},
-		{"Drop", func(c *Catalog, _ *Entry) { c.Drop("Emp") }},
 		{"FoldInsert", func(_ *Catalog, e *Entry) { e.FoldInsert(e.Table.NumRows()) }},
 		{"FoldAppended", func(_ *Catalog, e *Entry) { e.FoldAppended() }},
 		{"ObserveFeedback", func(_ *Catalog, e *Entry) { e.ObserveFeedback(stats.PredObservation{Key: "k", Sel: 0.5, Col: -1}) }},
@@ -261,7 +256,7 @@ func TestGuardChecksEveryMutator(t *testing.T) {
 	}
 	g := New()
 	g.Guard(epoch.New(func() {}))
-	if c := g.Clone(); panics(func() { c.AddView("W", &query.Block{}); c.Drop("W") }) {
+	if c := g.Clone(); panics(func() { c.AddView("W", &query.Block{}) }) {
 		t.Error("a guarded catalog's clone is guarded")
 	}
 }

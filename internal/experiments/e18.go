@@ -31,7 +31,7 @@ const (
 // e18DB builds the quickstart-shaped catalog the serving experiment
 // queries: Emp/Dept with the emp_did index and the DepAvgSal magic view.
 func e18DB(cacheOff bool) (*filterjoin.DB, error) {
-	db := filterjoin.Open(filterjoin.Config{BatchSize: 1024, DisablePlanCache: cacheOff})
+	db := filterjoin.Open(filterjoin.Config{DisablePlanCache: cacheOff})
 	if err := db.ExecScript(`
 		CREATE TABLE Emp (eid int, did int, sal float, age int);
 		CREATE TABLE Dept (did int, budget int);

@@ -92,7 +92,7 @@ func E20Adaptive() (*Report, error) {
 
 	// Static baseline: the misestimated plan, twice (second run is the
 	// cached steady state every later run would pay).
-	static, err := e20DB(filterjoin.Config{BatchSize: 1024})
+	static, err := e20DB(filterjoin.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("E20 static: %w", err)
 	}
@@ -109,7 +109,7 @@ func E20Adaptive() (*Report, error) {
 
 	// Statistics feedback: run 1 absorbs the actuals (epoch bump), run 2
 	// plans from corrected statistics and must beat the static plan.
-	feedback, err := e20DB(filterjoin.Config{BatchSize: 1024, AdaptiveFeedback: true})
+	feedback, err := e20DB(filterjoin.Config{AdaptiveFeedback: true})
 	if err != nil {
 		return nil, fmt.Errorf("E20 feedback: %w", err)
 	}

@@ -300,9 +300,8 @@ func E6Crossover() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		oMagic := optimizer(cat, model, nil)
+		oMagic := optimizer(rw.Cat, model, nil)
 		_, _, cMagic, err := optimizeRun(oMagic, rw.Final)
-		rw.Drop()
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,7 @@
 // transformation* — the pre-paper state of the art (Starburst [MP94]).
 // Given a query block, a view to restrict, and a SIPS (the subset of the
 // other relations whose join produces the bindings), it materializes the
-// Fig 2 structure as catalog views:
+// Fig 2 structure as views in a private copy of the catalog:
 //
 //	PartialResult  — the join of the SIPS relations with their predicates
 //	Filter         — SELECT DISTINCT <bound attrs> FROM PartialResult
@@ -31,23 +31,17 @@ type Rewritten struct {
 	Final          *query.Block // rewritten top-level block
 	BoundCols      []int        // view output columns receiving bindings
 
-	cat *catalog.Catalog
+	// Cat is a copy of the caller's catalog with the three views
+	// registered in it; Final is planned against Cat.
+	Cat *catalog.Catalog
 }
-
-// Drop removes the transient views from the catalog.
-func (r *Rewritten) Drop() {
-	r.cat.Drop(r.PartialResult)
-	r.cat.Drop(r.FilterView)
-	r.cat.Drop(r.RestrictedView)
-}
-
-var rewriteSeq int
 
 // Rewrite performs the magic-sets transformation of block b, restricting
 // the view at relation ordinal viewIdx using bindings produced by the
 // SIPS relations (ordinals into b.Rels, excluding viewIdx). All equi
 // predicates between the SIPS set and the view become the filter
-// attributes. The returned block references freshly registered views.
+// attributes. The returned block references views registered in a copy
+// of cat; cat itself is left untouched.
 func Rewrite(cat *catalog.Catalog, b *query.Block, viewIdx int, sips []int) (*Rewritten, error) {
 	e, err := cat.Get(b.Rels[viewIdx].Name)
 	if err != nil {
@@ -134,10 +128,10 @@ func Rewrite(cat *catalog.Catalog, b *query.Block, viewIdx int, sips []int) (*Re
 		return nil, fmt.Errorf("magic: a bound output column of view %q has no direct provenance (aggregate?)", e.Name)
 	}
 
-	rewriteSeq++
-	prName := fmt.Sprintf("PartialResult_%d", rewriteSeq)
-	fName := fmt.Sprintf("Filter_%d", rewriteSeq)
-	rvName := fmt.Sprintf("Restricted%s_%d", e.Name, rewriteSeq)
+	cat = cat.Clone()
+	prName := freshName(cat, "PartialResult")
+	fName := freshName(cat, "Filter")
+	rvName := freshName(cat, "Restricted"+e.Name)
 
 	// ---- PartialResult: the SIPS join with its internal predicates ----
 	sortedSips := append([]int(nil), sips...)
@@ -268,6 +262,16 @@ func Rewrite(cat *catalog.Catalog, b *query.Block, viewIdx int, sips []int) (*Re
 		RestrictedView: rvName,
 		Final:          final,
 		BoundCols:      boundView,
-		cat:            cat,
+		Cat:            cat,
 	}, nil
+}
+
+// freshName returns name, or name with the smallest _N suffix, that no
+// relation in cat has, so a rewrite view never shadows one.
+func freshName(cat *catalog.Catalog, name string) string {
+	out := name
+	for i := 1; cat.Has(out); i++ {
+		out = fmt.Sprintf("%s_%d", name, i)
+	}
+	return out
 }

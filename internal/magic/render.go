@@ -162,17 +162,17 @@ func renderExpr(e expr.Expr, layout *query.Layout) string {
 func (r *Rewritten) SQL() (string, error) {
 	var sb strings.Builder
 	for _, name := range []string{r.PartialResult, r.FilterView, r.RestrictedView} {
-		e, err := r.cat.Get(name)
+		e, err := r.Cat.Get(name)
 		if err != nil {
 			return "", err
 		}
-		body, err := RenderBlock(r.cat, e.ViewDef)
+		body, err := RenderBlock(r.Cat, e.ViewDef)
 		if err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&sb, "CREATE VIEW %s AS\n(%s);\n\n", name, indent(body))
 	}
-	final, err := RenderBlock(r.cat, r.Final)
+	final, err := RenderBlock(r.Cat, r.Final)
 	if err != nil {
 		return "", err
 	}

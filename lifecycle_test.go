@@ -73,9 +73,9 @@ func everyKth(k int) (*dist.ChaosConfig, dist.RetryPolicy) {
 // fetchDB is degradeDB on the free network: fetching matches is the
 // primary strategy and bulk shipment its retained fault-free fallback.
 func fetchDB(t *testing.T) *filterjoin.DB {
-	return degradeDBWith(t, func(cfg *filterjoin.Config) {
-		cfg.Chaos, cfg.Retry = nil, dist.RetryPolicy{}
-	})
+	db := degradeDB(t)
+	db.SetChaos(nil, dist.RetryPolicy{})
+	return db
 }
 
 // TestLifecycleSweepFacade is the lifecycle sweep end to end: on a DB

@@ -63,7 +63,7 @@ const grpNestedQuery = `SELECT G.did, H.avgsal FROM Grp G, HighAvg H WHERE G.did
 // every other execution from the plan node; dropping the plan cache
 // drops the node and starts over.
 func TestRestrictCacheCounts(t *testing.T) {
-	db := grpServingDB(t, filterjoin.Config{BatchSize: 1024})
+	db := grpServingDB(t, filterjoin.Config{})
 	stmt, err := db.Prepare(grpViewQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +113,8 @@ func TestRestrictCacheCounts(t *testing.T) {
 // answer is checked against an engine without the Filter Join. CI runs
 // it with -race -count=10.
 func TestRestrictCacheConcurrentSessions(t *testing.T) {
-	db := grpServingDB(t, filterjoin.Config{BatchSize: 1024})
-	oracle := grpServingDB(t, filterjoin.Config{BatchSize: 1024, DisableFilterJoin: true})
+	db := grpServingDB(t, filterjoin.Config{})
+	oracle := grpServingDB(t, filterjoin.Config{DisableFilterJoin: true})
 	queries := []string{grpViewQuery, grpNestedQuery}
 	want := make([][4]string, len(queries))
 	for qi, q := range queries {

@@ -16,7 +16,7 @@ import (
 // with the serving-layer defaults, optionally with the plan cache off.
 func servingDB(t *testing.T, cacheOff bool) *filterjoin.DB {
 	t.Helper()
-	return servingDBWith(t, filterjoin.Config{BatchSize: 1024, DisablePlanCache: cacheOff})
+	return servingDBWith(t, filterjoin.Config{DisablePlanCache: cacheOff})
 }
 
 // servingSchemaSQL is the quickstart catalog shape: Emp/Dept, the
@@ -230,7 +230,7 @@ func TestPreparedStatements(t *testing.T) {
 // plan must not survive CREATE INDEX or a data change — the re-optimized
 // plan must see the new physical design.
 func TestPlanCacheInvalidationOnDDL(t *testing.T) {
-	db := filterjoin.Open(filterjoin.Config{BatchSize: 1024})
+	db := filterjoin.Open(filterjoin.Config{})
 	if err := db.ExecScript(`CREATE TABLE Emp (eid int, did int, sal float, age int);`); err != nil {
 		t.Fatal(err)
 	}

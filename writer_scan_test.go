@@ -20,7 +20,7 @@ import (
 // per histogram bucket's worth of inserted rows, not once per INSERT.
 func TestWriterDuringScans(t *testing.T) {
 	const nEmp, nDept, inserts = 5000, 50, 200
-	db := filterjoin.Open(filterjoin.Config{BatchSize: 1024})
+	db := filterjoin.Open(filterjoin.Config{})
 	if err := db.ExecScript(servingSchemaSQL); err != nil {
 		t.Fatal(err)
 	}
