@@ -7,6 +7,7 @@ import (
 
 	filterjoin "filterjoin"
 	"filterjoin/internal/plan"
+	"filterjoin/internal/sqlref"
 )
 
 // adaptiveDB builds a workload where the optimizer's independence
@@ -79,7 +80,7 @@ func TestAdaptiveFeedbackPlanCacheEpoch(t *testing.T) {
 	if r2.CacheState != "miss" {
 		t.Fatalf("run after feedback CacheState = %q, want miss (stale plan must not be served)", r2.CacheState)
 	}
-	if got, want := fmt.Sprint(sortedRows(r2.Rows)), fmt.Sprint(sortedRows(r1.Rows)); got != want {
+	if got, want := fmt.Sprint(sqlref.Canon(r2.Rows)), fmt.Sprint(sqlref.Canon(r1.Rows)); got != want {
 		t.Fatalf("feedback changed query results:\n%v\n%v", got, want)
 	}
 	// The corrected plan's estimates match the actuals, so run 2 feeds
@@ -179,7 +180,7 @@ func TestAdaptiveDisabledBitIdentical(t *testing.T) {
 		if r1.Cost != r2.Cost {
 			t.Errorf("query %q: row counter %s != batch counter %s", q, r1.Cost.String(), r2.Cost.String())
 		}
-		if got, want := fmt.Sprint(sortedRows(r1.Rows)), fmt.Sprint(sortedRows(r2.Rows)); got != want {
+		if got, want := fmt.Sprint(sqlref.Canon(r1.Rows)), fmt.Sprint(sqlref.Canon(r2.Rows)); got != want {
 			t.Errorf("query %q: row/batch results differ", q)
 		}
 	}

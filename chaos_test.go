@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"filterjoin/internal/dist"
 	"filterjoin/internal/plan"
 	"filterjoin/internal/schema"
+	"filterjoin/internal/sqlref"
 	"filterjoin/internal/storage"
 	"filterjoin/internal/value"
 )
@@ -59,15 +59,6 @@ func distDB(t *testing.T, cfg filterjoin.Config) *filterjoin.DB {
 
 const distJoinQuery = `SELECT C.ckey, O.okey FROM Customer C, Orders O WHERE C.ckey = O.ckey AND O.qty < 3`
 
-func sortedRows(rows []value.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Acceptance criterion: under the default (eventual-delivery) chaos
 // transport, every seed yields rows identical to the fault-free run,
 // same-seed runs produce identical counter totals, and the fault
@@ -78,7 +69,7 @@ func TestChaosFacadeRowIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sortedRows(freeRes.Rows)
+	want := sqlref.Canon(freeRes.Rows)
 
 	for _, seed := range []int64{1, 2, 3} {
 		db := distDB(t, filterjoin.Config{})
@@ -94,7 +85,7 @@ func TestChaosFacadeRowIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got := sortedRows(r1.Rows); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := sqlref.Canon(r1.Rows); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("seed %d: rows differ from fault-free run:\n%v\n%v", seed, got, want)
 		}
 		if r1.DegradedFrom != nil {
@@ -175,7 +166,7 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	if res.Plan != p.Fallback || res.DegradedFrom != p {
 		t.Fatal("Plan/DegradedFrom must point at fallback/primary")
 	}
-	if got, want := sortedRows(res.Rows), sortedRows(freeRes.Rows); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got, want := sqlref.Canon(res.Rows), sqlref.Canon(freeRes.Rows); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("degraded rows differ from fault-free:\n%v\n%v", got, want)
 	}
 	if res.Cost.Fallbacks != 1 {

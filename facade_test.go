@@ -452,3 +452,43 @@ func TestOpenDefaults(t *testing.T) {
 		}
 	}
 }
+
+// TestNullJoinKeysMatchNothing pins SQL's = on NULL join keys through
+// the public API: A holds (1,10), (NULL,20), (NULL,30) and B (1,100),
+// (NULL,200), so A ⋈ B on k is the one row (10, 100) under every join
+// method, and a NULL in GROUP BY still forms one group.
+func TestNullJoinKeysMatchNothing(t *testing.T) {
+	const join = `SELECT A.v, B.w FROM A, B WHERE A.k = B.k`
+	for _, disabled := range [][]string{nil, {"merge", "nlj", "indexnl"}, {"hash", "nlj", "indexnl"}, {"hash", "merge", "nlj"}, {"hash", "merge", "indexnl"}} {
+		db := filterjoin.Open(filterjoin.Config{})
+		if err := db.ExecScript(`
+			CREATE TABLE A (k int, v int);
+			CREATE TABLE B (k int, w int);
+			CREATE INDEX b_k ON B (k);
+			INSERT INTO A VALUES (1, 10), (NULL, 20), (NULL, 30);
+			INSERT INTO B VALUES (1, 100), (NULL, 200);`); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range disabled {
+			db.Optimizer().Disabled[d] = true
+		}
+		r, err := db.Query(join)
+		if err != nil {
+			t.Fatalf("disabled %v: %v", disabled, err)
+		}
+		if got := fmt.Sprint(r.Rows); got != "[(10, 100)]" {
+			t.Errorf("disabled %v: %s returned %s, want [(10, 100)]", disabled, join, got)
+		}
+		checkSQL(t, db, join, r.Rows)
+	}
+	db := filterjoin.Open(filterjoin.Config{})
+	if err := db.ExecScript(`CREATE TABLE A (k int, v int); INSERT INTO A VALUES (1, 10), (NULL, 20), (NULL, 30);`); err != nil {
+		t.Fatal(err)
+	}
+	const group = `SELECT A.k, COUNT(*) AS n FROM A GROUP BY A.k`
+	r, err := db.Query(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSQL(t, db, group, r.Rows)
+}

@@ -2,11 +2,13 @@ package filterjoin_test
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
 	filterjoin "filterjoin"
+	"filterjoin/internal/sql"
+	"filterjoin/internal/sqlref"
+	"filterjoin/internal/value"
 )
 
 // buildFig1SQL loads the paper's Fig 1 schema and data through the SQL
@@ -61,13 +63,21 @@ const fig1SQL = `
 	WHERE E.did = D.did AND E.did = V.did AND E.sal > V.avgsal
 	  AND E.age < 30 AND D.budget > 100000`
 
-func canonical(res *filterjoin.Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
-		out[i] = r.String()
+// checkSQL fails t unless rows answer text, a SELECT over db's catalog,
+// as SQL does (sqlref).
+func checkSQL(t testing.TB, db *filterjoin.DB, text string, rows []value.Row) {
+	t.Helper()
+	st, err := sql.Parse(text)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(out)
-	return out
+	b, err := sql.BindSelect(db.Catalog(), st.(*sql.SelectStmt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sqlref.Check(db.Catalog(), b, rows); err != nil {
+		t.Errorf("%s: %v", text, err)
+	}
 }
 
 func TestSQLFig1AgreesAcrossOptimizers(t *testing.T) {
@@ -84,18 +94,11 @@ func TestSQLFig1AgreesAcrossOptimizers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := canonical(rFJ), canonical(rPlain)
-	if len(a) == 0 {
+	if len(rFJ.Rows) == 0 {
 		t.Fatal("query returned no rows; workload is degenerate")
 	}
-	if len(a) != len(b) {
-		t.Fatalf("row count mismatch: filterjoin=%d plain=%d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d mismatch: %s vs %s", i, a[i], b[i])
-		}
-	}
+	checkSQL(t, dbFJ, fig1SQL, rFJ.Rows)
+	checkSQL(t, dbPlain, fig1SQL, rPlain.Rows)
 }
 
 func TestExplainMentionsPlanShape(t *testing.T) {

@@ -19,6 +19,7 @@ import (
 	"filterjoin/internal/opt"
 	"filterjoin/internal/plan"
 	"filterjoin/internal/query"
+	"filterjoin/internal/sqlref"
 	"filterjoin/internal/value"
 )
 
@@ -88,7 +89,7 @@ func saveFuzzGolden(t *testing.T, golden map[string]string) {
 // one line: row count, a hash of the rows IN EMISSION ORDER — the
 // executor must preserve the exact output sequence, not just the
 // multiset — and every counter field.
-func runFingerprint(t *testing.T, p *planRunner, morsel int, net exec.Transport) (string, cost.Counter) {
+func runFingerprint(t *testing.T, p *plan.Node, morsel int, net exec.Transport) (string, cost.Counter, []value.Row) {
 	t.Helper()
 	ctx := exec.NewContext()
 	ctx.BatchSize = morsel
@@ -97,7 +98,7 @@ func runFingerprint(t *testing.T, p *planRunner, morsel int, net exec.Transport)
 	if err != nil {
 		t.Fatalf("run (morsel=%d): %v", morsel, err)
 	}
-	return fingerprint(rows, *ctx.Counter), *ctx.Counter
+	return fingerprint(rows, *ctx.Counter), *ctx.Counter, rows
 }
 
 // fingerprint is runFingerprint's line for a finished run's rows and bill.
@@ -114,15 +115,15 @@ func fingerprint(rows []value.Row, c cost.Counter) string {
 	return fmt.Sprintf("rows=%d hash=%016x counter=%+v", len(rows), h.Sum64(), allFields(c))
 }
 
-// checkMorselInvariance runs the plan at every morsel size and requires
-// each run's fingerprint to equal the golden entry for key; under
-// -update it records the morsel-size-1 run instead. It returns the
-// counter of the last run.
-func checkMorselInvariance(t *testing.T, golden map[string]string, key, query string, p *planRunner, net func() exec.Transport) cost.Counter {
+// checkMorselInvariance runs fp's plan at every morsel size and
+// requires each run's fingerprint to equal the golden entry for key and
+// its rows to be SQL's answer to fp's block; under -update it records
+// the morsel-size-1 run instead. It returns the counter of the last run.
+func checkMorselInvariance(t *testing.T, golden map[string]string, key string, fp fuzzPlan, net func() exec.Transport) cost.Counter {
 	t.Helper()
 	if *update {
-		fp, c := runFingerprint(t, p, 1, net())
-		golden[key] = fp
+		line, c, _ := runFingerprint(t, fp.plan, 1, net())
+		golden[key] = line
 		return c
 	}
 	want, ok := golden[key]
@@ -130,13 +131,17 @@ func checkMorselInvariance(t *testing.T, golden map[string]string, key, query st
 		t.Fatalf("%s: no entry in %s (record it with -update)", key, fuzzGoldenPath)
 	}
 	var last cost.Counter
+	var rows []value.Row
 	for _, morsel := range morselSizes {
-		got, c := runFingerprint(t, p, morsel, net())
+		var got string
+		got, last, rows = runFingerprint(t, fp.plan, morsel, net())
 		if got != want {
 			t.Fatalf("%s morsel=%d: rows, order or counter totals differ from the recorded row engine:\ngot:  %s\nwant: %s\nquery: %s",
-				key, morsel, got, want, query)
+				key, morsel, got, want, fp.query)
 		}
-		last = c
+	}
+	if err := sqlref.Check(fp.cat, fp.block, rows); err != nil {
+		t.Fatalf("%s: %v\nquery: %s", key, err, fp.query)
 	}
 	return last
 }
@@ -147,9 +152,10 @@ func freeNet() exec.Transport { return nil }
 // executor's morsel-size invariance: for random queries under every
 // optimizer configuration the row fuzz already covers, each morsel size
 // must reproduce the recorded row engine's output row for row IN ORDER,
-// with bit-identical counter totals. Any double-charge, dropped charge,
-// overpull past a Limit, or reordering inside a batched operator shows
-// up here as a diff against the golden.
+// with bit-identical counter totals, and those rows must be SQL's
+// answer (sqlref). Any double-charge, dropped charge, overpull past a
+// Limit, or reordering inside a batched operator shows up here as a
+// diff against the golden.
 func TestBatchRowDifferentialFuzz(t *testing.T) {
 	golden := loadFuzzGolden(t)
 	trials := 25
@@ -157,7 +163,7 @@ func TestBatchRowDifferentialFuzz(t *testing.T) {
 		trials = 6
 	}
 	for _, fp := range rowCorpus(t, trials) {
-		checkMorselInvariance(t, golden, fp.key, fp.query, &planRunner{fp.plan.Make}, freeNet)
+		checkMorselInvariance(t, golden, fp.key, fp, freeNet)
 	}
 	if *update {
 		saveFuzzGolden(t, golden)
@@ -215,7 +221,7 @@ func rowCorpus(t *testing.T, trials int) []fuzzPlan {
 	var out []fuzzPlan
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 7919))
-		cat, nTables := randCatalog(rng)
+		cat, nTables := randCatalog(rng, 0)
 		q := randQuery(rng, nTables)
 
 		configs := []struct {
@@ -276,9 +282,9 @@ func distCorpus(t *testing.T, trials int) []fuzzPlan {
 // dist package doc), so the global send sequence — and with it the
 // injected drops, waits, and outages — must land identically: same
 // rows, same order, and counter totals equal to the recorded row
-// engine's bit for bit, including Retries and WaitMs. Each run builds a
-// fresh seeded transport, so identical send sequences see identical
-// fault schedules.
+// engine's bit for bit, including Retries and WaitMs, and rows that are
+// SQL's answer (sqlref). Each run builds a fresh seeded transport, so
+// identical send sequences see identical fault schedules.
 func TestBatchChaosDifferentialFuzz(t *testing.T) {
 	golden := loadFuzzGolden(t)
 	trials := 8
@@ -295,7 +301,7 @@ func TestBatchChaosDifferentialFuzz(t *testing.T) {
 				)
 			}
 			key := fmt.Sprintf("%s/seed=%02d", fp.key, seed)
-			c := checkMorselInvariance(t, golden, key, fp.query, &planRunner{fp.plan.Make}, chaosNet)
+			c := checkMorselInvariance(t, golden, key, fp, chaosNet)
 			totalRetries += c.Retries
 		}
 	}

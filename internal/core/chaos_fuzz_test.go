@@ -3,7 +3,6 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"filterjoin/internal/catalog"
@@ -15,6 +14,7 @@ import (
 	"filterjoin/internal/opt"
 	"filterjoin/internal/query"
 	"filterjoin/internal/schema"
+	"filterjoin/internal/sqlref"
 	"filterjoin/internal/storage"
 	"filterjoin/internal/value"
 )
@@ -111,7 +111,7 @@ func randDistQuery(rng *rand.Rand, nRemote int) *query.Block {
 
 // runPlanChaos executes the plan over the seeded fault-injecting
 // transport (eventual delivery on, so every run must succeed).
-func runPlanChaos(t *testing.T, p interface{ Make() exec.Operator }, seed int64) ([]string, cost.Counter) {
+func runPlanChaos(t *testing.T, p interface{ Make() exec.Operator }, seed int64) ([]value.Row, cost.Counter) {
 	t.Helper()
 	ctx := exec.NewContext()
 	ctx.Net = dist.NewChaosTransport(
@@ -122,27 +122,15 @@ func runPlanChaos(t *testing.T, p interface{ Make() exec.Operator }, seed int64)
 	if err != nil {
 		t.Fatalf("chaos run (seed %d) must recover every fault: %v", seed, err)
 	}
-	// Same row formatting as runPlan so the differential compare is exact.
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		s := ""
-		for j, v := range r {
-			if j > 0 {
-				s += "|"
-			}
-			s += v.String()
-		}
-		out[i] = s
-	}
-	sort.Strings(out)
-	return out, *ctx.Counter
+	return rows, *ctx.Counter
 }
 
 // TestChaosDifferentialFuzz is the acceptance criterion for the fault
 // injection layer: for random distributed queries under several
-// optimizer configurations, every fixed fault schedule yields exactly
-// the fault-free rows (recovered by retry, never silently wrong), and
-// replaying a schedule reproduces the exact counter totals.
+// optimizer configurations, the fault-free run and every fixed fault
+// schedule yield SQL's answer (sqlref; recovered by retry, never
+// silently wrong), and replaying a schedule reproduces the exact
+// counter totals.
 func TestChaosDifferentialFuzz(t *testing.T) {
 	base := cost.DefaultModel()
 	netHeavy := base
@@ -183,12 +171,14 @@ func TestChaosDifferentialFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d (%s): optimize: %v\nquery: %s", trial, cfg.name, err, q)
 			}
-			want, free := runPlan(t, planRunner{p.Make})
+			rows, free := runRows(t, planRunner{p.Make})
+			if err := sqlref.Check(cat, q, rows); err != nil {
+				t.Fatalf("trial %d (%s): %v\nquery: %s", trial, cfg.name, err, q)
+			}
 			for _, seed := range chaosFuzzSeeds {
 				got, c1 := runPlanChaos(t, planRunner{p.Make}, seed)
-				if !equalStrings(got, want) {
-					t.Fatalf("trial %d (%s) seed %d: chaos run produced %d rows, fault-free %d\nquery: %s",
-						trial, cfg.name, seed, len(got), len(want), q)
+				if err := sqlref.Check(cat, q, got); err != nil {
+					t.Fatalf("trial %d (%s) seed %d: chaos run: %v\nquery: %s", trial, cfg.name, seed, err, q)
 				}
 				// Replaying the schedule must reproduce the totals bit for bit.
 				_, c2 := runPlanChaos(t, planRunner{p.Make}, seed)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"filterjoin/internal/catalog"
@@ -42,7 +43,7 @@ func TestDistributedBaseTable(t *testing.T) {
 	if len(plainRows) == 0 {
 		t.Fatal("distributed query returned no rows")
 	}
-	if !equalStrings(plainRows, fjRows) {
+	if !slices.Equal(plainRows, fjRows) {
 		t.Fatalf("results differ: plain=%d fj=%d rows", len(plainRows), len(fjRows))
 	}
 	if fjPlan.Find("FilterJoin") != nil && fjCost.NetBytes >= plainCost.NetBytes {
@@ -62,7 +63,7 @@ func TestRemoteViewJoin(t *testing.T) {
 	if len(plainRows) == 0 {
 		t.Fatal("remote view query returned no rows")
 	}
-	if !equalStrings(plainRows, fjRows) {
+	if !slices.Equal(plainRows, fjRows) {
 		t.Fatalf("results differ: plain=%d fj=%d rows", len(plainRows), len(fjRows))
 	}
 }
@@ -85,7 +86,7 @@ func TestUDRJoin(t *testing.T) {
 	if len(plainRows) == 0 {
 		t.Fatal("UDR query returned no rows")
 	}
-	if !equalStrings(plainRows, fjRows) {
+	if !slices.Equal(plainRows, fjRows) {
 		t.Fatalf("results differ: plain=%d fj=%d rows", len(plainRows), len(fjRows))
 	}
 	if fjPlan.Find("FilterJoin") != nil {
@@ -108,7 +109,7 @@ func TestBloomVariant(t *testing.T) {
 	}
 	exactRows, _, _ := optimizeAndRun(t, cat, datagen.DistBaseQuery(), true, core.Options{})
 	bloomRows, _, _ := optimizeAndRun(t, cat, datagen.DistBaseQuery(), true, core.Options{Bloom: true, BloomBitsPerEntry: 6})
-	if !equalStrings(exactRows, bloomRows) {
+	if !slices.Equal(exactRows, bloomRows) {
 		t.Fatalf("bloom variant changed results: %d vs %d rows", len(exactRows), len(bloomRows))
 	}
 }
@@ -129,7 +130,7 @@ func TestStoredFilterJoin(t *testing.T) {
 	if len(plainRows) == 0 {
 		t.Fatal("no rows")
 	}
-	if !equalStrings(plainRows, fjRows) {
+	if !slices.Equal(plainRows, fjRows) {
 		t.Fatalf("results differ: plain=%d fj=%d", len(plainRows), len(fjRows))
 	}
 }

@@ -1,8 +1,7 @@
 package core_test
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"testing"
 
 	"filterjoin/internal/catalog"
@@ -14,6 +13,7 @@ import (
 	"filterjoin/internal/plan"
 	"filterjoin/internal/query"
 	"filterjoin/internal/schema"
+	"filterjoin/internal/sqlref"
 	"filterjoin/internal/storage"
 	"filterjoin/internal/value"
 )
@@ -107,66 +107,26 @@ func fig1Query() *query.Block {
 	}
 }
 
-// referenceFig1 computes the expected Fig 1 result straight from the
-// base tables, bypassing the engine entirely.
-func referenceFig1(cat *catalog.Catalog) ([]string, error) {
-	empE, err := cat.Get("Emp")
-	if err != nil {
-		return nil, err
-	}
-	deptE, err := cat.Get("Dept")
-	if err != nil {
-		return nil, err
-	}
-	avg := map[int64][2]float64{}
-	for _, r := range empE.Table.Rows() {
-		did := r[1].Int()
-		a := avg[did]
-		a[0] += r[2].Float()
-		a[1]++
-		avg[did] = a
-	}
-	big := map[int64]bool{}
-	for _, r := range deptE.Table.Rows() {
-		if r[1].Int() > 100000 {
-			big[r[0].Int()] = true
-		}
-	}
-	var out []string
-	for _, r := range empE.Table.Rows() {
-		did := r[1].Int()
-		a := avg[did]
-		mean := a[0] / a[1]
-		if r[3].Int() < 30 && big[did] && r[2].Float() > mean {
-			out = append(out, fmt.Sprintf("%d|%g|%g", did, r[2].Float(), mean))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-func runPlan(t testing.TB, n interface {
+// runRows drains a fresh tree of the plan and returns its rows and bill.
+func runRows(t testing.TB, n interface {
 	Make() exec.Operator
-}) ([]string, cost.Counter) {
+}) ([]value.Row, cost.Counter) {
 	t.Helper()
 	ctx := exec.NewContext()
 	rows, err := exec.Drain(ctx, n.Make())
 	if err != nil {
 		t.Fatalf("executing plan: %v", err)
 	}
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		s := ""
-		for j, v := range r {
-			if j > 0 {
-				s += "|"
-			}
-			s += v.String()
-		}
-		out[i] = s
-	}
-	sort.Strings(out)
-	return out, *ctx.Counter
+	return rows, *ctx.Counter
+}
+
+// runPlan is runRows with the rows as sqlref.Canon's sorted multiset.
+func runPlan(t testing.TB, n interface {
+	Make() exec.Operator
+}) ([]string, cost.Counter) {
+	t.Helper()
+	rows, c := runRows(t, n)
+	return sqlref.Canon(rows), c
 }
 
 type planRunner struct{ n func() exec.Operator }
@@ -175,39 +135,23 @@ func (p planRunner) Make() exec.Operator { return p.n() }
 
 func TestFig1EndToEnd(t *testing.T) {
 	cat := fig1DB(t, 2000, 100, 0.3, 0.2)
-	ref, err := referenceFig1(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) == 0 {
-		t.Fatal("reference result is empty; workload parameters are wrong")
-	}
-
 	model := cost.DefaultModel()
-
-	// Optimizer without the Filter Join.
-	oPlain := opt.New(cat, model)
-	pPlain, err := oPlain.OptimizeBlock(fig1Query())
-	if err != nil {
-		t.Fatalf("plain optimize: %v", err)
-	}
-	gotPlain, _ := runPlan(t, planRunner{pPlain.Make})
-	if !equalStrings(gotPlain, ref) {
-		t.Fatalf("plain plan result mismatch: got %d rows, want %d\nfirst got: %v\nfirst want: %v",
-			len(gotPlain), len(ref), head(gotPlain), head(ref))
-	}
-
-	// Optimizer with the Filter Join registered.
-	oFJ := opt.New(cat, model)
-	oFJ.Register(core.NewMethod(core.Options{}))
-	pFJ, err := oFJ.OptimizeBlock(fig1Query())
-	if err != nil {
-		t.Fatalf("filterjoin optimize: %v", err)
-	}
-	gotFJ, _ := runPlan(t, planRunner{pFJ.Make})
-	if !equalStrings(gotFJ, ref) {
-		t.Fatalf("filterjoin plan result mismatch: got %d rows, want %d\nfirst got: %v\nfirst want: %v",
-			len(gotFJ), len(ref), head(gotFJ), head(ref))
+	for _, fj := range []bool{false, true} {
+		o := opt.New(cat, model)
+		if fj {
+			o.Register(core.NewMethod(core.Options{}))
+		}
+		p, err := o.OptimizeBlock(fig1Query())
+		if err != nil {
+			t.Fatalf("optimize (filter join %v): %v", fj, err)
+		}
+		rows, _ := runRows(t, planRunner{p.Make})
+		if len(rows) == 0 {
+			t.Fatal("Fig 1 returned no rows; workload parameters are wrong")
+		}
+		if err := sqlref.Check(cat, fig1Query(), rows); err != nil {
+			t.Fatalf("filter join %v: %v", fj, err)
+		}
 	}
 }
 
@@ -237,30 +181,11 @@ func TestFilterJoinChosenWhenSelective(t *testing.T) {
 
 	refPlain, cPlain := runPlan(t, planRunner{pPlain.Make})
 	refFJ, cFJ := runPlan(t, planRunner{pFJ.Make})
-	if !equalStrings(refPlain, refFJ) {
+	if !slices.Equal(refPlain, refFJ) {
 		t.Fatalf("plans disagree: %d vs %d rows", len(refPlain), len(refFJ))
 	}
 	if model.Total(cFJ) >= model.Total(cPlain) {
 		t.Fatalf("filter join should be cheaper on selective workload: fj=%.1f plain=%.1f",
 			model.Total(cFJ), model.Total(cPlain))
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func head(s []string) []string {
-	if len(s) > 3 {
-		return s[:3]
-	}
-	return s
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"filterjoin/internal/catalog"
@@ -10,15 +11,19 @@ import (
 	"filterjoin/internal/cost"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/opt"
+	"filterjoin/internal/plan"
 	"filterjoin/internal/query"
 	"filterjoin/internal/schema"
+	"filterjoin/internal/sqlref"
 	"filterjoin/internal/storage"
 	"filterjoin/internal/value"
 )
 
 // randCatalog builds a random star of base tables around a shared key
-// domain, plus one grouped view, for differential testing.
-func randCatalog(rng *rand.Rand) (*catalog.Catalog, int) {
+// domain, plus one grouped view, for differential testing. Each stored
+// value is NULL with probability nullFrac. At 0 no extra number is
+// drawn: the corpora fuzz_counters.golden pins depend on every draw.
+func randCatalog(rng *rand.Rand, nullFrac float64) (*catalog.Catalog, int) {
 	cat := catalog.New()
 	nTables := 2 + rng.Intn(2)
 	keyRange := 15 + rng.Intn(40)
@@ -31,7 +36,13 @@ func randCatalog(rng *rand.Rand) (*catalog.Catalog, int) {
 		t := storage.NewTable(name, s)
 		rows := 10 + rng.Intn(120)
 		for r := 0; r < rows; r++ {
-			t.MustInsert(value.NewInt(int64(rng.Intn(keyRange))), value.NewInt(int64(rng.Intn(100))))
+			row := value.Row{value.NewInt(int64(rng.Intn(keyRange))), value.NewInt(int64(rng.Intn(100)))}
+			for j := range row {
+				if nullFrac > 0 && rng.Float64() < nullFrac {
+					row[j] = value.Null
+				}
+			}
+			t.MustInsert(row...)
 		}
 		if rng.Intn(2) == 0 {
 			if _, err := t.CreateIndex(name+"_k", []int{0}); err != nil {
@@ -108,94 +119,133 @@ func randQuery(rng *rand.Rand, nTables int) *query.Block {
 	return b
 }
 
-// TestDifferentialRandomQueries runs each random query under four
-// optimizer configurations and demands identical result multisets. This
-// is the repository's main correctness fuzz: any costing or plumbing bug
-// that changes plan shape shows up as a result difference.
-func TestDifferentialRandomQueries(t *testing.T) {
-	model := cost.DefaultModel()
+// differentialConfig is one way a differential test plans a query: an
+// optimizer configuration, or a forced join order.
+type differentialConfig struct {
+	name     string
+	fj       *core.Options
+	disabled []string
+	noOrder  bool
+	order    []int // nil: the DP chooses
+}
+
+// optimizerConfigs are the optimizer configurations every random query
+// runs under; n is unused.
+func optimizerConfigs(int) []differentialConfig {
+	everything := &core.Options{IncludeStored: true, AttrSubsets: true, Bloom: true, PrefixProductionSets: true}
+	return []differentialConfig{
+		{name: "plain"},
+		{name: "fj", fj: &core.Options{}},
+		{name: "fj-everything", fj: everything},
+		{name: "fj-only-hash", fj: &core.Options{}, disabled: []string{"merge", "nlj", "indexnl"}},
+		{name: "fj-no-orderprops", fj: &core.Options{}, noOrder: true},
+		{name: "merge-only", disabled: []string{"hash", "nlj", "indexnl"}},
+		{name: "nlj-only", disabled: []string{"hash", "merge", "indexnl"}},
+	}
+}
+
+// forcedOrderConfigs forces every join order of n relations, with the
+// Filter Join registered.
+func forcedOrderConfigs(n int) []differentialConfig {
+	var cfgs []differentialConfig
+	var permute func(order []int)
+	permute = func(order []int) {
+		if len(order) == n {
+			cfgs = append(cfgs, differentialConfig{name: fmt.Sprintf("order=%v", order), fj: &core.Options{}, order: order})
+		}
+		for r := 0; r < n; r++ {
+			if !slices.Contains(order, r) {
+				permute(append(slices.Clip(order), r))
+			}
+		}
+	}
+	permute(nil)
+	return cfgs
+}
+
+// plan plans q over cat under the configuration.
+func (c differentialConfig) plan(cat *catalog.Catalog, q *query.Block) (*plan.Node, error) {
+	o := opt.New(cat, cost.DefaultModel())
+	o.DisableOrderProps = c.noOrder
+	for _, d := range c.disabled {
+		o.Disabled[d] = true
+	}
+	if c.fj != nil {
+		o.Register(core.NewMethod(*c.fj))
+	}
+	if c.order != nil {
+		return o.OptimizeBlockWithOrder(q, c.order)
+	}
+	return o.OptimizeBlock(q)
+}
+
+// runDifferential plans each query of the random corpus under every
+// configuration configs returns for its relation count, runs it, and
+// requires SQL's answer as sqlref computes it, so a costing, plumbing or
+// operator bug that every configuration shares fails too. The second
+// corpus stores a quarter of its values as NULL.
+func runDifferential(t *testing.T, configs func(n int) []differentialConfig) {
+	t.Helper()
 	trials := 40
 	if testing.Short() {
 		trials = 8
 	}
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) * 7919))
-		cat, nTables := randCatalog(rng)
-		q := randQuery(rng, nTables)
-
-		configs := []struct {
-			name     string
-			fj       *core.Method
-			disabled []string
-			noOrder  bool
-		}{
-			{"plain", nil, nil, false},
-			{"fj", core.NewMethod(core.Options{}), nil, false},
-			{"fj-everything", core.NewMethod(core.Options{
-				IncludeStored: true, AttrSubsets: true, Bloom: true,
-				PrefixProductionSets: true,
-			}), nil, false},
-			{"fj-only-hash", core.NewMethod(core.Options{}), []string{"merge", "nlj", "indexnl"}, false},
-			{"fj-no-orderprops", core.NewMethod(core.Options{}), nil, true},
-		}
-		var want []string
-		for _, cfg := range configs {
-			o := opt.New(cat, model)
-			o.DisableOrderProps = cfg.noOrder
-			for _, d := range cfg.disabled {
-				o.Disabled[d] = true
-			}
-			if cfg.fj != nil {
-				o.Register(cfg.fj)
-			}
-			p, err := o.OptimizeBlock(q)
-			if err != nil {
-				t.Fatalf("trial %d (%s): optimize: %v\nquery: %s", trial, cfg.name, err, q)
-			}
-			got, _ := runPlan(t, planRunner{p.Make})
-			if want == nil {
-				want = got
-				continue
-			}
-			if !equalStrings(got, want) {
-				t.Fatalf("trial %d: config %q produced %d rows, plain produced %d\nquery: %s",
-					trial, cfg.name, len(got), len(want), q)
+	for _, nullFrac := range []float64{0, 0.25} {
+		for trial := 0; trial < trials; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial) * 7919))
+			cat, nTables := randCatalog(rng, nullFrac)
+			q := randQuery(rng, nTables)
+			for _, cfg := range configs(len(q.Rels)) {
+				p, err := cfg.plan(cat, q)
+				if err != nil {
+					t.Fatalf("nulls=%v trial %d (%s): optimize: %v\nquery: %s", nullFrac, trial, cfg.name, err, q)
+				}
+				rows, _ := runRows(t, planRunner{p.Make})
+				if err := sqlref.Check(cat, q, rows); err != nil {
+					t.Fatalf("nulls=%v trial %d (%s): %v\nquery: %s", nullFrac, trial, cfg.name, err, q)
+				}
 			}
 		}
 	}
 }
 
-// TestDifferentialForcedOrders forces every permutation of a three-way
-// join (table, table, view) and demands identical results.
-func TestDifferentialForcedOrders(t *testing.T) {
-	model := cost.DefaultModel()
-	for trial := 0; trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) * 104729))
-		cat, _ := randCatalog(rng)
-		q := &query.Block{
-			Rels: []query.RelRef{{Name: "T0"}, {Name: "T1"}, {Name: "GV"}},
-			Preds: []expr.Expr{
-				expr.Eq(expr.NewCol(0, "T0.k"), expr.NewCol(2, "T1.k")),
-				expr.Eq(expr.NewCol(0, "T0.k"), expr.NewCol(4, "GV.k")),
-			},
-		}
-		var want []string
-		for _, perm := range [][]int{{0, 1, 2}, {1, 0, 2}, {0, 2, 1}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
-			o := opt.New(cat, model)
-			o.Register(core.NewMethod(core.Options{}))
-			p, err := o.OptimizeBlockWithOrder(q, perm)
-			if err != nil {
-				t.Fatalf("trial %d perm %v: %v", trial, perm, err)
-			}
-			got, _ := runPlan(t, planRunner{p.Make})
-			if want == nil {
-				want = got
-				continue
-			}
-			if !equalStrings(got, want) {
-				t.Fatalf("trial %d: order %v produced %d rows, first order produced %d",
-					trial, perm, len(got), len(want))
-			}
-		}
+// TestDifferentialRandomQueries is the repository's main correctness
+// fuzz: the random corpus under every optimizerConfigs entry.
+func TestDifferentialRandomQueries(t *testing.T) { runDifferential(t, optimizerConfigs) }
+
+// TestDifferentialForcedOrders runs the same corpus with every join
+// order forced, so a plan the DP never picks is checked too.
+func TestDifferentialForcedOrders(t *testing.T) { runDifferential(t, forcedOrderConfigs) }
+
+// FuzzQueryVsReference drives randCatalog and randQuery from a seed and
+// a NULL fraction: the engine's rows must equal sqlref's under the
+// default configuration, with the Filter Join disabled, and with prefix
+// production sets.
+func FuzzQueryVsReference(f *testing.F) {
+	f.Add(int64(0), 0.0)
+	f.Add(int64(7919), 0.25)
+	f.Add(int64(31), 0.9)
+	cfgs := []differentialConfig{
+		{name: "default", fj: &core.Options{}},
+		{name: "DisableFilterJoin"},
+		{name: "PrefixProductionSets", fj: &core.Options{PrefixProductionSets: true}},
 	}
+	f.Fuzz(func(t *testing.T, seed int64, nullFrac float64) {
+		if !(nullFrac >= 0 && nullFrac <= 1) {
+			nullFrac = 0
+		}
+		rng := rand.New(rand.NewSource(seed))
+		cat, nTables := randCatalog(rng, nullFrac)
+		q := randQuery(rng, nTables)
+		for _, cfg := range cfgs {
+			p, err := cfg.plan(cat, q)
+			if err != nil {
+				t.Fatalf("%s: optimize: %v\nquery: %s", cfg.name, err, q)
+			}
+			rows, _ := runRows(t, planRunner{p.Make})
+			if err := sqlref.Check(cat, q, rows); err != nil {
+				t.Fatalf("%s: %v\nquery: %s", cfg.name, err, q)
+			}
+		}
+	})
 }

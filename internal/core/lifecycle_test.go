@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -26,6 +27,7 @@ import (
 	"filterjoin/internal/query"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/sql"
+	"filterjoin/internal/sqlref"
 	"filterjoin/internal/stats"
 	"filterjoin/internal/storage"
 	"filterjoin/internal/value"
@@ -331,6 +333,11 @@ func sweepPlan(t *testing.T, fp fuzzPlan, morsels []int, golden map[string]strin
 		clean = runLifecycle(fp.plan, m, 0, 0)
 		what := fmt.Sprintf("%s morsel=%d", fp.key, m)
 		checkLifecycle(t, what+" clean", clean, nil, clean)
+		if fp.block != nil {
+			if err := sqlref.Check(fp.cat, fp.block, clean.rows); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
 		if st := clean.stall; st.nexts > 1 {
 			at := fmt.Sprintf("poll %d/%d", st.poll, clean.polls)
 			if st.poll > clean.polls {
@@ -442,27 +449,17 @@ func checkRebind(t *testing.T, golden map[string]string, extras []sweepExtra) {
 		if second.err != nil || lit.err != nil {
 			t.Fatalf("%s: second binding: %v / literal: %v", x.key, second.err, lit.err)
 		}
-		got, want := sortedRows(second.rows), sortedRows(lit.rows)
-		if got != want {
+		got := sqlref.Canon(second.rows)
+		if !slices.Equal(got, sqlref.Canon(lit.rows)) {
 			t.Fatalf("%s: bound to %v returned %d rows, the literal plan %d", x.key, x.second, len(second.rows), len(lit.rows))
 		}
-		if got != sortedRows(r.rows) {
+		if !slices.Equal(got, sqlref.Canon(r.rows)) {
 			changed++
 		}
 	}
 	if changed == 0 {
 		t.Fatalf("no extra's rows change under its second binding; the rebind leg cannot see a stale parameter")
 	}
-}
-
-// sortedRows renders rows as a sorted multiset.
-func sortedRows(rows []value.Row) string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		keys[i] = r.String()
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
 }
 
 // literalBlock binds stmt to args and replaces every parameter by the
@@ -627,8 +624,9 @@ func ints(vs ...int64) []value.Value {
 // nested loops, hash, merge, index nested loops, fetch matches from a
 // remote table, a Bloom Filter Join and a function probe), a function
 // relation under its three strategies, a Filter Join restricting a
-// stored inner by scan and by index probes, and a hand-built
-// nested-loops join whose inner is not materialized.
+// stored inner by scan and by index probes, NULL join keys under every
+// key-based join method, and a hand-built nested-loops join whose
+// inner is not materialized.
 func lifecycleExtras(t *testing.T) []sweepExtra {
 	t.Helper()
 	var out []sweepExtra
@@ -722,6 +720,22 @@ func lifecycleExtras(t *testing.T) []sweepExtra {
 	add("stored-index-probe", cat, cpuHeavy, stored, fjOnly, `
 		SELECT A.k, L.v FROM A, L WHERE A.k = L.k AND A.v < 2`, nil, ints(5))
 
+	// NULL join keys under every key-based join method, a filter set, a
+	// function probe and grouping: NULL matches nothing and groups as one.
+	nulls := nullSweepCatalog(t)
+	join := func(outer, inner, col string) string {
+		return fmt.Sprintf(`SELECT %[1]s.k, %[2]s.%[3]s FROM %[1]s, %[2]s WHERE %[1]s.k = %[2]s.k`, outer, inner, col)
+	}
+	add("null-hash", nulls, model, nil, []string{"merge", "nlj", "indexnl"}, join("NA", "NB", "v"), nil, nil)
+	add("null-merge", nulls, model, nil, []string{"hash", "nlj", "indexnl"}, join("NA", "NB", "v"), nil, nil)
+	add("null-indexnl", nulls, model, nil, []string{"hash", "merge", "nlj"}, join("NB", "NA", "v"), nil, nil)
+	add("null-fetch", nulls, netHeavy, nil, []string{"hash", "merge", "nlj", "indexnl"}, join("NB", "NR", "v"), nil, nil)
+	add("null-semijoin", nulls, model, plain, []string{"hash", "merge", "nlj", "indexnl", "fetchmatches"}, join("NB", "NR", "v"), nil, nil)
+	add("null-stored-scan", nulls, model, stored, fjOnly, join("NB", "NA", "v"), nil, nil)
+	add("null-funcprobe", nulls, model, nil, []string{"funcprobememo"}, join("NB", "F", "twice"), nil, nil)
+	add("null-consecutive", nulls, model, plain, []string{"funcprobe", "funcprobememo"}, join("NB", "F", "twice"), nil, nil)
+	add("null-groupby", nulls, model, nil, nil, `SELECT NA.k, COUNT(*) AS n FROM NA GROUP BY NA.k`, nil, nil)
+
 	// Hand-built plans over instrumented Values leaves, which never poll.
 	// The optimizer materializes every nested-loops inner, and the
 	// uninstrumented Materialize hides the inner's own lifecycle;
@@ -800,5 +814,42 @@ func sweepCatalog(t *testing.T) *catalog.Catalog {
 	), []int{0}, func(args value.Row) ([]value.Row, error) {
 		return []value.Row{{args[0], value.NewInt(args[0].Int() * 2)}}, nil
 	}, &stats.RelStats{Rows: 100, Cols: []stats.ColStats{{Distinct: 100}, {Distinct: 100}}}, 1)
+	return cat
+}
+
+// nullSweepCatalog holds tables whose join keys are sometimes NULL:
+// local NA (indexed on k) and NB, remote NR at site 1 (indexed on k),
+// and sweepCatalog's function relation F.
+func nullSweepCatalog(t *testing.T) *catalog.Catalog {
+	t.Helper()
+	cat := catalog.New()
+	mk := func(name string, rows int, mod, nullEvery int64) *storage.Table {
+		tb := storage.NewTable(name, schema.New(
+			schema.Column{Table: name, Name: "k", Type: value.KindInt},
+			schema.Column{Table: name, Name: "v", Type: value.KindInt},
+		))
+		for i := int64(0); i < int64(rows); i++ {
+			k := value.NewInt(i % mod)
+			if i%nullEvery == 0 {
+				k = value.Null
+			}
+			tb.MustInsert(k, value.NewInt(i*37%100))
+		}
+		return tb
+	}
+	a, b, r := mk("NA", 40, 8, 5), mk("NB", 30, 10, 4), mk("NR", 100, 25, 6)
+	for _, tb := range []*storage.Table{a, r} {
+		if _, err := tb.CreateIndex(tb.Name()+"_k", []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat.AddTable(a)
+	cat.AddTable(b)
+	cat.AddRemoteTable(r, 1)
+	f, err := sweepCatalog(t).Get("F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.AddFunc(f.Name, f.FnSchema, f.ArgCols, f.Fn, f.FnStats, f.FnPerCall)
 	return cat
 }

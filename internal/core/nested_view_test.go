@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"filterjoin/internal/core"
@@ -62,7 +63,7 @@ func TestNestedViews(t *testing.T) {
 	if len(plainRows) == 0 {
 		t.Fatal("nested view query returned no rows; workload degenerate")
 	}
-	if !equalStrings(plainRows, fjRows) {
+	if !slices.Equal(plainRows, fjRows) {
 		t.Fatalf("nested views: results differ (%d vs %d rows)", len(plainRows), len(fjRows))
 	}
 }
@@ -103,7 +104,7 @@ func TestFilterJoinOnAggregateOutputRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := runPlan(t, planRunner{pp.Make})
-	if !equalStrings(rows, want) {
+	if !slices.Equal(rows, want) {
 		t.Error("results differ")
 	}
 }

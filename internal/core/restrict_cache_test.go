@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"filterjoin/internal/catalog"
@@ -208,7 +209,7 @@ func runTwice(t *testing.T, p planRunner, m *core.Method, wantPlans int64) cost.
 		t.Errorf("second run: restrict plans/hits = %d/%d, want %d/%d",
 			m.Metrics.RestrictPlans, m.Metrics.RestrictHits, wantPlans, wantPlans)
 	}
-	if !equalStrings(rows1, rows2) {
+	if !slices.Equal(rows1, rows2) {
 		t.Errorf("cached run changed the rows: %d vs %d", len(rows2), len(rows1))
 	}
 	if c1 != c2 {
@@ -234,7 +235,7 @@ func TestRestrictCacheRemoteView(t *testing.T) {
 	if c.NetMsgs < 2 || c.NetBytes == 0 {
 		t.Errorf("cached run shipped nothing: %+v", c)
 	}
-	if got, _ := runPlan(t, planRunner{p.Make}); !equalStrings(got, plain) {
+	if got, _ := runPlan(t, planRunner{p.Make}); !slices.Equal(got, plain) {
 		t.Errorf("rows differ from the plan without a Filter Join: %d vs %d", len(got), len(plain))
 	}
 }
@@ -266,7 +267,7 @@ func TestRestrictCacheViewOverView(t *testing.T) {
 	plain, _, _ := optimizeAndRun(t, cat, q, false, core.Options{})
 	p, _, m := filterJoinPlan(t, cat, q, core.Options{})
 	runTwice(t, planRunner{p.Make}, m, 2)
-	if got, _ := runPlan(t, planRunner{p.Make}); !equalStrings(got, plain) {
+	if got, _ := runPlan(t, planRunner{p.Make}); !slices.Equal(got, plain) {
 		t.Errorf("rows differ from the plan without a Filter Join: %d vs %d", len(got), len(plain))
 	}
 }

@@ -153,6 +153,12 @@ func (j *FetchMatchesJoin) NextBatch(ctx *exec.Context, dst *exec.Batch, max int
 // back. The key message is the fallible crossing; the response charges
 // once the probe resolves.
 func (j *FetchMatchesJoin) fetch(ctx *exec.Context, r value.Row) error {
+	j.ids, j.pos = nil, 0
+	for _, k := range j.OuterKeyIdx {
+		if r[k].IsNull() {
+			return nil // a NULL key matches nothing: no round trip
+		}
+	}
 	if err := Send(ctx, j.Site, int64(j.keyBytes)); err != nil {
 		return err
 	}
@@ -160,7 +166,6 @@ func (j *FetchMatchesJoin) fetch(ctx *exec.Context, r value.Row) error {
 	j.ids = j.Index.LookupRow(r, j.OuterKeyIdx)
 	ctx.Counter.PageReads += int64(storage.ProbePages(j.ids, j.Table.RowsPerPage()))
 	ctx.Counter.NetBytes += int64(len(j.ids) * j.rowBytes)
-	j.pos = 0
 	return nil
 }
 

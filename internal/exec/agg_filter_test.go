@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"filterjoin/internal/bloom"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/value"
@@ -151,6 +152,16 @@ func TestBloomFilterScanSuperset(t *testing.T) {
 		if !passed[int64(i)] {
 			t.Fatalf("false negative for key %d", i)
 		}
+	}
+
+	// A saturated filter lets every key through, but never a NULL one.
+	full := bloom.New(1, 1, []int{0})
+	for i := 0; i < 1000; i++ {
+		full.AddKey(value.Row{value.NewInt(int64(i))})
+	}
+	keys := NewValues(schema.New(schema.Column{Name: "k", Type: value.KindInt}), []value.Row{{value.Null}, {value.NewInt(7)}, {value.Null}})
+	if got, _ := drain(t, NewBloomFilterScan(keys, full, []int{0})); len(got) != 1 || got[0][0].IsNull() {
+		t.Errorf("saturated filter passed %v, want only (7)", got)
 	}
 }
 

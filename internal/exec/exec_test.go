@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sort"
 	"testing"
 
 	"filterjoin/internal/cost"
@@ -45,15 +44,6 @@ func drain(t testing.TB, op Operator) ([]value.Row, cost.Counter) {
 func pullRow(ctx *Context, op Operator) (value.Row, bool, error) {
 	var rd RowReader
 	return rd.Read(ctx, op)
-}
-
-func canon(rows []value.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	sort.Strings(out)
-	return out
 }
 
 func TestTableScanChargesExactPages(t *testing.T) {

@@ -63,8 +63,13 @@ func BuildKeySetSized(ctx *Context, op Operator, keyIdx []int, hint int) (*KeySe
 
 // Add inserts r's projection onto keyIdx. The key is encoded straight
 // from r and only a new key is projected, into the set's arena — a
-// duplicate costs no allocation and r is never retained.
+// duplicate costs no allocation and r is never retained. A key with a
+// NULL is left out: it can match no row, and since no stored key holds
+// a NULL, no probe key with one is ever found either.
 func (s *KeySet) Add(r value.Row, keyIdx []int) {
+	if nullKey(r, keyIdx) {
+		return
+	}
 	s.keyBuf = r.AppendKey(s.keyBuf[:0], keyIdx)
 	if _, added := s.ht.Insert(s.keyBuf); added {
 		s.rows = append(s.rows, s.arena.Project(r, keyIdx))
@@ -164,7 +169,7 @@ func (f *KeySetFilter) Close(ctx *Context) { f.Child.Close(ctx) }
 // BloomFilterScan passes through child rows that the Bloom filter may
 // contain — the lossy filter-set variant. False positives let extra rows
 // through; downstream joins remain correct because the final join
-// re-checks the join predicate.
+// re-checks the join predicate. A row with a NULL key never passes.
 type BloomFilterScan struct {
 	Child  Operator
 	Filter *bloom.Filter
@@ -204,7 +209,7 @@ func (b *BloomFilterScan) NextBatch(ctx *Context, dst *Batch, max int) error {
 		var cpu int64
 		for _, r := range b.in.Rows {
 			cpu++
-			if b.Filter.MayContain(r, b.KeyIdx) {
+			if !nullKey(r, b.KeyIdx) && b.Filter.MayContain(r, b.KeyIdx) {
 				dst.Rows = append(dst.Rows, r)
 			}
 		}

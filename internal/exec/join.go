@@ -430,6 +430,8 @@ func (j *MergeJoin) next(ctx *Context) (value.Row, bool, error) {
 			j.li++
 		case c > 0:
 			j.ri++
+		case nullKey(j.lrows[j.li], j.LeftKeys):
+			j.li++ // equal on a NULL, which matches nothing
 		default:
 			// Collect the left group sharing this key.
 			start := j.li
@@ -504,12 +506,16 @@ func (j *IndexNLJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 	return j.loop.Fill(ctx, dst, max, j.Outer, j.Residual, j.probe, j.match)
 }
 
-// probe looks outer row r up in the index.
+// probe looks outer row r up in the index; a NULL key matches nothing
+// and is not looked up.
 func (j *IndexNLJoin) probe(ctx *Context, r value.Row) error {
+	j.ids, j.pos = nil, 0
+	if nullKey(r, j.OuterKeyIdx) {
+		return nil
+	}
 	ctx.Counter.PageReads++ // index probe
 	j.ids = j.Index.LookupRow(r, j.OuterKeyIdx)
 	ctx.Counter.PageReads += int64(storage.ProbePages(j.ids, j.Table.RowsPerPage()))
-	j.pos = 0
 	return nil
 }
 

@@ -5,47 +5,29 @@ import (
 	"testing"
 	"testing/quick"
 
+	"filterjoin/internal/catalog"
 	"filterjoin/internal/expr"
+	"filterjoin/internal/query"
+	"filterjoin/internal/schema"
+	"filterjoin/internal/sqlref"
 	"filterjoin/internal/storage"
 	"filterjoin/internal/value"
 )
 
-// referenceJoin computes L ⋈ R on l[lk]==r[rk] plus residual by brute
-// force, as ground truth for the join-operator property tests.
-func referenceJoin(l, r []value.Row, lk, rk []int, residual expr.Expr) []value.Row {
-	var out []value.Row
-	for _, a := range l {
-		for _, b := range r {
-			match := true
-			for i := range lk {
-				if !value.Equal(a[lk[i]], b[rk[i]]) {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			joined := a.Concat(b)
-			if residual != nil {
-				ok, err := expr.EvalBool(residual, joined)
-				if err != nil || !ok {
-					continue
-				}
-			}
-			out = append(out, joined)
+// randIntTable draws n rows (k, v) with k below keyRange and v below
+// 100. Each k is NULL with probability nullFrac; at 0 no extra number is
+// drawn, so a seed draws the same rows with and without the parameter.
+func randIntTable(t testing.TB, name string, rng *rand.Rand, n, keyRange int, nullFrac float64) *storage.Table {
+	t.Helper()
+	s := schema.New(schema.Column{Table: name, Name: "k", Type: value.KindInt}, schema.Column{Table: name, Name: "v", Type: value.KindInt})
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(rng.Intn(keyRange))), value.NewInt(int64(rng.Intn(100)))}
+		if nullFrac > 0 && rng.Float64() < nullFrac {
+			rows[i][0] = value.Null
 		}
 	}
-	return out
-}
-
-func randIntTable(t testing.TB, name string, rng *rand.Rand, n, keyRange int) *storage.Table {
-	t.Helper()
-	rows := make([][]int64, n)
-	for i := range rows {
-		rows[i] = []int64{int64(rng.Intn(keyRange)), int64(rng.Intn(100))}
-	}
-	return intTable(t, name, []string{"k", "v"}, rows)
+	return storage.FromRows(name, s, rows)
 }
 
 // residualGT is l.v > r.v over the joined layout (l.k l.v r.k r.v).
@@ -54,32 +36,43 @@ func residualGT() expr.Expr {
 }
 
 // TestJoinOperatorsAgreeProperty is the central executor property: every
-// join algorithm must produce exactly the reference result on random
-// inputs, with and without a residual predicate.
+// join algorithm must return SQL's answer to l ⋈ r on k on random inputs,
+// with and without a residual predicate and NULL keys.
 func TestJoinOperatorsAgreeProperty(t *testing.T) {
-	f := func(seed int64, withResidual bool) bool {
+	f := func(seed int64, withResidual, withNulls bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		lt := randIntTable(t, "l", rng, 1+rng.Intn(60), 1+rng.Intn(10))
-		rt := randIntTable(t, "r", rng, 1+rng.Intn(60), 1+rng.Intn(10))
+		nullFrac := 0.0
+		if withNulls {
+			nullFrac = 0.25
+		}
+		lt := randIntTable(t, "l", rng, 1+rng.Intn(60), 1+rng.Intn(10), nullFrac)
+		rt := randIntTable(t, "r", rng, 1+rng.Intn(60), 1+rng.Intn(10), nullFrac)
 		var residual expr.Expr
 		if withResidual {
 			residual = residualGT()
 		}
-		want := canon(referenceJoin(lt.Rows(), rt.Rows(), []int{0}, []int{0}, residual))
-
-		// Hash join (build left, emit left‖right).
-		hj := NewHashJoin(NewTableScan(lt, "l"), NewTableScan(rt, "r"), []int{0}, []int{0}, residual)
-		got, _ := drain(t, hj)
-		if !equalCanon(canon(got), want) {
-			t.Logf("hash join mismatch (seed %d)", seed)
-			return false
+		cat := catalog.New()
+		cat.AddTable(lt)
+		cat.AddTable(rt)
+		q := &query.Block{
+			Rels:  []query.RelRef{{Name: "l"}, {Name: "r"}},
+			Preds: []expr.Expr{expr.Eq(expr.NewCol(0, "l.k"), expr.NewCol(2, "r.k"))},
+		}
+		if residual != nil {
+			q.Preds = append(q.Preds, residual)
+		}
+		agrees := func(what string, op Operator) bool {
+			got, _ := drain(t, op)
+			if err := sqlref.Check(cat, q, got); err != nil {
+				t.Logf("%s (seed %d): %v", what, seed, err)
+				return false
+			}
+			return true
 		}
 
-		// Merge join.
-		mj := NewMergeJoin(NewTableScan(lt, "l"), NewTableScan(rt, "r"), []int{0}, []int{0}, residual)
-		got, _ = drain(t, mj)
-		if !equalCanon(canon(got), want) {
-			t.Logf("merge join mismatch (seed %d)", seed)
+		// Hash join (build left, emit left‖right).
+		if !agrees("hash join", NewHashJoin(NewTableScan(lt, "l"), NewTableScan(rt, "r"), []int{0}, []int{0}, residual)) ||
+			!agrees("merge join", NewMergeJoin(NewTableScan(lt, "l"), NewTableScan(rt, "r"), []int{0}, []int{0}, residual)) {
 			return false
 		}
 
@@ -88,10 +81,7 @@ func TestJoinOperatorsAgreeProperty(t *testing.T) {
 			expr.Eq(expr.NewCol(0, "l.k"), expr.NewCol(2, "r.k")),
 			orTrue(residual),
 		)
-		nl := NewNestedLoopJoin(NewTableScan(lt, "l"), NewMaterialize(NewTableScan(rt, "r"), "m"), pred)
-		got, _ = drain(t, nl)
-		if !equalCanon(canon(got), want) {
-			t.Logf("nested loops mismatch (seed %d)", seed)
+		if !agrees("nested loops", NewNestedLoopJoin(NewTableScan(lt, "l"), NewMaterialize(NewTableScan(rt, "r"), "m"), pred)) {
 			return false
 		}
 
@@ -100,13 +90,7 @@ func TestJoinOperatorsAgreeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inl := NewIndexNLJoin(NewTableScan(lt, "l"), rt, ix, []int{0}, residual, "r")
-		got, _ = drain(t, inl)
-		if !equalCanon(canon(got), want) {
-			t.Logf("index NL mismatch (seed %d)", seed)
-			return false
-		}
-		return true
+		return agrees("index NL", NewIndexNLJoin(NewTableScan(lt, "l"), rt, ix, []int{0}, residual, "r"))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -118,18 +102,6 @@ func orTrue(e expr.Expr) expr.Expr {
 		return expr.NewLit(value.NewBool(true))
 	}
 	return e
-}
-
-func equalCanon(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestHashJoinProbeFirstLayout(t *testing.T) {

@@ -164,7 +164,8 @@ type joinTable struct {
 	keyBuf            []byte
 }
 
-// build indexes rows on the keys columns, pre-sized for hint distinct keys.
+// build indexes rows on the keys columns, pre-sized for hint distinct
+// keys. A row with a NULL key joins nothing and enters no chain.
 func (t *joinTable) build(rows []value.Row, keys []int, hint int) {
 	t.rows = rows
 	t.ht.Init(hint)
@@ -175,9 +176,12 @@ func (t *joinTable) build(rows []value.Row, keys []int, hint int) {
 	}
 	t.nxt = t.nxt[:0]
 	for i, r := range rows {
+		t.nxt = append(t.nxt, -1)
+		if nullKey(r, keys) {
+			continue
+		}
 		t.keyBuf = r.AppendKey(t.keyBuf[:0], keys)
 		id, added := t.ht.Insert(t.keyBuf)
-		t.nxt = append(t.nxt, -1)
 		if added {
 			t.heads = append(t.heads, int32(i))
 			t.tails = append(t.tails, int32(i))
@@ -189,8 +193,11 @@ func (t *joinTable) build(rows []value.Row, keys []int, hint int) {
 }
 
 // probe returns the chain cursor of the first build row whose key equals
-// r's keys columns, or -1 when there is none.
+// r's keys columns, or -1 when there is none (always for a NULL key).
 func (t *joinTable) probe(r value.Row, keys []int) int32 {
+	if nullKey(r, keys) {
+		return -1
+	}
 	t.keyBuf = r.AppendKey(t.keyBuf[:0], keys)
 	if id := t.ht.Lookup(t.keyBuf); id >= 0 {
 		return t.heads[id]
@@ -201,3 +208,15 @@ func (t *joinTable) probe(r value.Row, keys []int) int32 {
 // pop returns the build row at cursor c and the cursor of the next row
 // in its chain (-1 at the end).
 func (t *joinTable) pop(c int32) (value.Row, int32) { return t.rows[c], t.nxt[c] }
+
+// nullKey reports whether any of r's keys columns is NULL. SQL's = is
+// never true on NULL, so every equi-join and filter set skips such a
+// row; grouping and DISTINCT, which keep NULLs together, do not ask.
+func nullKey(r value.Row, keys []int) bool {
+	for _, k := range keys {
+		if r[k].IsNull() {
+			return true
+		}
+	}
+	return false
+}

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"filterjoin/internal/expr"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/storage"
@@ -103,10 +105,13 @@ func (l *IndexLookup) Open(ctx *Context) error {
 			key[i] = v
 		}
 	}
+	l.ids, l.pos = nil, 0
+	if slices.ContainsFunc(key, value.Value.IsNull) {
+		return nil // a NULL key matches nothing: no probe
+	}
 	ctx.Counter.PageReads++ // index probe
 	l.ids = l.Index.Lookup(key)
 	ctx.Counter.PageReads += int64(storage.ProbePages(l.ids, l.Table.RowsPerPage()))
-	l.pos = 0
 	return nil
 }
 

@@ -1,12 +1,14 @@
 package opt
 
 import (
+	"slices"
 	"testing"
 
 	"filterjoin/internal/cost"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/plan"
 	"filterjoin/internal/query"
+	"filterjoin/internal/sqlref"
 	"filterjoin/internal/value"
 )
 
@@ -46,8 +48,8 @@ func assertOrdered(t *testing.T, rows []value.Row, items []query.OrderItem) {
 }
 
 // TestOrderDifferentialMemoOnOff runs ORDER BY queries with the
-// property memo on and off: both must return the same row multiset, and
-// both must deliver the requested order.
+// property memo on and off: both must return SQL's answer (sqlref), in
+// the requested order.
 func TestOrderDifferentialMemoOnOff(t *testing.T) {
 	cat := buildCat(t)
 	queries := []struct {
@@ -83,7 +85,7 @@ func TestOrderDifferentialMemoOnOff(t *testing.T) {
 	}
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			var ref []string
+			var answers [][]value.Row // memo on, then off
 			for _, disable := range []bool{false, true} {
 				o := New(cat, cost.DefaultModel())
 				o.DisableOrderProps = disable
@@ -92,15 +94,10 @@ func TestOrderDifferentialMemoOnOff(t *testing.T) {
 					t.Fatal(err)
 				}
 				rows, _ := runNode(t, p)
-				assertOrdered(t, rows, q.b().OrderBy)
-				got := canonRows(rows)
-				if ref == nil {
-					ref = got
-					continue
-				}
-				if !sameStrings(ref, got) {
-					t.Fatalf("memo on and off disagree: %d vs %d rows", len(ref), len(got))
-				}
+				answers = append(answers, rows)
+			}
+			if err := sqlref.Check(cat, q.b(), answers...); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -144,7 +141,7 @@ func TestSortElisionBeatsResort(t *testing.T) {
 			model.Total(cAware), model.Total(cBlind))
 	}
 	assertOrdered(t, rowsAware, []query.OrderItem{{Col: 0}})
-	if !sameStrings(canonRows(rowsAware), canonRows(rowsBlind)) {
+	if !slices.Equal(sqlref.Canon(rowsAware), sqlref.Canon(rowsBlind)) {
 		t.Error("elision changed the result multiset")
 	}
 }
@@ -171,7 +168,7 @@ func TestForcedOrderSharesElisionPath(t *testing.T) {
 		rows, _ := runNode(t, forced)
 		assertOrdered(t, rows, []query.OrderItem{{Col: 0}})
 		rowsFree, _ := runNode(t, free)
-		if !sameStrings(canonRows(rows), canonRows(rowsFree)) {
+		if !slices.Equal(sqlref.Canon(rows), sqlref.Canon(rowsFree)) {
 			t.Errorf("forced order %v changed results", perm)
 		}
 	}
@@ -220,7 +217,7 @@ func TestStreamAggregationOnOrderedInput(t *testing.T) {
 		t.Fatal("property-blind optimizer must hash-aggregate")
 	}
 	rows2, _ := runNode(t, p2)
-	if !sameStrings(canonRows(rows), canonRows(rows2)) {
+	if !slices.Equal(sqlref.Canon(rows), sqlref.Canon(rows2)) {
 		t.Error("streamed aggregation changed results")
 	}
 	assertOrdered(t, rows, []query.OrderItem{{Col: 0}})

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"filterjoin/internal/catalog"
@@ -10,6 +11,7 @@ import (
 	"filterjoin/internal/plan"
 	"filterjoin/internal/query"
 	"filterjoin/internal/schema"
+	"filterjoin/internal/sqlref"
 	"filterjoin/internal/storage"
 	"filterjoin/internal/value"
 )
@@ -127,7 +129,7 @@ func TestFallbackThroughViewLeaf(t *testing.T) {
 	}
 	rows, _ := runNode(t, p)
 	alt, _ := runNode(t, p.Fallback)
-	if len(rows) != 5 || !sameStrings(canonRows(rows), canonRows(alt)) {
+	if len(rows) != 5 || !slices.Equal(sqlref.Canon(rows), sqlref.Canon(alt)) {
 		t.Errorf("primary returned %d rows, fallback %d; want the same 5", len(rows), len(alt))
 	}
 

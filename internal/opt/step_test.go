@@ -1,11 +1,13 @@
 package opt
 
 import (
+	"slices"
 	"testing"
 
 	"filterjoin/internal/cost"
 	"filterjoin/internal/exec"
 	"filterjoin/internal/plan"
+	"filterjoin/internal/sqlref"
 )
 
 // fakeJoin is a JoinMethod that knows nothing but the step: it offers
@@ -89,7 +91,7 @@ func TestRegisteredMethodSeesEveryStep(t *testing.T) {
 	}
 	rows, _ := runNode(t, p)
 	wantRows, _ := runNode(t, want)
-	if !sameStrings(canonRows(rows), canonRows(wantRows)) {
+	if !slices.Equal(sqlref.Canon(rows), sqlref.Canon(wantRows)) {
 		t.Error("plan through the registered method returns different rows")
 	}
 

@@ -8,6 +8,7 @@ package udr
 
 import (
 	"fmt"
+	"slices"
 
 	"filterjoin/internal/catalog"
 	"filterjoin/internal/exec"
@@ -107,11 +108,16 @@ func (j *ProbeJoin) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error
 	return j.loop.Fill(ctx, dst, max, j.Outer, j.Residual, j.apply, j.result)
 }
 
-// apply invokes the function on outer row r's binding columns.
+// apply invokes the function on outer row r's binding columns. A NULL
+// argument equals no argument column, so it yields no rows and no call.
 func (j *ProbeJoin) apply(ctx *exec.Context, r value.Row) error {
-	batch, err := j.invoke(ctx, r.Project(j.OuterArgIdx))
+	j.batch, j.pos = nil, 0
+	args := r.Project(j.OuterArgIdx)
+	if slices.ContainsFunc(args, value.Value.IsNull) {
+		return nil
+	}
+	batch, err := j.invoke(ctx, args)
 	j.batch = batch
-	j.pos = 0
 	return err
 }
 

@@ -9,6 +9,7 @@ import (
 	"filterjoin"
 	"filterjoin/internal/datagen"
 	"filterjoin/internal/dist"
+	"filterjoin/internal/sqlref"
 )
 
 // countdown is a caller context whose Err reports context.Canceled from
@@ -101,7 +102,7 @@ func TestLifecycleSweepFacade(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want := fmt.Sprint(sortedRows(fresh.Rows))
+		want := fmt.Sprint(sqlref.Canon(fresh.Rows))
 		db := tc.open(t)
 		answers := func(what string) {
 			t.Helper()
@@ -109,7 +110,7 @@ func TestLifecycleSweepFacade(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: next query: %v", tc.name, what, err)
 			}
-			if got := fmt.Sprint(sortedRows(res.Rows)); got != want || res.DegradedFrom != nil {
+			if got := fmt.Sprint(sqlref.Canon(res.Rows)); got != want || res.DegradedFrom != nil {
 				t.Fatalf("%s %s: next query differs from a fresh engine's rows (degraded=%v)", tc.name, what, res.DegradedFrom != nil)
 			}
 		}
@@ -137,7 +138,7 @@ func TestLifecycleSweepFacade(t *testing.T) {
 			var se *dist.SiteError
 			switch {
 			case err == nil && res.DegradedFrom != nil:
-				if got := fmt.Sprint(sortedRows(res.Rows)); got != want {
+				if got := fmt.Sprint(sqlref.Canon(res.Rows)); got != want {
 					t.Fatalf("%s %s: degraded to rows that differ from the fault-free run", tc.name, what)
 				}
 				degraded++

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	filterjoin "filterjoin"
+	"filterjoin/internal/sqlref"
 )
 
 // grpServingDB is servingDB plus Grp(did, grp), which sorts the 100
@@ -126,7 +127,7 @@ func TestRestrictCacheConcurrentSessions(t *testing.T) {
 			if len(r.Rows) == 0 {
 				t.Fatalf("query %d grp %d: oracle returned no rows", qi, grp)
 			}
-			want[qi][grp] = strings.Join(sortedRows(r.Rows), "\n")
+			want[qi][grp] = strings.Join(sqlref.Canon(r.Rows), "\n")
 		}
 		// One serial execution caches the plan every session then shares.
 		if _, err := db.Query(q, 1); err != nil {
@@ -155,7 +156,7 @@ func TestRestrictCacheConcurrentSessions(t *testing.T) {
 					errs[w] = fmt.Errorf("session %d query %d grp %d: plan cache %s, want the shared entry", w, qi, grp, r.CacheState)
 					return
 				}
-				if got := strings.Join(sortedRows(r.Rows), "\n"); got != want[qi][grp] {
+				if got := strings.Join(sqlref.Canon(r.Rows), "\n"); got != want[qi][grp] {
 					errs[w] = fmt.Errorf("session %d query %d grp %d: rows differ from the engine without a Filter Join", w, qi, grp)
 					return
 				}

@@ -366,8 +366,9 @@ func TestClassBoundaryReoptimizes(t *testing.T) {
 // TestCachedUncachedDifferential is the acceptance criterion: over a
 // corpus of queries (including the paper's magic-view join and a join
 // residual with a constant), cached execution — both the miss that
-// populates an entry and the hit that reuses it — returns bit-identical
-// rows AND cost-counter totals to an engine with the cache disabled. The
+// populates an entry and the hit that reuses it — returns SQL's answer
+// (sqlref), and rows AND cost-counter totals bit-identical to an engine
+// with the cache disabled. The
 // hit binds other constants in the same selectivity classes than the
 // miss, so a plan that kept a planning-time value instead of binding the
 // current one answers for the wrong constants.
@@ -407,6 +408,7 @@ func TestCachedUncachedDifferential(t *testing.T) {
 			r    *filterjoin.Result
 			args []any
 		}{{miss, q.miss}, {hit, q.hit}} {
+			checkSQL(t, cached, fmt.Sprintf(q.text, run.args...), run.r.Rows)
 			base, err := uncached.Query(fmt.Sprintf(q.text, run.args...))
 			if err != nil {
 				t.Fatalf("query %d uncached at %v: %v", i, run.args, err)
@@ -424,8 +426,8 @@ func TestCachedUncachedDifferential(t *testing.T) {
 // TestConcurrentSessionsDifferential runs a mixed Query/Prepare/Exec
 // workload from N goroutine sessions against one engine — including
 // catalog-mutating inserts into a scratch table that clear the cache
-// mid-flight — and checks every result against the serial answers.
-// CI runs this under -race.
+// mid-flight — and checks every result against the serial answers,
+// which must be SQL's (sqlref). CI runs this under -race.
 func TestConcurrentSessionsDifferential(t *testing.T) {
 	db := servingDB(t, false)
 	if err := db.ExecScript(`CREATE TABLE Scratch (k int, v int);`); err != nil {
@@ -445,6 +447,7 @@ func TestConcurrentSessionsDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkSQL(t, db, q, r.Rows)
 		want[i] = rowsKey(r.Rows)
 	}
 
