@@ -399,7 +399,7 @@ func (e *Engine) classifyPred(p expr.Expr, b *query.Block, layout *query.Layout)
 	if st == nil {
 		return -1
 	}
-	local := p.Shift(-layout.Offsets[ri])
+	local := expr.Shift(p, -layout.Offsets[ri])
 	return plancache.Classify(stats.Selectivity(local, st), core.DefaultSamplePoints)
 }
 

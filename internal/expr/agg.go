@@ -106,15 +106,6 @@ func (a AggSpec) String() string {
 	return fmt.Sprintf("%s(%s)", a.Kind, a.Arg.String())
 }
 
-// Shift re-bases the aggregate's argument by offset.
-func (a AggSpec) Shift(offset int) AggSpec {
-	out := a
-	if a.Arg != nil {
-		out.Arg = a.Arg.Shift(offset)
-	}
-	return out
-}
-
 // AggState is the running state of one aggregate over one group.
 type AggState struct {
 	kind    AggKind

@@ -99,12 +99,8 @@ func TestAggSpecString(t *testing.T) {
 	}
 }
 
-func TestAggSpecShiftAndRemap(t *testing.T) {
+func TestRemapAgg(t *testing.T) {
 	s := AggSpec{Kind: AggSum, Arg: NewCol(1, "x")}
-	sh := s.Shift(3)
-	if sh.Arg.(Col).Idx != 4 {
-		t.Error("Shift should rebase the argument")
-	}
 	rm := RemapAgg(s, []int{5, 7})
 	if rm.Arg.(Col).Idx != 7 {
 		t.Error("RemapAgg should remap the argument")

@@ -58,9 +58,9 @@ func CompilePred(e Expr) *Pred {
 }
 
 // Bind installs the current parameter bindings, the kernel counterpart
-// of BindParams: in-range slots take the binding, out-of-range slots
-// keep their planning-time value, unbound prepare-only slots error at
-// evaluation time. Binding a nil Pred (no predicate) is a no-op.
+// of BindParams: each Param operand resolves through Param.Value, and an
+// unbound one errors at evaluation time. Binding a nil Pred (no
+// predicate) is a no-op.
 func (p *Pred) Bind(params []value.Value) {
 	if p != nil {
 		p.root.bind(params)
@@ -134,20 +134,19 @@ type cmpOperand struct {
 	isCol   bool
 	col     int
 	lit     value.Value // current value when !isCol
-	param   int         // parameter slot, -1 for none
-	planned value.Value // Param planning-time value
-	has     bool        // Param.Has
-	err     error       // unbound-parameter error, surfaced per row
+	isParam bool
+	param   Param
+	err     error // unbound-parameter error, surfaced per row
 }
 
 func compileOperand(e Expr) (cmpOperand, bool) {
 	switch x := e.(type) {
 	case Col:
-		return cmpOperand{isCol: true, col: x.Idx, param: -1}, true
+		return cmpOperand{isCol: true, col: x.Idx}, true
 	case Lit:
-		return cmpOperand{lit: x.V, param: -1}, true
+		return cmpOperand{lit: x.V}, true
 	case Param:
-		o := cmpOperand{param: x.Idx, planned: x.V, has: x.Has}
+		o := cmpOperand{isParam: true, param: x}
 		o.bind(nil)
 		return o, true
 	default:
@@ -157,16 +156,8 @@ func compileOperand(e Expr) (cmpOperand, bool) {
 }
 
 func (o *cmpOperand) bind(params []value.Value) {
-	if o.param < 0 {
-		return
-	}
-	switch {
-	case o.param < len(params):
-		o.lit, o.err = params[o.param], nil
-	case o.has:
-		o.lit, o.err = o.planned, nil
-	default:
-		o.err = fmt.Errorf("expr: unbound parameter ?%d", o.param+1)
+	if o.isParam {
+		o.lit, o.err = o.param.Value(params)
 	}
 }
 

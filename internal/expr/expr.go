@@ -16,11 +16,8 @@ import (
 type Expr interface {
 	// Eval computes the expression over row.
 	Eval(row value.Row) (value.Value, error)
-	// Shift returns a copy of the expression with every column index
-	// increased by offset (for evaluating against a concatenated row).
+	// Shift(offset) is Shift(e, offset).
 	Shift(offset int) Expr
-	// CollectCols adds every referenced column index to set.
-	CollectCols(set map[int]bool)
 	// String renders the expression for plan display.
 	String() string
 }
@@ -57,10 +54,7 @@ func (c Col) Eval(row value.Row) (value.Value, error) {
 }
 
 // Shift implements Expr.
-func (c Col) Shift(offset int) Expr { return Col{Idx: c.Idx + offset, Name: c.Name} }
-
-// CollectCols implements Expr.
-func (c Col) CollectCols(set map[int]bool) { set[c.Idx] = true }
+func (c Col) Shift(offset int) Expr { return Shift(c, offset) }
 
 // String implements Expr.
 func (c Col) String() string {
@@ -89,10 +83,7 @@ func Str(v string) Lit { return Lit{V: value.NewString(v)} }
 func (l Lit) Eval(value.Row) (value.Value, error) { return l.V, nil }
 
 // Shift implements Expr.
-func (l Lit) Shift(int) Expr { return l }
-
-// CollectCols implements Expr.
-func (l Lit) CollectCols(map[int]bool) {}
+func (l Lit) Shift(offset int) Expr { return Shift(l, offset) }
 
 // String implements Expr.
 func (l Lit) String() string {
@@ -177,15 +168,7 @@ func (c Cmp) Eval(row value.Row) (value.Value, error) {
 }
 
 // Shift implements Expr.
-func (c Cmp) Shift(offset int) Expr {
-	return Cmp{Op: c.Op, L: c.L.Shift(offset), R: c.R.Shift(offset)}
-}
-
-// CollectCols implements Expr.
-func (c Cmp) CollectCols(set map[int]bool) {
-	c.L.CollectCols(set)
-	c.R.CollectCols(set)
-}
+func (c Cmp) Shift(offset int) Expr { return Shift(c, offset) }
 
 // String implements Expr.
 func (c Cmp) String() string {
@@ -226,20 +209,7 @@ func (a And) Eval(row value.Row) (value.Value, error) {
 }
 
 // Shift implements Expr.
-func (a And) Shift(offset int) Expr {
-	kids := make([]Expr, len(a.Kids))
-	for i, k := range a.Kids {
-		kids[i] = k.Shift(offset)
-	}
-	return And{Kids: kids}
-}
-
-// CollectCols implements Expr.
-func (a And) CollectCols(set map[int]bool) {
-	for _, k := range a.Kids {
-		k.CollectCols(set)
-	}
-}
+func (a And) Shift(offset int) Expr { return Shift(a, offset) }
 
 // String implements Expr.
 func (a And) String() string {
@@ -279,20 +249,7 @@ func (o Or) Eval(row value.Row) (value.Value, error) {
 }
 
 // Shift implements Expr.
-func (o Or) Shift(offset int) Expr {
-	kids := make([]Expr, len(o.Kids))
-	for i, k := range o.Kids {
-		kids[i] = k.Shift(offset)
-	}
-	return Or{Kids: kids}
-}
-
-// CollectCols implements Expr.
-func (o Or) CollectCols(set map[int]bool) {
-	for _, k := range o.Kids {
-		k.CollectCols(set)
-	}
-}
+func (o Or) Shift(offset int) Expr { return Shift(o, offset) }
 
 // String implements Expr.
 func (o Or) String() string {
@@ -325,10 +282,7 @@ func (n Not) Eval(row value.Row) (value.Value, error) {
 }
 
 // Shift implements Expr.
-func (n Not) Shift(offset int) Expr { return Not{Kid: n.Kid.Shift(offset)} }
-
-// CollectCols implements Expr.
-func (n Not) CollectCols(set map[int]bool) { n.Kid.CollectCols(set) }
+func (n Not) Shift(offset int) Expr { return Shift(n, offset) }
 
 // String implements Expr.
 func (n Not) String() string { return "NOT (" + n.Kid.String() + ")" }
@@ -418,15 +372,7 @@ func (a Arith) Eval(row value.Row) (value.Value, error) {
 }
 
 // Shift implements Expr.
-func (a Arith) Shift(offset int) Expr {
-	return Arith{Op: a.Op, L: a.L.Shift(offset), R: a.R.Shift(offset)}
-}
-
-// CollectCols implements Expr.
-func (a Arith) CollectCols(set map[int]bool) {
-	a.L.CollectCols(set)
-	a.R.CollectCols(set)
-}
+func (a Arith) Shift(offset int) Expr { return Shift(a, offset) }
 
 // String implements Expr.
 func (a Arith) String() string {

@@ -159,7 +159,7 @@ func TestArith(t *testing.T) {
 
 func TestShift(t *testing.T) {
 	e := NewCmp(GT, NewCol(0, "a"), NewCol(1, "b"))
-	s := e.Shift(3)
+	s := Shift(e, 3)
 	r := row(value.NewInt(0), value.NewInt(0), value.NewInt(0), value.NewInt(9), value.NewInt(4))
 	if !mustEval(t, s, r).Bool() {
 		t.Error("shifted comparison should read columns 3 and 4")
@@ -173,7 +173,7 @@ func TestCollectCols(t *testing.T) {
 		Arith{Op: Add, L: NewCol(7, ""), R: Int(1)},
 	)
 	set := map[int]bool{}
-	e.CollectCols(set)
+	CollectCols(e, set)
 	for _, want := range []int{1, 2, 4, 7} {
 		if !set[want] {
 			t.Errorf("column %d not collected", want)

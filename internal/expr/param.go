@@ -19,22 +19,28 @@ type Param struct {
 	Has bool        // false for an unbound (prepare-only) parameter
 }
 
+// Value is the one binding rule: a slot in range of params takes its
+// binding, otherwise a planned Param keeps its planning-time value,
+// otherwise the parameter is unbound. Eval, BindParams and the compiled
+// kernels' operands all resolve a Param through it.
+func (p Param) Value(params []value.Value) (value.Value, error) {
+	switch {
+	case p.Idx >= 0 && p.Idx < len(params):
+		return params[p.Idx], nil
+	case p.Has:
+		return p.V, nil
+	}
+	return value.Null, fmt.Errorf("expr: unbound parameter ?%d", p.Idx+1)
+}
+
 // Eval implements Expr. A bound Param behaves exactly like a literal of
 // its planning-time value — this is the fallback for plans executed
 // outside the serving layer (no ctx.Params); the serving layer always
 // rebinds via BindParams before evaluation.
-func (p Param) Eval(value.Row) (value.Value, error) {
-	if !p.Has {
-		return value.Null, fmt.Errorf("expr: unbound parameter ?%d", p.Idx+1)
-	}
-	return p.V, nil
-}
+func (p Param) Eval(value.Row) (value.Value, error) { return p.Value(nil) }
 
 // Shift implements Expr.
-func (p Param) Shift(int) Expr { return p }
-
-// CollectCols implements Expr.
-func (p Param) CollectCols(map[int]bool) {}
+func (p Param) Shift(offset int) Expr { return Shift(p, offset) }
 
 // String implements Expr. A bound Param renders exactly like the literal
 // it was planned with, so plan displays (and their goldens) are
@@ -47,101 +53,40 @@ func (p Param) String() string {
 	return Lit{V: p.V}.String()
 }
 
-// HasParams reports whether e contains any Param node.
-func HasParams(e Expr) bool {
-	switch x := e.(type) {
-	case Param:
-		return true
-	case Cmp:
-		return HasParams(x.L) || HasParams(x.R)
-	case Arith:
-		return HasParams(x.L) || HasParams(x.R)
-	case Not:
-		return HasParams(x.Kid)
-	case And:
-		for _, k := range x.Kids {
-			if HasParams(k) {
-				return true
-			}
-		}
-	case Or:
-		for _, k := range x.Kids {
-			if HasParams(k) {
-				return true
-			}
-		}
-	default:
-		// Col, Lit: leaves without Param children.
-	}
-	return false
-}
-
 // CollectParams adds the index of every Param in e to set.
 func CollectParams(e Expr, set map[int]bool) {
-	switch x := e.(type) {
-	case Param:
-		set[x.Idx] = true
-	case Cmp:
-		CollectParams(x.L, set)
-		CollectParams(x.R, set)
-	case Arith:
-		CollectParams(x.L, set)
-		CollectParams(x.R, set)
-	case Not:
-		CollectParams(x.Kid, set)
-	case And:
-		for _, k := range x.Kids {
-			CollectParams(k, set)
+	mapLeaves(e, func(l Expr) (Expr, bool) {
+		if p, ok := l.(Param); ok {
+			set[p.Idx] = true
 		}
-	case Or:
-		for _, k := range x.Kids {
-			CollectParams(k, set)
+		return l, false
+	})
+}
+
+// binding is one execution's parameter values; its leaf method is the
+// mapLeaves callback that replaces each resolvable Param by a literal of
+// its value. An unbound Param stays, and errors when evaluated.
+type binding []value.Value
+
+func (b binding) leaf(l Expr) (Expr, bool) {
+	if p, ok := l.(Param); ok {
+		if v, err := p.Value(b); err == nil {
+			return Lit{V: v}, true
 		}
-	default:
-		// Col, Lit: leaves without Param children.
 	}
+	return l, false
 }
 
 // BindParams returns e with every Param replaced by the literal value of
-// its current binding. Out-of-range slots keep the planning-time value
-// (Param evaluates as that literal). When e holds no Param, or no
+// its current binding (Param.Value). When e holds no Param, or no
 // bindings are supplied, e is returned unchanged, so the rewrite is free
 // for the non-parameterized plans that dominate operator Opens.
 func BindParams(e Expr, params []value.Value) Expr {
-	if e == nil || len(params) == 0 || !HasParams(e) {
+	if len(params) == 0 {
 		return e
 	}
-	return rebind(e, params)
-}
-
-func rebind(e Expr, params []value.Value) Expr {
-	switch x := e.(type) {
-	case Param:
-		if x.Idx >= 0 && x.Idx < len(params) {
-			return Lit{V: params[x.Idx]}
-		}
-		return x
-	case Cmp:
-		return Cmp{Op: x.Op, L: rebind(x.L, params), R: rebind(x.R, params)}
-	case Arith:
-		return Arith{Op: x.Op, L: rebind(x.L, params), R: rebind(x.R, params)}
-	case Not:
-		return Not{Kid: rebind(x.Kid, params)}
-	case And:
-		kids := make([]Expr, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = rebind(k, params)
-		}
-		return And{Kids: kids}
-	case Or:
-		kids := make([]Expr, len(x.Kids))
-		for i, k := range x.Kids {
-			kids[i] = rebind(k, params)
-		}
-		return Or{Kids: kids}
-	default:
-		return e
-	}
+	out, _ := mapLeaves(e, binding(params).leaf)
+	return out
 }
 
 // BindParamsList applies BindParams to each expression. The slice is
@@ -150,21 +95,10 @@ func BindParamsList(es []Expr, params []value.Value) []Expr {
 	if len(params) == 0 {
 		return es
 	}
-	any := false
-	for _, e := range es {
-		if e != nil && HasParams(e) {
-			any = true
-			break
-		}
+	if out, changed := mapKids(es, binding(params).leaf); changed {
+		return out
 	}
-	if !any {
-		return es
-	}
-	out := make([]Expr, len(es))
-	for i, e := range es {
-		out[i] = BindParams(e, params)
-	}
-	return out
+	return es
 }
 
 // BindAggs returns aggregate specs with every Arg rebound via BindParams.
@@ -173,22 +107,18 @@ func BindAggs(aggs []AggSpec, params []value.Value) []AggSpec {
 	if len(params) == 0 {
 		return aggs
 	}
-	any := false
-	for _, a := range aggs {
-		if a.Arg != nil && HasParams(a.Arg) {
-			any = true
-			break
+	var out []AggSpec
+	for i, a := range aggs {
+		arg, changed := mapLeaves(a.Arg, binding(params).leaf)
+		if changed && out == nil {
+			out = append([]AggSpec(nil), aggs...)
+		}
+		if out != nil {
+			out[i].Arg = arg
 		}
 	}
-	if !any {
+	if out == nil {
 		return aggs
-	}
-	out := make([]AggSpec, len(aggs))
-	copy(out, aggs)
-	for i := range out {
-		if out[i].Arg != nil {
-			out[i].Arg = BindParams(out[i].Arg, params)
-		}
 	}
 	return out
 }

@@ -190,7 +190,7 @@ func validateBlock(b *query.Block, layout *query.Layout) error {
 	w := layout.Schema.Len()
 	check := func(e expr.Expr, what string) error {
 		cols := map[int]bool{}
-		e.CollectCols(cols)
+		expr.CollectCols(e, cols)
 		for c := range cols {
 			if c < 0 || c >= w {
 				return fmt.Errorf("opt: %s %q references column %d outside the block layout (width %d)",

@@ -179,7 +179,7 @@ func (o *Optimizer) finish(ctx *Ctx, joined *plan.Node) (*plan.Node, error) {
 func (o *Optimizer) finishHaving(ctx *Ctx, prev *plan.Node) (*plan.Node, error) {
 	b := ctx.Block
 	cols := map[int]bool{}
-	b.Having.CollectCols(cols)
+	expr.CollectCols(b.Having, cols)
 	for c := range cols {
 		if c < 0 || c >= prev.OutSchema.Len() {
 			return nil, fmt.Errorf("opt: HAVING references output column %d (width %d)",

@@ -174,7 +174,7 @@ func (s RelSet) Members() []int {
 // the block layout.
 func PredRels(p expr.Expr, l *Layout) RelSet {
 	cols := map[int]bool{}
-	p.CollectCols(cols)
+	expr.CollectCols(p, cols)
 	var s RelSet
 	for c := range cols {
 		if r := l.RelOfCol(c); r >= 0 {

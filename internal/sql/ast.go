@@ -130,3 +130,44 @@ func (ABinary) aexpr() {}
 func (ANot) aexpr()    {}
 func (ACall) aexpr()   {}
 func (AParam) aexpr()  {}
+
+// anyNode reports whether f holds for e or any node below it; it is the
+// one function that knows which AExpr nodes have operands. A nil e (an
+// absent clause, COUNT(*)'s argument) has no nodes.
+func anyNode(e AExpr, f func(AExpr) bool) bool {
+	if e == nil {
+		return false
+	}
+	if f(e) {
+		return true
+	}
+	switch x := e.(type) {
+	case ABinary:
+		return anyNode(x.L, f) || anyNode(x.R, f)
+	case ANot:
+		return anyNode(x.X, f)
+	case ACall:
+		return anyNode(x.Arg, f)
+	default:
+		// AColumn, ALit, AParam: the leaves.
+		return false
+	}
+}
+
+// anyClause is anyNode over every expression of st: the select list,
+// WHERE and HAVING.
+func anyClause(st *SelectStmt, f func(AExpr) bool) bool {
+	for _, it := range st.Items {
+		if anyNode(it.Expr, f) {
+			return true
+		}
+	}
+	return anyNode(st.Where, f) || anyNode(st.Having, f)
+}
+
+// is reports whether e is a T; is[ACall] is the anyNode probe for an
+// aggregate call.
+func is[T AExpr](e AExpr) bool {
+	_, ok := e.(T)
+	return ok
+}

@@ -45,7 +45,7 @@ func BindSelectArgs(res query.SchemaResolver, st *SelectStmt, args []value.Value
 
 	hasAgg := false
 	for _, it := range st.Items {
-		if containsCall(it.Expr) {
+		if anyNode(it.Expr, is[ACall]) {
 			hasAgg = true
 			break
 		}
@@ -139,7 +139,7 @@ func BindSelectArgs(res query.SchemaResolver, st *SelectStmt, args []value.Value
 			if !b.HasAggregation() {
 				return nil, fmt.Errorf("sql: HAVING requires GROUP BY or aggregates")
 			}
-			if containsCall(st.Having) {
+			if anyNode(st.Having, is[ACall]) {
 				return nil, fmt.Errorf("sql: reference aggregates in HAVING through their select-list aliases")
 			}
 			h, err := bindExpr(st.Having, outLayout, false, args)
@@ -199,19 +199,6 @@ func splitConjuncts(e AExpr) []AExpr {
 		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
 	}
 	return []AExpr{e}
-}
-
-func containsCall(e AExpr) bool {
-	switch x := e.(type) {
-	case ACall:
-		return true
-	case ABinary:
-		return containsCall(x.L) || containsCall(x.R)
-	case ANot:
-		return containsCall(x.X)
-	default:
-		return false
-	}
 }
 
 func bindAgg(call ACall, layout *query.Layout, alias string, args []value.Value) (expr.AggSpec, error) {

@@ -73,43 +73,12 @@ func (n *normState) slot(v value.Value) AParam {
 // aggregate call (a pure column-side expression a selection predicate
 // compares against a constant).
 func refersColumn(e AExpr) bool {
-	switch x := e.(type) {
-	case AColumn:
-		return true
-	case ABinary:
-		return (refersColumn(x.L) || refersColumn(x.R)) && !containsCall(x)
-	case ANot:
-		return refersColumn(x.X)
-	default:
-		return false
-	}
+	return anyNode(e, is[AColumn]) && !anyNode(e, is[ACall])
 }
 
 // HasParams reports whether any explicit placeholder appears in the
 // statement.
-func HasParams(st *SelectStmt) bool {
-	for _, it := range st.Items {
-		if exprHasParam(it.Expr) {
-			return true
-		}
-	}
-	return exprHasParam(st.Where) || exprHasParam(st.Having)
-}
-
-func exprHasParam(e AExpr) bool {
-	switch x := e.(type) {
-	case AParam:
-		return true
-	case ABinary:
-		return exprHasParam(x.L) || exprHasParam(x.R)
-	case ANot:
-		return exprHasParam(x.X)
-	case ACall:
-		return exprHasParam(x.Arg)
-	default:
-		return false
-	}
-}
+func HasParams(st *SelectStmt) bool { return anyClause(st, is[AParam]) }
 
 // NumParams returns the number of parameter slots a statement expects,
 // validating that the used indexes are exactly 0..n-1 (so $1,$3 without
@@ -117,11 +86,12 @@ func exprHasParam(e AExpr) bool {
 // execution).
 func NumParams(st *SelectStmt) (int, error) {
 	set := map[int]bool{}
-	for _, it := range st.Items {
-		collectParamIdx(it.Expr, set)
-	}
-	collectParamIdx(st.Where, set)
-	collectParamIdx(st.Having, set)
+	anyClause(st, func(e AExpr) bool {
+		if p, ok := e.(AParam); ok {
+			set[p.Idx] = true
+		}
+		return false
+	})
 	if len(set) == 0 {
 		return 0, nil
 	}
@@ -138,25 +108,12 @@ func NumParams(st *SelectStmt) (int, error) {
 	return len(idxs), nil
 }
 
-func collectParamIdx(e AExpr, set map[int]bool) {
-	switch x := e.(type) {
-	case AParam:
-		set[x.Idx] = true
-	case ABinary:
-		collectParamIdx(x.L, set)
-		collectParamIdx(x.R, set)
-	case ANot:
-		collectParamIdx(x.X, set)
-	case ACall:
-		collectParamIdx(x.Arg, set)
-	default:
-		// AColumn, ALit: leaves without parameter children.
-	}
-}
-
 // FormatSelect renders a SELECT in canonical form — uppercase keywords,
 // single spacing, explicit `$n` placeholders — so textually different
-// spellings of the same statement map to one plan-cache key.
+// spellings of the same statement map to one plan-cache key. The text
+// parses back to the same statement: a float literal keeps its '.' or
+// exponent and a quote inside a string is doubled, so statements that
+// differ in a literal's kind or text never share a key.
 func FormatSelect(st *SelectStmt) string {
 	var b strings.Builder
 	b.WriteString("SELECT ")
@@ -228,10 +185,14 @@ func formatAExpr(e AExpr) string {
 	case AColumn:
 		return colName(x)
 	case ALit:
-		if x.V.Kind() == value.KindString {
-			return "'" + x.V.Str() + "'"
+		s := x.V.String()
+		switch {
+		case x.V.Kind() == value.KindString:
+			return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+		case x.V.Kind() == value.KindFloat && !strings.ContainsAny(s, ".e"):
+			return s + ".0"
 		}
-		return x.V.String()
+		return s
 	case AParam:
 		return fmt.Sprintf("$%d", x.Idx+1)
 	case ANot:

@@ -423,6 +423,32 @@ func TestCachedUncachedDifferential(t *testing.T) {
 	}
 }
 
+// TestCacheKeyKeepsLiterals is the cached differential's collision leg:
+// each pair differs only in a literal the plan-cache key (FormatSelect)
+// must keep apart, a float written with an integral value and a quote
+// doubled inside a string. Run second, each statement must still miss
+// and return SQL's answer, not the rows of the first statement's plan.
+func TestCacheKeyKeepsLiterals(t *testing.T) {
+	db := servingDB(t, false)
+	for _, pair := range [][2]string{
+		{`SELECT E.eid, E.eid / 2 FROM Emp E WHERE E.age > 55`,
+			`SELECT E.eid, E.eid / 2.0 FROM Emp E WHERE E.age > 55`},
+		{`SELECT D.did, 'a', 'b' FROM Dept D`,
+			`SELECT D.did, 'a'', ''b' FROM Dept D`},
+	} {
+		for _, q := range pair {
+			r, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if r.CacheState != "miss" {
+				t.Errorf("%s: cache=%s, want miss", q, r.CacheState)
+			}
+			checkSQL(t, db, q, r.Rows)
+		}
+	}
+}
+
 // TestConcurrentSessionsDifferential runs a mixed Query/Prepare/Exec
 // workload from N goroutine sessions against one engine — including
 // catalog-mutating inserts into a scratch table that clear the cache
