@@ -1,14 +1,13 @@
 package filterjoin_test
 
-// The benchmark harness: one testing.B benchmark per experiment in the
-// reproduction suite (DESIGN.md §4 maps them to the paper's tables and
+// The benchmark harness: one sub-benchmark per experiment in the
+// reproduction suite (EXPERIMENTS.md maps them to the paper's tables and
 // figures), plus engine micro-benchmarks. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The experiment benchmarks execute the full regeneration of their
-// artifact per iteration and report the experiment's headline figure as
-// a custom metric where one exists.
+// An experiment sub-benchmark executes the full regeneration of its
+// artifact per iteration.
 
 import (
 	"testing"
@@ -25,67 +24,24 @@ import (
 	"filterjoin/internal/value"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := e.Run()
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if len(r.Rows) == 0 {
-			b.Fatalf("%s produced no rows", id)
-		}
+// BenchmarkExperiments regenerates each registered experiment's report,
+// one sub-benchmark per id.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := e.Run()
+				if err != nil {
+					b.Fatalf("%s: %v", e.ID, err)
+				}
+				if len(r.Rows) == 0 {
+					b.Fatalf("%s produced no rows", e.ID)
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkE1CostComponents regenerates Table 1.
-func BenchmarkE1CostComponents(b *testing.B) { benchExperiment(b, "E1") }
-
-// BenchmarkE2JoinOrders regenerates Figure 3.
-func BenchmarkE2JoinOrders(b *testing.B) { benchExperiment(b, "E2") }
-
-// BenchmarkE3CardinalityFit regenerates Figure 4.
-func BenchmarkE3CardinalityFit(b *testing.B) { benchExperiment(b, "E3") }
-
-// BenchmarkE4EquivClasses regenerates Figure 5.
-func BenchmarkE4EquivClasses(b *testing.B) { benchExperiment(b, "E4") }
-
-// BenchmarkE5Taxonomy regenerates Figure 6.
-func BenchmarkE5Taxonomy(b *testing.B) { benchExperiment(b, "E5") }
-
-// BenchmarkE6Crossover regenerates the §1/§2 crossover claim.
-func BenchmarkE6Crossover(b *testing.B) { benchExperiment(b, "E6") }
-
-// BenchmarkE7OptComplexity regenerates the §3 complexity claim.
-func BenchmarkE7OptComplexity(b *testing.B) { benchExperiment(b, "E7") }
-
-// BenchmarkE8Distributed regenerates the §5.1 regime analysis.
-func BenchmarkE8Distributed(b *testing.B) { benchExperiment(b, "E8") }
-
-// BenchmarkE9Bloom regenerates the lossy-filter sweep.
-func BenchmarkE9Bloom(b *testing.B) { benchExperiment(b, "E9") }
-
-// BenchmarkE10UDR regenerates the §5.2 strategies table.
-func BenchmarkE10UDR(b *testing.B) { benchExperiment(b, "E10") }
-
-// BenchmarkE11EstimateAccuracy regenerates the estimate-quality table.
-func BenchmarkE11EstimateAccuracy(b *testing.B) { benchExperiment(b, "E11") }
-
-// BenchmarkE12AttrSubsets regenerates the Limitation-3 subset table.
-func BenchmarkE12AttrSubsets(b *testing.B) { benchExperiment(b, "E12") }
-
-// BenchmarkE13PrefixProduction regenerates the Limitation-2 ablation.
-func BenchmarkE13PrefixProduction(b *testing.B) { benchExperiment(b, "E13") }
-
-// BenchmarkE14MultiView regenerates the multiple-views interaction table.
-func BenchmarkE14MultiView(b *testing.B) { benchExperiment(b, "E14") }
-
-// BenchmarkE15SortElision regenerates the interesting-orders table.
-func BenchmarkE15SortElision(b *testing.B) { benchExperiment(b, "E15") }
 
 // ---------------------------------------------------------------------
 // Engine micro-benchmarks

@@ -22,7 +22,7 @@ import (
 // stream and their row counts must agree exactly. Wall-clock numbers
 // for this mix are bench/'s serve_hit workload, not this report.
 
-// E18 stream defaults: what `filterbench E18` and BENCH_E18.json run.
+// E18 stream defaults: what `filterbench E18` runs.
 const (
 	E18Sessions = 4
 	E18Queries  = 2000
