@@ -1,4 +1,4 @@
-// Adaptive re-optimization (DESIGN.md §14): the serving layer's
+// Adaptive re-optimization (DESIGN.md §12): the serving layer's
 // statistics-feedback loop over measured cardinalities.
 //
 // With Config.AdaptiveFeedback on, after every served SELECT and EXPLAIN

@@ -28,7 +28,7 @@ import (
 // Engine is the serving layer's shared core: the catalog, the cost model,
 // the prototype optimizer, the Filter Join method, and the normalized-
 // query plan cache. An Engine is immutable between catalog epochs and
-// has exactly two ways in (DESIGN.md §12): every query — served SQL,
+// has exactly two ways in (DESIGN.md §10): every query — served SQL,
 // EXPLAIN, the programmatic plan/block entry points — is one read span
 // (serve), any number of which run concurrently; every mutation — DDL,
 // INSERT, bulk load, registration, statistics feedback — is a write
@@ -55,14 +55,14 @@ type Engine struct {
 
 	// chaos, when non-nil, replaces the free instant network with the
 	// seeded fault-injecting transport under the retry policy (DESIGN.md
-	// §10). Only tests set it.
+	// §8). Only tests set it.
 	chaos *dist.ChaosConfig
 	retry dist.RetryPolicy
 
 	cache    *plancache.Cache
 	cacheOff bool
 
-	// adaptFeedback turns statistics feedback (DESIGN.md §14) on. Off by
+	// adaptFeedback turns statistics feedback (DESIGN.md §12) on. Off by
 	// default, in which case no feedback path runs: behavior, counters,
 	// and goldens are bit-identical to the static engine.
 	adaptFeedback bool

@@ -35,7 +35,7 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("read %s (run `go test -run TestExplainGolden -update` to create): %v", path, err)
+		t.Fatalf("read %s (run `go test -run Golden -update .` to create): %v", path, err)
 	}
 	if got != string(want) {
 		t.Errorf("%s mismatch\n--- got ---\n%s--- want ---\n%s", path, got, want)

@@ -66,7 +66,7 @@ type Config struct {
 	// reports cache=bypass.
 	DisablePlanCache bool
 	// AdaptiveFeedback enables post-run statistics feedback (DESIGN.md
-	// §14): after every instrumented SELECT, per-operator actual
+	// §12): after every instrumented SELECT, per-operator actual
 	// cardinalities that miss their estimates by a factor of 2 are folded
 	// back into the scanned relations' statistics (observed predicate
 	// selectivities plus histogram refinement, copy-on-write), and the

@@ -86,7 +86,7 @@ type Entry struct {
 	collects   int
 
 	// fb accumulates runtime cardinality feedback for stored relations
-	// (DESIGN.md §14); fbStats caches the feedback-corrected statistics
+	// (DESIGN.md §12); fbStats caches the feedback-corrected statistics
 	// per feedback version. Both are derived state: FoldInsert resets
 	// them alongside the collected statistics.
 	fb        *stats.Feedback

@@ -1,6 +1,6 @@
 // Package cost defines the resource-accounting vocabulary shared by the
 // executor (which measures actual consumption) and the optimizer (which
-// estimates it). The unit convention follows DESIGN.md §6: one weighted
+// estimates it). The unit convention follows DESIGN.md §5: one weighted
 // cost unit corresponds to one page I/O under the default model.
 package cost
 
@@ -21,7 +21,7 @@ type Counter struct {
 	NetMsgs    int64 // network messages (round-trip initiations)
 	FnCalls    int64 // user-defined relation function invocations
 
-	// Fault-tolerance accounting (DESIGN.md §10). These are observability
+	// Fault-tolerance accounting (DESIGN.md §8). These are observability
 	// counters for faulty runs: the optimizer never estimates them and the
 	// Model carries no weights for them, because the paper's cost formulas
 	// assume a fault-free network. Fault-free executions leave them zero,

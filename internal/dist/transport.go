@@ -4,7 +4,7 @@
 // charges the free instant network (the pre-chaos behavior, bit-for-bit)
 // or drives a Link under a retry/timeout/backoff policy.
 //
-// The layering (DESIGN.md §10):
+// The layering (DESIGN.md §8):
 //
 //	Send(ctx, site, bytes)        package-level entry; free path when ctx.Net == nil
 //	  └─ Net.Send                 policy: per-attempt charge, timeout, retry, backoff
@@ -256,7 +256,7 @@ func (n *Net) note(site int, failed bool) {
 }
 
 // Send implements exec.Transport: the retry/timeout/backoff state
-// machine of DESIGN.md §10.
+// machine of DESIGN.md §8.
 func (n *Net) Send(ctx *exec.Context, site int, bytes int64) error {
 	p := n.Policy.withDefaults()
 	backoff := p.BackoffMs

@@ -3,7 +3,7 @@
 // it — a read span and a write span — the only ways, and makes the
 // write span's epoch bump and invalidation something a mutation cannot
 // skip: the mutex and the counter are unexported, so no caller can hold
-// one without going through Read or Write (DESIGN.md §12). MustWrite
+// one without going through Read or Write (DESIGN.md §10). MustWrite
 // lets the guarded state check at run time that it is mutated only
 // inside a write span.
 package epoch

@@ -5,7 +5,7 @@
 // (Context.BatchSize) tunes that overhead and nothing else: rows, their
 // order, and every cost.Counter total are the same at every size, 1
 // included. Three rules make the output morsel-size invariant
-// (DESIGN.md §11):
+// (DESIGN.md §9):
 //
 //   - Same units. An operator charges exactly its per-page and per-row
 //     units however many rows a call handles — accumulated in int64

@@ -2,7 +2,7 @@ package exec
 
 import "filterjoin/internal/value"
 
-// RowTable is the key table of every hash operator (DESIGN.md §13): an
+// RowTable is the key table of every hash operator (DESIGN.md §11): an
 // open-addressing table over 64-bit FNV hashes of canonical key
 // encodings (value.Row.AppendKey), with the key bytes themselves packed
 // into one arena and verified in full on every hash hit — so its

@@ -7,7 +7,7 @@ import (
 	filterjoin "filterjoin"
 )
 
-// E20 measures adaptive re-optimization (DESIGN.md §14) on an
+// E20 measures adaptive re-optimization (DESIGN.md §12) on an
 // adversarial correlated workload: Emp.a and Emp.b are always equal, so
 // the independence assumption underestimates sel(a=K AND b=K) by 100x
 // (0.01*0.01 vs the true 0.01). Dept is large enough that hashing it

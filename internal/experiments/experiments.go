@@ -1,6 +1,6 @@
 // Package experiments implements the reproduction suite: one runnable
 // experiment per figure/table of the paper (and per quantitative prose
-// claim), as indexed in DESIGN.md §4. Each experiment builds its own
+// claim), as indexed in EXPERIMENTS.md. Each experiment builds its own
 // workload, runs real plans through the executor, and reports measured
 // cost counters next to the optimizer's estimates. The cmd/filterbench
 // CLI and the repository's benchmark suite are thin wrappers over this

@@ -8,7 +8,7 @@ import (
 
 // This file lowers a predicate Expr tree once into a Pred: a small tree
 // of kernels that evaluate a whole batch of rows against a selection
-// vector (DESIGN.md §13). The contract with the interpreted engine is
+// vector (DESIGN.md §11). The contract with the interpreted engine is
 // bit-identical behavior:
 //
 //   - a row qualifies under SelectBatch iff EvalBool(e, row) is true;

@@ -297,7 +297,7 @@ func (o *Optimizer) buildStoredLeaf(ctx *Ctx, ri *RelInfo) {
 		Make:      mk,
 		// Feedback provenance: the adaptive layer maps this node's
 		// measured output rows back to (relation, predicate) to correct
-		// the predicate's selectivity estimate (DESIGN.md §14).
+		// the predicate's selectivity estimate (DESIGN.md §12).
 		Source:     ri.Entry.Name,
 		SourcePred: localLocal,
 		SourceRows: raw.Rows,

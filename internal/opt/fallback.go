@@ -11,7 +11,7 @@ import (
 // crossings happen per outer row, mid-stream, after rows may already
 // have been emitted. If the transport later exhausts its retries inside
 // the primary, the executor restarts the query on the fallback instead
-// of failing it (DESIGN.md §10). nil means no fault-free alternative
+// of failing it (DESIGN.md §8). nil means no fault-free alternative
 // exists (e.g. every other method is disabled): degradation is simply
 // unavailable and a SiteError surfaces as the query error.
 //

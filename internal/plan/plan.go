@@ -54,7 +54,7 @@ type Node struct {
 	Fallback *Node
 
 	// Source/SourcePred/SourceRows carry feedback provenance on leaf
-	// access nodes (DESIGN.md §14): the stored relation the node scans,
+	// access nodes (DESIGN.md §12): the stored relation the node scans,
 	// the relation-local predicate it applies (nil for a full scan), and
 	// the relation's raw cardinality at plan time. The adaptive layer
 	// divides the node's measured output rows by SourceRows to obtain

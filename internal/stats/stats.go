@@ -39,7 +39,7 @@ type RelStats struct {
 
 	// SelFix maps canonical predicate fingerprints (PredKey) to observed
 	// selectivities fed back from instrumented executions (DESIGN.md
-	// §14). Selectivity consults it before estimating structurally, so a
+	// §12). Selectivity consults it before estimating structurally, so a
 	// predicate whose independence-assumption estimate was observed wrong
 	// (correlated conjuncts) is corrected on the next plan. The map is
 	// immutable once published: feedback application builds a fresh map
