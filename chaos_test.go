@@ -13,6 +13,7 @@ import (
 	"filterjoin/internal/dist"
 	"filterjoin/internal/plan"
 	"filterjoin/internal/schema"
+	"filterjoin/internal/sql"
 	"filterjoin/internal/sqlref"
 	"filterjoin/internal/storage"
 	"filterjoin/internal/value"
@@ -129,6 +130,35 @@ func degradeDB(t *testing.T) *filterjoin.DB {
 		db.Optimizer().Disabled[m] = true
 	}
 	return db
+}
+
+// TestFallbackPlannedByItsConsumer: the optimizer plans the primary
+// only; the facade, the consumer that degrades, plans the fault-free
+// fallback. OptimizeBlock's FetchMatches plan carries none, DB.Plan's
+// of the same query carries one.
+func TestFallbackPlannedByItsConsumer(t *testing.T) {
+	db := degradeDB(t)
+	st, err := sql.Parse(distJoinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sql.BindSelect(db.Catalog(), st.(*sql.SelectStmt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := db.Optimizer().Fork().OptimizeBlock(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Find("FetchMatches") == nil {
+		t.Fatalf("test premise broken: plan has no FetchMatches (root %s)", p.Kind)
+	}
+	if p.Fallback != nil {
+		t.Error("OptimizeBlock planned a fallback nobody asked for")
+	}
+	if fp, err := db.Plan(distJoinQuery); err != nil || fp.Fallback == nil {
+		t.Fatalf("DB.Plan must retain a fallback for its FetchMatches plan (err %v)", err)
+	}
 }
 
 func TestChaosGracefulDegradation(t *testing.T) {

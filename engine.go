@@ -317,6 +317,9 @@ func (e *Engine) planFor(epoch uint64, b *query.Block, text string, nArgs int) (
 	if err != nil {
 		return nil, "", err
 	}
+	if p.Find("FetchMatches") != nil {
+		p.Fallback = f.Fallback(b)
+	}
 	if state == "miss" {
 		e.cache.Put(key, &plancache.Entry{Plan: p, Cost: p.Total(e.model)})
 	}

@@ -492,3 +492,57 @@ func TestNullJoinKeysMatchNothing(t *testing.T) {
 	}
 	checkSQL(t, db, group, r.Rows)
 }
+
+// TestLargeIntegersCompareExactly: integers beyond 2^53 compare as
+// int64s, never rounded to floats, so every join method agrees with the
+// hash join's key encoding, the compiled filter kernel with the
+// interpreted predicate, and ORDER BY with both.
+func TestLargeIntegersCompareExactly(t *testing.T) {
+	const lo, hi = 9007199254740992, 9007199254740993 // 2^53, 2^53+1
+	open := func(only string) *filterjoin.DB {
+		db := filterjoin.Open(filterjoin.Config{})
+		if err := db.ExecScript(fmt.Sprintf(`
+			CREATE TABLE A (x int);
+			CREATE TABLE B (y int);
+			INSERT INTO A VALUES (%[1]d), (%[2]d);
+			INSERT INTO B VALUES (%[1]d), (%[2]d);`, hi, lo)); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []string{"hash", "merge", "nlj", "indexnl", "filterjoin"} {
+			db.Optimizer().Disabled[m] = m != only
+		}
+		return db
+	}
+	for m, kind := range map[string]string{"hash": "HashJoin", "merge": "MergeJoin", "nlj": "NestedLoopJoin"} {
+		res, err := open(m).Query("SELECT A.x, B.y FROM A, B WHERE A.x = B.y")
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if res.Plan.Find(kind) == nil {
+			t.Fatalf("%s: plan has no %s", m, kind)
+		}
+		if len(res.Rows) != 2 {
+			t.Errorf("%s: A.x = B.y returned %d rows %v, want 2", kind, len(res.Rows), res.Rows)
+		}
+	}
+	db := open("")
+	for _, q := range []string{
+		fmt.Sprintf("SELECT x FROM A WHERE x = %d", lo),     // compiled kernel
+		fmt.Sprintf("SELECT x FROM A WHERE x + 0 = %d", lo), // interpreted
+	} {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].Int() != lo {
+			t.Errorf("%s returned %v, want only %d", q, res.Rows, lo)
+		}
+	}
+	res, err := db.Query("SELECT x FROM A ORDER BY x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || res.Rows[0][0].Int() != lo || res.Rows[1][0].Int() != hi {
+		t.Errorf("ORDER BY x returned %v, want %d then %d", res.Rows, lo, hi)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"filterjoin/internal/core"
 	"filterjoin/internal/cost"
 	"filterjoin/internal/datagen"
+	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/opt"
 	"filterjoin/internal/plan"
@@ -141,5 +142,69 @@ func datagenLocalJoinPreds() []expr.Expr {
 	return []expr.Expr{
 		expr.Eq(expr.NewCol(0, "D.did"), expr.NewCol(3, "E.did")),
 		expr.NewCmp(expr.GT, expr.NewCol(1, "D.budget"), expr.Int(100000)),
+	}
+}
+
+// TestRemoteViewFiltersBeforeShipping: a Filter Join over a remote view
+// restricts the view at its site and applies the view's local predicate
+// there too, so only qualifying rows ship back — the order the estimate
+// (restrictRows includes LocalSel) assumes. The Filter Join's own network
+// bill is then exactly F's bytes out plus qualifying rows × row width
+// back, in two messages.
+func TestRemoteViewFiltersBeforeShipping(t *testing.T) {
+	cat, err := datagen.DistCatalog(datagen.DefaultDist())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cust, err := cat.Get("Customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fKeys := 0 // distinct C.ckey with C.segment = 1: the filter set
+	for _, r := range cust.Table.Rows() {
+		if r[1].Int() == 1 {
+			fKeys++
+		}
+	}
+	view, err := cat.Get("OrderTotals")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := view.Schema(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, min := range []int64{25, 15} {
+		q := datagen.DistQuery()
+		q.Preds = append(q.Preds, expr.NewCmp(expr.GT, expr.NewCol(4, "T.norders"), expr.Int(min)))
+		o := opt.New(cat, cost.DefaultModel())
+		o.Register(core.NewMethod(core.Options{}))
+		p, err := o.OptimizeBlock(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fj := p.Find("FilterJoin"); fj == nil || fj.Extra.(*core.Choice).Repr != core.ReprExact {
+			t.Fatalf("norders > %d: premise broken, want an exact Filter Join:\n%s", min, plan.Format(p, o.Model))
+		}
+		ctx := exec.NewContext()
+		rows, err := exec.Drain(ctx, p.Make())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first FilterJoin opened is the plan's; the restricted view
+		// plans its own over the remote Orders at run time.
+		var self cost.Counter
+		for _, st := range ctx.OperatorStats() {
+			if st.Label == "FilterJoin" {
+				self = st.Self()
+				break
+			}
+		}
+		// Each qualifying view row joins its one customer.
+		want := int64(fKeys*8 + len(rows)*vs.RowWidth())
+		if self.NetBytes != want || self.NetMsgs != 2 {
+			t.Errorf("norders > %d: the Filter Join shipped %d bytes in %d messages, want %d (F %d keys × 8 + %d rows × %d) in 2",
+				min, self.NetBytes, self.NetMsgs, want, fKeys, len(rows), vs.RowWidth())
+		}
 	}
 }

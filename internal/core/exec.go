@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"filterjoin/internal/catalog"
-	"filterjoin/internal/dist"
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/magic"
@@ -163,36 +162,37 @@ func (f *filterJoinOp) Open(ctx *exec.Context) error {
 }
 
 // buildRestricted composes the restricted-inner operator per the access
-// strategy recorded in the Choice.
+// strategy recorded in the Choice, then the relation's local predicate.
+// A remote inner is restricted at its site: F ships out (the fallible
+// filter-set message), and the restricted, locally filtered R_k' ships
+// back.
 func (f *filterJoinOp) buildRestricted(ctx *exec.Context, keys *exec.KeySet) (exec.Operator, error) {
 	s := f.spec
-	ch := s.choice
+	var op exec.Operator
+	var err error
 	switch s.entry.Kind {
 	case catalog.KindBase, catalog.KindRemote:
-		op, err := f.restrictStored(ctx, keys)
-		if err != nil {
+		op, err = f.restrictStored(ctx, keys)
+	case catalog.KindView:
+		op, err = f.restrictView(ctx, keys)
+	case catalog.KindFunc:
+		op = udr.NewConsecutiveScan(s.entry, keys, s.alias)
+	default:
+		err = fmt.Errorf("core: filter join over unsupported relation kind %s", s.entry.Kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if s.localPred != nil {
+		op = exec.NewSelect(op, s.localPred)
+	}
+	if site := s.entry.Site; site > 0 {
+		if err := ctx.Send(site, int64(s.choice.filterShipBytes(keys, s))); err != nil {
 			return nil, err
 		}
-		if s.entry.Kind == catalog.KindRemote {
-			// Ship F over (the fallible keyset message), ship R_k' back.
-			if err := dist.Send(ctx, s.entry.Site, int64(ch.filterShipBytes(keys, s))); err != nil {
-				return nil, err
-			}
-			op = dist.NewShip(op, s.entry.Table.Schema().RowWidth(), s.entry.Site)
-		}
-		return op, nil
-
-	case catalog.KindView:
-		return f.restrictView(ctx, keys)
-
-	case catalog.KindFunc:
-		var op exec.Operator = udr.NewConsecutiveScan(s.entry, keys, s.alias)
-		if s.localPred != nil {
-			op = exec.NewSelect(op, s.localPred)
-		}
-		return op, nil
+		op = exec.NewShip(op, op.Schema().RowWidth(), site)
 	}
-	return nil, fmt.Errorf("core: filter join over unsupported relation kind %s", s.entry.Kind)
+	return op, nil
 }
 
 // filterShipBytes returns the wire size of the filter set representation.
@@ -221,17 +221,13 @@ func (f *filterJoinOp) restrictStored(ctx *exec.Context, keys *exec.KeySet) (exe
 			}
 			outerKeyIdx[i] = p
 		}
-		probe := exec.NewIndexNLJoin(ks, t, s.index, outerKeyIdx, nil, s.alias)
+		probe := exec.NewIndexNLJoin(ks, t, s.index, outerKeyIdx, nil, s.alias, 0)
 		// Drop the key columns, keeping the inner row only.
 		innerIdx := make([]int, t.Schema().Len())
 		for i := range innerIdx {
 			innerIdx[i] = len(s.innerFilterLoc) + i
 		}
-		var op exec.Operator = exec.NewColumnProject(probe, innerIdx)
-		if s.localPred != nil {
-			op = exec.NewSelect(op, s.localPred)
-		}
-		return op, nil
+		return exec.NewColumnProject(probe, innerIdx), nil
 	}
 
 	var op exec.Operator = exec.NewTableScan(t, s.alias)
@@ -241,9 +237,6 @@ func (f *filterJoinOp) restrictStored(ctx *exec.Context, keys *exec.KeySet) (exe
 		op = exec.NewBloomFilterScan(op, bf, s.innerFilterLoc)
 	} else {
 		op = exec.NewKeySetFilter(op, keys, s.innerFilterLoc)
-	}
-	if s.localPred != nil {
-		op = exec.NewSelect(op, s.localPred)
 	}
 	return op, nil
 }
@@ -280,21 +273,7 @@ func (f *filterJoinOp) restrictView(ctx *exec.Context, keys *exec.KeySet) (exec.
 	s.method.countRestrict(hit)
 	ctx.Bind(rp.f, ft)
 
-	var op exec.Operator = rp.node.Make()
-	if s.entry.Site > 0 {
-		if err := dist.Send(ctx, s.entry.Site, int64(s.choice.filterShipBytes(keys, s))); err != nil {
-			return nil, err
-		}
-		vs, err := s.entry.Schema(s.o.Cat)
-		if err != nil {
-			return nil, err
-		}
-		op = dist.NewShip(op, vs.RowWidth(), s.entry.Site)
-	}
-	if s.localPred != nil {
-		op = exec.NewSelect(op, s.localPred)
-	}
-	return op, nil
+	return rp.node.Make(), nil
 }
 
 // planRestricted optimizes the rewritten block (view body ⋈ F) against

@@ -509,15 +509,8 @@ func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant [
 				}
 			}
 		}
-		if e.Kind == catalog.KindRemote {
-			if v.access == AccessScanFilter {
-				v.access = AccessRemote
-			}
-			comp.AvailCostRkP = cost.Estimate{
-				NetBytes:  v.restrictRows * float64(t.Schema().RowWidth()),
-				NetMsgs:   1,
-				CPUTuples: v.restrictRows,
-			}
+		if e.Kind == catalog.KindRemote && v.access == AccessScanFilter {
+			v.access = AccessRemote
 		}
 
 	case catalog.KindView:
@@ -547,14 +540,6 @@ func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant [
 			comp.FilterCostRk.CPUTuples += vc.Rows(fSel)
 		}
 		v.access = AccessMagicView
-		if e.Site > 0 {
-			vs := ri.Schema
-			comp.AvailCostRkP = cost.Estimate{
-				NetBytes:  v.restrictRows * float64(vs.RowWidth()),
-				NetMsgs:   1,
-				CPUTuples: v.restrictRows,
-			}
-		}
 
 	case catalog.KindFunc:
 		perCall := opt.FuncPerCall(e, ri.RawStats)
@@ -567,6 +552,14 @@ func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant [
 
 	default:
 		return v, false, nil
+	}
+
+	if e.Site > 0 { // R_k' is restricted at its site and ships back
+		comp.AvailCostRkP = cost.Estimate{
+			NetBytes:  v.restrictRows * float64(ri.Schema.RowWidth()),
+			NetMsgs:   1,
+			CPUTuples: v.restrictRows,
+		}
 	}
 
 	// ---- FinalJoinCost --------------------------------------------------

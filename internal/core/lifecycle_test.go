@@ -77,9 +77,9 @@ func (c *countdown) snapshot(poll int) {
 
 // faultNet is the free network with one fault: its k-th Send fails with
 // a *dist.SiteError (never when k <= 0). Every other Send polls
-// cancellation and charges exactly as dist.Send's nil-transport path,
-// so a run's polls and bill are those of the free network; the sweep's
-// Liveness leg checks this.
+// cancellation and charges exactly as exec.Context.Send's nil-transport
+// path, so a run's polls and bill are those of the free network; the
+// sweep's Liveness leg checks this.
 type faultNet struct {
 	k, sends int
 	err      *dist.SiteError
@@ -119,8 +119,8 @@ func runLifecycle(p *plan.Node, morsel, cancelAt, failSend int) lifecycleRun {
 }
 
 // drainLifecycle is runLifecycle over a given operator tree, transport
-// and bind-parameter values. A nil net leaves ctx.Net nil: dist.Send's
-// own free network.
+// and bind-parameter values. A nil net leaves ctx.Net nil:
+// exec.Context.Send's own free network.
 func drainLifecycle(op exec.Operator, morsel, cancelAt int, net *faultNet, params []value.Value) lifecycleRun {
 	ctx := exec.NewContext()
 	caller := &countdown{Context: context.Background(), n: cancelAt, ctx: ctx}
@@ -248,9 +248,9 @@ func profileOf(ops []*exec.OpStats) []opProfile {
 //   - Liveness: in a clean run no instrumented operator's Nexts grows by
 //     more than one between two consecutive polls (or the last poll and
 //     the return), so a cancel is seen within one morsel per operator;
-//     and the clean run with no transport (dist.Send's own path) returns
-//     the same rows, bill and poll count as under faultNet, which every
-//     failed-send run relies on.
+//     and the clean run with no transport (exec.Context.Send's own path)
+//     returns the same rows, bill and poll count as under faultNet, which
+//     every failed-send run relies on.
 //   - Bill: an extra's clean run reproduces its fuzz_counters.golden
 //     line (rows in order and every counter) at every morsel size.
 //   - Reuse: an aborted run's tree drained again returns the clean rows

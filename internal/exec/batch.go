@@ -21,11 +21,10 @@
 //     rows singly — so a subtree is never charged for rows nobody asked
 //     for, even when the stream is truncated mid-way.
 //
-// Operators whose work is inherently per row (nested-loops and merge
-// joins, the remote operators in dist, the probe operators in udr) are
-// written as one row step lifted by FillRows — the nested-loops family
-// shares LoopJoin's — and read their children one row at a time through
-// a RowReader. Every pull below them therefore has budget 1 whatever
+// Operators whose work is inherently per row (nested-loops, index and
+// merge joins, Ship, the probe operators in udr) are written as one row
+// step lifted by FillRows — the nested-loops family shares LoopJoin's —
+// and read their children one row at a time through a RowReader. Every pull below them therefore has budget 1 whatever
 // the morsel size, which keeps the network sends they issue in one
 // global order — and that is what makes chaos fault schedules replay
 // identically at every morsel size.

@@ -24,17 +24,6 @@ import (
 	"filterjoin/internal/value"
 )
 
-// Transport delivers one network message to a remote site, charging the
-// crossing to ctx.Counter. It is declared here (rather than in dist,
-// which implements it) so the Context can carry one without exec
-// depending on the distributed substrate. A failed delivery — after
-// whatever retry policy the implementation applies — comes back as a
-// typed error the operator tree propagates unchanged, so the facade can
-// recognize it and degrade to a fault-free plan.
-type Transport interface {
-	Send(ctx *Context, site int, bytes int64) error
-}
-
 // Context carries per-execution state: the cost counter every operator
 // charges, and the instrumentation registry maintained by Instrumented
 // shims.

@@ -37,8 +37,8 @@ func (e *JoinEmitter) Emit(residual *expr.Pred, l, r value.Row) (value.Row, bool
 }
 
 // LoopJoin is the row step every nested-loops join shares — the general
-// theta join here, the index probe join below, the remote and function
-// probe joins in dist and udr: read an outer row, start its inner, offer
+// theta join here, the index probe join below (local or remote), the
+// function probe joins in udr: read an outer row, start its inner, offer
 // every inner row to the emitter as a candidate (one CPU operation
 // each), move to the next outer row when the inner runs dry.
 type LoopJoin struct {
@@ -456,7 +456,10 @@ func (j *MergeJoin) Close(*Context) {
 // probes a hash index on the inner stored table. Each probe charges one
 // page read (the index) plus one page read per distinct data page holding
 // matches. This is the "repeated probe" row of the paper's Fig 6 taxonomy
-// for stored relations.
+// for stored relations, local or remote: against a table at a remote
+// site (Site > 0) it is the System R* "fetch matches as needed"
+// strategy, and each probe is a round trip — the key goes out as one
+// message (the fallible crossing), the matching rows come back.
 type IndexNLJoin struct {
 	Outer       Operator
 	Table       *storage.Table
@@ -464,29 +467,41 @@ type IndexNLJoin struct {
 	OuterKeyIdx []int      // key columns within the outer row, aligned with Index.Cols()
 	Residual    *expr.Pred // over Outer.Schema().Concat(inner schema); may be nil
 	InnerAlias  string
+	Site        int // the site holding Table; 0 = local
 	out         *schema.Schema
 	innerSch    *schema.Schema
+	keyBytes    int // bytes of one probe's key message; 0 when local
+	rowBytes    int // bytes of one shipped match; 0 when local
 	loop        LoopJoin
 	ids         []int
 	pos         int
 }
 
-// NewIndexNLJoin builds an index nested-loops join.
-func NewIndexNLJoin(outer Operator, t *storage.Table, ix *storage.HashIndex, outerKeyIdx []int, residual expr.Expr, innerAlias string) *IndexNLJoin {
+// NewIndexNLJoin builds an index nested-loops join against the table at
+// site (0 = local).
+func NewIndexNLJoin(outer Operator, t *storage.Table, ix *storage.HashIndex, outerKeyIdx []int, residual expr.Expr, innerAlias string, site int) *IndexNLJoin {
 	is := t.Schema()
 	if innerAlias != "" {
 		is = is.Rename(innerAlias)
 	}
-	return &IndexNLJoin{
+	j := &IndexNLJoin{
 		Outer:       outer,
 		Table:       t,
 		Index:       ix,
 		OuterKeyIdx: outerKeyIdx,
 		Residual:    expr.CompilePred(residual),
 		InnerAlias:  innerAlias,
+		Site:        site,
 		innerSch:    is,
 		out:         outer.Schema().Concat(is),
 	}
+	if site > 0 {
+		for _, c := range ix.Cols() {
+			j.keyBytes += t.Schema().Col(c).Type.Width()
+		}
+		j.rowBytes = t.Schema().RowWidth()
+	}
+	return j
 }
 
 // Schema implements Operator.
@@ -507,15 +522,23 @@ func (j *IndexNLJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // probe looks outer row r up in the index; a NULL key matches nothing
-// and is not looked up.
+// and is not looked up (nor, remotely, sent). A remote probe sends the
+// key first, and the matches it fetches charge their bytes once the
+// lookup resolves.
 func (j *IndexNLJoin) probe(ctx *Context, r value.Row) error {
 	j.ids, j.pos = nil, 0
 	if nullKey(r, j.OuterKeyIdx) {
 		return nil
 	}
+	if j.Site > 0 {
+		if err := ctx.Send(j.Site, int64(j.keyBytes)); err != nil {
+			return err
+		}
+	}
 	ctx.Counter.PageReads++ // index probe
 	j.ids = j.Index.LookupRow(r, j.OuterKeyIdx)
 	ctx.Counter.PageReads += int64(storage.ProbePages(j.ids, j.Table.RowsPerPage()))
+	ctx.Counter.NetBytes += int64(len(j.ids) * j.rowBytes)
 	return nil
 }
 
@@ -528,5 +551,14 @@ func (j *IndexNLJoin) match(*Context) (value.Row, bool, error) {
 	return j.Table.Row(j.ids[j.pos-1]), true, nil
 }
 
-// Close implements Operator.
-func (j *IndexNLJoin) Close(ctx *Context) { j.Outer.Close(ctx) }
+// Close implements Operator. It clears the match cursor so a
+// Close→reOpen cycle — e.g. after a mid-stream residual-eval error —
+// cannot replay stale match state from the aborted run; Open performs
+// the same reset, but an operator must also be safe to inspect or
+// re-wrap between Close and the next Open.
+func (j *IndexNLJoin) Close(ctx *Context) {
+	j.loop.Reset()
+	j.ids = nil
+	j.pos = 0
+	j.Outer.Close(ctx)
+}

@@ -2,10 +2,12 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"filterjoin/internal/catalog"
+	"filterjoin/internal/cost"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/query"
 	"filterjoin/internal/schema"
@@ -90,7 +92,7 @@ func TestJoinOperatorsAgreeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return agrees("index NL", NewIndexNLJoin(NewTableScan(lt, "l"), rt, ix, []int{0}, residual, "r"))
+		return agrees("index NL", NewIndexNLJoin(NewTableScan(lt, "l"), rt, ix, []int{0}, residual, "r", 0))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -188,7 +190,7 @@ func TestIndexNLJoinChargesProbes(t *testing.T) {
 	}
 	rt := intTable(t, "r", []string{"k", "v"}, rrows)
 	ix, _ := rt.CreateIndex("rk", []int{0})
-	inl := NewIndexNLJoin(NewTableScan(lt, "l"), rt, ix, []int{0}, nil, "r")
+	inl := NewIndexNLJoin(NewTableScan(lt, "l"), rt, ix, []int{0}, nil, "r", 0)
 	rows, c := drain(t, inl)
 	if len(rows) != 30 {
 		t.Fatalf("rows = %d", len(rows))
@@ -196,6 +198,108 @@ func TestIndexNLJoinChargesProbes(t *testing.T) {
 	// At least one index-probe page read per outer row.
 	if c.PageReads < 3 {
 		t.Errorf("PageReads = %d", c.PageReads)
+	}
+}
+
+// TestRemoteIndexNLJoinAddsOnlyTheNetwork: one IndexNLJoin serves both
+// the local probe and the remote one (fetch matches). Over the same
+// inputs the remote join returns the same rows and charges the same
+// local work; on top it sends one key message per probe with a non-NULL
+// key and ships every index match back.
+func TestRemoteIndexNLJoinAddsOnlyTheNetwork(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		seed     int64
+		nullFrac float64
+		residual expr.Expr
+	}{
+		{"plain", 1, 0, nil},
+		{"nulls", 2, 0.25, nil},
+		{"residual", 3, 0.25, residualGT()},
+		{"residual-2", 4, 0, residualGT()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			lt := randIntTable(t, "l", rng, 40, 12, tc.nullFrac)
+			rt := randIntTable(t, "r", rng, 60, 8, tc.nullFrac)
+			ix, err := rt.CreateIndex("rk", []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var probes, matches int64
+			for _, l := range lt.Rows() {
+				if l[0].IsNull() {
+					continue
+				}
+				probes++
+				for _, r := range rt.Rows() {
+					if value.Compare(l[0], r[0]) == 0 {
+						matches++
+					}
+				}
+			}
+			run := func(site int) ([]value.Row, *IndexNLJoin, cost.Counter) {
+				j := NewIndexNLJoin(NewTableScan(lt, "l"), rt, ix, []int{0}, tc.residual, "r", site)
+				rows, c := drain(t, j)
+				return rows, j, c
+			}
+			localRows, lj, local := run(0)
+			remoteRows, rj, remote := run(3)
+			if got, want := sqlref.Canon(remoteRows), sqlref.Canon(localRows); !slices.Equal(got, want) {
+				t.Fatalf("remote rows %v, local %v", got, want)
+			}
+			if local.NetMsgs != 0 || local.NetBytes != 0 {
+				t.Fatalf("local probe crossed the network: %s", local.String())
+			}
+			keyBytes, rowBytes := int64(8), int64(rt.Schema().RowWidth())
+			want := local
+			want.NetMsgs = probes
+			want.NetBytes = keyBytes*probes + rowBytes*matches
+			if remote != want {
+				t.Fatalf("remote charged %s, want local %s + %d messages, %d×%d + %d×%d bytes",
+					remote.String(), local.String(), probes, probes, keyBytes, matches, rowBytes)
+			}
+			for _, j := range []*IndexNLJoin{lj, rj} {
+				if !j.loop.Rewound() || j.ids != nil || j.pos != 0 {
+					t.Fatalf("site %d: Close must clear the held outer row and its match cursor", j.Site)
+				}
+			}
+		})
+	}
+}
+
+// TestIndexNLJoinCloseAfterErrorClearsCursor: a residual that fails on
+// the second match of an outer row aborts the run mid-match-list; Close
+// must drop the held outer row and its matches, local or remote.
+func TestIndexNLJoinCloseAfterErrorClearsCursor(t *testing.T) {
+	lt := intTable(t, "l", []string{"k", "v"}, [][]int64{{1, 0}, {2, 0}})
+	rt := intTable(t, "r", []string{"k", "v"}, [][]int64{{1, 10}, {1, 20}, {1, 30}, {2, 40}})
+	ix, err := rt.CreateIndex("rk", []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// -100 < 1/(r.v-20): integer division by zero exactly at r.v = 20.
+	bad := expr.NewCmp(expr.LT, expr.Int(-100), expr.Arith{
+		Op: expr.Div,
+		L:  expr.Int(1),
+		R:  expr.Arith{Op: expr.Sub, L: expr.NewCol(3, "r.v"), R: expr.Int(20)},
+	})
+	for _, site := range []int{0, 1} {
+		j := NewIndexNLJoin(NewTableScan(lt, "l"), rt, ix, []int{0}, bad, "r", site)
+		ctx := NewContext()
+		if err := j.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := pullRow(ctx, j); err != nil || !ok {
+			t.Fatalf("site %d: first match should emit: ok=%v err=%v", site, ok, err)
+		}
+		if _, _, err := pullRow(ctx, j); err == nil {
+			t.Fatalf("site %d: second match should fail residual eval", site)
+		}
+		j.Close(ctx)
+		if !j.loop.Rewound() || j.ids != nil || j.pos != 0 {
+			t.Fatalf("site %d: Close after a mid-stream error must drop the held outer row and its matches", site)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"filterjoin/internal/catalog"
-	"filterjoin/internal/dist"
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/schema"
@@ -86,10 +85,10 @@ func TestOperatorsRebindParamsOnReopen(t *testing.T) {
 			return exec.NewMergeJoin(scan(), exec.NewTableScan(r, ""), []int{0}, []int{0}, residual(c))
 		}},
 		{"IndexNLJoin", [2]int64{150, 221}, func(c expr.Expr) exec.Operator {
-			return exec.NewIndexNLJoin(scan(), r, rix, []int{0}, residual(c), "")
+			return exec.NewIndexNLJoin(scan(), r, rix, []int{0}, residual(c), "", 0)
 		}},
 		{"FetchMatchesJoin", [2]int64{150, 221}, func(c expr.Expr) exec.Operator {
-			return dist.NewFetchMatchesJoin(scan(), r, rix, []int{0}, residual(c), "", 1)
+			return exec.NewIndexNLJoin(scan(), r, rix, []int{0}, residual(c), "", 1)
 		}},
 		{"ProbeJoin", [2]int64{150, 221}, func(c expr.Expr) exec.Operator {
 			return udr.NewProbeJoin(scan(), fn, []int{0}, residual(c), false, "")

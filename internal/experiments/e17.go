@@ -149,6 +149,7 @@ func E17Robustness() (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E17 degrade: optimize: %w", err)
 	}
+	p.Fallback = o.Fallback(robustQuery())
 	if p.Find("FetchMatches") == nil || p.Fallback == nil {
 		return nil, fmt.Errorf("E17 degrade: primary/fallback premise broken (root %s)", p.Kind)
 	}

@@ -284,12 +284,7 @@ func (c *cmpKernel) evalColFloat(rows []value.Row, in []int32, out []int32) ([]i
 				cmp = 1
 			}
 		case value.KindInt:
-			switch f := float64(v.Int()); {
-			case f < lim:
-				cmp = -1
-			case f > lim:
-				cmp = 1
-			}
+			cmp = value.CompareIntFloat(v.Int(), lim)
 		case value.KindNull:
 			continue
 		default:

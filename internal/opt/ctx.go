@@ -5,7 +5,6 @@ import (
 
 	"filterjoin/internal/catalog"
 	"filterjoin/internal/cost"
-	"filterjoin/internal/dist"
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/plan"
@@ -272,14 +271,9 @@ func (o *Optimizer) buildStoredLeaf(ctx *Ctx, ri *RelInfo) {
 	}
 	if ri.Entry.Kind == catalog.KindRemote {
 		kind = "ShipScan"
-		rowBytes := ri.Schema.RowWidth()
-		est.NetMsgs++
-		est.NetBytes += ri.FilteredRows * float64(rowBytes)
-		est.CPUTuples += ri.FilteredRows // Ship charges per shipped row
-		inner := mk
-		site := ri.Entry.Site
-		mk = func() exec.Operator { return dist.NewShip(inner(), rowBytes, site) }
-		detail += fmt.Sprintf(" @site%d", site)
+		var at string
+		mk, at = shipLeaf(ri, &est, mk)
+		detail += at
 	}
 	if localLocal != nil {
 		detail += " σ(" + localLocal.String() + ")"
@@ -365,6 +359,18 @@ func (o *Optimizer) indexAccessPlan(ri *RelInfo, localLocal expr.Expr, alias str
 	return cost.Estimate{}, nil, "", false
 }
 
+// shipLeaf prices shipping a remote leaf's locally filtered output to
+// the query site into est — one message, the filtered rows' bytes, one
+// CPU operation per shipped row — and wraps mk in that Ship. It returns
+// the wrapped maker and the leaf's " @siteN" detail.
+func shipLeaf(ri *RelInfo, est *cost.Estimate, mk func() exec.Operator) (func() exec.Operator, string) {
+	rowBytes, site := ri.Schema.RowWidth(), ri.Entry.Site
+	est.NetMsgs++
+	est.NetBytes += ri.FilteredRows * float64(rowBytes)
+	est.CPUTuples += ri.FilteredRows
+	return func() exec.Operator { return exec.NewShip(mk(), rowBytes, site) }, fmt.Sprintf(" @site%d", site)
+}
+
 // viewLeaf optimizes (and caches) the unrestricted full computation of a
 // view: the "FULL COMPUTATION" row of Fig 6 for table expressions.
 func (o *Optimizer) viewLeaf(e *catalog.Entry) (*plan.Node, error) {
@@ -417,14 +423,9 @@ func (o *Optimizer) buildViewLeaf(ctx *Ctx, ri *RelInfo) error {
 	if ri.Entry.Site > 0 {
 		// Remote view: the body executes at the remote site; only the
 		// (locally filtered) result crosses the network.
-		rowBytes := ri.Schema.RowWidth()
-		est.NetMsgs++
-		est.NetBytes += ri.FilteredRows * float64(rowBytes)
-		est.CPUTuples += ri.FilteredRows
-		inner := mk
-		site := ri.Entry.Site
-		mk = func() exec.Operator { return dist.NewShip(inner(), rowBytes, site) }
-		detail += fmt.Sprintf(" @site%d", site)
+		var at string
+		mk, at = shipLeaf(ri, &est, mk)
+		detail += at
 	}
 	ri.Access = plan.NewNode(viewLeafOrdering(nested, ri), &plan.Node{
 		Kind:      "ViewScan",

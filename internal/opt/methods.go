@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"filterjoin/internal/catalog"
-	"filterjoin/internal/dist"
 	"filterjoin/internal/exec"
 	"filterjoin/internal/expr"
 	"filterjoin/internal/plan"
@@ -57,11 +56,9 @@ func (s *JoinStep) offerBuiltins() {
 			s.nestedLoopJoin()
 		}
 	}
-	if keyed && ri.Entry.Kind == catalog.KindBase && o.methodEnabled("indexnl") {
+	if keyed && (ri.Entry.Kind == catalog.KindBase && o.methodEnabled("indexnl") ||
+		ri.Entry.Kind == catalog.KindRemote && o.methodEnabled("fetchmatches")) {
 		s.indexNLJoin()
-	}
-	if keyed && ri.Entry.Kind == catalog.KindRemote && o.methodEnabled("fetchmatches") {
-		s.fetchMatches()
 	}
 	if ri.Entry.Kind == catalog.KindFunc && (o.methodEnabled("funcprobe") || o.methodEnabled("funcprobememo")) {
 		s.funcProbes()
@@ -268,61 +265,45 @@ func (s *JoinStep) indexJoinBuild(ix *storage.HashIndex) (outerPos []int, residu
 	return outerPos, s.residualWithLocal(rest)
 }
 
+// indexNLJoin is the repeated probe against a stored inner: an index
+// nested-loops join, or — when the inner lives at a remote site — the
+// System R* fetch-matches join, which adds one key message per probe and
+// ships every match back.
 func (s *JoinStep) indexNLJoin() {
 	ix, k, matchPages, ok := s.indexProbe()
 	if !ok {
 		return
 	}
 	outer, ri := s.Outer, s.Inner
+	t, alias, site := ri.Entry.Table, ri.Ref.Binding(), ri.Entry.Site
 	est := outer.Est
+	if site > 0 {
+		keyBytes := 0
+		for _, col := range ix.Cols() {
+			keyBytes += t.Schema().Col(col).Type.Width()
+		}
+		est.NetMsgs += outer.Rows
+		est.NetBytes += outer.Rows * (float64(keyBytes) + k*float64(t.Schema().RowWidth()))
+	}
 	est.PageReads += outer.Rows * (1 + matchPages)
 	est.CPUTuples += outer.Rows * (k + 1)
 	if !s.Admit(est, s.Ordering) {
 		return
 	}
-	outerPos, residual := s.indexJoinBuild(ix)
-	outerMk := outer.Make
-	t, alias := ri.Entry.Table, ri.Ref.Binding()
-	s.Keep(&plan.Node{
-		Kind:     "IndexNLJoin",
-		Detail:   s.keys() + " via " + ix.Name(),
-		Children: []*plan.Node{outer},
-		Make: func() exec.Operator {
-			return exec.NewIndexNLJoin(outerMk(), t, ix, outerPos, residual, alias)
-		},
-	})
-}
-
-func (s *JoinStep) fetchMatches() {
-	ix, k, matchPages, ok := s.indexProbe()
-	if !ok {
-		return
-	}
-	outer, ri := s.Outer, s.Inner
-	t := ri.Entry.Table
-	keyBytes := 0
-	for _, col := range ix.Cols() {
-		keyBytes += t.Schema().Col(col).Type.Width()
-	}
-	rowBytes := t.Schema().RowWidth()
-	est := outer.Est
-	est.NetMsgs += outer.Rows
-	est.NetBytes += outer.Rows * (float64(keyBytes) + k*float64(rowBytes))
-	est.PageReads += outer.Rows * (1 + matchPages)
-	est.CPUTuples += outer.Rows * (k + 1)
-	if !s.Admit(est, s.Ordering) {
-		return
+	kind, detail := "FetchMatches", ""
+	if site > 0 {
+		detail = fmt.Sprintf("%s @site%d", s.keys(), site)
+	} else {
+		kind, detail = "IndexNLJoin", s.keys()+" via "+ix.Name()
 	}
 	outerPos, residual := s.indexJoinBuild(ix)
 	outerMk := outer.Make
-	alias := ri.Ref.Binding()
-	site := ri.Entry.Site
 	s.Keep(&plan.Node{
-		Kind:     "FetchMatches",
-		Detail:   fmt.Sprintf("%s @site%d", s.keys(), site),
+		Kind:     kind,
+		Detail:   detail,
 		Children: []*plan.Node{outer},
 		Make: func() exec.Operator {
-			return dist.NewFetchMatchesJoin(outerMk(), t, ix, outerPos, residual, alias, site)
+			return exec.NewIndexNLJoin(outerMk(), t, ix, outerPos, residual, alias, site)
 		},
 	})
 }

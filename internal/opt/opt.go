@@ -233,13 +233,8 @@ func (o *Optimizer) optimize(b *query.Block, given *catalog.Entry, order []int) 
 	if err != nil {
 		return nil, err
 	}
-	// Only the top-level block retains a fallback and the batch stamp: a
-	// nested sub-plan's SiteError propagates to the top, where the
-	// top-level fallback covers it.
+	// Only the top-level block carries the batch stamp.
 	if o.depth == 1 {
-		if p.Find("FetchMatches") != nil {
-			p.Fallback = o.fallback(b, given, order)
-		}
 		if bs := o.Batch(); bs > 1 {
 			p.BatchSize = bs
 		}

@@ -121,14 +121,18 @@ func TestFallbackThroughViewLeaf(t *testing.T) {
 	if p.Find("FetchMatches") == nil {
 		t.Fatalf("primary should fetch matches:\n%s", plan.Format(p, o.Model))
 	}
-	if p.Fallback == nil {
-		t.Fatal("a FetchMatches plan must retain a fallback")
+	if p.Fallback != nil {
+		t.Fatal("OptimizeBlock must leave the fallback to the consumer that degrades")
 	}
-	if p.Fallback.Find("FetchMatches") != nil {
-		t.Errorf("fallback still contains FetchMatches:\n%s", plan.Format(p.Fallback, o.Model))
+	fb := o.Fallback(&query.Block{Rels: []query.RelRef{{Name: "V"}}})
+	if fb == nil {
+		t.Fatal("a FetchMatches plan must have a fallback")
+	}
+	if fb.Find("FetchMatches") != nil {
+		t.Errorf("fallback still contains FetchMatches:\n%s", plan.Format(fb, o.Model))
 	}
 	rows, _ := runNode(t, p)
-	alt, _ := runNode(t, p.Fallback)
+	alt, _ := runNode(t, fb)
 	if len(rows) != 5 || !slices.Equal(sqlref.Canon(rows), sqlref.Canon(alt)) {
 		t.Errorf("primary returned %d rows, fallback %d; want the same 5", len(rows), len(alt))
 	}

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"bytes"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -195,4 +196,53 @@ func TestRowArenaWideRowsKeepSlab(t *testing.T) {
 	if int(got) > pairs+slabs {
 		t.Fatalf("%d wide/narrow pairs made %.0f allocations, want <= %d wide rows + %d slabs", pairs, got, pairs, slabs)
 	}
+}
+
+// FuzzAppendKey: for values of every kind (finite floats only), two rows
+// share an AppendKey encoding exactly when every column pair is both
+// NULL or compares equal — the hash paths, which group and join on the
+// key, and the compare paths (merge join, sort, predicates) then agree.
+// Each value is a kind selector, 64 payload bits and a string.
+func FuzzAppendKey(f *testing.F) {
+	const kInt, kFloat = 1, 2
+	fl := math.Float64bits
+	f.Add(uint8(kFloat), uint8(kFloat), fl(0), fl(math.Copysign(0, -1)), "", "")
+	f.Add(uint8(kInt), uint8(kFloat), uint64(0), fl(math.Copysign(0, -1)), "", "")
+	f.Add(uint8(kInt), uint8(kFloat), uint64(1<<53+1), fl(1<<53), "", "")
+	f.Add(uint8(kInt), uint8(kFloat), uint64(1<<53-1), fl(1<<53), "", "")
+	f.Add(uint8(kInt), uint8(kInt), uint64(1<<53+1), uint64(1<<53), "", "")
+	f.Add(uint8(kFloat), uint8(kInt), fl(1<<63), uint64(math.MaxInt64), "", "")
+	f.Add(uint8(kFloat), uint8(kInt), fl(-(1 << 63)), uint64(1<<63), "", "") // MinInt64
+	f.Add(uint8(3), uint8(3), uint64(0), uint64(0), "i1|", "i1")
+	f.Fuzz(func(t *testing.T, ka, kb uint8, a, b uint64, sa, sb string) {
+		va, vb := fuzzValue(ka, a, sa), fuzzValue(kb, b, sb)
+		for _, v := range []Value{va, vb} {
+			if x, ok := v.AsFloat(); ok && (math.IsNaN(x) || math.IsInf(x, 0)) {
+				return
+			}
+		}
+		same := va.IsNull() && vb.IsNull() || !va.IsNull() && !vb.IsNull() && Compare(va, vb) == 0
+		for _, rows := range [][2]Row{{{va}, {vb}}, {{va, vb}, {vb, va}}} {
+			keyA, keyB := rows[0].AppendFullKey(nil), rows[1].AppendFullKey(nil)
+			if bytes.Equal(keyA, keyB) != same {
+				t.Fatalf("%v vs %v: keys %q and %q, Compare %d", rows[0], rows[1], keyA, keyB, Compare(va, vb))
+			}
+		}
+	})
+}
+
+// fuzzValue builds the value kind%5 selects: NULL, int, float, string or
+// bool, from the payload bits or s.
+func fuzzValue(kind uint8, bits uint64, s string) Value {
+	switch kind % 5 {
+	case 1:
+		return NewInt(int64(bits))
+	case 2:
+		return NewFloat(math.Float64frombits(bits))
+	case 3:
+		return NewString(s)
+	case 4:
+		return NewBool(bits&1 == 1)
+	}
+	return Null
 }

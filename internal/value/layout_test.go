@@ -3,6 +3,7 @@ package value
 import (
 	"bytes"
 	"math"
+	"math/big"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -21,7 +22,8 @@ func TestValueSize(t *testing.T) {
 // were folded into one word, with the bodies of its accessors, Compare,
 // Hash and key encoding kept as the oracle: keys, hashes and orderings
 // feed goldens and cost counters, so the new layout must reproduce them
-// bit for bit.
+// bit for bit. The oracle's numeric Compare is exact (math/big), the
+// rule Compare follows since ints stopped being rounded to floats.
 type oldValue struct {
 	kind Kind
 	i    int64
@@ -38,6 +40,13 @@ func (v oldValue) asFloat() (float64, bool) {
 		return v.f, true
 	}
 	return 0, false
+}
+
+func (v oldValue) bigFloat() *big.Float {
+	if v.kind == KindInt {
+		return new(big.Float).SetInt64(v.i)
+	}
+	return new(big.Float).SetFloat64(v.f)
 }
 
 func (v oldValue) String() string {
@@ -70,14 +79,12 @@ func oldCompare(a, b oldValue) int {
 	af, aNum := a.asFloat()
 	bf, bNum := b.asFloat()
 	if aNum && bNum {
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
+		if af != af || bf != bf {
+			return 0 // a NaN compares equal to every number
 		}
+		// Numbers compare exactly: math/big holds every int64 and
+		// float64 without rounding.
+		return a.bigFloat().Cmp(b.bigFloat())
 	}
 	if a.kind != b.kind {
 		if a.kind < b.kind {

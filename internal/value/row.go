@@ -71,7 +71,10 @@ func appendKeyValue(dst []byte, v Value) []byte {
 		dst = append(dst, 'i')
 		dst = strconv.AppendInt(dst, v.int(), 10)
 	case KindFloat:
-		if f := v.float(); f == float64(int64(f)) {
+		// The range check comes first: Go leaves an out-of-range
+		// float→int conversion implementation-specific (amd64 yields
+		// MinInt64, arm64 saturates, keying 2^63 like MaxInt64).
+		if f := v.float(); f >= -1<<63 && f < 1<<63 && f == float64(int64(f)) {
 			dst = append(dst, 'i')
 			dst = strconv.AppendInt(dst, int64(f), 10)
 		} else {

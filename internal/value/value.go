@@ -8,6 +8,7 @@
 package value
 
 import (
+	"cmp"
 	"math"
 	"strconv"
 )
@@ -173,57 +174,58 @@ func (v Value) String() string {
 
 // Compare totally orders a and b: -1 if a<b, 0 if equal, +1 if a>b.
 // NULL sorts before every non-NULL value. Ints and floats compare
-// numerically across kinds. Comparing a non-numeric kind against a
-// different non-matching kind orders by kind tag, which gives a stable
-// (if arbitrary) total order for sorting heterogeneous columns.
+// numerically and exactly across kinds — no int64 is rounded to a
+// float — so Compare agrees with the key encoding (Row.AppendKey) on
+// equality. Comparing a non-numeric kind against a different
+// non-matching kind orders by kind tag, which gives a stable (if
+// arbitrary) total order for sorting heterogeneous columns.
 func Compare(a, b Value) int {
-	if a.kind == KindNull || b.kind == KindNull {
-		switch {
-		case a.kind == KindNull && b.kind == KindNull:
-			return 0
-		case a.kind == KindNull:
-			return -1
-		default:
-			return 1
-		}
+	switch {
+	case a.kind == KindInt && b.kind == KindInt:
+		return cmp.Compare(a.int(), b.int())
+	case a.kind == KindInt && b.kind == KindFloat:
+		return CompareIntFloat(a.int(), b.float())
+	case a.kind == KindFloat && b.kind == KindInt:
+		return -CompareIntFloat(b.int(), a.float())
+	case a.kind == KindFloat && b.kind == KindFloat:
+		return cmpFloat(a.float(), b.float())
+	case a.kind != b.kind:
+		return cmp.Compare(a.kind, b.kind) // KindNull is the least tag
+	case a.kind == KindString:
+		return cmp.Compare(a.s, b.s)
+	case a.kind == KindBool:
+		return cmp.Compare(a.n, b.n) // false is 0, true 1
 	}
-	if a.Numeric() && b.Numeric() {
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if a.kind != b.kind {
-		if a.kind < b.kind {
-			return -1
-		}
+	return 0 // both NULL
+}
+
+// CompareIntFloat compares i with f exactly, as Compare does across
+// kinds: i is never rounded to a float. A NaN f compares equal, as
+// between floats.
+func CompareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= 1<<63:
+		return -1
+	case f < -1<<63:
 		return 1
 	}
-	switch a.kind {
-	case KindString:
-		switch {
-		case a.s < b.s:
-			return -1
-		case a.s > b.s:
-			return 1
-		default:
-			return 0
-		}
-	case KindBool:
-		switch {
-		case a.bool() == b.bool():
-			return 0
-		case !a.bool():
-			return -1
-		default:
-			return 1
-		}
+	// f is within int64's range, so its integral part converts exactly;
+	// when that part equals i, f's fraction decides.
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmpFloat(t, f)
+}
+
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	default:
 		return 0
 	}
