@@ -89,7 +89,8 @@ func (g *GroupBy) Open(ctx *Context) error {
 	if err := g.Child.Open(ctx); err != nil {
 		return err
 	}
-	err := forEachInput(ctx, g.Child, g.InputHint, func(r value.Row) error {
+	// The fold keeps no row (newGroupState copies the key), so it borrows.
+	err := forEachInput(ctx, g.Child, g.InputHint, true, func(r value.Row) error {
 		ctx.Counter.CPUTuples++
 		g.keyBuf = r.AppendKey(g.keyBuf[:0], g.GroupIdx)
 		id, added := g.ht.Insert(g.keyBuf)
@@ -205,6 +206,7 @@ func (g *StreamGroupBy) Open(ctx *Context) error {
 	g.key = nil
 	g.states = nil
 	g.in.Reset()
+	g.in.Borrow = true // begin copies the group key; no row outlives its pull
 	g.ipos = 0
 	return g.Child.Open(ctx)
 }

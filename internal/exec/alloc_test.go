@@ -38,6 +38,17 @@ func allocTable(t testing.TB, name string, n int) Operator {
 	return NewTableScan(intTable(t, name, []string{"k", "v"}, rows), "")
 }
 
+// wideAllocTable is allocTable with a third column, so a join of two is
+// six values wide, as join_agg's Emp ⋈ Dept is: a 1024-row morsel of it
+// fills one and a half of the arena's largest slabs.
+func wideAllocTable(t testing.TB, name string, n int) Operator {
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = []int64{int64(i % 997), int64(i % 31), int64(i)}
+	}
+	return NewTableScan(intTable(t, name, []string{"k", "v", "w"}, rows), "")
+}
+
 // rareResidual is a residual over a join of two allocTables (layout
 // k, v, k, v) that keeps about one candidate pair in a thousand.
 var rareResidual = expr.NewAnd(
@@ -51,27 +62,30 @@ var rareResidual = expr.NewAnd(
 // The ResidualReject cases pull one survivor per call, so each call
 // walks about a thousand candidates the residual rejects: a rejected
 // candidate must cost no allocation, and the survivors' slabs amortize
-// to less than one per call.
+// to less than one per call. The GroupByOver cases pull a join into a
+// borrowing carrier, the way GroupBy's fold does: the join recycles its
+// slabs, so a morsel of joined rows costs no allocation at all.
 func TestAllocBudget(t *testing.T) {
 	budget := loadAllocBudget(t)
 	const tableRows = 200_000
 	cases := []struct {
-		name string
-		max  int // NextBatch budget; 0 = DefaultBatchSize
-		mk   func(t *testing.T) Operator
+		name   string
+		max    int  // NextBatch budget; 0 = DefaultBatchSize
+		borrow bool // pull into a borrowing carrier, as a fold does
+		mk     func(t *testing.T) Operator
 	}{
-		{"Select", 0, func(t *testing.T) Operator {
+		{"Select", 0, false, func(t *testing.T) Operator {
 			pred := expr.NewAnd(
 				expr.NewCmp(expr.LT, expr.NewCol(1, "v"), expr.Int(25)),
 				expr.NewCmp(expr.GE, expr.NewCol(0, "k"), expr.Int(3)),
 			)
 			return NewSelect(allocTable(t, "t", tableRows), pred)
 		}},
-		{"HashJoin", 0, func(t *testing.T) Operator {
+		{"HashJoin", 0, false, func(t *testing.T) Operator {
 			return NewHashJoin(allocTable(t, "b", 4096), allocTable(t, "p", tableRows),
 				[]int{0}, []int{0}, nil)
 		}},
-		{"GroupBy", 0, func(t *testing.T) Operator {
+		{"GroupBy", 0, false, func(t *testing.T) Operator {
 			// Distinct keys so the emit phase spans many output batches.
 			rows := make([][]int64, tableRows)
 			for i := range rows {
@@ -81,22 +95,20 @@ func TestAllocBudget(t *testing.T) {
 			return NewGroupBy(scan, []int{0},
 				[]expr.AggSpec{{Kind: expr.AggCount, Name: "c"}})
 		}},
-		{"IndexNLJoinResidualReject", 1, func(t *testing.T) Operator {
-			rows := make([][]int64, 20_000)
-			for i := range rows {
-				rows[i] = []int64{int64(i % 997), int64(i % 31)}
-			}
-			inner := intTable(t, "i", []string{"k", "v"}, rows)
-			ix, err := inner.CreateIndex("ik", []int{0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return NewIndexNLJoin(allocTable(t, "o", 4096), inner, ix, []int{0}, rareResidual, "", 0)
+		{"GroupByOverHashJoin", 0, true, func(t *testing.T) Operator {
+			return NewHashJoin(wideAllocTable(t, "b", 4096), wideAllocTable(t, "p", tableRows),
+				[]int{0}, []int{0}, nil)
 		}},
-		{"NestedLoopJoinResidualReject", 1, func(t *testing.T) Operator {
+		{"GroupByOverIndexNLJoin", 0, true, func(t *testing.T) Operator {
+			return indexNLJoinOver(t, wideAllocTable(t, "o", 4096), nil)
+		}},
+		{"IndexNLJoinResidualReject", 1, false, func(t *testing.T) Operator {
+			return indexNLJoinOver(t, allocTable(t, "o", 4096), rareResidual)
+		}},
+		{"NestedLoopJoinResidualReject", 1, false, func(t *testing.T) Operator {
 			return NewNestedLoopJoin(allocTable(t, "o", 1024), allocTable(t, "i", 128), rareResidual)
 		}},
-		{"MergeJoinResidualReject", 1, func(t *testing.T) Operator {
+		{"MergeJoinResidualReject", 1, false, func(t *testing.T) Operator {
 			return NewMergeJoin(allocTable(t, "l", 4096), allocTable(t, "r", 20_000),
 				[]int{0}, []int{0}, rareResidual)
 		}},
@@ -117,7 +129,7 @@ func TestAllocBudget(t *testing.T) {
 			if err := op.Open(ctx); err != nil {
 				t.Fatal(err)
 			}
-			var dst Batch
+			dst := Batch{Borrow: tc.borrow}
 			// Warm up: pull a few batches so scratch buffers, selection
 			// vectors, and pooled row storage reach steady-state size.
 			for i := 0; i < 8; i++ {
@@ -145,6 +157,22 @@ func TestAllocBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+// indexNLJoinOver joins outer, keyed on its column 0, to a 20 000-row
+// indexed (k, v) inner, about 20 matches per key, under residual (nil =
+// none; it sees the inner's columns after the outer's).
+func indexNLJoinOver(t *testing.T, outer Operator, residual expr.Expr) Operator {
+	rows := make([][]int64, 20_000)
+	for i := range rows {
+		rows[i] = []int64{int64(i % 997), int64(i % 31)}
+	}
+	inner := intTable(t, "i", []string{"k", "v"}, rows)
+	ix, err := inner.CreateIndex("ik", []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewIndexNLJoin(outer, inner, ix, []int{0}, residual, "", 0)
 }
 
 // TestAllocBudgetNLJReopen gates the row adapter: a nested-loops join

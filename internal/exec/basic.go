@@ -46,6 +46,7 @@ func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 			return err
 		}
 		s.in.Reset()
+		s.in.Borrow = dst.Borrow // survivors pass through as they are
 		if err := s.Child.NextBatch(ctx, &s.in, max); err != nil {
 			return err
 		}
@@ -118,6 +119,7 @@ func (p *Project) Schema() *schema.Schema { return p.Out }
 func (p *Project) Open(ctx *Context) error {
 	p.bound = expr.BindParamsList(p.Exprs, ctx.Params)
 	p.in.Reset()
+	p.in.Borrow = true // evalRow copies every value it keeps
 	return p.Child.Open(ctx)
 }
 
@@ -148,8 +150,12 @@ func (p *Project) evalRow(r value.Row) (value.Row, error) {
 }
 
 // NextBatch implements Operator: one output row per input row, so one
-// child pull fills the whole output batch.
+// child pull fills the whole output batch. Output rows are recycled
+// under a borrowing consumer.
 func (p *Project) NextBatch(ctx *Context, dst *Batch, max int) error {
+	if dst.Borrow {
+		p.arena.Recycle()
+	}
 	p.in.Reset()
 	if err := p.Child.NextBatch(ctx, &p.in, max); err != nil {
 		return err
@@ -213,6 +219,7 @@ func (d *Distinct) NextBatch(ctx *Context, dst *Batch, max int) error {
 			return err
 		}
 		d.in.Reset()
+		d.in.Borrow = dst.Borrow // the seen-set keeps key bytes, not rows
 		if err := d.Child.NextBatch(ctx, &d.in, max); err != nil {
 			return err
 		}
@@ -314,8 +321,10 @@ func (l *Limit) Open(ctx *Context) error {
 // lookahead would charge the subtree for rows nobody consumes. The
 // cascade of budget-1 pulls degenerates the subtree to row-at-a-time —
 // which is also the right performance call, since every extra row
-// produced below a saturated Limit is wasted work.
+// produced below a saturated Limit is wasted work. A borrowing dst gets
+// one row per call: the next pull may recycle it.
 func (l *Limit) NextBatch(ctx *Context, dst *Batch, max int) error {
+	l.in.one.Borrow = dst.Borrow
 	for l.seen < l.N && len(dst.Rows) < max {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -326,6 +335,9 @@ func (l *Limit) NextBatch(ctx *Context, dst *Batch, max int) error {
 		}
 		dst.Rows = append(dst.Rows, r)
 		l.seen++
+		if dst.Borrow {
+			return nil
+		}
 	}
 	return nil
 }

@@ -21,6 +21,25 @@
 //     rows singly — so a subtree is never charged for rows nobody asked
 //     for, even when the stream is truncated mid-way.
 //
+// A fourth rule bounds how long a row lives, and with it what a query
+// allocates:
+//
+//   - Borrowed rows live for one pull. A consumer that reads each row
+//     only until its next NextBatch on that child, or its Close, sets
+//     Borrow on its own carrier: GroupBy and StreamGroupBy, which fold
+//     rows; Project, which copies its input; HashJoin's probe side,
+//     whose row is dropped before the next pull. An operator that mints
+//     rows — every join, through JoinEmitter, and Project — recycles its
+//     arena at the top of each NextBatch into a borrowing dst, so a
+//     steady-state pipeline allocates nothing per morsel. Select,
+//     Distinct, Limit, Instrumented and the Filter Join pass child rows
+//     through and forward their own dst's flag to the child (Limit then
+//     hands rows over one per call, since its next pull would recycle
+//     the one before). Every other consumer — Drain and the pipeline
+//     breakers it serves (hash builds, merge and sort inputs), TopN,
+//     Materialize, Ship, RowReader — leaves the flag clear and keeps
+//     the rows it is given.
+//
 // Operators whose work is inherently per row (nested-loops, index and
 // merge joins, Ship, the probe operators in udr) are written as one row
 // step lifted by FillRows — the nested-loops family shares LoopJoin's —
@@ -56,9 +75,15 @@ func EnvKernels() bool { return true }
 //     partial batch does NOT: filtering operators return early rather
 //     than stall on a long run of non-qualifying rows.
 //   - Rows appended to a batch are owned by the consumer until the next
-//     Reset; operators never retain aliases into a caller's batch.
+//     Reset — unless the consumer set Borrow, when they stay valid only
+//     until its next NextBatch on the same child. Operators never retain
+//     aliases into a caller's batch.
 type Batch struct {
 	Rows []value.Row
+	// Borrow is set by the consumer that owns the carrier when it reads
+	// each delivered row only until its next pull (the package comment's
+	// fourth rule); the operators that mint rows may then recycle them.
+	Borrow bool
 }
 
 // NewBatch returns a batch with capacity for n rows.
@@ -138,10 +163,12 @@ const firstMorselRows = 64
 // into: it starts there, or small when the plan says nothing, and append
 // grows it to the largest morsel op actually delivers — so a 30-row
 // answer never pays for a morsel of row headers, and a large scan pays
-// for them once.
-func forEachBatch(ctx *Context, op Operator, expect int, fn func([]value.Row) error) error {
+// for them once. borrow sets the buffer's Borrow: fn must then drop
+// every row before it returns.
+func forEachBatch(ctx *Context, op Operator, expect int, borrow bool, fn func([]value.Row) error) error {
 	n := max(ctx.BatchSize, 1)
 	b := NewBatch(min(max(expect, firstMorselRows), n))
+	b.Borrow = borrow
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -161,10 +188,10 @@ func forEachBatch(ctx *Context, op Operator, expect int, fn func([]value.Row) er
 
 // forEachInput streams every row of an already-open child into fn; it
 // is how pipeline breakers consume their build inputs. Charging stays
-// with the caller's fn. The first fn error stops the stream. expect is
-// forEachBatch's.
-func forEachInput(ctx *Context, child Operator, expect int, fn func(value.Row) error) error {
-	return forEachBatch(ctx, child, expect, func(rows []value.Row) error {
+// with the caller's fn. The first fn error stops the stream. expect and
+// borrow are forEachBatch's.
+func forEachInput(ctx *Context, child Operator, expect int, borrow bool, fn func(value.Row) error) error {
+	return forEachBatch(ctx, child, expect, borrow, func(rows []value.Row) error {
 		for _, r := range rows {
 			if err := fn(r); err != nil {
 				return err

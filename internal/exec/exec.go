@@ -158,7 +158,7 @@ func drainInto(ctx *Context, op Operator, expect int, sink func([]value.Row) err
 	if err := op.Open(ctx); err != nil {
 		return err
 	}
-	err := forEachBatch(ctx, op, expect, sink)
+	err := forEachBatch(ctx, op, expect, false, sink)
 	op.Close(ctx)
 	return err
 }

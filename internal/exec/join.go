@@ -11,13 +11,22 @@ import (
 // output row. The pair is laid out in a reusable scratch row, the
 // residual is evaluated there through the compiled predicate, and only a
 // survivor is materialized, arena-backed — a rejected candidate costs
-// two copies and no allocation. The emitter charges nothing: operators
-// bill each candidate before offering it. The zero value is ready, and
-// nothing carries over between executions: scratch is rewritten before
-// every read.
+// two copies and no allocation, and under a borrowing consumer a
+// survivor reuses the slabs of the last pull. The emitter charges
+// nothing: operators bill each candidate before offering it. The zero
+// value is ready, and nothing carries over between executions: scratch
+// is rewritten before every read.
 type JoinEmitter struct {
 	scratch value.Row
 	arena   value.RowArena
+}
+
+// recycle rewinds the survivors' arena when dst borrows: the rows of
+// the emitter's last call are dead once its consumer pulls again.
+func (e *JoinEmitter) recycle(dst *Batch) {
+	if dst.Borrow {
+		e.arena.Recycle()
+	}
 }
 
 // Emit returns l‖r if it passes residual (nil passes everything), with
@@ -63,6 +72,7 @@ func (l *LoopJoin) Rewound() bool { return l.cur == nil && !l.done }
 // ok=false once it is exhausted.
 func (l *LoopJoin) Fill(ctx *Context, dst *Batch, max int, outer Operator, residual *expr.Pred,
 	start func(*Context, value.Row) error, inner func(*Context) (value.Row, bool, error)) error {
+	l.recycle(dst)
 	return FillRows(ctx, dst, max, func(ctx *Context) (value.Row, bool, error) {
 		for !l.done {
 			if err := ctx.Err(); err != nil {
@@ -227,6 +237,7 @@ func (j *HashJoin) Open(ctx *Context) error {
 	j.probe = nil
 	j.chain = -1
 	j.pbuf.Reset()
+	j.pbuf.Borrow = true // the probe row is dropped before the next pull
 	j.ppos = 0
 	rows, err := drainSized(ctx, j.Left, j.BuildSizeHint)
 	if err != nil {
@@ -255,6 +266,7 @@ func (e *JoinEmitter) emitHashed(residual *expr.Pred, probeFirst bool, l, r valu
 // accumulated locally and flushed once per call (including before
 // residual errors).
 func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
+	j.em.recycle(dst)
 	var cpu int64
 	defer func() { ctx.Counter.CPUTuples += cpu }()
 	for {
@@ -389,6 +401,7 @@ func keyCompare(a, b value.Row, ak, bk []int) int {
 
 // NextBatch implements Operator by lifting the row step.
 func (j *MergeJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
+	j.em.recycle(dst)
 	return FillRows(ctx, dst, max, j.next)
 }
 

@@ -63,7 +63,7 @@ func (t *TopN) Open(ctx *Context) error {
 	for v := t.N; v > 1; v >>= 1 {
 		lgN++
 	}
-	err := forEachInput(ctx, t.Child, 0, func(r value.Row) error {
+	err := forEachInput(ctx, t.Child, 0, false, func(r value.Row) error {
 		ctx.Counter.CPUTuples++
 		if h.Len() < t.N {
 			heap.Push(h, r)

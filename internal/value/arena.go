@@ -11,12 +11,24 @@ package value
 // arenaMaxSlab — a 30-row answer pays for 30 rows, a long scan
 // amortizes exactly as a fixed large slab would.
 //
-// The arena never reuses a slab: rows flow downstream and may be
-// retained (Drain keeps row headers past Reset), so slabs stay reachable
-// exactly as long as some emitted row references them.
+// Until its owner calls Recycle the arena never reuses a slab: rows flow
+// downstream and may be retained (Drain keeps row headers past Reset),
+// so slabs stay reachable exactly as long as some emitted row
+// references them. An operator whose consumer borrows its output
+// (exec.Batch.Borrow) calls Recycle before each pull it answers: every
+// row it carved is dead by then, so the arena carves the next rows from
+// the same slabs again, and a steady-state pipeline allocates nothing.
 type RowArena struct {
 	chunk []Value
 	next  int // capacity of the next slab; 0 means arenaFirstSlab
+	// From the first Recycle on (keep), the arena keeps the slabs it
+	// carves, in carving order: first inline, so a one-slab answer
+	// recycles without allocating, the rest in more. reuse counts the
+	// kept slabs carved since the last Recycle.
+	keep  bool
+	first []Value
+	more  [][]Value
+	reuse int
 }
 
 const (
@@ -34,9 +46,9 @@ func (a *RowArena) Reserve(n int) {
 }
 
 // Make returns a zeroed row of n values carved from the current slab. A
-// row the slab's remainder cannot hold opens the next slab, doubled
-// until the row fits, so what the old slab orphans is less than the row
-// the new one starts with. A row wider than any slab is allocated on
+// row the slab's remainder cannot hold moves on to the next kept slab
+// (nextSlab), else opens a new one doubled until the row fits, so what
+// the old slab orphans is less than the row the new one starts with. A row wider than any slab is allocated on
 // its own and leaves the live slab to the rows that follow.
 func (a *RowArena) Make(n int) Row {
 	if n == 0 {
@@ -46,17 +58,68 @@ func (a *RowArena) Make(n int) Row {
 		if n > arenaMaxSlab {
 			return make(Row, n)
 		}
-		size := max(a.next, arenaFirstSlab)
-		for size < n {
-			size *= 2
-		}
-		size = min(size, arenaMaxSlab)
-		a.next = min(2*size, arenaMaxSlab)
-		a.chunk = make([]Value, 0, size)
+		a.chunk = a.nextSlab(n)
 	}
 	s := len(a.chunk)
 	a.chunk = a.chunk[:s+n]
-	return Row(a.chunk[s : s+n : s+n])
+	out := Row(a.chunk[s : s+n : s+n])
+	if a.keep {
+		clear(out) // a recycled slab still holds the rows of the last pull
+	}
+	return out
+}
+
+// kept returns the number of slabs the arena keeps for recycling.
+func (a *RowArena) kept() int {
+	if a.first == nil {
+		return 0
+	}
+	return 1 + len(a.more)
+}
+
+// nextSlab returns an empty slab that holds at least n values: the next
+// kept one that is large enough, else a new one on the doubling
+// schedule.
+func (a *RowArena) nextSlab(n int) []Value {
+	for a.reuse < a.kept() {
+		s := a.first
+		if a.reuse > 0 {
+			s = a.more[a.reuse-1]
+		}
+		a.reuse++
+		if cap(s) >= n {
+			return s[:0]
+		}
+	}
+	size := max(a.next, arenaFirstSlab)
+	for size < n {
+		size *= 2
+	}
+	size = min(size, arenaMaxSlab)
+	a.next = min(2*size, arenaMaxSlab)
+	s := make([]Value, 0, size)
+	if a.keep {
+		if a.first == nil {
+			a.first = s
+		} else {
+			a.more = append(a.more, s)
+		}
+		a.reuse = a.kept()
+	}
+	return s
+}
+
+// Recycle declares every row the arena has carved dead and rewinds it
+// onto the slabs it keeps: the rows that follow reuse them, and only a
+// pull larger than any before it opens a new slab. The first Recycle
+// keeps the live slab, if any; slabs filled before it are left to the
+// garbage collector.
+func (a *RowArena) Recycle() {
+	if !a.keep {
+		a.keep = true
+		a.first = a.chunk
+	}
+	a.chunk, a.reuse = nil, 0
 }
 
 // Concat returns l followed by r as an arena-backed row, the arena form

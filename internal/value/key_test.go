@@ -19,9 +19,9 @@ var testValues = []Value{
 	NewBool(true), NewBool(false),
 }
 
-// refHash is the pre-inline implementation of Value.Hash, kept verbatim
-// (hash/fnv + little-endian payload bytes) so the allocation-free inline
-// version is pinned bit-for-bit. Bloom-filter behavior — and hence cost
+// refHash is the pre-inline implementation of Value.Hash (hash/fnv +
+// little-endian payload bytes, with appendKeyValue's int64 range check)
+// so the allocation-free inline version is pinned bit-for-bit. Bloom-filter behavior — and hence cost
 // counter totals in goldens — depends on these digests not moving.
 func refHash(v Value) uint64 {
 	h := fnv.New64a()
@@ -41,7 +41,7 @@ func refHash(v Value) uint64 {
 		h.Write(buf[:9])
 	case KindFloat:
 		f := v.Float()
-		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		if f >= -1<<63 && f < 1<<63 && f == math.Trunc(f) {
 			buf[0] = 1
 			put(buf[1:], uint64(int64(f)))
 			h.Write(buf[:9])
@@ -198,10 +198,43 @@ func TestRowArenaWideRowsKeepSlab(t *testing.T) {
 	}
 }
 
+// TestRowArenaRecycle: after Recycle the arena carves the next rows
+// from the slabs it already has — a pull no larger than the last one
+// allocates nothing, and its rows come back zeroed — while the slabs
+// stay answer-sized: a 30-row pull of width 2 holds one 64-value slab.
+func TestRowArenaRecycle(t *testing.T) {
+	var a RowArena
+	pull := func(rows, width int) {
+		a.Recycle()
+		for i := 0; i < rows; i++ {
+			r := a.Make(width)
+			for j := range r {
+				if !r[j].IsNull() {
+					t.Fatalf("recycled row %d holds %s", i, r[j])
+				}
+				r[j] = NewInt(int64(i))
+			}
+		}
+	}
+	pull(30, 2)
+	if a.kept() != 1 || cap(a.first) != arenaFirstSlab {
+		t.Fatalf("a 60-value pull keeps %d slabs, the first of %d values; want one of %d", a.kept(), cap(a.first), arenaFirstSlab)
+	}
+	if n := testing.AllocsPerRun(20, func() { pull(30, 2) }); n != 0 {
+		t.Errorf("a recycled 30-row pull allocates %.1f, want 0", n)
+	}
+	pull(1024, 6) // a morsel of six-wide joined rows grows the slab list once
+	if n := testing.AllocsPerRun(20, func() { pull(1024, 6) }); n != 0 {
+		t.Errorf("a recycled 1024-row pull allocates %.1f, want 0", n)
+	}
+}
+
 // FuzzAppendKey: for values of every kind (finite floats only), two rows
 // share an AppendKey encoding exactly when every column pair is both
 // NULL or compares equal — the hash paths, which group and join on the
 // key, and the compare paths (merge join, sort, predicates) then agree.
+// Rows sharing an encoding also share a HashKey, so a hash join's bucket
+// holds every row its key equality would match.
 // Each value is a kind selector, 64 payload bits and a string.
 func FuzzAppendKey(f *testing.F) {
 	const kInt, kFloat = 1, 2
@@ -226,6 +259,10 @@ func FuzzAppendKey(f *testing.F) {
 			keyA, keyB := rows[0].AppendFullKey(nil), rows[1].AppendFullKey(nil)
 			if bytes.Equal(keyA, keyB) != same {
 				t.Fatalf("%v vs %v: keys %q and %q, Compare %d", rows[0], rows[1], keyA, keyB, Compare(va, vb))
+			}
+			all := []int{0, 1}[:len(rows[0])]
+			if same && rows[0].HashKey(all) != rows[1].HashKey(all) {
+				t.Fatalf("%v vs %v share key %q but hash %#x and %#x", rows[0], rows[1], keyA, rows[0].HashKey(all), rows[1].HashKey(all))
 			}
 		}
 	})

@@ -124,7 +124,7 @@ func (v oldValue) hash() uint64 {
 	case KindInt:
 		h = fnvUint64(fnvByte(h, 1), uint64(v.i))
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
+		if v.f >= -1<<63 && v.f < 1<<63 && v.f == math.Trunc(v.f) {
 			h = fnvUint64(fnvByte(h, 1), uint64(int64(v.f)))
 		} else {
 			h = fnvUint64(fnvByte(h, 2), math.Float64bits(v.f))

@@ -260,7 +260,8 @@ func (v Value) Hash() uint64 {
 		h = fnvByte(h, 1)
 		h = fnvUint64(h, v.n)
 	case KindFloat:
-		if f := v.float(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		// appendKeyValue's range check: 2^63 itself has no int64.
+		if f := v.float(); f >= -1<<63 && f < 1<<63 && f == math.Trunc(f) {
 			// Hash integral floats as ints for cross-kind equality.
 			h = fnvByte(h, 1)
 			h = fnvUint64(h, uint64(int64(f)))

@@ -149,6 +149,22 @@ func TestHashCrossKindEquality(t *testing.T) {
 	}
 }
 
+// TestHashFloatAtInt64Bound: 2^63 is integral but has no int64, so it
+// hashes as a float; -2^63 is MinInt64 and hashes as that int. An
+// int64 conversion of 2^63 is implementation-specific (MinInt64 on
+// amd64), which once put 2^63 and MinInt64 in one hash bucket.
+func TestHashFloatAtInt64Bound(t *testing.T) {
+	if NewFloat(1<<63).Hash() == NewInt(math.MinInt64).Hash() {
+		t.Error("2^63 and MinInt64 hash alike")
+	}
+	if NewFloat(1<<63).Hash() == NewInt(math.MaxInt64).Hash() {
+		t.Error("2^63 and MaxInt64 hash alike")
+	}
+	if NewFloat(-(1 << 63)).Hash() != NewInt(math.MinInt64).Hash() {
+		t.Error("-2^63 and MinInt64 are equal and must hash alike")
+	}
+}
+
 func TestHashNonIntegralFloat(t *testing.T) {
 	a, b := NewFloat(1.5), NewFloat(1.5)
 	if a.Hash() != b.Hash() {
