@@ -428,8 +428,11 @@ func (e *Engine) configFingerprint() string {
 // deduplicating for plain UNION. The envelope result carries no cache
 // state of its own.
 func (e *Engine) serveUnion(stdctx context.Context, u *sql.UnionStmt) (*Result, error) {
-	var out *Result
-	seen := map[string]bool{}
+	var (
+		out  *Result
+		seen exec.RowTable // full-row keys, as exec.Distinct keeps them
+		key  []byte
+	)
 	for i, sel := range u.Selects {
 		res, err := e.serveSelect(stdctx, sel, nil)
 		if err != nil {
@@ -445,11 +448,10 @@ func (e *Engine) serveUnion(stdctx context.Context, u *sql.UnionStmt) (*Result, 
 		out.ops = append(out.ops, res.ops...)
 		for _, r := range res.Rows {
 			if !u.All {
-				k := r.FullKey()
-				if seen[k] {
+				key = r.AppendFullKey(key[:0])
+				if _, added := seen.Insert(key); !added {
 					continue
 				}
-				seen[k] = true
 			}
 			out.Rows = append(out.Rows, r)
 		}

@@ -87,6 +87,30 @@ func TestSimpleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGroupByEmitsValueOrder: GROUP BY with no ORDER BY emits its groups
+// in the value order of their keys — NULL first, numbers numerically —
+// since it sorts them by key encoding, which orders as Compare does.
+func TestGroupByEmitsValueOrder(t *testing.T) {
+	db := filterjoin.Open(filterjoin.Config{})
+	if err := db.ExecScript(`
+		CREATE TABLE T (k float);
+		INSERT INTO T VALUES (9), (10), (-1), (-2), (2.5), (100), (NULL);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query("SELECT k, COUNT(*) FROM T GROUP BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, r := range res.Rows {
+		keys = append(keys, r[0].String())
+	}
+	if got, want := strings.Join(keys, " "), "NULL -2 -1 2.5 9 10 100"; got != want {
+		t.Errorf("groups in order %s, want %s", got, want)
+	}
+}
+
 func TestDistinctQuery(t *testing.T) {
 	db := filterjoin.Open(filterjoin.Config{})
 	if err := db.ExecScript(`

@@ -232,7 +232,7 @@ func (f *filterJoinOp) restrictStored(ctx *exec.Context, keys *exec.KeySet) (exe
 
 	var op exec.Operator = exec.NewTableScan(t, s.alias)
 	if ch.Repr == ReprBloom {
-		bf := keys.ToBloom(ch.BloomBits, s.innerFilterLoc)
+		bf := keys.ToBloom(ch.BloomBits)
 		ctx.Counter.CPUTuples += int64(keys.Len())
 		op = exec.NewBloomFilterScan(op, bf, s.innerFilterLoc)
 	} else {

@@ -776,7 +776,7 @@ func lifecycleExtras(t *testing.T) []sweepExtra {
 		return exec.NewKeySetFilter(leaf(upTo(12)...), every3, []int{0})
 	})
 	hand("bloom-filter-leaf", "keys 0..11 restricted to multiples of 3", "BloomFilterScan", "bloom filter on {#0}", func() exec.Operator {
-		return exec.NewBloomFilterScan(leaf(upTo(12)...), every3.ToBloom(64, []int{0}), []int{0})
+		return exec.NewBloomFilterScan(leaf(upTo(12)...), every3.ToBloom(64), []int{0})
 	})
 	return out
 }

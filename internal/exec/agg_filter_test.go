@@ -136,7 +136,7 @@ func TestBloomFilterScanSuperset(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		ks.Add(value.Row{value.NewInt(int64(i * 2))}, []int{0}) // even keys
 	}
-	bf := ks.ToBloom(10, []int{0})
+	bf := ks.ToBloom(10)
 	rows := make([][]int64, 400)
 	for i := range rows {
 		rows[i] = []int64{int64(i % 200), 0}
@@ -155,9 +155,9 @@ func TestBloomFilterScanSuperset(t *testing.T) {
 	}
 
 	// A saturated filter lets every key through, but never a NULL one.
-	full := bloom.New(1, 1, []int{0})
+	full := bloom.New(1, 1)
 	for i := 0; i < 1000; i++ {
-		full.AddKey(value.Row{value.NewInt(int64(i))})
+		full.Add(value.Row{value.NewInt(int64(i))}.AppendFullKey(nil))
 	}
 	keys := NewValues(schema.New(schema.Column{Name: "k", Type: value.KindInt}), []value.Row{{value.Null}, {value.NewInt(7)}, {value.Null}})
 	if got, _ := drain(t, NewBloomFilterScan(keys, full, []int{0})); len(got) != 1 || got[0][0].IsNull() {

@@ -3,16 +3,16 @@ package exec
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"filterjoin/internal/expr"
 )
 
-// allocBudget is the checked-in allocation budget for steady-state
-// NextBatch calls (testdata/alloc_budget.json). The budgets carry
-// roughly 2x headroom over the measured figures so the
-// gate catches regressions — a per-row allocation shows up as ~1024
-// allocs per batch — without flaking on incidental runtime variation.
+// allocBudget is the checked-in allocation budget per steady-state
+// NextBatch call (testdata/alloc_budget.json), held against the exact
+// total over the measured calls, so 0 admits no allocation at all. A
+// per-row allocation shows up as ~1024 allocs per batch.
 type allocBudget map[string]float64
 
 func loadAllocBudget(t *testing.T) allocBudget {
@@ -62,7 +62,7 @@ var rareResidual = expr.NewAnd(
 // The ResidualReject cases pull one survivor per call, so each call
 // walks about a thousand candidates the residual rejects: a rejected
 // candidate must cost no allocation, and the survivors' slabs amortize
-// to less than one per call. The GroupByOver cases pull a join into a
+// to 2 in the 40 measured calls. The GroupByOver cases pull a join into a
 // borrowing carrier, the way GroupBy's fold does: the join recycles its
 // slabs, so a morsel of joined rows costs no allocation at all.
 func TestAllocBudget(t *testing.T) {
@@ -141,7 +141,8 @@ func TestAllocBudget(t *testing.T) {
 					t.Fatalf("input exhausted during warmup")
 				}
 			}
-			got := testing.AllocsPerRun(40, func() {
+			const pulls = 40
+			got := mallocs(pulls, func() {
 				dst.Reset()
 				if err := op.NextBatch(ctx, &dst, max); err != nil {
 					t.Fatal(err)
@@ -151,9 +152,10 @@ func TestAllocBudget(t *testing.T) {
 				}
 			})
 			op.Close(ctx)
-			if got > want {
-				t.Errorf("%s steady-state NextBatch allocates %.1f/op, budget %.1f (testdata/alloc_budget.json)",
-					tc.name, got, want)
+			t.Logf("%d allocations in %d pulls", got, pulls)
+			if float64(got) > want*pulls {
+				t.Errorf("%s: %d steady-state NextBatch pulls allocate %d times (%.3f/pull), budget %g/pull (testdata/alloc_budget.json)",
+					tc.name, pulls, got, float64(got)/pulls, want)
 			}
 		})
 	}
@@ -202,8 +204,23 @@ func TestAllocBudgetNLJReopen(t *testing.T) {
 		}
 		op.Close(ctx)
 	}
-	pass() // warm up: the adapter's scratch reaches its one-row capacity
-	if got := testing.AllocsPerRun(20, pass); got > want {
-		t.Errorf("512 inner re-opens through the row adapter allocate %.1f/op, budget %.1f (testdata/alloc_budget.json)", got, want)
+	const passes = 20
+	if got := mallocs(passes, pass); float64(got) > want*passes {
+		t.Errorf("%d passes of 512 inner re-opens through the row adapter allocate %d times, budget %g/pass (testdata/alloc_budget.json)", passes, got, want)
 	}
+}
+
+// mallocs counts the heap allocations of runs calls of f after one
+// warm-up call: the total, which testing.AllocsPerRun's integer mean
+// would round down, so a budget of 0 admits none.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

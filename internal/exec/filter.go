@@ -97,12 +97,12 @@ func (s *KeySet) Rows() []value.Row { return s.rows }
 func (s *KeySet) SizeBytes() int { return len(s.rows) * s.width * 8 }
 
 // ToBloom converts the exact set into a Bloom filter with the given
-// bits-per-entry budget; keyIdx identifies the key columns a probe row
-// will be projected on (the filter itself stores only hashes).
-func (s *KeySet) ToBloom(bitsPerEntry float64, keyIdx []int) *bloom.Filter {
-	f := bloom.New(len(s.rows), bitsPerEntry, keyIdx)
-	for _, r := range s.rows {
-		f.AddKey(r)
+// bits-per-entry budget, adding the key encodings its table already
+// stores.
+func (s *KeySet) ToBloom(bitsPerEntry float64) *bloom.Filter {
+	f := bloom.New(s.ht.Len(), bitsPerEntry)
+	for id := range s.ht.Len() {
+		f.Add(s.ht.Key(int32(id)))
 	}
 	return f
 }
@@ -174,7 +174,8 @@ type BloomFilterScan struct {
 	Child  Operator
 	Filter *bloom.Filter
 	KeyIdx []int
-	in     Batch // scratch for child pulls
+	in     Batch  // scratch for child pulls
+	buf    []byte // probe-key scratch
 }
 
 // NewBloomFilterScan builds a lossy filter-set restriction.
@@ -209,7 +210,11 @@ func (b *BloomFilterScan) NextBatch(ctx *Context, dst *Batch, max int) error {
 		var cpu int64
 		for _, r := range b.in.Rows {
 			cpu++
-			if !nullKey(r, b.KeyIdx) && b.Filter.MayContain(r, b.KeyIdx) {
+			if nullKey(r, b.KeyIdx) {
+				continue
+			}
+			b.buf = r.AppendKey(b.buf[:0], b.KeyIdx)
+			if b.Filter.MayContain(b.buf) {
 				dst.Rows = append(dst.Rows, r)
 			}
 		}

@@ -3,23 +3,25 @@ package exec
 import "filterjoin/internal/value"
 
 // RowTable is the key table of every hash operator (DESIGN.md §11): an
-// open-addressing table over 64-bit FNV hashes of canonical key
-// encodings (value.Row.AppendKey), with the key bytes themselves packed
-// into one arena and verified in full on every hash hit — so its
-// equality relation is exactly that of a map keyed on value.Row.Key.
+// open-addressing table over value.HashBytes of key encodings
+// (value.Row.AppendKey), with the key bytes themselves packed into one
+// arena and verified in full on every hash hit — so two rows share an id
+// exactly when value.Compare finds their key columns equal.
 // Values never live in the table: it assigns each distinct key a dense
 // id (0, 1, 2, …) in first-insertion order, and operators index their
 // own payload slices (bucket chains, group states) by that id.
 //
-// Init pre-sizes from the optimizer's cardinality hint; Grows counts
-// doublings after that, which the pre-sizing regression test pins to
-// zero on hinted builds.
+// Init pre-sizes from the optimizer's cardinality hint, the key arena
+// at the first key's length (up to 32 bytes) per hinted key; Grows
+// counts doublings after that, which the pre-sizing regression test
+// pins to zero on hinted builds.
 type RowTable struct {
 	slots []rtSlot
 	mask  uint64
 	arena []byte
 	spans []rtSpan
 	grows int
+	hint  int
 }
 
 type rtSlot struct {
@@ -56,8 +58,12 @@ func (t *RowTable) Init(hint int) {
 	}
 	t.mask = uint64(len(t.slots) - 1)
 	t.arena = t.arena[:0]
+	if cap(t.spans) < hint {
+		t.spans = make([]rtSpan, 0, hint)
+	}
 	t.spans = t.spans[:0]
 	t.grows = 0
+	t.hint = hint
 }
 
 // Len returns the number of distinct keys inserted.
@@ -101,6 +107,9 @@ func (t *RowTable) Insert(key []byte) (id int32, added bool) {
 	for {
 		s := &t.slots[i]
 		if s.id == 0 {
+			if n := t.hint * min(len(key), 32); len(t.arena) == 0 && cap(t.arena) < n {
+				t.arena = make([]byte, 0, n) // about what the slots take
+			}
 			off := len(t.arena)
 			t.arena = append(t.arena, key...)
 			t.spans = append(t.spans, rtSpan{off: uint32(off), end: uint32(len(t.arena))})

@@ -123,7 +123,7 @@ func fuzzValue(kind, b byte) value.Value {
 	case 1:
 		return value.NewFloat(float64(b%32) / 2)
 	case 2:
-		return value.NewString([]string{"", "a", "|", "i1|", "s1:a", "ab", "1:"}[b%7])
+		return value.NewString([]string{"", "a", "\x00", "i1|", "a\x00", "ab", "1:"}[b%7])
 	default:
 		return value.Null
 	}
@@ -235,7 +235,11 @@ func refGroupCount(rows []value.Row, idx []int) []value.Row {
 	if len(idx) == 0 && len(rows) == 0 {
 		groups = []value.Row{{}} // scalar aggregation over no input is one row
 	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].FullKey() < groups[b].FullKey() })
+	all := make([]int, len(idx)) // a group row is idx's projection
+	for i := range all {
+		all[i] = i
+	}
+	sort.Slice(groups, func(a, b int) bool { return value.CompareRows(groups[a], groups[b], all, nil) < 0 })
 	for i, g := range groups {
 		groups[i] = append(g, value.NewInt(counts[g.FullKey()]))
 	}

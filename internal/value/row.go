@@ -1,7 +1,8 @@
 package value
 
 import (
-	"strconv"
+	"encoding/binary"
+	"math"
 	"strings"
 )
 
@@ -31,22 +32,26 @@ func (r Row) Concat(s Row) Row {
 	return append(out, s...)
 }
 
-// Key returns a canonical string key for the projection of r onto idx,
-// suitable for use as a map key in hash joins and distinct projection.
-// Numerically equal ints and floats map to the same key.
+// Key returns the key encoding of r's values at idx as a string, for use
+// as a map key. Numerically equal ints and floats share a key.
 func (r Row) Key(idx []int) string {
 	return string(r.AppendKey(nil, idx))
 }
 
-// FullKey returns a canonical string key over all of r's values.
+// FullKey returns the key encoding over all of r's values as a string.
 func (r Row) FullKey() string {
 	return string(r.AppendFullKey(nil))
 }
 
-// AppendKey appends the canonical key encoding of r's values at idx to
-// dst and returns the extended slice. The bytes are identical to Key —
-// string(r.AppendKey(nil, idx)) == r.Key(idx) — but callers can reuse
-// one scratch buffer per operator, so the hot hash paths never allocate.
+// AppendKey appends the key encoding of r's values at idx to dst and
+// returns the extended slice, so callers can reuse one scratch buffer
+// per operator and the hash paths never allocate.
+//
+// The encoding is the engine's one definition of value identity: two
+// keys are equal exactly when Compare says every column pair is equal
+// (NULL keys NULL), and bytes.Compare of two keys agrees in sign with
+// Compare column by column, NaN aside. It is exact for every int64 and
+// float64; int 3 and float 3.0 encode alike, as do 0 and -0.0.
 func (r Row) AppendKey(dst []byte, idx []int) []byte {
 	for _, j := range idx {
 		dst = appendKeyValue(dst, r[j])
@@ -54,8 +59,7 @@ func (r Row) AppendKey(dst []byte, idx []int) []byte {
 	return dst
 }
 
-// AppendFullKey appends the canonical key encoding over all of r's
-// values, the byte-slice form of FullKey.
+// AppendFullKey appends the key encoding over all of r's values.
 func (r Row) AppendFullKey(dst []byte) []byte {
 	for _, v := range r {
 		dst = appendKeyValue(dst, v)
@@ -63,47 +67,68 @@ func (r Row) AppendFullKey(dst []byte) []byte {
 	return dst
 }
 
+// Key tags, one byte per value, in Compare's order of kinds: NULL, the
+// numbers (below, inside and above int64's range, then NaN), strings,
+// false, true.
+const (
+	keyNull byte = iota + 1
+	keyNumLow
+	keyNum
+	keyNumHigh
+	keyNaN
+	keyString
+	keyFalse
+	keyTrue
+)
+
 func appendKeyValue(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
-		dst = append(dst, 'n')
+		return append(dst, keyNull)
 	case KindInt:
-		dst = append(dst, 'i')
-		dst = strconv.AppendInt(dst, v.int(), 10)
+		return append(binary.BigEndian.AppendUint64(append(dst, keyNum), v.n^1<<63), 0)
 	case KindFloat:
-		// The range check comes first: Go leaves an out-of-range
-		// float→int conversion implementation-specific (amd64 yields
-		// MinInt64, arm64 saturates, keying 2^63 like MaxInt64).
-		if f := v.float(); f >= -1<<63 && f < 1<<63 && f == float64(int64(f)) {
-			dst = append(dst, 'i')
-			dst = strconv.AppendInt(dst, int64(f), 10)
-		} else {
-			dst = append(dst, 'f')
-			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
-		}
+		return appendKeyFloat(dst, v.float())
 	case KindString:
-		dst = append(dst, 's')
-		dst = strconv.AppendInt(dst, int64(len(v.s)), 10)
-		dst = append(dst, ':')
-		dst = append(dst, v.s...)
+		// 0x00 escapes to 0x00 0xFF and 0x00 0x01 ends the string, so
+		// a prefix sorts first and the next column cannot run into it.
+		dst = append(dst, keyString)
+		for s := v.s; ; {
+			i := strings.IndexByte(s, 0)
+			if i < 0 {
+				return append(append(dst, s...), 0, 1)
+			}
+			dst = append(append(dst, s[:i]...), 0, 0xFF)
+			s = s[i+1:]
+		}
 	case KindBool:
 		if v.bool() {
-			dst = append(dst, 'b', 't')
-		} else {
-			dst = append(dst, 'b', 'f')
+			return append(dst, keyTrue)
 		}
+		return append(dst, keyFalse)
 	}
-	return append(dst, '|')
+	return dst
 }
 
-// HashKey hashes the projection of r onto idx.
-func (r Row) HashKey(idx []int) uint64 {
-	var h uint64 = 1469598103934665603 // FNV offset basis
-	for _, j := range idx {
-		h ^= r[j].Hash()
-		h *= 1099511628211
+// appendKeyFloat keys a float in int64's range as an int does: the
+// floor's 8 big-endian bytes with the sign bit flipped, then 0x00, or
+// 0x01 and the bits of the (exact, positive) fraction. Floats outside
+// the range are integral; their bits, made to ascend, follow their tag.
+func appendKeyFloat(dst []byte, f float64) []byte {
+	switch {
+	case f != f:
+		return append(dst, keyNaN)
+	case f < -1<<63:
+		return binary.BigEndian.AppendUint64(append(dst, keyNumLow), ^math.Float64bits(f))
+	case f >= 1<<63:
+		return binary.BigEndian.AppendUint64(append(dst, keyNumHigh), math.Float64bits(f))
 	}
-	return h
+	i := math.Floor(f)
+	dst = binary.BigEndian.AppendUint64(append(dst, keyNum), uint64(int64(i))^1<<63)
+	if frac := f - i; frac != 0 {
+		return binary.BigEndian.AppendUint64(append(dst, 1), math.Float64bits(frac))
+	}
+	return append(dst, 0)
 }
 
 // String renders the row as a parenthesized value list.

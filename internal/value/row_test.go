@@ -73,19 +73,6 @@ func TestRowKeyNullDistinct(t *testing.T) {
 	}
 }
 
-func TestHashKeyMatchesKeyEquality(t *testing.T) {
-	f := func(x, y int64) bool {
-		a, b := Row{NewInt(x)}, Row{NewInt(y)}
-		if a.Key([]int{0}) == b.Key([]int{0}) {
-			return a.HashKey([]int{0}) == b.HashKey([]int{0})
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRowString(t *testing.T) {
 	r := Row{NewInt(1), NewString("x")}
 	if got := r.String(); got != "(1, x)" {

@@ -2,9 +2,10 @@
 // the filterjoin engine. Values are small immutable variants over int64,
 // float64, string, bool and NULL; rows are flat slices of values.
 //
-// The package also provides total ordering, equality and hashing over
-// values, which the execution operators (hash joins, distinct projection,
-// sorting) and the statistics layer build on.
+// The package also provides the total order over values (Compare) and
+// the one key encoding that agrees with it (Row.AppendKey), which the
+// execution operators (hash joins, grouping, distinct projection,
+// sorting), the indexes and the statistics layer build on.
 package value
 
 import (
@@ -175,8 +176,8 @@ func (v Value) String() string {
 // Compare totally orders a and b: -1 if a<b, 0 if equal, +1 if a>b.
 // NULL sorts before every non-NULL value. Ints and floats compare
 // numerically and exactly across kinds — no int64 is rounded to a
-// float — so Compare agrees with the key encoding (Row.AppendKey) on
-// equality. Comparing a non-numeric kind against a different
+// float — so the key encoding (Row.AppendKey) can agree with Compare on
+// equality and order. Comparing a non-numeric kind against a different
 // non-matching kind orders by kind tag, which gives a stable (if
 // arbitrary) total order for sorting heterogeneous columns.
 func Compare(a, b Value) int {
@@ -240,69 +241,13 @@ func Equal(a, b Value) bool {
 	return Compare(a, b) == 0
 }
 
-// FNV-1a parameters, inlined so hashing never allocates a hash.Hash64.
-// The digests are bit-identical to hash/fnv over the same byte stream
-// (value_test.go pins this), which keeps bloom-filter hits — and hence
-// cost-counter totals — stable across the change.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// Hash returns a 64-bit hash of v. Numerically equal ints and floats hash
-// identically so that cross-kind equi-joins work.
-func (v Value) Hash() uint64 {
-	h := fnvOffset64
-	switch v.kind {
-	case KindNull:
-		h = fnvByte(h, 0)
-	case KindInt:
-		h = fnvByte(h, 1)
-		h = fnvUint64(h, v.n)
-	case KindFloat:
-		// appendKeyValue's range check: 2^63 itself has no int64.
-		if f := v.float(); f >= -1<<63 && f < 1<<63 && f == math.Trunc(f) {
-			// Hash integral floats as ints for cross-kind equality.
-			h = fnvByte(h, 1)
-			h = fnvUint64(h, uint64(int64(f)))
-		} else {
-			h = fnvByte(h, 2)
-			h = fnvUint64(h, v.n)
-		}
-	case KindString:
-		h = fnvByte(h, 3)
-		for i := 0; i < len(v.s); i++ {
-			h = fnvByte(h, v.s[i])
-		}
-	case KindBool:
-		h = fnvByte(h, 4)
-		if v.bool() {
-			h = fnvByte(h, 1)
-		} else {
-			h = fnvByte(h, 0)
-		}
-	}
-	return h
-}
-
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-// fnvUint64 mixes v little-endian byte by byte, the same order putUint64
-// fed hash/fnv before the hash was inlined.
-func fnvUint64(h uint64, v uint64) uint64 {
-	for s := 0; s < 64; s += 8 {
-		h = fnvByte(h, byte(v>>s))
-	}
-	return h
-}
-
-// HashBytes hashes a byte slice with the same FNV-1a stream as Hash. The
-// open-addressing hash tables in internal/exec use it over AppendKey
-// encodings.
+// HashBytes is the engine's one hash: 64-bit FNV-1a over a key encoding
+// (Row.AppendKey). The hash tables in internal/exec and the Bloom filter
+// use it.
 func HashBytes(b []byte) uint64 {
-	h := fnvOffset64
+	h := uint64(14695981039346656037) // FNV offset basis
 	for _, c := range b {
-		h = fnvByte(h, c)
+		h = (h ^ uint64(c)) * 1099511628211 // FNV prime
 	}
 	return h
 }
