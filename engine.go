@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"filterjoin/internal/catalog"
@@ -66,7 +67,16 @@ type Engine struct {
 	// default, in which case no feedback path runs: behavior, counters,
 	// and goldens are bit-identical to the static engine.
 	adaptFeedback bool
+
+	// scratch is the executor scratch every execution draws from and
+	// gives back to (exec.Store); invalidate bounds it.
+	scratch *exec.Store
 }
+
+// scratchShare is the fraction of what its stored rows take that the
+// engine's executor scratch may keep: what the store pins stays a small
+// part of what the engine holds anyway.
+const scratchShare = 16
 
 func newEngine(cfg Config) *Engine {
 	model := cost.DefaultModel()
@@ -83,6 +93,7 @@ func newEngine(cfg Config) *Engine {
 		cache:         plancache.New(0),
 		cacheOff:      cfg.DisablePlanCache,
 		adaptFeedback: cfg.AdaptiveFeedback,
+		scratch:       exec.NewStore(),
 	}
 	e.span = epoch.New(e.invalidate)
 	cat.Guard(e.span)
@@ -110,13 +121,22 @@ func (e *Engine) Epoch() (cur uint64) {
 
 // invalidate drops every artifact derived from catalog contents: cached
 // plans, memoized view leaves, and the Filter Join's parametric costers.
-// It is the write span's exit hook and runs nowhere else.
+// It also bounds the executor scratch store by what the stored rows
+// take: 1/16 of Σ rows × (24 B of row header + columns × 32 B). It is
+// the write span's exit hook and runs nowhere else.
 func (e *Engine) invalidate() {
 	e.cache.Clear()
 	e.proto.InvalidateCaches()
 	if e.fj != nil {
 		e.fj.ResetCosterCache()
 	}
+	var stored int64
+	for _, name := range e.cat.Names() {
+		if ent, err := e.cat.Get(name); err == nil && ent.Table != nil {
+			stored += int64(ent.Table.NumRows()) * int64(24+32*ent.Table.Schema().Len())
+		}
+	}
+	e.scratch.SetBudget(stored / scratchShare)
 }
 
 // InvalidateCaches drops cached plans and costers and brings collected
@@ -268,12 +288,13 @@ func (e *Engine) serve(stdctx context.Context, r request) (p *plan.Node, state s
 	e.span.Read(func(epoch uint64) {
 		if p = r.plan; p == nil {
 			b := r.block
+			var layout *query.Layout
 			if r.sel != nil {
-				if b, err = sql.BindSelectArgs(e.cat, r.sel, r.args); err != nil {
+				if b, layout, err = sql.BindSelectLayout(e.cat, r.sel, r.args); err != nil {
 					return
 				}
 			}
-			if p, state, err = e.planFor(epoch, b, r.text, len(r.args)); err != nil {
+			if p, state, err = e.planFor(epoch, b, layout, r.text, len(r.args)); err != nil {
 				return
 			}
 		}
@@ -293,15 +314,16 @@ func (e *Engine) serve(stdctx context.Context, r request) (p *plan.Node, state s
 // selectivity class to key on), or the cache turned off — it counts a
 // bypass and optimizes. Optimization runs on a private fork of the
 // prototype whose search counters are folded back, so concurrent
-// sessions never contend on optimizer state.
-func (e *Engine) planFor(epoch uint64, b *query.Block, text string, nArgs int) (*plan.Node, string, error) {
+// sessions never contend on optimizer state. layout is b's, if the
+// caller has it (nil: classVector resolves it).
+func (e *Engine) planFor(epoch uint64, b *query.Block, layout *query.Layout, text string, nArgs int) (*plan.Node, string, error) {
 	state := "bypass"
 	var key plancache.Key
 	if text != "" && !e.cacheOff {
 		key = plancache.Key{
 			Text:    text,
 			Epoch:   epoch,
-			Classes: e.classVector(b, nArgs),
+			Classes: e.classVector(b, layout, nArgs),
 			Config:  e.configFingerprint(),
 		}
 		if ent, ok := e.cache.Get(key); ok {
@@ -350,8 +372,8 @@ func (e *Engine) serveSelect(stdctx context.Context, sel *sql.SelectStmt, userAr
 // classified against stored statistics (multi-relation predicates, view
 // columns) — one class for all values, honest within the grid's own
 // resolution. Class -2 means the parameter appears in no predicate and
-// cannot move plan choice at all.
-func (e *Engine) classVector(b *query.Block, nParams int) string {
+// cannot move plan choice at all. layout is b's; nil resolves it here.
+func (e *Engine) classVector(b *query.Block, layout *query.Layout, nParams int) string {
 	if nParams == 0 {
 		return ""
 	}
@@ -359,7 +381,10 @@ func (e *Engine) classVector(b *query.Block, nParams int) string {
 	for i := range classes {
 		classes[i] = -2
 	}
-	layout, err := b.Layout(e.cat)
+	var err error
+	if layout == nil {
+		layout, err = b.Layout(e.cat)
+	}
 	if err == nil {
 		for _, p := range b.Preds {
 			set := map[int]bool{}
@@ -375,11 +400,14 @@ func (e *Engine) classVector(b *query.Block, nParams int) string {
 			}
 		}
 	}
-	parts := make([]string, nParams)
+	key := make([]byte, 0, 3*nParams)
 	for i, c := range classes {
-		parts[i] = fmt.Sprintf("%d", c)
+		if i > 0 {
+			key = append(key, ',')
+		}
+		key = strconv.AppendInt(key, int64(c), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(key)
 }
 
 // classifyPred buckets one predicate's selectivity into the sample grid.
@@ -528,6 +556,7 @@ func (e *Engine) newExecContext(stdctx context.Context, args []value.Value) *exe
 	ctx.Caller = stdctx
 	ctx.BatchSize = e.proto.Batch()
 	ctx.Params = args
+	ctx.Scratch = e.scratch
 	if e.chaos != nil {
 		ctx.Net = dist.NewChaosTransport(*e.chaos, e.retry)
 	}

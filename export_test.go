@@ -1,6 +1,13 @@
 package filterjoin
 
-import "filterjoin/internal/dist"
+import (
+	"filterjoin/internal/dist"
+	"filterjoin/internal/exec"
+)
+
+// Every engine of the package's tests poisons what its scratch store is
+// given back (exec.PoisonScratch).
+func init() { exec.PoisonScratch = true }
 
 // ConfigFingerprint exposes the plan-cache config fingerprint to the
 // facade tests.

@@ -113,12 +113,18 @@ func runRows(t testing.TB, n interface {
 }) ([]value.Row, cost.Counter) {
 	t.Helper()
 	ctx := exec.NewContext()
+	ctx.Scratch = runStore
 	rows, err := exec.Drain(ctx, n.Make())
 	if err != nil {
 		t.Fatalf("executing plan: %v", err)
 	}
 	return rows, *ctx.Counter
 }
+
+// runStore is the scratch store every runRows execution shares, as an
+// engine's executions share its own: each run reuses (poisoned) buffers
+// earlier runs gave back.
+var runStore = sweepStore()
 
 // runPlan is runRows with the rows as sqlref.Canon's sorted multiset.
 func runPlan(t testing.TB, n interface {

@@ -102,6 +102,7 @@ func (n *faultNet) Send(ctx *exec.Context, site int, bytes int64) error {
 // lifecycleRun is the outcome of one execution under injected faults.
 type lifecycleRun struct {
 	op           exec.Operator // the tree that ran, for running it again
+	store        *exec.Store   // the scratch store it ran on, if any
 	rows         []value.Row
 	err          error
 	injected     error // the *dist.SiteError faultNet returned, if any
@@ -111,26 +112,26 @@ type lifecycleRun struct {
 	ops          []*exec.OpStats
 }
 
-// runLifecycle drains a fresh tree of p at the given morsel size,
-// cancelling at the cancelAt-th ctx.Err poll and failing the failSend-th
-// transport send (0 = neither).
-func runLifecycle(p *plan.Node, morsel, cancelAt, failSend int) lifecycleRun {
-	return drainLifecycle(p.Make(), morsel, cancelAt, &faultNet{k: failSend}, nil)
+// runLifecycle drains a fresh tree of p at the given morsel size on the
+// scratch store (nil: none), cancelling at the cancelAt-th ctx.Err poll
+// and failing the failSend-th transport send (0 = neither).
+func runLifecycle(p *plan.Node, morsel, cancelAt, failSend int, store *exec.Store) lifecycleRun {
+	return drainLifecycle(p.Make(), morsel, cancelAt, &faultNet{k: failSend}, nil, store)
 }
 
 // drainLifecycle is runLifecycle over a given operator tree, transport
 // and bind-parameter values. A nil net leaves ctx.Net nil:
 // exec.Context.Send's own free network.
-func drainLifecycle(op exec.Operator, morsel, cancelAt int, net *faultNet, params []value.Value) lifecycleRun {
+func drainLifecycle(op exec.Operator, morsel, cancelAt int, net *faultNet, params []value.Value, store *exec.Store) lifecycleRun {
 	ctx := exec.NewContext()
 	caller := &countdown{Context: context.Background(), n: cancelAt, ctx: ctx}
-	ctx.BatchSize, ctx.Caller, ctx.Params = morsel, caller, params
+	ctx.BatchSize, ctx.Caller, ctx.Params, ctx.Scratch = morsel, caller, params, store
 	if net != nil {
 		ctx.Net = net
 	}
 	rows, err := exec.Drain(ctx, op)
 	caller.snapshot(caller.calls + 1)
-	r := lifecycleRun{op: op, rows: rows, err: err, polls: caller.calls, stall: caller.stall, bill: *ctx.Counter, ops: ctx.OperatorStats()}
+	r := lifecycleRun{op: op, store: store, rows: rows, err: err, polls: caller.calls, stall: caller.stall, bill: *ctx.Counter, ops: ctx.OperatorStats()}
 	if net != nil {
 		r.sends = net.sends
 		if net.err != nil {
@@ -194,7 +195,7 @@ func checkLifecycle(t *testing.T, what string, r lifecycleRun, want error, clean
 	if want == nil {
 		return
 	}
-	again := drainLifecycle(r.op, exec.DefaultBatchSize, 0, nil, nil)
+	again := drainLifecycle(r.op, exec.DefaultBatchSize, 0, nil, nil, r.store)
 	if again.err != nil || !sameRows(again.rows, clean.rows) {
 		t.Fatalf("%s, drained again: %d rows (err %v), want the clean run's %d in order", what, len(again.rows), again.err, len(clean.rows))
 	}
@@ -256,7 +257,14 @@ func profileOf(ops []*exec.OpStats) []opProfile {
 //   - Reuse: an aborted run's tree drained again returns the clean rows
 //     and bills within the clean run; two clean runs of fresh Make trees
 //     have the same operator profile; two goroutines each Make and drain
-//     the plan at once and both return the clean rows.
+//     the plan at once and both return the clean rows. Every run of a
+//     plan but the one below draws its scratch from one store
+//     (exec.Store), which the package's tests poison
+//     (exec.PoisonScratch): the clean run must equal, in rows, bill,
+//     polls and operator profile, a run with no store. The subtest
+//     "reuse" runs each plan three more times on a warm store, after a
+//     cancelled and after a faulted run, each equal to a run with no
+//     store and each tree closed twice (checkStoreReuse).
 //   - Rebind: see checkRebind.
 //
 // The corpus must execute every plan-node kind opt and core construct
@@ -278,7 +286,7 @@ func TestLifecycleSweep(t *testing.T) {
 	if *update {
 		for _, fp := range plans {
 			if strings.HasPrefix(fp.key, "extra/") {
-				clean := runLifecycle(fp.plan, 1, 0, 0)
+				clean := runLifecycle(fp.plan, 1, 0, 0, nil)
 				golden[fp.key] = fingerprint(clean.rows, clean.bill)
 			}
 		}
@@ -305,7 +313,19 @@ func TestLifecycleSweep(t *testing.T) {
 			})
 		}
 	})
-	if t.Failed() {
+	t.Run("reuse", func(t *testing.T) {
+		for _, fp := range plans {
+			t.Run(fp.key, func(t *testing.T) {
+				t.Parallel()
+				store := sweepStore()
+				for _, m := range morsels {
+					bare := drainLifecycle(fp.plan.Make(), m, 0, &faultNet{}, nil, nil)
+					checkStoreReuse(t, fp, fmt.Sprintf("%s morsel=%d", fp.key, m), m, bare, store)
+				}
+			})
+		}
+	})
+	if t.Failed() || len(seen) == 0 { // failed, or only the reuse leg ran
 		return
 	}
 	for _, kind := range plannedKinds(t) {
@@ -329,8 +349,9 @@ type sweepTally struct {
 func sweepPlan(t *testing.T, fp fuzzPlan, morsels []int, golden map[string]string) sweepTally {
 	var s sweepTally
 	var clean lifecycleRun
+	store := sweepStore()
 	for _, m := range morsels {
-		clean = runLifecycle(fp.plan, m, 0, 0)
+		clean = runLifecycle(fp.plan, m, 0, 0, store)
 		what := fmt.Sprintf("%s morsel=%d", fp.key, m)
 		checkLifecycle(t, what+" clean", clean, nil, clean)
 		if fp.block != nil {
@@ -345,15 +366,16 @@ func sweepPlan(t *testing.T, fp fuzzPlan, morsels []int, golden map[string]strin
 			}
 			t.Fatalf("%s: %s pulled %d morsels before %s; a cancel goes unseen that long", what, st.label, st.nexts, at)
 		}
-		free := drainLifecycle(fp.plan.Make(), m, 0, nil, nil)
-		if free.err != nil || !sameRows(free.rows, clean.rows) || free.bill != clean.bill || free.polls != clean.polls {
-			t.Fatalf("%s: with no transport: %d rows (err %v), billed %s in %d polls; under faultNet %d rows, %s in %d polls",
+		free := drainLifecycle(fp.plan.Make(), m, 0, nil, nil, nil)
+		if free.err != nil || !sameRows(free.rows, clean.rows) || free.bill != clean.bill || free.polls != clean.polls ||
+			!reflect.DeepEqual(profileOf(free.ops), profileOf(clean.ops)) {
+			t.Fatalf("%s: with no transport and no store: %d rows (err %v), billed %s in %d polls; under faultNet on the store %d rows, %s in %d polls",
 				what, len(free.rows), free.err, free.bill.String(), free.polls, len(clean.rows), clean.bill.String(), clean.polls)
 		}
 		if got := fingerprint(clean.rows, clean.bill); strings.HasPrefix(fp.key, "extra/") && got != golden[fp.key] {
 			t.Fatalf("%s: clean run differs from %s (record a new extra with -update):\ngot:  %s\nwant: %s", what, fuzzGoldenPath, got, golden[fp.key])
 		}
-		again := runLifecycle(fp.plan, m, 0, 0)
+		again := runLifecycle(fp.plan, m, 0, 0, store)
 		if p, q := profileOf(clean.ops), profileOf(again.ops); !reflect.DeepEqual(p, q) {
 			t.Fatalf("%s: two fresh trees ran differently:\nfirst:  %v\nsecond: %v", what, p, q)
 		}
@@ -361,11 +383,11 @@ func sweepPlan(t *testing.T, fp fuzzPlan, morsels []int, golden map[string]strin
 			s.labels = append(s.labels, op.Label)
 		}
 		for n := 1; n <= clean.polls; n++ {
-			r := runLifecycle(fp.plan, m, n, 0)
+			r := runLifecycle(fp.plan, m, n, 0, store)
 			checkLifecycle(t, fmt.Sprintf("%s cancelled at poll %d/%d", what, n, clean.polls), r, context.Canceled, clean)
 		}
 		for k := 1; k <= clean.sends; k++ {
-			r := runLifecycle(fp.plan, m, 0, k)
+			r := runLifecycle(fp.plan, m, 0, k, store)
 			checkLifecycle(t, fmt.Sprintf("%s send %d/%d failed", what, k, clean.sends), r, r.injected, clean)
 		}
 		s.cancels += clean.polls
@@ -377,7 +399,7 @@ func sweepPlan(t *testing.T, fp fuzzPlan, morsels []int, golden map[string]strin
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runs[i] = runLifecycle(fp.plan, exec.DefaultBatchSize, 0, 0)
+			runs[i] = runLifecycle(fp.plan, exec.DefaultBatchSize, 0, 0, store)
 		}()
 	}
 	wg.Wait()
@@ -387,6 +409,43 @@ func sweepPlan(t *testing.T, fp fuzzPlan, morsels []int, golden map[string]strin
 		}
 	}
 	return s
+}
+
+// sweepStore returns a scratch store for one plan's sweep, with room
+// for everything its runs give back.
+func sweepStore() *exec.Store {
+	s := exec.NewStore()
+	s.SetBudget(1 << 30)
+	return s
+}
+
+// checkStoreReuse is the Reuse leg's warm store: right after a run on
+// store cancelled half-way, and right after one whose first send failed,
+// fresh trees of the plan drained on store must return what bare — the
+// run with no store — returned: its rows, bill and operator profile,
+// three times over. Each tree is then closed a second time, which must
+// give nothing back again (under exec.PoisonScratch the store panics on
+// a buffer given back twice, and poisons every buffer it keeps, so a row
+// read after its buffer went back changes the answer).
+func checkStoreReuse(t *testing.T, fp fuzzPlan, what string, morsel int, bare lifecycleRun, store *exec.Store) {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		switch {
+		case i == 0 && bare.polls > 0:
+			runLifecycle(fp.plan, morsel, (bare.polls+1)/2, 0, store)
+		case i == 1 && bare.sends > 0:
+			runLifecycle(fp.plan, morsel, 0, 1, store)
+		}
+		r := runLifecycle(fp.plan, morsel, 0, 0, store)
+		if r.err != nil || !sameRows(r.rows, bare.rows) || r.bill != bare.bill ||
+			!reflect.DeepEqual(profileOf(r.ops), profileOf(bare.ops)) {
+			t.Fatalf("%s: run %d on a warm store: %d rows (err %v), billed %s, profile %v; with no store %d rows, %s, %v",
+				what, i+1, len(r.rows), r.err, r.bill.String(), profileOf(r.ops), len(bare.rows), bare.bill.String(), profileOf(bare.ops))
+		}
+		ctx := exec.NewContext()
+		ctx.Scratch = store
+		r.op.Close(ctx)
+	}
 }
 
 // distinctPlans drops every plan whose catalog and rendered tree an
@@ -440,12 +499,12 @@ func checkRebind(t *testing.T, golden map[string]string, extras []sweepExtra) {
 		if got, want := p.OutSchema.Columns(), x.plan.OutSchema.Columns(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: parameterized plan outputs %v, the literal plan %v", x.key, got, want)
 		}
-		r := drainLifecycle(p.Make(), exec.DefaultBatchSize, 0, nil, x.args)
+		r := drainLifecycle(p.Make(), exec.DefaultBatchSize, 0, nil, x.args, nil)
 		if got := fingerprint(r.rows, r.bill); r.err != nil || got != golden[x.key] {
 			t.Fatalf("%s: bound to its own values (err %v):\ngot:  %s\nwant: %s", x.key, r.err, got, golden[x.key])
 		}
-		second := drainLifecycle(p.Make(), exec.DefaultBatchSize, 0, nil, x.second)
-		lit := runLifecycle(planned(t, x.key, x.cat, literalBlock(t, x.cat, x.stmt, x.second), x.optimize).plan, exec.DefaultBatchSize, 0, 0)
+		second := drainLifecycle(p.Make(), exec.DefaultBatchSize, 0, nil, x.second, nil)
+		lit := runLifecycle(planned(t, x.key, x.cat, literalBlock(t, x.cat, x.stmt, x.second), x.optimize).plan, exec.DefaultBatchSize, 0, 0, nil)
 		if second.err != nil || lit.err != nil {
 			t.Fatalf("%s: second binding: %v / literal: %v", x.key, second.err, lit.err)
 		}

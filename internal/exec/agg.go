@@ -2,7 +2,7 @@ package exec
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 
 	"filterjoin/internal/expr"
 	"filterjoin/internal/schema"
@@ -27,11 +27,17 @@ type GroupBy struct {
 	results             []value.Row
 	pos                 int
 
-	// Groups live in a RowTable over byte-encoded keys with dense ids
-	// indexing the state slice; one scratch buffer serves every key
-	// encoding. Output order is ascending byte order of the encodings.
+	// Groups live in a RowTable over byte-encoded keys whose dense ids
+	// index results (each group's output row, its key columns written
+	// when the group starts, until Open puts them in output order) and
+	// states (len(Aggs) states per group, in one slice); one scratch
+	// buffer serves every key encoding. Output order is ascending byte
+	// order of the encodings. The output rows are carved from rows, which
+	// never recycles: they escape.
 	ht     RowTable
 	keyBuf []byte
+	states []expr.AggState
+	rows   value.RowArena
 }
 
 // NewGroupBy builds a hash aggregation operator. Output column names for
@@ -66,38 +72,46 @@ func aggSchema(child Operator, groupIdx []int, aggs []expr.AggSpec) *schema.Sche
 // Schema implements Operator.
 func (g *GroupBy) Schema() *schema.Schema { return g.out }
 
-type groupState struct {
-	key    value.Row
-	states []*expr.AggState
-}
-
-// newGroupState starts a group for r's key projection.
-func (g *GroupBy) newGroupState(r value.Row) *groupState {
-	gs := &groupState{key: r.Project(g.GroupIdx)}
-	gs.states = make([]*expr.AggState, len(g.Aggs))
-	for i, a := range g.Aggs {
-		gs.states[i] = expr.NewAggState(a.Kind)
+// startGroup starts a group for r: its output row, holding r's key
+// columns so far, and fresh states.
+func (g *GroupBy) startGroup(r value.Row) {
+	out := g.rows.Make(len(g.GroupIdx) + len(g.Aggs))
+	for i, j := range g.GroupIdx {
+		out[i] = r[j]
 	}
-	return gs
+	g.results = append(g.results, out)
+	for _, a := range g.Aggs {
+		g.states = append(g.states, expr.AggState{})
+		g.states[len(g.states)-1].Init(a.Kind)
+	}
 }
 
 // Open implements Operator.
 func (g *GroupBy) Open(ctx *Context) error {
 	g.aggs = expr.BindAggs(g.Aggs, ctx.Params)
-	g.ht.Init(g.SizeHint)
-	dense := make([]*groupState, 0, g.SizeHint)
+	g.ht.initFrom(ctx.Scratch, g.SizeHint)
+	nAgg := len(g.Aggs)
+	if g.results == nil {
+		g.results = ctx.Scratch.takeRows(g.SizeHint)
+	}
+	g.results = g.results[:0]
+	if cap(g.states) < g.SizeHint*nAgg {
+		g.states = make([]expr.AggState, 0, g.SizeHint*nAgg)
+	}
+	g.states = g.states[:0]
+	g.rows.Reserve(g.SizeHint * (len(g.GroupIdx) + nAgg))
 	if err := g.Child.Open(ctx); err != nil {
 		return err
 	}
-	// The fold keeps no row (newGroupState copies the key), so it borrows.
+	// The fold keeps no row (startGroup copies the key), so it borrows.
 	err := forEachInput(ctx, g.Child, g.InputHint, true, func(r value.Row) error {
 		ctx.Counter.CPUTuples++
 		g.keyBuf = r.AppendKey(g.keyBuf[:0], g.GroupIdx)
 		id, added := g.ht.Insert(g.keyBuf)
 		if added {
-			dense = append(dense, g.newGroupState(r))
+			g.startGroup(r)
 		}
-		gs := dense[id]
+		states := g.states[int(id)*nAgg : int(id+1)*nAgg]
 		for i, a := range g.aggs {
 			var v value.Value
 			if a.Arg == nil {
@@ -109,7 +123,7 @@ func (g *GroupBy) Open(ctx *Context) error {
 					return err
 				}
 			}
-			if err := gs.states[i].Add(v); err != nil {
+			if err := states[i].Add(v); err != nil {
 				return err
 			}
 		}
@@ -122,27 +136,45 @@ func (g *GroupBy) Open(ctx *Context) error {
 	// Scalar aggregation over an empty input still yields one row.
 	if len(g.GroupIdx) == 0 && g.ht.Len() == 0 {
 		g.ht.Insert(nil)
-		dense = append(dense, g.newGroupState(value.Row{}))
+		g.startGroup(value.Row{})
 	}
-	ids := make([]int32, g.ht.Len())
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		return bytes.Compare(g.ht.Key(ids[a]), g.ht.Key(ids[b])) < 0
-	})
-	g.results = g.results[:0]
-	for _, id := range ids {
-		gs := dense[id]
-		out := make(value.Row, 0, len(g.GroupIdx)+len(g.Aggs))
-		out = append(out, gs.key...)
-		for _, st := range gs.states {
-			out = append(out, st.Result())
+	for id, out := range g.results {
+		for i := range g.Aggs {
+			out[len(g.GroupIdx)+i] = g.states[id*nAgg+i].Result()
 		}
-		g.results = append(g.results, out)
 	}
+	ids := ctx.Scratch.ints(nil, g.ht.Len())
+	for i := range g.ht.Len() {
+		ids = append(ids, int32(i))
+	}
+	slices.SortFunc(ids, func(a, b int32) int { return bytes.Compare(g.ht.Key(a), g.ht.Key(b)) })
+	permute(g.results, ids)
+	g.ht.release()
+	ctx.Scratch.giveInts(ids)
 	g.pos = 0
 	return nil
+}
+
+// permute puts rows in the order ids gives, rows[i] = old rows[ids[i]],
+// in place: it follows each cycle of the permutation, marking the ids it
+// has placed with -1.
+func permute(rows []value.Row, ids []int32) {
+	for i := range ids {
+		if ids[i] < 0 {
+			continue
+		}
+		first, j := rows[i], i
+		for {
+			k := int(ids[j])
+			ids[j] = -1
+			if k == i {
+				rows[j] = first
+				break
+			}
+			rows[j] = rows[k]
+			j = k
+		}
+	}
 }
 
 // NextBatch implements Operator: emit the computed groups a morsel at a
@@ -153,7 +185,8 @@ func (g *GroupBy) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (g *GroupBy) Close(*Context) {
+func (g *GroupBy) Close(ctx *Context) {
+	ctx.Scratch.giveRows(g.results)
 	g.results = nil
 }
 
@@ -265,6 +298,7 @@ func (g *StreamGroupBy) NextBatch(ctx *Context, dst *Batch, max int) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+			ctx.takeCarrier(&g.in, max)
 			g.in.Reset()
 			g.ipos = 0
 			if err := g.Child.NextBatch(ctx, &g.in, max); err != nil {
@@ -308,5 +342,6 @@ func (g *StreamGroupBy) NextBatch(ctx *Context, dst *Batch, max int) error {
 // Close implements Operator.
 func (g *StreamGroupBy) Close(ctx *Context) {
 	g.states = nil
+	ctx.giveCarrier(&g.in)
 	g.Child.Close(ctx)
 }

@@ -41,6 +41,7 @@ func (s *Select) Open(ctx *Context) error {
 func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 	var cpu int64
 	defer func() { ctx.Counter.CPUTuples += cpu }()
+	ctx.takeCarrier(&s.in, max)
 	for len(dst.Rows) == 0 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -66,7 +67,10 @@ func (s *Select) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (s *Select) Close(ctx *Context) { s.Child.Close(ctx) }
+func (s *Select) Close(ctx *Context) {
+	ctx.giveCarrier(&s.in)
+	s.Child.Close(ctx)
+}
 
 // Project computes output expressions over each child row. Output rows
 // are carved from an arena instead of allocated per row.
@@ -154,8 +158,9 @@ func (p *Project) evalRow(r value.Row) (value.Row, error) {
 // under a borrowing consumer.
 func (p *Project) NextBatch(ctx *Context, dst *Batch, max int) error {
 	if dst.Borrow {
-		p.arena.Recycle()
+		p.arena.Recycle(ctx.slabs())
 	}
+	ctx.takeCarrier(&p.in, max)
 	p.in.Reset()
 	if err := p.Child.NextBatch(ctx, &p.in, max); err != nil {
 		return err
@@ -174,7 +179,11 @@ func (p *Project) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (p *Project) Close(ctx *Context) { p.Child.Close(ctx) }
+func (p *Project) Close(ctx *Context) {
+	p.arena.Release()
+	ctx.giveCarrier(&p.in)
+	p.Child.Close(ctx)
+}
 
 // Distinct removes duplicate rows with a hash set, charging one CPU
 // operation per input row. This is the operator behind ProjCost_F: the
@@ -198,7 +207,7 @@ func (d *Distinct) Schema() *schema.Schema { return d.Child.Schema() }
 
 // Open implements Operator.
 func (d *Distinct) Open(ctx *Context) error {
-	d.ht.Init(0)
+	d.ht.initFrom(ctx.Scratch, 0)
 	d.keyBuf = d.keyBuf[:0]
 	d.in.Reset()
 	return d.Child.Open(ctx)
@@ -214,6 +223,7 @@ func (d *Distinct) firstSeen(r value.Row) bool {
 // NextBatch implements Operator: keep the first occurrence of each
 // full-row key, charging one CPU operation per input row.
 func (d *Distinct) NextBatch(ctx *Context, dst *Batch, max int) error {
+	ctx.takeCarrier(&d.in, max)
 	for len(dst.Rows) == 0 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -239,7 +249,11 @@ func (d *Distinct) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (d *Distinct) Close(ctx *Context) { d.Child.Close(ctx) }
+func (d *Distinct) Close(ctx *Context) {
+	d.ht.release()
+	ctx.giveCarrier(&d.in)
+	d.Child.Close(ctx)
+}
 
 // Sort materializes and sorts the child's rows on Open, charging CPU
 // proportional to n·log₂n comparisons.
@@ -264,7 +278,7 @@ func (s *Sort) Schema() *schema.Schema { return s.Child.Schema() }
 
 // Open implements Operator.
 func (s *Sort) Open(ctx *Context) error {
-	rows, err := drainSized(ctx, s.Child, s.InputHint)
+	rows, err := drainSized(ctx, s.Child, s.InputHint, nil)
 	if err != nil {
 		return err
 	}

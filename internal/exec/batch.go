@@ -40,6 +40,19 @@
 //     Materialize, Ship, RowReader — leaves the flag clear and keeps
 //     the rows it is given.
 //
+// A fifth rule says which buffers outlive an execution:
+//
+//   - Scratch outlives the execution in the engine's store
+//     (Context.Scratch, a Store). Operators draw the slabs of recycling
+//     arenas, morsel carriers, hash-build row slices and RowTable and
+//     joinTable storage from it when they open or grow a buffer, and at
+//     Close give back only what no live row can reference: the kept
+//     slabs of an arena whose consumer borrows (after Close nothing
+//     reads the rows of the last pull), carriers and build-row slices
+//     (row headers, not rows) and hash tables. The slabs behind rows
+//     that reach Drain, Result.Rows, a hash build, a sort or a
+//     Materialize are never given back. A second Close gives nothing.
+//
 // Operators whose work is inherently per row (nested-loops, index and
 // merge joins, Ship, the probe operators in udr) are written as one row
 // step lifted by FillRows — the nested-loops family shares LoopJoin's —
@@ -163,12 +176,17 @@ const firstMorselRows = 64
 // into: it starts there, or small when the plan says nothing, and append
 // grows it to the largest morsel op actually delivers — so a 30-row
 // answer never pays for a morsel of row headers, and a large scan pays
-// for them once. borrow sets the buffer's Borrow: fn must then drop
+// for them once; under a store it is drawn from and given back to the
+// store. borrow sets the buffer's Borrow: fn must then drop
 // every row before it returns.
 func forEachBatch(ctx *Context, op Operator, expect int, borrow bool, fn func([]value.Row) error) error {
 	n := max(ctx.BatchSize, 1)
-	b := NewBatch(min(max(expect, firstMorselRows), n))
-	b.Borrow = borrow
+	want := min(max(expect, firstMorselRows), n)
+	b := Batch{Rows: ctx.Scratch.takeRows(want), Borrow: borrow}
+	if b.Rows == nil {
+		b.Rows = make([]value.Row, 0, want)
+	}
+	defer ctx.giveCarrier(&b)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err

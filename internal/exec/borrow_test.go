@@ -56,7 +56,10 @@ func borrowTables(t *testing.T) (l, r, s *storage.Table, rix *storage.HashIndex)
 // 1024. Each answer and bill must equal the same tree's with borrowing
 // hidden from every operator. A pass-through that borrows for a
 // retaining consumer, or a producer that recycles rows its consumer
-// still holds, lets a later pull overwrite an answer row.
+// still holds, lets a later pull overwrite an answer row. The borrowing
+// trees all run on one scratch store, which poisons every buffer given
+// back, and each is closed a second time: a buffer given back while a
+// row still needs it, or given back twice, changes an answer or panics.
 func TestBorrowedRowsNeverEscape(t *testing.T) {
 	lt, rt, st, rix := borrowTables(t)
 	type wrap = func(Operator) Operator
@@ -117,13 +120,16 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 			return w(NewHashJoin(scan(w, st), tree, []int{0}, []int{0}, nil))
 		}},
 	}
-	run := func(op Operator, size int) ([]string, string) {
+	store := NewStore()
+	store.SetBudget(1 << 30)
+	run := func(op Operator, size int, scratch *Store) ([]string, string) {
 		ctx := NewContext()
-		ctx.BatchSize = size
+		ctx.BatchSize, ctx.Scratch = size, scratch
 		rows, err := Drain(ctx, op)
 		if err != nil {
 			t.Fatal(err)
 		}
+		op.Close(ctx) // Close after Close gives nothing back
 		out := make([]string, len(rows))
 		for i, r := range rows {
 			out[i] = r.String()
@@ -138,8 +144,8 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 				build := func(w wrap) Operator { return c.mk(w, ps.mk(w, p.mk(w))) }
 				for _, size := range []int{1, 3, 1024} {
 					name := fmt.Sprintf("%s/%s/%s/%d", c.name, ps.name, p.name, size)
-					want, wantBill := run(build(hide), size)
-					got, gotBill := run(build(keep), size)
+					want, wantBill := run(build(hide), size, nil)
+					got, gotBill := run(build(keep), size, store)
 					if len(want) == 0 {
 						t.Fatalf("%s: the oracle answer is empty", name)
 					}

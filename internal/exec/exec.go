@@ -54,6 +54,12 @@ type Context struct {
 	// Kernels is read by nothing; bench/layers.go, its last user, still assigns it.
 	Kernels bool
 
+	// Scratch is the store operators draw scratch buffers from and give
+	// them back to at Close, so they outlive this execution (batch.go's
+	// fifth rule). nil — every context the engine did not make — keeps
+	// nothing: each execution allocates its own.
+	Scratch *Store
+
 	// bound maps a planned table to the table this execution scans in
 	// its place (see Bind). nil until the first Bind.
 	bound map[*storage.Table]*storage.Table
@@ -123,13 +129,12 @@ type Operator interface {
 
 // Drain opens op, pulls every row, closes it, and returns the rows.
 func Drain(ctx *Context, op Operator) ([]value.Row, error) {
-	return drainSized(ctx, op, 0)
+	return drainSized(ctx, op, 0, nil)
 }
 
 // drainSized is Drain for a materialization point whose plan carries
-// op's cardinality (forEachBatch's expect).
-func drainSized(ctx *Context, op Operator, expect int) ([]value.Row, error) {
-	var rows []value.Row
+// op's cardinality (forEachBatch's expect), appending the rows to rows.
+func drainSized(ctx *Context, op Operator, expect int, rows []value.Row) ([]value.Row, error) {
 	err := drainInto(ctx, op, expect, func(b []value.Row) error {
 		rows = append(rows, b...)
 		return nil

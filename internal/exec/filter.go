@@ -138,6 +138,7 @@ func (f *KeySetFilter) Open(ctx *Context) error {
 // larger than the output budget, charging one CPU operation per tested
 // row, accumulated locally and flushed once per batch.
 func (f *KeySetFilter) NextBatch(ctx *Context, dst *Batch, max int) error {
+	ctx.takeCarrier(&f.in, max)
 	for len(dst.Rows) == 0 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -164,7 +165,10 @@ func (f *KeySetFilter) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (f *KeySetFilter) Close(ctx *Context) { f.Child.Close(ctx) }
+func (f *KeySetFilter) Close(ctx *Context) {
+	ctx.giveCarrier(&f.in)
+	f.Child.Close(ctx)
+}
 
 // BloomFilterScan passes through child rows that the Bloom filter may
 // contain — the lossy filter-set variant. False positives let extra rows
@@ -196,6 +200,7 @@ func (b *BloomFilterScan) Open(ctx *Context) error {
 // child batch no larger than the output budget, charging one CPU
 // operation per probed row, accumulated locally and flushed once.
 func (b *BloomFilterScan) NextBatch(ctx *Context, dst *Batch, max int) error {
+	ctx.takeCarrier(&b.in, max)
 	for len(dst.Rows) == 0 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -224,7 +229,10 @@ func (b *BloomFilterScan) NextBatch(ctx *Context, dst *Batch, max int) error {
 }
 
 // Close implements Operator.
-func (b *BloomFilterScan) Close(ctx *Context) { b.Child.Close(ctx) }
+func (b *BloomFilterScan) Close(ctx *Context) {
+	ctx.giveCarrier(&b.in)
+	b.Child.Close(ctx)
+}
 
 // KeySetScan exposes a KeySet as a leaf operator so the filter set can be
 // joined into a view body (the magic-rewrite "Filter" view of Fig 2).

@@ -23,11 +23,15 @@ type JoinEmitter struct {
 
 // recycle rewinds the survivors' arena when dst borrows: the rows of
 // the emitter's last call are dead once its consumer pulls again.
-func (e *JoinEmitter) recycle(dst *Batch) {
+func (e *JoinEmitter) recycle(ctx *Context, dst *Batch) {
 	if dst.Borrow {
-		e.arena.Recycle()
+		e.arena.Recycle(ctx.slabs())
 	}
 }
+
+// Release gives the slabs of a recycling emitter back to the store; the
+// owning join calls it at Close.
+func (e *JoinEmitter) Release() { e.arena.Release() }
 
 // Emit returns l‖r if it passes residual (nil passes everything), with
 // expr.EvalBool's verdicts and errors.
@@ -72,7 +76,7 @@ func (l *LoopJoin) Rewound() bool { return l.cur == nil && !l.done }
 // ok=false once it is exhausted.
 func (l *LoopJoin) Fill(ctx *Context, dst *Batch, max int, outer Operator, residual *expr.Pred,
 	start func(*Context, value.Row) error, inner func(*Context) (value.Row, bool, error)) error {
-	l.recycle(dst)
+	l.recycle(ctx, dst)
 	return FillRows(ctx, dst, max, func(ctx *Context) (value.Row, bool, error) {
 		for !l.done {
 			if err := ctx.Err(); err != nil {
@@ -170,6 +174,7 @@ func (j *NestedLoopJoin) nextInner(ctx *Context) (value.Row, bool, error) {
 
 // Close implements Operator.
 func (j *NestedLoopJoin) Close(ctx *Context) {
+	j.loop.Release()
 	if j.innerOpen {
 		j.Inner.Close(ctx)
 		j.innerOpen = false
@@ -239,11 +244,11 @@ func (j *HashJoin) Open(ctx *Context) error {
 	j.pbuf.Reset()
 	j.pbuf.Borrow = true // the probe row is dropped before the next pull
 	j.ppos = 0
-	rows, err := drainSized(ctx, j.Left, j.BuildSizeHint)
+	rows, err := drainSized(ctx, j.Left, j.BuildSizeHint, ctx.Scratch.takeRows(j.BuildSizeHint))
 	if err != nil {
 		return err
 	}
-	j.tab.build(rows, j.LeftKeys, j.BuildSizeHint)
+	j.tab.build(ctx.Scratch, rows, j.LeftKeys, j.BuildSizeHint)
 	ctx.Counter.CPUTuples += int64(len(rows))
 	return j.Right.Open(ctx)
 }
@@ -266,7 +271,7 @@ func (e *JoinEmitter) emitHashed(residual *expr.Pred, probeFirst bool, l, r valu
 // accumulated locally and flushed once per call (including before
 // residual errors).
 func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
-	j.em.recycle(dst)
+	j.em.recycle(ctx, dst)
 	var cpu int64
 	defer func() { ctx.Counter.CPUTuples += cpu }()
 	for {
@@ -295,6 +300,7 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+			ctx.takeCarrier(&j.pbuf, max)
 			j.pbuf.Reset()
 			j.ppos = 0
 			if err := j.Right.NextBatch(ctx, &j.pbuf, max); err != nil {
@@ -313,7 +319,9 @@ func (j *HashJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
 
 // Close implements Operator.
 func (j *HashJoin) Close(ctx *Context) {
-	j.tab.rows = nil
+	j.em.Release()
+	j.tab.release()
+	ctx.giveCarrier(&j.pbuf)
 	j.Right.Close(ctx)
 }
 
@@ -401,7 +409,7 @@ func keyCompare(a, b value.Row, ak, bk []int) int {
 
 // NextBatch implements Operator by lifting the row step.
 func (j *MergeJoin) NextBatch(ctx *Context, dst *Batch, max int) error {
-	j.em.recycle(dst)
+	j.em.recycle(ctx, dst)
 	return FillRows(ctx, dst, max, j.next)
 }
 
@@ -462,6 +470,7 @@ func (j *MergeJoin) next(ctx *Context) (value.Row, bool, error) {
 
 // Close implements Operator.
 func (j *MergeJoin) Close(*Context) {
+	j.em.Release()
 	j.lrows, j.rrows = nil, nil
 }
 
@@ -570,6 +579,7 @@ func (j *IndexNLJoin) match(*Context) (value.Row, bool, error) {
 // the same reset, but an operator must also be safe to inspect or
 // re-wrap between Close and the next Open.
 func (j *IndexNLJoin) Close(ctx *Context) {
+	j.loop.Release()
 	j.loop.Reset()
 	j.ids = nil
 	j.pos = 0

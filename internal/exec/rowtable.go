@@ -22,6 +22,7 @@ type RowTable struct {
 	spans []rtSpan
 	grows int
 	hint  int
+	from  *Store // where storage is drawn from and given back to; nil allocates
 }
 
 type rtSlot struct {
@@ -50,20 +51,52 @@ func (t *RowTable) Init(hint int) {
 	need := rtCapFor(hint)
 	if cap(t.slots) >= need {
 		t.slots = t.slots[:max(len(t.slots), need)]
-		for i := range t.slots {
-			t.slots[i] = rtSlot{}
-		}
+		clear(t.slots)
 	} else {
-		t.slots = make([]rtSlot, need)
+		t.slots = t.newSlots(need)
 	}
 	t.mask = uint64(len(t.slots) - 1)
 	t.arena = t.arena[:0]
 	if cap(t.spans) < hint {
-		t.spans = make([]rtSpan, 0, hint)
+		t.from.giveSpans(t.spans)
+		if t.spans = t.from.takeSpans(hint); t.spans == nil {
+			t.spans = make([]rtSpan, 0, hint)
+		}
 	}
 	t.spans = t.spans[:0]
 	t.grows = 0
 	t.hint = hint
+}
+
+// initFrom is Init drawing storage from s (nil: allocating), which
+// release gives it back to.
+func (t *RowTable) initFrom(s *Store, hint int) {
+	t.from = s
+	t.Init(hint)
+}
+
+// newSlots returns n (a power of two) empty slots, replacing the
+// table's own, which go back to the store.
+func (t *RowTable) newSlots(n int) []rtSlot {
+	t.from.giveSlots(t.slots)
+	if s := t.from.takeSlots(n); s != nil {
+		s = s[:n]
+		clear(s)
+		return s
+	}
+	return make([]rtSlot, n)
+}
+
+// release gives the table's storage back to its store and empties it;
+// without a store the table keeps its storage for the next Init.
+func (t *RowTable) release() {
+	if t.from == nil {
+		return
+	}
+	t.from.giveSlots(t.slots)
+	t.from.giveSpans(t.spans)
+	t.from.giveKeys(t.arena)
+	*t = RowTable{from: t.from}
 }
 
 // Len returns the number of distinct keys inserted.
@@ -107,8 +140,12 @@ func (t *RowTable) Insert(key []byte) (id int32, added bool) {
 	for {
 		s := &t.slots[i]
 		if s.id == 0 {
+			// The first key sizes the key arena: about what the slots take.
 			if n := t.hint * min(len(key), 32); len(t.arena) == 0 && cap(t.arena) < n {
-				t.arena = make([]byte, 0, n) // about what the slots take
+				t.from.giveKeys(t.arena)
+				if t.arena = t.from.takeKeys(n); t.arena == nil {
+					t.arena = make([]byte, 0, n)
+				}
 			}
 			off := len(t.arena)
 			t.arena = append(t.arena, key...)
@@ -145,7 +182,8 @@ func (t *RowTable) Lookup(key []byte) int32 {
 
 func (t *RowTable) grow() {
 	old := t.slots
-	t.slots = make([]rtSlot, 2*len(old))
+	t.slots = nil // newSlots must not give old back before it is rehashed
+	t.slots = t.newSlots(2 * len(old))
 	t.mask = uint64(len(t.slots) - 1)
 	t.grows++
 	for _, s := range old {
@@ -158,6 +196,7 @@ func (t *RowTable) grow() {
 		}
 		t.slots[i] = s
 	}
+	t.from.giveSlots(old)
 }
 
 // joinTable is a hash join's build side, and the one place its format is
@@ -174,16 +213,15 @@ type joinTable struct {
 }
 
 // build indexes rows on the keys columns, pre-sized for hint distinct
-// keys. A row with a NULL key joins nothing and enters no chain.
-func (t *joinTable) build(rows []value.Row, keys []int, hint int) {
+// keys (never more than the rows), its storage drawn from s. A row with
+// a NULL key joins nothing and enters no chain.
+func (t *joinTable) build(s *Store, rows []value.Row, keys []int, hint int) {
 	t.rows = rows
-	t.ht.Init(hint)
-	t.heads = t.heads[:0]
-	t.tails = t.tails[:0]
-	if cap(t.nxt) < len(rows) {
-		t.nxt = make([]int32, 0, len(rows))
-	}
-	t.nxt = t.nxt[:0]
+	t.ht.initFrom(s, hint)
+	distinct := min(hint, len(rows))
+	t.heads = s.ints(t.heads, distinct)
+	t.tails = s.ints(t.tails, distinct)
+	t.nxt = s.ints(t.nxt, len(rows))
 	for i, r := range rows {
 		t.nxt = append(t.nxt, -1)
 		if nullKey(r, keys) {
@@ -199,6 +237,21 @@ func (t *joinTable) build(rows []value.Row, keys []int, hint int) {
 			t.tails[id] = int32(i)
 		}
 	}
+}
+
+// release gives the build's rows slice and storage back to the store
+// the last build drew from; a second release gives nothing. Without a
+// store only the rows are dropped.
+func (t *joinTable) release() {
+	if s := t.ht.from; s != nil {
+		s.giveRows(t.rows)
+		s.giveInts(t.heads)
+		s.giveInts(t.tails)
+		s.giveInts(t.nxt)
+		t.heads, t.tails, t.nxt = nil, nil, nil
+		t.ht.release()
+	}
+	t.rows = nil
 }
 
 // probe returns the chain cursor of the first build row whose key equals

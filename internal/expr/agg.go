@@ -106,21 +106,27 @@ func (a AggSpec) String() string {
 	return fmt.Sprintf("%s(%s)", a.Kind, a.Arg.String())
 }
 
-// AggState is the running state of one aggregate over one group.
+// AggState is the running state of one aggregate over one group. It is
+// a value, so an operator can keep the states of all its groups in one
+// slice (Init starts each).
 type AggState struct {
 	kind    AggKind
+	allInts bool
+	seen    bool
 	count   int64
 	sum     float64
-	allInts bool
-	min     value.Value
-	max     value.Value
-	seen    bool
+	best    value.Value // MIN's least or MAX's greatest value so far
 }
 
 // NewAggState creates fresh aggregate state.
 func NewAggState(kind AggKind) *AggState {
-	return &AggState{kind: kind, allInts: true}
+	s := new(AggState)
+	s.Init(kind)
+	return s
 }
+
+// Init makes s a fresh state of the given kind.
+func (s *AggState) Init(kind AggKind) { *s = AggState{kind: kind, allInts: true} }
 
 // Add folds one input value into the state. NULL inputs are ignored for
 // every aggregate except COUNT(*), which the caller signals by passing a
@@ -144,14 +150,14 @@ func (s *AggState) Add(v value.Value) error {
 		s.sum += f
 		return nil
 	case AggMin:
-		if !s.seen || value.Compare(v, s.min) < 0 {
-			s.min = v
+		if !s.seen || value.Compare(v, s.best) < 0 {
+			s.best = v
 		}
 		s.seen = true
 		return nil
 	case AggMax:
-		if !s.seen || value.Compare(v, s.max) > 0 {
-			s.max = v
+		if !s.seen || value.Compare(v, s.best) > 0 {
+			s.best = v
 		}
 		s.seen = true
 		return nil
@@ -182,12 +188,12 @@ func (s *AggState) Result() value.Value {
 		if !s.seen {
 			return value.Null
 		}
-		return s.min
+		return s.best
 	case AggMax:
 		if !s.seen {
 			return value.Null
 		}
-		return s.max
+		return s.best
 	}
 	return value.Null
 }

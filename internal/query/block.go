@@ -98,19 +98,27 @@ type Layout struct {
 	Widths  []int          // column count of relation i
 }
 
-// Layout resolves the block's relations and computes the global layout.
+// Layout resolves the block's relations and computes the global layout
+// in one pass: each relation's columns, re-qualified with its binding,
+// are appended to one column list.
 func (b *Block) Layout(r SchemaResolver) (*Layout, error) {
-	l := &Layout{Schema: schema.New()}
-	for _, ref := range b.Rels {
+	n := len(b.Rels)
+	ow := make([]int, 2*n)
+	l := &Layout{Offsets: ow[:n:n], Widths: ow[n:]}
+	cols := make([]schema.Column, 0, 8*n)
+	for i, ref := range b.Rels {
 		s, err := r.RelationSchema(ref.Name)
 		if err != nil {
 			return nil, fmt.Errorf("query: resolving %q: %w", ref.Name, err)
 		}
-		s = s.Rename(ref.Binding())
-		l.Offsets = append(l.Offsets, l.Schema.Len())
-		l.Widths = append(l.Widths, s.Len())
-		l.Schema = l.Schema.Concat(s)
+		l.Offsets[i], l.Widths[i] = len(cols), s.Len()
+		for j := range s.Len() {
+			c := s.Col(j)
+			c.Table = ref.Binding()
+			cols = append(cols, c)
+		}
 	}
+	l.Schema = schema.New(cols...)
 	return l, nil
 }
 

@@ -24,14 +24,28 @@ func BindSelect(res query.SchemaResolver, st *SelectStmt) (*query.Block, error) 
 // in the statement becomes an expr.Param planned with args[Idx] (or an
 // unbound Param when the index has no value, as in prepare-time EXPLAIN).
 func BindSelectArgs(res query.SchemaResolver, st *SelectStmt, args []value.Value) (*query.Block, error) {
-	b := &query.Block{Distinct: st.Distinct}
+	b, _, err := BindSelectLayout(res, st, args)
+	return b, err
+}
+
+// BindSelectLayout is BindSelectArgs that also returns the block's
+// layout, which binding computes anyway, so a caller that needs it does
+// not resolve the relations again.
+func BindSelectLayout(res query.SchemaResolver, st *SelectStmt, args []value.Value) (*query.Block, *query.Layout, error) {
+	b := &query.Block{Distinct: st.Distinct, Rels: make([]query.RelRef, 0, len(st.From))}
 	for _, r := range st.From {
 		b.Rels = append(b.Rels, query.RelRef{Name: r.Name, Alias: r.Alias})
 	}
 	layout, err := b.Layout(res)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	b, err = bindBody(res, b, layout, st, args)
+	return b, layout, err
+}
+
+// bindBody binds the clauses of st into b against b's layout.
+func bindBody(res query.SchemaResolver, b *query.Block, layout *query.Layout, st *SelectStmt, args []value.Value) (*query.Block, error) {
 
 	if st.Where != nil {
 		for _, conj := range splitConjuncts(st.Where) {

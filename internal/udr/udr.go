@@ -136,6 +136,7 @@ func (j *ProbeJoin) result(*exec.Context) (value.Row, bool, error) {
 
 // Close implements exec.Operator.
 func (j *ProbeJoin) Close(ctx *exec.Context) {
+	j.loop.Release()
 	j.cache = nil
 	j.Outer.Close(ctx)
 }

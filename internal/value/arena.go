@@ -18,6 +18,9 @@ package value
 // (exec.Batch.Borrow) calls Recycle before each pull it answers: every
 // row it carved is dead by then, so the arena carves the next rows from
 // the same slabs again, and a steady-state pipeline allocates nothing.
+// Such an arena also draws its slabs from the SlabStore its owner names
+// at Recycle, and gives them back at Release: the slabs then outlive the
+// operator, and the next execution carves from them too.
 type RowArena struct {
 	chunk []Value
 	next  int // capacity of the next slab; 0 means arenaFirstSlab
@@ -29,6 +32,17 @@ type RowArena struct {
 	first []Value
 	more  [][]Value
 	reuse int
+	from  SlabStore // where a recycling arena draws slabs; nil allocates
+}
+
+// SlabStore lends arenas the slabs they recycle and takes them back
+// (exec.Store is the one implementation).
+type SlabStore interface {
+	// TakeSlab returns an empty slab that holds at least n values, or
+	// nil when there is none to lend.
+	TakeSlab(n int) []Value
+	// GiveSlab takes back a slab no live row references.
+	GiveSlab([]Value)
 }
 
 const (
@@ -96,8 +110,14 @@ func (a *RowArena) nextSlab(n int) []Value {
 		size *= 2
 	}
 	size = min(size, arenaMaxSlab)
-	a.next = min(2*size, arenaMaxSlab)
-	s := make([]Value, 0, size)
+	var s []Value
+	if a.from != nil {
+		s = a.from.TakeSlab(size)
+	}
+	if s == nil {
+		s = make([]Value, 0, size)
+	}
+	a.next = min(2*cap(s), arenaMaxSlab)
 	if a.keep {
 		if a.first == nil {
 			a.first = s
@@ -113,13 +133,33 @@ func (a *RowArena) nextSlab(n int) []Value {
 // onto the slabs it keeps: the rows that follow reuse them, and only a
 // pull larger than any before it opens a new slab. The first Recycle
 // keeps the live slab, if any; slabs filled before it are left to the
-// garbage collector.
-func (a *RowArena) Recycle() {
+// garbage collector. From then on the arena draws new slabs from from,
+// if it is not nil, and Release gives every kept slab back to it.
+func (a *RowArena) Recycle(from SlabStore) {
+	a.from = from
 	if !a.keep {
 		a.keep = true
 		a.first = a.chunk
 	}
 	a.chunk, a.reuse = nil, 0
+}
+
+// Release gives the slabs a recycling arena keeps back to the store it
+// drew them from and empties the arena; its owner calls it at Close,
+// when no row it carved is live any more. An arena that never recycled,
+// or has no store, keeps its slabs: its rows may outlive the operator.
+// A second Release gives nothing.
+func (a *RowArena) Release() {
+	if !a.keep || a.from == nil {
+		return
+	}
+	if a.first != nil {
+		a.from.GiveSlab(a.first)
+	}
+	for _, s := range a.more {
+		a.from.GiveSlab(s)
+	}
+	*a = RowArena{keep: true, from: a.from}
 }
 
 // Concat returns l followed by r as an arena-backed row, the arena form

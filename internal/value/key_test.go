@@ -199,7 +199,7 @@ func TestRowArenaWideRowsKeepSlab(t *testing.T) {
 func TestRowArenaRecycle(t *testing.T) {
 	var a RowArena
 	pull := func(rows, width int) {
-		a.Recycle()
+		a.Recycle(nil)
 		for i := 0; i < rows; i++ {
 			r := a.Make(width)
 			for j := range r {

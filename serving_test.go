@@ -579,11 +579,75 @@ func TestPreparedExplainGolden(t *testing.T) {
 
 var _ = cost.Counter{} // keep the import for the differential assertions
 
+// TestScratchStoreConcurrentSessions runs the serving mix — the
+// 4-relation magic-view join, the 2-relation point join, a prepared
+// statement, a hash join with GROUP BY — from four sessions at once on
+// one engine, so every execution draws its scratch from, and gives it
+// back to, the engine's one store while the others do. Every answer must
+// equal, row for row, the one a serial run gave. Under the package's
+// tests the store poisons what it keeps (exec.PoisonScratch). CI runs it
+// with -race -count=10.
+func TestScratchStoreConcurrentSessions(t *testing.T) {
+	db := servingDB(t, false)
+	type op struct {
+		text string
+		args []any
+	}
+	var mix []op
+	for i := 0; i < 12; i++ {
+		did, age := (i*7)%100, 22+i%8
+		mix = append(mix,
+			op{text: fmt.Sprintf(`SELECT E.did, E.sal, V.avgsal FROM Emp E, Dept D, Dept D2, DepAvgSal V `+
+				`WHERE E.did = D.did AND E.did = D2.did AND E.did = V.did AND E.sal > V.avgsal `+
+				`AND E.did = %d AND E.age < %d AND D.budget > 10000 AND D2.budget > 0`, did, age)},
+			op{text: fmt.Sprintf(`SELECT E.eid FROM Emp E, Dept D WHERE E.did = D.did AND E.did = %d AND D.budget > 10000`, did)},
+			op{text: `SELECT E.eid, E.age FROM Emp E, Dept D WHERE E.did = D.did AND E.age < $1 AND E.did = $2`, args: []any{age, did}},
+			op{text: fmt.Sprintf(`SELECT D.did, COUNT(*), SUM(E.sal) FROM Emp E, Dept D WHERE E.did = D.did AND D.budget > %d GROUP BY D.did`, 40000+i*1000)},
+			op{text: servingViewQuery})
+	}
+	want := make([]string, len(mix))
+	for i, o := range mix {
+		r, err := db.Query(o.text, o.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rowsKey(r.Rows)
+	}
+	const sessions, rounds = 4, 2
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for w := 0; w < sessions; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sess := db.NewSession()
+			for k := 0; k < rounds*len(mix); k++ {
+				i := (k*(2*w+1) + w) % len(mix) // each session walks the mix in its own order
+				r, err := sess.Query(mix[i].text, mix[i].args...)
+				if err == nil && rowsKey(r.Rows) != want[i] {
+					err = fmt.Errorf("rows differ from the serial run")
+				}
+				if err != nil {
+					errs[w] = fmt.Errorf("session %d, %s: %w", w, mix[i].text, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestServeHitBytesBudget pins what one cached execution of the serving
 // mix's 4-relation magic-view point query allocates: rows, slabs and
-// morsel buffers sized to the ~10-row answer, not to the morsel size.
-// It was 830 KiB when every arena-owning operator zeroed a 4096-value
-// slab and every drain loop allocated 1024 row headers.
+// morsel buffers sized to the ~10-row answer, not to the morsel size,
+// and drawn from the engine's scratch store. It was 830 KiB when every
+// arena-owning operator zeroed a 4096-value slab and every drain loop
+// allocated 1024 row headers, and 97 KiB before the store.
 func TestServeHitBytesBudget(t *testing.T) {
 	db := servingDB(t, false)
 	query := func(i int) string {
@@ -596,7 +660,7 @@ func TestServeHitBytesBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const runs, budgetKiB = 200, 200
+	const runs, budgetKiB = 200, 80
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -617,7 +681,10 @@ func TestServeHitBytesBudget(t *testing.T) {
 // pull of the fold (internal/exec/batch.go), so the bytes follow the
 // groups and the build side, not the Emp rows streamed through the
 // join. They were about 29 MB at 200 000 Emp rows when every joined row
-// had its own slab space, four times what 50 000 rows cost.
+// had its own slab space, four times what 50 000 rows cost. The slabs,
+// carriers and hash tables come from the engine's scratch store, so an
+// execution also stays under an absolute budget; it was 864 KiB when
+// each execution carved its own.
 func TestJoinAggBytesBudget(t *testing.T) {
 	perRun := func(nEmp int) float64 {
 		const nDept = 1000
@@ -673,5 +740,9 @@ func TestJoinAggBytesBudget(t *testing.T) {
 	t.Logf("%.0f KiB per execution at 50 000 Emp rows, %.0f KiB at 200 000", small, large)
 	if large > 1.1*small || small > 1.1*large {
 		t.Fatalf("join + GROUP BY allocates %.0f KiB at 200 000 Emp rows and %.0f KiB at 50 000: more than 10 %% apart", large, small)
+	}
+	const budgetKiB = 640
+	if large > budgetKiB || small > budgetKiB {
+		t.Fatalf("join + GROUP BY allocates %.0f KiB per execution at 200 000 Emp rows and %.0f KiB at 50 000, budget %d KiB", large, small, budgetKiB)
 	}
 }
