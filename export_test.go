@@ -3,11 +3,13 @@ package filterjoin
 import (
 	"filterjoin/internal/dist"
 	"filterjoin/internal/exec"
+	"filterjoin/internal/opt"
 )
 
 // Every engine of the package's tests poisons what its scratch store is
-// given back (exec.PoisonScratch).
-func init() { exec.PoisonScratch = true }
+// given back (exec.PoisonScratch), and every optimization its ordering
+// scratch after each DP step (opt.PoisonScratch).
+func init() { exec.PoisonScratch, opt.PoisonScratch = true, true }
 
 // ConfigFingerprint exposes the plan-cache config fingerprint to the
 // facade tests.

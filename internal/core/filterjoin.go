@@ -175,10 +175,90 @@ func (m *Method) countRestrict(hit bool) {
 }
 
 // fjKeys are a step's equi key pairs with one pair per distinct inner
-// column, and for each kept pair every outer column equated to it.
+// column, and for each kept pair every outer column equated to it; then
+// the attribute-subset variants over those pairs (Limitation 3). All of
+// it depends on the step's (outer subset, inner) pair alone, so every
+// outer plan of the subset shares one fjKeys (opt.JoinStep.PairSlot).
 type fjKeys struct {
 	outer, inner []int
 	outerAlts    [][]int
+	attrs        []fjAttrs
+}
+
+// fjAttrs is one attribute-subset variant: its key pairs and what
+// follows from their inner side, derived on the variant's first pricing
+// (derive). ok is false when the inner cannot take the bindings: an
+// unbound function argument, a view column without direct provenance.
+type fjAttrs struct {
+	pairs []int // indexes into the fjKeys pairs
+
+	ready, ok   bool
+	filterInner []int // block columns of the filter attributes
+	innerLocal  []int // filterInner within the inner relation
+	bodyCols    []int // view body columns receiving bindings
+	innerDomain float64
+	keyBytes    int
+
+	// For a stored inner, the index an exact filter would probe
+	// (PickIndex) and its probe estimate.
+	index         *storage.HashIndex
+	k, matchPages float64
+}
+
+// pairKeys derives a step's fjKeys: the deduplicated pairs and their
+// variants — the full attribute set, plus each single attribute when
+// enabled.
+func (m *Method) pairKeys(s *opt.JoinStep) *fjKeys {
+	keys := dedupeByInner(s.OuterCols, s.InnerCols)
+	n := len(keys.outer)
+	keys.attrs = append(keys.attrs, fjAttrs{pairs: allIdx(n)})
+	if m.Opts.AttrSubsets && n > 1 {
+		for j := 0; j < n; j++ {
+			keys.attrs = append(keys.attrs, fjAttrs{pairs: []int{j}})
+		}
+	}
+	return keys
+}
+
+// derive fills in what the variant's key pairs fix on the inner side.
+func (a *fjAttrs) derive(c *opt.Ctx, ri *opt.RelInfo, keys *fjKeys) error {
+	if a.ready {
+		return nil
+	}
+	e := ri.Entry
+	filterInner, innerLocal := make([]int, len(a.pairs)), make([]int, len(a.pairs))
+	for i, j := range a.pairs {
+		filterInner[i], innerLocal[i] = keys.inner[j], keys.inner[j]-ri.Offset
+	}
+	ok := true
+	switch e.Kind {
+	case catalog.KindFunc: // every argument bound by the filter set
+		ok = coversArgs(e.ArgCols, innerLocal)
+	case catalog.KindView: // bindings need direct provenance into the body
+		bc, okb, err := magic.ViewBindings(c.O.Cat, e, innerLocal)
+		if err != nil {
+			return err
+		}
+		a.bodyCols, ok = bc, okb
+	case catalog.KindBase, catalog.KindRemote:
+		if a.index = opt.PickIndex(e.Table, innerLocal); a.index != nil {
+			a.k, a.matchPages = opt.IndexProbe(ri.RawStats, e.Table, a.index)
+		}
+	}
+	innerDistincts := make([]float64, len(innerLocal))
+	for i, col := range innerLocal {
+		innerDistincts[i] = ri.RawStats.DistinctOf(col)
+	}
+	a.innerDomain = max(stats.ProjectionCardinality(ri.RawStats.Rows, innerDistincts), 1)
+	keyBytes := 0
+	for _, col := range filterInner {
+		keyBytes += c.Layout.Schema.Col(col).Type.Width()
+	}
+	if keyBytes == 0 {
+		keyBytes = 8
+	}
+	a.filterInner, a.innerLocal, a.keyBytes, a.ok, a.ready = filterInner, innerLocal, keyBytes, ok, true
+	return nil
 }
 
 // Offer implements opt.JoinMethod: it prices the step's Filter Join
@@ -198,7 +278,12 @@ func (m *Method) Offer(s *opt.JoinStep) error {
 	// identical values), but the alternatives matter for prefix
 	// production sets, where only some equality-class members exist in
 	// the prefix subplan.
-	keys := dedupeByInner(s.OuterCols, s.InnerCols)
+	slot := s.PairSlot()
+	keys, _ := (*slot).(*fjKeys)
+	if keys == nil {
+		keys = m.pairKeys(s)
+		*slot = keys
+	}
 	// The final join-back probes a hash of the restricted inner with the
 	// streamed outer, so the outer's physical order survives the Filter
 	// Join — extended across the equi-join columns — and magic plans
@@ -206,16 +291,7 @@ func (m *Method) Offer(s *opt.JoinStep) error {
 	// extension runs over the deduplicated pairs, not s.Ordering's full
 	// set: the wider one is as true, but it moves plans between memo
 	// buckets and so changes how many candidates the search considers.
-	ord := outer.Ordering.ExtendEquiv(keys.outer, keys.inner)
-
-	// Attribute-subset variants (Limitation 3): the full attribute set,
-	// plus each single attribute when enabled.
-	variants := [][]int{allIdx(len(keys.outer))}
-	if m.Opts.AttrSubsets && len(keys.outer) > 1 {
-		for j := range keys.outer {
-			variants = append(variants, []int{j})
-		}
-	}
+	ord := s.ExtendOrdering(keys.outer, keys.inner)
 
 	// Production-set variants: the full outer (Limitation 2), plus every
 	// prefix subplan of the outer when the relaxation is enabled.
@@ -225,7 +301,7 @@ func (m *Method) Offer(s *opt.JoinStep) error {
 	}
 
 	for _, prod := range prods {
-		for _, v := range variants {
+		for v := range keys.attrs {
 			var reprs []FilterRepr
 			if !m.Opts.DisableExact {
 				reprs = append(reprs, ReprExact)
@@ -313,7 +389,7 @@ type fjVariant struct {
 // step, and builds the variant only when the step admits it. Every
 // priced variant is counted (CandidatesBuilt) and reported to Trace and
 // the tracer, admitted or not.
-func (m *Method) offerVariant(s *opt.JoinStep, keys *fjKeys, ord plan.Ordering, prod *plan.Node, variant []int, repr FilterRepr) error {
+func (m *Method) offerVariant(s *opt.JoinStep, keys *fjKeys, ord plan.Ordering, prod *plan.Node, variant int, repr FilterRepr) error {
 	v, ok, err := m.price(s, keys, prod, variant, repr)
 	if err != nil || !ok {
 		return err
@@ -346,11 +422,12 @@ func (m *Method) offerVariant(s *opt.JoinStep, keys *fjKeys, ord plan.Ordering, 
 	return m.build(s, keys, &v, ch)
 }
 
-// price computes one variant's full Table 1 cost breakdown. ok is false
-// when the variant cannot run at this step (a filter attribute the
-// production set lacks, an unbound function argument, a view binding
-// without direct provenance, an outer key the outer lacks).
-func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant []int, repr FilterRepr) (v fjVariant, ok bool, err error) {
+// price computes the full Table 1 cost breakdown of attribute variant
+// keys.attrs[variant]. ok is false when the variant cannot run at this
+// step (a filter attribute the production set lacks, an unbound function
+// argument, a view binding without direct provenance, an outer key the
+// outer lacks).
+func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant int, repr FilterRepr) (v fjVariant, ok bool, err error) {
 	c, outer, ri := s.Ctx, s.Outer, s.Inner
 	v.prefix, v.repr = prod != nil, repr
 	if prod == nil {
@@ -360,10 +437,9 @@ func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant [
 	e := ri.Entry
 	model := c.O.Model
 
-	v.filterOuter = make([]int, len(variant))
-	v.filterInner = make([]int, len(variant))
-	for i, j := range variant {
-		v.filterInner[i] = keys.inner[j]
+	a := &keys.attrs[variant]
+	v.filterOuter = make([]int, len(a.pairs))
+	for i, j := range a.pairs {
 		// Pick an outer column for this attribute that the production
 		// set actually carries (any member of the equality class works).
 		chosen := -1
@@ -378,24 +454,10 @@ func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant [
 		}
 		v.filterOuter[i] = chosen
 	}
-	v.innerLocal = make([]int, len(v.filterInner))
-	for i, col := range v.filterInner {
-		v.innerLocal[i] = col - ri.Offset
+	if err := a.derive(c, ri, keys); err != nil || !a.ok {
+		return v, false, err
 	}
-
-	// Function relations need every argument bound by the filter set.
-	if e.Kind == catalog.KindFunc && !coversArgs(e.ArgCols, v.innerLocal) {
-		return v, false, nil
-	}
-
-	// View bindings must have direct provenance into the body.
-	if e.Kind == catalog.KindView {
-		bc, okb, err := magic.ViewBindings(c.O.Cat, e, v.innerLocal)
-		if err != nil || !okb {
-			return v, false, err
-		}
-		v.bodyCols = bc
-	}
+	v.filterInner, v.innerLocal, v.bodyCols = a.filterInner, a.innerLocal, a.bodyCols
 
 	if !opt.Covers(prod, v.filterOuter) || !opt.Covers(outer, keys.outer) {
 		return v, false, nil
@@ -410,15 +472,7 @@ func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant [
 	if fCard < 1 && prod.Rows >= 1 {
 		fCard = 1
 	}
-	innerDistincts := make([]float64, len(v.innerLocal))
-	for i, col := range v.innerLocal {
-		innerDistincts[i] = ri.RawStats.DistinctOf(col)
-	}
-	innerDomain := stats.ProjectionCardinality(ri.RawStats.Rows, innerDistincts)
-	if innerDomain < 1 {
-		innerDomain = 1
-	}
-	fSel := fCard / innerDomain
+	fSel := fCard / a.innerDomain
 	if fSel > 1 {
 		fSel = 1
 	}
@@ -430,16 +484,7 @@ func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant [
 			effSel = 1
 		}
 	}
-	v.fCard, v.fSel, v.innerDomain = fCard, fSel, innerDomain
-
-	keyBytes := 0
-	for _, col := range v.filterInner {
-		keyBytes += c.Layout.Schema.Col(col).Type.Width()
-	}
-	if keyBytes == 0 {
-		keyBytes = 8
-	}
-	v.keyBytes = keyBytes
+	v.fCard, v.fSel, v.innerDomain, v.keyBytes = fCard, fSel, a.innerDomain, a.keyBytes
 
 	comp := &v.comp
 
@@ -465,7 +510,7 @@ func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant [
 	comp.ProjCostF = cost.Estimate{CPUTuples: prod.Rows}
 
 	// ---- AvailCost_F ----------------------------------------------------
-	filterBytes := fCard * float64(keyBytes)
+	filterBytes := fCard * float64(a.keyBytes)
 	if repr == ReprBloom {
 		filterBytes = math.Ceil(fCard*m.Opts.BloomBitsPerEntry/8) + 64
 		comp.AvailCostF.CPUTuples += fCard // building the Bloom filter from the key set
@@ -477,7 +522,7 @@ func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant [
 	if e.Kind == catalog.KindView {
 		// The runtime writes F into a transient table the magic-rewritten
 		// view plan scans.
-		comp.AvailCostF.PageWrites += opt.PagesOf(fCard, keyBytes)
+		comp.AvailCostF.PageWrites += opt.PagesOf(fCard, a.keyBytes)
 	}
 
 	// ---- FilterCost_Rk, AvailCost_Rk', restricted cardinality ----------
@@ -492,21 +537,18 @@ func (m *Method) price(s *opt.JoinStep, keys *fjKeys, prod *plan.Node, variant [
 		v.restrictRows = raw.Rows * effSel * ri.LocalSel
 		comp.FilterCostRk = scanEst
 		v.access = AccessScanFilter
-		if repr == ReprExact {
-			if ix := opt.PickIndex(t, v.innerLocal); ix != nil {
-				k, matchPages := opt.IndexProbe(raw, t, ix)
-				ixEst := cost.Estimate{
-					PageReads: fCard * (1 + matchPages),
-					CPUTuples: fCard * (k + 2),
-				}
-				if ri.LocalPred != nil {
-					ixEst.CPUTuples += fCard * k
-				}
-				if cost.Less(model.TotalEstimate(ixEst), model.TotalEstimate(scanEst)) {
-					comp.FilterCostRk = ixEst
-					v.access = AccessIndexProbe
-					v.index = ix
-				}
+		if repr == ReprExact && a.index != nil {
+			ixEst := cost.Estimate{
+				PageReads: fCard * (1 + a.matchPages),
+				CPUTuples: fCard * (a.k + 2),
+			}
+			if ri.LocalPred != nil {
+				ixEst.CPUTuples += fCard * a.k
+			}
+			if cost.Less(model.TotalEstimate(ixEst), model.TotalEstimate(scanEst)) {
+				comp.FilterCostRk = ixEst
+				v.access = AccessIndexProbe
+				v.index = a.index
 			}
 		}
 		if e.Kind == catalog.KindRemote && v.access == AccessScanFilter {

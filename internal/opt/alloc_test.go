@@ -3,6 +3,7 @@ package opt_test
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"filterjoin/internal/core"
@@ -55,5 +56,37 @@ func TestPlanAllocBudget(t *testing.T) {
 		if got > want {
 			t.Errorf("%s: a warm OptimizeBlock allocates %.0f, budget %.0f (testdata/alloc_budget.json)", name, got, want)
 		}
+	}
+}
+
+// TestPlanBytesBudget is TestPlanAllocBudget's twin in bytes: a warm
+// OptimizeBlock of the largest plan_cold shape, Filter Join registered,
+// must stay under budgetKiB of allocation, about 1.5x the measured
+// figure. It was 1 631 KiB when every DP extension built its own
+// JoinStep, predicate split and pre-admission orderings.
+func TestPlanBytesBudget(t *testing.T) {
+	const runs, budgetKiB = 50, 1482
+	cat, err := datagen.Fig1Catalog(datagen.DefaultFig1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := opt.New(cat, cost.DefaultModel())
+	o.Register(core.NewMethod(core.Options{}))
+	block := datagen.ColdShape(5, true)
+	if _, err := o.OptimizeBlock(block); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := o.OptimizeBlock(block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	t.Logf("SevenRelations: %.0f KiB per warm OptimizeBlock, budget %d KiB", perRun, budgetKiB)
+	if perRun > budgetKiB {
+		t.Errorf("SevenRelations: a warm OptimizeBlock allocates %.0f KiB, budget %d KiB", perRun, budgetKiB)
 	}
 }

@@ -74,6 +74,8 @@ type Ctx struct {
 	// resolve through the Ctx — given first, then the catalog — so an
 	// optimization reads the catalog and writes nothing.
 	given *catalog.Entry
+
+	dpScratch
 }
 
 // entry resolves a relation name of the block.

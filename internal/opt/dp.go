@@ -24,15 +24,54 @@ type memoEntry struct {
 // property string.
 type propTable map[string]*memoEntry
 
-// sortedProps returns the table's property keys in sorted order, so
-// every walk over a subset's entries is deterministic.
-func sortedProps(tbl propTable) []string {
-	keys := make([]string, 0, len(tbl))
+// appendSortedProps appends the table's property keys to dst in sorted
+// order, so every walk over a subset's entries is deterministic.
+func appendSortedProps(dst []string, tbl propTable) []string {
+	start := len(dst)
 	for k := range tbl {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	return keys
+	sort.Strings(dst[start:])
+	return dst
+}
+
+// dpScratch is what one optimization's DP reuses from extension to
+// extension, so that an extension allocates only for the candidates it
+// keeps: the one JoinStep, the per-pair facts of the subset being
+// extended, storage for the orderings priced before admission, and the
+// per-subset walks.
+type dpScratch struct {
+	step  JoinStep
+	pairs []pairFacts // the current subset's, indexed by inner relation
+
+	// Orderings built before admission — the streaming ordering, the
+	// merge join's, a registered method's (JoinStep.ExtendOrdering) —
+	// live here until the step ends; Keep copies what it keeps.
+	ordKeys plan.Ordering
+	ordCols []int
+
+	ints       []int    // merge-pair permutation, index-probe columns
+	props      []string // the subset's property keys (appendSortedProps)
+	conn, rest []int    // extensions
+}
+
+// PoisonScratch, when set (tests only), makes the DP overwrite its
+// ordering scratch with junk after every step: a kept plan node that
+// holds scratch instead of its own copy then carries a wrong ordering
+// (descending on the block's last column) that plans, EXPLAIN's order=
+// and the differential tests show.
+var PoisonScratch bool
+
+func (c *Ctx) poisonScratch() {
+	cols := c.ordCols[:cap(c.ordCols)]
+	for i := range cols {
+		cols[i] = c.Layout.Schema.Len() - 1
+	}
+	junk := cols[:min(1, len(cols))]
+	keys := c.ordKeys[:cap(c.ordKeys)]
+	for i := range keys {
+		keys[i] = plan.OrderKey{Cols: junk, Desc: true}
+	}
 }
 
 // dominated is the memo's one pruning rule: some kept plan is no
@@ -52,10 +91,11 @@ func (c *Ctx) dominated(tbl propTable, total float64, ord plan.Ordering) bool {
 // keepCandidate offers a built candidate, whose ordering reduces to the
 // memo property prop, as a memo entry for subset ns: it is dropped when
 // dominated, and a kept candidate conversely evicts the entries it
-// dominates on both cost and order. One call accounts for one
-// considered plan in Metrics and the trace; JoinStep.Admit accounts for
-// the candidates it never lets a method build.
-func (o *Optimizer) keepCandidate(ctx *Ctx, tbl propTable, ns query.RelSet, cand *plan.Node, prop plan.Ordering) {
+// dominates on both cost and order. It reports whether cand was kept.
+// One call accounts for one considered plan in Metrics and the trace;
+// JoinStep.Admit accounts for the candidates it never lets a method
+// build.
+func (o *Optimizer) keepCandidate(ctx *Ctx, tbl propTable, ns query.RelSet, cand *plan.Node, prop plan.Ordering) bool {
 	o.Metrics.PlansConsidered++
 	if len(tbl) == 0 {
 		o.Metrics.SubsetsExplored++
@@ -77,6 +117,7 @@ func (o *Optimizer) keepCandidate(ctx *Ctx, tbl propTable, ns query.RelSet, cand
 			Method: cand.Kind, Detail: cand.Detail,
 			Cost: total, Kept: kept, Prop: ctx.propName(prop)})
 	}
+	return kept
 }
 
 // offerStep offers one DP extension — outer joined with the inner
@@ -85,15 +126,19 @@ func (o *Optimizer) keepCandidate(ctx *Ctx, tbl propTable, ns query.RelSet, cand
 // admits and keeps its candidates into tbl, the extended subset's table,
 // one at a time.
 func (o *Optimizer) offerStep(ctx *Ctx, tbl propTable, outer *plan.Node, inner int) error {
-	step := ctx.newJoinStep(outer, inner, tbl)
+	step := ctx.resetStep(outer, inner, tbl)
 	step.offerBuiltins()
-	for _, m := range o.extra {
+	for i, m := range o.extra {
 		if !o.methodEnabled(m.Name()) {
 			continue
 		}
+		step.method = i
 		if err := m.Offer(step); err != nil {
 			return err
 		}
+	}
+	if PoisonScratch {
+		ctx.poisonScratch()
 	}
 	return nil
 }
@@ -156,9 +201,11 @@ func (o *Optimizer) runDP(ctx *Ctx, order []int) (propTable, error) {
 			if order != nil {
 				exts = order[size-1 : size]
 			} else {
-				exts = o.extensions(ctx, s, n)
+				exts = ctx.extensions(s, n)
 			}
-			for _, key := range sortedProps(tbl) {
+			ctx.resetPairs()
+			ctx.props = appendSortedProps(ctx.props[:0], tbl)
+			for _, key := range ctx.props {
 				outer := tbl[key].node
 				for _, i := range exts {
 					ns := s.With(i)
@@ -192,7 +239,8 @@ func (o *Optimizer) runDP(ctx *Ctx, order []int) (propTable, error) {
 // completed plans under the optimizer's own cost model.
 func (o *Optimizer) finishBest(ctx *Ctx, tbl propTable) (*plan.Node, error) {
 	var best *plan.Node
-	for _, key := range sortedProps(tbl) {
+	ctx.props = appendSortedProps(ctx.props[:0], tbl)
+	for _, key := range ctx.props {
 		p, err := o.finish(ctx, tbl[key].node)
 		if err != nil {
 			return nil, err
@@ -209,21 +257,21 @@ func (o *Optimizer) finishBest(ctx *Ctx, tbl propTable) (*plan.Node, error) {
 
 // extensions returns the relations the subset should be extended with:
 // connected ones if any, otherwise every remaining relation (deferred
-// cross products).
-func (o *Optimizer) extensions(ctx *Ctx, s query.RelSet, n int) []int {
-	var connected, rest []int
+// cross products). The slice is the Ctx's, valid until the next call.
+func (c *Ctx) extensions(s query.RelSet, n int) []int {
+	c.conn, c.rest = c.conn[:0], c.rest[:0]
 	for i := 0; i < n; i++ {
 		if s.Has(i) {
 			continue
 		}
-		if ctx.connects(s, i) {
-			connected = append(connected, i)
+		if c.connects(s, i) {
+			c.conn = append(c.conn, i)
 		} else {
-			rest = append(rest, i)
+			c.rest = append(c.rest, i)
 		}
 	}
-	if len(connected) > 0 {
-		return connected
+	if len(c.conn) > 0 {
+		return c.conn
 	}
-	return rest
+	return c.rest
 }

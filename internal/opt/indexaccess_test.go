@@ -136,3 +136,26 @@ func TestIndexAccessLiteralOnLeft(t *testing.T) {
 		t.Errorf("rows = %d", len(rows))
 	}
 }
+
+// TestPickIndexDeterministic: between two indexes that cover the equi
+// columns equally well, PickIndex takes the one created first, on every
+// fresh table (a pick that followed map order would vary run to run, and
+// the two picks cost differently).
+func TestPickIndexDeterministic(t *testing.T) {
+	s := schema.New(
+		schema.Column{Table: "T", Name: "a", Type: value.KindInt},
+		schema.Column{Table: "T", Name: "b", Type: value.KindInt},
+	)
+	for i := 0; i < 200; i++ {
+		tb := storage.NewTable("T", s)
+		if _, err := tb.CreateIndex("ia", []int{0}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.CreateIndex("ib", []int{1}); err != nil {
+			t.Fatal(err)
+		}
+		if ix := PickIndex(tb, []int{0, 1}); ix == nil || ix.Name() != "ia" {
+			t.Fatalf("table %d: PickIndex = %v, want ia", i, ix)
+		}
+	}
+}

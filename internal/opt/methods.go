@@ -100,7 +100,7 @@ func (s *JoinStep) mergeJoin() {
 	oc, ic := s.OuterCols, s.InnerCols
 	presorted := false
 	if s.Ctx.O.orderAware() {
-		oc, ic, presorted = reorderPairsForPresorted(outer.Ordering, oc, ic)
+		oc, ic, presorted = s.Ctx.reorderPairsForPresorted(outer.Ordering, oc, ic)
 	}
 	if !Covers(outer, oc) || !Covers(a, ic) {
 		return
@@ -110,7 +110,7 @@ func (s *JoinStep) mergeJoin() {
 	if !presorted {
 		est.CPUTuples += outer.Rows * lg2(outer.Rows)
 	}
-	if !s.Admit(est, mergeOutputOrdering(oc, ic)) {
+	if !s.Admit(est, s.Ctx.mergeOrdering(oc, ic)) {
 		return
 	}
 	outerPos, _ := OuterKeyPositions(outer, oc)
@@ -200,27 +200,32 @@ func IndexProbe(raw *stats.RelStats, t *storage.Table, ix *storage.HashIndex) (k
 
 // indexProbe prices the probe of an index-driven join: the inner's
 // index covering the most equi columns (PickIndex), with expected
-// matches and pages per probe. ok is false when no index applies or the
-// outer lacks a key the index needs.
+// matches and pages per probe — derived once per (outer subset, inner)
+// pair. ok is false when no index applies or the outer lacks a key the
+// index needs.
 func (s *JoinStep) indexProbe() (ix *storage.HashIndex, k, matchPages float64, ok bool) {
-	ri := s.Inner
-	t := ri.Entry.Table
-	local := make([]int, len(s.InnerCols))
-	for i, col := range s.InnerCols {
-		local[i] = col - ri.Offset
+	p, ri, c := s.pair, s.Inner, s.Ctx
+	if !p.probeDone {
+		p.probeDone = true
+		t := ri.Entry.Table
+		c.ints = c.ints[:0]
+		for _, col := range s.InnerCols {
+			c.ints = append(c.ints, col-ri.Offset)
+		}
+		if p.ix = PickIndex(t, c.ints); p.ix != nil {
+			p.k, p.matchPages = IndexProbe(ri.RawStats, t, p.ix)
+		}
 	}
-	ix = PickIndex(t, local)
-	if ix == nil {
+	if p.ix == nil {
 		return nil, 0, 0, false
 	}
-	for _, ic := range ix.Cols() {
+	for _, ic := range p.ix.Cols() {
 		j := s.innerKey(ic)
 		if j < 0 || !Covers(s.Outer, s.OuterCols[j:j+1]) {
 			return nil, 0, 0, false
 		}
 	}
-	k, matchPages = IndexProbe(ri.RawStats, t, ix)
-	return ix, k, matchPages, true
+	return p.ix, p.k, p.matchPages, true
 }
 
 // innerKey returns the first key pair whose inner column is the inner

@@ -5,6 +5,7 @@
 package opt
 
 import (
+	"slices"
 	"strings"
 
 	"filterjoin/internal/plan"
@@ -107,16 +108,17 @@ func (c *Ctx) propName(prop plan.Ordering) string {
 
 // reorderPairsForPresorted tries to permute the equi pairs of a merge
 // join so that the outer's retained ordering already sorts the outer
-// input on the merge keys (ascending). It returns permuted copies of
-// the column lists and true on success, or the originals and false.
-func reorderPairsForPresorted(ord plan.Ordering, outerCols, innerCols []int) ([]int, []int, bool) {
+// input on the merge keys (ascending). It returns the permuted column
+// lists, built in the Ctx's scratch (valid until the step ends), and
+// true on success, or the originals and false.
+func (c *Ctx) reorderPairsForPresorted(ord plan.Ordering, outerCols, innerCols []int) ([]int, []int, bool) {
 	n := len(outerCols)
 	if n == 0 || len(ord) < n {
 		return outerCols, innerCols, false
 	}
-	used := make([]bool, n)
-	oc := make([]int, 0, n)
-	ic := make([]int, 0, n)
+	// picked[i] is the pair the ordering's i-th key sorts.
+	c.ints = slices.Grow(c.ints[:0], 3*n)[:3*n]
+	oc, ic, picked := c.ints[:n:n], c.ints[n:2*n:2*n], c.ints[2*n:]
 	for i := 0; i < n; i++ {
 		k := ord[i]
 		if k.Desc {
@@ -124,7 +126,7 @@ func reorderPairsForPresorted(ord plan.Ordering, outerCols, innerCols []int) ([]
 		}
 		found := -1
 		for j := range outerCols {
-			if !used[j] && k.Has(outerCols[j]) {
+			if !slices.Contains(picked[:i], j) && k.Has(outerCols[j]) {
 				found = j
 				break
 			}
@@ -132,25 +134,30 @@ func reorderPairsForPresorted(ord plan.Ordering, outerCols, innerCols []int) ([]
 		if found < 0 {
 			return outerCols, innerCols, false
 		}
-		used[found] = true
-		oc = append(oc, outerCols[found])
-		ic = append(ic, innerCols[found])
+		picked[i], oc[i], ic[i] = found, outerCols[found], innerCols[found]
 	}
 	return oc, ic, true
 }
 
-// mergeOutputOrdering is the order a merge join produces: its key
-// sequence ascending, with each key carrying both sides' columns (they
-// are value-equal in every output row).
-func mergeOutputOrdering(outerCols, innerCols []int) plan.Ordering {
-	out := make(plan.Ordering, len(outerCols))
-	cols := make([]int, 2*len(outerCols))
+// mergeOrdering is the order a merge join produces, built in the step's
+// ordering scratch: its key sequence ascending, with each key carrying
+// both sides' columns (they are value-equal in every output row).
+func (c *Ctx) mergeOrdering(outerCols, innerCols []int) plan.Ordering {
+	start := len(c.ordKeys)
 	for i := range outerCols {
-		key := cols[2*i : 2*i+2 : 2*i+2]
-		key[0], key[1] = outerCols[i], innerCols[i]
-		out[i] = plan.OrderKey{Cols: key}
+		first := len(c.ordCols)
+		c.ordCols = append(c.ordCols, outerCols[i], innerCols[i])
+		c.ordKeys = append(c.ordKeys, plan.OrderKey{Cols: c.ordCols[first : first+2 : first+2]})
 	}
-	return out
+	return c.ordKeys[start:len(c.ordKeys):len(c.ordKeys)]
+}
+
+// extendOrdering is have.AppendExtendEquiv into the step's ordering
+// scratch.
+func (c *Ctx) extendOrdering(have plan.Ordering, outerCols, innerCols []int) plan.Ordering {
+	ext, keys, cols := have.AppendExtendEquiv(c.ordKeys, c.ordCols, outerCols, innerCols)
+	c.ordKeys, c.ordCols = keys, cols
+	return ext
 }
 
 // orderAware reports whether the property-aware memo (and with it sort

@@ -239,7 +239,7 @@ func TestMemoKeepsSecondBestOrderedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ordered, unordered bool
-	for _, k := range sortedProps(tbl) {
+	for _, k := range appendSortedProps(nil, tbl) {
 		if len(tbl[k].prop) > 0 {
 			ordered = true
 		} else {
@@ -247,6 +247,6 @@ func TestMemoKeepsSecondBestOrderedPlan(t *testing.T) {
 		}
 	}
 	if !ordered || !unordered {
-		t.Errorf("full subset should retain ordered and unordered entries, got props %v", sortedProps(tbl))
+		t.Errorf("full subset should retain ordered and unordered entries, got props %v", appendSortedProps(nil, tbl))
 	}
 }

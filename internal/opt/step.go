@@ -9,6 +9,7 @@ import (
 	"filterjoin/internal/query"
 	"filterjoin/internal/schema"
 	"filterjoin/internal/stats"
+	"filterjoin/internal/storage"
 )
 
 // JoinStep is what the DP knows about extending one outer plan with one
@@ -19,7 +20,12 @@ import (
 // offers the price to Admit, and builds only an admitted candidate,
 // handing it to Keep — which adds what every candidate shares. Methods
 // must treat the step as read-only; its slices are shared by every
-// candidate of the step.
+// candidate of the step, and those of the (outer subset, inner) pair
+// (Preds, the key columns, Residual) by every outer plan of the subset.
+// The DP reuses one step, and the storage of the orderings priced
+// before admission, for every extension: a method may not keep the step,
+// or an ordering it passed to Admit, after Offer returns — Keep copies
+// the ordering of a candidate it keeps.
 type JoinStep struct {
 	Ctx   *Ctx
 	Outer *plan.Node
@@ -42,29 +48,98 @@ type JoinStep struct {
 	// input (every one but the merge join) delivers.
 	Ordering plan.Ordering
 
-	tbl propTable     // the extended subset's live memo table
-	est cost.Estimate // the offer Admit last accepted
-	ord plan.Ordering
+	tbl    propTable     // the extended subset's live memo table
+	pair   *pairFacts    // what the step shares with its pair's other steps
+	method int           // the registered method being offered (PairSlot)
+	est    cost.Estimate // the offer Admit last accepted
+	ord    plan.Ordering
 
 	// Derived on first use, so a step whose every candidate is pruned
 	// never computes them: the shape of a built candidate, the memo
-	// property of Ordering, and the rendered key list.
+	// property of Ordering, and the kept copy of the last scratch
+	// ordering a kept candidate delivered.
 	stats      *stats.RelStats
 	colMap     []int
 	outSchema  *schema.Schema
 	streamProp plan.Ordering
 	propDone   bool
-	keyText    string
+	ownedFrom  plan.Ordering
+	owned      plan.Ordering
 }
 
-func (c *Ctx) newJoinStep(outer *plan.Node, inner int, tbl propTable) *JoinStep {
-	ri := c.Rels[inner]
-	s := &JoinStep{Ctx: c, Outer: outer, Inner: ri, Rels: outer.Rels.With(inner), tbl: tbl}
-	s.Preds = c.ApplicablePreds(outer.Rels, inner)
-	s.OuterCols, s.InnerCols, s.Residual = c.equiSplit(s.Preds, outer.Rels, inner)
+// pairFacts are what an extension knows from its (outer subset, inner
+// relation) pair alone, not from the outer plan: derived on the pair's
+// first step and shared, read-only, by the steps of the subset's other
+// kept outer plans and by the candidates they keep.
+type pairFacts struct {
+	ready                bool
+	preds, residual      []*PredInfo
+	outerCols, innerCols []int
+	keyText              string // rendered on first use
+
+	// The inner's index covering the most equi columns and its probe
+	// estimate (indexProbe), derived on first use.
+	probeDone     bool
+	ix            *storage.HashIndex
+	k, matchPages float64
+
+	slots []any // one per registered method (PairSlot)
+}
+
+// resetPairs starts a subset: no pair of it has facts yet. The slot
+// storage is kept for the next subset's pairs.
+func (c *Ctx) resetPairs() {
+	if c.pairs == nil {
+		c.pairs = make([]pairFacts, len(c.Rels))
+	}
+	for i := range c.pairs {
+		slots := c.pairs[i].slots
+		clear(slots)
+		c.pairs[i] = pairFacts{slots: slots}
+	}
+}
+
+// resetStep readies the Ctx's one JoinStep for extending outer with the
+// inner relation: the pair's facts (derived here on its first step), the
+// step's rows and streaming ordering, and empty ordering scratch.
+func (c *Ctx) resetStep(outer *plan.Node, inner int, tbl propTable) *JoinStep {
+	ri, p := c.Rels[inner], &c.pairs[inner]
+	if !p.ready {
+		p.preds = c.ApplicablePreds(outer.Rels, inner)
+		p.outerCols, p.innerCols, p.residual = c.equiSplit(p.preds, outer.Rels, inner)
+		p.ready = true
+	}
+	c.ordKeys, c.ordCols = c.ordKeys[:0], c.ordCols[:0]
+	s := &c.step
+	*s = JoinStep{Ctx: c, Outer: outer, Inner: ri, Rels: outer.Rels.With(inner), tbl: tbl, pair: p,
+		Preds: p.preds, OuterCols: p.outerCols, InnerCols: p.innerCols, Residual: p.residual}
 	s.Rows = c.joinRows(outer, ri, s.Preds)
-	s.Ordering = outer.Ordering.ExtendEquiv(s.OuterCols, s.InnerCols)
+	s.Ordering = c.extendOrdering(outer.Ordering, s.OuterCols, s.InnerCols)
 	return s
+}
+
+// ExtendOrdering is the outer's ordering widened across the given equi
+// pairs (plan.Ordering.AppendExtendEquiv): what a method that streams
+// its outer delivers when it equates only those pairs. It is built in
+// scratch the DP reuses, valid until Offer returns: pass it to Admit,
+// and Keep copies it if the candidate is kept.
+func (s *JoinStep) ExtendOrdering(outerCols, innerCols []int) plan.Ordering {
+	return s.Ctx.extendOrdering(s.Outer.Ordering, outerCols, innerCols)
+}
+
+// PairSlot is a slot of the calling registered method's own for the
+// step's (outer subset, inner relation) pair. It is empty on the pair's
+// first step and keeps what the method stores for the pair's later
+// steps, those of the subset's other kept outer plans: a fact that
+// depends on the pair alone (never on Outer) is derived there once. What
+// it holds is shared by every candidate built from it, so must not be
+// modified once stored.
+func (s *JoinStep) PairSlot() *any {
+	p := s.pair
+	if p.slots == nil {
+		p.slots = make([]any, len(s.Ctx.O.extra))
+	}
+	return &p.slots[s.method]
 }
 
 // Admit offers one priced candidate — its estimate and the ordering it
@@ -86,24 +161,48 @@ func (s *JoinStep) Admit(est cost.Estimate, ord plan.Ordering) bool {
 // Keep finishes the candidate Admit last accepted and offers it to the
 // memo: n carries what is the method's own — Kind, Detail, Children,
 // Make (and Extra) — and the step fills in the admitted estimate and
-// ordering and the output shape every candidate shares.
+// ordering and the output shape every candidate shares. A kept
+// candidate gets its own copy of an ordering built in scratch.
 func (s *JoinStep) Keep(n *plan.Node) {
 	n.Est, n.Rows, n.Stats = s.est, s.Rows, s.shape()
 	n.OutSchema, n.ColMap, n.Rels = s.outSchema, s.colMap, s.Rels
-	s.Ctx.O.keepCandidate(s.Ctx, s.tbl, s.Rels, plan.NewNode(s.ord, n), s.prop(s.ord))
+	cand := plan.NewNode(s.ord, n)
+	if s.Ctx.O.keepCandidate(s.Ctx, s.tbl, s.Rels, cand, s.prop(s.ord)) {
+		cand.Ordering = s.own(s.ord)
+	}
 }
 
 // prop is ord's memo property (interestingPrefix). The streaming
 // Ordering every outer-streaming candidate delivers — recognized by
 // identity, as methods pass s.Ordering itself — is projected once.
 func (s *JoinStep) prop(ord plan.Ordering) plan.Ordering {
-	if len(ord) == 0 || len(ord) != len(s.Ordering) || &ord[0] != &s.Ordering[0] {
+	if !sameOrdering(ord, s.Ordering) {
 		return s.Ctx.interestingPrefix(ord)
 	}
 	if !s.propDone {
 		s.streamProp, s.propDone = s.Ctx.interestingPrefix(ord), true
 	}
 	return s.streamProp
+}
+
+// own returns ord in storage a kept node may hold: ord itself when it
+// is empty or the outer's own ordering (which a kept plan holds
+// already), else a copy — one per step for an ordering kept more than
+// once, like the streaming one every outer-streaming method passes.
+func (s *JoinStep) own(ord plan.Ordering) plan.Ordering {
+	switch {
+	case len(ord) == 0 || sameOrdering(ord, s.Outer.Ordering):
+		return ord
+	case !sameOrdering(ord, s.ownedFrom):
+		s.ownedFrom, s.owned = ord, ord.Clone()
+	}
+	return s.owned
+}
+
+// sameOrdering reports whether a and b are one ordering: the same
+// non-empty stretch of one array of keys.
+func sameOrdering(a, b plan.Ordering) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
 // shape derives, once per step, the output statistics, column map and
@@ -123,13 +222,13 @@ func (s *JoinStep) ColMap() []int { s.shape(); return s.colMap }
 // OutSchema is a candidate's output schema: outer‖inner.
 func (s *JoinStep) OutSchema() *schema.Schema { s.shape(); return s.outSchema }
 
-// keys renders the step's equi-join key list ("E.did=D.did, ...") once
-// for every method that shows it.
+// keys renders the pair's equi-join key list ("E.did=D.did, ...") once
+// for every method and outer plan that shows it.
 func (s *JoinStep) keys() string {
-	if s.keyText == "" {
-		s.keyText = s.Ctx.keyDetail(s.OuterCols, s.InnerCols)
+	if s.pair.keyText == "" {
+		s.pair.keyText = s.Ctx.keyDetail(s.OuterCols, s.InnerCols)
 	}
-	return s.keyText
+	return s.pair.keyText
 }
 
 func (c *Ctx) keyDetail(outerCols, innerCols []int) string {

@@ -6,22 +6,26 @@ import (
 
 	"filterjoin/internal/cost"
 	"filterjoin/internal/exec"
+	"filterjoin/internal/expr"
 	"filterjoin/internal/plan"
+	"filterjoin/internal/query"
 	"filterjoin/internal/sqlref"
 )
 
 // fakeJoin is a JoinMethod that knows nothing but the step: it offers
 // one candidate per call, a hash join priced at a fixed estimate.
+// It records a copy of each step it is offered, taken when Offer
+// returns: the DP reuses one step, so a method may not keep a pointer.
 type fakeJoin struct {
 	est   cost.Estimate
-	steps []*JoinStep
+	steps []JoinStep
 	built int
 }
 
 func (f *fakeJoin) Name() string { return "fake" }
 
 func (f *fakeJoin) Offer(s *JoinStep) error {
-	f.steps = append(f.steps, s)
+	defer func() { f.steps = append(f.steps, *s) }()
 	if !s.Admit(f.est, s.Ordering) {
 		return nil
 	}
@@ -75,9 +79,9 @@ func TestRegisteredMethodSeesEveryStep(t *testing.T) {
 		t.Fatalf("cheapest candidate not chosen:\n%s", plan.Format(p, o.Model))
 	}
 	var s *JoinStep
-	for _, st := range fake.steps {
-		if st.Outer == fj.Children[0] {
-			s = st
+	for i := range fake.steps {
+		if fake.steps[i].Outer == fj.Children[0] {
+			s = &fake.steps[i]
 		}
 	}
 	if s == nil {
@@ -108,6 +112,43 @@ func TestRegisteredMethodSeesEveryStep(t *testing.T) {
 	}
 	if got, n := o2.Metrics.PlansConsidered, ref.Metrics.PlansConsidered+2; got != n {
 		t.Errorf("PlansConsidered = %d, want %d (a pruned offer still counts)", got, n)
+	}
+
+	// What depends only on the (outer subset, inner) pair is derived
+	// once: every outer plan kept for {A,B} (hash-joined, and ordered
+	// by a merge join) extends with B2 from one Preds slice.
+	o3 := only(t, "hash", "merge")
+	seen := &fakeJoin{est: cost.Estimate{PageReads: 1e12}}
+	o3.Register(seen)
+	if _, err := o3.OptimizeBlock(&query.Block{
+		Rels: []query.RelRef{{Name: "A"}, {Name: "B"}, {Name: "B", Alias: "B2"}},
+		Preds: []expr.Expr{
+			expr.Eq(expr.NewCol(0, "A.k"), expr.NewCol(2, "B.k")),
+			expr.Eq(expr.NewCol(2, "B.k"), expr.NewCol(4, "B2.k")),
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	type pair struct {
+		outer query.RelSet
+		inner int
+	}
+	first, outers := map[pair]*JoinStep{}, map[pair]int{}
+	for i := range seen.steps {
+		st := &seen.steps[i]
+		k := pair{st.Outer.Rels, st.Inner.Index}
+		outers[k]++
+		f, ok := first[k]
+		if !ok {
+			first[k] = st
+			continue
+		}
+		if len(st.Preds) == 0 || &st.Preds[0] != &f.Preds[0] || &st.OuterCols[0] != &f.OuterCols[0] {
+			t.Errorf("two outers of %v + %s derived their predicates separately", k.outer.Members(), st.Inner.Ref.Binding())
+		}
+	}
+	if outers[pair{query.NewRelSet(0, 1), 2}] < 2 {
+		t.Fatalf("{A,B} kept %d outer plans, want at least 2 for the check", outers[pair{query.NewRelSet(0, 1), 2}])
 	}
 }
 

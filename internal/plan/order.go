@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -88,39 +89,63 @@ func (have Ordering) PrefixCovers(cols []int) bool {
 	return false
 }
 
-// ExtendEquiv widens the ordering with columns newly equated to its
-// keys: for every equi pair (outerCols[i], innerCols[i]) that holds on
-// the stream, an ordering key containing the outer column also orders
-// the inner one. The receiver is not mutated (orderings are shared
-// between plan nodes).
-func (have Ordering) ExtendEquiv(outerCols, innerCols []int) Ordering {
-	// Size one column buffer for every key at once; an ordering no pair
-	// touches is returned as is.
-	size, hits := 0, 0
+// AppendExtendEquiv widens the ordering with columns newly equated to
+// its keys: for every equi pair (outerCols[i], innerCols[i]) that holds
+// on the stream, an ordering key containing the outer column also orders
+// the inner one. The widened keys are appended to keys and their columns
+// to cols, buffers the caller owns and may reuse once it is done with
+// the result; it returns the widened ordering (a sub-slice of the grown
+// keys) and the grown buffers. An ordering no pair touches is returned
+// as is, with the buffers unchanged. The receiver is never mutated
+// (orderings are shared between plan nodes).
+func (have Ordering) AppendExtendEquiv(keys Ordering, cols []int, outerCols, innerCols []int) (ext, keysOut Ordering, colsOut []int) {
+	if !have.touches(outerCols) {
+		return have, keys, cols
+	}
+	start := len(keys)
 	for _, k := range have {
-		size += len(k.Cols)
-		for _, oc := range outerCols {
-			if k.Has(oc) {
-				hits++
+		first := len(cols)
+		cols = append(cols, k.Cols...)
+		for j, oc := range outerCols {
+			if k.Has(oc) && !containsInt(cols[first:], innerCols[j]) {
+				cols = append(cols, innerCols[j])
 			}
 		}
+		keys = append(keys, OrderKey{Cols: cols[first:len(cols):len(cols)], Desc: k.Desc})
 	}
-	if hits == 0 {
-		return have
+	return keys[start:len(keys):len(keys)], keys, cols
+}
+
+// Clone returns a copy of the ordering that shares no storage with it:
+// one slice of keys and one of their columns.
+func (have Ordering) Clone() Ordering {
+	if len(have) == 0 {
+		return nil
+	}
+	size := 0
+	for _, k := range have {
+		size += len(k.Cols)
 	}
 	out := make(Ordering, len(have))
-	buf := make([]int, 0, size+hits)
+	buf := make([]int, 0, size)
 	for i, k := range have {
 		start := len(buf)
 		buf = append(buf, k.Cols...)
-		for j, oc := range outerCols {
-			if k.Has(oc) && !containsInt(buf[start:], innerCols[j]) {
-				buf = append(buf, innerCols[j])
-			}
-		}
 		out[i] = OrderKey{Cols: buf[start:len(buf):len(buf)], Desc: k.Desc}
 	}
 	return out
+}
+
+// touches reports whether some key of the ordering holds one of cols.
+func (have Ordering) touches(cols []int) bool {
+	for _, k := range have {
+		for _, c := range cols {
+			if k.Has(c) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func containsInt(s []int, v int) bool {
@@ -174,22 +199,22 @@ func (have Ordering) Key() string {
 	if len(have) == 0 {
 		return ""
 	}
-	var b strings.Builder
+	b := make([]byte, 0, 8*len(have))
 	for i, k := range have {
 		if i > 0 {
-			b.WriteString(";")
+			b = append(b, ';')
 		}
 		for j, c := range k.Cols {
 			if j > 0 {
-				b.WriteString("=")
+				b = append(b, '=')
 			}
-			fmt.Fprintf(&b, "%d", c)
+			b = strconv.AppendInt(b, int64(c), 10)
 		}
 		if k.Desc {
-			b.WriteString(" desc")
+			b = append(b, " desc"...)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // DescribeOrdering renders an ordering for display against a node: each

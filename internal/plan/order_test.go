@@ -57,7 +57,9 @@ func TestOrderingPrefixCovers(t *testing.T) {
 
 func TestOrderingExtendEquiv(t *testing.T) {
 	have := Ordering{key(false, 0), key(false, 1)}
-	ext := have.ExtendEquiv([]int{0, 3}, []int{5, 6})
+	other := Ordering{key(true, 9)}
+	keys, cols := Ordering{other[0]}, []int{9}
+	ext, keys, cols := have.AppendExtendEquiv(keys, cols, []int{0, 3}, []int{5, 6})
 	if !ext[0].Has(5) {
 		t.Errorf("key equated with inner column must widen: %v", ext[0])
 	}
@@ -66,10 +68,34 @@ func TestOrderingExtendEquiv(t *testing.T) {
 	}
 	// The receiver must be untouched: orderings are shared between nodes.
 	if have[0].Has(5) {
-		t.Error("ExtendEquiv mutated its receiver")
+		t.Error("AppendExtendEquiv mutated its receiver")
 	}
-	if got := (Ordering)(nil).ExtendEquiv([]int{0}, []int{1}); got != nil {
+	// It appends: what the buffers held before is still there.
+	if len(keys) != 3 || !keys[0].Has(9) || cols[0] != 9 {
+		t.Errorf("buffers after the append: keys %v, cols %v", keys, cols)
+	}
+	// An ordering no pair touches comes back as is, the buffers unchanged.
+	same, k2, c2 := have.AppendExtendEquiv(keys, cols, []int{7}, []int{8})
+	if &same[0] != &have[0] || len(k2) != len(keys) || len(c2) != len(cols) {
+		t.Error("an untouched ordering must be returned as is")
+	}
+	if got, _, _ := (Ordering)(nil).AppendExtendEquiv(nil, nil, []int{0}, []int{1}); got != nil {
 		t.Errorf("nil ordering extends to nil, got %v", got)
+	}
+}
+
+func TestOrderingClone(t *testing.T) {
+	have := Ordering{key(false, 0, 2), key(true, 7)}
+	c := have.Clone()
+	if c.Key() != have.Key() {
+		t.Fatalf("Clone = %v, want %v", c, have)
+	}
+	c[0].Cols[0] = 99
+	if have[0].Cols[0] != 0 {
+		t.Error("Clone shares columns with its source")
+	}
+	if (Ordering)(nil).Clone() != nil {
+		t.Error("nil clones to nil")
 	}
 }
 

@@ -138,6 +138,25 @@ func TestIndexOn(t *testing.T) {
 	}
 }
 
+// TestIndexesInCreationOrder: Indexes walks a table's indexes in the
+// order they were created, on every fresh table, and a rebuild under an
+// existing name keeps the index's place.
+func TestIndexesInCreationOrder(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		tb := NewTable("t", intSchema("a", "b", "c"))
+		for _, c := range []int{0, 1, 2} {
+			if _, err := tb.CreateIndex(tb.Schema().Col(c).Name, []int{c}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rebuilt, _ := tb.CreateIndex("b", []int{1})
+		got := tb.Indexes()
+		if len(got) != 3 || got[0].Name() != "a" || got[1] != rebuilt || got[2].Name() != "c" {
+			t.Fatalf("table %d: Indexes() = %v, want a, b (rebuilt), c", i, got)
+		}
+	}
+}
+
 func TestLookupRow(t *testing.T) {
 	tb := NewTable("t", intSchema("k", "v"))
 	tb.MustInsert(value.NewInt(5), value.NewInt(50))

@@ -8,6 +8,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"filterjoin/internal/schema"
 	"filterjoin/internal/value"
@@ -22,7 +23,11 @@ type Table struct {
 	schema      *schema.Schema
 	rows        []value.Row
 	rowsPerPage int
-	indexes     map[string]*HashIndex
+	// indexes holds the table's indexes in creation order, so every walk
+	// over them (and with it every tie an optimizer breaks by that order)
+	// is the same run to run; byName finds one by its name.
+	indexes []*HashIndex
+	byName  map[string]*HashIndex
 }
 
 // NewTable creates an empty table with the given name and schema.
@@ -35,7 +40,7 @@ func NewTable(name string, s *schema.Schema) *Table {
 		name:        name,
 		schema:      s,
 		rowsPerPage: rpp,
-		indexes:     map[string]*HashIndex{},
+		byName:      map[string]*HashIndex{},
 	}
 }
 
@@ -144,15 +149,20 @@ func (t *Table) CreateIndex(name string, cols []int) (*HashIndex, error) {
 	for i, r := range t.rows {
 		ix.add(i, r)
 	}
-	t.indexes[name] = ix
+	if old, ok := t.byName[name]; ok {
+		t.indexes[slices.Index(t.indexes, old)] = ix
+	} else {
+		t.indexes = append(t.indexes, ix)
+	}
+	t.byName[name] = ix
 	return ix, nil
 }
 
 // Index returns the named index, or nil.
-func (t *Table) Index(name string) *HashIndex { return t.indexes[name] }
+func (t *Table) Index(name string) *HashIndex { return t.byName[name] }
 
-// IndexOn returns any index whose key columns exactly cover cols (order
-// insensitive), or nil.
+// IndexOn returns the first-created index whose key columns exactly
+// cover cols (order insensitive), or nil.
 func (t *Table) IndexOn(cols []int) *HashIndex {
 	for _, ix := range t.indexes {
 		if sameColSet(ix.cols, cols) {
@@ -162,14 +172,9 @@ func (t *Table) IndexOn(cols []int) *HashIndex {
 	return nil
 }
 
-// Indexes returns all indexes on the table.
-func (t *Table) Indexes() []*HashIndex {
-	out := make([]*HashIndex, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		out = append(out, ix)
-	}
-	return out
-}
+// Indexes returns the table's indexes in creation order. The slice is
+// the table's own: the caller must not modify it.
+func (t *Table) Indexes() []*HashIndex { return t.indexes }
 
 func sameColSet(a, b []int) bool {
 	if len(a) != len(b) {
